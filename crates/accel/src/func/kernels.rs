@@ -1,15 +1,17 @@
 //! Branch-free CALC kernels over staged operands, with a deterministic
 //! scoped worker pool.
 //!
-//! Every kernel here is bit-identical to [`super::reference`]: the staged
-//! frames materialise the reference kernel's bounds checks as padding that
-//! contributes the identity element, and `i32` accumulation is wrapping —
-//! integer addition is associative and commutative mod 2³², so neither the
-//! loop-order change nor the channel partitioning can alter a single bit
-//! (see DESIGN.md, "Functional backend fast path"). Overflow, which would
-//! distinguish wrapping `i32` from the reference's clamped `i64`, is ruled
-//! out for realistic layer shapes (`ics·k²·127² ≪ 2³¹`) and asserted
-//! against by the property tests.
+//! Convolutions and fully-connected layers — in both execution tiers — run
+//! through one blocked int8 GEMM ([`conv_gemm`]); depthwise and pooling keep
+//! row-wise kernels. Every kernel here is bit-identical to
+//! [`super::reference`]: the staged frames materialise the reference
+//! kernel's bounds checks as padding that contributes the identity element,
+//! and `i32` accumulation is wrapping — integer addition is associative and
+//! commutative mod 2³², so neither the loop-order change nor the channel
+//! partitioning can alter a single bit (see DESIGN.md, "Functional backend
+//! fast path"). Overflow, which would distinguish wrapping `i32` from the
+//! reference's clamped `i64`, is ruled out for realistic layer shapes
+//! (`ics·k²·127² ≪ 2³¹`) and asserted against by the property tests.
 
 use inca_isa::{Instr, LayerKind, LayerMeta, PoolKind};
 
@@ -19,6 +21,9 @@ use super::{Buffers, SimError};
 /// Below this many MACs a tile runs inline: spawn/join overhead would
 /// exceed the work. Determinism is unaffected either way.
 const PAR_MIN_MACS: u64 = 1 << 18;
+
+/// Upper bound on each of the GEMM's two widened operand blocks.
+const BLOCK_BYTES: usize = 256 << 10;
 
 /// Executes one CALC instruction's arithmetic into `stage.scratch`
 /// (blob-layout `i32`, wrapping accumulation).
@@ -38,16 +43,12 @@ pub(super) fn calc_into(
     }
 
     match meta.kind {
-        LayerKind::Conv { .. } => {
-            let k2 = g.k * g.k;
-            stage.stage_conv_weights(bufs, layer, &t, k2)?;
+        // A fully-connected layer is a 1×1 convolution over a 1×1 plane.
+        LayerKind::Conv { .. } | LayerKind::FullyConnected => {
+            stage.stage_conv_weights(bufs, layer, &t, g.k * g.k)?;
             stage.stage_rows(bufs, layer, t.ic_range(), &g, 0)?;
-            let macs = (g.chans * g.chan_stride() * g.ics * k2) as u64;
-            let Stage { rows, weights, scratch, .. } = stage;
-            let (rows, weights) = (rows.as_slice(), weights.as_slice());
-            run_channels(scratch, &g, threads, macs, |cr, acc| {
-                conv_channel(rows, &weights[cr * g.ics * k2..], acc, &g);
-            });
+            let Stage { rows, weights, gemm, scratch, .. } = stage;
+            conv_gemm(rows, weights, i16::from, gemm, scratch, &g, threads);
         }
         LayerKind::DwConv { .. } => {
             let k2 = g.k * g.k;
@@ -93,37 +94,23 @@ pub(super) fn calc_into(
                 }
             }
         }
-        LayerKind::FullyConnected => {
-            for (cr, acc) in stage.scratch.chunks_mut(g.chan_stride()).enumerate() {
-                let oc = u32::from(t.c0) + cr as u32;
-                let mut sum = 0i32;
-                for ic in t.ic_range() {
-                    let w = bufs.weights_at(layer, oc, ic)?;
-                    let row = bufs.data_at(layer, ic, 0)?;
-                    sum = sum.wrapping_add(i32::from(row[0]) * i32::from(w[0]));
-                }
-                acc[0] = sum;
-            }
-        }
     }
     Ok(())
 }
 
-/// Partitions the blob-layout scratch into disjoint per-channel ranges and
-/// runs `f(channel_index, channel_scratch)` over them, inline or on a
-/// scoped worker pool. Each output element is written by exactly one
-/// worker running a fixed sequential loop, so the result is bit-identical
-/// at every worker count.
-pub(super) fn run_channels<F>(scratch: &mut [i32], g: &Geom, threads: usize, macs: u64, f: F)
+/// Partitions the blob-layout scratch into one contiguous channel range
+/// per worker and runs `f(first_channel, range_scratch)` over them, inline
+/// or on a scoped worker pool. Each output element is written by exactly
+/// one worker running a fixed sequential loop, so the result is
+/// bit-identical at every worker count.
+fn run_channel_ranges<F>(scratch: &mut [i32], stride: usize, threads: usize, macs: u64, f: F)
 where
     F: Fn(usize, &mut [i32]) + Sync,
 {
-    let stride = g.chan_stride();
-    let workers = if macs < PAR_MIN_MACS { 1 } else { threads.min(g.chans).max(1) };
-    if workers <= 1 || stride == 0 {
-        for (cr, acc) in scratch.chunks_mut(stride.max(1)).enumerate() {
-            f(cr, acc);
-        }
+    let chans = scratch.len().checked_div(stride).unwrap_or(0);
+    let workers = if macs < PAR_MIN_MACS { 1 } else { threads.min(chans).max(1) };
+    if workers <= 1 {
+        f(0, scratch);
         return;
     }
     crossbeam::thread::scope(|sc| {
@@ -132,23 +119,177 @@ where
         let f = &f;
         for wi in 0..workers {
             // Balanced split: remaining channels over remaining workers.
-            let take = (g.chans - c0).div_ceil(workers - wi);
+            let take = (chans - c0).div_ceil(workers - wi);
             let (head, tail) = rest.split_at_mut(take * stride);
             rest = tail;
-            sc.spawn(move |_| {
-                for (j, acc) in head.chunks_mut(stride).enumerate() {
-                    f(c0 + j, acc);
-                }
-            });
+            sc.spawn(move |_| f(c0, head));
             c0 += take;
         }
     })
     .expect("calc worker panicked");
 }
 
+/// [`run_channel_ranges`] for kernels that work one channel at a time:
+/// runs `f(channel_index, channel_scratch)`.
+pub(super) fn run_channels<F>(scratch: &mut [i32], g: &Geom, threads: usize, macs: u64, f: F)
+where
+    F: Fn(usize, &mut [i32]) + Sync,
+{
+    let stride = g.chan_stride().max(1);
+    run_channel_ranges(scratch, stride, threads, macs, |c0, range| {
+        for (j, acc) in range.chunks_mut(stride).enumerate() {
+            f(c0 + j, acc);
+        }
+    });
+}
+
+/// The convolution GEMM's operand blocks: transient, each capped at
+/// [`BLOCK_BYTES`] so one sweep's working set stays cache-resident.
+#[derive(Debug, Clone, Default)]
+pub(super) struct GemmBlocks {
+    /// Pixel-major im2col block, `px × K`, widened.
+    col: Vec<i16>,
+    /// A run of output channels' weight rows, `oc × K`, widened.
+    rows: Vec<i16>,
+}
+
+/// Convolution of the staged `frames` (`g.ics` zero-padded channels) with
+/// `weights` (`g.chans × K`, `K = ics·k²`, canonical order, int8 as the
+/// caller holds them and `widen` reads them) into the blob-layout
+/// `scratch`, as a blocked GEMM `out[oc][px] = Σ_K w·x`.
+///
+/// Per block of output pixels the staged windows are gathered into a
+/// pixel-major im2col block (`px × K`); per run of output channels the
+/// weight rows are widened next to it; and the workers, sharing both
+/// read-only, each sweep their own output channels with the [`dot_2x4`]
+/// micro-kernel. The sums are the reference kernel's MACs in a different
+/// order, so under wrapping `i32` addition the result is bit-identical —
+/// at every block size and worker count.
+pub(super) fn conv_gemm<W: Copy>(
+    frames: &[i8],
+    weights: &[W],
+    widen: impl Fn(W) -> i16,
+    blocks: &mut GemmBlocks,
+    scratch: &mut [i32],
+    g: &Geom,
+    threads: usize,
+) {
+    let kk = g.ics * g.k * g.k;
+    let plane = g.chan_stride();
+    if kk == 0 || plane == 0 {
+        return;
+    }
+    let GemmBlocks { col, rows } = blocks;
+    // Whole register blocks, so only a plane's (a tile's) last block has
+    // a pixel remainder (an odd channel).
+    let fit = BLOCK_BYTES / (2 * kk);
+    let (block_px, block_oc) = (fit.max(4) / 4 * 4, fit.max(2) / 2 * 2);
+    for p0 in (0..plane).step_by(block_px) {
+        let npx = block_px.min(plane - p0);
+        im2col(frames, col, kk, g, p0..p0 + npx);
+        for (w, out) in weights.chunks(block_oc * kk).zip(scratch.chunks_mut(block_oc * plane)) {
+            rows.clear();
+            rows.extend(w.iter().map(|&w| widen(w)));
+            let macs = (w.len() * npx) as u64;
+            run_channel_ranges(out, plane, threads, macs, |c0, out| {
+                gemm_rows(&rows[c0 * kk..], col, kk, out, plane, p0);
+            });
+        }
+    }
+}
+
+/// Gathers the `k × k × ics` window of each output pixel in the non-empty
+/// range `px` into one `K`-long row of `col` (`icr`-major, then `ky`, `kx`
+/// — the canonical weight order). The frames' padding makes every window in-bounds. One
+/// `K` index at a time, so the inner loop walks a staged input row and a
+/// `col` column with no per-pixel set-up, whatever `k` and `s`.
+fn im2col(frames: &[i8], col: &mut Vec<i16>, kk: usize, g: &Geom, px: std::ops::Range<usize>) {
+    col.resize(px.len() * kk, 0);
+    for rr in px.start / g.w_out..=(px.end - 1) / g.w_out {
+        // The columns of output row `rr` that fall inside the block.
+        let x0 = px.start.max(rr * g.w_out) - rr * g.w_out;
+        let x1 = px.end.min((rr + 1) * g.w_out) - rr * g.w_out;
+        let dst = &mut col[(rr * g.w_out + x0 - px.start) * kk..][..(x1 - x0) * kk];
+        for icr in 0..g.ics {
+            for ky in 0..g.k {
+                let src =
+                    &frames[icr * g.frame_stride() + (rr * g.s + ky) * g.stage_w + x0 * g.s..];
+                for kx in 0..g.k {
+                    let k_idx = (icr * g.k + ky) * g.k + kx;
+                    let column = dst[k_idx..].iter_mut().step_by(kk);
+                    for (d, &v) in column.zip(src[kx..].iter().step_by(g.s)) {
+                        *d = i16::from(v);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// `out[oc][p0 + px] = w[oc] · col[px]` for the output channels whose
+/// `plane`-strided accumulators make up `out`, in 2-channel × 4-pixel
+/// register blocks (single dot products on an odd last channel and the
+/// pixel remainder). Never inlined: compiled once, in a context where the
+/// [`dot_2x4`] loop vectorizes, whatever the callers look like.
+#[inline(never)]
+fn gemm_rows(w: &[i16], col: &[i16], kk: usize, out: &mut [i32], plane: usize, p0: usize) {
+    let npx = col.len() / kk;
+    let quads = npx / 4 * 4;
+    for (w, out) in w.chunks(2 * kk).zip(out.chunks_mut(2 * plane)) {
+        let w0 = &w[..kk];
+        if out.len() <= plane {
+            for (o, x) in out[p0..p0 + npx].iter_mut().zip(col.chunks_exact(kk)) {
+                *o = dot(w0, x);
+            }
+            continue;
+        }
+        let w1 = &w[kk..2 * kk];
+        let (out0, out1) = out.split_at_mut(plane);
+        let (out0, out1) = (&mut out0[p0..p0 + npx], &mut out1[p0..p0 + npx]);
+        for px in (0..quads).step_by(4) {
+            let [r0, r1] = dot_2x4(w0, w1, &col[px * kk..(px + 4) * kk]);
+            out0[px..px + 4].copy_from_slice(&r0);
+            out1[px..px + 4].copy_from_slice(&r1);
+        }
+        for px in quads..npx {
+            let x = &col[px * kk..(px + 1) * kk];
+            (out0[px], out1[px]) = (dot(w0, x), dot(w1, x));
+        }
+    }
+}
+
+/// Eight `K`-contiguous dot products — two weight rows against the four
+/// pixel rows of `x` — sharing each operand load. Widening `i16` products
+/// summed along `K` into wrapping `i32` lanes: the shape LLVM lowers to
+/// `pmaddwd` on baseline x86-64 (`|w·x| ≤ 2¹⁴`, so a lane's pair sum
+/// `≤ 2¹⁵` is exact in `i32`).
+#[inline]
+fn dot_2x4(w0: &[i16], w1: &[i16], x: &[i16]) -> [[i32; 4]; 2] {
+    let kk = w0.len();
+    let (w1, x0, x1, x2, x3) =
+        (&w1[..kk], &x[..kk], &x[kk..2 * kk], &x[2 * kk..3 * kk], &x[3 * kk..4 * kk]);
+    let mut acc = [[0i32; 4]; 2];
+    for i in 0..kk {
+        let w = [i32::from(w0[i]), i32::from(w1[i])];
+        let x = [i32::from(x0[i]), i32::from(x1[i]), i32::from(x2[i]), i32::from(x3[i])];
+        for (acc, w) in acc.iter_mut().zip(w) {
+            for (a, x) in acc.iter_mut().zip(x) {
+                *a = a.wrapping_add(w * x);
+            }
+        }
+    }
+    acc
+}
+
+/// One `K`-contiguous widening dot product, wrapping `i32`.
+#[inline]
+fn dot(w: &[i16], x: &[i16]) -> i32 {
+    w.iter().zip(x).fold(0i32, |a, (&w, &x)| a.wrapping_add(i32::from(w) * i32::from(x)))
+}
+
 /// One kernel-row of widening MACs: `acc[x] += w · srow[x·s + kx]` for all
 /// output columns, over slices — branch-free and auto-vectorizable for the
-/// dominant `s == 1` case.
+/// dominant `s == 1` case (depthwise only; convolutions take [`conv_gemm`]).
 #[inline]
 fn mac_row(acc: &mut [i32], srow: &[i8], wrow: &[i8], s: usize) {
     let w_out = acc.len();
@@ -164,22 +305,6 @@ fn mac_row(acc: &mut [i32], srow: &[i8], wrow: &[i8], s: usize) {
             let wv = i32::from(wv);
             for (a, &x) in acc.iter_mut().zip(srow[kx..].iter().step_by(s)) {
                 *a = a.wrapping_add(wv * i32::from(x));
-            }
-        }
-    }
-}
-
-/// Convolution for one output channel over all staged input channels.
-pub(super) fn conv_channel(rows: &[i8], wts: &[i8], acc: &mut [i32], g: &Geom) {
-    let k2 = g.k * g.k;
-    for rr in 0..g.out_rows {
-        let acc_row = &mut acc[rr * g.w_out..(rr + 1) * g.w_out];
-        for icr in 0..g.ics {
-            let w = &wts[icr * k2..(icr + 1) * k2];
-            let frame = &rows[icr * g.frame_stride()..];
-            for ky in 0..g.k {
-                let srow = &frame[(rr * g.s + ky) * g.stage_w..][..g.stage_w];
-                mac_row(acc_row, srow, &w[ky * g.k..(ky + 1) * g.k], g.s);
             }
         }
     }

@@ -12,8 +12,9 @@
 //! "Functional backend fast path"):
 //!
 //! * [`CalcKernel::Fast`] (the default) — stages each tile's rows and
-//!   weights into persistent zero-padded buffers, runs branch-free
-//!   widening-MAC inner loops over slices, and partitions output channels
+//!   weights into persistent zero-padded buffers, runs convolutions and
+//!   fully-connected layers as one blocked int8 GEMM (depthwise and
+//!   pooling as branch-free row loops), and partitions output channels
 //!   across a scoped worker pool. Results are bit-identical to the
 //!   reference kernel at every thread count.
 //! * [`CalcKernel::Reference`] — the original naive per-pixel
@@ -186,23 +187,47 @@ impl Plane {
         a as usize * self.cols + b
     }
 
-    fn put(&mut self, a: u32, b: u32, src: &[u8]) {
-        debug_assert_eq!(src.len(), self.len);
+    /// Stores the `n` consecutive entries from slot `(a, b)` on — one
+    /// contiguous run of the plane — from one contiguous source run.
+    fn put_run(&mut self, a: u32, b: u32, n: usize, src: &[u8]) {
+        debug_assert_eq!(src.len(), n * self.len);
+        if n == 0 {
+            return;
+        }
         let slot = self.slot(a, b);
-        let need = (slot + 1) * self.len;
+        let need = (slot + n) * self.len;
         if self.bytes.len() < need {
             self.bytes.resize(need.next_power_of_two(), 0);
         }
-        let words = slot / 64 + 1;
+        let words = (slot + n).div_ceil(64);
         if self.present.len() < words {
             self.present.resize(words.next_power_of_two(), 0);
         }
-        for (dst, &s) in self.bytes[slot * self.len..][..self.len].iter_mut().zip(src) {
+        for (dst, &s) in self.bytes[slot * self.len..need].iter_mut().zip(src) {
             *dst = s as i8;
         }
-        self.present[slot / 64] |= 1 << (slot % 64);
+        for (word, mask) in word_masks(slot, n) {
+            self.present[word] |= mask;
+        }
     }
 
+    /// The `n` consecutive entries from slot `(a, b)` on, if every one of
+    /// them was loaded since the last clear.
+    fn get_run(&self, a: u32, b: u32, n: usize) -> Option<&[i8]> {
+        if n == 0 {
+            return Some(&[]);
+        }
+        if self.len == 0 {
+            return None;
+        }
+        let slot = self.slot(a, b);
+        let loaded = word_masks(slot, n)
+            .all(|(word, mask)| self.present.get(word).is_some_and(|w| w & mask == mask));
+        loaded.then(|| &self.bytes[slot * self.len..(slot + n) * self.len])
+    }
+
+    /// One entry: `get_run(a, b, 1)` as a single bit test — `stage_rows`
+    /// asks once per staged input row.
     fn get(&self, a: u32, b: u32) -> Option<&[i8]> {
         if self.len == 0 {
             return None;
@@ -220,6 +245,17 @@ impl Plane {
         self.cols = 0;
         self.present.iter_mut().for_each(|w| *w = 0);
     }
+}
+
+/// The presence-bitmap `(word index, bit mask)` pairs covering slots
+/// `slot..slot + n`.
+fn word_masks(slot: usize, n: usize) -> impl Iterator<Item = (usize, u64)> {
+    let end = slot + n;
+    (slot / 64..end.div_ceil(64)).map(move |word| {
+        let lo = slot.max(word * 64) - word * 64;
+        let hi = end.min((word + 1) * 64) - word * 64;
+        (word, (u64::MAX >> (64 - (hi - lo))) << lo)
+    })
 }
 
 /// On-chip buffer models (capacity enforced by the compiler): one data
@@ -262,6 +298,25 @@ impl Buffers {
             .get(usize::from(layer))
             .and_then(|p| p.get(oc, ic))
             .ok_or(SimError::MissingWeights { layer, oc, ic })
+    }
+
+    /// Output channel `oc`'s kernel slices for input channels `ics`, which
+    /// the weight plane holds as one contiguous run. Errors name the first
+    /// slice that was never loaded.
+    fn weight_run_at(
+        &self,
+        layer: u16,
+        oc: u32,
+        ics: std::ops::Range<u32>,
+    ) -> Result<&[i8], SimError> {
+        self.weights
+            .get(usize::from(layer))
+            .and_then(|p| p.get_run(oc, ics.start, ics.len()))
+            .ok_or_else(|| {
+                let missing = |&ic: &u32| self.weights_at(layer, oc, ic).is_err();
+                let ic = ics.clone().find(missing).unwrap_or(ics.start);
+                SimError::MissingWeights { layer, oc, ic }
+            })
     }
 }
 
@@ -532,14 +587,12 @@ impl FuncBackend {
         let Self { images, bufs, .. } = self;
         let image = images[slot.index()].as_ref().ok_or(SimError::NoImage(slot))?;
         let plane = plane_mut(&mut bufs.data, layer, w_in as usize, h_in as usize);
+        // A channel's rows are contiguous both in DDR and in the plane.
+        let rows = u64::from(tile.rows);
         for j in 0..u64::from(tile.chans) {
-            for r in 0..u64::from(tile.rows) {
-                let addr = base + j * h_in * w_in + r * w_in;
-                let src = image.get(slot, addr, w_in)?;
-                let ch = u32::from(tile.c0) + j as u32;
-                let in_row = u32::from(tile.h0) + r as u32;
-                plane.put(ch, in_row, src);
-            }
+            let src = image.get(slot, base + j * h_in * w_in, rows * w_in)?;
+            let ch = u32::from(tile.c0) + j as u32;
+            plane.put_run(ch, u32::from(tile.h0), rows as usize, src);
         }
         Ok(())
     }
@@ -552,24 +605,20 @@ impl FuncBackend {
         let image = images[slot.index()].as_ref().ok_or(SimError::NoImage(slot))?;
         if matches!(meta.kind, LayerKind::DwConv { .. }) {
             let plane = plane_mut(&mut bufs.weights, layer, k2 as usize, 1);
-            for j in 0..u64::from(tile.chans) {
-                let addr = instr.ddr.addr + j * k2;
-                let src = image.get(slot, addr, k2)?;
-                let c = u32::from(tile.c0) + j as u32;
-                plane.put(c, c, src);
-            }
+            let chans = u64::from(tile.chans);
+            let src = image.get(slot, instr.ddr.addr, chans * k2)?;
+            plane.put_run(u32::from(tile.c0), u32::from(tile.c0), chans as usize, src);
             return Ok(());
         }
         let c_in = u64::from(meta.in_shape.c);
         let plane = plane_mut(&mut bufs.weights, layer, k2 as usize, c_in as usize);
+        // An output channel's `ics` kernel slices are contiguous both in
+        // DDR and in the plane.
+        let ics = u64::from(tile.ics);
         for j in 0..u64::from(tile.chans) {
-            for i in 0..u64::from(tile.ics) {
-                let addr = instr.ddr.addr + (j * c_in + i) * k2;
-                let src = image.get(slot, addr, k2)?;
-                let oc = u32::from(tile.c0) + j as u32;
-                let ic = u32::from(tile.ic0) + i as u32;
-                plane.put(oc, ic, src);
-            }
+            let src = image.get(slot, instr.ddr.addr + j * c_in * k2, ics * k2)?;
+            let oc = u32::from(tile.c0) + j as u32;
+            plane.put_run(oc, u32::from(tile.ic0), ics as usize, src);
         }
         Ok(())
     }
@@ -839,13 +888,40 @@ mod tests {
         let s0 = TaskSlot::new(0).unwrap();
         let s1 = TaskSlot::new(1).unwrap();
         b.on_switch(s0);
-        plane_mut(&mut b.bufs.data, 0, 3, 1).put(0, 0, &[1, 2, 3]);
+        plane_mut(&mut b.bufs.data, 0, 3, 1).put_run(0, 0, 1, &[1, 2, 3]);
         b.snapshot(s0);
         b.on_switch(s1);
         assert!(b.bufs.data_at(0, 0, 0).is_err(), "switch must clear the buffers");
         b.restore(s0).unwrap();
         assert_eq!(b.bufs.data_at(0, 0, 0).unwrap(), &[1, 2, 3]);
         assert!(b.restore(s0).is_err(), "snapshot is single-use");
+    }
+
+    #[test]
+    fn plane_runs_set_and_check_presence_as_ranges() {
+        // 3-byte entries, 100 per row: runs straddle presence-word edges.
+        let mut bufs = Buffers::default();
+        let plane = plane_mut(&mut bufs.weights, 0, 3, 100);
+        let run: Vec<u8> = (0..90).collect();
+        plane.put_run(0, 50, 30, &run); // slots 50..80
+        assert_eq!(plane.get_run(0, 50, 30).unwrap().len(), 90);
+        assert_eq!(plane.get(0, 64).unwrap(), &[42, 43, 44]);
+        assert!(plane.get_run(0, 49, 2).is_none(), "slot 49 was never loaded");
+        assert!(plane.get_run(0, 79, 2).is_none(), "slot 80 was never loaded");
+        assert!(plane.get_run(0, 60, 0).is_some_and(<[i8]>::is_empty));
+        plane.put_run(0, 81, 19, &run[..57]); // slots 81..100: 80 stays missing
+        assert_eq!(
+            bufs.weight_run_at(0, 0, 50..100).unwrap_err(),
+            SimError::MissingWeights { layer: 0, oc: 0, ic: 80 },
+            "the error names the first never-loaded slice"
+        );
+        assert!(bufs.weight_run_at(0, 0, 81..100).is_ok());
+        assert_eq!(
+            bufs.weight_run_at(3, 1, 2..4).unwrap_err(),
+            SimError::MissingWeights { layer: 3, oc: 1, ic: 2 }
+        );
+        bufs.clear();
+        assert!(bufs.weight_run_at(0, 0, 50..80).is_err(), "clear forgets every entry");
     }
 
     #[test]

@@ -10,13 +10,16 @@
 //!   column offset `p` — after which *every* window position the kernel
 //!   touches is in-bounds, and padding contributes the identity element
 //!   (`0` for MACs and average pools, `i8::MIN` for max pools);
-//! * weights are copied into a dense `chans × ics × k²` array;
+//! * weights are copied into a dense `chans × ics × k²` array (the
+//!   convolution GEMM then widens them, and gathers the rows into a
+//!   pixel-major im2col block, in its own operand blocks);
 //! * results accumulate into an `i32` scratch laid out exactly like the
 //!   output blob (`chans × rows × w_out`, channel-major), so the worker
 //!   pool can split it into disjoint per-channel `&mut` ranges.
 
 use inca_isa::{LayerMeta, Tile};
 
+use super::kernels::GemmBlocks;
 use super::{Buffers, SimError};
 
 /// Scratch space reused across CALC instructions. Purely transient: it is
@@ -27,6 +30,8 @@ pub(super) struct Stage {
     pub rows: Vec<i8>,
     /// Dense staged weights, `chans × ics × k²` (depthwise: `chans × k²`).
     pub weights: Vec<i8>,
+    /// The convolution GEMM's operand blocks.
+    pub gemm: GemmBlocks,
     /// Per-instruction accumulator, `chans × rows × w_out`, blob layout.
     pub scratch: Vec<i32>,
     /// Per-window valid-column counts for pooling, `w_out` entries.
@@ -160,7 +165,9 @@ impl Stage {
         Ok(())
     }
 
-    /// Stages dense conv weights: `chans × ics × k²`.
+    /// Stages dense conv/FC weights: `chans × ics × k²`. Each output
+    /// channel's `ics` kernel slices are one contiguous run of the weight
+    /// plane.
     pub(super) fn stage_conv_weights(
         &mut self,
         bufs: &Buffers,
@@ -171,10 +178,7 @@ impl Stage {
         self.weights.clear();
         self.weights.reserve(usize::from(tile.chans) * usize::from(tile.ics) * k2);
         for oc in tile.chan_range() {
-            for ic in tile.ic_range() {
-                let w = bufs.weights_at(layer, oc, ic)?;
-                self.weights.extend_from_slice(&w[..k2]);
-            }
+            self.weights.extend_from_slice(bufs.weight_run_at(layer, oc, tile.ic_range())?);
         }
         Ok(())
     }

@@ -7,8 +7,8 @@
 //! SAVEs store exactly the cells its blobs finalise. The executor can
 //! therefore skip the interpreter's per-instruction dispatch and per-tile
 //! buffer bookkeeping entirely: it stages each operand *once* from its
-//! resolved DDR addresses, runs the same inner MAC loops as the Tier-0
-//! fast path over the whole layer, quantises, and writes the plan's store
+//! resolved DDR addresses, runs the same kernels as the Tier-0 fast path
+//! over the whole layer, quantises, and writes the plan's store
 //! spans — bit-identical to stepping (wrapping `i32` accumulation is
 //! order-independent, and the plan deopts any layer where the
 //! interpreter's saturating per-group merge could diverge).
@@ -25,7 +25,7 @@
 use inca_isa::plan::{Hull, LayerPlan};
 use inca_isa::{LayerKind, LayerMeta, PoolKind, Tile};
 
-use super::kernels::{conv_channel, dw_channel, pool_channel, run_channels};
+use super::kernels::{conv_gemm, dw_channel, pool_channel, run_channels, GemmBlocks};
 use super::stage::{fill_col_valid, Geom};
 use super::DdrImage;
 
@@ -35,14 +35,18 @@ use super::DdrImage;
 pub(super) struct Tier1State {
     /// Zero-padded staged input frames, `channels × n_vr × stage_w`.
     frames: Vec<i8>,
-    /// Dense staged weights, canonical `oc × ic × k²` layout.
+    /// Dense staged depthwise weights, canonical `c × k²` layout.
     weights: Vec<i8>,
+    /// The convolution GEMM's operand blocks.
+    gemm: GemmBlocks,
     /// Whole-layer accumulator, `c_out × h_out × w_out`.
     scratch: Vec<i32>,
     /// Per-output-column valid counts for pooling.
     col_valid: Vec<i32>,
     /// Byte staging for store spans.
     row_bytes: Vec<u8>,
+    /// The plan's store hulls with each span's own shift applied.
+    store_hulls: Vec<Hull>,
 }
 
 /// Executes `plan` against `image`. Returns `false` (leaving all state
@@ -64,14 +68,13 @@ pub(super) fn run_plan(
     let in2_shift = if plan.input2_shifted { in_off } else { 0 };
     let input_hull = plan.input_hull.shifted(in_shift);
     let input2_hull = plan.input2_hull.map(|h| h.shifted(in2_shift));
-    // Store hulls with each span's own shift applied.
     let (h_out, w_out) = (u64::from(meta.out_shape.h), u64::from(meta.out_shape.w));
-    let mut store_hulls: Vec<Hull> = Vec::with_capacity(plan.stores.len());
-    for s in &plan.stores {
+    state.store_hulls.clear();
+    state.store_hulls.extend(plan.stores.iter().map(|s| {
         let base = s.addr + if s.shifted { out_off } else { 0 };
         let end = base + u64::from(s.chans - 1) * h_out * w_out + u64::from(s.rows) * w_out;
-        store_hulls.push(Hull { start: base, end });
-    }
+        Hull { start: base, end }
+    }));
     // Every region the fused pass touches must fit the image, and stores
     // must not alias any operand region (stepping interleaves loads and
     // saves; the fused pass stages everything up front).
@@ -81,7 +84,7 @@ pub(super) fn run_plan(
             return false;
         }
     }
-    for sh in &store_hulls {
+    for sh in &state.store_hulls {
         if sh.end > capacity {
             return false;
         }
@@ -100,29 +103,12 @@ pub(super) fn run_plan(
     state.scratch.resize(c_out * h_out_u * w_out_u, 0);
 
     match meta.kind {
-        LayerKind::Conv { .. } => {
-            let k2 = g.k * g.k;
-            stage_weights(state, image, meta.weight_addr, c_out * c_in * k2);
-            // 1×1/s1/p0 convolutions (the bulk of MobileNet-class MACs)
-            // take a whole-plane register-blocked path: the staged frames
-            // are exactly the canonical input planes, so they are staged
-            // with one bulk copy and consumed four channels per sweep.
-            let pointwise = g.k == 1 && g.s == 1 && g.p == 0 && g.frame_stride() == g.chan_stride();
-            if pointwise {
-                stage_planes(state, image, input_hull.start, c_in * g.chan_stride());
-            } else {
-                stage_frames(state, image, input_hull.start, c_in, h_in, &g, 0);
-            }
-            let macs = (g.chans * g.chan_stride() * g.ics * k2) as u64;
-            let Tier1State { frames, weights, scratch, .. } = state;
-            let (frames, weights) = (frames.as_slice(), weights.as_slice());
-            run_channels(scratch, &g, threads, macs, |cr, acc| {
-                if pointwise {
-                    pointwise_channel(frames, &weights[cr * g.ics..], acc, g.chan_stride(), g.ics);
-                } else {
-                    conv_channel(frames, &weights[cr * g.ics * k2..], acc, &g);
-                }
-            });
+        // A fully-connected layer is a 1×1 convolution over a 1×1 plane.
+        LayerKind::Conv { .. } | LayerKind::FullyConnected => {
+            stage_frames(state, image, input_hull.start, c_in, h_in, &g, 0);
+            let weights = image.read(meta.weight_addr, (c_out * c_in * g.k * g.k) as u64);
+            let Tier1State { frames, gemm, scratch, .. } = state;
+            conv_gemm(frames, weights, |b| i16::from(b as i8), gemm, scratch, &g, threads);
         }
         LayerKind::DwConv { .. } => {
             let k2 = g.k * g.k;
@@ -193,18 +179,6 @@ pub(super) fn run_plan(
                 }
             }
         }
-        LayerKind::FullyConnected => {
-            stage_weights(state, image, meta.weight_addr, c_out * c_in);
-            for (oc, acc) in state.scratch.chunks_mut(g.chan_stride().max(1)).enumerate() {
-                let mut sum = 0i32;
-                for ic in 0..c_in {
-                    let x = image.read(input_hull.start + (ic * h_in * w_in) as u64, 1)[0] as i8;
-                    let w = state.weights[oc * c_in + ic];
-                    sum = sum.wrapping_add(i32::from(x) * i32::from(w));
-                }
-                acc[0] = sum;
-            }
-        }
     }
 
     // Quantise the whole layer (the interpreter does this per-blob on
@@ -223,7 +197,7 @@ pub(super) fn run_plan(
     // loop (per channel, rows are contiguous both in the accumulator and
     // in DDR).
     let plane = h_out_u * w_out_u;
-    for (s, hull) in plan.stores.iter().zip(&store_hulls) {
+    for (s, hull) in plan.stores.iter().zip(&state.store_hulls) {
         for j in 0..usize::from(s.chans) {
             let src_base = (usize::from(s.c0) + j) * plane + usize::from(s.h0) * w_out_u;
             let src = &state.scratch[src_base..src_base + usize::from(s.rows) * w_out_u];
@@ -236,56 +210,7 @@ pub(super) fn run_plan(
     true
 }
 
-/// 1×1 convolution (stride 1, no padding) for one output channel: a
-/// whole-plane register-blocked pass consuming four input channels per
-/// sweep of the accumulator. Wrapping `i32` addition is associative and
-/// commutative, so this is a pure reordering of `conv_channel`'s MACs —
-/// bit-identical output (the products themselves cannot overflow:
-/// `|w·x| ≤ 127·128 < 2¹⁴`).
-fn pointwise_channel(frames: &[i8], wts: &[i8], acc: &mut [i32], plane: usize, ics: usize) {
-    let mut ic = 0;
-    while ic + 8 <= ics {
-        let w: [i32; 8] = std::array::from_fn(|j| i32::from(wts[ic + j]));
-        let f = &frames[ic * plane..(ic + 8) * plane];
-        for (x, a) in acc.iter_mut().enumerate() {
-            let mut t = 0i32;
-            for (j, &wj) in w.iter().enumerate() {
-                t = t.wrapping_add(wj * i32::from(f[j * plane + x]));
-            }
-            *a = a.wrapping_add(t);
-        }
-        ic += 8;
-    }
-    while ic + 4 <= ics {
-        let w = [wts[ic], wts[ic + 1], wts[ic + 2], wts[ic + 3]].map(i32::from);
-        let (f0, rest) = frames[ic * plane..(ic + 4) * plane].split_at(plane);
-        let (f1, rest) = rest.split_at(plane);
-        let (f2, f3) = rest.split_at(plane);
-        for ((((a, &x0), &x1), &x2), &x3) in acc.iter_mut().zip(f0).zip(f1).zip(f2).zip(f3) {
-            let t01 = (w[0] * i32::from(x0)).wrapping_add(w[1] * i32::from(x1));
-            let t23 = (w[2] * i32::from(x2)).wrapping_add(w[3] * i32::from(x3));
-            *a = a.wrapping_add(t01.wrapping_add(t23));
-        }
-        ic += 4;
-    }
-    for (icr, &wv) in wts[ic..ics].iter().enumerate() {
-        let wv = i32::from(wv);
-        let f = &frames[(ic + icr) * plane..(ic + icr + 1) * plane];
-        for (a, &x) in acc.iter_mut().zip(f) {
-            *a = a.wrapping_add(wv * i32::from(x));
-        }
-    }
-}
-
-/// Bulk-stages a contiguous operand region as `i8` (pointwise convs: the
-/// frames are exactly the canonical `c × h × w` planes — no padding, no
-/// row deduplication — so one copy replaces the per-row staging loop).
-fn stage_planes(state: &mut Tier1State, image: &DdrImage, base: u64, len: usize) {
-    state.frames.clear();
-    state.frames.extend(image.read(base, len as u64).iter().map(|&b| b as i8));
-}
-
-/// Stages the whole weight region (canonical dense layout) as `i8`.
+/// Stages the whole depthwise weight region (canonical dense layout) as `i8`.
 fn stage_weights(state: &mut Tier1State, image: &DdrImage, addr: u64, len: usize) {
     state.weights.clear();
     state.weights.extend(image.read(addr, len as u64).iter().map(|&b| b as i8));

@@ -12,11 +12,19 @@
 //! partial sums provably fit an `i32`, and any regression of that bound
 //! would show up as a mismatch.
 //!
+//! Convolutions run through the blocked GEMM, so the generator reaches its
+//! edges: `K = c_in·k²` below one vector and across 8/16-lane boundaries,
+//! odd output-channel counts (the 2-channel block's remainder), planes whose
+//! pixel count is not a multiple of 4, strides 2 and 3, `k = 7`. Directed
+//! cases add what random small shapes cannot: planes and channel counts
+//! larger than one operand block, worker spawns, both execution tiers, and
+//! extreme operand values.
+//!
 //! A deterministic companion test runs whole compiled networks (covering
 //! GlobalPool, Add, FullyConnected, Concat lowering and the compiler's
 //! real tilings) through both kernels.
 
-use inca_accel::{AccelConfig, Backend, CalcKernel, DdrImage, FuncBackend};
+use inca_accel::{AccelConfig, Backend, CalcKernel, DdrImage, ExecTier, FuncBackend};
 use inca_compiler::Compiler;
 use inca_isa::{
     DdrRange, Instr, LayerKind, LayerMeta, MemoryMap, Opcode, PoolKind, Program, Shape3, TaskSlot,
@@ -61,7 +69,8 @@ fn build_case(
     quant_shift: u8,
     relu: bool,
     data_seed: u64,
-    tile_seed: u64,
+    // `None`: one CALC per layer (whole-plane, whole-channel tile).
+    tile_seed: Option<u64>,
 ) -> (Program, DdrImage) {
     // Ensure at least one output row/column exists.
     let min_dim = u32::from(k).saturating_sub(2 * u32::from(p)).max(1);
@@ -131,11 +140,15 @@ fn build_case(
     }
     // Random row × channel tiling; conv additionally splits input channels
     // into a CalcI…CalcF accumulation chain per blob.
+    let tiling = |total: u32, stream: u64| match tile_seed {
+        Some(seed) => splits(total as u16, mix(seed, stream)),
+        None => vec![(0, total as u16)],
+    };
     let mut blob = 0u32;
-    for &(h0, rows) in &splits(h_out as u16, mix(tile_seed, 1)) {
-        for &(c0, chans) in &splits(c_out as u16, mix(tile_seed, 2)) {
+    for &(h0, rows) in &tiling(h_out, 1) {
+        for &(c0, chans) in &tiling(c_out, 2) {
             if matches!(kind, LayerKind::Conv { .. }) {
-                let ic_splits = splits(c_in as u16, mix(tile_seed, 3 + u64::from(blob)));
+                let ic_splits = tiling(c_in, 3 + u64::from(blob));
                 let last = ic_splits.len() - 1;
                 for (i, &(ic0, ics)) in ic_splits.iter().enumerate() {
                     let op = if i == last { Opcode::CalcF } else { Opcode::CalcI };
@@ -190,24 +203,124 @@ fn run(mut backend: FuncBackend, program: &Program, image: &DdrImage) -> Vec<i8>
     backend.image(slot).unwrap().read_output(&program.layers[0])
 }
 
+/// Runs the whole program through `FuncBackend::run_program` on Tier-1
+/// and returns the layer's output feature map; the layer must have been
+/// batched, not stepped.
+fn run_tier1(threads: usize, program: &Program, image: &DdrImage) -> Vec<i8> {
+    let slot = TaskSlot::new(3).unwrap();
+    let mut backend = FuncBackend::with_tier(ExecTier::Tier1);
+    backend.set_threads(threads);
+    backend.install_image(slot, image.clone());
+    backend.run_program(slot, program).unwrap();
+    assert_eq!(backend.metrics().counter("tier1.exec_layers"), 1, "layer was not batched");
+    backend.image(slot).unwrap().read_output(&program.layers[0])
+}
+
+/// Reference kernel vs the fast kernel stepped (Tier-0) and batched
+/// (Tier-1), each at thread counts 1, 2 and 8.
+fn assert_all_paths_match(what: &str, program: &Program, image: &DdrImage) {
+    let want = run(FuncBackend::with_kernel(CalcKernel::Reference), program, image);
+    for threads in [1usize, 2, 8] {
+        let mut tier0 = FuncBackend::with_tier(ExecTier::Tier0);
+        tier0.set_threads(threads);
+        assert_eq!(run(tier0, program, image), want, "{what}: tier-0, threads={threads}");
+        assert_eq!(run_tier1(threads, program, image), want, "{what}: tier-1, threads={threads}");
+    }
+}
+
+/// Convolution shapes the random generator cannot reach: the im2col block
+/// holds `2¹⁷ / K` pixels and the weight block as many output channels, and
+/// a block spawns workers from 2¹⁸ MACs.
+#[test]
+fn gemm_blocks_and_remainders_match_reference() {
+    // (k, s, p, h_in, w_in, c_in, c_out)
+    let shapes: [(u8, u8, u8, u32, u32, u32, u32); 6] = [
+        // K = 1960: 64-pixel blocks over a 9×11 plane (64 + 35, remainder
+        // 3) and 66-channel weight blocks under 67 channels (66 + an odd 1).
+        (7, 1, 3, 9, 11, 40, 67),
+        // The same K strided: 5×6 plane from a 14×17 input.
+        (7, 3, 3, 14, 17, 40, 9),
+        // K = 333 (16-lane remainder 13), 19×21 plane = 399 pixels.
+        (3, 1, 1, 19, 21, 37, 33),
+        // Pointwise, K = 24, one 29×31 plane (899 pixels, remainder 3).
+        (1, 1, 0, 29, 31, 24, 41),
+        // K below one vector, stride 2.
+        (2, 2, 0, 31, 33, 1, 7),
+        // A single output pixel and a single output channel.
+        (5, 1, 0, 5, 5, 13, 1),
+    ];
+    for (i, (k, s, p, h_in, w_in, c_in, c_out)) in shapes.into_iter().enumerate() {
+        let what = format!("shape {i}");
+        let seed = 0xB10C_0000 + i as u64;
+        // Whole-layer tiles (one CALC covers every block) and a random
+        // row × channel × input-channel tiling.
+        for tile_seed in [None, Some(seed)] {
+            let (program, image) =
+                build_case(0, k, s, p, h_in, w_in, c_in, c_out, 9, i % 2 == 0, seed, tile_seed);
+            assert_all_paths_match(&what, &program, &image);
+        }
+    }
+}
+
+/// Extreme operands at ResNet-18's largest reduction (`K = 512·3² = 4608`).
+/// `(−128)²` needs 15 bits and a pair of them 16, so this pins that
+/// products and pair sums are formed in `i32`, never `i16`; the shifts put
+/// the exact sums inside the int8 range, where one wrapped pair (2¹⁶) shows.
+#[test]
+fn extreme_operands_accumulate_exactly() {
+    let (c_in, c_out, k, hw) = (512u32, 3u32, 3u8, 3u32);
+    let input_bytes = (c_in * hw * hw) as usize;
+    let weight_bytes = (c_out * c_in) as usize * usize::from(k) * usize::from(k);
+    let fill = |quant_shift: u8, input: &dyn Fn(usize) -> i8, weight: &dyn Fn(usize) -> i8| {
+        let (program, mut image) =
+            build_case(0, k, 1, 1, hw, hw, c_in, c_out, quant_shift, false, 0, None);
+        let bytes: Vec<u8> = (0..input_bytes)
+            .map(input)
+            .chain((0..weight_bytes).map(weight))
+            .map(|v| v as u8)
+            .collect();
+        image.write(0, &bytes);
+        (program, image)
+    };
+
+    // Everything −128: the centre pixel sums 4608 · 2¹⁴ = 75 497 472.
+    let (program, image) = fill(20, &|_| -128, &|_| -128);
+    let out = run(FuncBackend::with_kernel(CalcKernel::Reference), &program, &image);
+    assert_eq!(i32::from(out[4]), (4608 << 14) >> 20, "reference centre pixel");
+    assert_all_paths_match("all -128", &program, &image);
+
+    // Inputs −128 against weights alternating −128 / +127: each pair sums
+    // 2¹⁴ − 16 256 = 128, the centre pixel 2304 · 128 = 294 912.
+    let (program, image) = fill(12, &|_| -128, &|i| if i % 2 == 0 { -128 } else { 127 });
+    let out = run(FuncBackend::with_kernel(CalcKernel::Reference), &program, &image);
+    assert_eq!(i32::from(out[4]), (2304 * 128) >> 12, "reference centre pixel");
+    assert_all_paths_match("-128 x -128/+127", &program, &image);
+
+    // Mixed signs on both sides: ±127 / −128 inputs against the same weights.
+    let (program, image) =
+        fill(10, &|i| [127, -128, -127][i % 3], &|i| if i % 2 == 0 { -128 } else { 127 });
+    assert_all_paths_match("mixed +-127/-128", &program, &image);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
     fn fast_kernel_matches_reference_oracle(
         kind_sel in 0u8..4,
-        k in prop::sample::select(vec![1u8, 2, 3, 5]),
+        k in prop::sample::select(vec![1u8, 2, 3, 5, 7]),
         s in 1u8..=3,
-        p in 0u8..=2,
-        h_in in 1u32..=12,
-        w_in in 1u32..=12,
-        c_in in 1u32..=4,
-        c_out in 1u32..=5,
+        p in 0u8..=3,
+        h_in in 1u32..=14,
+        w_in in 1u32..=14,
+        c_in in 1u32..=40,
+        c_out in 1u32..=9,
         quant_shift in 0u8..=6,
         relu in any::<bool>(),
         data_seed in any::<u64>(),
         tile_seed in any::<u64>(),
     ) {
         let (program, image) = build_case(
-            kind_sel, k, s, p, h_in, w_in, c_in, c_out, quant_shift, relu, data_seed, tile_seed,
+            kind_sel, k, s, p, h_in, w_in, c_in, c_out, quant_shift, relu, data_seed,
+            Some(tile_seed),
         );
         let want = run(FuncBackend::with_kernel(CalcKernel::Reference), &program, &image);
         for threads in [1usize, 2, 8] {

@@ -154,6 +154,40 @@ fn tiers_identical_under_every_strategy() {
     }
 }
 
+/// Fully-connected layers take the same GEMM as convolutions in both
+/// tiers: an FC-heavy head (`K` = 24, 129 and 40, odd and even widths) must
+/// be batched layer for layer — every layer of an uninterrupted run counted
+/// in `tier1.exec_layers`, none deopted — with outputs, traces and byte
+/// counts identical to stepping at every thread count.
+#[test]
+fn fully_connected_layers_are_batched_and_identical() {
+    let mut b = inca_model::NetworkBuilder::new("fc_head", Shape3::new(3, 12, 12));
+    let x = b.input_id();
+    let stem = b.conv("stem", x, 24, 3, 2, 1, true).unwrap();
+    let pooled = b.gem_pool("gap", stem, 1).unwrap();
+    let fc1 = b.fully_connected("fc1", pooled, 129, true).unwrap();
+    let fc2 = b.fully_connected("fc2", fc1, 40, true).unwrap();
+    let fc3 = b.fully_connected("fc3", fc2, 7, false).unwrap();
+    let net = b.finish(vec![fc3]).unwrap();
+    let lo = Compiler::new(AccelConfig::paper_small().arch).compile_vi(&net).unwrap();
+    let fc_layers =
+        lo.layers.iter().filter(|m| matches!(m.kind, inca_isa::LayerKind::FullyConnected)).count();
+    assert_eq!(fc_layers, 3);
+
+    let hi = hi_program();
+    let strategy = InterruptStrategy::VirtualInstruction;
+    for threads in [1, 2, 8] {
+        let (t0, m0) = run_tier(ExecTier::Tier0, strategy, &lo, &hi, &[(0, false)], threads, 0xFC);
+        let (t1, m1) = run_tier(ExecTier::Tier1, strategy, &lo, &hi, &[(0, false)], threads, 0xFC);
+        assert_eq!(t0, t1, "threads={threads}: tiers diverge on the FC head");
+        assert_eq!(m0.counter("tier1.exec_layers"), 0);
+        assert_eq!(m1.counter("tier1.exec_layers"), lo.layers.len() as u64, "threads={threads}");
+        assert_eq!(m1.counter("tier1.deopt_layers") + m1.counter("tier1.deopt_dynamic"), 0);
+        let logits = t1.outputs[0].last().unwrap();
+        assert!(logits.iter().any(|&v| v != logits[0]), "FC output is degenerate");
+    }
+}
+
 #[test]
 fn tier1_plan_cache_hits_across_jobs() {
     let (lo, hi) = (lo_program(), hi_program());

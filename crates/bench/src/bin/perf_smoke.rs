@@ -1,6 +1,6 @@
 //! CI-fast performance smoke test of the functional backend.
 //!
-//! Two suites, one metrics-snapshot JSON line (`inca-obs/metrics-v1`,
+//! Four suites, one metrics-snapshot JSON line (`inca-obs/metrics-v1`,
 //! the schema shared by all bench bins):
 //!
 //! * **Kernel suite** — pushes one SuperPoint-backbone frame and one
@@ -14,6 +14,11 @@
 //!   trace-compiled layer programs) and reports
 //!   `{name}.tier0_macs_per_s` / `{name}.tier1_macs_per_s` /
 //!   `{name}.tier1_speedup` side by side.
+//! * **Layer suite** — one-layer networks per kernel family and plane size
+//!   (3×3 convolutions at ResNet-18's four stage shapes, pointwise at three
+//!   of MobileNetV1's, one depthwise, one fully-connected), each under both
+//!   tiers, as `layer.{name}.tier{0,1}_macs_per_s` plus a table on stderr:
+//!   where a network-level number comes from.
 //! * **Host-profiling suite** — enables [`HostProf`] over the canonical
 //!   serve-spans scenario (gateway/scheduler/Tier-0 stepping) and a
 //!   direct Tier-1 functional-backend run, then reports wall seconds and
@@ -33,7 +38,7 @@ use inca_accel::{
     Program, TaskSlot,
 };
 use inca_compiler::Compiler;
-use inca_model::{zoo, Network, NetworkBuilder, Shape3};
+use inca_model::{zoo, ModelError, Network, NetworkBuilder, NodeId, Shape3};
 use inca_obs::{HostProf, Metrics, MetricsSnapshot};
 
 /// One ResNet-18 basic block (two 3×3/64 convs with an identity shortcut)
@@ -45,6 +50,48 @@ fn resnet18_block() -> Network {
     let c2 = b.conv("2b", c1, 64, 3, 1, 1, false).unwrap();
     let a = b.add("add", x, c2, true).unwrap();
     b.finish(vec![a]).unwrap()
+}
+
+/// A network of one layer built by `layer` over an `input`-shaped tensor.
+fn one_layer(
+    name: &str,
+    input: Shape3,
+    layer: impl Fn(&mut NetworkBuilder, NodeId) -> Result<NodeId, ModelError>,
+) -> Network {
+    let mut b = NetworkBuilder::new(name, input);
+    let x = b.input_id();
+    let y = layer(&mut b, x).unwrap();
+    b.finish(vec![y]).unwrap()
+}
+
+/// The layer suite: per kernel family, the plane sizes the end-to-end
+/// networks actually run it at (channels widen as planes shrink).
+fn layer_workloads() -> Vec<Network> {
+    let conv3x3 = |c: u32, hw: u32| {
+        one_layer(&format!("conv3x3_{c}x{hw}x{hw}"), Shape3::new(c, hw, hw), |b, x| {
+            b.conv("c", x, c, 3, 1, 1, true)
+        })
+    };
+    let pointwise = |c: u32, hw: u32| {
+        one_layer(&format!("pointwise_{c}x{hw}x{hw}"), Shape3::new(c, hw, hw), |b, x| {
+            b.conv("c", x, c, 1, 1, 0, true)
+        })
+    };
+    vec![
+        conv3x3(64, 28),
+        conv3x3(128, 8),
+        conv3x3(256, 4),
+        conv3x3(512, 2),
+        pointwise(128, 24),
+        pointwise(512, 6),
+        pointwise(1024, 3),
+        one_layer("depthwise_128x24x24", Shape3::new(128, 24, 24), |b, x| {
+            b.dw_conv("c", x, 3, 1, 1, true)
+        }),
+        one_layer("fc_1024x1000", Shape3::new(1024, 1, 1), |b, x| {
+            b.fully_connected("c", x, 1000, false)
+        }),
+    ]
 }
 
 /// Executes every original instruction of `program` once; returns wall
@@ -129,6 +176,20 @@ fn main() {
         m.set_gauge(&format!("{name}.tier0_macs_per_s"), macs / t0);
         m.set_gauge(&format!("{name}.tier1_macs_per_s"), macs / t1);
         m.set_gauge(&format!("{name}.tier1_speedup"), t0 / t1);
+    }
+
+    // Layer suite: the same two tiers, one layer at a time.
+    eprintln!("{:<24} {:>12} {:>14} {:>14}", "layer", "MACs", "tier-0 MAC/s", "tier-1 MAC/s");
+    for net in layer_workloads() {
+        let program = compiler.compile_vi(&net).unwrap();
+        let macs = net.total_macs() as f64;
+        let t0 = measure_tier(ExecTier::Tier0, &program, 5);
+        let t1 = measure_tier(ExecTier::Tier1, &program, 5);
+        let name = &net.name;
+        m.inc(&format!("layer.{name}.macs"), macs as u64);
+        m.set_gauge(&format!("layer.{name}.tier0_macs_per_s"), macs / t0);
+        m.set_gauge(&format!("layer.{name}.tier1_macs_per_s"), macs / t1);
+        eprintln!("{name:<24} {macs:>12.0} {:>14.3e} {:>14.3e}", macs / t0, macs / t1);
     }
 
     // Host-profiling suite: one shared profiler across the serve-spans

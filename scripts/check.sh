@@ -42,6 +42,12 @@ echo "== serving example (deterministic frontend)"
 cargo build --release --example serve -q
 ./target/release/examples/serve > /dev/null
 
+echo "== benchmark package (detached: own workspace and lock file; --quick)"
+# `benchmark/` is outside the workspace, so nothing above compiles it. It
+# is the frozen measurement surface: build it against this tree and run
+# every workload once at 1/10 size — ledgers, resumed==solo, ops_failed.
+cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --quick > /dev/null
+
 if [ "${INCA_BENCH_GATE:-0}" != 0 ]; then
     echo "== bench gate (--quick)"
     scripts/bench_gate.sh --quick
