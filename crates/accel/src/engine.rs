@@ -1452,18 +1452,6 @@ impl<B: Backend> Engine<B> {
     }
 }
 
-/// A core is the canonical event-engine component: it wakes at
-/// [`Engine::next_event`] and ticks by running to the barrier.
-impl<B: Backend> crate::event::Component for Engine<B> {
-    fn next_tick(&self) -> Option<u64> {
-        self.next_event()
-    }
-
-    fn tick(&mut self, deadline: u64) -> Result<(), SimError> {
-        self.run_until(deadline)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

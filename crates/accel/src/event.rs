@@ -1,40 +1,27 @@
-//! Discrete-event advancement for multi-core pools.
+//! Discrete-event advancement: the one place that knows how a barrier
+//! works.
 //!
 //! Stepping a pool means touching every core at every barrier, so
 //! simulation cost grows with `cycles × cores` even when most cores are
-//! idle. The event engine inverts that: each core is a [`Component`]
-//! whose [`Component::next_tick`] names the next cycle it can make
-//! progress, registered in a [`WakeHeap`] — a wake-time min-heap with a
-//! deterministic tie-break on the component index. A pool advance then
-//! only ticks armed components; quiescent cores (no running job, no
-//! ready job, no pending arrival) are skipped entirely, and skipping
-//! them is *provably* a state no-op, which is what keeps event-driven
-//! and stepping runs byte-identical (see DESIGN.md §5.8).
+//! idle. The event engine inverts that: every tier that advances parts
+//! at a barrier (a [`CorePool`](crate::CorePool) of engines, a serving
+//! gateway of scheduler+engine pairs) implements [`Tier`] and carries one
+//! [`Barrier`] — a [`WakeHeap`] (wake-time min-heap with a deterministic
+//! tie-break on the part index), the [`AdvanceMode`] and the
+//! [`AdvanceStats`] counters. [`advance`] then only ticks armed parts;
+//! quiescent ones (no running job, no ready job, no pending arrival,
+//! nothing queued above) are skipped entirely, and skipping them is
+//! *provably* a state no-op, which is what keeps event-driven and
+//! stepping runs byte-identical (see DESIGN.md §5.8).
 //!
-//! Cross-component couplings — a request landing on a core, a scheduler
-//! pump from the runtime or the serving gateway, a batch flush — are
-//! expressed as explicit wake events via [`WakeHeap::arm`].
+//! Cross-part couplings — a request landing on a core, a scheduler pump
+//! from the serving gateway, a batch flush — are expressed as explicit
+//! wake events via [`WakeHeap::arm`].
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use crate::SimError;
-
-/// One schedulable simulation component (a core, in a pool).
-pub trait Component {
-    /// The next cycle this component can make progress, or `None` when it
-    /// is quiescent (ticking it would not change any state). The value
-    /// may lie in the past (a late-submitted arrival); it orders wakes,
-    /// it does not gate them.
-    fn next_tick(&self) -> Option<u64>;
-
-    /// Advances the component to `deadline` cycles.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulation errors.
-    fn tick(&mut self, deadline: u64) -> Result<(), SimError>;
-}
 
 /// How a pool (or gateway) advances its cores at each barrier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -107,14 +94,6 @@ impl WakeHeap {
         self.armed.len()
     }
 
-    /// Registers one more component (disarmed), returning its index —
-    /// the grow half of elastic pools: a core appended mid-run joins the
-    /// heap without disturbing existing arms.
-    pub fn add_component(&mut self) -> usize {
-        self.armed.push(None);
-        self.armed.len() - 1
-    }
-
     /// Arms component `idx` to wake at `cycle`. An already-armed
     /// component keeps the earlier of the two wakes.
     ///
@@ -176,6 +155,108 @@ impl WakeHeap {
     }
 }
 
+/// One tier whose parts (cores) advance together at barriers. Stacked
+/// tiers share the [`Barrier`] of the lowest one, so a part is armed,
+/// counted and skipped in exactly one place.
+pub trait Tier {
+    /// The tier's barrier bundle.
+    fn barrier(&mut self) -> &mut Barrier;
+
+    /// The next cycle part `i` can make progress, or `None` when it is
+    /// quiescent (ticking it would not change any state). The value may
+    /// lie in the past (a late-submitted arrival); it orders wakes, it
+    /// does not gate them.
+    fn next_tick(&self, i: usize) -> Option<u64>;
+
+    /// Advances part `i` to `deadline` cycles.
+    ///
+    /// # Errors
+    ///
+    /// Propagates simulation errors.
+    fn tick(&mut self, i: usize, deadline: u64) -> Result<(), SimError>;
+}
+
+/// The advance state of a [`Tier`]: which parts are armed, how barriers
+/// visit them, and how much work that took.
+#[derive(Debug)]
+pub struct Barrier {
+    /// Armed parts. Arms are conservative: [`advance`] revalidates each
+    /// against [`Tier::next_tick`] and skips the quiescent ones for free.
+    pub wake: WakeHeap,
+    mode: AdvanceMode,
+    /// Work counters, in both modes (a stepping barrier counts every
+    /// part as a wake; only the event engine produces skips).
+    pub stats: AdvanceStats,
+}
+
+impl Barrier {
+    /// A barrier over `parts` parts, all disarmed, in the default mode.
+    #[must_use]
+    pub fn new(parts: usize) -> Self {
+        Self {
+            wake: WakeHeap::new(parts),
+            mode: AdvanceMode::default(),
+            stats: AdvanceStats::default(),
+        }
+    }
+
+    /// The advance mode in effect.
+    #[must_use]
+    pub fn mode(&self) -> AdvanceMode {
+        self.mode
+    }
+
+    /// Selects the advance mode. Stepping does not maintain the heap, so
+    /// switching to [`AdvanceMode::EventDriven`] arms every part; the
+    /// next barrier's revalidation drops the quiescent ones.
+    pub fn set_mode(&mut self, mode: AdvanceMode) {
+        self.mode = mode;
+        if mode == AdvanceMode::EventDriven {
+            for i in 0..self.wake.components() {
+                self.wake.arm(i, 0);
+            }
+        }
+    }
+}
+
+/// One barrier: advances `tier` to `deadline`.
+///
+/// In [`AdvanceMode::EventDriven`] only armed parts tick, in ascending
+/// part order — the order the stepping loop visits them, so merged
+/// trace streams stay byte-identical when several parts share one
+/// tracer — and each is re-armed from its own [`Tier::next_tick`]
+/// afterwards. In [`AdvanceMode::Stepping`] every part ticks.
+///
+/// # Errors
+///
+/// Propagates the first part's simulation error.
+pub fn advance<T: Tier>(tier: &mut T, deadline: u64) -> Result<(), SimError> {
+    let b = tier.barrier();
+    let parts = b.wake.components();
+    b.stats.barriers += 1;
+    if b.mode == AdvanceMode::Stepping {
+        b.stats.wakes += parts as u64;
+        return (0..parts).try_for_each(|i| tier.tick(i, deadline));
+    }
+    let mut ticked = 0u64;
+    for i in b.wake.drain_armed() {
+        // Revalidate: an armed part may turn out quiescent. Ticking it
+        // anyway would be harmless (a no-op), just wasted work.
+        if tier.next_tick(i).is_none() {
+            continue;
+        }
+        ticked += 1;
+        tier.tick(i, deadline)?;
+        if let Some(t) = tier.next_tick(i) {
+            tier.barrier().wake.arm(i, t);
+        }
+    }
+    let b = tier.barrier();
+    b.stats.wakes += ticked;
+    b.stats.skips += parts as u64 - ticked;
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -222,18 +303,6 @@ mod tests {
         assert_eq!(h.drain_armed(), vec![0, 3, 5]);
         assert_eq!(h.drain_armed(), Vec::<usize>::new(), "drain disarms everything");
         assert_eq!(h.next_wake(), None);
-    }
-
-    #[test]
-    fn add_component_grows_without_disturbing_arms() {
-        let mut h = WakeHeap::new(2);
-        h.arm(1, 40);
-        assert_eq!(h.add_component(), 2);
-        assert_eq!(h.components(), 3);
-        h.arm(2, 10);
-        assert_eq!(h.pop_next(), Some((10, 2)));
-        assert_eq!(h.pop_next(), Some((40, 1)));
-        assert_eq!(h.pop_next(), None);
     }
 
     #[test]

@@ -56,12 +56,12 @@ mod backend;
 mod config;
 mod cost;
 mod engine;
-mod event;
 mod func;
 mod multicore;
 
 pub mod analysis;
 pub mod energy;
+pub mod event;
 pub mod resources;
 
 pub use backend::{Backend, SimError, TimingBackend};
@@ -70,7 +70,7 @@ pub use cost::instr_cycles;
 pub use engine::{
     Engine, Event, InterruptEvent, InterruptStrategy, JobRecord, Profile, Report, TaskState,
 };
-pub use event::{AdvanceMode, AdvanceStats, Component, WakeHeap};
+pub use event::{AdvanceMode, AdvanceStats, Barrier, Tier, WakeHeap};
 pub use func::{CalcKernel, DdrImage, ExecTier, FuncBackend};
 pub use multicore::{CoreId, CorePool};
 

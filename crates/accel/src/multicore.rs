@@ -12,18 +12,18 @@
 //! resource cost.
 //!
 //! Advancement is discrete-event by default
-//! ([`AdvanceMode::EventDriven`]): cores register in a wake-time
-//! [`WakeHeap`] keyed by [`Engine::next_event`], and a barrier only
-//! ticks armed cores — quiescent ones are skipped entirely, so pool
-//! advancement costs O(events), not O(barriers × cores). The cycle-box
-//! legacy loop survives as [`AdvanceMode::Stepping`]; both modes are
-//! byte-identical on every deterministic artifact (the
-//! `event_differential` suite is the proof).
+//! ([`AdvanceMode::EventDriven`]): the pool is a [`Tier`] whose cores
+//! are armed in its [`Barrier`] from [`Engine::next_event`], and a
+//! barrier ([`event::advance`]) only ticks armed cores — quiescent ones
+//! are skipped entirely, so pool advancement costs O(events), not
+//! O(barriers × cores). The cycle-box legacy loop survives as
+//! [`AdvanceMode::Stepping`]; both modes are byte-identical on every
+//! deterministic artifact (the `event_differential` suite is the proof).
 
 use inca_isa::{Program, TaskSlot};
 use std::sync::Arc;
 
-use crate::event::{AdvanceMode, AdvanceStats, Component, WakeHeap};
+use crate::event::{self, AdvanceMode, AdvanceStats, Barrier, Tier};
 use crate::resources::{cnn_accelerator, iau, ResourceEstimate};
 use crate::{AccelConfig, Backend, Engine, InterruptStrategy, Report, SimError};
 
@@ -42,9 +42,7 @@ impl std::fmt::Display for CoreId {
 pub struct CorePool<B: Backend> {
     cfg: AccelConfig,
     cores: Vec<Engine<B>>,
-    mode: AdvanceMode,
-    wake: WakeHeap,
-    stats: AdvanceStats,
+    barrier: Barrier,
 }
 
 impl<B: Backend> CorePool<B> {
@@ -61,13 +59,7 @@ impl<B: Backend> CorePool<B> {
     ) -> Self {
         assert!(n > 0, "a pool needs at least one core");
         let cores = (0..n).map(|_| Engine::new(cfg, strategy, make_backend())).collect();
-        Self {
-            cfg,
-            cores,
-            mode: AdvanceMode::default(),
-            wake: WakeHeap::new(n),
-            stats: AdvanceStats::default(),
-        }
+        Self { cfg, cores, barrier: Barrier::new(n) }
     }
 
     /// Builds a pool from pre-configured engines — the escape hatch for
@@ -82,55 +74,42 @@ impl<B: Backend> CorePool<B> {
     pub fn from_engines(engines: Vec<Engine<B>>) -> Self {
         assert!(!engines.is_empty(), "a pool needs at least one core");
         let cfg = *engines[0].config();
-        let mut wake = WakeHeap::new(engines.len());
+        let mut barrier = Barrier::new(engines.len());
         // Pre-configured engines may arrive with work already queued.
         for (i, e) in engines.iter().enumerate() {
             if let Some(t) = e.next_event() {
-                wake.arm(i, t);
+                barrier.wake.arm(i, t);
             }
         }
-        Self {
-            cfg,
-            cores: engines,
-            mode: AdvanceMode::default(),
-            wake,
-            stats: AdvanceStats::default(),
-        }
+        Self { cfg, cores: engines, barrier }
     }
 
     /// Selects how [`CorePool::run_until`] / [`CorePool::run`] advance
-    /// the cores. Switching to [`AdvanceMode::EventDriven`] re-arms the
-    /// wake heap from every core's [`Engine::next_event`], so a pool
-    /// driven in legacy mode for a while resumes event-driven safely.
+    /// the cores. Switching to [`AdvanceMode::EventDriven`] re-arms every
+    /// core ([`Barrier::set_mode`]), so a pool driven in legacy mode for
+    /// a while resumes event-driven safely.
     pub fn set_advance_mode(&mut self, mode: AdvanceMode) {
-        self.mode = mode;
-        if mode == AdvanceMode::EventDriven {
-            for i in 0..self.cores.len() {
-                if let Some(t) = self.cores[i].next_event() {
-                    self.wake.arm(i, t);
-                }
-            }
-        }
+        self.barrier.set_mode(mode);
     }
 
     /// The advance mode in effect.
     #[must_use]
     pub fn advance_mode(&self) -> AdvanceMode {
-        self.mode
+        self.barrier.mode()
     }
 
     /// Event-engine work counters (barriers, wakes, skips). Stepping-mode
     /// barriers count every core as a wake.
     #[must_use]
     pub fn advance_stats(&self) -> AdvanceStats {
-        self.stats
+        self.barrier.stats
     }
 
     /// The earliest armed wake across all cores, with its core — `None`
     /// when every core is quiescent. Event-driven drivers use this to
     /// jump the clock instead of polling.
     pub fn next_wake(&mut self) -> Option<(u64, CoreId)> {
-        self.wake.next_wake().map(|(t, i)| (t, CoreId(i)))
+        self.barrier.wake.next_wake().map(|(t, i)| (t, CoreId(i)))
     }
 
     /// Arms an explicit wake event for `core` at `cycle` — the hook
@@ -142,22 +121,7 @@ impl<B: Backend> CorePool<B> {
     ///
     /// Panics for an out-of-range core id.
     pub fn wake_at(&mut self, core: CoreId, cycle: u64) {
-        self.wake.arm(core.0, cycle);
-    }
-
-    /// Appends one core to the pool mid-run — the grow half of elastic
-    /// scaling. The engine joins the wake heap immediately (armed when it
-    /// arrives with work queued) and gets the next core id; existing core
-    /// ids, arms and reports are untouched, so growth never perturbs the
-    /// deterministic state of the cores already running.
-    pub fn push_core(&mut self, engine: Engine<B>) -> CoreId {
-        let idx = self.wake.add_component();
-        debug_assert_eq!(idx, self.cores.len(), "heap and core vector stay aligned");
-        if let Some(t) = engine.next_event() {
-            self.wake.arm(idx, t);
-        }
-        self.cores.push(engine);
-        CoreId(idx)
+        self.barrier.wake.arm(core.0, cycle);
     }
 
     /// Number of cores.
@@ -197,7 +161,7 @@ impl<B: Backend> CorePool<B> {
     /// Panics for an out-of-range core id.
     #[must_use]
     pub fn core_mut(&mut self, core: CoreId) -> &mut Engine<B> {
-        self.wake.arm(core.0, 0);
+        self.barrier.wake.arm(core.0, 0);
         &mut self.cores[core.0]
     }
 
@@ -205,7 +169,7 @@ impl<B: Backend> CorePool<B> {
     #[must_use]
     pub fn try_core_mut(&mut self, core: CoreId) -> Option<&mut Engine<B>> {
         if core.0 < self.cores.len() {
-            self.wake.arm(core.0, 0);
+            self.barrier.wake.arm(core.0, 0);
         }
         self.cores.get_mut(core.0)
     }
@@ -225,7 +189,7 @@ impl<B: Backend> CorePool<B> {
     /// Panics for an out-of-range core id.
     #[must_use]
     pub fn busy_cycles(&self, core: CoreId) -> u64 {
-        self.cores[core.0].report().completed_jobs.iter().map(|j| j.busy_cycles).sum()
+        self.cores[core.0].completed_jobs().iter().map(|j| j.busy_cycles).sum()
     }
 
     /// Fraction of `core`'s elapsed virtual time spent executing
@@ -264,7 +228,7 @@ impl<B: Backend> CorePool<B> {
     /// See [`Engine::request_at`].
     pub fn request_at(&mut self, cycle: u64, core: CoreId, slot: TaskSlot) -> Result<(), SimError> {
         self.cores[core.0].request_at(cycle, slot)?;
-        self.wake.arm(core.0, cycle);
+        self.barrier.wake.arm(core.0, cycle);
         Ok(())
     }
 
@@ -274,60 +238,19 @@ impl<B: Backend> CorePool<B> {
     ///
     /// Propagates the first core's simulation error.
     pub fn run(&mut self) -> Result<Vec<Report>, SimError> {
-        if self.mode == AdvanceMode::EventDriven {
-            self.advance(u64::MAX)?;
-            return Ok(self.reports());
-        }
-        self.cores.iter_mut().map(Engine::run).collect()
+        self.run_until(u64::MAX)?;
+        Ok(self.reports())
     }
 
-    /// Runs every core until `deadline` cycles.
-    ///
-    /// In [`AdvanceMode::EventDriven`] only armed cores tick (ascending
-    /// core order, matching the stepping loop so merged trace streams
-    /// stay byte-identical); quiescent cores are skipped, which is a
-    /// provable state no-op — an idle engine's `run_until` touches
-    /// nothing, not even its clock.
+    /// Runs every core until `deadline` cycles: one [`event::advance`]
+    /// barrier. Skipping a quiescent core is a provable state no-op — an
+    /// idle engine's `run_until` touches nothing, not even its clock.
     ///
     /// # Errors
     ///
     /// Propagates the first core's simulation error.
     pub fn run_until(&mut self, deadline: u64) -> Result<(), SimError> {
-        match self.mode {
-            AdvanceMode::Stepping => {
-                self.stats.barriers += 1;
-                self.stats.wakes += self.cores.len() as u64;
-                for c in &mut self.cores {
-                    c.run_until(deadline)?;
-                }
-                Ok(())
-            }
-            AdvanceMode::EventDriven => self.advance(deadline),
-        }
-    }
-
-    /// One event-driven barrier: tick every armed core to `deadline`,
-    /// re-arming those that still have (or newly gained) future work.
-    fn advance(&mut self, deadline: u64) -> Result<(), SimError> {
-        self.stats.barriers += 1;
-        let armed = self.wake.drain_armed();
-        let mut ticked = 0u64;
-        for i in armed {
-            // Revalidate: `core_mut` arms conservatively, so an armed
-            // core may turn out quiescent. Ticking it anyway would be
-            // harmless (a no-op), just wasted work.
-            if self.cores[i].next_tick().is_none() {
-                continue;
-            }
-            ticked += 1;
-            self.cores[i].tick(deadline)?;
-            if let Some(t) = self.cores[i].next_tick() {
-                self.wake.arm(i, t);
-            }
-        }
-        self.stats.wakes += ticked;
-        self.stats.skips += self.cores.len() as u64 - ticked;
-        Ok(())
+        event::advance(self, deadline)
     }
 
     /// Reports for all cores (indexed by core id).
@@ -345,6 +268,22 @@ impl<B: Backend> CorePool<B> {
             _ => cnn_accelerator(self.cfg.arch.parallelism) + iau(),
         };
         self.cores.iter().skip(1).fold(per_core, |acc, _| acc + per_core)
+    }
+}
+
+/// A core wakes at [`Engine::next_event`] and ticks by running to the
+/// barrier.
+impl<B: Backend> Tier for CorePool<B> {
+    fn barrier(&mut self) -> &mut Barrier {
+        &mut self.barrier
+    }
+
+    fn next_tick(&self, i: usize) -> Option<u64> {
+        self.cores[i].next_event()
+    }
+
+    fn tick(&mut self, i: usize, deadline: u64) -> Result<(), SimError> {
+        self.cores[i].run_until(deadline)
     }
 }
 
@@ -511,36 +450,6 @@ mod tests {
         // Preemptive cores each carry an IAU on top of the datapath.
         let plain = cnn_accelerator(AccelConfig::paper_big().arch.parallelism);
         assert_eq!(c1.lut, (plain + iau()).lut);
-    }
-
-    #[test]
-    fn push_core_grows_the_pool_mid_run() {
-        let mut pool = CorePool::new(
-            1,
-            AccelConfig::paper_big(),
-            InterruptStrategy::NonPreemptive,
-            TimingBackend::new,
-        );
-        let slot = TaskSlot::new(1).unwrap();
-        let p = Arc::new(tiny());
-        pool.load(CoreId(0), slot, Arc::clone(&p)).unwrap();
-        pool.request_at(0, CoreId(0), slot).unwrap();
-        pool.run_until(10).unwrap();
-        // Grow while core 0 is mid-job; the new core serves its own work.
-        let mut e = Engine::new(
-            AccelConfig::paper_big(),
-            InterruptStrategy::NonPreemptive,
-            TimingBackend::new(),
-        );
-        e.load(slot, Arc::clone(&p)).unwrap();
-        let id = pool.push_core(e);
-        assert_eq!(id, CoreId(1));
-        assert_eq!(pool.cores(), 2);
-        pool.request_at(20, id, slot).unwrap();
-        let reports = pool.run().unwrap();
-        assert_eq!(reports.len(), 2);
-        assert_eq!(reports[0].completed_jobs.len(), 1);
-        assert_eq!(reports[1].completed_jobs.len(), 1);
     }
 
     #[test]

@@ -31,6 +31,7 @@ use inca_accel::{
     AccelConfig, AdvanceMode, AdvanceStats, CoreId, CorePool, Engine, InterruptStrategy, Program,
     Report, TimingBackend,
 };
+use inca_bench::workload::Gaps;
 use inca_compiler::Compiler;
 use inca_isa::TaskSlot;
 use inca_model::{zoo, Shape3};
@@ -114,27 +115,6 @@ fn fleet_run(mode: AdvanceMode) -> FleetRun {
 }
 
 // ---------------------------------------------------------------- part B
-
-/// Deterministic exponential-ish gaps (same integer-only idiom as
-/// `fig_serve_load`).
-const EXP_Q_PERMILLE: [u64; 16] =
-    [32, 98, 170, 247, 330, 421, 521, 632, 758, 901, 1068, 1268, 1520, 1856, 2367, 3466];
-
-struct Gaps {
-    state: u64,
-}
-
-impl Gaps {
-    fn new(seed: u64) -> Self {
-        Self { state: seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1 }
-    }
-
-    fn next(&mut self, mean: u64) -> u64 {
-        self.state = self.state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-        let idx = ((self.state >> 33) % 16) as usize;
-        (mean * EXP_Q_PERMILLE[idx] / 1000).max(1)
-    }
-}
 
 struct ServeRun {
     responses: Vec<Response>,

@@ -256,16 +256,7 @@ impl<B: Backend> Cluster<B> {
     pub fn totals(&self) -> TenantStats {
         let mut t = TenantStats::default();
         for gw in &self.gateways {
-            let g = gw.totals();
-            t.submitted += g.submitted;
-            t.admitted += g.admitted;
-            t.rejected += g.rejected;
-            t.shed += g.shed;
-            t.dropped += g.dropped;
-            t.skipped += g.skipped;
-            t.completed += g.completed;
-            t.deadline_met += g.deadline_met;
-            t.deadline_missed += g.deadline_missed;
+            t.add(&gw.totals());
         }
         t
     }
@@ -462,30 +453,48 @@ impl<B: Backend> Cluster<B> {
         }
     }
 
-    /// Advances the whole fleet to `deadline`: one rebalance pass
-    /// (elastic + stealing), then every gateway runs to the barrier in
-    /// ascending id order. A gateway with nothing outstanding and
-    /// nothing batched is **skipped entirely** — the fleet extension of
-    /// the per-core skip rule, and like it a purely cycle-domain
-    /// condition, so the skip schedule (and everything downstream) is
-    /// identical across advance modes and thread counts.
-    ///
-    /// # Errors
-    ///
-    /// Propagates engine/backend errors.
-    pub fn run_until(&mut self, deadline: u64) -> Result<(), SimError> {
+    /// One fleet barrier (rebalance, skip rule, counters — see
+    /// [`Cluster::run_until`]); `run` advances one gateway.
+    fn fleet_barrier(
+        &mut self,
+        mut run: impl FnMut(&mut Gateway<B>) -> Result<(), SimError>,
+    ) -> Result<(), SimError> {
         self.rebalance();
         self.stats.barriers += 1;
-        for g in 0..self.gateways.len() {
-            let gw = &mut self.gateways[g];
+        for gw in &mut self.gateways {
             if gw.outstanding() == 0 && gw.pending_batched() == 0 {
                 self.stats.skips += 1;
                 continue;
             }
             self.stats.wakes += 1;
-            gw.run_until(deadline)?;
+            run(gw)?;
         }
-        self.now = self.now.max(deadline);
+        Ok(())
+    }
+
+    /// The per-gateway state whose change means a barrier made progress.
+    fn progress(&self) -> Vec<(u64, usize, u64)> {
+        self.gateways.iter().map(|gw| (gw.outstanding(), gw.pending_batched(), gw.now())).collect()
+    }
+
+    /// Advances the whole fleet to `deadline`: one rebalance pass
+    /// (elastic + stealing), then every gateway runs to the barrier in
+    /// ascending id order. A gateway with nothing outstanding and
+    /// nothing batched is **skipped entirely** — the fleet extension of
+    /// the per-core skip rule of [`inca_accel::event::advance`], but
+    /// purely cycle-domain in *both* advance modes, so the skip schedule
+    /// (and everything downstream, [`Cluster::advance_stats`] included)
+    /// is identical across advance modes and thread counts.
+    ///
+    /// # Errors
+    ///
+    /// Propagates engine/backend errors.
+    pub fn run_until(&mut self, deadline: u64) -> Result<(), SimError> {
+        self.fleet_barrier(|gw| gw.run_until(deadline))?;
+        // As in `Gateway::run_until`, `u64::MAX` is "no cap", not a cycle.
+        if deadline != u64::MAX {
+            self.now = self.now.max(deadline);
+        }
         Ok(())
     }
 
@@ -499,32 +508,13 @@ impl<B: Backend> Cluster<B> {
     /// Propagates engine/backend errors.
     pub fn run_to_idle(&mut self, max_cycles: u64) -> Result<(), SimError> {
         loop {
-            let before: Vec<(u64, usize, u64)> = self
-                .gateways
-                .iter()
-                .map(|gw| (gw.outstanding(), gw.pending_batched(), gw.now()))
-                .collect();
-            self.rebalance();
-            self.stats.barriers += 1;
-            for g in 0..self.gateways.len() {
-                let gw = &mut self.gateways[g];
-                if gw.outstanding() == 0 && gw.pending_batched() == 0 {
-                    self.stats.skips += 1;
-                    continue;
-                }
-                self.stats.wakes += 1;
-                gw.run_to_idle(max_cycles)?;
-            }
-            self.now = self.gateways.iter().map(Gateway::now).fold(self.now, u64::max);
+            let before = self.progress();
+            self.fleet_barrier(|gw| gw.run_to_idle(max_cycles))?;
+            self.now = self.now();
             if self.outstanding() == 0 && self.pending_batched() == 0 {
                 return Ok(());
             }
-            let after: Vec<(u64, usize, u64)> = self
-                .gateways
-                .iter()
-                .map(|gw| (gw.outstanding(), gw.pending_batched(), gw.now()))
-                .collect();
-            if before == after {
+            if before == self.progress() {
                 // Wedged fleet-wide: no barrier, steal or cascade can
                 // serve what remains within the cap.
                 return Ok(());

@@ -2,7 +2,7 @@
 //! gateways (each fronting its own core pool) behind one router, all
 //! advanced on a single virtual clock.
 //!
-//! A single [`Gateway`](inca_serve::Gateway) already closes the gap
+//! A single [`Gateway`] already closes the gap
 //! from the INCA paper's interruptible core to a serving deployment.
 //! This crate closes the next gap: a *fleet* of such machines, with the
 //! coordination problems real fleets have —

@@ -781,6 +781,26 @@ mod tests {
         }
     }
 
+    /// FNV-1a over every agent's accelerator schedule (jobs, preemptions,
+    /// deadline verdicts).
+    fn schedule_digest(outcome: &MissionOutcome) -> u64 {
+        let mut words = Vec::new();
+        for a in &outcome.agents {
+            for j in &a.jobs {
+                let slot = j.slot.index() as u64;
+                words.extend([slot, j.release, j.start, j.finish, u64::from(j.preemptions)]);
+            }
+            for i in &a.interrupts {
+                words.extend([i.request_cycle, i.t1, i.t2, i.t4]);
+            }
+            words.push(a.deadline_misses as u64);
+        }
+        words
+            .iter()
+            .flat_map(|w| w.to_le_bytes())
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+    }
+
     #[test]
     fn swarm_mode_is_deterministic() {
         let cfg = {
@@ -791,6 +811,11 @@ mod tests {
         };
         let a = Mission::new(cfg.clone()).unwrap().run().unwrap();
         let b = Mission::new(cfg).unwrap().run().unwrap();
+        // `BENCH_dslam.json` completes no background job, so this digest
+        // (recorded before the drive loop moved into `Scheduler::step`)
+        // is the only absolute pin on the Runtime + Scheduler schedule.
+        assert_eq!(schedule_digest(&a), 0xff17_9a46_9811_d875);
+        assert_eq!(schedule_digest(&a), schedule_digest(&b));
         assert_eq!(a.agents[0].fe_completed, b.agents[0].fe_completed);
         assert_eq!(a.agents[0].pr_completed, b.agents[0].pr_completed);
         assert_eq!(a.agents[0].background_completed, b.agents[0].background_completed);

@@ -7,7 +7,7 @@ use inca_accel::{AccelConfig, Backend, Engine, InterruptStrategy, JobRecord, Rep
 use inca_isa::{TaskSlot, TASK_SLOTS};
 use inca_obs::{Metrics, TraceEvent, Tracer};
 
-use crate::sched::{Scheduler, TaskId, TaskSpec};
+use crate::sched::{SchedPolicy, Scheduler, TaskId, TaskSpec};
 
 /// Identifies a registered [`Node`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -187,11 +187,14 @@ pub struct Runtime<M, B: Backend> {
     now: u64,
     next_handle: u64,
     waiting: [VecDeque<(JobHandle, NodeId, Option<u64>)>; TASK_SLOTS],
-    consumed_completions: usize,
     deadlines: Vec<DeadlineRecord>,
     messages_delivered: u64,
     timers_fired: u64,
-    sched: Option<Scheduler>,
+    /// Always present, because it owns the completion cursor; task-less
+    /// (every record routes as a raw submission) until `scheduled`.
+    sched: Scheduler,
+    /// Whether [`Runtime::install_scheduler`] was called.
+    scheduled: bool,
     sched_jobs: BTreeMap<u64, (JobHandle, NodeId, Option<u64>)>,
     sched_rejected: u64,
     sched_skipped: u64,
@@ -212,11 +215,11 @@ impl<M: Clone, B: Backend> Runtime<M, B> {
             now: 0,
             next_handle: 0,
             waiting: Default::default(),
-            consumed_completions: 0,
             deadlines: Vec::new(),
             messages_delivered: 0,
             timers_fired: 0,
-            sched: None,
+            sched: Scheduler::new(cfg, SchedPolicy::FixedPriority),
+            scheduled: false,
             sched_jobs: BTreeMap::new(),
             sched_rejected: 0,
             sched_skipped: 0,
@@ -229,25 +232,34 @@ impl<M: Clone, B: Backend> Runtime<M, B> {
     /// datapath events interleave in one stream.
     pub fn set_tracer(&mut self, tracer: Tracer) {
         self.engine.set_tracer(tracer.clone());
-        if let Some(s) = self.sched.as_mut() {
-            s.set_tracer(tracer.clone());
-        }
+        self.sched.set_tracer(tracer.clone());
         self.tracer = tracer;
     }
 
     /// Installs a slot-virtualizing [`Scheduler`]: nodes then submit jobs
     /// to logical tasks via [`NodeContext::submit_task`] instead of raw
     /// slots, and the runtime pumps slot bindings at every completion. The
-    /// scheduler inherits the runtime's tracer.
+    /// scheduler inherits the runtime's tracer, and its completion cursor
+    /// starts past the raw-slot jobs that already ran.
     pub fn install_scheduler(&mut self, mut sched: Scheduler) {
         sched.set_tracer(self.tracer.clone());
-        self.sched = Some(sched);
+        sched.seen = self.engine.completed_jobs().len();
+        self.sched = sched;
+        self.scheduled = true;
     }
 
     /// The installed scheduler, if any.
     #[must_use]
     pub fn scheduler(&self) -> Option<&Scheduler> {
-        self.sched.as_ref()
+        self.scheduled.then_some(&self.sched)
+    }
+
+    fn scheduler_mut(&mut self, caller: &str) -> Result<&mut Scheduler, SimError> {
+        if self.scheduled {
+            Ok(&mut self.sched)
+        } else {
+            Err(SimError::Engine(format!("{caller} without a scheduler installed")))
+        }
     }
 
     /// Registers a logical task with the installed scheduler.
@@ -256,10 +268,7 @@ impl<M: Clone, B: Backend> Runtime<M, B> {
     ///
     /// [`SimError::Engine`] when no scheduler is installed.
     pub fn register_task(&mut self, spec: TaskSpec) -> Result<TaskId, SimError> {
-        self.sched
-            .as_mut()
-            .map(|s| s.register(spec))
-            .ok_or_else(|| SimError::Engine("register_task without a scheduler installed".into()))
+        Ok(self.scheduler_mut("register_task")?.register(spec))
     }
 
     /// A deterministic metrics snapshot: the engine's metrics plus
@@ -283,7 +292,7 @@ impl<M: Clone, B: Backend> Runtime<M, B> {
             + self.sched_jobs.values().filter(|(_, _, deadline)| deadline.is_some()).count() as u64;
         m.inc("runtime.deadlines.met", met);
         m.inc("runtime.deadlines.missed", late + outstanding);
-        if let Some(s) = self.sched.as_ref() {
+        if let Some(s) = self.scheduler() {
             m.absorb("", &s.metrics());
             m.inc("runtime.sched.rejected", self.sched_rejected);
             m.inc("runtime.sched.skipped", self.sched_skipped);
@@ -344,16 +353,10 @@ impl<M: Clone, B: Backend> Runtime<M, B> {
     }
 
     fn drain_engine_completions(&mut self) {
-        // A copy of just the new records (not a full report clone): the
-        // routing below needs `&mut self` while iterating.
-        let new: Vec<JobRecord> =
-            self.engine.completed_jobs()[self.consumed_completions..].to_vec();
-        let mut sched = self.sched.take();
-        self.consumed_completions += new.len();
-        for rec in &new {
+        while let Some((rec, completion)) = self.sched.take_completion(&self.engine) {
             // Scheduler-bound jobs are routed by logical task; raw
             // submissions fall through to the per-slot waiting queues.
-            let routed = match sched.as_mut().and_then(|s| s.note_completion(rec)) {
+            let routed = match completion {
                 Some(c) => self.sched_jobs.remove(&c.job.raw()),
                 None => self.waiting[rec.slot.index()].pop_front(),
             };
@@ -381,19 +384,10 @@ impl<M: Clone, B: Backend> Runtime<M, B> {
                 }
                 self.push_event(
                     rec.finish,
-                    EventKind::AccelDone { node, job: handle, record: *rec },
+                    EventKind::AccelDone { node, job: handle, record: rec },
                 );
             }
         }
-        self.sched = sched;
-    }
-
-    /// Lets the installed scheduler bind queued jobs to freed slots.
-    fn pump_sched(&mut self) -> Result<(), SimError> {
-        if let Some(s) = self.sched.as_mut() {
-            s.pump(self.now, &mut self.engine)?;
-        }
-        Ok(())
     }
 
     fn dispatch(&mut self, kind: EventKind<M>) -> Result<(), SimError> {
@@ -465,10 +459,8 @@ impl<M: Clone, B: Backend> Runtime<M, B> {
                     self.waiting[slot.index()].push_back((handle, origin, deadline));
                 }
                 Action::Sched { task, handle } => {
-                    let sched = self.sched.as_mut().ok_or_else(|| {
-                        SimError::Engine("submit_task without a scheduler installed".into())
-                    })?;
-                    match sched.submit(self.now, task) {
+                    let now = self.now;
+                    match self.scheduler_mut("submit_task")?.submit(now, task) {
                         Ok(adm) if adm.skipped => self.sched_skipped += 1,
                         Ok(adm) => {
                             self.sched_jobs.insert(adm.job.raw(), (handle, origin, adm.deadline));
@@ -478,7 +470,9 @@ impl<M: Clone, B: Backend> Runtime<M, B> {
                 }
             }
         }
-        self.pump_sched()
+        // Let the scheduler bind what the callback queued (a no-op on
+        // the task-less one).
+        self.sched.pump(self.now, &mut self.engine)
     }
 
     /// Runs the co-simulation until `deadline` cycles.
@@ -521,28 +515,28 @@ impl<M: Clone, B: Backend> Runtime<M, B> {
     /// without one, the engine runs straight through (keeping the event
     /// stream byte-identical to pre-scheduler builds).
     fn advance_engine(&mut self, horizon: u64) -> Result<(), SimError> {
-        if let Some(s) = self.sched.as_ref() {
-            // Event-driven skip: with nothing outstanding in the
-            // scheduler and a quiescent engine, the pump/advance/drain
-            // round-trip is provably a state no-op (empty queues accrue
-            // no tokens, the engine's clock does not move, there are no
-            // new completions) — the same wake rule the CorePool event
-            // engine applies per core.
-            if s.outstanding() == 0 && self.engine.next_event().is_none() {
+        if !self.scheduled {
+            self.engine.run_until(horizon)?;
+            self.drain_engine_completions();
+            return Ok(());
+        }
+        // Event-driven skip: with nothing outstanding in the scheduler
+        // and a quiescent engine, the step/drain round-trip is provably
+        // a state no-op (empty queues accrue no tokens, the engine's
+        // clock does not move, there are no new completions) — the same
+        // wake rule the serving gateway applies per core.
+        if self.sched.outstanding() == 0 && self.engine.next_event().is_none() {
+            return Ok(());
+        }
+        // Pumped at the middleware clock, not the engine's (see
+        // `Scheduler::step`).
+        loop {
+            let hit_completion = self.sched.step(self.now, &mut self.engine, horizon)?;
+            self.drain_engine_completions();
+            if !hit_completion {
                 return Ok(());
             }
-            loop {
-                self.pump_sched()?;
-                let hit_completion = self.engine.run_until_complete(horizon)?;
-                self.drain_engine_completions();
-                if !hit_completion {
-                    return Ok(());
-                }
-            }
         }
-        self.engine.run_until(horizon)?;
-        self.drain_engine_completions();
-        Ok(())
     }
 
     /// Builds the report (outstanding deadline jobs count as unmet).

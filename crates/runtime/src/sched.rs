@@ -303,6 +303,9 @@ pub struct Scheduler {
     loaded: [Option<TaskId>; TASK_SLOTS],
     /// Monotonic scheduler clock (max of all `now` values seen).
     now: u64,
+    /// Completion cursor: engine records [`Scheduler::take_completion`]
+    /// already handed out.
+    pub(crate) seen: usize,
     next_job: u64,
     preempt_requests: u64,
     reloads: u64,
@@ -340,6 +343,7 @@ impl Scheduler {
             bindings: [None; TASK_SLOTS],
             loaded: [None; TASK_SLOTS],
             now: 0,
+            seen: 0,
             next_job: 0,
             preempt_requests: 0,
             reloads: 0,
@@ -649,16 +653,7 @@ impl Scheduler {
     /// Propagates engine errors (e.g. loading over a raw in-flight job on
     /// a slot the scheduler does not own).
     pub fn pump<B: Backend>(&mut self, now: u64, engine: &mut Engine<B>) -> Result<(), SimError> {
-        let prof = self.host_prof.clone();
-        let t0 = prof.as_ref().map(|_| std::time::Instant::now());
-        let result = self.pump_inner(now, engine);
-        if let (Some(p), Some(t0)) = (prof, t0) {
-            p.add(HostComponent::Sched, t0.elapsed().as_nanos() as u64, 0);
-        }
-        result
-    }
-
-    fn pump_inner<B: Backend>(&mut self, now: u64, engine: &mut Engine<B>) -> Result<(), SimError> {
+        let _timer = self.host_prof.as_ref().map(|p| p.timer(HostComponent::Sched));
         if self.policy == SchedPolicy::PremaTokens {
             self.accrue_tokens(now.max(engine.now()));
         }
@@ -797,10 +792,46 @@ impl Scheduler {
         Ok(())
     }
 
-    /// Routes one engine completion record. Returns the scheduler
-    /// completion when the record belongs to a scheduler-bound job, `None`
-    /// when it belongs to a raw (non-scheduled) submission.
-    pub fn note_completion(&mut self, record: &JobRecord) -> Option<SchedCompletion> {
+    /// The first half of the drive loop every tier above an engine runs:
+    /// pump at cycle `now`, then run `engine` to `deadline` or to its next
+    /// job completion, whichever comes first. Returns `true` when a
+    /// completion stopped it — drain [`Scheduler::take_completion`] and
+    /// step again, so the freed slot re-binds at the exact completion
+    /// cycle.
+    ///
+    /// `now` is the caller's clock, not `engine.now()`: the engine
+    /// overshoots a horizon by up to one instruction, and pumping there
+    /// would raise the scheduler clock that the next submission's
+    /// relative deadline is added to.
+    ///
+    /// # Errors
+    ///
+    /// Propagates engine/backend errors.
+    pub fn step<B: Backend>(
+        &mut self,
+        now: u64,
+        engine: &mut Engine<B>,
+        deadline: u64,
+    ) -> Result<bool, SimError> {
+        self.pump(now, engine)?;
+        engine.run_until_complete(deadline)
+    }
+
+    /// The second half: the next completion record of `engine` this
+    /// scheduler has not seen yet, with the scheduler completion when it
+    /// belongs to a scheduler-bound job (`None` inside: a raw,
+    /// non-scheduled submission). `None` once every record was taken.
+    pub fn take_completion<B: Backend>(
+        &mut self,
+        engine: &Engine<B>,
+    ) -> Option<(JobRecord, Option<SchedCompletion>)> {
+        let record = *engine.completed_jobs().get(self.seen)?;
+        self.seen += 1;
+        Some((record, self.note_completion(&record)))
+    }
+
+    /// Routes one engine completion record to its logical task, if any.
+    fn note_completion(&mut self, record: &JobRecord) -> Option<SchedCompletion> {
         let task = self.bindings[record.slot.index()]?;
         let f = self.tasks[task.0].inflight.take().expect("bound task has an in-flight job");
         debug_assert_eq!(f.slot, record.slot);
@@ -855,14 +886,13 @@ impl Scheduler {
 pub struct ScheduledEngine<B: Backend> {
     engine: Engine<B>,
     sched: Scheduler,
-    consumed: usize,
 }
 
 impl<B: Backend> ScheduledEngine<B> {
     /// Pairs `engine` with `sched`.
     #[must_use]
     pub fn new(engine: Engine<B>, sched: Scheduler) -> Self {
-        Self { engine, sched, consumed: 0 }
+        Self { engine, sched }
     }
 
     /// The engine.
@@ -907,14 +937,9 @@ impl<B: Backend> ScheduledEngine<B> {
     pub fn run_until(&mut self, deadline: u64) -> Result<Vec<SchedCompletion>, SimError> {
         let mut done = Vec::new();
         loop {
-            self.sched.pump(self.engine.now(), &mut self.engine)?;
-            let hit_completion = self.engine.run_until_complete(deadline)?;
-            let records: Vec<JobRecord> = self.engine.completed_jobs()[self.consumed..].to_vec();
-            self.consumed += records.len();
-            for rec in &records {
-                if let Some(c) = self.sched.note_completion(rec) {
-                    done.push(c);
-                }
+            let hit_completion = self.sched.step(self.engine.now(), &mut self.engine, deadline)?;
+            while let Some((_, completion)) = self.sched.take_completion(&self.engine) {
+                done.extend(completion);
             }
             if !hit_completion {
                 return Ok(done);

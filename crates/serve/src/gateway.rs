@@ -12,7 +12,7 @@ use std::collections::{BinaryHeap, HashMap};
 use std::sync::Arc;
 
 use inca_accel::{
-    AdvanceMode, AdvanceStats, Backend, CoreId, CorePool, Engine, JobRecord, SimError, WakeHeap,
+    event, AdvanceMode, AdvanceStats, Backend, Barrier, CoreId, CorePool, JobRecord, SimError, Tier,
 };
 use inca_obs::analyze::SloSpec;
 use inca_obs::{
@@ -94,8 +94,6 @@ struct TenantEntry {
 pub struct Gateway<B: Backend> {
     pool: CorePool<B>,
     scheds: Vec<Scheduler>,
-    /// Per-core cursor into `report().completed_jobs`.
-    consumed: Vec<usize>,
     /// Per-core map from raw scheduler job id to request metadata.
     inflight: Vec<HashMap<u64, InflightMeta>>,
     tenants: Vec<TenantEntry>,
@@ -125,14 +123,6 @@ pub struct Gateway<B: Backend> {
     trace_sample: u64,
     /// Wall-clock self-profiler (never affects deterministic outputs).
     host_prof: Option<HostProf>,
-    /// Event-driven (default) or cycle-box legacy core advancement.
-    mode: AdvanceMode,
-    /// Event-engine work counters (barriers, wakes, skips).
-    stats: AdvanceStats,
-    /// Serving wake heap: cores armed by hard submits, batch-flush
-    /// dispatches and still-busy re-arms, so an event-driven barrier
-    /// visits O(armed) cores instead of scanning all of them.
-    wake: WakeHeap,
     /// Cycle-domain timeline sampler (None = timeline disabled).
     sampler: Option<Sampler>,
 }
@@ -157,17 +147,9 @@ impl<B: Backend> Gateway<B> {
             pool.core_mut(id).set_span_core(id.0 as u32);
         }
         let n = scheds.len();
-        // A pre-configured pool may arrive with work already queued.
-        let mut wake = WakeHeap::new(n);
-        for i in 0..n {
-            if let Some(t) = pool.core(CoreId(i)).next_event() {
-                wake.arm(i, t);
-            }
-        }
         Self {
             pool,
             scheds,
-            consumed: vec![0; n],
             inflight: (0..n).map(|_| HashMap::new()).collect(),
             tenants: Vec::new(),
             task_ids: Vec::new(),
@@ -187,9 +169,6 @@ impl<B: Backend> Gateway<B> {
             tracer: Tracer::disabled(),
             trace_sample: 0,
             host_prof: None,
-            mode: AdvanceMode::default(),
-            stats: AdvanceStats::default(),
-            wake,
             sampler: None,
         }
     }
@@ -199,26 +178,16 @@ impl<B: Backend> Gateway<B> {
     /// provably quiescent — empty scheduler queues, nothing in flight, no
     /// engine work — while [`AdvanceMode::Stepping`] is the cycle-box
     /// legacy loop touching every core. Both produce byte-identical
-    /// responses, traces, metrics and spans.
+    /// responses, traces, metrics and spans. The gateway advances through
+    /// its pool's [`Barrier`], so this is [`CorePool::set_advance_mode`].
     pub fn set_advance_mode(&mut self, mode: AdvanceMode) {
-        self.mode = mode;
-        if mode == AdvanceMode::EventDriven {
-            // A gateway driven in legacy mode for a while resumes
-            // event-driven safely: re-arm every core that still has work.
-            for i in 0..self.scheds.len() {
-                if self.scheds[i].outstanding() > 0
-                    || self.pool.core(CoreId(i)).next_event().is_some()
-                {
-                    self.wake.arm(i, self.now);
-                }
-            }
-        }
+        self.pool.set_advance_mode(mode);
     }
 
     /// The advance mode in effect.
     #[must_use]
     pub fn advance_mode(&self) -> AdvanceMode {
-        self.mode
+        self.pool.advance_mode()
     }
 
     /// Event-engine work counters: barriers processed, cores ticked,
@@ -226,7 +195,7 @@ impl<B: Backend> Gateway<B> {
     /// so the `fig_event_engine` bench gates on them exactly.
     #[must_use]
     pub fn advance_stats(&self) -> AdvanceStats {
-        self.stats
+        self.pool.advance_stats()
     }
 
     /// Sets the batch window in cycles (how long a lone best-effort
@@ -369,14 +338,8 @@ impl<B: Backend> Gateway<B> {
                 }
             })
             .collect();
-        Observation {
-            cycle,
-            cores,
-            tenants,
-            barriers: self.stats.barriers,
-            wakes: self.stats.wakes,
-            skips: self.stats.skips,
-        }
+        let AdvanceStats { barriers, wakes, skips } = self.pool.advance_stats();
+        Observation { cycle, cores, tenants, barriers, wakes, skips }
     }
 
     fn tag_for(&self, request: RequestId) -> Option<u64> {
@@ -406,14 +369,10 @@ impl<B: Backend> Gateway<B> {
 
     /// The core pool, mutable. Reserved for setup (context images,
     /// tracers); mutating engine state mid-serve voids determinism.
-    /// Mutable access can inject engine work behind the gateway's back,
-    /// so every core is conservatively armed; the next barrier
-    /// revalidates and skips still-quiescent cores for free.
+    /// Engine work injected behind the gateway's back is still visited:
+    /// [`CorePool::core_mut`] arms the core in the shared [`Barrier`].
     #[must_use]
     pub fn pool_mut(&mut self) -> &mut CorePool<B> {
-        for i in 0..self.scheds.len() {
-            self.wake.arm(i, 0);
-        }
         &mut self.pool
     }
 
@@ -482,56 +441,6 @@ impl<B: Backend> Gateway<B> {
     /// across advance modes and thread counts.
     pub fn set_active_cores(&mut self, n: usize) {
         self.active_cores = n.clamp(1, self.scheds.len());
-    }
-
-    /// Appends one core to the gateway mid-run — elastic scaling's grow
-    /// hook. The engine (pre-configured by the caller: context images
-    /// installed, same config/strategy as its siblings) joins the pool,
-    /// gets a scheduler with every registered tenant re-registered in
-    /// the same order (so tenant/task indices — and therefore backend
-    /// rebind context ids — stay aligned pool-wide), inherits the
-    /// gateway tracer/profiler, and becomes placement-eligible
-    /// immediately. Existing cores' state is untouched, so growth never
-    /// perturbs determinism of work already in flight.
-    pub fn add_core(&mut self, mut engine: Engine<B>) -> CoreId {
-        let idx = self.scheds.len();
-        engine.set_span_core(idx as u32);
-        engine.set_tracer(self.tracer.clone());
-        engine.set_host_prof(self.host_prof.clone());
-        let policy = self.scheds.first().map_or(SchedPolicy::FixedPriority, Scheduler::policy);
-        let mut sched = Scheduler::new(*engine.config(), policy);
-        sched.set_span_core(idx as u32);
-        sched.set_tracer(self.tracer.clone());
-        sched.set_host_prof(self.host_prof.clone());
-        for (i, entry) in self.tenants.iter().enumerate() {
-            let spec = &entry.spec;
-            let mut task = TaskSpec::new(spec.name.clone(), Arc::clone(&spec.program))
-                .priority(spec.slot_priority())
-                .queue(spec.max_outstanding, DropPolicy::Reject);
-            if spec.lane == Lane::Hard {
-                if let Some(d) = spec.relative_deadline {
-                    task = task.deadline(d);
-                }
-            }
-            let tid = sched.register(task);
-            debug_assert_eq!(tid.index(), i, "tenant/task indices stay aligned on grown cores");
-        }
-        let id = self.pool.push_core(engine);
-        debug_assert_eq!(id.0, idx, "pool and scheduler vectors stay aligned");
-        self.scheds.push(sched);
-        self.consumed.push(0);
-        self.inflight.push(HashMap::new());
-        let wake_idx = self.wake.add_component();
-        debug_assert_eq!(wake_idx, idx, "gateway wake heap stays aligned");
-        if self.pool.core(id).next_event().is_some() {
-            self.wake.arm(idx, self.now);
-        }
-        // A previously shrunk gateway growing again activates the new
-        // core; an un-shrunk one simply extends its active prefix.
-        if self.active_cores == idx {
-            self.active_cores = idx + 1;
-        }
-        id
     }
 
     /// A tenant's registered spec.
@@ -694,7 +603,7 @@ impl<B: Backend> Gateway<B> {
             Ok(adm) => {
                 let request = self.next_request_id();
                 self.tenants[tenant.0].stats.admitted += 1;
-                self.wake.arm(core.0, now);
+                self.pool.wake_at(core, now);
                 self.inflight[core.0].insert(
                     adm.job.raw(),
                     InflightMeta {
@@ -770,7 +679,7 @@ impl<B: Backend> Gateway<B> {
         let size = entries.len() as u32;
         self.batches_dispatched += 1;
         self.batched_requests += u64::from(size);
-        self.wake.arm(core.0, now);
+        self.pool.wake_at(core, now);
         self.trace_milestone(now, format!("serve.flush net{net} x{size} {core}"));
         for e in entries {
             let task = self.task_ids[e.tenant.0];
@@ -867,7 +776,7 @@ impl<B: Backend> Gateway<B> {
             // the gateway clock instead: a batch is never dispatched
             // before one of its requests arrived.
             let fire = cycle.max(self.now);
-            self.advance_all(fire.min(deadline))?;
+            event::advance(self, fire.min(deadline))?;
             self.now = self.now.max(fire);
             if is_flush {
                 let Reverse((_, net, _)) = self.flushes.pop().expect("peeked flush exists");
@@ -881,50 +790,12 @@ impl<B: Backend> Gateway<B> {
                 sampled_state = Some(state);
             }
         }
-        self.now = self.now.max(deadline);
-        self.advance_all(deadline)
-    }
-
-    /// Advances every core to `barrier`. Event-driven mode visits only
-    /// *armed* cores — armed by a hard-lane placement, a batch-flush
-    /// dispatch, external pool access, or a still-busy re-arm after the
-    /// previous barrier — so a barrier costs O(armed), not O(cores).
-    /// Arms are conservative: a drained core revalidates against the
-    /// exact quiescence predicate (the scheduler has nothing outstanding,
-    /// so its pump cannot bind and token accrual — which only touches
-    /// tasks with queued jobs — cannot move; and the engine reports no
-    /// next event, so `run_until` returns without touching its clock)
-    /// and is skipped when its advance is provably a state no-op.
-    /// Everything else matches the stepping loop exactly, including
-    /// visiting cores in ascending core order so merged trace streams
-    /// stay byte-identical.
-    fn advance_all(&mut self, barrier: u64) -> Result<(), SimError> {
-        self.stats.barriers += 1;
-        if self.mode == AdvanceMode::Stepping {
-            self.stats.wakes += self.scheds.len() as u64;
-            for core in 0..self.scheds.len() {
-                self.advance_core(core, barrier)?;
-            }
-            return Ok(());
+        // `u64::MAX` means "no cap", not a cycle: resting the clock there
+        // would overflow the next submit's `now + window`.
+        if deadline != u64::MAX {
+            self.now = self.now.max(deadline);
         }
-        let mut ticked = 0u64;
-        for core in self.wake.drain_armed() {
-            if self.scheds[core].outstanding() == 0
-                && self.pool.core(CoreId(core)).next_event().is_none()
-            {
-                continue;
-            }
-            ticked += 1;
-            self.advance_core(core, barrier)?;
-            if self.scheds[core].outstanding() > 0
-                || self.pool.core(CoreId(core)).next_event().is_some()
-            {
-                self.wake.arm(core, barrier);
-            }
-        }
-        self.stats.wakes += ticked;
-        self.stats.skips += self.scheds.len() as u64 - ticked;
-        Ok(())
+        event::advance(self, deadline)
     }
 
     /// Runs until every admitted request completed (or nothing can make
@@ -955,26 +826,15 @@ impl<B: Backend> Gateway<B> {
     /// time lands under [`HostComponent::Gateway`]; the report subtracts
     /// the nested engine/scheduler components to get gateway self-time.
     fn advance_core(&mut self, core: usize, deadline: u64) -> Result<(), SimError> {
-        let prof = self.host_prof.clone();
-        let t0 = prof.as_ref().map(|_| std::time::Instant::now());
-        let result = self.advance_core_inner(core, deadline);
-        if let (Some(p), Some(t0)) = (prof, t0) {
-            p.add(HostComponent::Gateway, t0.elapsed().as_nanos() as u64, 0);
-        }
-        result
-    }
-
-    fn advance_core_inner(&mut self, core: usize, deadline: u64) -> Result<(), SimError> {
+        let _timer = self.host_prof.as_ref().map(|p| p.timer(HostComponent::Gateway));
         loop {
             let engine = self.pool.core_mut(CoreId(core));
-            let now = engine.now();
-            self.scheds[core].pump(now, engine)?;
-            let hit_completion = engine.run_until_complete(deadline)?;
-            let records: Vec<JobRecord> = engine.completed_jobs()[self.consumed[core]..].to_vec();
-            self.consumed[core] += records.len();
-            for rec in &records {
-                if let Some(c) = self.scheds[core].note_completion(rec) {
-                    self.finish(core, c.job.raw(), rec);
+            let hit_completion = self.scheds[core].step(engine.now(), engine, deadline)?;
+            while let Some((rec, completion)) =
+                self.scheds[core].take_completion(self.pool.core(CoreId(core)))
+            {
+                if let Some(c) = completion {
+                    self.finish(core, c.job.raw(), &rec);
                 }
             }
             if !hit_completion {
@@ -1073,9 +933,10 @@ impl<B: Backend> Gateway<B> {
         // Event-engine work telemetry. Deterministic for a fixed
         // configuration, but mode-dependent by design: differential
         // suites comparing EventDriven vs Stepping strip `event.*` keys.
-        m.inc("event.barriers", self.stats.barriers);
-        m.inc("event.wakes", self.stats.wakes);
-        m.inc("event.skips", self.stats.skips);
+        let adv = self.pool.advance_stats();
+        m.inc("event.barriers", adv.barriers);
+        m.inc("event.wakes", adv.wakes);
+        m.inc("event.skips", adv.skips);
         if let Some(s) = &self.sampler {
             m.inc("timeline.frames", s.len() as u64);
             m.inc("timeline.dropped", s.dropped());
@@ -1090,5 +951,31 @@ impl<B: Backend> Gateway<B> {
             m.absorb(&format!("serve.core{i}."), &s.metrics());
         }
         m
+    }
+}
+
+/// The serving tier shares its pool's [`Barrier`]: a core here is the
+/// engine *plus* its slot-virtualizing scheduler. Hard submits and batch
+/// flushes arm it through [`CorePool::wake_at`], and it is quiescent only
+/// when the engine reports no next event (`run_until` would return
+/// without touching its clock) *and* the scheduler has nothing
+/// outstanding (its pump cannot bind, and token accrual — which only
+/// touches tasks with queued jobs — cannot move), so skipping it is
+/// provably a state no-op.
+impl<B: Backend> Tier for Gateway<B> {
+    fn barrier(&mut self) -> &mut Barrier {
+        self.pool.barrier()
+    }
+
+    fn next_tick(&self, i: usize) -> Option<u64> {
+        let engine = self.pool.core(CoreId(i));
+        match self.scheds[i].outstanding() {
+            0 => engine.next_event(),
+            _ => Some(engine.now()),
+        }
+    }
+
+    fn tick(&mut self, i: usize, deadline: u64) -> Result<(), SimError> {
+        self.advance_core(i, deadline)
     }
 }

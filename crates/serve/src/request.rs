@@ -263,7 +263,8 @@ pub struct TenantStats {
 }
 
 impl TenantStats {
-    pub(crate) fn add(&mut self, other: &TenantStats) {
+    /// Adds `other`'s counters to these (per-gateway and fleet totals).
+    pub fn add(&mut self, other: &TenantStats) {
         self.submitted += other.submitted;
         self.admitted += other.admitted;
         self.rejected += other.rejected;

@@ -220,6 +220,27 @@ proptest! {
     }
 }
 
+/// `u64::MAX` means "no cap": an uncapped idle loop rests the clock at
+/// the last event, not at the cap, so the gateway keeps serving after it
+/// (a clock saturated at `u64::MAX` overflowed the next submit's
+/// `now + batch_window`).
+#[test]
+fn gateway_keeps_serving_after_an_uncapped_idle_loop() {
+    let pool = CorePool::new(1, cfg(), InterruptStrategy::VirtualInstruction, TimingBackend::new);
+    let mut gw = Gateway::new(pool, SchedPolicy::FixedPriority, PlacePolicy::LeastLoaded);
+    let tenant = gw.register(TenantSpec::new("be", tiny(16)));
+    for _ in 0..2 {
+        // The second arrival is the first finish: the clock rested there.
+        let arrival = gw.now();
+        gw.submit(arrival, tenant).expect("an idle gateway admits");
+        gw.run_to_idle(u64::MAX).unwrap();
+        let responses = gw.drain_responses();
+        assert_eq!(responses.len(), 1);
+        assert_eq!(responses[0].arrival, arrival);
+        assert_eq!(gw.now(), responses[0].finish, "the clock rests at the last event");
+    }
+}
+
 /// Uninterrupted makespan of `program` on a dedicated timing engine.
 fn makespan(program: &Program) -> u64 {
     use inca_accel::Engine;

@@ -36,7 +36,8 @@ echo "== cargo doc (inca crates, no deps, warnings are errors)"
 # The vendored stub crates are out of scope for the doc gate.
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q -p inca \
     -p inca-isa -p inca-obs -p inca-model -p inca-compiler \
-    -p inca-accel -p inca-runtime -p inca-serve -p inca-dslam -p inca-bench
+    -p inca-accel -p inca-runtime -p inca-serve -p inca-cluster -p inca-dslam \
+    -p inca-bench
 
 echo "== serving example (deterministic frontend)"
 cargo build --release --example serve -q

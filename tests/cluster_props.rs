@@ -237,6 +237,25 @@ fn conservation_and_hard_lane_isolation_under_flood() {
     );
 }
 
+/// `u64::MAX` means "no cap": an uncapped idle loop rests the clock at
+/// the last event, not at the cap, so the fleet keeps serving after it
+/// (a clock saturated at `u64::MAX` overflowed the next submit's
+/// `now + batch_window`).
+#[test]
+fn cluster_keeps_serving_after_an_uncapped_idle_loop() {
+    let Fleet { mut cluster, tenants, .. } = build_fleet(2, 1, TimingBackend::new);
+    for _ in 0..2 {
+        // The second arrival is the first finish: the clock rested there.
+        let arrival = cluster.now();
+        cluster.submit(arrival, tenants[0]).expect("an idle fleet admits");
+        cluster.run_to_idle(u64::MAX).expect("engine");
+        let responses = cluster.drain_responses();
+        assert_eq!(responses.len(), 1);
+        assert_eq!(responses[0].1.arrival, arrival);
+        assert_eq!(cluster.now(), responses[0].1.finish, "the clock rests at the last event");
+    }
+}
+
 /// Everything a cluster run can observably produce. Two runs are "the
 /// same run" iff these compare equal.
 #[derive(Debug, PartialEq)]
