@@ -14,6 +14,7 @@
 
 use inca_isa::{Instr, LayerMeta, Opcode, Parallelism, Program, Tile};
 
+use crate::engine::charge;
 use crate::{instr_cycles, AccelConfig, InterruptStrategy};
 
 /// Eq. 1 of the paper: worst-case VI latency as a fraction of
@@ -56,13 +57,17 @@ pub fn t1_vi_worst(cfg: &AccelConfig, meta: &LayerMeta) -> u64 {
 }
 
 /// The analytical execution-span model the scheduler's admission control
-/// runs on: the summed cost of every **original** (non-virtual)
-/// instruction. Virtual instructions are free unless an interrupt
-/// materialises them, so this is the uncontended makespan of the program
-/// body; measured `busy_cycles` of an uncontended job matches it exactly.
+/// runs on: the engine's own per-instruction charge (instruction cost
+/// less the DMA hidden behind banked compute under
+/// [`AccelConfig::dma_overlap`]) folded over every **original**
+/// (non-virtual) instruction with one running credit. Virtual
+/// instructions are free unless an interrupt materialises them, so this
+/// is the uncontended makespan of the program body; measured
+/// `busy_cycles` of an uncontended job matches it exactly.
 #[must_use]
 pub fn predicted_span(cfg: &AccelConfig, program: &Program) -> u64 {
-    program.original_instrs().map(|(_, i)| instr_cycles(cfg, program.layer_of(i), i)).sum()
+    let mut credit = 0;
+    program.original_instrs().map(|(_, i)| charge(cfg, program, i, &mut credit)).sum()
 }
 
 /// The backup cost `t2` charged for taking the interrupt point starting
@@ -163,21 +168,31 @@ mod tests {
         use inca_compiler::Compiler;
         use inca_isa::TaskSlot;
 
-        let cfg = AccelConfig::paper_small();
         let net = inca_model::zoo::tiny(Shape3::new(3, 32, 32)).expect("net");
-        for program in [
-            Compiler::new(cfg.arch).compile(&net).expect("compile"),
-            Compiler::new(cfg.arch).compile_vi(&net).expect("compile vi"),
-        ] {
-            let program = std::sync::Arc::new(program);
-            let span = predicted_span(&cfg, &program);
-            let slot = TaskSlot::LOWEST;
-            let mut engine =
-                Engine::new(cfg, InterruptStrategy::VirtualInstruction, TimingBackend::new());
-            engine.load(slot, std::sync::Arc::clone(&program)).expect("load");
-            engine.request_at(0, slot).expect("request");
-            let report = engine.run().expect("run");
-            assert_eq!(report.completed_jobs[0].busy_cycles, span, "{}", program.name);
+        for dma_overlap in [false, true] {
+            let cfg = AccelConfig { dma_overlap, ..AccelConfig::paper_small() };
+            for program in [
+                Compiler::new(cfg.arch).compile(&net).expect("compile"),
+                Compiler::new(cfg.arch).compile_vi(&net).expect("compile vi"),
+            ] {
+                let program = std::sync::Arc::new(program);
+                let span = predicted_span(&cfg, &program);
+                let slot = TaskSlot::LOWEST;
+                let mut engine =
+                    Engine::new(cfg, InterruptStrategy::VirtualInstruction, TimingBackend::new());
+                engine.load(slot, std::sync::Arc::clone(&program)).expect("load");
+                engine.request_at(0, slot).expect("request");
+                let report = engine.run().expect("run");
+                let what = format!("{} overlap={dma_overlap}", program.name);
+                assert_eq!(report.completed_jobs[0].busy_cycles, span, "{what}");
+                // Without overlap the model is the bare instruction-cost
+                // sum; with it, some DMA must actually have been hidden.
+                let bare: u64 = program
+                    .original_instrs()
+                    .map(|(_, i)| instr_cycles(&cfg, program.layer_of(i), i))
+                    .sum();
+                assert_eq!(span < bare, dma_overlap, "{what}: {span} vs bare {bare}");
+            }
         }
     }
 

@@ -24,7 +24,7 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::sync::Arc;
 
-use inca_isa::{Instr, Opcode, Program, TaskSlot, TASK_SLOTS};
+use inca_isa::{Instr, InterruptPoint, Opcode, Program, TaskSlot, TASK_SLOTS};
 use inca_obs::{
     ascii, request_span_id, span_id, HostComponent, HostProf, Metrics, SpanStage, TraceEvent,
     Tracer, NO_CORE,
@@ -296,17 +296,26 @@ impl Report {
     }
 }
 
-#[derive(Debug)]
-struct ActiveJob {
-    release: u64,
-    start: Option<u64>,
-    pc: usize,
+/// What a request programs into the IAU besides its slot.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
+struct JobParams {
     /// IAU `InputOffset` register: shifts loads from the network-input
     /// region (lets software point the same program at another frame).
     input_offset: u64,
     /// IAU `OutputOffset` register: shifts saves to the designated-output
     /// region.
     output_offset: u64,
+    /// Request tag for causal-span emission (`RequestId::raw`); untagged
+    /// jobs emit no spans (DESIGN.md §5.7).
+    tag: Option<u64>,
+}
+
+#[derive(Debug, Default)]
+struct ActiveJob {
+    release: u64,
+    params: JobParams,
+    start: Option<u64>,
+    pc: usize,
     /// `save_id -> absolute end channel` already flushed by `VIR_SAVE`s.
     flushed: HashMap<u32, u16>,
     resume_loads: Vec<Instr>,
@@ -319,45 +328,93 @@ struct ActiveJob {
     /// Compute cycles accumulated since the last transfer, available to
     /// hide DMA under when `AccelConfig::dma_overlap` is set.
     dma_credit: u64,
-    /// Request tag for causal-span emission (`RequestId::raw`); untagged
-    /// jobs emit no spans (DESIGN.md §5.7).
-    tag: Option<u64>,
-    /// Open Exec segment: `(start cycle, span id)`.
-    exec_open: Option<(u64, u64)>,
+    spans: JobSpans,
+}
+
+impl ActiveJob {
+    fn new(release: u64, params: JobParams) -> Self {
+        Self { release, params, ..Self::default() }
+    }
+}
+
+/// Where the engine's trace events go, and the core id stamped on its
+/// spans ([`NO_CORE`] outside a pool).
+#[derive(Debug)]
+struct TraceOut {
+    tracer: Tracer,
+    core: u32,
+}
+
+impl TraceOut {
+    /// Emits one causal span of request `tag` (no-op when disabled). The
+    /// parent is the Exec segment `parent_exec`, or the request root.
+    fn span(
+        &self,
+        tag: u64,
+        stage: SpanStage,
+        seq: u32,
+        parent_exec: Option<u32>,
+        cycles: std::ops::Range<u64>,
+        detail: u64,
+    ) {
+        let core = self.core;
+        self.tracer.emit(|| TraceEvent::Span {
+            id: span_id(tag, stage, seq),
+            parent: parent_exec
+                .map_or_else(|| request_span_id(tag), |exec| span_id(tag, SpanStage::Exec, exec)),
+            request: tag,
+            stage,
+            start: cycles.start,
+            end: cycles.end,
+            core,
+            detail,
+        });
+    }
+}
+
+/// The open causal spans of one tagged job (DESIGN.md §5.7). Span ids are
+/// `(tag, stage, per-stage sequence number)`, hence deterministic.
+#[derive(Debug, Default)]
+struct JobSpans {
+    /// Open Exec segment: `(start cycle, sequence number)`.
+    exec_open: Option<(u64, u32)>,
     /// Open Layer span: `(layer id, start cycle)`.
     layer_open: Option<(u16, u64)>,
     /// Pause cycle of the pending Preempted span (closed at resume).
     preempt_pause: Option<u64>,
-    /// Per-stage span sequence counters (deterministic span ids).
     exec_seq: u32,
     preempt_seq: u32,
     layer_seq: u32,
 }
 
-impl ActiveJob {
-    fn with_offsets(release: u64, input_offset: u64, output_offset: u64, tag: Option<u64>) -> Self {
-        Self {
-            release,
-            start: None,
-            pc: 0,
-            input_offset,
-            output_offset,
-            flushed: HashMap::new(),
-            resume_loads: Vec::new(),
-            needs_cpu_restore: false,
-            preempted: false,
-            preemptions: 0,
-            busy_cycles: 0,
-            extra_cost_cycles: 0,
-            last_interrupt: None,
-            dma_credit: 0,
-            tag,
-            exec_open: None,
-            layer_open: None,
-            preempt_pause: None,
-            exec_seq: 0,
-            preempt_seq: 0,
-            layer_seq: 0,
+impl JobSpans {
+    /// Closes the open Layer span (if any) at `end`, under the open Exec
+    /// segment.
+    fn close_layer(&mut self, out: &TraceOut, tag: u64, end: u64) {
+        if let Some((layer, start)) = self.layer_open.take() {
+            let parent = self.exec_open.map(|(_, seq)| seq);
+            out.span(tag, SpanStage::Layer, self.layer_seq, parent, start..end, u64::from(layer));
+            self.layer_seq += 1;
+        }
+    }
+
+    /// Closes the open Exec segment (if any) at `end`.
+    fn close_exec(&mut self, out: &TraceOut, tag: u64, slot: TaskSlot, end: u64) {
+        if let Some((start, seq)) = self.exec_open.take() {
+            out.span(tag, SpanStage::Exec, seq, None, start..end, slot.index() as u64);
+        }
+    }
+
+    /// The job got the datapath at `now`: closes its pending Preempted
+    /// span and opens the next Exec segment.
+    fn dispatched(&mut self, out: &TraceOut, tag: u64, now: u64) {
+        if let Some(pause) = self.preempt_pause.take() {
+            out.span(tag, SpanStage::Preempted, self.preempt_seq, None, pause..now, 0);
+            self.preempt_seq += 1;
+        }
+        if self.exec_open.is_none() {
+            self.exec_open = Some((now, self.exec_seq));
+            self.exec_seq += 1;
         }
     }
 }
@@ -376,28 +433,71 @@ struct ObsCounters {
 struct Slot {
     program: Option<Arc<Program>>,
     job: Option<ActiveJob>,
-    /// Queued jobs: (release, input offset, output offset, span tag).
-    backlog: VecDeque<(u64, u64, u64, Option<u64>)>,
+    /// Queued jobs: `(release, parameters)`.
+    backlog: VecDeque<(u64, JobParams)>,
     auto_resubmit: bool,
+}
+
+/// The engine only schedules a slot that holds a program and a job.
+impl Slot {
+    fn program(&self) -> Arc<Program> {
+        Arc::clone(self.program.as_ref().expect("scheduled slot has a program"))
+    }
+
+    fn job(&self) -> &ActiveJob {
+        self.job.as_ref().expect("scheduled slot has a job")
+    }
+
+    fn job_mut(&mut self) -> &mut ActiveJob {
+        self.job.as_mut().expect("scheduled slot has a job")
+    }
 }
 
 /// Applies the IAU's per-job `InputOffset`/`OutputOffset` registers to an
 /// instruction's DDR address: loads from the network-input region and
 /// saves to the designated-output region are shifted.
-fn apply_job_offsets(program: &Program, in_off: u64, out_off: u64, instr: &mut Instr) {
-    if in_off == 0 && out_off == 0 {
+fn apply_job_offsets(program: &Program, params: JobParams, instr: &mut Instr) {
+    if params.input_offset == 0 && params.output_offset == 0 {
         return;
     }
     let len = u64::from(instr.ddr.bytes);
     match instr.op {
         Opcode::LoadD | Opcode::VirLoadD if program.memory.in_input_region(instr.ddr.addr, len) => {
-            instr.ddr.addr += in_off;
+            instr.ddr.addr += params.input_offset;
         }
         Opcode::Save | Opcode::VirSave if program.memory.in_output_region(instr.ddr.addr, len) => {
-            instr.ddr.addr += out_off;
+            instr.ddr.addr += params.output_offset;
         }
         _ => {}
     }
+}
+
+/// The first original (non-virtual) pc at or after `pc`, or
+/// `program.instrs.len()`: the IAU discards virtual groups for free in
+/// normal flow.
+fn next_original(program: &Program, mut pc: usize) -> usize {
+    while program.instrs.get(pc).is_some_and(|i| i.op.is_virtual()) {
+        pc += 1;
+    }
+    pc
+}
+
+/// What one executed original instruction adds to the clock: its modelled
+/// cost, less — under `AccelConfig::dma_overlap` — the part of a transfer
+/// hidden behind the compute cycles banked in `credit` (a `CALC` banks its
+/// cycles, a transfer spends what it hides behind).
+pub(crate) fn charge(cfg: &AccelConfig, program: &Program, instr: &Instr, credit: &mut u64) -> u64 {
+    let mut cycles = instr_cycles(cfg, program.layer_of(instr), instr);
+    if cfg.dma_overlap {
+        if instr.op.is_calc() {
+            *credit = credit.saturating_add(cycles);
+        } else {
+            let hidden = cycles.min(*credit);
+            *credit -= hidden;
+            cycles -= hidden;
+        }
+    }
+    cycles
 }
 
 /// The accelerator engine: four priority task slots in front of one
@@ -409,18 +509,17 @@ pub struct Engine<B: Backend> {
     backend: B,
     slots: [Slot; TASK_SLOTS],
     now: u64,
-    arrivals: BinaryHeap<Reverse<(u64, u64, u8)>>,
-    arrival_offsets: HashMap<u64, (u64, u64, Option<u64>)>,
+    /// Pending requests as `(cycle, seq, slot, parameters)`; `seq` is
+    /// unique, so the order never reaches the last two fields.
+    arrivals: BinaryHeap<Reverse<(u64, u64, TaskSlot, JobParams)>>,
     seq: u64,
     running: Option<TaskSlot>,
     events: Vec<Event>,
     interrupts: Vec<InterruptEvent>,
     completed: Vec<JobRecord>,
     profile: Option<Profile>,
-    tracer: Tracer,
+    out: TraceOut,
     counters: ObsCounters,
-    /// Core id stamped on emitted spans ([`NO_CORE`] outside a pool).
-    span_core: u32,
     /// Runtime-gated host self-profiling (wall clock; never feeds
     /// deterministic outputs).
     host_prof: Option<HostProf>,
@@ -437,16 +536,14 @@ impl<B: Backend> Engine<B> {
             slots: Default::default(),
             now: 0,
             arrivals: BinaryHeap::new(),
-            arrival_offsets: HashMap::new(),
             seq: 0,
             running: None,
             events: Vec::new(),
             interrupts: Vec::new(),
             completed: Vec::new(),
             profile: None,
-            tracer: Tracer::disabled(),
+            out: TraceOut { tracer: Tracer::disabled(), core: NO_CORE },
             counters: ObsCounters::default(),
-            span_core: NO_CORE,
             host_prof: None,
         }
     }
@@ -454,7 +551,7 @@ impl<B: Backend> Engine<B> {
     /// Sets the core id stamped on spans this engine emits (a pool sets
     /// each core's engine once at construction).
     pub fn set_span_core(&mut self, core: u32) {
-        self.span_core = core;
+        self.out.core = core;
     }
 
     /// Installs (or removes) the host self-profiler. Profiling costs one
@@ -465,39 +562,14 @@ impl<B: Backend> Engine<B> {
         self.host_prof = prof;
     }
 
-    /// Emits one causal span through the tracer (no-op when disabled).
-    #[allow(clippy::too_many_arguments)]
-    fn emit_span(
-        &self,
-        tag: u64,
-        stage: SpanStage,
-        seq: u32,
-        parent: u64,
-        start: u64,
-        end: u64,
-        detail: u64,
-    ) {
-        let core = self.span_core;
-        self.tracer.emit(|| TraceEvent::Span {
-            id: span_id(tag, stage, seq),
-            parent,
-            request: tag,
-            stage,
-            start,
-            end,
-            core,
-            detail,
-        });
-    }
-
     /// Installs the tracer the engine emits [`TraceEvent`]s through. The
     /// default is [`Tracer::disabled`], which costs one discriminant check
     /// per emission site. An enabled tracer immediately receives one
     /// [`TraceEvent::EngineMeta`] naming the interrupt strategy and clock,
     /// so recorded traces are self-describing for the analysis layer.
     pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = tracer;
-        self.tracer.emit(|| TraceEvent::EngineMeta {
+        self.out.tracer = tracer;
+        self.out.tracer.emit(|| TraceEvent::EngineMeta {
             cycle: self.now,
             strategy: self.strategy.to_string(),
             clock_hz: self.cfg.clock_hz,
@@ -507,7 +579,7 @@ impl<B: Backend> Engine<B> {
     /// The installed tracer.
     #[must_use]
     pub fn tracer(&self) -> &Tracer {
-        &self.tracer
+        &self.out.tracer
     }
 
     /// A deterministic metrics snapshot of everything observed so far.
@@ -583,7 +655,7 @@ impl<B: Backend> Engine<B> {
         if self.running.is_some() || self.best_ready().is_some() {
             return Some(self.now);
         }
-        self.arrivals.peek().map(|&Reverse((t, _, _))| t)
+        self.arrivals.peek().map(|&Reverse((t, ..))| t)
     }
 
     /// The completed-job log, oldest first — the allocation-free way to
@@ -709,28 +781,26 @@ impl<B: Backend> Engine<B> {
         if self.slots[slot.index()].program.is_none() {
             return Err(SimError::EmptySlot(slot));
         }
-        self.arrivals.push(Reverse((cycle, self.seq, slot.index() as u8)));
-        self.arrival_offsets.insert(self.seq, (input_offset, output_offset, tag));
+        let params = JobParams { input_offset, output_offset, tag };
+        self.arrivals.push(Reverse((cycle, self.seq, slot, params)));
         self.seq += 1;
         Ok(())
     }
 
     fn release_due(&mut self) {
-        while let Some(&Reverse((t, seq, s))) = self.arrivals.peek() {
+        while let Some(&Reverse((t, _, slot, params))) = self.arrivals.peek() {
             if t > self.now {
                 break;
             }
             self.arrivals.pop();
-            let (in_off, out_off, tag) = self.arrival_offsets.remove(&seq).unwrap_or((0, 0, None));
-            let slot = TaskSlot::new(s).expect("slot validated at request");
-            let st = &mut self.slots[usize::from(s)];
+            let st = &mut self.slots[slot.index()];
             if st.job.is_none() {
-                st.job = Some(ActiveJob::with_offsets(t, in_off, out_off, tag));
+                st.job = Some(ActiveJob::new(t, params));
             } else {
-                st.backlog.push_back((t, in_off, out_off, tag));
+                st.backlog.push_back((t, params));
             }
             self.events.push(Event::Submitted { cycle: t, slot });
-            self.tracer.emit(|| TraceEvent::JobReleased { cycle: t, slot });
+            self.out.tracer.emit(|| TraceEvent::JobReleased { cycle: t, slot });
         }
     }
 
@@ -738,161 +808,141 @@ impl<B: Backend> Engine<B> {
         TaskSlot::all().find(|s| self.slots[s.index()].job.is_some())
     }
 
+    /// Records one retired instruction: the retired counter and the
+    /// `InstrRetired` event (an elided SAVE retires nothing) and the
+    /// profile charge. Stepping and the Tier-1 batch commit both account
+    /// through here, which is what keeps the two tiers' observables equal.
+    fn retire(&mut self, slot: TaskSlot, instr: &Instr, start: u64, cycles: u64, elided: bool) {
+        if !elided {
+            self.counters.instrs_retired += 1;
+            let (op, layer) = (instr.op, instr.layer);
+            self.out.tracer.emit(|| TraceEvent::InstrRetired { start, cycles, slot, op, layer });
+        }
+        if let Some(p) = self.profile.as_mut() {
+            p.charge(slot, instr, cycles);
+        }
+    }
+
+    /// Executes one virtual instruction of a taken interrupt (a `t2`
+    /// `VIR_SAVE` or a `t4` `VIR_LOAD_*`) starting at `start`, and returns
+    /// the cycles it costs. The caller owns the clock.
+    fn materialize(
+        &mut self,
+        slot: TaskSlot,
+        program: &Program,
+        vi: &Instr,
+        start: u64,
+    ) -> Result<u64, SimError> {
+        self.backend.execute(slot, program, vi)?;
+        let cycles = instr_cycles(&self.cfg, program.layer_of(vi), vi);
+        self.counters.vis_materialized += 1;
+        let (op, layer) = (vi.op, vi.layer);
+        self.out.tracer.emit(|| TraceEvent::ViMaterialized { start, cycles, slot, op, layer });
+        if let Some(p) = self.profile.as_mut() {
+            p.charge(slot, vi, cycles);
+        }
+        Ok(cycles)
+    }
+
     /// Executes one *original* instruction at the victim's pc (virtual
     /// instructions are skipped for free, SAVE patches applied), advancing
     /// the clock. Returns `true` when the job's stream is exhausted.
     fn exec_step(&mut self, slot: TaskSlot) -> Result<bool, SimError> {
-        let program = Arc::clone(
-            self.slots[slot.index()].program.as_ref().expect("running slot has program"),
-        );
-        // Skip virtual groups (the IAU discards them in normal flow).
-        {
-            let job = self.slots[slot.index()].job.as_mut().expect("running slot has job");
-            while job.pc < program.instrs.len() && program.instrs[job.pc].op.is_virtual() {
-                job.pc += 1;
-            }
-            if job.pc >= program.instrs.len() {
-                return Ok(true);
-            }
-        }
-        let pc = self.slots[slot.index()].job.as_ref().expect("job").pc;
-        let mut instr = program.instrs[pc];
-        let mut skip = false;
-        let mut patched = false;
-        if instr.op == Opcode::Save {
-            let job = self.slots[slot.index()].job.as_mut().expect("job");
-            if let Some(&flushed_end) = job.flushed.get(&instr.save_id) {
-                patched = true;
+        let program = self.slots[slot.index()].program();
+        let job = self.slots[slot.index()].job_mut();
+        job.pc = next_original(&program, job.pc);
+        let Some(&(mut instr)) = program.instrs.get(job.pc) else {
+            return Ok(true);
+        };
+        let mut elided = false;
+        // `is_empty` first: most SAVEs find the map empty, and
+        // `HashMap::remove` hashes its key even then.
+        if instr.op == Opcode::Save && !job.flushed.is_empty() {
+            if let Some(flushed_end) = job.flushed.remove(&instr.save_id) {
                 let meta = program.layer_of(&instr);
                 let plane = u64::from(meta.out_shape.h) * u64::from(meta.out_shape.w);
                 let c0 = instr.tile.c0;
                 let end = c0 + instr.tile.chans;
                 let new_c0 = flushed_end.max(c0).min(end);
                 let cut = u32::from(new_c0 - c0);
-                if new_c0 >= end {
-                    skip = true;
-                } else {
+                elided = new_c0 >= end;
+                if !elided {
                     instr.tile.c0 = new_c0;
                     instr.tile.chans = end - new_c0;
                     instr.ddr.addr += u64::from(cut) * plane;
                     instr.ddr.bytes -= cut * u32::from(instr.tile.rows) * meta.out_shape.w;
                 }
-                job.flushed.remove(&instr.save_id);
+                self.counters.saves_patched += 1;
+                self.counters.saves_elided += u64::from(elided);
+                let (cycle, save_id) = (self.now, instr.save_id);
+                self.out.tracer.emit(|| TraceEvent::SavePatched { cycle, slot, save_id, elided });
             }
         }
-        if patched {
-            self.counters.saves_patched += 1;
-            if skip {
-                self.counters.saves_elided += 1;
-            }
-            let (cycle, save_id, elided) = (self.now, instr.save_id, skip);
-            self.tracer.emit(|| TraceEvent::SavePatched { cycle, slot, save_id, elided });
-        }
-        {
-            let job = self.slots[slot.index()].job.as_ref().expect("job");
-            apply_job_offsets(&program, job.input_offset, job.output_offset, &mut instr);
-        }
-        let mut cycles = if skip {
+        apply_job_offsets(&program, job.params, &mut instr);
+        let cycles = if elided {
             0
         } else {
             self.backend.execute(slot, &program, &instr)?;
-            instr_cycles(&self.cfg, program.layer_of(&instr), &instr)
+            charge(&self.cfg, &program, &instr, &mut job.dma_credit)
         };
-        if self.cfg.dma_overlap {
-            let job = self.slots[slot.index()].job.as_mut().expect("job");
-            if instr.op.is_calc() {
-                job.dma_credit = job.dma_credit.saturating_add(cycles);
-            } else {
-                let hidden = cycles.min(job.dma_credit);
-                job.dma_credit -= hidden;
-                cycles -= hidden;
-            }
-        }
         let start = self.now;
         self.now += cycles;
-        if !skip {
-            self.counters.instrs_retired += 1;
-            let (op, layer) = (instr.op, instr.layer);
-            self.tracer.emit(|| TraceEvent::InstrRetired { start, cycles, slot, op, layer });
-        }
-        if let Some(p) = self.profile.as_mut() {
-            p.charge(slot, &instr, cycles);
-        }
-        let mut layer_span = None;
-        let done = {
-            let job = self.slots[slot.index()].job.as_mut().expect("job");
-            job.busy_cycles += cycles;
-            job.pc += 1;
-            if let Some(tag) = job.tag {
-                if job.layer_open.is_none() {
-                    job.layer_open = Some((instr.layer, start));
-                }
-                // The Layer span closes at the layer's last retiring
-                // instruction (peeking past free virtual groups), so the
-                // emission position matches a Tier-1 committed batch.
-                let mut next = job.pc;
-                while next < program.instrs.len() && program.instrs[next].op.is_virtual() {
-                    next += 1;
-                }
-                if next >= program.instrs.len() || program.instrs[next].layer != instr.layer {
-                    let (layer, ls) = job.layer_open.take().expect("layer opened above");
-                    let parent = job.exec_open.map_or(request_span_id(tag), |(_, id)| id);
-                    layer_span = Some((tag, job.layer_seq, parent, ls, u64::from(layer)));
-                    job.layer_seq += 1;
-                }
+        self.retire(slot, &instr, start, cycles, elided);
+        let job = self.slots[slot.index()].job_mut();
+        job.busy_cycles += cycles;
+        job.pc += 1;
+        if let Some(tag) = job.params.tag {
+            job.spans.layer_open.get_or_insert((instr.layer, start));
+            // The Layer span closes at the layer's last retiring
+            // instruction (peeking past free virtual groups), so the
+            // emission position matches a Tier-1 committed batch.
+            let next = program.instrs.get(next_original(&program, job.pc));
+            if next.is_none_or(|i| i.layer != instr.layer) {
+                job.spans.close_layer(&self.out, tag, self.now);
             }
-            job.pc >= program.instrs.len()
-        };
-        if let Some((tag, seq, parent, ls, layer)) = layer_span {
-            self.emit_span(tag, SpanStage::Layer, seq, parent, ls, self.now, layer);
         }
-        Ok(done)
+        Ok(job.pc >= program.instrs.len())
     }
 
     /// Attempts to retire the whole layer at the victim's pc as one fused
     /// Tier-1 span (see DESIGN.md §5.6).
     ///
     /// Returns `Ok(None)` to fall back to [`Engine::exec_step`] — always
-    /// safe — and `Ok(Some(done))` after a committed batch whose cycle
-    /// accounting (clock, per-instruction trace, profile, DMA-overlap
-    /// credit) is identical to stepping the span. A batch is attempted
-    /// only when stepping the span could not observe an intervening
-    /// event: the pc sits exactly at a layer start with no pending SAVE
-    /// patches, and every instruction would start before the deadline and
-    /// before the earliest pending arrival.
+    /// safe — and `Ok(Some(done))` after a committed batch. The dry run
+    /// prices every instruction with the [`charge`] stepping uses and the
+    /// commit records it with the same [`Engine::retire`], so clock, trace,
+    /// profile and DMA-overlap credit equal stepping the span. A batch is
+    /// attempted only when stepping the span could not observe an
+    /// intervening event: the pc sits exactly at a layer start with no
+    /// pending SAVE patches, and every instruction would start before the
+    /// deadline and before the earliest pending arrival.
     fn try_exec_layer(&mut self, slot: TaskSlot, deadline: u64) -> Result<Option<bool>, SimError> {
         if !self.backend.supports_spans() {
             return Ok(None);
         }
-        let program = Arc::clone(
-            self.slots[slot.index()].program.as_ref().expect("running slot has program"),
-        );
-        let job = self.slots[slot.index()].job.as_ref().expect("running slot has job");
+        let program = self.slots[slot.index()].program();
+        let job = self.slots[slot.index()].job();
         if !job.flushed.is_empty() {
             // Stepping applies SAVE patches instruction by instruction;
             // never batch across pending ones.
             return Ok(None);
         }
-        let (in_off, out_off) = (job.input_offset, job.output_offset);
+        let params = job.params;
         // Effective pc after the free virtual skip, computed without
         // mutating the job (exec_step does its own skip when we decline).
-        let mut pc0 = job.pc;
-        while pc0 < program.instrs.len() && program.instrs[pc0].op.is_virtual() {
-            pc0 += 1;
-        }
-        if pc0 >= program.instrs.len() {
+        let pc0 = next_original(&program, job.pc);
+        let Some(first) = program.instrs.get(pc0) else {
             return Ok(None);
-        }
-        let range = program.layer_pc_range(program.instrs[pc0].layer);
+        };
+        let range = program.layer_pc_range(first.layer);
         if range.start != pc0 || range.end > program.instrs.len() {
             return Ok(None); // mid-layer (e.g. resumed after a preemption)
         }
         // Dry-run the span's timing. The first step starts at `self.now`,
         // which the caller already checked against deadline and arrivals.
-        let barrier = deadline.min(self.arrivals.peek().map_or(u64::MAX, |&Reverse((t, _, _))| t));
+        let barrier = deadline.min(self.arrivals.peek().map_or(u64::MAX, |&Reverse((t, ..))| t));
         let mut sim_now = self.now;
-        let mut sim_credit = job.dma_credit;
-        let mut last_original = pc0;
+        let mut credit = job.dma_credit;
         let mut steps: Vec<(usize, u64, u64)> = Vec::new(); // (pc, start, cycles)
         for pc in range.clone() {
             let instr = &program.instrs[pc];
@@ -902,68 +952,43 @@ impl<B: Backend> Engine<B> {
             if !steps.is_empty() && sim_now >= barrier {
                 return Ok(None);
             }
-            last_original = pc;
-            let mut cycles = instr_cycles(&self.cfg, program.layer_of(instr), instr);
-            if self.cfg.dma_overlap {
-                if instr.op.is_calc() {
-                    sim_credit = sim_credit.saturating_add(cycles);
-                } else {
-                    let hidden = cycles.min(sim_credit);
-                    sim_credit -= hidden;
-                    cycles -= hidden;
-                }
-            }
+            let cycles = charge(&self.cfg, &program, instr, &mut credit);
             steps.push((pc, sim_now, cycles));
             sim_now += cycles;
         }
-        if steps.is_empty() {
+        let Some(&(last_original, ..)) = steps.last() else {
             return Ok(None);
-        }
+        };
+        let (in_off, out_off) = (params.input_offset, params.output_offset);
         if !self.backend.execute_span(slot, &program, range, in_off, out_off)? {
             return Ok(None);
         }
-        // Commit: byte-identical bookkeeping to stepping the span.
-        let total = sim_now - self.now;
+        // Commit each dry-run step through the `retire` stepping uses.
         for &(pc, start, cycles) in &steps {
-            let instr = &program.instrs[pc];
-            self.counters.instrs_retired += 1;
-            let (op, layer) = (instr.op, instr.layer);
-            self.tracer.emit(|| TraceEvent::InstrRetired { start, cycles, slot, op, layer });
-            if let Some(p) = self.profile.as_mut() {
-                p.charge(slot, instr, cycles);
-            }
+            self.retire(slot, &program.instrs[pc], start, cycles, false);
         }
         let batch_start = self.now;
         self.now = sim_now;
-        let mut layer_span = None;
-        let done = {
-            let job = self.slots[slot.index()].job.as_mut().expect("job");
-            job.busy_cycles += total;
-            job.dma_credit = sim_credit;
-            // Trailing virtual groups are skipped for free by the next step,
-            // exactly as stepping would after its last original instruction.
-            job.pc = last_original + 1;
-            if let Some(tag) = job.tag {
-                // Same stream position as stepping: the Layer span follows
-                // the layer's last InstrRetired (batching never starts
-                // mid-layer, so no span is open here).
-                debug_assert!(job.layer_open.is_none());
-                let parent = job.exec_open.map_or(request_span_id(tag), |(_, id)| id);
-                let layer = u64::from(program.instrs[pc0].layer);
-                layer_span = Some((tag, job.layer_seq, parent, layer));
-                job.layer_seq += 1;
-            }
-            job.pc >= program.instrs.len()
-        };
-        if let Some((tag, seq, parent, layer)) = layer_span {
-            self.emit_span(tag, SpanStage::Layer, seq, parent, batch_start, sim_now, layer);
+        let job = self.slots[slot.index()].job_mut();
+        job.busy_cycles += sim_now - batch_start;
+        job.dma_credit = credit;
+        // Trailing virtual groups are skipped for free by the next step,
+        // exactly as stepping would after its last original instruction.
+        job.pc = last_original + 1;
+        if let Some(tag) = job.params.tag {
+            // Same stream position as stepping: the Layer span follows
+            // the layer's last InstrRetired (batching never starts
+            // mid-layer, so no span is open here).
+            debug_assert!(job.spans.layer_open.is_none());
+            job.spans.layer_open = Some((first.layer, batch_start));
+            job.spans.close_layer(&self.out, tag, sim_now);
         }
-        Ok(Some(done))
+        Ok(Some(job.pc >= program.instrs.len()))
     }
 
     fn complete_job(&mut self, slot: TaskSlot) {
         let s = &mut self.slots[slot.index()];
-        let job = s.job.take().expect("completing job exists");
+        let mut job = s.job.take().expect("completing job exists");
         self.completed.push(JobRecord {
             slot,
             release: job.release,
@@ -974,51 +999,22 @@ impl<B: Backend> Engine<B> {
             preemptions: job.preemptions,
         });
         self.events.push(Event::Completed { cycle: self.now, slot });
-        if let Some(tag) = job.tag {
+        if let Some(tag) = job.params.tag {
             // Close the job's open spans at the completion cycle (a
             // VI point that closes the program can leave a layer open).
-            if let Some((layer, ls)) = job.layer_open {
-                let parent = job.exec_open.map_or(request_span_id(tag), |(_, id)| id);
-                self.emit_span(
-                    tag,
-                    SpanStage::Layer,
-                    job.layer_seq,
-                    parent,
-                    ls,
-                    self.now,
-                    u64::from(layer),
-                );
-            }
-            if let Some((es, id)) = job.exec_open {
-                let core = self.span_core;
-                let (start, end, request) = (es, self.now, tag);
-                self.tracer.emit(|| TraceEvent::Span {
-                    id,
-                    parent: request_span_id(request),
-                    request,
-                    stage: SpanStage::Exec,
-                    start,
-                    end,
-                    core,
-                    detail: slot.index() as u64,
-                });
-            }
+            job.spans.close_layer(&self.out, tag, self.now);
+            job.spans.close_exec(&self.out, tag, slot, self.now);
         }
-        {
-            let (cycle, busy_cycles, preemptions) = (self.now, job.busy_cycles, job.preemptions);
-            self.tracer.emit(|| TraceEvent::JobFinished { cycle, slot, busy_cycles, preemptions });
-        }
-        let s = &mut self.slots[slot.index()];
-        if let Some((next, in_off, out_off, tag)) = s.backlog.pop_front() {
-            s.job = Some(ActiveJob::with_offsets(next, in_off, out_off, tag));
+        let (cycle, busy_cycles, preemptions) = (self.now, job.busy_cycles, job.preemptions);
+        self.out.tracer.emit(|| TraceEvent::JobFinished { cycle, slot, busy_cycles, preemptions });
+        if let Some((release, params)) = s.backlog.pop_front() {
+            s.job = Some(ActiveJob::new(release, params));
         } else if s.auto_resubmit {
             // Auto-resubmission reuses the completed job's offsets (the
             // new job is a fresh, untagged release).
-            s.job =
-                Some(ActiveJob::with_offsets(self.now, job.input_offset, job.output_offset, None));
-            self.events.push(Event::Submitted { cycle: self.now, slot });
-            let cycle = self.now;
-            self.tracer.emit(|| TraceEvent::JobReleased { cycle, slot });
+            s.job = Some(ActiveJob::new(cycle, JobParams { tag: None, ..job.params }));
+            self.events.push(Event::Submitted { cycle, slot });
+            self.out.tracer.emit(|| TraceEvent::JobReleased { cycle, slot });
         }
         if self.running == Some(slot) {
             self.running = None;
@@ -1028,13 +1024,13 @@ impl<B: Backend> Engine<B> {
     /// Starts or resumes `slot` on the datapath.
     fn dispatch(&mut self, slot: TaskSlot) -> Result<(), SimError> {
         self.backend.on_switch(slot);
-        let program = Arc::clone(self.slots[slot.index()].program.as_ref().expect("program"));
-        let job = self.slots[slot.index()].job.as_mut().expect("dispatching job exists");
+        let program = self.slots[slot.index()].program();
+        let job = self.slots[slot.index()].job_mut();
         if job.start.is_none() {
             job.start = Some(self.now);
             self.events.push(Event::Started { cycle: self.now, slot });
             let cycle = self.now;
-            self.tracer.emit(|| TraceEvent::JobStarted { cycle, slot });
+            self.out.tracer.emit(|| TraceEvent::JobStarted { cycle, slot });
         }
         if job.preempted {
             let restore_start = self.now;
@@ -1045,231 +1041,133 @@ impl<B: Backend> Engine<B> {
                 self.backend.restore(slot)?;
             }
             let mut loads = std::mem::take(&mut job.resume_loads);
-            let (in_off, out_off) = (job.input_offset, job.output_offset);
+            let params = job.params;
             let last_interrupt = job.last_interrupt.take();
             job.preempted = false;
             job.dma_credit = 0; // the double-buffer pipeline restarts cold
             for l in &mut loads {
-                apply_job_offsets(&program, in_off, out_off, l);
-            }
-            for l in &loads {
-                self.backend.execute(slot, &program, l)?;
-                let c = instr_cycles(&self.cfg, program.layer_of(l), l);
-                self.counters.vis_materialized += 1;
-                {
-                    let (start, cycles, op, layer) = (restore_start + t4, c, l.op, l.layer);
-                    self.tracer.emit(|| TraceEvent::ViMaterialized {
-                        start,
-                        cycles,
-                        slot,
-                        op,
-                        layer,
-                    });
-                }
-                t4 += c;
-                if let Some(p) = self.profile.as_mut() {
-                    p.charge(slot, l, c);
-                }
+                apply_job_offsets(&program, params, l);
+                t4 += self.materialize(slot, &program, l, restore_start + t4)?;
             }
             self.now += t4;
             if let Some(p) = self.profile.as_mut() {
                 p.interrupt_overhead += t4;
             }
-            let job = self.slots[slot.index()].job.as_mut().expect("job");
-            job.extra_cost_cycles += t4;
+            self.slots[slot.index()].job_mut().extra_cost_cycles += t4;
             if let Some(idx) = last_interrupt {
                 self.interrupts[idx].t4 = t4;
                 self.interrupts[idx].resumed_at = Some(self.now);
             }
             self.events.push(Event::Resumed { cycle: self.now, slot });
-            self.tracer.emit(|| TraceEvent::Resumed { slot, restore_start, t4 });
+            self.out.tracer.emit(|| TraceEvent::Resumed { slot, restore_start, t4 });
         }
         // Close the request's pending Preempted span and open its next
         // Exec segment at the cycle execution actually (re)starts.
-        let mut preempted_span = None;
-        {
-            let job = self.slots[slot.index()].job.as_mut().expect("dispatching job exists");
-            if let Some(tag) = job.tag {
-                if let Some(pause) = job.preempt_pause.take() {
-                    preempted_span = Some((tag, job.preempt_seq, pause));
-                    job.preempt_seq += 1;
-                }
-                if job.exec_open.is_none() {
-                    let id = span_id(tag, SpanStage::Exec, job.exec_seq);
-                    job.exec_seq += 1;
-                    job.exec_open = Some((self.now, id));
-                }
-            }
-        }
-        if let Some((tag, seq, pause)) = preempted_span {
-            self.emit_span(
-                tag,
-                SpanStage::Preempted,
-                seq,
-                request_span_id(tag),
-                pause,
-                self.now,
-                0,
-            );
+        let job = self.slots[slot.index()].job_mut();
+        if let Some(tag) = job.params.tag {
+            job.spans.dispatched(&self.out, tag, self.now);
         }
         self.running = Some(slot);
         Ok(())
     }
 
-    /// Preempts `victim` in favour of `winner` per the strategy.
-    fn preempt(&mut self, victim: TaskSlot, winner: TaskSlot) -> Result<(), SimError> {
-        let program =
-            Arc::clone(self.slots[victim.index()].program.as_ref().expect("victim has program"));
-        let request_cycle =
-            self.slots[winner.index()].job.as_ref().expect("winner has job").release;
-        let request_pc = self.slots[victim.index()].job.as_ref().expect("victim job").pc as u32;
-        let request_layer = program.instrs.get(request_pc as usize).map_or(0, |i| i.layer);
+    /// Steps `slot` until `stop(pc)` holds at an instruction boundary
+    /// (`Ok(false)`) or its stream is exhausted (`Ok(true)`).
+    fn step_until(
+        &mut self,
+        slot: TaskSlot,
+        stop: impl Fn(usize) -> bool,
+    ) -> Result<bool, SimError> {
+        while !stop(self.slots[slot.index()].job().pc) {
+            if self.exec_step(slot)? {
+                return Ok(true);
+            }
+        }
+        Ok(false)
+    }
 
+    /// `t2` of the VI method: materialises the `VIR_SAVE`s of `point`
+    /// (skipping channels an earlier point already flushed), parks its
+    /// `VIR_LOAD_*`s for the resume and moves the victim's pc past it.
+    /// Returns `(t2, finished)`; the point may close the program.
+    fn backup_at(
+        &mut self,
+        victim: TaskSlot,
+        program: &Program,
+        point: InterruptPoint,
+    ) -> Result<(u64, bool), SimError> {
+        let t2_base = self.now;
         let mut t2 = 0u64;
-        let finished = match self.strategy {
-            InterruptStrategy::NonPreemptive => {
-                // Run the victim's whole remaining program.
-                loop {
-                    if self.exec_step(victim)? {
-                        break true;
+        let mut resume_loads = Vec::new();
+        for idx in point.vir_range() {
+            let mut vi = program.instrs[idx];
+            let job = self.slots[victim.index()].job();
+            apply_job_offsets(program, job.params, &mut vi);
+            match vi.op {
+                Opcode::VirSave => {
+                    let end = vi.tile.c0 + vi.tile.chans;
+                    if end <= job.flushed.get(&vi.save_id).copied().unwrap_or(0) {
+                        continue;
                     }
+                    t2 += self.materialize(victim, program, &vi, t2_base + t2)?;
+                    self.slots[victim.index()].job_mut().flushed.insert(vi.save_id, end);
+                }
+                Opcode::VirLoadD | Opcode::VirLoadW => resume_loads.push(vi),
+                other => {
+                    return Err(SimError::Engine(format!(
+                        "non-virtual {other} inside interrupt point"
+                    )))
                 }
             }
+        }
+        self.now += t2;
+        let job = self.slots[victim.index()].job_mut();
+        job.pc = point.resume_pc() as usize;
+        let finished = job.pc >= program.instrs.len();
+        if !finished {
+            job.resume_loads = resume_loads;
+        }
+        Ok((t2, finished))
+    }
+
+    /// Preempts `victim` in favour of `winner` per the strategy.
+    fn preempt(&mut self, victim: TaskSlot, winner: TaskSlot) -> Result<(), SimError> {
+        let program = self.slots[victim.index()].program();
+        let request_cycle = self.slots[winner.index()].job().release;
+        let request_pc = self.slots[victim.index()].job().pc;
+        let layer = program.instrs.get(request_pc).map_or(0, |i| i.layer);
+
+        // `t1`: drain to the switch point the strategy allows; `t2`: backup.
+        let never = |_| false;
+        let (t2, finished) = match self.strategy {
+            // Run the victim's whole remaining program.
+            InterruptStrategy::NonPreemptive => (0, self.step_until(victim, never)?),
             InterruptStrategy::CpuLike => {
                 // The in-flight instruction already completed (the engine
                 // only observes requests at instruction boundaries).
-                t2 = self.cfg.dma_cycles(u64::from(self.cfg.arch.onchip_bytes()));
+                let t2 = self.cfg.dma_cycles(u64::from(self.cfg.arch.onchip_bytes()));
                 self.now += t2;
                 self.backend.snapshot(victim);
-                let job = self.slots[victim.index()].job.as_mut().expect("job");
-                job.needs_cpu_restore = true;
-                false
+                self.slots[victim.index()].job_mut().needs_cpu_restore = true;
+                (t2, false)
             }
             InterruptStrategy::LayerByLayer => {
-                let layer = request_layer;
-                loop {
-                    // Next original pc (virtual instructions are free).
-                    let next = {
-                        let job = self.slots[victim.index()].job.as_ref().expect("job");
-                        let mut pc = job.pc;
-                        while pc < program.instrs.len() && program.instrs[pc].op.is_virtual() {
-                            pc += 1;
-                        }
-                        pc
-                    };
-                    if next >= program.instrs.len() {
-                        break true; // finished the whole program while draining
-                    }
-                    if program.instrs[next].layer != layer {
-                        break false; // reached the layer boundary
-                    }
-                    if self.exec_step(victim)? {
-                        break true;
-                    }
-                }
+                // Stop where the next original instruction opens another layer.
+                let at_boundary = |pc| {
+                    let next = program.instrs.get(next_original(&program, pc));
+                    next.is_some_and(|i| i.layer != layer)
+                };
+                (0, self.step_until(victim, at_boundary)?)
             }
             InterruptStrategy::VirtualInstruction => {
-                let point = {
-                    let job = self.slots[victim.index()].job.as_ref().expect("job");
-                    program.next_interrupt_point(job.pc).copied()
-                };
-                match point {
-                    None => {
-                        // No point ahead: run to completion.
-                        loop {
-                            if self.exec_step(victim)? {
-                                break true;
-                            }
-                        }
-                    }
+                match program.next_interrupt_point(request_pc).copied() {
+                    // No point ahead: run to completion.
+                    None => (0, self.step_until(victim, never)?),
                     Some(p) => {
-                        // t1: finish up to the point.
-                        loop {
-                            let at_point = {
-                                let job = self.slots[victim.index()].job.as_ref().expect("job");
-                                job.pc >= p.vir_start as usize
-                            };
-                            if at_point {
-                                break;
-                            }
-                            if self.exec_step(victim)? {
-                                break;
-                            }
-                        }
-                        {
-                            // t2: materialise the point's VIR_SAVEs.
-                            let t2_base = self.now;
-                            let mut resume_loads = Vec::new();
-                            for idx in p.vir_range() {
-                                let mut vi = program.instrs[idx];
-                                {
-                                    let job = self.slots[victim.index()].job.as_ref().expect("job");
-                                    apply_job_offsets(
-                                        &program,
-                                        job.input_offset,
-                                        job.output_offset,
-                                        &mut vi,
-                                    );
-                                }
-                                match vi.op {
-                                    Opcode::VirSave => {
-                                        let already = self.slots[victim.index()]
-                                            .job
-                                            .as_ref()
-                                            .expect("job")
-                                            .flushed
-                                            .get(&vi.save_id)
-                                            .copied()
-                                            .unwrap_or(0);
-                                        let end = vi.tile.c0 + vi.tile.chans;
-                                        if end <= already {
-                                            continue;
-                                        }
-                                        self.backend.execute(victim, &program, &vi)?;
-                                        let c = instr_cycles(&self.cfg, program.layer_of(&vi), &vi);
-                                        self.counters.vis_materialized += 1;
-                                        {
-                                            let (start, cycles, op, layer) =
-                                                (t2_base + t2, c, vi.op, vi.layer);
-                                            self.tracer.emit(|| TraceEvent::ViMaterialized {
-                                                start,
-                                                cycles,
-                                                slot: victim,
-                                                op,
-                                                layer,
-                                            });
-                                        }
-                                        t2 += c;
-                                        if let Some(p) = self.profile.as_mut() {
-                                            p.charge(victim, &vi, c);
-                                        }
-                                        self.slots[victim.index()]
-                                            .job
-                                            .as_mut()
-                                            .expect("job")
-                                            .flushed
-                                            .insert(vi.save_id, end);
-                                    }
-                                    Opcode::VirLoadD | Opcode::VirLoadW => {
-                                        resume_loads.push(vi);
-                                    }
-                                    other => {
-                                        return Err(SimError::Engine(format!(
-                                            "non-virtual {other} inside interrupt point"
-                                        )))
-                                    }
-                                }
-                            }
-                            self.now += t2;
-                            let job = self.slots[victim.index()].job.as_mut().expect("job");
-                            job.pc = p.resume_pc() as usize;
-                            if job.pc >= program.instrs.len() {
-                                // The point closed the program: complete.
-                                true
-                            } else {
-                                job.resume_loads = resume_loads;
-                                false
-                            }
+                        if self.step_until(victim, |pc| pc >= p.vir_start as usize)? {
+                            (0, true)
+                        } else {
+                            self.backup_at(victim, &program, p)?
                         }
                     }
                 }
@@ -1277,21 +1175,22 @@ impl<B: Backend> Engine<B> {
         };
 
         let t1 = self.now.saturating_sub(request_cycle).saturating_sub(t2);
+        let probe = InterruptEvent {
+            request_cycle,
+            victim,
+            winner,
+            layer,
+            request_pc: request_pc as u32,
+            t1,
+            t2,
+            t4: 0,
+            resumed_at: None,
+        };
         if finished {
-            self.complete_job(victim);
             // Completion, not preemption: still record the latency the
             // winner observed, with no restore to come.
-            self.interrupts.push(InterruptEvent {
-                request_cycle,
-                victim,
-                winner,
-                layer: request_layer,
-                request_pc,
-                t1,
-                t2,
-                t4: 0,
-                resumed_at: None,
-            });
+            self.complete_job(victim);
+            self.interrupts.push(probe);
             return Ok(());
         }
 
@@ -1301,56 +1200,20 @@ impl<B: Backend> Engine<B> {
         // The victim stops executing where t1 ended; backup (t2) counts as
         // preempted-out time, so the Exec segment closes at `now − t2`.
         let pause = self.now.saturating_sub(t2);
-        let mut layer_span = None;
-        let mut exec_span = None;
-        let job = self.slots[victim.index()].job.as_mut().expect("job");
+        let job = self.slots[victim.index()].job_mut();
         job.preempted = true;
         job.preemptions += 1;
         job.extra_cost_cycles += t2;
         job.last_interrupt = Some(self.interrupts.len());
-        if let Some(tag) = job.tag {
-            if let Some((layer, ls)) = job.layer_open.take() {
-                let parent = job.exec_open.map_or(request_span_id(tag), |(_, id)| id);
-                layer_span = Some((tag, job.layer_seq, parent, ls, u64::from(layer)));
-                job.layer_seq += 1;
-            }
-            if let Some((es, id)) = job.exec_open.take() {
-                exec_span = Some((tag, id, es));
-            }
-            job.preempt_pause = Some(pause);
+        if let Some(tag) = job.params.tag {
+            job.spans.close_layer(&self.out, tag, pause);
+            job.spans.close_exec(&self.out, tag, victim, pause);
+            job.spans.preempt_pause = Some(pause);
         }
-        if let Some((tag, seq, parent, ls, layer)) = layer_span {
-            self.emit_span(tag, SpanStage::Layer, seq, parent, ls, pause, layer);
-        }
-        if let Some((tag, id, es)) = exec_span {
-            let core = self.span_core;
-            self.tracer.emit(|| TraceEvent::Span {
-                id,
-                parent: request_span_id(tag),
-                request: tag,
-                stage: SpanStage::Exec,
-                start: es,
-                end: pause,
-                core,
-                detail: victim.index() as u64,
-            });
-        }
-        self.interrupts.push(InterruptEvent {
-            request_cycle,
-            victim,
-            winner,
-            layer: request_layer,
-            request_pc,
-            t1,
-            t2,
-            t4: 0,
-            resumed_at: None,
-        });
+        self.interrupts.push(probe);
         self.events.push(Event::Preempted { cycle: self.now, slot: victim, by: winner });
-        {
-            let (layer, request) = (request_layer, request_cycle);
-            self.tracer.emit(|| TraceEvent::Preempted { victim, winner, layer, request, t1, t2 });
-        }
+        let request = request_cycle;
+        self.out.tracer.emit(|| TraceEvent::Preempted { victim, winner, layer, request, t1, t2 });
         self.running = None;
         Ok(())
     }
@@ -1393,7 +1256,7 @@ impl<B: Backend> Engine<B> {
                 (None, None) => {
                     // Idle: jump to the next arrival, or stop.
                     match self.arrivals.peek() {
-                        Some(&Reverse((t, _, _))) => self.now = t.min(deadline),
+                        Some(&Reverse((t, ..))) => self.now = t.min(deadline),
                         None => return Ok(false),
                     }
                 }

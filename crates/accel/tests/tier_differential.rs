@@ -6,8 +6,11 @@
 //! interrupt strategy, including mid-layer preemption and resume.
 //!
 //! The deterministic tests pin a contended two-task scenario per
-//! strategy; the proptest sweeps randomized request cycles so interrupts
-//! land at arbitrary VI points inside compiled runs.
+//! strategy, with the DMA-overlap credit off and on and with tagged jobs
+//! (causal spans in the stream); the proptest sweeps randomized request
+//! cycles so interrupts land at arbitrary VI points inside compiled runs.
+//! Every comparison is over the whole trace: the ring is sized so nothing
+//! is evicted, and `run_tier` asserts it.
 
 use inca_accel::{
     AccelConfig, DdrImage, Engine, ExecTier, FuncBackend, InterruptStrategy, Program, TaskSlot,
@@ -16,7 +19,7 @@ use inca_accel::{
 use inca_compiler::Compiler;
 use inca_isa::Opcode;
 use inca_model::{zoo, Shape3};
-use inca_obs::{TraceEvent, Tracer};
+use inca_obs::{SpanStage, TraceEvent, Tracer};
 use proptest::prelude::*;
 
 const STRATEGIES: [InterruptStrategy; 4] = [
@@ -53,13 +56,58 @@ fn hi_program() -> Program {
         .clone()
 }
 
+/// Pre-fill of every output frame: shows which frame a job wrote.
+const UNWRITTEN: u8 = 0xA5;
+
+/// The program's image plus a second input/output frame pair past its own
+/// footprint (where [`frame_offsets`] points a job): a different input
+/// pattern in each frame, both output frames [`UNWRITTEN`].
 fn image_for(program: &Program, seed: u64) -> DdrImage {
-    let mut img = DdrImage::for_program(program, seed);
-    let first = &program.layers[0];
-    let n = first.in_shape.bytes();
-    let data: Vec<u8> = (0..n).map(|i| ((i * 7 + 3) % 15) as u8).collect();
-    img.write(first.input_addr, &data);
+    let m = &program.memory;
+    let base = DdrImage::for_program(program, seed);
+    let mut img = DdrImage::new(m.total_bytes() + m.input_bytes + m.output_bytes);
+    img.write(0, base.read(0, base.capacity()));
+    let (in_off, out_off) = frame_offsets(program);
+    for frame in 0..2 {
+        let data: Vec<u8> =
+            (0..m.input_bytes).map(|i| ((i * 7 + 3 + frame * 5) % 15) as u8).collect();
+        img.write(m.input_base + frame * in_off, &data);
+        img.write(m.output_base + frame * out_off, &vec![UNWRITTEN; m.output_bytes as usize]);
+    }
     img
+}
+
+/// `(InputOffset, OutputOffset)` that move a job of `program` to the
+/// second frame pair.
+fn frame_offsets(program: &Program) -> (u64, u64) {
+    let m = &program.memory;
+    (m.total_bytes() - m.input_base, m.total_bytes() + m.input_bytes - m.output_base)
+}
+
+/// The contended two-task scenario both tiers run.
+#[derive(Clone, Copy)]
+struct Scenario<'a> {
+    strategy: InterruptStrategy,
+    cfg: AccelConfig,
+    /// `(cycle, is_hi)`.
+    requests: &'a [(u64, bool)],
+    /// Tag request `i` with `1 + i`, so its job emits causal spans.
+    tagged: bool,
+    /// Run the lo jobs on the second frame ([`frame_offsets`]).
+    lo_offset: bool,
+    threads: usize,
+    seed: u64,
+}
+
+impl<'a> Scenario<'a> {
+    fn new(strategy: InterruptStrategy, requests: &'a [(u64, bool)]) -> Self {
+        let cfg = AccelConfig::paper_small();
+        Self { strategy, cfg, requests, tagged: false, lo_offset: false, threads: 1, seed: 1 }
+    }
+}
+
+fn small(dma_overlap: bool) -> AccelConfig {
+    AccelConfig { dma_overlap, ..AccelConfig::paper_small() }
 }
 
 /// Everything an outside observer can see from one engine run.
@@ -68,81 +116,96 @@ struct Observables {
     report: inca_accel::Report,
     engine_metrics: inca_obs::Metrics,
     trace: Vec<TraceEvent>,
-    outputs: Vec<Vec<Vec<i8>>>,
+    /// Whole DDR images of the lo and the hi task.
+    images: Vec<DdrImage>,
     bytes_written: Vec<u64>,
 }
 
-/// Runs the contended scenario on one tier and captures its observables
-/// plus the backend's tier1.* counters.
+/// Runs the scenario on one tier and captures its observables plus the
+/// backend's tier1.* counters.
 fn run_tier(
     tier: ExecTier,
-    strategy: InterruptStrategy,
     lo: &Program,
     hi: &Program,
-    requests: &[(u64, bool)], // (cycle, is_hi)
-    threads: usize,
-    seed: u64,
+    s: &Scenario,
 ) -> (Observables, inca_obs::Metrics) {
     let (lo_slot, hi_slot) = (TaskSlot::new(3).unwrap(), TaskSlot::new(1).unwrap());
     let mut backend = FuncBackend::with_tier(tier);
-    backend.set_threads(threads);
-    backend.install_image(lo_slot, image_for(lo, seed));
-    backend.install_image(hi_slot, image_for(hi, seed ^ 0x5EED));
-    let mut e = Engine::new(AccelConfig::paper_small(), strategy, backend);
-    let (tracer, buffer) = Tracer::ring(1 << 16);
+    backend.set_threads(s.threads);
+    backend.install_image(lo_slot, image_for(lo, s.seed));
+    backend.install_image(hi_slot, image_for(hi, s.seed ^ 0x5EED));
+    let mut e = Engine::new(s.cfg, s.strategy, backend);
+    // ≈133 k events per lo job, at most two lo jobs per scenario.
+    let (tracer, buffer) = Tracer::ring(1 << 19);
     e.set_tracer(tracer);
     e.set_profiling(true);
     e.load(lo_slot, lo.clone()).unwrap();
     e.load(hi_slot, hi.clone()).unwrap();
-    for &(cycle, is_hi) in requests {
-        e.request_at(cycle, if is_hi { hi_slot } else { lo_slot }).unwrap();
+    for (i, &(cycle, is_hi)) in s.requests.iter().enumerate() {
+        let tag = s.tagged.then_some(1 + i as u64);
+        let slot = if is_hi { hi_slot } else { lo_slot };
+        let (in_off, out_off) = if s.lo_offset && !is_hi { frame_offsets(lo) } else { (0, 0) };
+        e.request_job_tagged(cycle, slot, in_off, out_off, tag).unwrap();
     }
     let report = e.run().unwrap();
-    let outputs = [(lo, lo_slot), (hi, hi_slot)]
-        .iter()
-        .map(|(p, s)| {
-            let img = e.backend().image(*s).unwrap();
-            p.layers.iter().map(|m| img.read_output(m)).collect()
-        })
-        .collect();
+    assert_eq!(buffer.dropped(), 0, "the comparison must cover the whole trace");
+    let images = [lo_slot, hi_slot].map(|s| e.backend().image(s).unwrap().clone()).to_vec();
     let bytes_written =
         vec![e.backend().bytes_written(lo_slot), e.backend().bytes_written(hi_slot)];
     let obs = Observables {
         report,
         engine_metrics: e.metrics(),
         trace: buffer.snapshot(),
-        outputs,
+        images,
         bytes_written,
     };
     (obs, e.backend().metrics())
 }
 
-fn assert_tiers_agree(
-    strategy: InterruptStrategy,
-    requests: &[(u64, bool)],
-    threads: usize,
-    seed: u64,
-) -> inca_obs::Metrics {
+/// Runs the scenario on both tiers, holds them observationally identical
+/// and returns the Tier-1 run.
+fn assert_tiers_agree(s: &Scenario) -> (Observables, inca_obs::Metrics) {
     let (lo, hi) = (lo_program(), hi_program());
-    let (t0, m0) = run_tier(ExecTier::Tier0, strategy, &lo, &hi, requests, threads, seed);
-    let (t1, m1) = run_tier(ExecTier::Tier1, strategy, &lo, &hi, requests, threads, seed);
-    assert_eq!(t0.report, t1.report, "{strategy}: reports diverge");
-    assert_eq!(t0.engine_metrics, t1.engine_metrics, "{strategy}: engine metrics diverge");
-    assert_eq!(t0.trace, t1.trace, "{strategy}: trace streams diverge");
-    assert_eq!(t0.outputs, t1.outputs, "{strategy}: DDR outputs diverge");
-    assert_eq!(t0.bytes_written, t1.bytes_written, "{strategy}: byte counts diverge");
+    let (t0, m0) = run_tier(ExecTier::Tier0, &lo, &hi, s);
+    let (t1, m1) = run_tier(ExecTier::Tier1, &lo, &hi, s);
+    let what = format!(
+        "{} overlap={} tagged={} offset={}",
+        s.strategy, s.cfg.dma_overlap, s.tagged, s.lo_offset
+    );
+    assert_eq!(t0.report, t1.report, "{what}: reports diverge");
+    assert_eq!(t0.engine_metrics, t1.engine_metrics, "{what}: engine metrics diverge");
+    assert_eq!(t0.trace, t1.trace, "{what}: trace streams diverge");
+    assert_eq!(t0.images, t1.images, "{what}: DDR images diverge");
+    assert_eq!(t0.bytes_written, t1.bytes_written, "{what}: byte counts diverge");
     // Tier-0 must never have engaged the fused path.
-    assert_eq!(m0.counter("tier1.exec_layers"), 0, "{strategy}: Tier-0 fused a layer");
-    m1
+    assert_eq!(m0.counter("tier1.exec_layers"), 0, "{what}: Tier-0 fused a layer");
+    // Tagged jobs put their span tree in the compared stream: Layer spans
+    // under Exec segments, and a Preempted span per resumed preemption.
+    let spans = |stage| {
+        let is = |e: &&TraceEvent| matches!(e, TraceEvent::Span { stage: s, .. } if *s == stage);
+        t1.trace.iter().filter(is).count()
+    };
+    if s.tagged {
+        assert!(spans(SpanStage::Layer) >= lo.layers.len(), "{what}: Layer spans missing");
+        assert!(spans(SpanStage::Exec) >= s.requests.len(), "{what}: Exec spans missing");
+        let resumed = t1.report.interrupts.iter().filter(|i| i.resumed_at.is_some()).count();
+        assert_eq!(spans(SpanStage::Preempted), resumed, "{what}: Preempted spans");
+    } else {
+        assert_eq!(spans(SpanStage::Layer) + spans(SpanStage::Exec), 0, "{what}: untagged");
+    }
+    (t1, m1)
 }
 
 #[test]
 fn tiers_identical_under_every_strategy() {
-    // Requests chosen so the high task lands mid-network.
-    let span = makespan(&lo_program());
-    let requests = [(0u64, false), (span / 5, true), (span / 2, true)];
-    for strategy in STRATEGIES {
-        let t1 = assert_tiers_agree(strategy, &requests, 1, 0xD1FF);
+    for (strategy, dma_overlap) in STRATEGIES.into_iter().flat_map(|s| [(s, false), (s, true)]) {
+        let cfg = small(dma_overlap);
+        // Requests chosen so the high task lands mid-network.
+        let span = makespan(&cfg, &lo_program());
+        let requests = [(0u64, false), (span / 5, true), (span / 2, true)];
+        let scenario =
+            Scenario { cfg, tagged: true, seed: 0xD1FF, ..Scenario::new(strategy, &requests) };
+        let (_, t1) = assert_tiers_agree(&scenario);
         assert!(
             t1.counter("tier1.exec_layers") > 0,
             "{strategy}: Tier-1 never engaged the fused path"
@@ -152,6 +215,34 @@ fn tiers_identical_under_every_strategy() {
             "{strategy}: fused layers should batch multiple instructions"
         );
     }
+}
+
+/// The IAU's job-offset registers reach the fused path as two integers
+/// (`Backend::execute_span`): a preempted, tagged lo job pointed at the
+/// second frame must read that frame's input (the frames differ, so the
+/// images would diverge otherwise) and write only its output.
+#[test]
+fn tiers_identical_with_job_offsets() {
+    let (lo, cfg) = (lo_program(), small(true));
+    let span = makespan(&cfg, &lo);
+    let requests = [(0u64, false), (span / 3, true)];
+    let scenario = Scenario {
+        cfg,
+        tagged: true,
+        lo_offset: true,
+        seed: 0x0FF5,
+        ..Scenario::new(InterruptStrategy::VirtualInstruction, &requests)
+    };
+    let (moved, t1) = assert_tiers_agree(&scenario);
+    assert!(t1.counter("tier1.exec_layers") > 0, "offset jobs must still fuse layers");
+    assert_eq!(moved.report.interrupts.len(), 1, "the lo job was preempted");
+    let m = &lo.memory;
+    let written = |off| {
+        moved.images[0].read(m.output_base + off, m.output_bytes)
+            != vec![UNWRITTEN; m.output_bytes as usize]
+    };
+    assert!(written(frame_offsets(&lo).1), "the job writes the frame OutputOffset names");
+    assert!(!written(0), "and leaves the base frame alone");
 }
 
 /// Fully-connected layers take the same GEMM as convolutions in both
@@ -175,15 +266,16 @@ fn fully_connected_layers_are_batched_and_identical() {
     assert_eq!(fc_layers, 3);
 
     let hi = hi_program();
-    let strategy = InterruptStrategy::VirtualInstruction;
+    let solo = Scenario::new(InterruptStrategy::VirtualInstruction, &[(0, false)]);
     for threads in [1, 2, 8] {
-        let (t0, m0) = run_tier(ExecTier::Tier0, strategy, &lo, &hi, &[(0, false)], threads, 0xFC);
-        let (t1, m1) = run_tier(ExecTier::Tier1, strategy, &lo, &hi, &[(0, false)], threads, 0xFC);
+        let scenario = Scenario { threads, seed: 0xFC, ..solo };
+        let (t0, m0) = run_tier(ExecTier::Tier0, &lo, &hi, &scenario);
+        let (t1, m1) = run_tier(ExecTier::Tier1, &lo, &hi, &scenario);
         assert_eq!(t0, t1, "threads={threads}: tiers diverge on the FC head");
         assert_eq!(m0.counter("tier1.exec_layers"), 0);
         assert_eq!(m1.counter("tier1.exec_layers"), lo.layers.len() as u64, "threads={threads}");
         assert_eq!(m1.counter("tier1.deopt_layers") + m1.counter("tier1.deopt_dynamic"), 0);
-        let logits = t1.outputs[0].last().unwrap();
+        let logits = t1.images[0].read_output(lo.layers.last().unwrap());
         assert!(logits.iter().any(|&v| v != logits[0]), "FC output is degenerate");
     }
 }
@@ -191,10 +283,10 @@ fn fully_connected_layers_are_batched_and_identical() {
 #[test]
 fn tier1_plan_cache_hits_across_jobs() {
     let (lo, hi) = (lo_program(), hi_program());
-    let span = makespan(&lo);
+    let span = makespan(&AccelConfig::paper_small(), &lo);
     let requests = [(0u64, false), (span + 1, false)]; // same program twice
-    let (_, m1) =
-        run_tier(ExecTier::Tier1, InterruptStrategy::VirtualInstruction, &lo, &hi, &requests, 1, 7);
+    let scenario = Scenario::new(InterruptStrategy::VirtualInstruction, &requests);
+    let (_, m1) = run_tier(ExecTier::Tier1, &lo, &hi, &scenario);
     assert_eq!(m1.counter("tier1.compile_programs"), 1, "one program, one compile");
     assert!(m1.counter("tier1.compile_cache_hits") > 0, "second job must hit the plan cache");
     assert!(m1.counter("tier1.compile_layers") > 0);
@@ -264,21 +356,19 @@ fn engine_free_run_program_matches_stepping() {
 
 /// Instruction cost is address-independent, so the timing engine gives
 /// the makespan the func engines will see.
-fn makespan(program: &Program) -> u64 {
+fn makespan(cfg: &AccelConfig, program: &Program) -> u64 {
     let slot = TaskSlot::LOWEST;
-    let mut e = Engine::new(
-        AccelConfig::paper_small(),
-        InterruptStrategy::VirtualInstruction,
-        TimingBackend::new(),
-    );
+    let mut e = Engine::new(*cfg, InterruptStrategy::VirtualInstruction, TimingBackend::new());
     e.load(slot, program.clone()).unwrap();
     e.request_at(0, slot).unwrap();
     e.run().unwrap().completed_jobs[0].finish
 }
 
-fn lo_makespan() -> u64 {
-    static CACHE: std::sync::OnceLock<u64> = std::sync::OnceLock::new();
-    *CACHE.get_or_init(|| makespan(&lo_program()))
+/// The lo program's makespan with the DMA-overlap credit off and on.
+fn lo_makespan(dma_overlap: bool) -> u64 {
+    static CACHE: std::sync::OnceLock<[u64; 2]> = std::sync::OnceLock::new();
+    CACHE.get_or_init(|| [false, true].map(|o| makespan(&small(o), &lo_program())))
+        [usize::from(dma_overlap)]
 }
 
 proptest! {
@@ -294,15 +384,23 @@ proptest! {
         frac2 in 0u64..1000,
         threads in 1usize..3,
         seed in 0u64..1 << 48,
+        dma_overlap in any::<bool>(),
+        tagged in any::<bool>(),
     ) {
-        let strategy = STRATEGIES[strategy_idx];
-        let span = lo_makespan();
+        let span = lo_makespan(dma_overlap);
         let requests = [
             (0u64, false),
             (span * frac1 / 1000, true),
             (span * frac2 / 1000, true),
         ];
-        let t1 = assert_tiers_agree(strategy, &requests, threads, seed);
+        let scenario = Scenario {
+            cfg: small(dma_overlap),
+            tagged,
+            threads,
+            seed,
+            ..Scenario::new(STRATEGIES[strategy_idx], &requests)
+        };
+        let (_, t1) = assert_tiers_agree(&scenario);
         prop_assert!(t1.counter("tier1.exec_layers") > 0);
     }
 }
@@ -312,23 +410,9 @@ proptest! {
 #[test]
 fn observables_do_distinguish_runs() {
     let (lo, hi) = (lo_program(), hi_program());
-    let (a, _) = run_tier(
-        ExecTier::Tier1,
-        InterruptStrategy::VirtualInstruction,
-        &lo,
-        &hi,
-        &[(0, false)],
-        1,
-        1,
-    );
-    let (b, _) = run_tier(
-        ExecTier::Tier1,
-        InterruptStrategy::VirtualInstruction,
-        &lo,
-        &hi,
-        &[(0, false)],
-        1,
-        2, // different seed → different weights → different outputs
-    );
-    assert_ne!(a.outputs, b.outputs);
+    let solo = Scenario::new(InterruptStrategy::VirtualInstruction, &[(0, false)]);
+    let (a, _) = run_tier(ExecTier::Tier1, &lo, &hi, &solo);
+    // different seed → different weights → different outputs
+    let (b, _) = run_tier(ExecTier::Tier1, &lo, &hi, &Scenario { seed: 2, ..solo });
+    assert_ne!(a.images, b.images);
 }

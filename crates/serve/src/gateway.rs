@@ -497,10 +497,9 @@ impl<B: Backend> Gateway<B> {
                     self.batches[net].generation += 1;
                 }
                 self.tenants[victim.tenant.0].stats.dropped += 1;
-                self.trace_milestone(
-                    self.now,
-                    format!("serve.recall {} {}", victim.tenant, victim.request),
-                );
+                self.trace_milestone(self.now, || {
+                    format!("serve.recall {} {}", victim.tenant, victim.request)
+                });
                 out.push(victim.tenant);
             }
             if out.len() >= max {
@@ -538,7 +537,7 @@ impl<B: Backend> Gateway<B> {
                     return Ok(self.admit_skip(now, tenant));
                 }
                 self.tenants[tenant.0].stats.shed += 1;
-                self.trace_milestone(now, format!("serve.shed {tenant} queue-full"));
+                self.trace_milestone(now, || format!("serve.shed {tenant} queue-full"));
                 return Err(ShedReason::QueueFull);
             }
         }
@@ -569,7 +568,7 @@ impl<B: Backend> Gateway<B> {
             batched: 1,
             skipped: true,
         });
-        self.trace_milestone(now, format!("serve.skip {tenant} {request}"));
+        self.trace_milestone(now, || format!("serve.skip {tenant} {request}"));
         Accepted { request, skipped: true, deadline, core: None }
     }
 
@@ -588,7 +587,7 @@ impl<B: Backend> Gateway<B> {
             buf.generation += 1;
         }
         self.tenants[tenant.0].stats.dropped += 1;
-        self.trace_milestone(self.now, format!("serve.drop-oldest {tenant} {}", victim.request));
+        self.trace_milestone(self.now, || format!("serve.drop-oldest {tenant} {}", victim.request));
         true
     }
 
@@ -614,17 +613,17 @@ impl<B: Backend> Gateway<B> {
                         batched: 1,
                     },
                 );
-                self.trace_milestone(now, format!("serve.admit {tenant} {request} {core}"));
+                self.trace_milestone(now, || format!("serve.admit {tenant} {request} {core}"));
                 Ok(Accepted { request, skipped: false, deadline: adm.deadline, core: Some(core) })
             }
             Err(inca_runtime::RejectReason::AdmissionDenied) => {
                 self.tenants[tenant.0].stats.rejected += 1;
-                self.trace_milestone(now, format!("serve.reject {tenant} deadline"));
+                self.trace_milestone(now, || format!("serve.reject {tenant} deadline"));
                 Err(ShedReason::DeadlineUnmeetable)
             }
             Err(inca_runtime::RejectReason::QueueFull) => {
                 self.tenants[tenant.0].stats.shed += 1;
-                self.trace_milestone(now, format!("serve.shed {tenant} core-queue"));
+                self.trace_milestone(now, || format!("serve.shed {tenant} core-queue"));
                 Err(ShedReason::QueueFull)
             }
         }
@@ -637,7 +636,7 @@ impl<B: Backend> Gateway<B> {
         let net = self.tenants[tenant.0].net;
         self.batches[net].entries.push(PendingReq { request, tenant, arrival: now, deadline });
         let depth = self.batches[net].entries.len();
-        self.trace_milestone(now, format!("serve.batch {tenant} {request} net{net}"));
+        self.trace_milestone(now, || format!("serve.batch {tenant} {request} net{net}"));
         if depth >= self.max_batch {
             self.flush_net(now, net);
         } else if depth == 1 {
@@ -680,7 +679,7 @@ impl<B: Backend> Gateway<B> {
         self.batches_dispatched += 1;
         self.batched_requests += u64::from(size);
         self.pool.wake_at(core, now);
-        self.trace_milestone(now, format!("serve.flush net{net} x{size} {core}"));
+        self.trace_milestone(now, || format!("serve.flush net{net} x{size} {core}"));
         for e in entries {
             let task = self.task_ids[e.tenant.0];
             let tag = self.tag_for(e.request);
@@ -715,7 +714,7 @@ impl<B: Backend> Gateway<B> {
                     // between admission and flush): the admitted request
                     // is discarded, not silently lost.
                     self.tenants[e.tenant.0].stats.dropped += 1;
-                    self.trace_milestone(now, format!("serve.drop {} dispatch", e.request));
+                    self.trace_milestone(now, || format!("serve.drop {} dispatch", e.request));
                 }
             }
         }
@@ -871,12 +870,12 @@ impl<B: Backend> Gateway<B> {
             batched: meta.batched,
             skipped: false,
         };
-        let lane_key = match lane {
-            Lane::Hard => "hard",
-            Lane::BestEffort => "be",
+        let (lane_key, latency_key, ttfb_key) = match lane {
+            Lane::Hard => ("hard", "serve.latency.hard", "serve.ttfb.hard"),
+            Lane::BestEffort => ("be", "serve.latency.be", "serve.ttfb.be"),
         };
-        self.lat.observe(&format!("serve.latency.{lane_key}"), response.latency());
-        self.lat.observe(&format!("serve.ttfb.{lane_key}"), response.ttfb());
+        self.lat.observe(latency_key, response.latency());
+        self.lat.observe(ttfb_key, response.ttfb());
         if let Some(tag) = self.tag_for(meta.request) {
             // Root span closes at the response: every other stage of this
             // request parents (directly or via an exec segment) to it.
@@ -893,10 +892,9 @@ impl<B: Backend> Gateway<B> {
                 detail,
             });
         }
-        self.trace_milestone(
-            rec.finish,
-            format!("serve.done {} {} {lane_key}", meta.tenant, meta.request),
-        );
+        self.trace_milestone(rec.finish, || {
+            format!("serve.done {} {} {lane_key}", meta.tenant, meta.request)
+        });
         self.responses.push(response);
     }
 
@@ -906,8 +904,13 @@ impl<B: Backend> Gateway<B> {
         std::mem::take(&mut self.responses)
     }
 
-    fn trace_milestone(&self, cycle: u64, detail: String) {
-        self.tracer.emit(|| TraceEvent::Milestone { cycle, label: "serve".to_owned(), detail });
+    /// `detail` runs only when the tracer is enabled.
+    fn trace_milestone(&self, cycle: u64, detail: impl FnOnce() -> String) {
+        self.tracer.emit(|| TraceEvent::Milestone {
+            cycle,
+            label: "serve".to_owned(),
+            detail: detail(),
+        });
     }
 
     /// A deterministic metrics snapshot: `serve.*` gateway counters and

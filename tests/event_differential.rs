@@ -5,7 +5,10 @@
 //! (including request-tagged span trees), metrics snapshots, per-core
 //! reports and mid-run clock/metrics snapshots — across all four
 //! interrupt strategies, 1–8 core pools, the serving gateway, and the
-//! bench crate's canonical spans scenario.
+//! bench crate's canonical spans scenario. The pool scenario also takes the
+//! functional backend's execution tier as an input: root `cargo test` does
+//! not run `crates/accel/tests`, so the engine's Tier-0 ≡ Tier-1 contract
+//! (one `charge` / `retire` path, DESIGN.md §5.6) is checked here too.
 //!
 //! The only permitted difference is *work*: on pools with idle cores the
 //! event engine must actually skip them ([`AdvanceStats::skips`] > 0).
@@ -13,8 +16,8 @@
 use std::sync::Arc;
 
 use inca::accel::{
-    AccelConfig, AdvanceMode, AdvanceStats, CoreId, CorePool, DdrImage, Engine, FuncBackend,
-    InterruptStrategy, Report,
+    AccelConfig, AdvanceMode, AdvanceStats, CoreId, CorePool, DdrImage, Engine, ExecTier,
+    FuncBackend, InterruptStrategy, Report,
 };
 use inca::compiler::Compiler;
 use inca::isa::{Program, TaskSlot};
@@ -90,6 +93,7 @@ fn pool_run(
     strategy: InterruptStrategy,
     cores: usize,
     mode: AdvanceMode,
+    tier: ExecTier,
 ) -> (PoolObservables, AdvanceStats) {
     let lo_prog = compile(strategy, &zoo::tiny(Shape3::new(3, 24, 24)).unwrap());
     let hi_prog = compile(strategy, &zoo::tiny(Shape3::new(3, 16, 16)).unwrap());
@@ -99,7 +103,7 @@ fn pool_run(
     let (tracer, buf) = Tracer::ring(1 << 16);
     let engines: Vec<Engine<FuncBackend>> = (0..cores)
         .map(|c| {
-            let mut e = Engine::new(cfg(), strategy, FuncBackend::new());
+            let mut e = Engine::new(cfg(), strategy, FuncBackend::with_tier(tier));
             e.set_span_core(c as u32);
             e.set_tracer(tracer.clone());
             e.load(lo, Arc::clone(&lo_prog)).unwrap();
@@ -131,6 +135,12 @@ fn pool_run(
         mid.push((nows, json));
     }
     pool.run_until(u64::MAX).unwrap();
+    assert_eq!(buf.dropped(), 0, "{strategy}/{cores}c: the comparison covers the whole trace");
+    let fused: u64 = pool
+        .core_ids()
+        .map(|c| pool.core(c).backend().metrics().counter("tier1.exec_layers"))
+        .sum();
+    assert_eq!(fused > 0, tier == ExecTier::Tier1, "{strategy}/{cores}c: {tier:?} fused {fused}");
 
     let outputs = active
         .iter()
@@ -155,9 +165,14 @@ fn pool_run(
 fn pool_runs_are_byte_identical_across_modes() {
     for strategy in STRATEGIES {
         for cores in [1usize, 2, 4, 8] {
-            let (ev, ev_stats) = pool_run(strategy, cores, AdvanceMode::EventDriven);
-            let (st, st_stats) = pool_run(strategy, cores, AdvanceMode::Stepping);
+            let (ev, ev_stats) =
+                pool_run(strategy, cores, AdvanceMode::EventDriven, ExecTier::Tier1);
+            let (st, st_stats) = pool_run(strategy, cores, AdvanceMode::Stepping, ExecTier::Tier1);
             assert_eq!(ev, st, "{strategy}/{cores}c: event-driven and stepping runs diverge");
+            if cores <= 2 {
+                let (t0, _) = pool_run(strategy, cores, AdvanceMode::EventDriven, ExecTier::Tier0);
+                assert_eq!(ev, t0, "{strategy}/{cores}c: Tier-1 and Tier-0 runs diverge");
+            }
             assert!(!ev.trace.is_empty(), "{strategy}/{cores}c: scenario emits trace events");
             let completed: usize = ev.reports.iter().map(|r| r.completed_jobs.len()).sum();
             assert_eq!(completed, cores.div_ceil(2) * 2, "{strategy}/{cores}c: all jobs done");
