@@ -34,6 +34,16 @@ fn bench_compiler(c: &mut Criterion) {
             )
         })
     });
+    // The mission's own PR program: the largest stream the VI pass sees.
+    let gem = zoo::gem_resnet101(Shape3::new(3, 480, 640)).unwrap();
+    let original = compiler.compile(&gem).unwrap();
+    g.bench_function("vi_pass_gem_resnet101_480x640", |b| {
+        b.iter(|| {
+            black_box(
+                vi::vi_pass(black_box(&original), compiler.arch(), compiler.options()).unwrap(),
+            )
+        })
+    });
     g.finish();
 }
 

@@ -369,9 +369,9 @@ impl Node<Msg> for SwarmNode {
 /// The mission driver.
 pub struct Mission {
     config: MissionConfig,
-    fe_program: Program,
-    pr_program: Program,
-    bg_program: Option<Program>,
+    fe_program: Arc<Program>,
+    pr_program: Arc<Program>,
+    bg_program: Option<Arc<Program>>,
     world: Arc<World>,
 }
 
@@ -391,12 +391,12 @@ impl Mission {
             zoo::superpoint(config.fe_input).map_err(inca_compiler::CompileError::Model)?;
         let pr_net =
             zoo::gem_resnet101(config.pr_input).map_err(inca_compiler::CompileError::Model)?;
-        let fe_program = compiler.compile_vi(&fe_net)?;
-        let pr_program = compiler.compile_vi(&pr_net)?;
+        let fe_program = Arc::new(compiler.compile_vi(&fe_net)?);
+        let pr_program = Arc::new(compiler.compile_vi(&pr_net)?);
         let bg_program = if config.background_tasks > 0 {
             let bg_net =
                 zoo::tiny(Shape3::new(3, 32, 32)).map_err(inca_compiler::CompileError::Model)?;
-            Some(compiler.compile_vi(&bg_net)?)
+            Some(Arc::new(compiler.compile_vi(&bg_net)?))
         } else {
             None
         };
@@ -432,21 +432,19 @@ impl Mission {
         // own fixed physical slots, exactly as the paper deploys them.
         let (fe_target, pr_target, bg_tasks) = if cfg.background_tasks > 0 {
             rt.install_scheduler(Scheduler::new(cfg.accel, SchedPolicy::FixedPriority));
-            let bg_program =
-                Arc::new(self.bg_program.clone().expect("bg program compiled in Mission::new"));
+            let bg_program = self.bg_program.as_ref().expect("bg program compiled in Mission::new");
             let fe = rt.register_task(
-                TaskSpec::new("fe", Arc::new(self.fe_program.clone()))
+                TaskSpec::new("fe", Arc::clone(&self.fe_program))
                     .priority(0)
                     .deadline(period_cycles)
                     .queue(2, DropPolicy::Reject),
             )?;
-            let pr = rt.register_task(
-                TaskSpec::new("pr", Arc::new(self.pr_program.clone())).priority(2),
-            )?;
+            let pr =
+                rt.register_task(TaskSpec::new("pr", Arc::clone(&self.pr_program)).priority(2))?;
             let bg = (0..cfg.background_tasks)
                 .map(|i| {
                     rt.register_task(
-                        TaskSpec::new(format!("bg{i}"), Arc::clone(&bg_program))
+                        TaskSpec::new(format!("bg{i}"), Arc::clone(bg_program))
                             .priority(3)
                             .queue(1, DropPolicy::DropOldest),
                     )
@@ -456,8 +454,8 @@ impl Mission {
         } else {
             let fe_slot = TaskSlot::new(1).expect("slot 1");
             let pr_slot = TaskSlot::new(3).expect("slot 3");
-            rt.engine_mut().load(fe_slot, self.fe_program.clone())?;
-            rt.engine_mut().load(pr_slot, self.pr_program.clone())?;
+            rt.engine_mut().load(fe_slot, Arc::clone(&self.fe_program))?;
+            rt.engine_mut().load(pr_slot, Arc::clone(&self.pr_program))?;
             (AccelTarget::Slot(fe_slot), AccelTarget::Slot(pr_slot), Vec::new())
         };
 
@@ -823,6 +821,30 @@ mod tests {
             a.agents[0].map.trajectory.last().map(|s| s.estimate),
             b.agents[0].map.trajectory.last().map(|s| s.estimate),
         );
+    }
+
+    #[test]
+    fn runs_share_the_compiled_programs() {
+        for background_tasks in [0, 2] {
+            let mut cfg = MissionConfig::small_test();
+            cfg.duration_s = 0.5;
+            cfg.background_tasks = background_tasks;
+            let mission = Mission::new(cfg).unwrap();
+            let (a, b) = (mission.run().unwrap(), mission.run().unwrap());
+            assert_eq!(schedule_digest(&a), schedule_digest(&b));
+            for (x, y) in a.agents.iter().zip(&b.agents) {
+                assert!(x.fe_completed > 0);
+                assert_eq!(
+                    (x.frames, x.fe_completed, x.pr_completed, x.background_completed),
+                    (y.frames, y.fe_completed, y.pr_completed, y.background_completed)
+                );
+            }
+            // Every engine and scheduler that borrowed a program is gone.
+            let programs = [&mission.fe_program, &mission.pr_program];
+            for program in programs.into_iter().chain(&mission.bg_program) {
+                assert_eq!(Arc::strong_count(program), 1, "{}", program.name);
+            }
+        }
     }
 
     #[test]

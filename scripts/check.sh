@@ -43,6 +43,10 @@ echo "== serving example (deterministic frontend)"
 cargo build --release --example serve -q
 ./target/release/examples/serve > /dev/null
 
+echo "== prog_size example (paper-scale compiles, VI pass next to lower+codegen)"
+cargo build --release -p inca-compiler --example prog_size -q
+./target/release/examples/prog_size
+
 echo "== benchmark package (detached: own workspace and lock file; --quick)"
 # `benchmark/` is outside the workspace, so nothing above compiles it. It
 # is the frozen measurement surface: build it against this tree and run

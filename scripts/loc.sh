@@ -3,7 +3,8 @@
 #
 # A code line is a line of a `crates/*/src/**/*.rs` file that is not blank,
 # does not start with `//` (so doc and plain comments are out) and sits
-# above the file's first `#[cfg(test)]`.
+# above the file's test module (an unindented `#[cfg(test)]` followed by
+# `mod`; a `#[cfg(test)]` on any other item counts as code).
 #
 #   scripts/loc.sh             # working tree
 #   scripts/loc.sh <git-ref>   # <git-ref>, working tree and the delta, plus
@@ -20,7 +21,8 @@ if [ -n "$ref" ]; then
 fi
 
 code_lines() { # one file on stdin -> count
-    awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit }
+    awk '/^#\[cfg\(test\)\]/ { held = 1; next }
+         held { held = 0; if ($0 ~ /^mod /) exit; n++ }
          NF && $1 !~ /^\/\// { n++ }
          END { print n + 0 }'
 }

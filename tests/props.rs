@@ -227,3 +227,42 @@ proptest! {
         prop_assert_eq!(decoded, instrs);
     }
 }
+
+/// FNV-1a over the encoded VI stream followed by every interrupt point.
+fn vi_stream_digest(p: &Program) -> u64 {
+    let points =
+        p.interrupt_points.iter().flat_map(|ip| [ip.vir_start, ip.vir_end, u32::from(ip.layer)]);
+    inca::isa::encode::encode_program(p)
+        .into_iter()
+        .chain(points.flat_map(u32::to_le_bytes))
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+}
+
+/// Root `cargo test -q` does not run `crates/compiler`'s unit tests (where
+/// the VI pass is held equal to its quadratic reference), so these digests,
+/// recorded at 87f6bd1 before load liveness was indexed, are the Tier-1
+/// witness that the emitted VI streams did not move.
+#[test]
+fn vi_streams_are_pinned() {
+    use inca::model::zoo;
+    let compiler = Compiler::new(inca::isa::ArchSpec::angel_eye_big());
+    for (net, instrs, points, digest) in [
+        (zoo::tiny(Shape3::new(3, 32, 32)).unwrap(), 46, 12, 0x26a3_0283_d525_8187u64),
+        (zoo::mobilenet_v1(Shape3::new(3, 96, 96)).unwrap(), 55_361, 963, 0x89b1_f746_1994_7717),
+        (zoo::superpoint(Shape3::new(1, 120, 160)).unwrap(), 8_450, 450, 0x34f7_4849_b8a3_4c68),
+        (
+            zoo::gem_resnet101(Shape3::new(3, 120, 160)).unwrap(),
+            368_204,
+            6_416,
+            0xfca2_011e_3e57_ea03,
+        ),
+    ] {
+        let p = compiler.compile_vi(&net).unwrap();
+        assert_eq!(
+            (p.len(), p.interrupt_points.len(), vi_stream_digest(&p)),
+            (instrs, points, digest),
+            "{}",
+            net.name
+        );
+    }
+}
