@@ -14,7 +14,7 @@
 
 use inca_isa::{Instr, LayerMeta, Opcode, Parallelism, Program, Tile};
 
-use crate::engine::charge;
+use crate::engine::fold_charges;
 use crate::{instr_cycles, AccelConfig, InterruptStrategy};
 
 /// Eq. 1 of the paper: worst-case VI latency as a fraction of
@@ -63,11 +63,11 @@ pub fn t1_vi_worst(cfg: &AccelConfig, meta: &LayerMeta) -> u64 {
 /// (non-virtual) instruction with one running credit. Virtual
 /// instructions are free unless an interrupt materialises them, so this
 /// is the uncontended makespan of the program body; measured
-/// `busy_cycles` of an uncontended job matches it exactly.
+/// `busy_cycles` of an uncontended job matches it exactly. The engine's
+/// cycle table is built by the same fold, so its total is this number.
 #[must_use]
 pub fn predicted_span(cfg: &AccelConfig, program: &Program) -> u64 {
-    let mut credit = 0;
-    program.original_instrs().map(|(_, i)| charge(cfg, program, i, &mut credit)).sum()
+    fold_charges(cfg, program, |_, _| {})
 }
 
 /// The backup cost `t2` charged for taking the interrupt point starting
@@ -177,6 +177,10 @@ mod tests {
             ] {
                 let program = std::sync::Arc::new(program);
                 let span = predicted_span(&cfg, &program);
+                // The table the engine jumps by is the same fold (read
+                // only without overlap, equal to the model either way).
+                let table = crate::engine::CycleTable::new(&cfg, std::sync::Arc::clone(&program));
+                assert_eq!(span, table.total(), "{} overlap={dma_overlap}", program.name);
                 let slot = TaskSlot::LOWEST;
                 let mut engine =
                     Engine::new(cfg, InterruptStrategy::VirtualInstruction, TimingBackend::new());

@@ -138,16 +138,17 @@ pub trait Backend {
         Ok(())
     }
 
-    /// Whether this backend may accept whole-layer spans through
-    /// [`Backend::execute_span`]. The engine only attempts span batching
-    /// when this returns `true`.
-    fn supports_spans(&self) -> bool {
-        false
+    /// How much of a job the engine may hand to
+    /// [`Backend::execute_span`] in one call. The engine only attempts a
+    /// span commit when this is not [`SpanSupport::None`].
+    fn supports_spans(&self) -> SpanSupport {
+        SpanSupport::None
     }
 
-    /// Executes the layer-sized pc span `span` of `program` in one fused
-    /// call, applying the job's input/output offsets itself (the span's
-    /// instructions arrive *unpatched*).
+    /// Executes the pc span `span` of `program` in one call — one whole
+    /// layer under [`SpanSupport::Layer`], any run of instructions under
+    /// [`SpanSupport::Any`] — applying the job's input/output offsets
+    /// itself (the span's instructions arrive *unpatched*).
     ///
     /// Returns `Ok(true)` when the span was executed with effects
     /// bit-identical to stepping each original instruction, or `Ok(false)`
@@ -168,6 +169,54 @@ pub trait Backend {
     ) -> Result<bool, SimError> {
         let _ = (slot, program, span, input_offset, output_offset);
         Ok(false)
+    }
+}
+
+/// The extent of a span a [`Backend`] accepts through
+/// [`Backend::execute_span`] — the backend's answer, never an option: it
+/// follows from what its instructions mean.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SpanSupport {
+    /// None: every instruction goes through [`Backend::execute`].
+    None,
+    /// The pc range of one whole layer, from the layer's first instruction
+    /// (a trace-compiled layer program).
+    Layer,
+    /// Any run of instructions: they have no data semantics, so the clock
+    /// is all a span moves.
+    Any,
+}
+
+/// Forwards every [`Backend`] method to `B` but reports no span
+/// capability, so `Engine<Stepped<B>>` advances one instruction at a time
+/// — the per-instruction oracle the span commit is differentially tested
+/// against (`tests/span_differential.rs`).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Stepped<B>(pub B);
+
+impl<B: Backend> Backend for Stepped<B> {
+    fn execute(&mut self, slot: TaskSlot, program: &Program, i: &Instr) -> Result<(), SimError> {
+        self.0.execute(slot, program, i)
+    }
+
+    fn on_switch(&mut self, slot: TaskSlot) {
+        self.0.on_switch(slot);
+    }
+
+    fn on_load(&mut self, slot: TaskSlot) {
+        self.0.on_load(slot);
+    }
+
+    fn snapshot(&mut self, slot: TaskSlot) {
+        self.0.snapshot(slot);
+    }
+
+    fn restore(&mut self, slot: TaskSlot) -> Result<(), SimError> {
+        self.0.restore(slot)
+    }
+
+    fn rebind(&mut self, slot: TaskSlot, ctx: u64) -> Result<(), SimError> {
+        self.0.rebind(slot, ctx)
     }
 }
 
@@ -201,5 +250,20 @@ impl Backend for TimingBackend {
 
     fn restore(&mut self, _slot: TaskSlot) -> Result<(), SimError> {
         Ok(())
+    }
+
+    fn supports_spans(&self) -> SpanSupport {
+        SpanSupport::Any
+    }
+
+    fn execute_span(
+        &mut self,
+        _slot: TaskSlot,
+        _program: &Program,
+        _span: std::ops::Range<usize>,
+        _input_offset: u64,
+        _output_offset: u64,
+    ) -> Result<bool, SimError> {
+        Ok(true)
     }
 }

@@ -30,7 +30,7 @@ use inca_obs::{
     Tracer, NO_CORE,
 };
 
-use crate::{instr_cycles, AccelConfig, Backend, SimError};
+use crate::{instr_cycles, AccelConfig, Backend, SimError, SpanSupport};
 
 /// How the accelerator hands the datapath to a higher-priority task.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
@@ -335,6 +335,26 @@ impl ActiveJob {
     fn new(release: u64, params: JobParams) -> Self {
         Self { release, params, ..Self::default() }
     }
+
+    /// The job ran instructions of `layer` over `ran` and stands at
+    /// `self.pc`. A tagged job opens its Layer span at the layer's first
+    /// instruction and closes it at the last retiring one (peeking past
+    /// free virtual groups), so the emission position is the same whether
+    /// the layer was stepped or committed whole.
+    fn ran_layer(
+        &mut self,
+        out: &TraceOut,
+        program: &Program,
+        layer: u16,
+        ran: std::ops::Range<u64>,
+    ) {
+        let Some(tag) = self.params.tag else { return };
+        self.spans.layer_open.get_or_insert((layer, ran.start));
+        let next = program.instrs.get(next_original(program, self.pc));
+        if next.is_none_or(|i| i.layer != layer) {
+            self.spans.close_layer(out, tag, ran.end);
+        }
+    }
 }
 
 /// Where the engine's trace events go, and the core id stamped on its
@@ -429,9 +449,42 @@ struct ObsCounters {
     saves_elided: u64,
 }
 
+/// Everything that watches instructions retire.
+#[derive(Debug)]
+struct Observers {
+    counters: ObsCounters,
+    profile: Option<Profile>,
+    out: TraceOut,
+}
+
+impl Observers {
+    /// Records one retired instruction: the retired counter and the
+    /// `InstrRetired` event (an elided SAVE retires nothing) and the
+    /// profile charge. Stepping and an instruction-by-instruction span
+    /// commit both account through here, which is what keeps their
+    /// observables equal.
+    fn retire(&mut self, slot: TaskSlot, instr: &Instr, start: u64, cycles: u64, elided: bool) {
+        if !elided {
+            self.counters.instrs_retired += 1;
+            let (op, layer) = (instr.op, instr.layer);
+            let retired = || TraceEvent::InstrRetired { start, cycles, slot, op, layer };
+            self.out.tracer.emit_instr(retired);
+        }
+        if let Some(p) = self.profile.as_mut() {
+            p.charge(slot, instr, cycles);
+        }
+    }
+
+    /// Whether someone needs every instruction reported one by one.
+    fn per_instr(&self) -> bool {
+        self.profile.is_some() || self.out.tracer.per_instr()
+    }
+}
+
 #[derive(Debug, Default)]
 struct Slot {
-    program: Option<Arc<Program>>,
+    /// The loaded program, behind its cycle table.
+    table: Option<Arc<CycleTable>>,
     job: Option<ActiveJob>,
     /// Queued jobs: `(release, parameters)`.
     backlog: VecDeque<(u64, JobParams)>,
@@ -440,8 +493,19 @@ struct Slot {
 
 /// The engine only schedules a slot that holds a program and a job.
 impl Slot {
+    /// The program with its cycle table, and the job, borrowed side by
+    /// side (no reference count moves on the per-instruction path).
+    fn scheduled(&mut self) -> (&CycleTable, &mut ActiveJob) {
+        (
+            self.table.as_deref().expect("scheduled slot has a program"),
+            self.job.as_mut().expect("scheduled slot has a job"),
+        )
+    }
+
+    /// A handle on the program that outlives a borrow of the engine, for
+    /// the once-per-interrupt paths.
     fn program(&self) -> Arc<Program> {
-        Arc::clone(self.program.as_ref().expect("scheduled slot has a program"))
+        Arc::clone(&self.table.as_ref().expect("scheduled slot has a program").program)
     }
 
     fn job(&self) -> &ActiveJob {
@@ -500,6 +564,70 @@ pub(crate) fn charge(cfg: &AccelConfig, program: &Program, instr: &Instr, credit
     cycles
 }
 
+/// Folds [`charge`] over the original instructions of `program` from a
+/// cold pipeline, handing `each` every `(pc, cycles)`, and returns the sum:
+/// the uncontended makespan. The one walk behind both the admission model
+/// ([`crate::analysis::predicted_span`]) and the engine's [`CycleTable`].
+pub(crate) fn fold_charges(
+    cfg: &AccelConfig,
+    program: &Program,
+    mut each: impl FnMut(usize, u64),
+) -> u64 {
+    let (mut credit, mut total) = (0, 0);
+    for (pc, instr) in program.original_instrs() {
+        let cycles = charge(cfg, program, instr, &mut credit);
+        each(pc, cycles);
+        total += cycles;
+    }
+    total
+}
+
+/// How many programs' tables an engine keeps for reloads (oldest dropped
+/// first; a slot keeps its own table alive regardless).
+const TABLES_KEPT: usize = 16;
+
+/// Prefix sums over one program's instruction stream under one
+/// [`AccelConfig`]: between two events a job's clock is a function of its
+/// pc alone, and this is that function (12 bytes per instruction). Virtual
+/// instructions weigh nothing. Read only while `dma_overlap` is off — the
+/// overlap credit depends on where the job last resumed, not on its pc.
+#[derive(Debug)]
+pub(crate) struct CycleTable {
+    program: Arc<Program>,
+    /// `cycles[pc]`: summed cost of the original instructions in `[0, pc)`.
+    cycles: Box<[u64]>,
+    /// `originals[pc]`: how many instructions in `[0, pc)` are original.
+    originals: Box<[u32]>,
+}
+
+impl CycleTable {
+    pub(crate) fn new(cfg: &AccelConfig, program: Arc<Program>) -> Self {
+        let n = program.instrs.len();
+        let mut cycles = vec![0u64; n + 1].into_boxed_slice();
+        let mut originals = vec![0u32; n + 1].into_boxed_slice();
+        fold_charges(cfg, &program, |pc, c| (cycles[pc + 1], originals[pc + 1]) = (c, 1));
+        for pc in 0..n {
+            cycles[pc + 1] += cycles[pc];
+            originals[pc + 1] += originals[pc];
+        }
+        Self { program, cycles, originals }
+    }
+
+    /// The cost of the whole program.
+    #[cfg(test)]
+    pub(crate) fn total(&self) -> u64 {
+        self.cycles[self.program.instrs.len()]
+    }
+
+    /// The first pc in `[pc0, limit]` that a job standing at `pc0` reaches
+    /// `budget` cycles or more from now (`limit` when it gets that far
+    /// sooner): every instruction before it starts inside the budget.
+    fn reach(&self, pc0: usize, limit: usize, budget: u64) -> usize {
+        let base = self.cycles[pc0];
+        pc0 + self.cycles[pc0..limit].partition_point(|&c| c - base < budget)
+    }
+}
+
 /// The accelerator engine: four priority task slots in front of one
 /// datapath (see the module-level documentation at the top of this file).
 #[derive(Debug)]
@@ -517,9 +645,10 @@ pub struct Engine<B: Backend> {
     events: Vec<Event>,
     interrupts: Vec<InterruptEvent>,
     completed: Vec<JobRecord>,
-    profile: Option<Profile>,
-    out: TraceOut,
-    counters: ObsCounters,
+    obs: Observers,
+    /// The cycle tables of the programs loaded so far, found again by
+    /// `Arc::ptr_eq`: a reload is a lookup, never a rebuild.
+    tables: Vec<Arc<CycleTable>>,
     /// Runtime-gated host self-profiling (wall clock; never feeds
     /// deterministic outputs).
     host_prof: Option<HostProf>,
@@ -541,9 +670,12 @@ impl<B: Backend> Engine<B> {
             events: Vec::new(),
             interrupts: Vec::new(),
             completed: Vec::new(),
-            profile: None,
-            out: TraceOut { tracer: Tracer::disabled(), core: NO_CORE },
-            counters: ObsCounters::default(),
+            obs: Observers {
+                counters: ObsCounters::default(),
+                profile: None,
+                out: TraceOut { tracer: Tracer::disabled(), core: NO_CORE },
+            },
+            tables: Vec::new(),
             host_prof: None,
         }
     }
@@ -551,7 +683,7 @@ impl<B: Backend> Engine<B> {
     /// Sets the core id stamped on spans this engine emits (a pool sets
     /// each core's engine once at construction).
     pub fn set_span_core(&mut self, core: u32) {
-        self.out.core = core;
+        self.obs.out.core = core;
     }
 
     /// Installs (or removes) the host self-profiler. Profiling costs one
@@ -568,8 +700,8 @@ impl<B: Backend> Engine<B> {
     /// [`TraceEvent::EngineMeta`] naming the interrupt strategy and clock,
     /// so recorded traces are self-describing for the analysis layer.
     pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.out.tracer = tracer;
-        self.out.tracer.emit(|| TraceEvent::EngineMeta {
+        self.obs.out.tracer = tracer;
+        self.obs.out.tracer.emit(|| TraceEvent::EngineMeta {
             cycle: self.now,
             strategy: self.strategy.to_string(),
             clock_hz: self.cfg.clock_hz,
@@ -579,7 +711,7 @@ impl<B: Backend> Engine<B> {
     /// The installed tracer.
     #[must_use]
     pub fn tracer(&self) -> &Tracer {
-        &self.out.tracer
+        &self.obs.out.tracer
     }
 
     /// A deterministic metrics snapshot of everything observed so far.
@@ -589,10 +721,10 @@ impl<B: Backend> Engine<B> {
     pub fn metrics(&self) -> Metrics {
         let mut m = Metrics::new();
         m.inc("engine.cycles", self.now);
-        m.inc("engine.instrs.retired", self.counters.instrs_retired);
-        m.inc("engine.instrs.vi_materialized", self.counters.vis_materialized);
-        m.inc("engine.saves.patched", self.counters.saves_patched);
-        m.inc("engine.saves.elided", self.counters.saves_elided);
+        m.inc("engine.instrs.retired", self.obs.counters.instrs_retired);
+        m.inc("engine.instrs.vi_materialized", self.obs.counters.vis_materialized);
+        m.inc("engine.saves.patched", self.obs.counters.saves_patched);
+        m.inc("engine.saves.elided", self.obs.counters.saves_elided);
         m.inc("engine.jobs.completed", self.completed.len() as u64);
         m.inc(
             "engine.jobs.preempted",
@@ -618,7 +750,7 @@ impl<B: Backend> Engine<B> {
     /// Enables or disables per-layer/per-opcode cycle attribution (small
     /// per-instruction overhead; off by default).
     pub fn set_profiling(&mut self, enabled: bool) {
-        self.profile = if enabled { Some(Profile::default()) } else { None };
+        self.obs.profile = if enabled { Some(Profile::default()) } else { None };
     }
 
     /// The configuration in use.
@@ -695,14 +827,25 @@ impl<B: Backend> Engine<B> {
             return Err(SimError::Engine(format!("{slot} has a job in flight")));
         }
         let program = program.into();
+        if s.table.as_ref().is_some_and(|t| Arc::ptr_eq(&t.program, &program)) {
+            return Ok(());
+        }
+        let known = self.tables.iter().find(|t| Arc::ptr_eq(&t.program, &program));
+        s.table = Some(match known {
+            Some(table) => Arc::clone(table),
+            None => {
+                let table = Arc::new(CycleTable::new(&self.cfg, program));
+                if self.tables.len() == TABLES_KEPT {
+                    self.tables.remove(0);
+                }
+                self.tables.push(Arc::clone(&table));
+                table
+            }
+        });
         // A same-slot reload keeps ownership, so the backend's on_switch
         // clear never fires — it must invalidate the slot's staged
         // buffers here or the new program would read the old one's.
-        let reloaded = s.program.as_ref().is_none_or(|p| !Arc::ptr_eq(p, &program));
-        s.program = Some(program);
-        if reloaded {
-            self.backend.on_load(slot);
-        }
+        self.backend.on_load(slot);
         Ok(())
     }
 
@@ -711,7 +854,7 @@ impl<B: Backend> Engine<B> {
     /// rebinds).
     #[must_use]
     pub fn loaded_program(&self, slot: TaskSlot) -> Option<&Arc<Program>> {
-        self.slots[slot.index()].program.as_ref()
+        self.slots[slot.index()].table.as_ref().map(|t| &t.program)
     }
 
     /// State of a slot.
@@ -778,7 +921,7 @@ impl<B: Backend> Engine<B> {
         output_offset: u64,
         tag: Option<u64>,
     ) -> Result<(), SimError> {
-        if self.slots[slot.index()].program.is_none() {
+        if self.slots[slot.index()].table.is_none() {
             return Err(SimError::EmptySlot(slot));
         }
         let params = JobParams { input_offset, output_offset, tag };
@@ -800,27 +943,12 @@ impl<B: Backend> Engine<B> {
                 st.backlog.push_back((t, params));
             }
             self.events.push(Event::Submitted { cycle: t, slot });
-            self.out.tracer.emit(|| TraceEvent::JobReleased { cycle: t, slot });
+            self.obs.out.tracer.emit(|| TraceEvent::JobReleased { cycle: t, slot });
         }
     }
 
     fn best_ready(&self) -> Option<TaskSlot> {
         TaskSlot::all().find(|s| self.slots[s.index()].job.is_some())
-    }
-
-    /// Records one retired instruction: the retired counter and the
-    /// `InstrRetired` event (an elided SAVE retires nothing) and the
-    /// profile charge. Stepping and the Tier-1 batch commit both account
-    /// through here, which is what keeps the two tiers' observables equal.
-    fn retire(&mut self, slot: TaskSlot, instr: &Instr, start: u64, cycles: u64, elided: bool) {
-        if !elided {
-            self.counters.instrs_retired += 1;
-            let (op, layer) = (instr.op, instr.layer);
-            self.out.tracer.emit(|| TraceEvent::InstrRetired { start, cycles, slot, op, layer });
-        }
-        if let Some(p) = self.profile.as_mut() {
-            p.charge(slot, instr, cycles);
-        }
     }
 
     /// Executes one virtual instruction of a taken interrupt (a `t2`
@@ -835,10 +963,10 @@ impl<B: Backend> Engine<B> {
     ) -> Result<u64, SimError> {
         self.backend.execute(slot, program, vi)?;
         let cycles = instr_cycles(&self.cfg, program.layer_of(vi), vi);
-        self.counters.vis_materialized += 1;
+        self.obs.counters.vis_materialized += 1;
         let (op, layer) = (vi.op, vi.layer);
-        self.out.tracer.emit(|| TraceEvent::ViMaterialized { start, cycles, slot, op, layer });
-        if let Some(p) = self.profile.as_mut() {
+        self.obs.out.tracer.emit(|| TraceEvent::ViMaterialized { start, cycles, slot, op, layer });
+        if let Some(p) = self.obs.profile.as_mut() {
             p.charge(slot, vi, cycles);
         }
         Ok(cycles)
@@ -848,9 +976,12 @@ impl<B: Backend> Engine<B> {
     /// instructions are skipped for free, SAVE patches applied), advancing
     /// the clock. Returns `true` when the job's stream is exhausted.
     fn exec_step(&mut self, slot: TaskSlot) -> Result<bool, SimError> {
-        let program = self.slots[slot.index()].program();
-        let job = self.slots[slot.index()].job_mut();
-        job.pc = next_original(&program, job.pc);
+        #[cfg(test)]
+        tests::count(|c| c.steps += 1);
+        let Self { slots, backend, cfg, now, obs, .. } = self;
+        let (table, job) = slots[slot.index()].scheduled();
+        let program = &*table.program;
+        job.pc = next_original(program, job.pc);
         let Some(&(mut instr)) = program.instrs.get(job.pc) else {
             return Ok(true);
         };
@@ -872,117 +1003,124 @@ impl<B: Backend> Engine<B> {
                     instr.ddr.addr += u64::from(cut) * plane;
                     instr.ddr.bytes -= cut * u32::from(instr.tile.rows) * meta.out_shape.w;
                 }
-                self.counters.saves_patched += 1;
-                self.counters.saves_elided += u64::from(elided);
-                let (cycle, save_id) = (self.now, instr.save_id);
-                self.out.tracer.emit(|| TraceEvent::SavePatched { cycle, slot, save_id, elided });
+                obs.counters.saves_patched += 1;
+                obs.counters.saves_elided += u64::from(elided);
+                let (cycle, save_id) = (*now, instr.save_id);
+                obs.out.tracer.emit(|| TraceEvent::SavePatched { cycle, slot, save_id, elided });
             }
         }
-        apply_job_offsets(&program, job.params, &mut instr);
+        apply_job_offsets(program, job.params, &mut instr);
         let cycles = if elided {
             0
         } else {
-            self.backend.execute(slot, &program, &instr)?;
-            charge(&self.cfg, &program, &instr, &mut job.dma_credit)
+            backend.execute(slot, program, &instr)?;
+            charge(cfg, program, &instr, &mut job.dma_credit)
         };
-        let start = self.now;
-        self.now += cycles;
-        self.retire(slot, &instr, start, cycles, elided);
-        let job = self.slots[slot.index()].job_mut();
+        let start = *now;
+        *now += cycles;
+        obs.retire(slot, &instr, start, cycles, elided);
         job.busy_cycles += cycles;
         job.pc += 1;
-        if let Some(tag) = job.params.tag {
-            job.spans.layer_open.get_or_insert((instr.layer, start));
-            // The Layer span closes at the layer's last retiring
-            // instruction (peeking past free virtual groups), so the
-            // emission position matches a Tier-1 committed batch.
-            let next = program.instrs.get(next_original(&program, job.pc));
-            if next.is_none_or(|i| i.layer != instr.layer) {
-                job.spans.close_layer(&self.out, tag, self.now);
-            }
-        }
+        job.ran_layer(&obs.out, program, instr.layer, start..*now);
         Ok(job.pc >= program.instrs.len())
     }
 
-    /// Attempts to retire the whole layer at the victim's pc as one fused
-    /// Tier-1 span (see DESIGN.md §5.6).
+    /// Attempts to advance the running job by one *span commit*: every
+    /// original instruction that starts before `barrier` (the deadline or
+    /// the earliest pending arrival; the caller holds `now < barrier`), as
+    /// far as the backend's [`SpanSupport`] reaches — to the barrier for a
+    /// timing-only job, through one whole layer from its first instruction
+    /// for a trace-compiled one (DESIGN.md §5.6).
     ///
     /// Returns `Ok(None)` to fall back to [`Engine::exec_step`] — always
-    /// safe — and `Ok(Some(done))` after a committed batch. The dry run
-    /// prices every instruction with the [`charge`] stepping uses and the
-    /// commit records it with the same [`Engine::retire`], so clock, trace,
-    /// profile and DMA-overlap credit equal stepping the span. A batch is
-    /// attempted only when stepping the span could not observe an
-    /// intervening event: the pc sits exactly at a layer start with no
-    /// pending SAVE patches, and every instruction would start before the
-    /// deadline and before the earliest pending arrival.
-    fn try_exec_layer(&mut self, slot: TaskSlot, deadline: u64) -> Result<Option<bool>, SimError> {
-        if !self.backend.supports_spans() {
+    /// safe — and `Ok(Some(done))` after a commit, which leaves clock, pc,
+    /// counters, trace, profile and DMA-overlap credit exactly where
+    /// stepping the span would: a span never crosses a pending SAVE patch,
+    /// and none of its instructions starts at or after the barrier. Its
+    /// clock comes off the slot's [`CycleTable`] in O(log n). Where cost is
+    /// not a function of the pc (`dma_overlap`) or someone wants each
+    /// instruction (a profile, a per-instruction tracer), a layer is priced
+    /// and retired by one walk over [`charge`] instead, and a timing-only
+    /// job — like a tagged one, which owes Layer spans — is left to
+    /// `exec_step`.
+    fn try_span(&mut self, slot: TaskSlot, barrier: u64) -> Result<Option<bool>, SimError> {
+        let Self { slots, backend, cfg, now, obs, .. } = self;
+        let support = backend.supports_spans();
+        let (table, job) = slots[slot.index()].scheduled();
+        // Stepping applies SAVE patches instruction by instruction; never
+        // span across pending ones.
+        if support == SpanSupport::None || !job.flushed.is_empty() {
             return Ok(None);
         }
-        let program = self.slots[slot.index()].program();
-        let job = self.slots[slot.index()].job();
-        if !job.flushed.is_empty() {
-            // Stepping applies SAVE patches instruction by instruction;
-            // never batch across pending ones.
-            return Ok(None);
-        }
-        let params = job.params;
+        let program = &*table.program;
         // Effective pc after the free virtual skip, computed without
         // mutating the job (exec_step does its own skip when we decline).
-        let pc0 = next_original(&program, job.pc);
+        let pc0 = next_original(program, job.pc);
         let Some(first) = program.instrs.get(pc0) else {
             return Ok(None);
         };
-        let range = program.layer_pc_range(first.layer);
-        if range.start != pc0 || range.end > program.instrs.len() {
-            return Ok(None); // mid-layer (e.g. resumed after a preemption)
-        }
-        // Dry-run the span's timing. The first step starts at `self.now`,
-        // which the caller already checked against deadline and arrivals.
-        let barrier = deadline.min(self.arrivals.peek().map_or(u64::MAX, |&Reverse((t, ..))| t));
-        let mut sim_now = self.now;
-        let mut credit = job.dma_credit;
-        let mut steps: Vec<(usize, u64, u64)> = Vec::new(); // (pc, start, cycles)
-        for pc in range.clone() {
-            let instr = &program.instrs[pc];
-            if instr.op.is_virtual() {
-                continue;
+        let walk = cfg.dma_overlap || obs.per_instr();
+        let whole_layer = support == SpanSupport::Layer;
+        let limit = if whole_layer {
+            let range = program.layer_pc_range(first.layer);
+            if range.start != pc0 || range.end > program.instrs.len() {
+                return Ok(None); // mid-layer (e.g. resumed after a preemption)
             }
-            if !steps.is_empty() && sim_now >= barrier {
-                return Ok(None);
-            }
-            let cycles = charge(&self.cfg, &program, instr, &mut credit);
-            steps.push((pc, sim_now, cycles));
-            sim_now += cycles;
-        }
-        let Some(&(last_original, ..)) = steps.last() else {
+            range.end
+        } else if walk || job.params.tag.is_some() {
             return Ok(None);
+        } else {
+            program.instrs.len()
         };
-        let (in_off, out_off) = (params.input_offset, params.output_offset);
-        if !self.backend.execute_span(slot, &program, range, in_off, out_off)? {
+        let originals = || program.instrs[pc0..limit].iter().filter(|i| !i.op.is_virtual());
+        // `reached`: the first pc of the span that would start at or after
+        // the barrier (the first instruction starts at `now`, before it).
+        let budget = barrier - *now;
+        let reached = if walk {
+            let (mut t, mut credit) = (0, job.dma_credit);
+            for instr in originals() {
+                if t >= budget {
+                    return Ok(None);
+                }
+                t += charge(cfg, program, instr, &mut credit);
+            }
+            limit
+        } else {
+            table.reach(pc0, limit, budget)
+        };
+        // Land right after the last original instruction before it, where
+        // stepping stands: a trailing virtual group is the next step's to
+        // skip (or an arriving interrupt's to take).
+        let mut end = reached;
+        while program.instrs[end - 1].op.is_virtual() {
+            end -= 1;
+        }
+        let range = if whole_layer {
+            if table.originals[end] != table.originals[limit] {
+                return Ok(None); // an arrival or the deadline could land mid-layer
+            }
+            pc0..limit
+        } else {
+            pc0..end
+        };
+        let (in_off, out_off) = (job.params.input_offset, job.params.output_offset);
+        if !backend.execute_span(slot, program, range, in_off, out_off)? {
             return Ok(None);
         }
-        // Commit each dry-run step through the `retire` stepping uses.
-        for &(pc, start, cycles) in &steps {
-            self.retire(slot, &program.instrs[pc], start, cycles, false);
+        let start = *now;
+        if walk {
+            for instr in originals() {
+                let cycles = charge(cfg, program, instr, &mut job.dma_credit);
+                obs.retire(slot, instr, *now, cycles, false);
+                *now += cycles;
+            }
+        } else {
+            *now += table.cycles[end] - table.cycles[pc0];
+            obs.counters.instrs_retired += u64::from(table.originals[end] - table.originals[pc0]);
         }
-        let batch_start = self.now;
-        self.now = sim_now;
-        let job = self.slots[slot.index()].job_mut();
-        job.busy_cycles += sim_now - batch_start;
-        job.dma_credit = credit;
-        // Trailing virtual groups are skipped for free by the next step,
-        // exactly as stepping would after its last original instruction.
-        job.pc = last_original + 1;
-        if let Some(tag) = job.params.tag {
-            // Same stream position as stepping: the Layer span follows
-            // the layer's last InstrRetired (batching never starts
-            // mid-layer, so no span is open here).
-            debug_assert!(job.spans.layer_open.is_none());
-            job.spans.layer_open = Some((first.layer, batch_start));
-            job.spans.close_layer(&self.out, tag, sim_now);
-        }
+        job.busy_cycles += *now - start;
+        job.pc = end;
+        job.ran_layer(&obs.out, program, first.layer, start..*now);
         Ok(Some(job.pc >= program.instrs.len()))
     }
 
@@ -1002,11 +1140,16 @@ impl<B: Backend> Engine<B> {
         if let Some(tag) = job.params.tag {
             // Close the job's open spans at the completion cycle (a
             // VI point that closes the program can leave a layer open).
-            job.spans.close_layer(&self.out, tag, self.now);
-            job.spans.close_exec(&self.out, tag, slot, self.now);
+            job.spans.close_layer(&self.obs.out, tag, self.now);
+            job.spans.close_exec(&self.obs.out, tag, slot, self.now);
         }
         let (cycle, busy_cycles, preemptions) = (self.now, job.busy_cycles, job.preemptions);
-        self.out.tracer.emit(|| TraceEvent::JobFinished { cycle, slot, busy_cycles, preemptions });
+        self.obs.out.tracer.emit(|| TraceEvent::JobFinished {
+            cycle,
+            slot,
+            busy_cycles,
+            preemptions,
+        });
         if let Some((release, params)) = s.backlog.pop_front() {
             s.job = Some(ActiveJob::new(release, params));
         } else if s.auto_resubmit {
@@ -1014,7 +1157,7 @@ impl<B: Backend> Engine<B> {
             // new job is a fresh, untagged release).
             s.job = Some(ActiveJob::new(cycle, JobParams { tag: None, ..job.params }));
             self.events.push(Event::Submitted { cycle, slot });
-            self.out.tracer.emit(|| TraceEvent::JobReleased { cycle, slot });
+            self.obs.out.tracer.emit(|| TraceEvent::JobReleased { cycle, slot });
         }
         if self.running == Some(slot) {
             self.running = None;
@@ -1030,7 +1173,7 @@ impl<B: Backend> Engine<B> {
             job.start = Some(self.now);
             self.events.push(Event::Started { cycle: self.now, slot });
             let cycle = self.now;
-            self.out.tracer.emit(|| TraceEvent::JobStarted { cycle, slot });
+            self.obs.out.tracer.emit(|| TraceEvent::JobStarted { cycle, slot });
         }
         if job.preempted {
             let restore_start = self.now;
@@ -1050,7 +1193,7 @@ impl<B: Backend> Engine<B> {
                 t4 += self.materialize(slot, &program, l, restore_start + t4)?;
             }
             self.now += t4;
-            if let Some(p) = self.profile.as_mut() {
+            if let Some(p) = self.obs.profile.as_mut() {
                 p.interrupt_overhead += t4;
             }
             self.slots[slot.index()].job_mut().extra_cost_cycles += t4;
@@ -1059,13 +1202,13 @@ impl<B: Backend> Engine<B> {
                 self.interrupts[idx].resumed_at = Some(self.now);
             }
             self.events.push(Event::Resumed { cycle: self.now, slot });
-            self.out.tracer.emit(|| TraceEvent::Resumed { slot, restore_start, t4 });
+            self.obs.out.tracer.emit(|| TraceEvent::Resumed { slot, restore_start, t4 });
         }
         // Close the request's pending Preempted span and open its next
         // Exec segment at the cycle execution actually (re)starts.
         let job = self.slots[slot.index()].job_mut();
         if let Some(tag) = job.params.tag {
-            job.spans.dispatched(&self.out, tag, self.now);
+            job.spans.dispatched(&self.obs.out, tag, self.now);
         }
         self.running = Some(slot);
         Ok(())
@@ -1194,7 +1337,7 @@ impl<B: Backend> Engine<B> {
             return Ok(());
         }
 
-        if let Some(p) = self.profile.as_mut() {
+        if let Some(p) = self.obs.profile.as_mut() {
             p.interrupt_overhead += t2;
         }
         // The victim stops executing where t1 ended; backup (t2) counts as
@@ -1206,14 +1349,21 @@ impl<B: Backend> Engine<B> {
         job.extra_cost_cycles += t2;
         job.last_interrupt = Some(self.interrupts.len());
         if let Some(tag) = job.params.tag {
-            job.spans.close_layer(&self.out, tag, pause);
-            job.spans.close_exec(&self.out, tag, victim, pause);
+            job.spans.close_layer(&self.obs.out, tag, pause);
+            job.spans.close_exec(&self.obs.out, tag, victim, pause);
             job.spans.preempt_pause = Some(pause);
         }
         self.interrupts.push(probe);
         self.events.push(Event::Preempted { cycle: self.now, slot: victim, by: winner });
         let request = request_cycle;
-        self.out.tracer.emit(|| TraceEvent::Preempted { victim, winner, layer, request, t1, t2 });
+        self.obs.out.tracer.emit(|| TraceEvent::Preempted {
+            victim,
+            winner,
+            layer,
+            request,
+            t1,
+            t2,
+        });
         self.running = None;
         Ok(())
     }
@@ -1244,6 +1394,8 @@ impl<B: Backend> Engine<B> {
     fn run_inner(&mut self, deadline: u64, stop_on_complete: bool) -> Result<bool, SimError> {
         let completed_base = self.completed.len();
         loop {
+            #[cfg(test)]
+            tests::count(|c| c.iterations += 1);
             if stop_on_complete && self.completed.len() > completed_base {
                 return Ok(true);
             }
@@ -1271,13 +1423,14 @@ impl<B: Backend> Engine<B> {
                     let prof = self.host_prof.clone();
                     let t0 = prof.as_ref().map(|_| std::time::Instant::now());
                     let cyc0 = self.now;
-                    let batched = self.try_exec_layer(r, deadline)?;
-                    let done = match batched {
+                    let arrival = self.arrivals.peek().map_or(u64::MAX, |&Reverse((t, ..))| t);
+                    let spanned = self.try_span(r, deadline.min(arrival))?;
+                    let done = match spanned {
                         Some(done) => done,
                         None => self.exec_step(r)?,
                     };
                     if let (Some(p), Some(t0)) = (prof.as_ref(), t0) {
-                        let comp = if batched.is_some() {
+                        let comp = if spanned.is_some() {
                             HostComponent::Tier1Batch
                         } else {
                             HostComponent::EngineStep
@@ -1310,7 +1463,7 @@ impl<B: Backend> Engine<B> {
             interrupts: self.interrupts.clone(),
             completed_jobs: self.completed.clone(),
             final_cycle: self.now,
-            profile: self.profile.clone(),
+            profile: self.obs.profile.clone(),
         }
     }
 }
@@ -1321,6 +1474,27 @@ mod tests {
     use crate::TimingBackend;
     use inca_compiler::Compiler;
     use inca_model::{zoo, Shape3};
+
+    /// What the engine did on this thread, counted rather than timed.
+    #[derive(Debug, Clone, Copy, Default)]
+    pub(super) struct Counts {
+        /// Iterations of `run_inner`'s loop.
+        pub iterations: u64,
+        /// Calls of `exec_step` (from the loop and from `t1` drains).
+        pub steps: u64,
+    }
+
+    thread_local! {
+        static COUNTS: std::cell::Cell<Counts> = const { std::cell::Cell::new(Counts { iterations: 0, steps: 0 }) };
+    }
+
+    pub(super) fn count(bump: impl FnOnce(&mut Counts)) {
+        COUNTS.with(|c| {
+            let mut counts = c.get();
+            bump(&mut counts);
+            c.set(counts);
+        });
+    }
 
     fn engine(strategy: InterruptStrategy) -> Engine<TimingBackend> {
         Engine::new(AccelConfig::paper_big(), strategy, TimingBackend::new())
@@ -1533,6 +1707,93 @@ mod tests {
         assert!(occ[lo.index()].len() >= 2);
         assert_eq!(occ[hi.index()].len(), 1);
         assert!(occ[0].is_empty() && occ[2].is_empty());
+    }
+
+    /// Runs `f` and returns what the engine counted on this thread meanwhile.
+    fn counted(f: impl FnOnce()) -> Counts {
+        COUNTS.with(|c| c.set(Counts::default()));
+        f();
+        COUNTS.with(std::cell::Cell::get)
+    }
+
+    fn gem_resnet101_120x160() -> Arc<Program> {
+        let c = Compiler::new(AccelConfig::paper_big().arch);
+        Arc::new(c.compile_vi(&zoo::gem_resnet101(Shape3::new(3, 120, 160)).unwrap()).unwrap())
+    }
+
+    /// Counted, not timed: an uncontended GeM/ResNet101 120×160 job is one
+    /// span commit. Before the cycle table `run_inner` went round once per
+    /// original instruction — 236 988 iterations for this program.
+    #[test]
+    fn solo_run_takes_a_handful_of_loop_iterations() {
+        let program = gem_resnet101_120x160();
+        let originals = program.original_instrs().count() as u64;
+        assert!(originals > 200_000, "{originals}");
+        let mut e = engine(InterruptStrategy::VirtualInstruction);
+        e.load(TaskSlot::LOWEST, Arc::clone(&program)).unwrap();
+        e.request_at(100, TaskSlot::LOWEST).unwrap();
+        let counts = counted(|| {
+            e.run_until(u64::MAX).unwrap();
+        });
+        assert_eq!(e.metrics().counter("engine.instrs.retired"), originals);
+        assert!(counts.iterations <= 8, "{counts:?}");
+        assert_eq!(counts.steps, 0, "{counts:?}");
+    }
+
+    /// The same job preempted by a `tiny` requester every frame period:
+    /// the loop goes round a bounded number of times per scheduling event
+    /// (arrival, completion) plus once per instruction that has to be
+    /// stepped — `t1` drains to the interrupt point and the instructions
+    /// under pending SAVE patches after a resume — and those are a sliver
+    /// of the program. The per-instruction engine took one iteration per
+    /// original instruction here too (236 988 + the requester's).
+    #[test]
+    fn preempted_run_iterates_per_event_not_per_instruction() {
+        let program = gem_resnet101_120x160();
+        let originals = program.original_instrs().count() as u64;
+        let (hi, lo) = (TaskSlot::new(1).unwrap(), TaskSlot::LOWEST);
+        let mut e = engine(InterruptStrategy::VirtualInstruction);
+        e.load(lo, Arc::clone(&program)).unwrap();
+        e.load(hi, tiny_vi()).unwrap();
+        e.request_at(0, lo).unwrap();
+        let period = e.config().us_to_cycles(50_000.0 / 16.0);
+        let span = crate::analysis::predicted_span(e.config(), &program);
+        let arrivals = span / period;
+        assert!(arrivals >= 8, "the requester must fire often: {arrivals}");
+        for k in 1..=arrivals {
+            e.request_at(k * period, hi).unwrap();
+        }
+        let counts = counted(|| {
+            e.run_until(u64::MAX).unwrap();
+        });
+        let report = e.report();
+        assert_eq!(report.completed_jobs.len() as u64, arrivals + 1);
+        assert_eq!(report.interrupts.len() as u64, arrivals);
+        let events = arrivals + report.completed_jobs.len() as u64;
+        assert!(counts.iterations <= 4 * events + counts.steps, "{counts:?} for {events} events");
+        assert!(counts.steps < originals / 20, "{counts:?}: stepping {originals} instructions");
+    }
+
+    /// A reload finds the program's table by `Arc::ptr_eq` instead of
+    /// rebuilding it, and an engine fed ever new programs lets the oldest
+    /// tables (and the programs they hold) go.
+    #[test]
+    fn reload_is_a_table_lookup_and_old_tables_age_out() {
+        let mut e = engine(InterruptStrategy::VirtualInstruction);
+        let slot = TaskSlot::LOWEST;
+        let programs: Vec<Arc<Program>> =
+            (0..TABLES_KEPT + 2).map(|_| Arc::new(tiny_vi())).collect();
+        for p in [&programs[0], &programs[1], &programs[0]] {
+            e.load(slot, Arc::clone(p)).unwrap();
+        }
+        assert_eq!(e.tables.len(), 2);
+        assert!(Arc::ptr_eq(e.slots[slot.index()].table.as_ref().unwrap(), &e.tables[0]));
+        for p in &programs {
+            e.load(slot, Arc::clone(p)).unwrap();
+        }
+        assert_eq!(e.tables.len(), TABLES_KEPT);
+        assert_eq!(Arc::strong_count(&programs[0]), 1, "evicted and not in the slot");
+        assert_eq!(Arc::strong_count(programs.last().unwrap()), 2, "held by its table");
     }
 
     #[test]

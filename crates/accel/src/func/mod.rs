@@ -35,7 +35,7 @@ use inca_isa::{
 };
 use inca_obs::Metrics;
 
-use crate::{Backend, SimError};
+use crate::{Backend, SimError, SpanSupport};
 use stage::Stage;
 use tier1::Tier1State;
 
@@ -493,6 +493,13 @@ impl FuncBackend {
         m
     }
 
+    /// Whether whole layers run as one fused Tier-1 pass. The reference
+    /// kernel is the measurement baseline and proptest oracle; batching
+    /// under it would defeat both.
+    fn fuses_layers(&self) -> bool {
+        self.tier == ExecTier::Tier1 && self.kernel == CalcKernel::Fast
+    }
+
     /// Runs every original instruction of `program` once on `slot`,
     /// engine-free (no timing, no interrupts) — batching whole layers
     /// through Tier-1 when selected, stepping the rest.
@@ -509,7 +516,7 @@ impl FuncBackend {
                 pc += 1;
                 continue;
             }
-            if self.supports_spans() {
+            if self.fuses_layers() {
                 let range = program.layer_pc_range(instr.layer);
                 if range.start == pc && self.execute_span(slot, program, range.clone(), 0, 0)? {
                     pc = range.end;
@@ -777,10 +784,12 @@ impl Backend for FuncBackend {
         Ok(())
     }
 
-    fn supports_spans(&self) -> bool {
-        // The reference kernel is the measurement baseline and proptest
-        // oracle; batching under it would defeat both.
-        self.tier == ExecTier::Tier1 && self.kernel == CalcKernel::Fast
+    fn supports_spans(&self) -> SpanSupport {
+        if self.fuses_layers() {
+            SpanSupport::Layer
+        } else {
+            SpanSupport::None
+        }
     }
 
     fn execute_span(
@@ -791,7 +800,7 @@ impl Backend for FuncBackend {
         input_offset: u64,
         output_offset: u64,
     ) -> Result<bool, SimError> {
-        if !self.supports_spans() || span.is_empty() {
+        if !self.fuses_layers() || span.is_empty() {
             return Ok(false);
         }
         let layer = program.instrs[span.start].layer;

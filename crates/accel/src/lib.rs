@@ -64,7 +64,7 @@ pub mod energy;
 pub mod event;
 pub mod resources;
 
-pub use backend::{Backend, SimError, TimingBackend};
+pub use backend::{Backend, SimError, SpanSupport, Stepped, TimingBackend};
 pub use config::AccelConfig;
 pub use cost::instr_cycles;
 pub use engine::{

@@ -581,8 +581,7 @@ impl Mission {
         // is meant to retain, so mission traces keep everything else.
         let recorder = |cap: Option<usize>| match cap {
             Some(c) => {
-                let (tracer, buffer) =
-                    Tracer::ring_filtered(c, |e| !matches!(e, TraceEvent::InstrRetired { .. }));
+                let (tracer, buffer) = Tracer::ring_coarse(c);
                 (tracer, Some(buffer))
             }
             None => (Tracer::disabled(), None),

@@ -26,9 +26,12 @@ use crate::metrics::Metrics;
 /// A simulator component host time is attributed to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HostComponent {
-    /// Tier-0 per-instruction stepping in `Engine::run`.
+    /// Per-instruction stepping (`Engine::exec_step` from the run loop).
     EngineStep,
-    /// Tier-1 trace-compiled layer batches (`Engine::try_exec_layer`).
+    /// Span commits (`Engine::try_span`): Tier-1 trace-compiled layer
+    /// batches of the functional backend and the timing backend's jumps to
+    /// the next event alike. The name and its `tier1_batch` metric key
+    /// predate the latter and stay: committed baselines carry the key.
     Tier1Batch,
     /// The admission scheduler's `pump` (queue ranking + slot binding).
     Sched,

@@ -310,20 +310,6 @@ impl TraceSink for RingSink {
     }
 }
 
-/// Forwards events passing a predicate to an inner [`RingSink`].
-struct FilterSink {
-    keep: Box<dyn Fn(&TraceEvent) -> bool + Send + Sync>,
-    inner: Arc<RingSink>,
-}
-
-impl TraceSink for FilterSink {
-    fn record(&self, event: TraceEvent) {
-        if (self.keep)(&event) {
-            self.inner.record(event);
-        }
-    }
-}
-
 /// Read side of a [`Tracer::ring`] pair.
 #[derive(Clone)]
 pub struct TraceBuffer {
@@ -376,13 +362,15 @@ impl std::fmt::Debug for TraceBuffer {
 #[derive(Clone, Default)]
 pub struct Tracer {
     inner: Option<Arc<dyn TraceSink>>,
+    /// Declines per-instruction events ([`Tracer::ring_coarse`]).
+    coarse: bool,
 }
 
 impl Tracer {
     /// A tracer that records nothing (the default).
     #[must_use]
     pub fn disabled() -> Self {
-        Self { inner: None }
+        Self::default()
     }
 
     /// A tracer backed by a [`RingSink`] of `capacity` events, plus the
@@ -390,29 +378,24 @@ impl Tracer {
     #[must_use]
     pub fn ring(capacity: usize) -> (Self, TraceBuffer) {
         let ring = Arc::new(RingSink::new(capacity));
-        (Self { inner: Some(Arc::clone(&ring) as Arc<dyn TraceSink>) }, TraceBuffer { ring })
+        let inner = Some(Arc::clone(&ring) as Arc<dyn TraceSink>);
+        (Self { inner, coarse: false }, TraceBuffer { ring })
     }
 
-    /// Like [`Tracer::ring`], but only events for which `keep` returns
-    /// `true` reach the ring. Use this to keep high-rate event classes
-    /// (e.g. [`TraceEvent::InstrRetired`], one per instruction) from
-    /// evicting the sparse scheduling events a bounded ring is meant to
-    /// retain.
+    /// Like [`Tracer::ring`], but the tracer declines per-instruction
+    /// events ([`Tracer::per_instr`] is `false`), so
+    /// [`TraceEvent::InstrRetired`] — one per instruction — neither evicts
+    /// the sparse scheduling events a bounded ring is meant to retain nor
+    /// gets built in the first place.
     #[must_use]
-    pub fn ring_filtered(
-        capacity: usize,
-        keep: impl Fn(&TraceEvent) -> bool + Send + Sync + 'static,
-    ) -> (Self, TraceBuffer) {
-        let ring = Arc::new(RingSink::new(capacity));
-        let tracer = Self {
-            inner: Some(Arc::new(FilterSink { keep: Box::new(keep), inner: Arc::clone(&ring) })),
-        };
-        (tracer, TraceBuffer { ring })
+    pub fn ring_coarse(capacity: usize) -> (Self, TraceBuffer) {
+        let (tracer, buffer) = Self::ring(capacity);
+        (Self { coarse: true, ..tracer }, buffer)
     }
 
     /// A tracer forwarding to a custom sink.
     pub fn with_sink(sink: impl TraceSink + 'static) -> Self {
-        Self { inner: Some(Arc::new(sink)) }
+        Self { inner: Some(Arc::new(sink)), coarse: false }
     }
 
     /// Whether events are being recorded. Instrumentation with non-trivial
@@ -423,12 +406,30 @@ impl Tracer {
         self.inner.is_some()
     }
 
+    /// Whether per-instruction events ([`Tracer::emit_instr`]) are being
+    /// recorded. An engine may advance a job by whole spans of
+    /// instructions only while this is `false`.
+    #[inline]
+    #[must_use]
+    pub fn per_instr(&self) -> bool {
+        self.enabled() && !self.coarse
+    }
+
     /// Records the event produced by `make` — which is only evaluated when
     /// the tracer is enabled.
     #[inline]
     pub fn emit(&self, make: impl FnOnce() -> TraceEvent) {
         if let Some(sink) = &self.inner {
             sink.record(make());
+        }
+    }
+
+    /// [`Tracer::emit`] for an event that occurs once per instruction
+    /// ([`TraceEvent::InstrRetired`]): a coarse tracer skips it.
+    #[inline]
+    pub fn emit_instr(&self, make: impl FnOnce() -> TraceEvent) {
+        if self.per_instr() {
+            self.emit(make);
         }
     }
 }
@@ -479,6 +480,20 @@ mod tests {
         assert_eq!(events[0].cycle(), 3);
         assert_eq!(events[1].cycle(), 4);
         assert!(buf.is_empty());
+    }
+
+    #[test]
+    fn coarse_ring_declines_per_instruction_events_only() {
+        let (t, buf) = Tracer::ring_coarse(8);
+        assert!(t.enabled() && !t.per_instr());
+        t.emit_instr(|| unreachable!("a coarse tracer never builds per-instruction events"));
+        t.emit(|| TraceEvent::JobStarted { cycle: 1, slot: slot(0) });
+        assert_eq!(buf.len(), 1);
+        let (full, buf) = Tracer::ring(8);
+        assert!(full.per_instr());
+        full.emit_instr(|| TraceEvent::JobStarted { cycle: 2, slot: slot(0) });
+        assert_eq!(buf.len(), 1);
+        assert!(!Tracer::disabled().per_instr());
     }
 
     #[test]

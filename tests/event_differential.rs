@@ -8,7 +8,10 @@
 //! bench crate's canonical spans scenario. The pool scenario also takes the
 //! functional backend's execution tier as an input: root `cargo test` does
 //! not run `crates/accel/tests`, so the engine's Tier-0 ≡ Tier-1 contract
-//! (one `charge` / `retire` path, DESIGN.md §5.6) is checked here too.
+//! (one `charge` / `retire` path, DESIGN.md §5.6) is checked here too, and
+//! so is a thin smoke of `crates/accel/tests/span_differential.rs`: the
+//! timing engine's span commits against `Stepped`, its per-instruction
+//! oracle.
 //!
 //! The only permitted difference is *work*: on pools with idle cores the
 //! event engine must actually skip them ([`AdvanceStats::skips`] > 0).
@@ -354,5 +357,58 @@ fn bench_canonical_spans_scenario_is_mode_invariant() {
         assert_eq!(ev.dropped, st.dropped, "{strategy}");
         assert_eq!(ev.responses, st.responses, "{strategy}");
         assert!(ev.responses > 0 && !ev.events.is_empty(), "{strategy}: scenario is non-trivial");
+    }
+}
+
+/// Span commits ≡ per-instruction stepping (DESIGN.md §5.6, invariant 14):
+/// `Engine<TimingBackend>` jumps a job to the next event off its cycle
+/// table, `Engine<Stepped<TimingBackend>>` cannot. One net, every strategy,
+/// every observable compared after every call. The full matrix, the edge
+/// cases and the proptest live in `crates/accel/tests/span_differential.rs`.
+#[test]
+fn span_commits_match_the_stepped_oracle() {
+    use inca::accel::{Stepped, TimingBackend};
+    let net = zoo::tiny(Shape3::new(3, 32, 32)).unwrap();
+    let (hi, lo) = (TaskSlot::new(1).unwrap(), TaskSlot::new(3).unwrap());
+    for strategy in STRATEGIES {
+        let program = compile(strategy, &net);
+        let span = makespan(strategy, &program);
+        let mut spans = Engine::new(cfg(), strategy, TimingBackend::new());
+        let mut steps = Engine::new(cfg(), strategy, Stepped(TimingBackend::new()));
+        macro_rules! both {
+            (|$e:ident| $call:expr) => {{
+                let a = {
+                    let $e = &mut spans;
+                    $call
+                };
+                let b = {
+                    let $e = &mut steps;
+                    $call
+                };
+                assert_eq!(a, b, "{strategy}: `{}`", stringify!($call));
+                assert_eq!(spans.now(), steps.now(), "{strategy}: clock");
+                assert_eq!(spans.next_event(), steps.next_event(), "{strategy}: next event");
+                assert_eq!(spans.report(), steps.report(), "{strategy}: report");
+                assert_eq!(spans.metrics(), steps.metrics(), "{strategy}: metrics");
+                for slot in TaskSlot::all() {
+                    assert_eq!(spans.task_state(slot), steps.task_state(slot), "{strategy}");
+                }
+            }};
+        }
+        for slot in [hi, lo] {
+            both!(|e| e.load(slot, Arc::clone(&program)));
+        }
+        both!(|e| e.request_at(0, lo));
+        both!(|e| e.request_at(span / 3, hi));
+        both!(|e| e.request_at(span / 3, lo));
+        both!(|e| e.request_at(span, hi));
+        for deadline in [1, span / 4, span / 3, span / 3 + 1, span, 2 * span] {
+            both!(|e| e.run_until(deadline));
+            both!(|e| e.run_until_complete(deadline + span / 7));
+        }
+        both!(|e| e.run_until(u64::MAX));
+        assert_eq!(spans.report().completed_jobs.len(), 4, "{strategy}");
+        let retired = spans.metrics().counter("engine.instrs.retired");
+        assert_eq!(retired, 4 * program.original_instrs().count() as u64, "{strategy}");
     }
 }
