@@ -25,10 +25,7 @@ use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::sync::Arc;
 
 use inca_isa::{Instr, InterruptPoint, Opcode, Program, TaskSlot, TASK_SLOTS};
-use inca_obs::{
-    ascii, request_span_id, span_id, HostComponent, HostProf, Metrics, SpanStage, TraceEvent,
-    Tracer, NO_CORE,
-};
+use inca_obs::{ascii, HostComponent, Metrics, Probe, SpanStage, TraceEvent};
 
 use crate::{instr_cycles, AccelConfig, Backend, SimError, SpanSupport};
 
@@ -341,54 +338,13 @@ impl ActiveJob {
     /// instruction and closes it at the last retiring one (peeking past
     /// free virtual groups), so the emission position is the same whether
     /// the layer was stepped or committed whole.
-    fn ran_layer(
-        &mut self,
-        out: &TraceOut,
-        program: &Program,
-        layer: u16,
-        ran: std::ops::Range<u64>,
-    ) {
+    fn ran_layer(&mut self, out: &Probe, program: &Program, layer: u16, ran: std::ops::Range<u64>) {
         let Some(tag) = self.params.tag else { return };
         self.spans.layer_open.get_or_insert((layer, ran.start));
         let next = program.instrs.get(next_original(program, self.pc));
         if next.is_none_or(|i| i.layer != layer) {
             self.spans.close_layer(out, tag, ran.end);
         }
-    }
-}
-
-/// Where the engine's trace events go, and the core id stamped on its
-/// spans ([`NO_CORE`] outside a pool).
-#[derive(Debug)]
-struct TraceOut {
-    tracer: Tracer,
-    core: u32,
-}
-
-impl TraceOut {
-    /// Emits one causal span of request `tag` (no-op when disabled). The
-    /// parent is the Exec segment `parent_exec`, or the request root.
-    fn span(
-        &self,
-        tag: u64,
-        stage: SpanStage,
-        seq: u32,
-        parent_exec: Option<u32>,
-        cycles: std::ops::Range<u64>,
-        detail: u64,
-    ) {
-        let core = self.core;
-        self.tracer.emit(|| TraceEvent::Span {
-            id: span_id(tag, stage, seq),
-            parent: parent_exec
-                .map_or_else(|| request_span_id(tag), |exec| span_id(tag, SpanStage::Exec, exec)),
-            request: tag,
-            stage,
-            start: cycles.start,
-            end: cycles.end,
-            core,
-            detail,
-        });
     }
 }
 
@@ -410,7 +366,7 @@ struct JobSpans {
 impl JobSpans {
     /// Closes the open Layer span (if any) at `end`, under the open Exec
     /// segment.
-    fn close_layer(&mut self, out: &TraceOut, tag: u64, end: u64) {
+    fn close_layer(&mut self, out: &Probe, tag: u64, end: u64) {
         if let Some((layer, start)) = self.layer_open.take() {
             let parent = self.exec_open.map(|(_, seq)| seq);
             out.span(tag, SpanStage::Layer, self.layer_seq, parent, start..end, u64::from(layer));
@@ -419,7 +375,7 @@ impl JobSpans {
     }
 
     /// Closes the open Exec segment (if any) at `end`.
-    fn close_exec(&mut self, out: &TraceOut, tag: u64, slot: TaskSlot, end: u64) {
+    fn close_exec(&mut self, out: &Probe, tag: u64, slot: TaskSlot, end: u64) {
         if let Some((start, seq)) = self.exec_open.take() {
             out.span(tag, SpanStage::Exec, seq, None, start..end, slot.index() as u64);
         }
@@ -427,7 +383,7 @@ impl JobSpans {
 
     /// The job got the datapath at `now`: closes its pending Preempted
     /// span and opens the next Exec segment.
-    fn dispatched(&mut self, out: &TraceOut, tag: u64, now: u64) {
+    fn dispatched(&mut self, out: &Probe, tag: u64, now: u64) {
         if let Some(pause) = self.preempt_pause.take() {
             out.span(tag, SpanStage::Preempted, self.preempt_seq, None, pause..now, 0);
             self.preempt_seq += 1;
@@ -454,7 +410,7 @@ struct ObsCounters {
 struct Observers {
     counters: ObsCounters,
     profile: Option<Profile>,
-    out: TraceOut,
+    out: Probe,
 }
 
 impl Observers {
@@ -649,9 +605,6 @@ pub struct Engine<B: Backend> {
     /// The cycle tables of the programs loaded so far, found again by
     /// `Arc::ptr_eq`: a reload is a lookup, never a rebuild.
     tables: Vec<Arc<CycleTable>>,
-    /// Runtime-gated host self-profiling (wall clock; never feeds
-    /// deterministic outputs).
-    host_prof: Option<HostProf>,
 }
 
 impl<B: Backend> Engine<B> {
@@ -673,45 +626,27 @@ impl<B: Backend> Engine<B> {
             obs: Observers {
                 counters: ObsCounters::default(),
                 profile: None,
-                out: TraceOut { tracer: Tracer::disabled(), core: NO_CORE },
+                out: Probe::default(),
             },
             tables: Vec::new(),
-            host_prof: None,
         }
     }
 
-    /// Sets the core id stamped on spans this engine emits (a pool sets
-    /// each core's engine once at construction).
-    pub fn set_span_core(&mut self, core: u32) {
-        self.obs.out.core = core;
-    }
-
-    /// Installs (or removes) the host self-profiler. Profiling costs one
-    /// `Instant::now` pair per engine advance when installed and one
-    /// discriminant check when not; it never changes deterministic
-    /// outputs.
-    pub fn set_host_prof(&mut self, prof: Option<HostProf>) {
-        self.host_prof = prof;
-    }
-
-    /// Installs the tracer the engine emits [`TraceEvent`]s through. The
-    /// default is [`Tracer::disabled`], which costs one discriminant check
-    /// per emission site. An enabled tracer immediately receives one
-    /// [`TraceEvent::EngineMeta`] naming the interrupt strategy and clock,
-    /// so recorded traces are self-describing for the analysis layer.
-    pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.obs.out.tracer = tracer;
+    /// Installs who watches this engine: the tracer its [`TraceEvent`]s
+    /// go through, the core id stamped on its spans and the host
+    /// self-profiler (one `Instant::now` pair per engine advance when
+    /// present). The default [`Probe`] costs one discriminant check per
+    /// site and nothing it records changes a deterministic output. An
+    /// enabled tracer immediately receives one [`TraceEvent::EngineMeta`]
+    /// naming the interrupt strategy and clock, so recorded traces are
+    /// self-describing for the analysis layer.
+    pub fn set_probe(&mut self, probe: Probe) {
+        self.obs.out = probe;
         self.obs.out.tracer.emit(|| TraceEvent::EngineMeta {
             cycle: self.now,
             strategy: self.strategy.to_string(),
             clock_hz: self.cfg.clock_hz,
         });
-    }
-
-    /// The installed tracer.
-    #[must_use]
-    pub fn tracer(&self) -> &Tracer {
-        &self.obs.out.tracer
     }
 
     /// A deterministic metrics snapshot of everything observed so far.
@@ -847,14 +782,6 @@ impl<B: Backend> Engine<B> {
         // buffers here or the new program would read the old one's.
         self.backend.on_load(slot);
         Ok(())
-    }
-
-    /// The program currently loaded in `slot`, if any (shared handle; a
-    /// slot-virtualizing scheduler uses this to detect reload-free
-    /// rebinds).
-    #[must_use]
-    pub fn loaded_program(&self, slot: TaskSlot) -> Option<&Arc<Program>> {
-        self.slots[slot.index()].table.as_ref().map(|t| &t.program)
     }
 
     /// State of a slot.
@@ -1420,7 +1347,7 @@ impl<B: Backend> Engine<B> {
                 (Some(r), _) => {
                     // Host self-profiling is wall-clock only: it never
                     // touches the virtual clock or any trace output.
-                    let prof = self.host_prof.clone();
+                    let prof = self.obs.out.host.clone();
                     let t0 = prof.as_ref().map(|_| std::time::Instant::now());
                     let cyc0 = self.now;
                     let arrival = self.arrivals.peek().map_or(u64::MAX, |&Reverse((t, ..))| t);

@@ -6,8 +6,7 @@
 //! idle. The event engine inverts that: every tier that advances parts
 //! at a barrier (a [`CorePool`](crate::CorePool) of engines, a serving
 //! gateway of scheduler+engine pairs) implements [`Tier`] and carries one
-//! [`Barrier`] — a [`WakeHeap`] (wake-time min-heap with a deterministic
-//! tie-break on the part index), the [`AdvanceMode`] and the
+//! [`Barrier`] — the set of armed parts, the [`AdvanceMode`] and the
 //! [`AdvanceStats`] counters. [`advance`] then only ticks armed parts;
 //! quiescent ones (no running job, no ready job, no pending arrival,
 //! nothing queued above) are skipped entirely, and skipping them is
@@ -16,10 +15,7 @@
 //!
 //! Cross-part couplings — a request landing on a core, a scheduler pump
 //! from the serving gateway, a batch flush — are expressed as explicit
-//! wake events via [`WakeHeap::arm`].
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+//! wake events via [`Barrier::arm`].
 
 use crate::SimError;
 
@@ -69,92 +65,6 @@ impl AdvanceStats {
     }
 }
 
-/// A wake-time min-heap over component indices with lazy invalidation:
-/// [`WakeHeap::arm`] keeps the earliest wake per component, stale heap
-/// entries are discarded on pop. Equal wake times break ties by
-/// component index (lowest first), so pop order — and therefore any
-/// merged trace stream produced by ticking in pop order — is fully
-/// deterministic and independent of arm (registration) order.
-#[derive(Debug, Default)]
-pub struct WakeHeap {
-    heap: BinaryHeap<Reverse<(u64, usize)>>,
-    armed: Vec<Option<u64>>,
-}
-
-impl WakeHeap {
-    /// A heap over `n` components, all disarmed.
-    #[must_use]
-    pub fn new(n: usize) -> Self {
-        Self { heap: BinaryHeap::new(), armed: vec![None; n] }
-    }
-
-    /// Number of registered components.
-    #[must_use]
-    pub fn components(&self) -> usize {
-        self.armed.len()
-    }
-
-    /// Arms component `idx` to wake at `cycle`. An already-armed
-    /// component keeps the earlier of the two wakes.
-    ///
-    /// # Panics
-    ///
-    /// Panics for an out-of-range component index.
-    pub fn arm(&mut self, idx: usize, cycle: u64) {
-        match self.armed[idx] {
-            Some(t) if t <= cycle => {}
-            _ => {
-                self.armed[idx] = Some(cycle);
-                self.heap.push(Reverse((cycle, idx)));
-            }
-        }
-    }
-
-    /// The wake cycle `idx` is armed for, if any.
-    ///
-    /// # Panics
-    ///
-    /// Panics for an out-of-range component index.
-    #[must_use]
-    pub fn armed(&self, idx: usize) -> Option<u64> {
-        self.armed[idx]
-    }
-
-    /// The earliest `(wake, component)` pair, without disarming it.
-    /// Discards stale heap entries as a side effect.
-    pub fn next_wake(&mut self) -> Option<(u64, usize)> {
-        while let Some(&Reverse((cycle, idx))) = self.heap.peek() {
-            if self.armed[idx] == Some(cycle) {
-                return Some((cycle, idx));
-            }
-            let _ = self.heap.pop();
-        }
-        None
-    }
-
-    /// Pops and disarms the earliest `(wake, component)` pair. Ties pop
-    /// the lowest component index first.
-    pub fn pop_next(&mut self) -> Option<(u64, usize)> {
-        let (cycle, idx) = self.next_wake()?;
-        let _ = self.heap.pop();
-        self.armed[idx] = None;
-        Some((cycle, idx))
-    }
-
-    /// Disarms and returns every armed component, in ascending component
-    /// order — the order a stepping loop visits cores, which is what
-    /// keeps merged trace streams byte-identical when several armed
-    /// cores share one tracer.
-    pub fn drain_armed(&mut self) -> Vec<usize> {
-        let mut due: Vec<usize> = Vec::new();
-        while let Some((_, idx)) = self.pop_next() {
-            due.push(idx);
-        }
-        due.sort_unstable();
-        due
-    }
-}
-
 /// One tier whose parts (cores) advance together at barriers. Stacked
 /// tiers share the [`Barrier`] of the lowest one, so a part is armed,
 /// counted and skipped in exactly one place.
@@ -163,9 +73,10 @@ pub trait Tier {
     fn barrier(&mut self) -> &mut Barrier;
 
     /// The next cycle part `i` can make progress, or `None` when it is
-    /// quiescent (ticking it would not change any state). The value may
-    /// lie in the past (a late-submitted arrival); it orders wakes, it
-    /// does not gate them.
+    /// quiescent (ticking it would not change any state). A barrier only
+    /// asks whether there is one; the cycle (which may lie in the past: a
+    /// late-submitted arrival) is for drivers that jump the clock
+    /// ([`CorePool::next_wake`](crate::CorePool::next_wake)).
     fn next_tick(&self, i: usize) -> Option<u64>;
 
     /// Advances part `i` to `deadline` cycles.
@@ -180,9 +91,13 @@ pub trait Tier {
 /// visit them, and how much work that took.
 #[derive(Debug)]
 pub struct Barrier {
-    /// Armed parts. Arms are conservative: [`advance`] revalidates each
-    /// against [`Tier::next_tick`] and skips the quiescent ones for free.
-    pub wake: WakeHeap,
+    /// `armed[i]`: part `i` is visited at the next barrier. Arms are
+    /// conservative: [`advance`] revalidates each against
+    /// [`Tier::next_tick`] and skips the quiescent ones for free.
+    armed: Vec<bool>,
+    /// The armed parts, in arm order: a barrier costs O(armed), and an
+    /// idle one nothing, however many parts there are.
+    due: Vec<usize>,
     mode: AdvanceMode,
     /// Work counters, in both modes (a stepping barrier counts every
     /// part as a wake; only the event engine produces skips).
@@ -194,10 +109,35 @@ impl Barrier {
     #[must_use]
     pub fn new(parts: usize) -> Self {
         Self {
-            wake: WakeHeap::new(parts),
+            armed: vec![false; parts],
+            due: Vec::new(),
             mode: AdvanceMode::default(),
             stats: AdvanceStats::default(),
         }
+    }
+
+    /// Arms part `i` for the next barrier (idempotent).
+    ///
+    /// # Panics
+    ///
+    /// Panics for an out-of-range part index.
+    pub fn arm(&mut self, i: usize) {
+        if !std::mem::replace(&mut self.armed[i], true) {
+            self.due.push(i);
+        }
+    }
+
+    /// Disarms and returns every armed part, in ascending part order —
+    /// the order a stepping loop visits cores, which is what keeps merged
+    /// trace streams byte-identical when several armed cores share one
+    /// tracer.
+    pub fn drain_armed(&mut self) -> Vec<usize> {
+        let mut due = std::mem::take(&mut self.due);
+        due.sort_unstable();
+        for &i in &due {
+            self.armed[i] = false;
+        }
+        due
     }
 
     /// The advance mode in effect.
@@ -206,15 +146,13 @@ impl Barrier {
         self.mode
     }
 
-    /// Selects the advance mode. Stepping does not maintain the heap, so
-    /// switching to [`AdvanceMode::EventDriven`] arms every part; the
-    /// next barrier's revalidation drops the quiescent ones.
+    /// Selects the advance mode. Stepping does not maintain the armed
+    /// set, so switching to [`AdvanceMode::EventDriven`] arms every part;
+    /// the next barrier's revalidation drops the quiescent ones.
     pub fn set_mode(&mut self, mode: AdvanceMode) {
         self.mode = mode;
         if mode == AdvanceMode::EventDriven {
-            for i in 0..self.wake.components() {
-                self.wake.arm(i, 0);
-            }
+            (0..self.armed.len()).for_each(|i| self.arm(i));
         }
     }
 }
@@ -232,14 +170,14 @@ impl Barrier {
 /// Propagates the first part's simulation error.
 pub fn advance<T: Tier>(tier: &mut T, deadline: u64) -> Result<(), SimError> {
     let b = tier.barrier();
-    let parts = b.wake.components();
+    let parts = b.armed.len();
     b.stats.barriers += 1;
     if b.mode == AdvanceMode::Stepping {
         b.stats.wakes += parts as u64;
         return (0..parts).try_for_each(|i| tier.tick(i, deadline));
     }
     let mut ticked = 0u64;
-    for i in b.wake.drain_armed() {
+    for i in b.drain_armed() {
         // Revalidate: an armed part may turn out quiescent. Ticking it
         // anyway would be harmless (a no-op), just wasted work.
         if tier.next_tick(i).is_none() {
@@ -247,8 +185,8 @@ pub fn advance<T: Tier>(tier: &mut T, deadline: u64) -> Result<(), SimError> {
         }
         ticked += 1;
         tier.tick(i, deadline)?;
-        if let Some(t) = tier.next_tick(i) {
-            tier.barrier().wake.arm(i, t);
+        if tier.next_tick(i).is_some() {
+            tier.barrier().arm(i);
         }
     }
     let b = tier.barrier();
@@ -262,58 +200,33 @@ mod tests {
     use super::*;
 
     #[test]
-    fn arm_keeps_the_earliest_wake() {
-        let mut h = WakeHeap::new(4);
-        h.arm(2, 100);
-        h.arm(2, 50);
-        h.arm(2, 75); // later than the current arm: ignored
-        assert_eq!(h.armed(2), Some(50));
-        assert_eq!(h.pop_next(), Some((50, 2)));
-        assert_eq!(h.pop_next(), None, "stale entries must not resurface");
-    }
-
-    #[test]
-    fn equal_wakes_pop_in_stable_component_order() {
-        // Registration order is adversarial: high indices armed first.
-        let mut h = WakeHeap::new(5);
-        for idx in [4usize, 1, 3, 0, 2] {
-            h.arm(idx, 1_000);
-        }
-        let order: Vec<usize> = std::iter::from_fn(|| h.pop_next().map(|(_, i)| i)).collect();
-        assert_eq!(order, vec![0, 1, 2, 3, 4], "ties must break by component index");
-    }
-
-    #[test]
-    fn pop_orders_by_wake_then_index() {
-        let mut h = WakeHeap::new(4);
-        h.arm(3, 10);
-        h.arm(1, 20);
-        h.arm(0, 10);
-        h.arm(2, 5);
-        let order: Vec<(u64, usize)> = std::iter::from_fn(|| h.pop_next()).collect();
-        assert_eq!(order, vec![(5, 2), (10, 0), (10, 3), (20, 1)]);
+    fn rearming_is_idempotent() {
+        let mut b = Barrier::new(4);
+        b.arm(2);
+        b.arm(2);
+        assert_eq!(b.drain_armed(), vec![2]);
+        b.arm(2);
+        assert_eq!(b.drain_armed(), vec![2], "a drained part can be armed again");
     }
 
     #[test]
     fn drain_returns_ascending_component_order_regardless_of_wakes() {
-        let mut h = WakeHeap::new(6);
-        h.arm(5, 1);
-        h.arm(0, 9_999);
-        h.arm(3, 42);
-        assert_eq!(h.drain_armed(), vec![0, 3, 5]);
-        assert_eq!(h.drain_armed(), Vec::<usize>::new(), "drain disarms everything");
-        assert_eq!(h.next_wake(), None);
+        let mut b = Barrier::new(6);
+        for i in [5, 0, 3] {
+            b.arm(i);
+        }
+        assert_eq!(b.drain_armed(), vec![0, 3, 5]);
+        assert_eq!(b.drain_armed(), Vec::<usize>::new(), "drain disarms everything");
     }
 
     #[test]
-    fn rearming_after_pop_works() {
-        let mut h = WakeHeap::new(2);
-        h.arm(0, 10);
-        assert_eq!(h.pop_next(), Some((10, 0)));
-        h.arm(0, 30);
-        h.arm(1, 20);
-        assert_eq!(h.pop_next(), Some((20, 1)));
-        assert_eq!(h.pop_next(), Some((30, 0)));
+    fn switching_to_event_driven_arms_every_part() {
+        let mut b = Barrier::new(3);
+        assert_eq!(b.mode(), AdvanceMode::EventDriven);
+        b.set_mode(AdvanceMode::Stepping);
+        assert_eq!(b.drain_armed(), Vec::<usize>::new(), "stepping does not use the set");
+        b.set_mode(AdvanceMode::EventDriven);
+        assert_eq!(b.drain_armed(), vec![0, 1, 2]);
     }
 
     #[test]

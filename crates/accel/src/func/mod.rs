@@ -331,19 +331,6 @@ pub enum CalcKernel {
     Reference,
 }
 
-/// Which execution tier a [`FuncBackend`] runs whole layers with (see
-/// DESIGN.md §5.6, "Tiered execution").
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum ExecTier {
-    /// Pure per-instruction interpretation — the differential oracle.
-    Tier0,
-    /// Trace-compiled layer programs: layers whose instruction runs the
-    /// plan compiler proved equivalent to stepping execute as one fused
-    /// whole-layer pass; everything else deopts to Tier-0 automatically.
-    #[default]
-    Tier1,
-}
-
 /// Cheap always-on Tier-1 event counters (surfaced as `tier1.*` metrics).
 #[derive(Debug, Clone, Copy, Default)]
 struct Tier1Counters {
@@ -373,7 +360,6 @@ pub struct FuncBackend {
     kernel: CalcKernel,
     threads: usize,
     stage: Stage,
-    tier: ExecTier,
     /// Compiled layer plans, keyed by [`Program::fingerprint`] (content
     /// identity — a changed program recompiles, an identical clone hits).
     plans: HashMap<u64, Arc<CompiledProgram>>,
@@ -394,7 +380,6 @@ impl Default for FuncBackend {
             kernel: CalcKernel::Fast,
             threads: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
             stage: Stage::default(),
-            tier: ExecTier::default(),
             plans: HashMap::new(),
             t1state: Tier1State::default(),
             t1counters: Tier1Counters::default(),
@@ -442,24 +427,6 @@ impl FuncBackend {
         self.kernel
     }
 
-    /// Creates a backend pinned to `tier`.
-    #[must_use]
-    pub fn with_tier(tier: ExecTier) -> Self {
-        Self { tier, ..Self::default() }
-    }
-
-    /// Selects the execution tier (takes effect at the next layer start;
-    /// compiled plans stay cached across switches).
-    pub fn set_tier(&mut self, tier: ExecTier) {
-        self.tier = tier;
-    }
-
-    /// The execution tier this backend runs whole layers with.
-    #[must_use]
-    pub fn tier(&self) -> ExecTier {
-        self.tier
-    }
-
     /// The compiled tier of `program`, compiling on first sight and
     /// caching by content fingerprint.
     fn plan_for(&mut self, program: &Program) -> Arc<CompiledProgram> {
@@ -493,16 +460,18 @@ impl FuncBackend {
         m
     }
 
-    /// Whether whole layers run as one fused Tier-1 pass. The reference
-    /// kernel is the measurement baseline and proptest oracle; batching
-    /// under it would defeat both.
+    /// Whether whole layers run as one fused Tier-1 pass: always, except
+    /// under the reference kernel — it is the measurement baseline and
+    /// proptest oracle, and batching under it would defeat both. (Tier-0,
+    /// the per-instruction interpreter, is `Stepped<FuncBackend>`: the
+    /// engine never offers it a layer.)
     fn fuses_layers(&self) -> bool {
-        self.tier == ExecTier::Tier1 && self.kernel == CalcKernel::Fast
+        self.kernel == CalcKernel::Fast
     }
 
     /// Runs every original instruction of `program` once on `slot`,
     /// engine-free (no timing, no interrupts) — batching whole layers
-    /// through Tier-1 when selected, stepping the rest.
+    /// through Tier-1 where a plan exists, stepping the rest.
     ///
     /// # Errors
     ///
@@ -538,13 +507,6 @@ impl FuncBackend {
     #[must_use]
     pub fn image(&self, slot: TaskSlot) -> Option<&DdrImage> {
         self.images[slot.index()].as_ref()
-    }
-
-    /// Mutable access to the image backing `slot` (e.g. to write inputs
-    /// between jobs).
-    #[must_use]
-    pub fn image_mut(&mut self, slot: TaskSlot) -> Option<&mut DdrImage> {
-        self.images[slot.index()].as_mut()
     }
 
     /// Installs the DDR image backing logical context `ctx` (a

@@ -70,8 +70,8 @@ pub use cost::instr_cycles;
 pub use engine::{
     Engine, Event, InterruptEvent, InterruptStrategy, JobRecord, Profile, Report, TaskState,
 };
-pub use event::{AdvanceMode, AdvanceStats, Barrier, Tier, WakeHeap};
-pub use func::{CalcKernel, DdrImage, ExecTier, FuncBackend};
+pub use event::{AdvanceMode, AdvanceStats, Barrier, Tier};
+pub use func::{CalcKernel, DdrImage, FuncBackend};
 pub use multicore::{CoreId, CorePool};
 
 pub use inca_isa::{ArchSpec, Parallelism, Program, TaskSlot};

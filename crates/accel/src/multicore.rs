@@ -12,18 +12,22 @@
 //! resource cost.
 //!
 //! Advancement is discrete-event by default
-//! ([`AdvanceMode::EventDriven`]): the pool is a [`Tier`] whose cores
-//! are armed in its [`Barrier`] from [`Engine::next_event`], and a
-//! barrier ([`event::advance`]) only ticks armed cores — quiescent ones
-//! are skipped entirely, so pool advancement costs O(events), not
+//! ([`AdvanceMode::EventDriven`]): the pool is a [`Tier`] whose cores are
+//! armed in its [`Barrier`] whenever work lands on them, and a barrier
+//! ([`event::advance`]) only ticks armed cores — quiescent ones are
+//! skipped entirely, so pool advancement costs O(events), not
 //! O(barriers × cores). The cycle-box legacy loop survives as
-//! [`AdvanceMode::Stepping`]; both modes are byte-identical on every
+//! [`AdvanceMode::Stepping`], selected on the barrier itself
+//! (`pool.barrier().set_mode(..)`); both modes are byte-identical on every
 //! deterministic artifact (the `event_differential` suite is the proof).
+//!
+//! [`AdvanceMode::EventDriven`]: crate::AdvanceMode::EventDriven
+//! [`AdvanceMode::Stepping`]: crate::AdvanceMode::Stepping
 
 use inca_isa::{Program, TaskSlot};
 use std::sync::Arc;
 
-use crate::event::{self, AdvanceMode, AdvanceStats, Barrier, Tier};
+use crate::event::{self, AdvanceStats, Barrier, Tier};
 use crate::resources::{cnn_accelerator, iau, ResourceEstimate};
 use crate::{AccelConfig, Backend, Engine, InterruptStrategy, Report, SimError};
 
@@ -77,25 +81,11 @@ impl<B: Backend> CorePool<B> {
         let mut barrier = Barrier::new(engines.len());
         // Pre-configured engines may arrive with work already queued.
         for (i, e) in engines.iter().enumerate() {
-            if let Some(t) = e.next_event() {
-                barrier.wake.arm(i, t);
+            if e.next_event().is_some() {
+                barrier.arm(i);
             }
         }
         Self { cfg, cores: engines, barrier }
-    }
-
-    /// Selects how [`CorePool::run_until`] / [`CorePool::run`] advance
-    /// the cores. Switching to [`AdvanceMode::EventDriven`] re-arms every
-    /// core ([`Barrier::set_mode`]), so a pool driven in legacy mode for
-    /// a while resumes event-driven safely.
-    pub fn set_advance_mode(&mut self, mode: AdvanceMode) {
-        self.barrier.set_mode(mode);
-    }
-
-    /// The advance mode in effect.
-    #[must_use]
-    pub fn advance_mode(&self) -> AdvanceMode {
-        self.barrier.mode()
     }
 
     /// Event-engine work counters (barriers, wakes, skips). Stepping-mode
@@ -105,23 +95,25 @@ impl<B: Backend> CorePool<B> {
         self.barrier.stats
     }
 
-    /// The earliest armed wake across all cores, with its core — `None`
-    /// when every core is quiescent. Event-driven drivers use this to
+    /// The earliest [`Engine::next_event`] across all cores, with its core
+    /// (lowest id on a tie) — `None` when every core is quiescent, however
+    /// many are conservatively armed. Event-driven drivers use this to
     /// jump the clock instead of polling.
-    pub fn next_wake(&mut self) -> Option<(u64, CoreId)> {
-        self.barrier.wake.next_wake().map(|(t, i)| (t, CoreId(i)))
+    #[must_use]
+    pub fn next_wake(&self) -> Option<(u64, CoreId)> {
+        (0..self.cores.len()).filter_map(|i| Some((self.next_tick(i)?, CoreId(i)))).min()
     }
 
-    /// Arms an explicit wake event for `core` at `cycle` — the hook
-    /// external couplings (scheduler pumps, batch flushes, DMA arrivals)
-    /// use to guarantee the event engine visits the core at its next
-    /// barrier even though the work is not yet visible to the engine.
+    /// Arms `core` — the hook external couplings (scheduler pumps, batch
+    /// flushes, DMA arrivals) use to guarantee the event engine visits the
+    /// core at its next barrier even though the work is not yet visible to
+    /// the engine.
     ///
     /// # Panics
     ///
     /// Panics for an out-of-range core id.
-    pub fn wake_at(&mut self, core: CoreId, cycle: u64) {
-        self.barrier.wake.arm(core.0, cycle);
+    pub fn wake(&mut self, core: CoreId) {
+        self.barrier.arm(core.0);
     }
 
     /// Number of cores.
@@ -161,7 +153,7 @@ impl<B: Backend> CorePool<B> {
     /// Panics for an out-of-range core id.
     #[must_use]
     pub fn core_mut(&mut self, core: CoreId) -> &mut Engine<B> {
-        self.barrier.wake.arm(core.0, 0);
+        self.barrier.arm(core.0);
         &mut self.cores[core.0]
     }
 
@@ -169,7 +161,7 @@ impl<B: Backend> CorePool<B> {
     #[must_use]
     pub fn try_core_mut(&mut self, core: CoreId) -> Option<&mut Engine<B>> {
         if core.0 < self.cores.len() {
-            self.barrier.wake.arm(core.0, 0);
+            self.barrier.arm(core.0);
         }
         self.cores.get_mut(core.0)
     }
@@ -228,7 +220,7 @@ impl<B: Backend> CorePool<B> {
     /// See [`Engine::request_at`].
     pub fn request_at(&mut self, cycle: u64, core: CoreId, slot: TaskSlot) -> Result<(), SimError> {
         self.cores[core.0].request_at(cycle, slot)?;
-        self.barrier.wake.arm(core.0, cycle);
+        self.barrier.arm(core.0);
         Ok(())
     }
 

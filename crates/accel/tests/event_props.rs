@@ -2,7 +2,7 @@
 //! and barrier sequences must make [`AdvanceMode::EventDriven`] and
 //! [`AdvanceMode::Stepping`] observationally identical — same per-core
 //! reports, same merged trace stream — under every interrupt strategy;
-//! and the wake-heap must be registration-order-invariant (the same
+//! and the armed set must be registration-order-invariant (the same
 //! request multiset armed in any order yields byte-identical traces).
 //!
 //! Case count defaults to a CI-friendly bound; set
@@ -12,7 +12,7 @@
 use std::sync::Arc;
 
 use inca_accel::{
-    AccelConfig, AdvanceMode, CoreId, CorePool, Engine, InterruptStrategy, Program, Report,
+    AccelConfig, AdvanceMode, CoreId, CorePool, Engine, InterruptStrategy, Program, Report, Tier,
     TimingBackend,
 };
 use inca_compiler::Compiler;
@@ -87,14 +87,14 @@ fn run_pool(
     let engines: Vec<Engine<TimingBackend>> = (0..cores)
         .map(|_| {
             let mut e = Engine::new(AccelConfig::paper_big(), strategy, TimingBackend::new());
-            e.set_tracer(tracer.clone());
+            e.set_probe(tracer.clone().into());
             e.load(lo_slot, lo_program()).unwrap();
             e.load(hi_slot, hi_program()).unwrap();
             e
         })
         .collect();
     let mut pool = CorePool::from_engines(engines);
-    pool.set_advance_mode(mode);
+    pool.barrier().set_mode(mode);
     for &(core, cycle, is_hi) in requests {
         pool.request_at(cycle, CoreId(core), if is_hi { hi_slot } else { lo_slot }).unwrap();
     }
@@ -144,7 +144,7 @@ proptest! {
         );
     }
 
-    /// Registration-order invariance: arming the wake heap in any
+    /// Registration-order invariance: arming the barrier in any
     /// submission order (requests shuffled across cores; per-core
     /// relative order preserved, since same-cycle same-slot arrivals
     /// break ties by submission sequence) yields byte-identical traces.

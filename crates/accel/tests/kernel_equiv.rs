@@ -24,7 +24,7 @@
 //! GlobalPool, Add, FullyConnected, Concat lowering and the compiler's
 //! real tilings) through both kernels.
 
-use inca_accel::{AccelConfig, Backend, CalcKernel, DdrImage, ExecTier, FuncBackend};
+use inca_accel::{AccelConfig, Backend, CalcKernel, DdrImage, FuncBackend};
 use inca_compiler::Compiler;
 use inca_isa::{
     DdrRange, Instr, LayerKind, LayerMeta, MemoryMap, Opcode, PoolKind, Program, Shape3, TaskSlot,
@@ -208,8 +208,7 @@ fn run(mut backend: FuncBackend, program: &Program, image: &DdrImage) -> Vec<i8>
 /// batched, not stepped.
 fn run_tier1(threads: usize, program: &Program, image: &DdrImage) -> Vec<i8> {
     let slot = TaskSlot::new(3).unwrap();
-    let mut backend = FuncBackend::with_tier(ExecTier::Tier1);
-    backend.set_threads(threads);
+    let mut backend = FuncBackend::with_threads(threads);
     backend.install_image(slot, image.clone());
     backend.run_program(slot, program).unwrap();
     assert_eq!(backend.metrics().counter("tier1.exec_layers"), 1, "layer was not batched");
@@ -221,8 +220,7 @@ fn run_tier1(threads: usize, program: &Program, image: &DdrImage) -> Vec<i8> {
 fn assert_all_paths_match(what: &str, program: &Program, image: &DdrImage) {
     let want = run(FuncBackend::with_kernel(CalcKernel::Reference), program, image);
     for threads in [1usize, 2, 8] {
-        let mut tier0 = FuncBackend::with_tier(ExecTier::Tier0);
-        tier0.set_threads(threads);
+        let tier0 = FuncBackend::with_threads(threads);
         assert_eq!(run(tier0, program, image), want, "{what}: tier-0, threads={threads}");
         assert_eq!(run_tier1(threads, program, image), want, "{what}: tier-1, threads={threads}");
     }

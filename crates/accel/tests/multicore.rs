@@ -6,7 +6,8 @@
 use std::sync::Arc;
 
 use inca_accel::{
-    AccelConfig, AdvanceMode, CoreId, CorePool, Engine, InterruptStrategy, SimError, TimingBackend,
+    AccelConfig, AdvanceMode, CoreId, CorePool, Engine, InterruptStrategy, SimError, Tier,
+    TimingBackend,
 };
 use inca_compiler::Compiler;
 use inca_isa::{Program, TaskSlot};
@@ -142,7 +143,7 @@ fn request_exactly_on_the_deadline_cycle_waits_for_the_next_barrier() {
     let slot = TaskSlot::new(1).unwrap();
     for mode in [AdvanceMode::EventDriven, AdvanceMode::Stepping] {
         let mut pool = CorePool::new(2, cfg, InterruptStrategy::NonPreemptive, TimingBackend::new);
-        pool.set_advance_mode(mode);
+        pool.barrier().set_mode(mode);
         pool.load(CoreId(0), slot, program_for(&cfg, 16)).unwrap();
         pool.request_at(1_000, CoreId(0), slot).unwrap();
 
@@ -159,7 +160,7 @@ fn request_exactly_on_the_deadline_cycle_waits_for_the_next_barrier() {
     }
 }
 
-/// Idle cores advance past a quiescent heap for free: no clock movement,
+/// Idle cores advance past a quiescent barrier for free: no clock movement,
 /// no events, pure skips in the stats — and the pool comes back to life
 /// when a request re-arms it.
 #[test]
@@ -167,18 +168,18 @@ fn idle_cores_advance_past_a_quiescent_heap() {
     let cfg = AccelConfig::paper_big();
     let slot = TaskSlot::new(2).unwrap();
     let mut pool = CorePool::new(4, cfg, InterruptStrategy::NonPreemptive, TimingBackend::new);
-    assert_eq!(pool.advance_mode(), AdvanceMode::EventDriven, "event mode is the default");
+    assert_eq!(pool.barrier().mode(), AdvanceMode::EventDriven, "event mode is the default");
 
     pool.run_until(10_000).unwrap();
     pool.run_until(20_000).unwrap();
     assert_eq!(pool.now(), 0, "nothing armed: no core's clock moves");
-    assert_eq!(pool.next_wake(), None, "the heap is quiescent");
+    assert_eq!(pool.next_wake(), None, "the pool is quiescent");
     let stats = pool.advance_stats();
     assert_eq!(stats.barriers, 2);
     assert_eq!(stats.wakes, 0);
     assert_eq!(stats.skips, 8, "4 cores × 2 barriers, all skipped");
 
-    // A request re-arms the heap; only that core wakes.
+    // A request re-arms the barrier; only that core wakes.
     pool.load(CoreId(2), slot, program_for(&cfg, 16)).unwrap();
     pool.request_at(30_000, CoreId(2), slot).unwrap();
     assert_eq!(pool.next_wake(), Some((30_000, CoreId(2))));
@@ -187,6 +188,29 @@ fn idle_cores_advance_past_a_quiescent_heap() {
     let stats = pool.advance_stats();
     assert_eq!(stats.wakes, 1, "exactly the armed core ticked");
     assert_eq!(stats.skips, 11, "the other three cores stayed skipped");
+}
+
+/// `next_wake` reports work, not arms: `core_mut` (and a gateway, which
+/// reaches its engines that way) arms conservatively, and an armed idle
+/// core will never run anything.
+#[test]
+fn next_wake_ignores_conservative_arms() {
+    let cfg = AccelConfig::paper_big();
+    let mut pool = CorePool::new(4, cfg, InterruptStrategy::NonPreemptive, TimingBackend::new);
+    let _ = pool.core_mut(CoreId(1));
+    assert_eq!(pool.next_wake(), None, "an armed idle core is not a wake");
+    pool.run_until(10_000).unwrap();
+    assert_eq!(pool.advance_stats().wakes, 0, "and the barrier skips it");
+
+    // Work injected through `core_mut` is a wake, at its own cycle; the
+    // earliest one wins, the lowest core on a tie.
+    let slot = TaskSlot::new(2).unwrap();
+    for (core, cycle) in [(3, 40_000), (1, 25_000), (2, 25_000)] {
+        let e = pool.core_mut(CoreId(core));
+        e.load(slot, program_for(&cfg, 16)).unwrap();
+        e.request_at(cycle, slot).unwrap();
+    }
+    assert_eq!(pool.next_wake(), Some((25_000, CoreId(1))));
 }
 
 /// Equal-wake ties advance cores in stable core order: two cores armed
@@ -206,12 +230,12 @@ fn equal_wake_ties_advance_in_stable_core_order() {
             .map(|_| Engine::new(cfg, InterruptStrategy::NonPreemptive, TimingBackend::new()))
             .collect();
         for e in &mut engines {
-            e.set_tracer(tracer.clone());
+            e.set_probe(tracer.clone().into());
         }
         engines[0].load(slot, small.clone()).unwrap();
         engines[1].load(slot, large.clone()).unwrap();
         let mut pool = CorePool::from_engines(engines);
-        pool.set_advance_mode(mode);
+        pool.barrier().set_mode(mode);
         for &core in &request_order {
             pool.request_at(5_000, CoreId(core), slot).unwrap();
         }

@@ -183,7 +183,7 @@ fn boundaries(cfg: AccelConfig, program: &Arc<Program>) -> Vec<u64> {
     let mut e =
         Engine::new(cfg, InterruptStrategy::VirtualInstruction, Stepped(TimingBackend::new()));
     let (tracer, buffer) = Tracer::ring(1 << 21);
-    e.set_tracer(tracer);
+    e.set_probe(tracer.into());
     e.load(TaskSlot::LOWEST, Arc::clone(program)).unwrap();
     e.request_at(0, TaskSlot::LOWEST).unwrap();
     let finish = e.run().unwrap().final_cycle;

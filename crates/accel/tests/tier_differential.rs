@@ -1,6 +1,7 @@
-//! Tier-1 / Tier-0 differential suite: a [`FuncBackend`] running
-//! trace-compiled layer programs must be *observationally identical* to
-//! the pure per-instruction interpreter — same reports (clock, events,
+//! Tier-1 / Tier-0 differential suite: `Engine<FuncBackend>`, running
+//! trace-compiled layer programs, must be *observationally identical* to
+//! `Engine<Stepped<FuncBackend>>`, the pure per-instruction interpreter
+//! (the engine never offers a [`Stepped`] backend a layer) — same reports (clock, events,
 //! interrupt probes, per-job accounting), same engine metrics, same full
 //! trace stream, same DDR output bytes and byte counts — under every
 //! interrupt strategy, including mid-layer preemption and resume.
@@ -10,11 +11,11 @@
 //! (causal spans in the stream); the proptest sweeps randomized request
 //! cycles so interrupts land at arbitrary VI points inside compiled runs.
 //! Every comparison is over the whole trace: the ring is sized so nothing
-//! is evicted, and `run_tier` asserts it.
+//! is evicted, and `run_on` asserts it.
 
 use inca_accel::{
-    AccelConfig, DdrImage, Engine, ExecTier, FuncBackend, InterruptStrategy, Program, TaskSlot,
-    TimingBackend,
+    AccelConfig, Backend, DdrImage, Engine, FuncBackend, InterruptStrategy, Program, Stepped,
+    TaskSlot, TimingBackend,
 };
 use inca_compiler::Compiler;
 use inca_isa::Opcode;
@@ -121,23 +122,24 @@ struct Observables {
     bytes_written: Vec<u64>,
 }
 
-/// Runs the scenario on one tier and captures its observables plus the
+/// Runs the scenario on the tier `wrap` selects (`func` reaches the
+/// functional backend inside it) and captures its observables plus the
 /// backend's tier1.* counters.
-fn run_tier(
-    tier: ExecTier,
+fn run_on<B: Backend>(
+    wrap: fn(FuncBackend) -> B,
+    func: fn(&B) -> &FuncBackend,
     lo: &Program,
     hi: &Program,
     s: &Scenario,
 ) -> (Observables, inca_obs::Metrics) {
     let (lo_slot, hi_slot) = (TaskSlot::new(3).unwrap(), TaskSlot::new(1).unwrap());
-    let mut backend = FuncBackend::with_tier(tier);
-    backend.set_threads(s.threads);
+    let mut backend = FuncBackend::with_threads(s.threads);
     backend.install_image(lo_slot, image_for(lo, s.seed));
     backend.install_image(hi_slot, image_for(hi, s.seed ^ 0x5EED));
-    let mut e = Engine::new(s.cfg, s.strategy, backend);
+    let mut e = Engine::new(s.cfg, s.strategy, wrap(backend));
     // ≈133 k events per lo job, at most two lo jobs per scenario.
     let (tracer, buffer) = Tracer::ring(1 << 19);
-    e.set_tracer(tracer);
+    e.set_probe(tracer.into());
     e.set_profiling(true);
     e.load(lo_slot, lo.clone()).unwrap();
     e.load(hi_slot, hi.clone()).unwrap();
@@ -149,9 +151,9 @@ fn run_tier(
     }
     let report = e.run().unwrap();
     assert_eq!(buffer.dropped(), 0, "the comparison must cover the whole trace");
-    let images = [lo_slot, hi_slot].map(|s| e.backend().image(s).unwrap().clone()).to_vec();
-    let bytes_written =
-        vec![e.backend().bytes_written(lo_slot), e.backend().bytes_written(hi_slot)];
+    let backend = func(e.backend());
+    let images = [lo_slot, hi_slot].map(|s| backend.image(s).unwrap().clone()).to_vec();
+    let bytes_written = vec![backend.bytes_written(lo_slot), backend.bytes_written(hi_slot)];
     let obs = Observables {
         report,
         engine_metrics: e.metrics(),
@@ -159,15 +161,25 @@ fn run_tier(
         images,
         bytes_written,
     };
-    (obs, e.backend().metrics())
+    (obs, backend.metrics())
+}
+
+/// Tier-0: the per-instruction oracle, `Engine<Stepped<FuncBackend>>`.
+fn run_tier0(lo: &Program, hi: &Program, s: &Scenario) -> (Observables, inca_obs::Metrics) {
+    run_on(Stepped, |b| &b.0, lo, hi, s)
+}
+
+/// Tier-1: `Engine<FuncBackend>`, which is offered whole layers.
+fn run_tier1(lo: &Program, hi: &Program, s: &Scenario) -> (Observables, inca_obs::Metrics) {
+    run_on(|b| b, |b| b, lo, hi, s)
 }
 
 /// Runs the scenario on both tiers, holds them observationally identical
 /// and returns the Tier-1 run.
 fn assert_tiers_agree(s: &Scenario) -> (Observables, inca_obs::Metrics) {
     let (lo, hi) = (lo_program(), hi_program());
-    let (t0, m0) = run_tier(ExecTier::Tier0, &lo, &hi, s);
-    let (t1, m1) = run_tier(ExecTier::Tier1, &lo, &hi, s);
+    let (t0, m0) = run_tier0(&lo, &hi, s);
+    let (t1, m1) = run_tier1(&lo, &hi, s);
     let what = format!(
         "{} overlap={} tagged={} offset={}",
         s.strategy, s.cfg.dma_overlap, s.tagged, s.lo_offset
@@ -269,8 +281,8 @@ fn fully_connected_layers_are_batched_and_identical() {
     let solo = Scenario::new(InterruptStrategy::VirtualInstruction, &[(0, false)]);
     for threads in [1, 2, 8] {
         let scenario = Scenario { threads, seed: 0xFC, ..solo };
-        let (t0, m0) = run_tier(ExecTier::Tier0, &lo, &hi, &scenario);
-        let (t1, m1) = run_tier(ExecTier::Tier1, &lo, &hi, &scenario);
+        let (t0, m0) = run_tier0(&lo, &hi, &scenario);
+        let (t1, m1) = run_tier1(&lo, &hi, &scenario);
         assert_eq!(t0, t1, "threads={threads}: tiers diverge on the FC head");
         assert_eq!(m0.counter("tier1.exec_layers"), 0);
         assert_eq!(m1.counter("tier1.exec_layers"), lo.layers.len() as u64, "threads={threads}");
@@ -286,7 +298,7 @@ fn tier1_plan_cache_hits_across_jobs() {
     let span = makespan(&AccelConfig::paper_small(), &lo);
     let requests = [(0u64, false), (span + 1, false)]; // same program twice
     let scenario = Scenario::new(InterruptStrategy::VirtualInstruction, &requests);
-    let (_, m1) = run_tier(ExecTier::Tier1, &lo, &hi, &scenario);
+    let (_, m1) = run_tier1(&lo, &hi, &scenario);
     assert_eq!(m1.counter("tier1.compile_programs"), 1, "one program, one compile");
     assert!(m1.counter("tier1.compile_cache_hits") > 0, "second job must hit the plan cache");
     assert!(m1.counter("tier1.compile_layers") > 0);
@@ -315,43 +327,46 @@ fn tier1_reproduces_stepping_errors() {
     b.rebuild_points_from_stream();
     let broken = b.build().unwrap();
 
-    let slot = TaskSlot::new(3).unwrap();
-    let mut errors = Vec::new();
-    for tier in [ExecTier::Tier0, ExecTier::Tier1] {
-        let mut backend = FuncBackend::with_tier(tier);
-        backend.install_image(slot, image_for(&broken, 3));
-        let mut e =
-            Engine::new(AccelConfig::paper_small(), InterruptStrategy::VirtualInstruction, backend);
+    fn error_on<B: Backend>(wrap: fn(FuncBackend) -> B, broken: &Program) -> inca_accel::SimError {
+        let slot = TaskSlot::new(3).unwrap();
+        let mut backend = FuncBackend::new();
+        backend.install_image(slot, image_for(broken, 3));
+        let (cfg, strategy) = (AccelConfig::paper_small(), InterruptStrategy::VirtualInstruction);
+        let mut e = Engine::new(cfg, strategy, wrap(backend));
         e.load(slot, broken.clone()).unwrap();
         e.request_at(0, slot).unwrap();
-        errors.push(e.run().expect_err("missing load must be caught"));
+        e.run().expect_err("missing load must be caught")
     }
-    assert_eq!(errors[0], errors[1], "tiers must report the identical verifier error");
+    assert_eq!(
+        error_on(Stepped, &broken),
+        error_on(|b| b, &broken),
+        "tiers must report the identical verifier error"
+    );
 }
 
 #[test]
 fn engine_free_run_program_matches_stepping() {
-    // The engine-free entry point used by perf_smoke: both tiers produce
+    // The two engine-free loops perf_smoke times: executing every original
+    // instruction one by one (Tier-0) and `run_program` (Tier-1) produce
     // the same DDR image and byte counts.
     let program = lo_program();
     let slot = TaskSlot::LOWEST;
-    let mut images = Vec::new();
-    let mut bytes = Vec::new();
-    for tier in [ExecTier::Tier0, ExecTier::Tier1] {
-        let mut backend = FuncBackend::with_tier(tier);
-        backend.install_image(slot, image_for(&program, 11));
-        backend.run_program(slot, &program).unwrap();
-        if tier == ExecTier::Tier1 {
-            assert!(
-                backend.metrics().counter("tier1.exec_layers") > 0,
-                "run_program must engage the fused path"
-            );
-        }
-        bytes.push(backend.bytes_written(slot));
-        images.push(backend.image(slot).unwrap().clone());
+    let mut stepped = FuncBackend::new();
+    stepped.install_image(slot, image_for(&program, 11));
+    stepped.on_switch(slot);
+    for (_, instr) in program.original_instrs() {
+        stepped.execute(slot, &program, instr).unwrap();
     }
-    assert_eq!(images[0], images[1], "run_program DDR images diverge between tiers");
-    assert_eq!(bytes[0], bytes[1]);
+    assert_eq!(stepped.metrics().counter("tier1.exec_layers"), 0);
+    let mut fused = FuncBackend::new();
+    fused.install_image(slot, image_for(&program, 11));
+    fused.run_program(slot, &program).unwrap();
+    assert!(
+        fused.metrics().counter("tier1.exec_layers") > 0,
+        "run_program must engage the fused path"
+    );
+    assert_eq!(stepped.image(slot), fused.image(slot), "run_program DDR image diverges");
+    assert_eq!(stepped.bytes_written(slot), fused.bytes_written(slot));
 }
 
 /// Instruction cost is address-independent, so the timing engine gives
@@ -411,8 +426,8 @@ proptest! {
 fn observables_do_distinguish_runs() {
     let (lo, hi) = (lo_program(), hi_program());
     let solo = Scenario::new(InterruptStrategy::VirtualInstruction, &[(0, false)]);
-    let (a, _) = run_tier(ExecTier::Tier1, &lo, &hi, &solo);
+    let (a, _) = run_tier1(&lo, &hi, &solo);
     // different seed → different weights → different outputs
-    let (b, _) = run_tier(ExecTier::Tier1, &lo, &hi, &Scenario { seed: 2, ..solo });
+    let (b, _) = run_tier1(&lo, &hi, &Scenario { seed: 2, ..solo });
     assert_ne!(a.images, b.images);
 }

@@ -29,7 +29,7 @@ use std::time::Instant;
 
 use inca_accel::{
     AccelConfig, AdvanceMode, AdvanceStats, CoreId, CorePool, Engine, InterruptStrategy, Program,
-    Report, TimingBackend,
+    Report, Tier, TimingBackend,
 };
 use inca_bench::workload::Gaps;
 use inca_compiler::Compiler;
@@ -85,7 +85,7 @@ fn fleet_run(mode: AdvanceMode) -> FleetRun {
 
     let mut pool =
         CorePool::new(FLEET, cfg(), InterruptStrategy::VirtualInstruction, TimingBackend::new);
-    pool.set_advance_mode(mode);
+    pool.barrier().set_mode(mode);
     // (arrival, core), ascending: the live-submission schedule.
     let mut schedule: Vec<(u64, usize)> = Vec::new();
     for &c in &ACTIVE {
@@ -131,7 +131,7 @@ fn serve_run(mode: AdvanceMode) -> ServeRun {
     let pool =
         CorePool::new(FLEET, cfg(), InterruptStrategy::VirtualInstruction, TimingBackend::new);
     let mut gw = Gateway::new(pool, SchedPolicy::FixedPriority, PlacePolicy::TenantAffinity);
-    gw.set_advance_mode(mode);
+    gw.barrier().set_mode(mode);
     gw.set_batch_window(mean_gap / 4);
     let tenants: Vec<_> =
         (0..3).map(|i| gw.register(TenantSpec::new(format!("t{i}"), Arc::clone(&prog)))).collect();

@@ -1,8 +1,9 @@
 //! Tiered-execution equivalence figure: a contended two-slot functional
 //! engine run — a MobileNetV1 background task preempted twice by a
 //! high-priority CNN — replayed under every interrupt strategy on both
-//! execution tiers (`Tier0` per-instruction stepping vs `Tier1`
-//! trace-compiled layer programs).
+//! execution tiers (Tier-0 per-instruction stepping,
+//! `Engine<Stepped<FuncBackend>>`, vs Tier-1 trace-compiled layer programs,
+//! `Engine<FuncBackend>`).
 //!
 //! Everything reported is cycle-domain and therefore deterministic: final
 //! cycle, interrupt count, completed jobs, per-slot DDR bytes written, an
@@ -17,8 +18,8 @@
 //! (`inca-obs/metrics-v1`) instead of the table.
 
 use inca_accel::{
-    AccelConfig, DdrImage, Engine, ExecTier, FuncBackend, InterruptStrategy, Program, TaskSlot,
-    TimingBackend,
+    AccelConfig, Backend, DdrImage, Engine, FuncBackend, InterruptStrategy, Program, Stepped,
+    TaskSlot, TimingBackend,
 };
 use inca_compiler::Compiler;
 use inca_model::{zoo, Shape3};
@@ -59,19 +60,21 @@ fn fnv1a(digest: &mut u64, bytes: &[i8]) {
     }
 }
 
-fn run(
-    tier: ExecTier,
+/// One contended run on the tier `wrap` selects: the identity for Tier-1,
+/// [`Stepped`] for Tier-0 (`func` reaches the functional backend inside).
+fn run<B: Backend>(
+    wrap: fn(FuncBackend) -> B,
+    func: fn(&B) -> &FuncBackend,
     strategy: InterruptStrategy,
     lo: &Program,
     hi: &Program,
     span: u64,
 ) -> Outcome {
     let (lo_slot, hi_slot) = (TaskSlot::new(3).unwrap(), TaskSlot::new(1).unwrap());
-    let mut backend = FuncBackend::with_tier(tier);
-    backend.set_threads(1);
+    let mut backend = FuncBackend::with_threads(1);
     backend.install_image(lo_slot, image_for(lo, 0xF1C5));
     backend.install_image(hi_slot, image_for(hi, 0x0DDC));
-    let mut e = Engine::new(AccelConfig::paper_small(), strategy, backend);
+    let mut e = Engine::new(AccelConfig::paper_small(), strategy, wrap(backend));
     e.load(lo_slot, lo.clone()).unwrap();
     e.load(hi_slot, hi.clone()).unwrap();
     e.request_at(0, lo_slot).unwrap();
@@ -79,9 +82,10 @@ fn run(
     e.request_at(span * 2 / 3, hi_slot).unwrap();
     let report = e.run().unwrap();
 
+    let backend = func(e.backend());
     let mut digest = 0xcbf2_9ce4_8422_2325u64;
     for (p, s) in [(lo, lo_slot), (hi, hi_slot)] {
-        let img = e.backend().image(s).unwrap();
+        let img = backend.image(s).unwrap();
         for m in &p.layers {
             fnv1a(&mut digest, &img.read_output(m));
         }
@@ -90,9 +94,9 @@ fn run(
         final_cycle: report.final_cycle,
         interrupts: report.interrupts.len() as u64,
         jobs: report.completed_jobs.len() as u64,
-        bytes: [e.backend().bytes_written(lo_slot), e.backend().bytes_written(hi_slot)],
+        bytes: [backend.bytes_written(lo_slot), backend.bytes_written(hi_slot)],
         digest,
-        tier1: e.backend().metrics(),
+        tier1: backend.metrics(),
     }
 }
 
@@ -121,8 +125,9 @@ fn main() {
     let mut m = Metrics::new();
     let mut rows = Vec::new();
     for strategy in STRATEGIES {
-        let t0 = run(ExecTier::Tier0, strategy, &lo, &hi, span);
-        let t1 = run(ExecTier::Tier1, strategy, &lo, &hi, span);
+        let t0 = run(Stepped, |b| &b.0, strategy, &lo, &hi, span);
+        let t1 = run(|b| b, |b| b, strategy, &lo, &hi, span);
+        assert_eq!(t0.tier1.counter("tier1.exec_layers"), 0, "{strategy}: Tier-0 fused a layer");
         let divergence = u64::from(
             t0.final_cycle != t1.final_cycle
                 || t0.interrupts != t1.interrupts

@@ -68,8 +68,7 @@ fn makespan(program: &Program) -> u64 {
 fn attach_tracer(gw: &mut Gateway<TimingBackend>, trace_sample: u64) -> Option<TraceBuffer> {
     (trace_sample > 0).then(|| {
         let (tracer, buf) = Tracer::ring(1 << 16);
-        gw.set_tracer(tracer);
-        gw.set_trace_sample(trace_sample);
+        gw.set_probe(tracer.into(), trace_sample);
         buf
     })
 }

@@ -10,7 +10,7 @@
 //!   count) and reports MACs/s per configuration plus the speedups
 //!   over the reference.
 //! * **Tier suite** — runs end-to-end MobileNetV1 and ResNet-18 under
-//!   both execution tiers (`Tier0` per-instruction stepping vs `Tier1`
+//!   both execution tiers (Tier-0 per-instruction stepping vs Tier-1
 //!   trace-compiled layer programs) and reports
 //!   `{name}.tier0_macs_per_s` / `{name}.tier1_macs_per_s` /
 //!   `{name}.tier1_speedup` side by side.
@@ -34,12 +34,12 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use inca_accel::{
-    AccelConfig, Backend, CalcKernel, DdrImage, Engine, ExecTier, FuncBackend, InterruptStrategy,
-    Program, TaskSlot,
+    AccelConfig, Backend, CalcKernel, DdrImage, Engine, FuncBackend, InterruptStrategy, Program,
+    TaskSlot,
 };
 use inca_compiler::Compiler;
 use inca_model::{zoo, ModelError, Network, NetworkBuilder, NodeId, Shape3};
-use inca_obs::{HostProf, Metrics, MetricsSnapshot};
+use inca_obs::{HostProf, Metrics, MetricsSnapshot, Probe};
 
 /// One ResNet-18 basic block (two 3×3/64 convs with an identity shortcut)
 /// at the 28×28 stage resolution.
@@ -118,7 +118,7 @@ fn measure(mut backend: FuncBackend, program: &Program, iters: usize) -> f64 {
 
 /// Runs the whole program once through `FuncBackend::run_program` (the
 /// engine-free entry point, which batches compiled layers on Tier-1 and
-/// steps instructions on Tier-0); returns wall seconds.
+/// steps what has no plan); returns wall seconds.
 fn run_program_once(backend: &mut FuncBackend, program: &Program) -> f64 {
     let slot = TaskSlot::LOWEST;
     backend.install_image(slot, DdrImage::for_program(program, 0xBEEF));
@@ -127,14 +127,17 @@ fn run_program_once(backend: &mut FuncBackend, program: &Program) -> f64 {
     t0.elapsed().as_secs_f64()
 }
 
-/// Best-of-`iters` wall time for one tier at 1 thread (tier comparison
-/// isolates dispatch overhead, not thread scaling), after one warm-up
-/// run that also compiles and caches the layer plans.
-fn measure_tier(tier: ExecTier, program: &Program, iters: usize) -> f64 {
-    let mut backend = FuncBackend::with_tier(tier);
-    backend.set_threads(1);
+/// Best-of-`iters` wall time of each tier at 1 thread (tier comparison
+/// isolates dispatch overhead, not thread scaling): Tier-0 is the
+/// per-instruction loop of [`run_once`], Tier-1 `run_program`, each after
+/// one warm-up run (Tier-1's also compiles and caches the layer plans).
+fn measure_tiers(program: &Program, iters: usize) -> (f64, f64) {
+    let t0 = measure(FuncBackend::with_threads(1), program, iters);
+    let mut backend = FuncBackend::with_threads(1);
     run_program_once(&mut backend, program);
-    (0..iters).map(|_| run_program_once(&mut backend, program)).fold(f64::INFINITY, f64::min)
+    let t1 =
+        (0..iters).map(|_| run_program_once(&mut backend, program)).fold(f64::INFINITY, f64::min);
+    (t0, t1)
 }
 
 fn main() {
@@ -170,8 +173,7 @@ fn main() {
     for (net, name) in &tier_workloads {
         let program = compiler.compile_vi(net).unwrap();
         let macs = net.total_macs() as f64;
-        let t0 = measure_tier(ExecTier::Tier0, &program, 3);
-        let t1 = measure_tier(ExecTier::Tier1, &program, 3);
+        let (t0, t1) = measure_tiers(&program, 3);
         m.inc(&format!("{name}.macs"), macs as u64);
         m.set_gauge(&format!("{name}.tier0_macs_per_s"), macs / t0);
         m.set_gauge(&format!("{name}.tier1_macs_per_s"), macs / t1);
@@ -183,8 +185,7 @@ fn main() {
     for net in layer_workloads() {
         let program = compiler.compile_vi(&net).unwrap();
         let macs = net.total_macs() as f64;
-        let t0 = measure_tier(ExecTier::Tier0, &program, 5);
-        let t1 = measure_tier(ExecTier::Tier1, &program, 5);
+        let (t0, t1) = measure_tiers(&program, 5);
         let name = &net.name;
         m.inc(&format!("layer.{name}.macs"), macs as u64);
         m.set_gauge(&format!("layer.{name}.tier0_macs_per_s"), macs / t0);
@@ -205,12 +206,11 @@ fn main() {
     {
         let (net, _) = &tier_workloads[0];
         let program = Arc::new(compiler.compile_vi(net).unwrap());
-        let mut backend = FuncBackend::with_tier(ExecTier::Tier1);
-        backend.set_threads(1);
+        let mut backend = FuncBackend::with_threads(1);
         backend.install_image(TaskSlot::LOWEST, DdrImage::for_program(&program, 0xBEEF));
         let mut engine =
             Engine::new(AccelConfig::paper_small(), InterruptStrategy::VirtualInstruction, backend);
-        engine.set_host_prof(Some(prof.clone()));
+        engine.set_probe(Probe { host: Some(prof.clone()), ..Probe::default() });
         engine.load(TaskSlot::LOWEST, Arc::clone(&program)).unwrap();
         engine.request_at(0, TaskSlot::LOWEST).unwrap();
         engine.run().unwrap();

@@ -29,13 +29,16 @@ use rand_chacha::ChaCha8Rng;
 
 use inca_accel::{
     AccelConfig, AdvanceMode, CoreId, CorePool, DdrImage, Engine, FuncBackend, InterruptEvent,
-    InterruptStrategy, Program, TimingBackend,
+    InterruptStrategy, Program, Tier, TimingBackend,
 };
 use inca_compiler::Compiler;
 use inca_isa::TaskSlot;
 use inca_model::{zoo, Network, Shape3};
 use inca_obs::analyze::SloSpec;
-use inca_obs::{timeline, HostProf, MetricsSnapshot, TimeSeries, TraceEvent, Tracer, Violation};
+use inca_obs::{
+    timeline, FlightRecorder, HostProf, MetricsSnapshot, Probe, TimeSeries, TraceEvent, Tracer,
+    Violation,
+};
 use inca_serve::{DropPolicy, Gateway, PlacePolicy, SchedPolicy, TenantSpec};
 
 /// The paper's camera resolution.
@@ -203,13 +206,11 @@ pub fn serve_spans_scenario_with_mode(
 
     let pool = CorePool::new(1, cfg, strategy, TimingBackend::new);
     let mut gw = Gateway::new(pool, SchedPolicy::FixedPriority, PlacePolicy::LeastLoaded);
-    gw.set_advance_mode(mode);
+    gw.barrier().set_mode(mode);
     gw.set_batch_window(be_span / 8);
     gw.set_max_batch(4);
-    gw.set_trace_sample(trace_sample);
     let (tracer, buf) = Tracer::ring(1 << 16);
-    gw.set_tracer(tracer);
-    gw.set_host_prof(host_prof);
+    gw.set_probe(Probe { host: host_prof, ..tracer.into() }, trace_sample);
 
     let hard = gw.register(
         TenantSpec::new("estop", Arc::clone(&hard_prog))
@@ -295,17 +296,16 @@ pub fn serve_timeline_scenario(
 
     let pool = CorePool::new(2, cfg, strategy, move || FuncBackend::with_threads(threads));
     let mut gw = Gateway::new(pool, SchedPolicy::FixedPriority, PlacePolicy::LeastLoaded);
-    gw.set_advance_mode(mode);
+    gw.barrier().set_mode(mode);
     gw.set_batch_window(be_span / 8);
     gw.set_max_batch(4);
     let (tracer, buf) = Tracer::ring(1 << 16);
-    gw.set_tracer(tracer);
-    gw.enable_timeline(interval, 4096);
-    gw.arm_recorder(
+    gw.set_probe(tracer.into(), 0);
+    gw.enable_timeline(interval, 4096).arm(FlightRecorder::new(
         vec![SloSpec::parse(TIMELINE_SLO, &[], cfg.clock_hz).expect("timeline slo")],
         4 * interval,
         4 * interval,
-    );
+    ));
 
     let hard = gw.register(
         TenantSpec::new("estop", Arc::clone(&hard_prog))

@@ -15,9 +15,7 @@
 
 use std::sync::Arc;
 
-use inca_accel::{
-    AccelConfig, DdrImage, Engine, ExecTier, FuncBackend, InterruptStrategy, TaskSlot,
-};
+use inca_accel::{AccelConfig, DdrImage, Engine, FuncBackend, InterruptStrategy, TaskSlot};
 use inca_bench::serve_spans_scenario;
 use inca_compiler::Compiler;
 use inca_model::{zoo, Shape3};
@@ -62,12 +60,11 @@ fn func_backend_spans_identical_across_thread_counts() {
         Compiler::new(cfg.arch).compile_vi(&zoo::tiny(Shape3::new(3, 32, 32)).unwrap()).unwrap(),
     );
     let run = |threads: usize| {
-        let mut backend = FuncBackend::with_tier(ExecTier::Tier1);
-        backend.set_threads(threads);
+        let mut backend = FuncBackend::with_threads(threads);
         backend.install_image(TaskSlot::LOWEST, DdrImage::for_program(&program, 0xBEEF));
         let mut engine = Engine::new(cfg, InterruptStrategy::VirtualInstruction, backend);
         let (tracer, buf) = Tracer::ring(1 << 14);
-        engine.set_tracer(tracer);
+        engine.set_probe(tracer.into());
         engine.load(TaskSlot::LOWEST, Arc::clone(&program)).unwrap();
         engine.request_job_tagged(0, TaskSlot::LOWEST, 0, 0, Some(7)).unwrap();
         engine.run().unwrap();

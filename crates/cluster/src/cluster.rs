@@ -10,7 +10,7 @@
 
 use std::sync::Arc;
 
-use inca_accel::{analysis, AdvanceMode, AdvanceStats, Backend, CoreId, SimError};
+use inca_accel::{analysis, AdvanceStats, Backend, CoreId, SimError};
 use inca_isa::{Program, TASK_SLOTS};
 use inca_obs::Metrics;
 use inca_obs::TimeSeries;
@@ -157,13 +157,6 @@ impl<B: Backend> Cluster<B> {
     /// re-submits them locally. `0` disables stealing.
     pub fn set_steal_batch(&mut self, max: usize) {
         self.steal_batch = max;
-    }
-
-    /// Selects the advance mode on every gateway.
-    pub fn set_advance_mode(&mut self, mode: AdvanceMode) {
-        for gw in &mut self.gateways {
-            gw.set_advance_mode(mode);
-        }
     }
 
     /// Sets the batch window on every gateway.
@@ -535,26 +528,26 @@ impl<B: Backend> Cluster<B> {
     /// The fleet timeline: every gateway's series union-aligned and
     /// merged into one (core and tenant column groups renumbered per
     /// gateway — gateway `g`'s tenant `t` appears as group `g × tenants
-    /// + t`). `None` when timelines are disabled.
+    /// + t`). `Ok(None)` when timelines are disabled.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if gateways were given mismatched sampling intervals
-    /// behind the cluster's back ([`Cluster::enable_timeline`] always
-    /// configures them uniformly).
-    pub fn take_fleet_timeline(&mut self, name: &str) -> Option<TimeSeries> {
+    /// [`TimeSeries::merge`]'s message when gateways were given mismatched
+    /// sampling intervals through [`Cluster::gateway_mut`]
+    /// ([`Cluster::enable_timeline`] always configures them uniformly).
+    pub fn take_fleet_timeline(&mut self, name: &str) -> Result<Option<TimeSeries>, String> {
         let mut acc: Option<TimeSeries> = None;
         for (g, gw) in self.gateways.iter_mut().enumerate() {
-            let series = gw.take_timeline(&format!("gw{g}"))?;
+            let Some(series) = gw.take_timeline(&format!("gw{g}")) else { return Ok(None) };
             acc = Some(match acc {
                 None => series,
-                Some(a) => a.merge(&series).expect("uniform sampling intervals"),
+                Some(a) => a.merge(&series)?,
             });
         }
-        acc.map(|mut s| {
+        Ok(acc.map(|mut s| {
             s.name = name.to_owned();
             s
-        })
+        }))
     }
 
     /// A deterministic metrics snapshot: fleet-level `cluster.*`
@@ -565,18 +558,9 @@ impl<B: Backend> Cluster<B> {
     #[must_use]
     pub fn metrics(&self) -> Metrics {
         let mut m = Metrics::new();
-        let t = self.totals();
         m.inc("cluster.gateways", self.gateways.len() as u64);
         m.inc("cluster.tenants", self.tenant_net.len() as u64);
-        m.inc("cluster.requests.submitted", t.submitted);
-        m.inc("cluster.requests.admitted", t.admitted);
-        m.inc("cluster.requests.rejected", t.rejected);
-        m.inc("cluster.requests.shed", t.shed);
-        m.inc("cluster.requests.dropped", t.dropped);
-        m.inc("cluster.requests.skipped", t.skipped);
-        m.inc("cluster.requests.completed", t.completed);
-        m.inc("cluster.deadlines.met", t.deadline_met);
-        m.inc("cluster.deadlines.missed", t.deadline_missed);
+        self.totals().write_metrics(&mut m, "cluster.");
         let rs = self.router.stats();
         m.inc("cluster.route.hits", rs.hits);
         m.inc("cluster.route.misses", rs.misses);

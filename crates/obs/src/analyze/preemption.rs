@@ -59,12 +59,6 @@ impl PreemptionStats {
         }
     }
 
-    /// Worst observed response latency `t1 + t2`.
-    #[must_use]
-    pub fn worst_latency(&self) -> u64 {
-        self.latency.max()
-    }
-
     /// Checks the measured `t2` distribution against the analytical
     /// model's worst case for the strategy that produced the trace.
     #[must_use]

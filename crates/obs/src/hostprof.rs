@@ -218,12 +218,6 @@ impl HostProfReport {
         ComponentStats { nanos: raw.nanos.saturating_sub(inner_nanos), ..raw }
     }
 
-    /// Total host seconds across all hooks (gateway counted as self time).
-    #[must_use]
-    pub fn total_host_seconds(&self) -> f64 {
-        HostComponent::ALL.iter().map(|c| self.stats(*c).host_seconds()).sum()
-    }
-
     /// Gauge-only metrics under `hostprof.*` — **wall-clock figures**,
     /// excluded from exact regression comparison by the default gate
     /// rules (`gauges.hostprof*` is ignored).

@@ -3,10 +3,12 @@
 //! A zero-overhead-when-disabled tracing + metrics layer driven entirely
 //! by the simulation's virtual clock:
 //!
-//! * [`trace`] — typed [`TraceEvent`]s, the [`TraceSink`] trait, a bounded
-//!   ring recorder and the cheap [`Tracer`] handle the engine, runtime and
-//!   bus are instrumented with. A disabled tracer costs one discriminant
-//!   check per site; event-construction closures never run.
+//! * [`trace`] — typed [`TraceEvent`]s, a bounded ring recorder and the
+//!   cheap [`Tracer`] handle the engine, runtime and bus are instrumented
+//!   with. A disabled tracer costs one discriminant check per site;
+//!   event-construction closures never run.
+//! * [`probe`] — [`Probe`], the one observer handle (tracer, serving-core
+//!   stamp, host profiler) each tier holds, and the one span constructor.
 //! * [`metrics`] — a [`Metrics`] registry of counters, gauges and
 //!   fixed-bucket cycle [`Histogram`]s, snapshotted into the flat JSON
 //!   schema ([`METRICS_SCHEMA`]) shared by all bench bins.
@@ -34,6 +36,7 @@ pub mod chrome;
 pub mod hostprof;
 pub mod json;
 pub mod metrics;
+pub mod probe;
 pub mod span;
 pub mod timeline;
 pub mod trace;
@@ -45,6 +48,7 @@ pub use hostprof::{HostComponent, HostProf, HostProfReport, HostTimer};
 pub use metrics::{
     Histogram, Metrics, MetricsSnapshot, CYCLE_BUCKETS, METRICS_SCHEMA, SPANS_SCHEMA,
 };
+pub use probe::Probe;
 pub use span::{
     request_detail, request_span_id, span_id, split_request_detail, Span, SpanStage, NO_CORE,
 };
@@ -52,4 +56,4 @@ pub use timeline::{
     CoreObs, FlightRecorder, Frame, Observation, Sampler, TenantObs, TimeSeries, Violation,
     TIMESERIES_SCHEMA,
 };
-pub use trace::{RingSink, TraceBuffer, TraceEvent, TraceSink, Tracer};
+pub use trace::{RingSink, TraceBuffer, TraceEvent, Tracer};

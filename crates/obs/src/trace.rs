@@ -1,5 +1,5 @@
-//! Typed trace events, the [`TraceSink`] trait, the ring-buffer recorder
-//! and the cheap [`Tracer`] handle threaded through the stack.
+//! Typed trace events, the ring-buffer recorder and the cheap [`Tracer`]
+//! handle threaded through the stack.
 //!
 //! All timestamps are **virtual cycles** taken from the simulation clock,
 //! never wall time — so the same program and seed produce the same event
@@ -262,14 +262,6 @@ impl TraceEvent {
     }
 }
 
-/// A consumer of trace events. Implementations provide their own interior
-/// mutability; `record` takes `&self` so one sink can be shared by every
-/// layer of the stack (engine, runtime, bus) through cloned [`Tracer`]s.
-pub trait TraceSink: Send + Sync {
-    /// Records one event.
-    fn record(&self, event: TraceEvent);
-}
-
 #[derive(Debug)]
 struct RingState {
     events: VecDeque<TraceEvent>,
@@ -279,6 +271,8 @@ struct RingState {
 
 /// A bounded in-memory recorder. When full, the **oldest** events are
 /// dropped (and counted), so the tail of a long run is always retained.
+/// `record` takes `&self`, so one ring is shared by every layer of the
+/// stack (engine, runtime, bus) through cloned [`Tracer`]s.
 #[derive(Debug)]
 pub struct RingSink {
     state: Mutex<RingState>,
@@ -297,9 +291,7 @@ impl RingSink {
             }),
         }
     }
-}
 
-impl TraceSink for RingSink {
     fn record(&self, event: TraceEvent) {
         let mut st = self.state.lock();
         if st.events.len() == st.capacity {
@@ -361,7 +353,7 @@ impl std::fmt::Debug for TraceBuffer {
 /// and the event closure is never run — the fast path loses nothing.
 #[derive(Clone, Default)]
 pub struct Tracer {
-    inner: Option<Arc<dyn TraceSink>>,
+    inner: Option<Arc<RingSink>>,
     /// Declines per-instruction events ([`Tracer::ring_coarse`]).
     coarse: bool,
 }
@@ -378,8 +370,7 @@ impl Tracer {
     #[must_use]
     pub fn ring(capacity: usize) -> (Self, TraceBuffer) {
         let ring = Arc::new(RingSink::new(capacity));
-        let inner = Some(Arc::clone(&ring) as Arc<dyn TraceSink>);
-        (Self { inner, coarse: false }, TraceBuffer { ring })
+        (Self { inner: Some(Arc::clone(&ring)), coarse: false }, TraceBuffer { ring })
     }
 
     /// Like [`Tracer::ring`], but the tracer declines per-instruction
@@ -391,11 +382,6 @@ impl Tracer {
     pub fn ring_coarse(capacity: usize) -> (Self, TraceBuffer) {
         let (tracer, buffer) = Self::ring(capacity);
         (Self { coarse: true, ..tracer }, buffer)
-    }
-
-    /// A tracer forwarding to a custom sink.
-    pub fn with_sink(sink: impl TraceSink + 'static) -> Self {
-        Self { inner: Some(Arc::new(sink)), coarse: false }
     }
 
     /// Whether events are being recorded. Instrumentation with non-trivial

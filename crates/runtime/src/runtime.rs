@@ -231,8 +231,8 @@ impl<M: Clone, B: Backend> Runtime<M, B> {
     /// the scheduler, if one is installed), so middleware, scheduler and
     /// datapath events interleave in one stream.
     pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.engine.set_tracer(tracer.clone());
-        self.sched.set_tracer(tracer.clone());
+        self.engine.set_probe(tracer.clone().into());
+        self.sched.set_probe(tracer.clone().into());
         self.tracer = tracer;
     }
 
@@ -242,7 +242,7 @@ impl<M: Clone, B: Backend> Runtime<M, B> {
     /// scheduler inherits the runtime's tracer, and its completion cursor
     /// starts past the raw-slot jobs that already ran.
     pub fn install_scheduler(&mut self, mut sched: Scheduler) {
-        sched.set_tracer(self.tracer.clone());
+        sched.set_probe(self.tracer.clone().into());
         sched.seen = self.engine.completed_jobs().len();
         self.sched = sched;
         self.scheduled = true;

@@ -30,10 +30,7 @@ use std::sync::Arc;
 
 use inca_accel::{AccelConfig, Backend, Engine, JobRecord, SimError};
 use inca_isa::{Program, TaskSlot, RECORD_BYTES, TASK_SLOTS};
-use inca_obs::{
-    request_span_id, span_id, HostComponent, HostProf, Metrics, SpanStage, TraceEvent, Tracer,
-    NO_CORE,
-};
+use inca_obs::{HostComponent, Metrics, Probe, SpanStage, TraceEvent};
 
 /// Identifies a logical task registered with a [`Scheduler`]. The
 /// `Default` value names the first-registered task.
@@ -294,7 +291,6 @@ pub struct Scheduler {
     policy: SchedPolicy,
     admission: bool,
     reserve_slot0: bool,
-    charge_reload: bool,
     tasks: Vec<TaskState>,
     /// Which logical task's job is in flight on each physical slot.
     bindings: [Option<TaskId>; TASK_SLOTS],
@@ -310,11 +306,8 @@ pub struct Scheduler {
     preempt_requests: u64,
     reloads: u64,
     reload_cycles: u64,
-    tracer: Tracer,
-    /// Serving-core index stamped on emitted spans ([`NO_CORE`] standalone).
-    span_core: u32,
-    /// Wall-clock self-profiler (never affects deterministic outputs).
-    host_prof: Option<HostProf>,
+    /// Who watches: tracer, span core stamp, host self-profiler.
+    probe: Probe,
 }
 
 /// Modelled cost, in cycles, of re-DMAing `program`'s instruction stream
@@ -329,8 +322,8 @@ pub fn reload_penalty(cfg: &AccelConfig, program: &Program) -> u64 {
 
 impl Scheduler {
     /// Creates a scheduler for engines configured with `cfg`, using
-    /// `policy`. Admission control, slot-0 reservation and reload charging
-    /// are all on by default.
+    /// `policy`. Admission control and slot-0 reservation are on by
+    /// default.
     #[must_use]
     pub fn new(cfg: AccelConfig, policy: SchedPolicy) -> Self {
         Self {
@@ -338,7 +331,6 @@ impl Scheduler {
             policy,
             admission: true,
             reserve_slot0: true,
-            charge_reload: true,
             tasks: Vec::new(),
             bindings: [None; TASK_SLOTS],
             loaded: [None; TASK_SLOTS],
@@ -348,9 +340,7 @@ impl Scheduler {
             preempt_requests: 0,
             reloads: 0,
             reload_cycles: 0,
-            tracer: Tracer::disabled(),
-            span_core: NO_CORE,
-            host_prof: None,
+            probe: Probe::default(),
         }
     }
 
@@ -364,26 +354,19 @@ impl Scheduler {
         self.reserve_slot0 = enabled;
     }
 
-    /// Enables/disables charging instruction-stream DMA cycles when a
-    /// binding changes the slot's resident program.
-    pub fn set_charge_reload(&mut self, enabled: bool) {
-        self.charge_reload = enabled;
+    /// Installs who watches this scheduler: the tracer its events go
+    /// through, the serving-core index stamped on its spans, and the host
+    /// self-profiler ([`Scheduler::pump`] time is attributed to
+    /// [`HostComponent::Sched`]).
+    pub fn set_probe(&mut self, probe: Probe) {
+        self.probe = probe;
     }
 
-    /// Installs the tracer scheduler events are emitted through.
-    pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = tracer;
-    }
-
-    /// Sets the serving-core index stamped on emitted spans.
-    pub fn set_span_core(&mut self, core: u32) {
-        self.span_core = core;
-    }
-
-    /// Installs (or removes) the host self-profiler ([`Scheduler::pump`]
-    /// time is attributed to [`HostComponent::Sched`]).
-    pub fn set_host_prof(&mut self, prof: Option<HostProf>) {
-        self.host_prof = prof;
+    /// The installed probe (a gateway emits its own spans about a core
+    /// through that core's scheduler, so they carry the same stamp).
+    #[must_use]
+    pub fn probe(&self) -> &Probe {
+        &self.probe
     }
 
     /// The policy in use.
@@ -408,12 +391,6 @@ impl Scheduler {
             stats: TaskStats::default(),
         });
         id
-    }
-
-    /// Number of registered tasks.
-    #[must_use]
-    pub fn task_count(&self) -> usize {
-        self.tasks.len()
     }
 
     /// A task's registered spec.
@@ -555,7 +532,7 @@ impl Scheduler {
         t.stats.admitted += 1;
         t.queue.push_back(Pending { job, deadline, admitted: now, tag });
         let depth = t.queue.len() as u32;
-        self.tracer.emit(|| TraceEvent::SchedAdmitted {
+        self.probe.tracer.emit(|| TraceEvent::SchedAdmitted {
             cycle: now,
             task: task.0 as u32,
             job: job.0,
@@ -601,7 +578,7 @@ impl Scheduler {
     }
 
     fn emit_rejected(&self, cycle: u64, task: TaskId, reason: &'static str) {
-        self.tracer.emit(|| TraceEvent::SchedRejected { cycle, task: task.0 as u32, reason });
+        self.probe.tracer.emit(|| TraceEvent::SchedRejected { cycle, task: task.0 as u32, reason });
     }
 
     /// Policy rank of a task's next runnable (queue-head) job; lower is
@@ -653,7 +630,7 @@ impl Scheduler {
     /// Propagates engine errors (e.g. loading over a raw in-flight job on
     /// a slot the scheduler does not own).
     pub fn pump<B: Backend>(&mut self, now: u64, engine: &mut Engine<B>) -> Result<(), SimError> {
-        let _timer = self.host_prof.as_ref().map(|p| p.timer(HostComponent::Sched));
+        let _timer = self.probe.host.as_ref().map(|p| p.timer(HostComponent::Sched));
         if self.policy == SchedPolicy::PremaTokens {
             self.accrue_tokens(now.max(engine.now()));
         }
@@ -732,9 +709,7 @@ impl Scheduler {
             engine.load(slot, Arc::clone(&self.tasks[idx].spec.program))?;
             self.loaded[slot.index()] = Some(task);
             self.reloads += 1;
-            if self.charge_reload {
-                reload = reload_penalty(&self.cfg, &self.tasks[idx].spec.program);
-            }
+            reload = reload_penalty(&self.cfg, &self.tasks[idx].spec.program);
         }
         // The context's DDR image follows the task across slots even when
         // the program copy is still resident.
@@ -744,31 +719,12 @@ impl Scheduler {
         engine.request_job_tagged(release, slot, 0, 0, pending.tag)?;
         self.reload_cycles += reload;
         if let Some(tag) = pending.tag {
-            let core = self.span_core;
-            let admitted = pending.admitted;
             // Queue span: admission to the cycle a slot was secured; the
             // reload DMA (if any) gets its own span on top.
-            self.tracer.emit(|| TraceEvent::Span {
-                id: span_id(tag, SpanStage::Queue, 0),
-                parent: request_span_id(tag),
-                request: tag,
-                stage: SpanStage::Queue,
-                start: admitted,
-                end: base,
-                core,
-                detail: idx as u64,
-            });
+            self.probe.span(tag, SpanStage::Queue, 0, None, pending.admitted..base, idx as u64);
             if reload > 0 {
-                self.tracer.emit(|| TraceEvent::Span {
-                    id: span_id(tag, SpanStage::Reload, 0),
-                    parent: request_span_id(tag),
-                    request: tag,
-                    stage: SpanStage::Reload,
-                    start: base,
-                    end: release,
-                    core,
-                    detail: slot.index() as u64,
-                });
+                let detail = slot.index() as u64;
+                self.probe.span(tag, SpanStage::Reload, 0, None, base..release, detail);
             }
         }
         let preempting = self
@@ -781,7 +737,7 @@ impl Scheduler {
             Some(InFlight { job: pending.job, slot, deadline: pending.deadline });
         self.tasks[idx].tokens = 0;
         let (cycle, job) = (release, pending.job.0);
-        self.tracer.emit(|| TraceEvent::SchedBound {
+        self.probe.tracer.emit(|| TraceEvent::SchedBound {
             cycle,
             task: idx as u32,
             job,

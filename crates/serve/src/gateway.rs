@@ -12,12 +12,11 @@ use std::collections::{BinaryHeap, HashMap};
 use std::sync::Arc;
 
 use inca_accel::{
-    event, AdvanceMode, AdvanceStats, Backend, Barrier, CoreId, CorePool, JobRecord, SimError, Tier,
+    event, AdvanceStats, Backend, Barrier, CoreId, CorePool, JobRecord, SimError, Tier,
 };
-use inca_obs::analyze::SloSpec;
 use inca_obs::{
-    request_detail, request_span_id, span_id, CoreObs, FlightRecorder, HostComponent, HostProf,
-    Metrics, Observation, Sampler, SpanStage, TenantObs, TimeSeries, TraceEvent, Tracer, Violation,
+    request_detail, CoreObs, HostComponent, Metrics, Observation, Probe, Sampler, SpanStage,
+    TenantObs, TimeSeries, TraceEvent, Violation,
 };
 use inca_runtime::{DropPolicy, SchedPolicy, Scheduler, TaskId, TaskSpec};
 
@@ -117,12 +116,13 @@ pub struct Gateway<B: Backend> {
     batches_dispatched: u64,
     batched_requests: u64,
     lat: Metrics,
-    tracer: Tracer,
+    /// Who watches: milestones go to its tracer, run-loop wall time to its
+    /// host profiler. Each core's scheduler and engine hold a copy stamped
+    /// with the core index.
+    probe: Probe,
     /// Span sampling modulus: requests with `raw % n == 0` emit causal
     /// spans; `0` disables span emission entirely.
     trace_sample: u64,
-    /// Wall-clock self-profiler (never affects deterministic outputs).
-    host_prof: Option<HostProf>,
     /// Cycle-domain timeline sampler (None = timeline disabled).
     sampler: Option<Sampler>,
 }
@@ -132,20 +132,10 @@ impl<B: Backend> Gateway<B> {
     /// core, placing with `place_policy`.
     #[must_use]
     pub fn new(pool: CorePool<B>, sched_policy: SchedPolicy, place_policy: PlacePolicy) -> Self {
-        let mut pool = pool;
-        let mut scheds = pool
+        let scheds = pool
             .core_ids()
             .map(|c| Scheduler::new(*pool.core(c).config(), sched_policy))
             .collect::<Vec<_>>();
-        // Stamp every emitter with its serving-core index so spans from
-        // different cores stay distinguishable in one merged stream.
-        let ids: Vec<CoreId> = pool.core_ids().collect();
-        for (i, s) in scheds.iter_mut().enumerate() {
-            s.set_span_core(i as u32);
-        }
-        for id in ids {
-            pool.core_mut(id).set_span_core(id.0 as u32);
-        }
         let n = scheds.len();
         Self {
             pool,
@@ -166,28 +156,10 @@ impl<B: Backend> Gateway<B> {
             batches_dispatched: 0,
             batched_requests: 0,
             lat: Metrics::new(),
-            tracer: Tracer::disabled(),
+            probe: Probe::default(),
             trace_sample: 0,
-            host_prof: None,
             sampler: None,
         }
-    }
-
-    /// Selects how the run loop advances cores at each barrier:
-    /// [`AdvanceMode::EventDriven`] (the default) skips cores that are
-    /// provably quiescent — empty scheduler queues, nothing in flight, no
-    /// engine work — while [`AdvanceMode::Stepping`] is the cycle-box
-    /// legacy loop touching every core. Both produce byte-identical
-    /// responses, traces, metrics and spans. The gateway advances through
-    /// its pool's [`Barrier`], so this is [`CorePool::set_advance_mode`].
-    pub fn set_advance_mode(&mut self, mode: AdvanceMode) {
-        self.pool.set_advance_mode(mode);
-    }
-
-    /// The advance mode in effect.
-    #[must_use]
-    pub fn advance_mode(&self) -> AdvanceMode {
-        self.pool.advance_mode()
     }
 
     /// Event-engine work counters: barriers processed, cores ticked,
@@ -210,49 +182,28 @@ impl<B: Backend> Gateway<B> {
         self.max_batch = n.max(1);
     }
 
-    /// Installs the tracer gateway events are emitted through; it is also
-    /// propagated to every core's scheduler and engine, so admission/bind
-    /// events, engine lifecycle events, request spans and gateway
-    /// milestones land in one stream.
-    pub fn set_tracer(&mut self, tracer: Tracer) {
-        for s in &mut self.scheds {
-            s.set_tracer(tracer.clone());
+    /// Installs who watches this gateway, in one call. `probe.tracer`
+    /// receives the gateway's milestones and — through the copy handed to
+    /// every core's scheduler and engine, stamped with the core's index so
+    /// spans from different cores stay distinguishable in one merged
+    /// stream — admission/bind events, engine lifecycle events and request
+    /// spans; `probe.host` profiles the run loop, the schedulers and the
+    /// engines (wall clock only: it never changes a deterministic output).
+    ///
+    /// `sample_every` is the deterministic request-span sampling modulus:
+    /// requests whose raw id satisfies `id % n == 0` emit causal
+    /// [`TraceEvent::Span`]s at every lifecycle edge (gateway, scheduler,
+    /// engine); `0` disables spans, `1` traces every request. Sampling is
+    /// a pure function of the request id, so the same schedule yields the
+    /// same spans on any host or thread count.
+    pub fn set_probe(&mut self, probe: Probe, sample_every: u64) {
+        for (i, sched) in self.scheds.iter_mut().enumerate() {
+            let on_core = Probe { core: Some(i as u32), ..probe.clone() };
+            sched.set_probe(on_core.clone());
+            self.pool.core_mut(CoreId(i)).set_probe(on_core);
         }
-        let ids: Vec<CoreId> = self.pool.core_ids().collect();
-        for id in ids {
-            self.pool.core_mut(id).set_tracer(tracer.clone());
-        }
-        self.tracer = tracer;
-    }
-
-    /// Enables deterministic request-span sampling: requests whose raw id
-    /// satisfies `id % n == 0` emit causal [`TraceEvent::Span`]s at every
-    /// lifecycle edge (gateway, scheduler, engine); `n == 0` disables
-    /// spans. `n == 1` traces every request. Sampling is a pure function
-    /// of the request id, so the same schedule yields the same spans on
-    /// any host or thread count.
-    pub fn set_trace_sample(&mut self, n: u64) {
-        self.trace_sample = n;
-    }
-
-    /// The span-sampling modulus (0 = spans disabled).
-    #[must_use]
-    pub fn trace_sample(&self) -> u64 {
-        self.trace_sample
-    }
-
-    /// Installs (or removes) the host self-profiler on the gateway, every
-    /// core scheduler and every engine. Profiling is wall-clock only: it
-    /// never changes any deterministic output.
-    pub fn set_host_prof(&mut self, prof: Option<HostProf>) {
-        for s in &mut self.scheds {
-            s.set_host_prof(prof.clone());
-        }
-        let ids: Vec<CoreId> = self.pool.core_ids().collect();
-        for id in ids {
-            self.pool.core_mut(id).set_host_prof(prof.clone());
-        }
-        self.host_prof = prof;
+        self.probe = probe;
+        self.trace_sample = sample_every;
     }
 
     /// Enables cycle-domain timeline sampling: one [`Frame`] every
@@ -265,25 +216,15 @@ impl<B: Backend> Gateway<B> {
     /// modes (advance-telemetry fields excepted — see
     /// [`TimeSeries::without_advance`]).
     ///
+    /// Returns the new sampler, e.g. to [`Sampler::arm`] a flight recorder
+    /// on it: its specs are checked at every sample boundary, and the
+    /// first violation freezes a window around it for the dump helpers.
+    ///
     /// [`Frame`]: inca_obs::timeline::Frame
-    pub fn enable_timeline(&mut self, interval: u64, capacity: usize) {
+    pub fn enable_timeline(&mut self, interval: u64, capacity: usize) -> &mut Sampler {
         let mut s = Sampler::new(interval, capacity);
         s.align(self.now());
-        self.sampler = Some(s);
-    }
-
-    /// Arms the flight recorder on the enabled timeline: `specs` are
-    /// checked at every sample boundary; the first violation freezes a
-    /// `[cycle - pre, cycle + post]` window for the dump helpers.
-    ///
-    /// # Panics
-    ///
-    /// When [`Gateway::enable_timeline`] was not called first.
-    pub fn arm_recorder(&mut self, specs: Vec<SloSpec>, pre: u64, post: u64) {
-        self.sampler
-            .as_mut()
-            .expect("enable_timeline before arm_recorder")
-            .arm(FlightRecorder::new(specs, pre, post));
+        self.sampler.insert(s)
     }
 
     /// The timeline sampler, when enabled.
@@ -602,7 +543,7 @@ impl<B: Backend> Gateway<B> {
             Ok(adm) => {
                 let request = self.next_request_id();
                 self.tenants[tenant.0].stats.admitted += 1;
-                self.pool.wake_at(core, now);
+                self.pool.wake(core);
                 self.inflight[core.0].insert(
                     adm.job.raw(),
                     InflightMeta {
@@ -678,7 +619,7 @@ impl<B: Backend> Gateway<B> {
         let size = entries.len() as u32;
         self.batches_dispatched += 1;
         self.batched_requests += u64::from(size);
-        self.pool.wake_at(core, now);
+        self.pool.wake(core);
         self.trace_milestone(now, || format!("serve.flush net{net} x{size} {core}"));
         for e in entries {
             let task = self.task_ids[e.tenant.0];
@@ -686,17 +627,9 @@ impl<B: Backend> Gateway<B> {
             match self.scheds[core.0].submit_tagged(now, task, tag) {
                 Ok(adm) => {
                     if let Some(tag) = tag {
-                        let (arrival, c) = (e.arrival, core.0 as u32);
-                        self.tracer.emit(|| TraceEvent::Span {
-                            id: span_id(tag, SpanStage::BatchWait, 0),
-                            parent: request_span_id(tag),
-                            request: tag,
-                            stage: SpanStage::BatchWait,
-                            start: arrival,
-                            end: now,
-                            core: c,
-                            detail: u64::from(size),
-                        });
+                        let (wait, detail) = (e.arrival..now, u64::from(size));
+                        let probe = self.scheds[core.0].probe();
+                        probe.span(tag, SpanStage::BatchWait, 0, None, wait, detail);
                     }
                     self.inflight[core.0].insert(
                         adm.job.raw(),
@@ -825,7 +758,7 @@ impl<B: Backend> Gateway<B> {
     /// time lands under [`HostComponent::Gateway`]; the report subtracts
     /// the nested engine/scheduler components to get gateway self-time.
     fn advance_core(&mut self, core: usize, deadline: u64) -> Result<(), SimError> {
-        let _timer = self.host_prof.as_ref().map(|p| p.timer(HostComponent::Gateway));
+        let _timer = self.probe.host.as_ref().map(|p| p.timer(HostComponent::Gateway));
         loop {
             let engine = self.pool.core_mut(CoreId(core));
             let hit_completion = self.scheds[core].step(engine.now(), engine, deadline)?;
@@ -879,18 +812,9 @@ impl<B: Backend> Gateway<B> {
         if let Some(tag) = self.tag_for(meta.request) {
             // Root span closes at the response: every other stage of this
             // request parents (directly or via an exec segment) to it.
-            let (arrival, finish, c) = (meta.arrival, rec.finish, core as u32);
             let detail = request_detail(lane == Lane::Hard, meta.tenant.0 as u32);
-            self.tracer.emit(|| TraceEvent::Span {
-                id: request_span_id(tag),
-                parent: 0,
-                request: tag,
-                stage: SpanStage::Request,
-                start: arrival,
-                end: finish,
-                core: c,
-                detail,
-            });
+            let life = meta.arrival..rec.finish;
+            self.scheds[core].probe().span(tag, SpanStage::Request, 0, None, life, detail);
         }
         self.trace_milestone(rec.finish, || {
             format!("serve.done {} {} {lane_key}", meta.tenant, meta.request)
@@ -906,7 +830,7 @@ impl<B: Backend> Gateway<B> {
 
     /// `detail` runs only when the tracer is enabled.
     fn trace_milestone(&self, cycle: u64, detail: impl FnOnce() -> String) {
-        self.tracer.emit(|| TraceEvent::Milestone {
+        self.probe.tracer.emit(|| TraceEvent::Milestone {
             cycle,
             label: "serve".to_owned(),
             detail: detail(),
@@ -919,18 +843,9 @@ impl<B: Backend> Gateway<B> {
     #[must_use]
     pub fn metrics(&self) -> Metrics {
         let mut m = Metrics::new();
-        let t = self.totals();
         m.inc("serve.tenants", self.tenants.len() as u64);
         m.inc("serve.cores", self.scheds.len() as u64);
-        m.inc("serve.requests.submitted", t.submitted);
-        m.inc("serve.requests.admitted", t.admitted);
-        m.inc("serve.requests.rejected", t.rejected);
-        m.inc("serve.requests.shed", t.shed);
-        m.inc("serve.requests.dropped", t.dropped);
-        m.inc("serve.requests.skipped", t.skipped);
-        m.inc("serve.requests.completed", t.completed);
-        m.inc("serve.deadlines.met", t.deadline_met);
-        m.inc("serve.deadlines.missed", t.deadline_missed);
+        self.totals().write_metrics(&mut m, "serve.");
         m.inc("serve.batches.dispatched", self.batches_dispatched);
         m.inc("serve.batches.requests", self.batched_requests);
         // Event-engine work telemetry. Deterministic for a fixed
@@ -959,7 +874,7 @@ impl<B: Backend> Gateway<B> {
 
 /// The serving tier shares its pool's [`Barrier`]: a core here is the
 /// engine *plus* its slot-virtualizing scheduler. Hard submits and batch
-/// flushes arm it through [`CorePool::wake_at`], and it is quiescent only
+/// flushes arm it through [`CorePool::wake`], and it is quiescent only
 /// when the engine reports no next event (`run_until` would return
 /// without touching its clock) *and* the scheduler has nothing
 /// outstanding (its pump cannot bind, and token accrual — which only

@@ -276,6 +276,25 @@ impl TenantStats {
         self.deadline_missed += other.deadline_missed;
     }
 
+    /// Writes the ledger into `m` as `{prefix}requests.*` and
+    /// `{prefix}deadlines.*` counters — one spelling of the keys for the
+    /// gateway (`serve.`) and the fleet (`cluster.`).
+    pub fn write_metrics(&self, m: &mut inca_obs::Metrics, prefix: &str) {
+        for (key, value) in [
+            ("requests.submitted", self.submitted),
+            ("requests.admitted", self.admitted),
+            ("requests.rejected", self.rejected),
+            ("requests.shed", self.shed),
+            ("requests.dropped", self.dropped),
+            ("requests.skipped", self.skipped),
+            ("requests.completed", self.completed),
+            ("deadlines.met", self.deadline_met),
+            ("deadlines.missed", self.deadline_missed),
+        ] {
+            m.inc(&format!("{prefix}{key}"), value);
+        }
+    }
+
     /// Requests admitted but not yet completed, dropped or skipped.
     #[must_use]
     pub fn outstanding(&self) -> u64 {

@@ -179,7 +179,7 @@ fn traced_serve_run() -> (String, String) {
     gw.set_batch_window(20_000);
     gw.set_max_batch(3);
     let (tracer, buf) = Tracer::ring(4096);
-    gw.set_tracer(tracer);
+    gw.set_probe(tracer.into(), 0);
 
     let cam = gw.register(TenantSpec::new("camera", Arc::clone(&program)).weight(2));
     let lidar = gw.register(TenantSpec::new("lidar", program).weight(3));

@@ -241,6 +241,52 @@ fn gateway_keeps_serving_after_an_uncapped_idle_loop() {
     }
 }
 
+/// One `set_probe` call is the whole observer wiring: the gateway's own
+/// milestones, every core's scheduler and engine events, and request spans
+/// stamped with the serving core's index all land in the one ring, and
+/// the host profiler hears from all three tiers.
+#[test]
+fn gateway_probe_reaches_every_part() {
+    use inca_obs::{HostComponent, HostProf, Probe, SpanStage, TraceEvent, Tracer};
+    let pool = CorePool::new(2, cfg(), InterruptStrategy::VirtualInstruction, TimingBackend::new);
+    let mut gw = Gateway::new(pool, SchedPolicy::FixedPriority, PlacePolicy::RoundRobin);
+    let (tracer, ring) = Tracer::ring(1 << 12);
+    let prof = HostProf::new();
+    gw.set_probe(Probe { host: Some(prof.clone()), ..tracer.into() }, 1);
+    let tenant = gw.register(TenantSpec::new("estop", tiny(16)).hard(1_000_000_000));
+    for _ in 0..2 {
+        gw.submit(0, tenant).expect("an idle gateway admits");
+    }
+    gw.run_to_idle(u64::MAX).unwrap();
+    let responses = gw.drain_responses();
+    let mut served: Vec<usize> = responses.iter().map(|r| r.core.unwrap().0).collect();
+    served.sort_unstable();
+    assert_eq!(served, vec![0, 1], "round-robin puts one request on each core");
+
+    let events = ring.drain();
+    let has = |what: fn(&TraceEvent) -> bool| events.iter().any(what);
+    assert!(has(|e| matches!(e, TraceEvent::Milestone { label, .. } if label == "serve")));
+    assert!(has(|e| matches!(e, TraceEvent::SchedAdmitted { .. })), "scheduler events");
+    assert!(has(|e| matches!(e, TraceEvent::JobStarted { .. })), "engine events");
+    let metas = events.iter().filter(|e| matches!(e, TraceEvent::EngineMeta { .. })).count();
+    assert_eq!(metas, 2, "each engine announces itself once on install");
+    for r in &responses {
+        let core = r.core.unwrap().0 as u32;
+        for stage in [SpanStage::Queue, SpanStage::Exec, SpanStage::Request] {
+            let stamped = events.iter().any(|e| {
+                matches!(e, TraceEvent::Span { request, stage: s, core: c, .. }
+                    if *request == r.request.raw() && *s == stage && *c == core)
+            });
+            assert!(stamped, "{}: no {stage} span stamped core {core}", r.request);
+        }
+    }
+    let report = prof.report();
+    // (A per-instruction ring makes the engines step.)
+    for c in [HostComponent::Gateway, HostComponent::Sched, HostComponent::EngineStep] {
+        assert!(report.stats(c).calls > 0, "{c}: the host profiler heard nothing");
+    }
+}
+
 /// Uninterrupted makespan of `program` on a dedicated timing engine.
 fn makespan(program: &Program) -> u64 {
     use inca_accel::Engine;

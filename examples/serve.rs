@@ -92,8 +92,7 @@ fn run_deterministic(trace_sample: u64) -> Result<(), Box<dyn std::error::Error>
     let [camera, lidar, estop] = tenants;
     let buf = (trace_sample > 0).then(|| {
         let (tracer, buf) = Tracer::ring(1 << 16);
-        gw.set_tracer(tracer);
-        gw.set_trace_sample(trace_sample);
+        gw.set_probe(tracer.into(), trace_sample);
         buf
     });
 

@@ -86,9 +86,10 @@ EOF
 # hold >= 10x over cycle-box stepping on the mostly-idle 64-core fleet
 # (DESIGN.md §5.8). Like the tier floor, checked against the freshly
 # measured snapshot so a regression is caught even inside the generous
-# wall-clock gauge tolerance. The skips counter must also be live — a
-# starved wake heap (event mode silently stepping everything) would keep
-# outputs identical while erasing the entire point of the engine.
+# wall-clock gauge tolerance. The skips counter must also be live — an
+# armed set that never disarms (event mode silently ticking every core at
+# every barrier) would keep outputs identical while erasing the entire
+# point of the engine.
 check_event_floor() { # fig_event_engine.json -> exit 1 if below floor
     python3 - "$1" <<'EOF'
 import json, sys
@@ -97,7 +98,7 @@ s = snap["gauges"]["event.fleet64.speedup"]
 skips = snap["counters"]["event.fleet64.skips"]
 if skips == 0:
     sys.exit("bench gate: event engine skipped nothing on a mostly-idle "
-             "fleet - the wake heap is starved")
+             "fleet - the armed set never disarms")
 if s < 10.0:
     sys.exit(f"bench gate: event-engine fleet speedup {s:.2f}x is below the 10x floor")
 print(f"bench gate: event-engine fleet speedup {s:.2f}x (floor 10x), "
@@ -224,10 +225,10 @@ EOF
             echo "bench gate selftest: FAILED — spans queue-share regression was not flagged" >&2
             exit 1
         fi
-        # Fixture 6: a fresh fig_event_engine snapshot with an injected
-        # heap starvation — the skips counter zeroed (every tick "ran")
-        # and the fleet speedup collapsed to 1x, which is exactly what a
-        # wake heap that never disarms anything looks like. Both the
+        # Fixture 6: a fresh fig_event_engine snapshot with every skip
+        # turned into a wake — the skips counter zeroed (every tick "ran")
+        # and the fleet speedup collapsed to 1x, which is exactly what an
+        # armed set that never disarms anything looks like. Both the
         # exact-match counters and the explicit floor must trip.
         run_bin fig_event_engine
         python3 - "$tmp/fig_event_engine.json" "$tmp/event_starved.json" <<'EOF'
@@ -242,11 +243,11 @@ EOF
         ./target/release/inca-analyze --gate "$tmp/fig_event_engine.json" "$tmp/fig_event_engine.json"
         check_event_floor "$tmp/fig_event_engine.json"
         if ./target/release/inca-analyze --gate "$tmp/fig_event_engine.json" "$tmp/event_starved.json"; then
-            echo "bench gate selftest: FAILED — event-heap starvation was not flagged" >&2
+            echo "bench gate selftest: FAILED — a never-disarming armed set was not flagged" >&2
             exit 1
         fi
         if check_event_floor "$tmp/event_starved.json"; then
-            echo "bench gate selftest: FAILED — starved skips counter passed the floor check" >&2
+            echo "bench gate selftest: FAILED — a zeroed skips counter passed the floor check" >&2
             exit 1
         fi
         # Fixture 7: the serve-timeline scenario run twice — quiet, and

@@ -39,6 +39,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q -p inca \
     -p inca-accel -p inca-runtime -p inca-serve -p inca-cluster -p inca-dslam \
     -p inca-bench
 
+echo "== code lines and public setters per crate (scripts/loc.sh)"
+scripts/loc.sh
+
 echo "== serving example (deterministic frontend)"
 cargo build --release --example serve -q
 ./target/release/examples/serve > /dev/null

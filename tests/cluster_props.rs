@@ -25,7 +25,7 @@ use std::sync::Arc;
 
 use inca::accel::{
     AccelConfig, AdvanceMode, AdvanceStats, Backend, CoreId, CorePool, Engine, FuncBackend,
-    InterruptStrategy, TimingBackend,
+    InterruptStrategy, Tier, TimingBackend,
 };
 use inca::cluster::{Cluster, ElasticConfig, GatewayId, RoutePolicy, RouteStats};
 use inca::compiler::Compiler;
@@ -297,7 +297,9 @@ fn strip_event(m: &Metrics) -> Metrics {
 
 fn func_run(threads: usize, mode: AdvanceMode) -> ClusterObservables {
     let mut fleet = build_fleet(3, 2, || FuncBackend::with_threads(threads));
-    fleet.cluster.set_advance_mode(mode);
+    for g in 0..fleet.cluster.gateway_count() {
+        fleet.cluster.gateway_mut(GatewayId(g)).barrier().set_mode(mode);
+    }
     fleet.cluster.set_elastic(Some(ElasticConfig::default()));
     fleet.cluster.set_steal_batch(2);
     fleet.cluster.enable_timeline(fleet.mean_gap, 4096);
@@ -329,7 +331,10 @@ fn func_run(threads: usize, mode: AdvanceMode) -> ClusterObservables {
     let responses = drive(&mut fleet, 12, true);
     assert!(!hard_latencies(&responses, fleet.hard).is_empty());
     let Fleet { mut cluster, .. } = fleet;
-    let timeline = cluster.take_fleet_timeline("fleet").expect("timeline enabled");
+    let timeline = cluster
+        .take_fleet_timeline("fleet")
+        .expect("uniform sampling intervals")
+        .expect("timeline enabled");
     ClusterObservables {
         responses,
         totals: cluster.totals(),
@@ -363,4 +368,17 @@ fn cluster_runs_are_byte_identical_across_threads_modes_and_repeats() {
         let other = func_run(threads, mode);
         assert_eq!(baseline, other, "cluster run diverged under {what}");
     }
+}
+
+/// Mismatched sampling intervals can only be set behind the cluster's
+/// back, through `gateway_mut` — which is caller input, so merging them is
+/// an error to report, not a panic.
+#[test]
+fn mismatched_timeline_intervals_are_an_error_not_a_panic() {
+    let mut fleet = build_fleet(2, 1, TimingBackend::new);
+    fleet.cluster.enable_timeline(fleet.mean_gap, 64);
+    assert!(matches!(fleet.cluster.take_fleet_timeline("fleet"), Ok(Some(_))));
+    let _ = fleet.cluster.gateway_mut(GatewayId(1)).enable_timeline(fleet.mean_gap * 2, 64);
+    let err = fleet.cluster.take_fleet_timeline("fleet").expect_err("intervals differ");
+    assert!(err.contains("interval mismatch"), "{err}");
 }

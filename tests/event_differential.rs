@@ -6,7 +6,8 @@
 //! reports and mid-run clock/metrics snapshots — across all four
 //! interrupt strategies, 1–8 core pools, the serving gateway, and the
 //! bench crate's canonical spans scenario. The pool scenario also takes the
-//! functional backend's execution tier as an input: root `cargo test` does
+//! functional backend's execution tier (`FuncBackend`, or
+//! `Stepped<FuncBackend>` for Tier-0) as an input: root `cargo test` does
 //! not run `crates/accel/tests`, so the engine's Tier-0 ≡ Tier-1 contract
 //! (one `charge` / `retire` path, DESIGN.md §5.6) is checked here too, and
 //! so is a thin smoke of `crates/accel/tests/span_differential.rs`: the
@@ -19,13 +20,13 @@
 use std::sync::Arc;
 
 use inca::accel::{
-    AccelConfig, AdvanceMode, AdvanceStats, CoreId, CorePool, DdrImage, Engine, ExecTier,
-    FuncBackend, InterruptStrategy, Report,
+    AccelConfig, AdvanceMode, AdvanceStats, Backend, CoreId, CorePool, DdrImage, Engine,
+    FuncBackend, InterruptStrategy, Report, SpanSupport, Stepped, Tier,
 };
 use inca::compiler::Compiler;
 use inca::isa::{Program, TaskSlot};
 use inca::model::{zoo, Shape3};
-use inca::obs::{Metrics, MetricsSnapshot, TraceEvent, Tracer};
+use inca::obs::{Metrics, MetricsSnapshot, Probe, TraceEvent, Tracer};
 use inca::serve::{Gateway, PlacePolicy, SchedPolicy, TenantSpec};
 use inca_bench::{serve_spans_scenario_with_mode, SpansScenario};
 
@@ -92,11 +93,12 @@ struct PoolObservables {
 /// tagged hi job (so span trees and interrupts land in the stream), odd
 /// cores stay idle the whole run. Advanced through two mid-run barriers,
 /// then to quiescence.
-fn pool_run(
+fn pool_run<B: Backend>(
+    wrap: fn(FuncBackend) -> B,
+    func: fn(&B) -> &FuncBackend,
     strategy: InterruptStrategy,
     cores: usize,
     mode: AdvanceMode,
-    tier: ExecTier,
 ) -> (PoolObservables, AdvanceStats) {
     let lo_prog = compile(strategy, &zoo::tiny(Shape3::new(3, 24, 24)).unwrap());
     let hi_prog = compile(strategy, &zoo::tiny(Shape3::new(3, 16, 16)).unwrap());
@@ -104,20 +106,20 @@ fn pool_run(
     let (lo, hi) = (TaskSlot::new(3).unwrap(), TaskSlot::new(1).unwrap());
 
     let (tracer, buf) = Tracer::ring(1 << 16);
-    let engines: Vec<Engine<FuncBackend>> = (0..cores)
+    let engines: Vec<Engine<B>> = (0..cores)
         .map(|c| {
-            let mut e = Engine::new(cfg(), strategy, FuncBackend::with_tier(tier));
-            e.set_span_core(c as u32);
-            e.set_tracer(tracer.clone());
+            let mut backend = FuncBackend::new();
+            backend.install_image(lo, image_with_input(&lo_prog, 1_000 + c as u64));
+            backend.install_image(hi, image_with_input(&hi_prog, 9_000 + c as u64));
+            let mut e = Engine::new(cfg(), strategy, wrap(backend));
+            e.set_probe(Probe { core: Some(c as u32), ..tracer.clone().into() });
             e.load(lo, Arc::clone(&lo_prog)).unwrap();
             e.load(hi, Arc::clone(&hi_prog)).unwrap();
-            e.backend_mut().install_image(lo, image_with_input(&lo_prog, 1_000 + c as u64));
-            e.backend_mut().install_image(hi, image_with_input(&hi_prog, 9_000 + c as u64));
             e
         })
         .collect();
     let mut pool = CorePool::from_engines(engines);
-    pool.set_advance_mode(mode);
+    pool.barrier().set_mode(mode);
 
     let active: Vec<usize> = (0..cores).step_by(2).collect();
     for (i, &c) in active.iter().enumerate() {
@@ -141,14 +143,16 @@ fn pool_run(
     assert_eq!(buf.dropped(), 0, "{strategy}/{cores}c: the comparison covers the whole trace");
     let fused: u64 = pool
         .core_ids()
-        .map(|c| pool.core(c).backend().metrics().counter("tier1.exec_layers"))
+        .map(|c| func(pool.core(c).backend()).metrics().counter("tier1.exec_layers"))
         .sum();
-    assert_eq!(fused > 0, tier == ExecTier::Tier1, "{strategy}/{cores}c: {tier:?} fused {fused}");
+    // Tier-0 is the backend that reports no span capability.
+    let stepped = pool.core(CoreId(0)).backend().supports_spans() == SpanSupport::None;
+    assert_eq!(fused == 0, stepped, "{strategy}/{cores}c: stepped={stepped} fused {fused}");
 
     let outputs = active
         .iter()
         .map(|&c| {
-            let b = pool.core(CoreId(c)).backend();
+            let b = func(pool.core(CoreId(c)).backend());
             (
                 all_outputs(&lo_prog, b.image(lo).unwrap()),
                 all_outputs(&hi_prog, b.image(hi).unwrap()),
@@ -168,12 +172,13 @@ fn pool_run(
 fn pool_runs_are_byte_identical_across_modes() {
     for strategy in STRATEGIES {
         for cores in [1usize, 2, 4, 8] {
-            let (ev, ev_stats) =
-                pool_run(strategy, cores, AdvanceMode::EventDriven, ExecTier::Tier1);
-            let (st, st_stats) = pool_run(strategy, cores, AdvanceMode::Stepping, ExecTier::Tier1);
+            let tier1 = |mode| pool_run(|b| b, |b| b, strategy, cores, mode);
+            let (ev, ev_stats) = tier1(AdvanceMode::EventDriven);
+            let (st, st_stats) = tier1(AdvanceMode::Stepping);
             assert_eq!(ev, st, "{strategy}/{cores}c: event-driven and stepping runs diverge");
             if cores <= 2 {
-                let (t0, _) = pool_run(strategy, cores, AdvanceMode::EventDriven, ExecTier::Tier0);
+                let (t0, _) =
+                    pool_run(Stepped, |b| &b.0, strategy, cores, AdvanceMode::EventDriven);
                 assert_eq!(ev, t0, "{strategy}/{cores}c: Tier-1 and Tier-0 runs diverge");
             }
             assert!(!ev.trace.is_empty(), "{strategy}/{cores}c: scenario emits trace events");
@@ -247,10 +252,10 @@ fn gateway_run(
 
     let pool = CorePool::new(cores, cfg(), strategy, FuncBackend::new);
     let mut gw = Gateway::new(pool, SchedPolicy::FixedPriority, PlacePolicy::LeastLoaded);
-    gw.set_advance_mode(mode);
+    gw.barrier().set_mode(mode);
     gw.set_batch_window(5_000);
     let (tracer, buf) = Tracer::ring(1 << 16);
-    gw.set_tracer(tracer);
+    gw.set_probe(tracer.into(), 0);
     let tenants: Vec<_> = plan
         .iter()
         .map(|(name, program, weight, hard, _)| {
@@ -325,17 +330,17 @@ fn gateway_runs_are_byte_identical_across_modes() {
                 "{strategy}/{cores}c: an event-driven gateway must skip quiescent cores, \
                  got {ev_stats:?}"
             );
-            // The serving wake-heap accounts for every core at every
+            // The serving barrier accounts for every core at every
             // barrier: visited (armed and non-quiescent) or skipped.
             assert_eq!(
                 ev_stats.wakes + ev_stats.skips,
                 ev_stats.barriers * cores as u64,
-                "{strategy}/{cores}c: wake-heap barrier accounting is exact"
+                "{strategy}/{cores}c: barrier accounting is exact"
             );
             assert_eq!(st_stats.skips, 0, "{strategy}/{cores}c: stepping never skips");
             ev_by_cores.push(ev_stats);
         }
-        // Wake-heap barriers are O(armed), not O(cores): growing the pool
+        // Barriers are O(armed), not O(cores): growing the pool
         // with capacity the workload does not arm improves skips instead
         // of costing full-pool scans.
         let (ev2, ev4) = (ev_by_cores[0], ev_by_cores[1]);

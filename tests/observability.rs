@@ -38,7 +38,7 @@ fn traced_func_run(threads: usize) -> (String, String) {
     backend.install_image(hi, DdrImage::for_program(&hi_prog, 22));
     let mut engine = Engine::new(cfg, InterruptStrategy::VirtualInstruction, backend);
     let (tracer, buf) = Tracer::ring(1 << 18);
-    engine.set_tracer(tracer);
+    engine.set_probe(tracer.into());
     engine.load(lo, lo_prog).unwrap();
     engine.load(hi, hi_prog).unwrap();
     engine.request_at(0, lo).unwrap();
@@ -83,7 +83,7 @@ fn traces_are_byte_identical_across_repeat_runs_per_strategy() {
             let (hi, lo) = (TaskSlot::new(1).unwrap(), TaskSlot::new(3).unwrap());
             let mut e = Engine::new(cfg, strategy, TimingBackend::new());
             let (tracer, buf) = Tracer::ring(1 << 18);
-            e.set_tracer(tracer);
+            e.set_probe(tracer.into());
             e.load(hi, if vi { hi_vi.clone() } else { hi_orig.clone() }).unwrap();
             e.load(lo, if vi { lo_vi.clone() } else { lo_orig.clone() }).unwrap();
             e.request_at(0, lo).unwrap();
