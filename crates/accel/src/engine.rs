@@ -69,48 +69,6 @@ pub enum TaskState {
     Preempted,
 }
 
-/// Scheduler/lifecycle events, in cycle order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub enum Event {
-    /// A job was released into a slot.
-    Submitted {
-        /// Cycle.
-        cycle: u64,
-        /// Slot.
-        slot: TaskSlot,
-    },
-    /// A job started for the first time.
-    Started {
-        /// Cycle.
-        cycle: u64,
-        /// Slot.
-        slot: TaskSlot,
-    },
-    /// A job was preempted.
-    Preempted {
-        /// Cycle (end of backup).
-        cycle: u64,
-        /// The victim.
-        slot: TaskSlot,
-        /// The winner that requested the datapath.
-        by: TaskSlot,
-    },
-    /// A preempted job resumed.
-    Resumed {
-        /// Cycle (end of restore).
-        cycle: u64,
-        /// Slot.
-        slot: TaskSlot,
-    },
-    /// A job finished.
-    Completed {
-        /// Cycle.
-        cycle: u64,
-        /// Slot.
-        slot: TaskSlot,
-    },
-}
-
 /// One preemption, probed with the paper's four phases (cycles).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct InterruptEvent {
@@ -222,8 +180,6 @@ impl Profile {
 /// Simulation outcome.
 #[derive(Debug, Clone, Default, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct Report {
-    /// Scheduler events in cycle order.
-    pub events: Vec<Event>,
     /// All preemptions with their phase probes.
     pub interrupts: Vec<InterruptEvent>,
     /// Completed jobs in completion order.
@@ -240,29 +196,28 @@ impl Report {
         self.completed_jobs.iter().filter(move |j| j.slot == slot)
     }
 
-    /// Per-slot occupancy intervals `(start, end)` derived from the event
-    /// log (running between Start/Resume and Preempt/Complete).
+    /// Per-slot occupancy intervals `(start, end)`: each completed job
+    /// holds the datapath over `[start, finish]` less one pause per
+    /// preemption, from the end of its backup (`request_cycle + t1 + t2`)
+    /// to `resumed_at`. A job's pauses are the next `preemptions` resumed
+    /// interrupts of its slot (a victim that finished during the drain
+    /// never paused). Jobs still in flight are not painted.
     #[must_use]
     pub fn occupancy(&self) -> [Vec<(u64, u64)>; TASK_SLOTS] {
         let mut out: [Vec<(u64, u64)>; TASK_SLOTS] = Default::default();
-        let mut open: [Option<u64>; TASK_SLOTS] = [None; TASK_SLOTS];
-        for e in &self.events {
-            match *e {
-                Event::Started { cycle, slot } | Event::Resumed { cycle, slot } => {
-                    open[slot.index()] = Some(cycle);
-                }
-                Event::Preempted { cycle, slot, .. } | Event::Completed { cycle, slot } => {
-                    if let Some(s) = open[slot.index()].take() {
-                        out[slot.index()].push((s, cycle));
-                    }
-                }
-                Event::Submitted { .. } => {}
+        let mut pauses: [_; TASK_SLOTS] = std::array::from_fn(|s| {
+            self.interrupts
+                .iter()
+                .filter(move |i| i.victim.index() == s)
+                .filter_map(|i| Some((i.request_cycle + i.latency(), i.resumed_at?)))
+        });
+        for job in &self.completed_jobs {
+            let (slot, mut from) = (job.slot.index(), job.start);
+            for (pause, resumed) in pauses[slot].by_ref().take(job.preemptions as usize) {
+                out[slot].push((from, pause));
+                from = resumed;
             }
-        }
-        for (i, o) in open.into_iter().enumerate() {
-            if let Some(s) = o {
-                out[i].push((s, self.final_cycle));
-            }
+            out[slot].push((from, job.finish));
         }
         out
     }
@@ -403,6 +358,7 @@ struct ObsCounters {
     vis_materialized: u64,
     saves_patched: u64,
     saves_elided: u64,
+    jobs_preempted: u64,
 }
 
 /// Everything that watches instructions retire.
@@ -598,7 +554,6 @@ pub struct Engine<B: Backend> {
     arrivals: BinaryHeap<Reverse<(u64, u64, TaskSlot, JobParams)>>,
     seq: u64,
     running: Option<TaskSlot>,
-    events: Vec<Event>,
     interrupts: Vec<InterruptEvent>,
     completed: Vec<JobRecord>,
     obs: Observers,
@@ -620,7 +575,6 @@ impl<B: Backend> Engine<B> {
             arrivals: BinaryHeap::new(),
             seq: 0,
             running: None,
-            events: Vec::new(),
             interrupts: Vec::new(),
             completed: Vec::new(),
             obs: Observers {
@@ -661,10 +615,7 @@ impl<B: Backend> Engine<B> {
         m.inc("engine.saves.patched", self.obs.counters.saves_patched);
         m.inc("engine.saves.elided", self.obs.counters.saves_elided);
         m.inc("engine.jobs.completed", self.completed.len() as u64);
-        m.inc(
-            "engine.jobs.preempted",
-            self.events.iter().filter(|e| matches!(e, Event::Preempted { .. })).count() as u64,
-        );
+        m.inc("engine.jobs.preempted", self.obs.counters.jobs_preempted);
         m.inc("engine.interrupts.probed", self.interrupts.len() as u64);
         let mut busy = 0u64;
         for j in &self.completed {
@@ -869,7 +820,6 @@ impl<B: Backend> Engine<B> {
             } else {
                 st.backlog.push_back((t, params));
             }
-            self.events.push(Event::Submitted { cycle: t, slot });
             self.obs.out.tracer.emit(|| TraceEvent::JobReleased { cycle: t, slot });
         }
     }
@@ -1063,7 +1013,6 @@ impl<B: Backend> Engine<B> {
             extra_cost_cycles: job.extra_cost_cycles,
             preemptions: job.preemptions,
         });
-        self.events.push(Event::Completed { cycle: self.now, slot });
         if let Some(tag) = job.params.tag {
             // Close the job's open spans at the completion cycle (a
             // VI point that closes the program can leave a layer open).
@@ -1083,7 +1032,6 @@ impl<B: Backend> Engine<B> {
             // Auto-resubmission reuses the completed job's offsets (the
             // new job is a fresh, untagged release).
             s.job = Some(ActiveJob::new(cycle, JobParams { tag: None, ..job.params }));
-            self.events.push(Event::Submitted { cycle, slot });
             self.obs.out.tracer.emit(|| TraceEvent::JobReleased { cycle, slot });
         }
         if self.running == Some(slot) {
@@ -1098,7 +1046,6 @@ impl<B: Backend> Engine<B> {
         let job = self.slots[slot.index()].job_mut();
         if job.start.is_none() {
             job.start = Some(self.now);
-            self.events.push(Event::Started { cycle: self.now, slot });
             let cycle = self.now;
             self.obs.out.tracer.emit(|| TraceEvent::JobStarted { cycle, slot });
         }
@@ -1128,7 +1075,6 @@ impl<B: Backend> Engine<B> {
                 self.interrupts[idx].t4 = t4;
                 self.interrupts[idx].resumed_at = Some(self.now);
             }
-            self.events.push(Event::Resumed { cycle: self.now, slot });
             self.obs.out.tracer.emit(|| TraceEvent::Resumed { slot, restore_start, t4 });
         }
         // Close the request's pending Preempted span and open its next
@@ -1281,7 +1227,7 @@ impl<B: Backend> Engine<B> {
             job.spans.preempt_pause = Some(pause);
         }
         self.interrupts.push(probe);
-        self.events.push(Event::Preempted { cycle: self.now, slot: victim, by: winner });
+        self.obs.counters.jobs_preempted += 1;
         let request = request_cycle;
         self.obs.out.tracer.emit(|| TraceEvent::Preempted {
             victim,
@@ -1386,7 +1332,6 @@ impl<B: Backend> Engine<B> {
     #[must_use]
     pub fn report(&self) -> Report {
         Report {
-            events: self.events.clone(),
             interrupts: self.interrupts.clone(),
             completed_jobs: self.completed.clone(),
             final_cycle: self.now,

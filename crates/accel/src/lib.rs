@@ -68,7 +68,7 @@ pub use backend::{Backend, SimError, SpanSupport, Stepped, TimingBackend};
 pub use config::AccelConfig;
 pub use cost::instr_cycles;
 pub use engine::{
-    Engine, Event, InterruptEvent, InterruptStrategy, JobRecord, Profile, Report, TaskState,
+    Engine, InterruptEvent, InterruptStrategy, JobRecord, Profile, Report, TaskState,
 };
 pub use event::{AdvanceMode, AdvanceStats, Barrier, Tier};
 pub use func::{CalcKernel, DdrImage, FuncBackend};

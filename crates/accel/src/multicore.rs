@@ -390,8 +390,9 @@ mod tests {
         assert_eq!(reports[0].completed_jobs.len(), 1);
         assert_eq!(reports[1].completed_jobs.len(), 0);
         assert_eq!(reports[2].completed_jobs.len(), 1);
-        // Idle cores share the clock but record no events.
-        assert!(reports[1].events.is_empty());
+        // Idle cores share the clock but never held a job.
+        assert_eq!(pool.core(CoreId(1)).task_state(slot), crate::TaskState::Idle);
+        assert!(reports[1].interrupts.is_empty());
     }
 
     #[test]

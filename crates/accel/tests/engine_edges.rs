@@ -5,12 +5,13 @@
 use std::sync::Arc;
 
 use inca_accel::{
-    AccelConfig, DdrImage, Engine, Event, FuncBackend, InterruptStrategy, Report, TaskState,
+    AccelConfig, DdrImage, Engine, FuncBackend, InterruptStrategy, JobRecord, Report, TaskState,
     TimingBackend,
 };
 use inca_compiler::Compiler;
-use inca_isa::{Program, TaskSlot};
+use inca_isa::{Program, TaskSlot, TASK_SLOTS};
 use inca_model::{zoo, Shape3};
+use inca_obs::{TraceEvent, Tracer};
 
 fn program(h: u32) -> Arc<Program> {
     Arc::new(
@@ -212,19 +213,31 @@ fn request_after_completion_reruns_the_program() {
     );
 }
 
+/// A report of `jobs` — each `(slot, start, finish)`, never preempted —
+/// snapshotted at `final_cycle`.
+fn report_of(jobs: &[(TaskSlot, u64, u64)], final_cycle: u64) -> Report {
+    let completed_jobs = jobs
+        .iter()
+        .map(|&(slot, start, finish)| JobRecord {
+            slot,
+            release: start,
+            start,
+            finish,
+            busy_cycles: finish - start,
+            extra_cost_cycles: 0,
+            preemptions: 0,
+        })
+        .collect();
+    Report { interrupts: vec![], completed_jobs, final_cycle, profile: None }
+}
+
 #[test]
 fn gantt_zero_length_interval_at_final_cycle_paints_nothing() {
-    // A report snapshotted exactly when a job starts used to round the
-    // zero-length interval [final_cycle, final_cycle) onto the last
-    // column and paint a spurious `#`.
+    // A zero-length job ending exactly at the final cycle used to round
+    // the interval [final_cycle, final_cycle) onto the last column and
+    // paint a spurious `#`.
     let slot = TaskSlot::new(2).unwrap();
-    let report = Report {
-        events: vec![Event::Submitted { cycle: 100, slot }, Event::Started { cycle: 100, slot }],
-        interrupts: vec![],
-        completed_jobs: vec![],
-        final_cycle: 100,
-        profile: None,
-    };
+    let report = report_of(&[(slot, 100, 100)], 100);
     assert_eq!(report.occupancy()[slot.index()], vec![(100, 100)]);
     let g = report.gantt(40);
     let row = g.lines().nth(slot.index()).unwrap();
@@ -233,17 +246,11 @@ fn gantt_zero_length_interval_at_final_cycle_paints_nothing() {
 
 #[test]
 fn gantt_interval_past_final_cycle_paints_nothing() {
-    // Out-of-range intervals (a stale final_cycle below the event log's
-    // cycles) must clamp instead of painting the last column or slicing
-    // out of bounds.
+    // Out-of-range intervals (a stale final_cycle below the jobs' cycles)
+    // must clamp instead of painting the last column or slicing out of
+    // bounds.
     let slot = TaskSlot::new(1).unwrap();
-    let report = Report {
-        events: vec![Event::Started { cycle: 150, slot }, Event::Completed { cycle: 300, slot }],
-        interrupts: vec![],
-        completed_jobs: vec![],
-        final_cycle: 100,
-        profile: None,
-    };
+    let report = report_of(&[(slot, 150, 300)], 100);
     let g = report.gantt(40);
     let row = g.lines().nth(slot.index()).unwrap();
     assert!(!row.contains('#'), "out-of-range interval painted: {row}");
@@ -253,17 +260,7 @@ fn gantt_interval_past_final_cycle_paints_nothing() {
 fn gantt_paints_last_column_only_for_real_occupancy() {
     let busy = TaskSlot::new(0).unwrap();
     let idle = TaskSlot::new(3).unwrap();
-    let report = Report {
-        events: vec![
-            Event::Started { cycle: 0, slot: busy },
-            Event::Completed { cycle: 100, slot: busy },
-            Event::Started { cycle: 100, slot: idle },
-        ],
-        interrupts: vec![],
-        completed_jobs: vec![],
-        final_cycle: 100,
-        profile: None,
-    };
+    let report = report_of(&[(busy, 0, 100), (idle, 100, 100)], 100);
     let g = report.gantt(40);
     let busy_row = g.lines().nth(busy.index()).unwrap();
     let idle_row = g.lines().nth(idle.index()).unwrap();
@@ -271,6 +268,98 @@ fn gantt_paints_last_column_only_for_real_occupancy() {
     // the zero-length one at the end paints none.
     assert_eq!(busy_row.matches('#').count(), 40, "{busy_row}");
     assert!(!idle_row.contains('#'), "{idle_row}");
+}
+
+/// Occupancy folded from a lifecycle trace exactly as `Report::occupancy`
+/// once folded the engine's `Event` log: a slot holds the datapath from
+/// `JobStarted`/`Resumed` to `Preempted`/`JobFinished`, and a job still
+/// open runs to `final_cycle`.
+fn occupancy_of_trace(events: &[TraceEvent], final_cycle: u64) -> [Vec<(u64, u64)>; TASK_SLOTS] {
+    let mut out: [Vec<(u64, u64)>; TASK_SLOTS] = Default::default();
+    let mut open: [Option<u64>; TASK_SLOTS] = [None; TASK_SLOTS];
+    for e in events {
+        let (slot, cycle, opens) = match *e {
+            TraceEvent::JobStarted { cycle, slot } => (slot, cycle, true),
+            TraceEvent::Resumed { slot, restore_start, t4 } => (slot, restore_start + t4, true),
+            TraceEvent::Preempted { victim, request, t1, t2, .. } => {
+                (victim, request + t1 + t2, false)
+            }
+            TraceEvent::JobFinished { cycle, slot, .. } => (slot, cycle, false),
+            _ => continue,
+        };
+        if opens {
+            open[slot.index()] = Some(cycle);
+        } else if let Some(s) = open[slot.index()].take() {
+            out[slot.index()].push((s, cycle));
+        }
+    }
+    for (i, o) in open.into_iter().enumerate() {
+        if let Some(s) = o {
+            out[i].push((s, final_cycle));
+        }
+    }
+    out
+}
+
+/// `Report::occupancy` is derived from `completed_jobs` and `interrupts`
+/// alone; it must paint what the lifecycle trace says, under every
+/// strategy, both for victims that paused and resumed (two back-to-back
+/// jobs on the victim slot) and for victims drained to completion
+/// (`NonPreemptive`, and `LayerByLayer` asked inside the last layer).
+#[test]
+fn occupancy_matches_the_lifecycle_trace() {
+    let (hi, lo) = (TaskSlot::new(1).unwrap(), TaskSlot::new(3).unwrap());
+    let (hi_program, lo_program) = (program(16), program(64));
+    // The solo run's makespan and the start of its last instruction (a
+    // request is observed at instruction boundaries only).
+    let (span, last) = {
+        let mut e = engine(InterruptStrategy::VirtualInstruction);
+        let (tracer, ring) = Tracer::ring(1 << 10);
+        e.set_probe(tracer.into());
+        e.load(lo, Arc::clone(&lo_program)).unwrap();
+        e.request_at(0, lo).unwrap();
+        let span = e.run().unwrap().final_cycle;
+        let last = ring.drain().into_iter().rev().find_map(|ev| match ev {
+            TraceEvent::InstrRetired { start, .. } => Some(start),
+            _ => None,
+        });
+        (span, last.unwrap())
+    };
+    let resumed = [span / 3, 2 * span / 3, 4 * span / 3];
+    let drained = [last];
+    for strategy in [
+        InterruptStrategy::NonPreemptive,
+        InterruptStrategy::CpuLike,
+        InterruptStrategy::LayerByLayer,
+        InterruptStrategy::VirtualInstruction,
+    ] {
+        for (arrivals, lo_jobs) in [(&resumed[..], 2), (&drained[..], 1)] {
+            let mut e = engine(strategy);
+            let (tracer, ring) = Tracer::ring_coarse(1 << 12);
+            e.set_probe(tracer.into());
+            e.load(hi, Arc::clone(&hi_program)).unwrap();
+            e.load(lo, Arc::clone(&lo_program)).unwrap();
+            for k in 0..lo_jobs {
+                e.request_at(k, lo).unwrap();
+            }
+            for &at in arrivals {
+                e.request_at(at, hi).unwrap();
+            }
+            let r = e.run().unwrap();
+            let traced = occupancy_of_trace(&ring.drain(), r.final_cycle);
+            assert_eq!(r.occupancy(), traced, "{strategy} with {lo_jobs} victim job(s)");
+            let paused = r.interrupts.iter().any(|i| i.resumed_at.is_some());
+            if lo_jobs == 2 {
+                assert_eq!(paused, strategy != InterruptStrategy::NonPreemptive, "{strategy}");
+            } else if matches!(
+                strategy,
+                InterruptStrategy::NonPreemptive | InterruptStrategy::LayerByLayer
+            ) {
+                assert_eq!(r.interrupts.len(), 1, "{strategy}");
+                assert!(!paused, "{strategy}: the victim finished during the drain");
+            }
+        }
+    }
 }
 
 #[test]

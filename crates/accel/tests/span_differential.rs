@@ -5,14 +5,14 @@
 //! therefore retires one instruction per loop iteration (the engine every
 //! earlier PR shipped). Both engines receive the same calls; after **every**
 //! call the suite compares what the call returned, `now()`, `next_event()`,
-//! the `task_state` of all four slots, the whole `report()` (events,
-//! interrupt probes with `request_pc` / `layer` / `t1`, completed jobs,
-//! final cycle) and `metrics()`.
+//! the `task_state` of all four slots, the whole `report()` (interrupt
+//! probes with `request_pc` / `layer` / `t1` / `resumed_at`, completed
+//! jobs, final cycle) and `metrics()`.
 //!
 //! The deterministic tests aim at the places a jump can land wrong:
 //! deadlines inside an instruction, exactly on an instruction boundary and
 //! exactly at an arrival cycle; equal-cycle arrivals; an arrival that does
-//! not preempt (its `Submitted` must keep its place); same-slot backlog;
+//! not preempt (its `JobReleased` must keep its place); same-slot backlog;
 //! auto-resubmission; zero-cost instructions (equal start cycles); pending
 //! SAVE patches after a VI resume; a program that ends in a virtual group;
 //! a slot reloaded with a different program. The proptest sweeps arrival
@@ -302,33 +302,39 @@ fn superpoint_120x160_matrix() {
 }
 
 /// An arrival that preempts nobody still ends the span it lands in: its
-/// `Submitted` is logged when the clock reaches it, between the running
-/// job's `Started` and `Completed`.
+/// `JobReleased` is traced when the clock reaches it, between the running
+/// job's `JobStarted` and `JobFinished`. A coarse ring leaves span commits
+/// on (it wants no per-instruction events).
 #[test]
-fn lower_priority_arrival_keeps_its_place_in_the_event_log() {
-    use inca_accel::Event;
+fn lower_priority_arrival_keeps_its_place_in_the_lifecycle_trace() {
     let lo = tiny(32);
     let bounds = boundaries(cfg(false), &lo);
     let (top, low) = (slot(1), slot(3));
     for strategy in STRATEGIES {
         let mut p = Pair::new(cfg(false), strategy, "no-preempt arrival");
+        let (tracer, spans) = Tracer::ring_coarse(1 << 12);
+        p.spans.set_probe(tracer.into());
+        let (tracer, steps) = Tracer::ring_coarse(1 << 12);
+        p.steps.set_probe(tracer.into());
         p.load(top, &lo);
         p.load(low, &tiny(16));
         p.request(0, top);
         let mid = bounds[bounds.len() / 2] + 1;
         p.request(mid, low);
         p.request(mid, top); // and a backlog entry for the running slot itself
-        let events = p.finish().events;
-        let at = |e: Event| events.iter().position(|x| *x == e).expect("event logged");
+        p.finish();
+        let events = spans.drain();
+        assert_eq!(events, steps.drain(), "{strategy}: lifecycle traces diverge");
+        let at = |e: TraceEvent| events.iter().position(|x| *x == e).expect("event traced");
         let finish = *bounds.last().unwrap();
+        let finished = events.iter().position(|e| {
+            matches!(*e, TraceEvent::JobFinished { cycle, slot, .. } if (cycle, slot) == (finish, top))
+        });
         assert!(
-            at(Event::Started { cycle: 0, slot: top })
-                < at(Event::Submitted { cycle: mid, slot: low })
+            at(TraceEvent::JobStarted { cycle: 0, slot: top })
+                < at(TraceEvent::JobReleased { cycle: mid, slot: low })
         );
-        assert!(
-            at(Event::Submitted { cycle: mid, slot: top })
-                < at(Event::Completed { cycle: finish, slot: top })
-        );
+        assert!(at(TraceEvent::JobReleased { cycle: mid, slot: top }) < finished.unwrap());
     }
 }
 

@@ -118,7 +118,7 @@ fn run_cell(cfg: &AccelConfig, n_tasks: usize, policy: SchedPolicy, rounds: u64)
         submitted: totals.submitted,
         admitted: totals.admitted,
         completed: totals.completed,
-        rejected: totals.rejected_queue + totals.rejected_admission,
+        rejected: totals.shed + totals.rejected,
         dropped: totals.dropped,
         skipped: totals.skipped,
         hi_completed: hi_stats.completed,

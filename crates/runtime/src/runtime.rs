@@ -28,8 +28,10 @@ pub struct JobHandle(u64);
 pub struct DeadlineRecord {
     /// The job.
     pub job: JobHandle,
-    /// Slot it ran in.
-    pub slot: TaskSlot,
+    /// Slot it ran in or, still outstanding, the raw slot it is queued on.
+    /// `None` for a scheduler job still outstanding at report time: its
+    /// slot is the scheduler's to choose and it may not have one yet.
+    pub slot: Option<TaskSlot>,
     /// Cycle it had to finish by.
     pub deadline: u64,
     /// Cycle it finished (`None` if still outstanding at report time).
@@ -364,7 +366,7 @@ impl<M: Clone, B: Backend> Runtime<M, B> {
                 if let Some(d) = deadline {
                     self.deadlines.push(DeadlineRecord {
                         job: handle,
-                        slot: rec.slot,
+                        slot: Some(rec.slot),
                         deadline: d,
                         finish: Some(rec.finish),
                     });
@@ -509,23 +511,14 @@ impl<M: Clone, B: Backend> Runtime<M, B> {
         Ok(())
     }
 
-    /// Advances the engine to `horizon`, surfacing completions as events.
-    /// With a scheduler installed the engine is stepped completion by
-    /// completion so freed slots re-bind at the exact completion cycle;
-    /// without one, the engine runs straight through (keeping the event
-    /// stream byte-identical to pre-scheduler builds).
+    /// Advances the engine to `horizon`, surfacing completions as events:
+    /// stepped completion by completion, so freed slots re-bind at the
+    /// exact completion cycle (the task-less scheduler binds nothing, and
+    /// stopping at a completion moves no clock). Skipped when
+    /// [`Scheduler::next_tick`] says the round-trip is a state no-op —
+    /// the same rule the serving gateway applies per core.
     fn advance_engine(&mut self, horizon: u64) -> Result<(), SimError> {
-        if !self.scheduled {
-            self.engine.run_until(horizon)?;
-            self.drain_engine_completions();
-            return Ok(());
-        }
-        // Event-driven skip: with nothing outstanding in the scheduler
-        // and a quiescent engine, the step/drain round-trip is provably
-        // a state no-op (empty queues accrue no tokens, the engine's
-        // clock does not move, there are no new completions) — the same
-        // wake rule the serving gateway applies per core.
-        if self.sched.outstanding() == 0 && self.engine.next_event().is_none() {
+        if self.sched.next_tick(&self.engine).is_none() {
             return Ok(());
         }
         // Pumped at the middleware clock, not the engine's (see
@@ -542,29 +535,16 @@ impl<M: Clone, B: Backend> Runtime<M, B> {
     /// Builds the report (outstanding deadline jobs count as unmet).
     #[must_use]
     pub fn report(&self) -> RuntimeReport {
+        // A raw job waits in the queue of its slot; which slot a
+        // scheduler job holds is known here only once it completes.
+        let raw = self.waiting.iter().zip(TaskSlot::all()).flat_map(|(q, slot)| {
+            q.iter().map(move |&(job, _, deadline)| (job, Some(slot), deadline))
+        });
+        let sched = self.sched_jobs.values().map(|&(job, _, deadline)| (job, None, deadline));
         let mut deadlines = self.deadlines.clone();
-        for q in &self.waiting {
-            for (handle, _, deadline) in q {
-                if let Some(d) = deadline {
-                    deadlines.push(DeadlineRecord {
-                        job: *handle,
-                        slot: TaskSlot::new(0).expect("valid"),
-                        deadline: *d,
-                        finish: None,
-                    });
-                }
-            }
-        }
-        for (handle, _, deadline) in self.sched_jobs.values() {
-            if let Some(d) = deadline {
-                deadlines.push(DeadlineRecord {
-                    job: *handle,
-                    slot: TaskSlot::new(0).expect("valid"),
-                    deadline: *d,
-                    finish: None,
-                });
-            }
-        }
+        deadlines.extend(raw.chain(sched).filter_map(|(job, slot, deadline)| {
+            Some(DeadlineRecord { job, slot, deadline: deadline?, finish: None })
+        }));
         RuntimeReport {
             accel: self.engine.report(),
             deadlines,

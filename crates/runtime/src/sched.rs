@@ -194,42 +194,80 @@ impl TaskSpec {
     }
 }
 
-/// Per-task lifetime counters. Conservation invariant (property-tested):
-/// `submitted == admitted + rejected_queue + rejected_admission` and
-/// `admitted == completed + dropped + skipped + queued + in-flight`.
+/// Lifetime counters of one task — or, as `inca_serve::TenantStats`, of
+/// one serving tenant: the scheduler and the gateway keep one ledger.
+/// Conservation invariants (property-tested):
+///
+/// * `submitted == admitted + rejected + shed`
+/// * `admitted == completed + dropped + skipped + outstanding`
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TaskStats {
-    /// Jobs submitted (admitted or not).
+    /// Submissions (admitted or not).
     pub submitted: u64,
-    /// Jobs admitted (including skipped ones).
+    /// Submissions that entered the queue or pipeline (including degraded
+    /// skips).
     pub admitted: u64,
-    /// Jobs completed on the datapath.
-    pub completed: u64,
-    /// Submissions rejected because the queue was full.
-    pub rejected_queue: u64,
-    /// Submissions rejected by the admission controller.
-    pub rejected_admission: u64,
-    /// Queued jobs dropped under [`DropPolicy::DropOldest`].
+    /// Submissions rejected because the deadline was already unmeetable
+    /// (the admission controller).
+    pub rejected: u64,
+    /// Submissions shed at the door: the task's queue was full under
+    /// [`DropPolicy::Reject`] (a gateway also sheds past a tenant's
+    /// outstanding bound, or with nothing droppable under
+    /// [`DropPolicy::DropOldest`]).
+    pub shed: u64,
+    /// Admitted jobs later discarded: displaced under
+    /// [`DropPolicy::DropOldest`] (a gateway also drops requests a core
+    /// refuses at dispatch, and recalled ones).
     pub dropped: u64,
     /// Jobs admitted-but-skipped under [`DropPolicy::DegradeToSkip`].
     pub skipped: u64,
-    /// Completed jobs that met their deadline.
+    /// Jobs completed on a datapath.
+    pub completed: u64,
+    /// Completed jobs that met their deadline (deadline tasks only).
     pub deadline_met: u64,
     /// Completed jobs that finished past their deadline.
     pub deadline_missed: u64,
 }
 
 impl TaskStats {
-    fn add(&mut self, other: &TaskStats) {
+    /// Adds `other`'s counters to these (totals over tasks, gateways and
+    /// fleets).
+    pub fn add(&mut self, other: &TaskStats) {
         self.submitted += other.submitted;
         self.admitted += other.admitted;
-        self.completed += other.completed;
-        self.rejected_queue += other.rejected_queue;
-        self.rejected_admission += other.rejected_admission;
+        self.rejected += other.rejected;
+        self.shed += other.shed;
         self.dropped += other.dropped;
         self.skipped += other.skipped;
+        self.completed += other.completed;
         self.deadline_met += other.deadline_met;
         self.deadline_missed += other.deadline_missed;
+    }
+
+    /// Writes the ledger into `m` as `{prefix}requests.*` and
+    /// `{prefix}deadlines.*` counters — one spelling of the keys for the
+    /// gateway (`serve.`) and the fleet (`cluster.`).
+    pub fn write_metrics(&self, m: &mut Metrics, prefix: &str) {
+        for (key, value) in [
+            ("requests.submitted", self.submitted),
+            ("requests.admitted", self.admitted),
+            ("requests.rejected", self.rejected),
+            ("requests.shed", self.shed),
+            ("requests.dropped", self.dropped),
+            ("requests.skipped", self.skipped),
+            ("requests.completed", self.completed),
+            ("deadlines.met", self.deadline_met),
+            ("deadlines.missed", self.deadline_missed),
+        ] {
+            m.inc(&format!("{prefix}{key}"), value);
+        }
+    }
+
+    /// Admitted but not yet completed, dropped or skipped (for a
+    /// scheduler task: queued or in flight).
+    #[must_use]
+    pub fn outstanding(&self) -> u64 {
+        self.admitted - self.completed - self.dropped - self.skipped
     }
 }
 
@@ -496,7 +534,7 @@ impl Scheduler {
         self.tasks[task.0].stats.submitted += 1;
 
         if self.admission && !self.admit(task, deadline) {
-            self.tasks[task.0].stats.rejected_admission += 1;
+            self.tasks[task.0].stats.rejected += 1;
             self.emit_rejected(now, task, "admission");
             return Err(RejectReason::AdmissionDenied);
         }
@@ -505,7 +543,7 @@ impl Scheduler {
         if t.queue.len() >= t.spec.queue_capacity {
             match t.spec.drop_policy {
                 DropPolicy::Reject => {
-                    t.stats.rejected_queue += 1;
+                    t.stats.shed += 1;
                     self.emit_rejected(now, task, "queue-full");
                     return Err(RejectReason::QueueFull);
                 }
@@ -773,6 +811,21 @@ impl Scheduler {
         engine.run_until_complete(deadline)
     }
 
+    /// The next cycle this scheduler and `engine` can make progress: the
+    /// engine's clock while jobs are outstanding (a pump may bind them),
+    /// otherwise [`Engine::next_event`]. `None` means a
+    /// [`Scheduler::step`] would be a state no-op — nothing to bind, no
+    /// queued task to accrue tokens, an engine whose clock would not move
+    /// — which is the quiescence rule every driver above an engine skips
+    /// by.
+    #[must_use]
+    pub fn next_tick<B: Backend>(&self, engine: &Engine<B>) -> Option<u64> {
+        match self.outstanding() {
+            0 => engine.next_event(),
+            _ => Some(engine.now()),
+        }
+    }
+
     /// The second half: the next completion record of `engine` this
     /// scheduler has not seen yet, with the scheduler completion when it
     /// belongs to a scheduler-bound job (`None` inside: a raw,
@@ -814,8 +867,8 @@ impl Scheduler {
         m.inc("sched.jobs.submitted", t.submitted);
         m.inc("sched.jobs.admitted", t.admitted);
         m.inc("sched.jobs.completed", t.completed);
-        m.inc("sched.jobs.rejected.queue", t.rejected_queue);
-        m.inc("sched.jobs.rejected.admission", t.rejected_admission);
+        m.inc("sched.jobs.rejected.queue", t.shed);
+        m.inc("sched.jobs.rejected.admission", t.rejected);
         m.inc("sched.jobs.dropped", t.dropped);
         m.inc("sched.jobs.skipped", t.skipped);
         m.inc("sched.deadlines.met", t.deadline_met);
@@ -1040,7 +1093,7 @@ mod tests {
         );
         assert_eq!(s.submit(0, t), Err(RejectReason::AdmissionDenied));
         let st = s.stats(t);
-        assert_eq!(st.rejected_admission, 1);
+        assert_eq!(st.rejected, 1);
         // A feasible deadline admits.
         let span = s.predicted_span(t);
         let mut s2 = Scheduler::new(cfg(), SchedPolicy::FixedPriority);
@@ -1113,10 +1166,7 @@ mod tests {
         let totals = se.scheduler().totals();
         assert_eq!(m.counter("sched.jobs.submitted"), totals.submitted);
         assert_eq!(m.counter("sched.jobs.completed"), totals.completed);
-        assert_eq!(
-            totals.submitted,
-            totals.admitted + totals.rejected_queue + totals.rejected_admission
-        );
+        assert_eq!(totals.submitted, totals.admitted + totals.shed + totals.rejected);
         assert_eq!(totals.admitted, totals.completed + totals.dropped + totals.skipped);
     }
 }

@@ -4,11 +4,13 @@
 //! policies; the invariants checked:
 //!
 //! 1. **Conservation** — every submitted job is accounted for exactly
-//!    once: admitted, rejected (queue/admission); every admitted job is
-//!    completed, dropped, skipped or still outstanding, and the counters
-//!    reconcile with the metrics snapshot.
+//!    once: admitted, shed (queue full) or rejected (admission); every
+//!    admitted job is completed, dropped, skipped or still outstanding,
+//!    and the counters reconcile with the metrics snapshot.
 //! 2. **No slot double-binding** — at every step, no two physical slots
 //!    hold the same logical task, and every bound task reports in-flight.
+//!    The ledger agrees with the queues at every step too: a task's
+//!    `outstanding()` is its queue depth plus its in-flight job.
 //! 3. **Quiescence** — with slot-0 reservation off, every admitted job
 //!    eventually completes (no lost work, no wedged queues).
 //! 4. **No starvation** — a deterministic 64-task flood where the single
@@ -126,11 +128,12 @@ fn run_scenario(s: &Scenario) -> Outcome {
         now += gap;
         done.extend(se.run_until(now).unwrap());
         let task = ids[sel % ids.len()];
+        assert_step_invariants(se.scheduler(), &ids);
         let _ = se.submit(now, task);
-        assert_unique_bindings(se.scheduler());
+        assert_step_invariants(se.scheduler(), &ids);
     }
     done.extend(se.run_to_idle(now + 20_000_000_000).unwrap());
-    assert_unique_bindings(se.scheduler());
+    assert_step_invariants(se.scheduler(), &ids);
 
     let sched = se.scheduler();
     let totals = sched.totals();
@@ -143,13 +146,17 @@ fn run_scenario(s: &Scenario) -> Outcome {
     }
 }
 
-fn assert_unique_bindings(sched: &Scheduler) {
+fn assert_step_invariants(sched: &Scheduler, ids: &[TaskId]) {
     let bound: Vec<TaskId> = sched.bindings().iter().flatten().copied().collect();
     for (i, a) in bound.iter().enumerate() {
         assert!(sched.in_flight(*a), "bound task {a} must report in-flight");
         for b in &bound[i + 1..] {
             assert_ne!(a, b, "task {a} bound to two slots at once");
         }
+    }
+    for &t in ids {
+        let held = sched.queue_depth(t) as u64 + u64::from(sched.in_flight(t));
+        assert_eq!(sched.stats(t).outstanding(), held, "task {t}: ledger vs queues");
     }
 }
 
@@ -161,7 +168,7 @@ proptest! {
         for (i, st) in out.per_task.iter().enumerate() {
             prop_assert_eq!(
                 st.submitted,
-                st.admitted + st.rejected_queue + st.rejected_admission,
+                st.admitted + st.shed + st.rejected,
                 "task {} submissions split exactly into admitted/rejected", i
             );
             prop_assert!(
@@ -188,11 +195,11 @@ proptest! {
         prop_assert_eq!(out.metrics.counter("sched.jobs.completed"), t.completed);
         prop_assert_eq!(
             out.metrics.counter("sched.jobs.rejected.queue"),
-            t.rejected_queue
+            t.shed
         );
         prop_assert_eq!(
             out.metrics.counter("sched.jobs.rejected.admission"),
-            t.rejected_admission
+            t.rejected
         );
         prop_assert_eq!(out.metrics.counter("sched.jobs.dropped"), t.dropped);
         prop_assert_eq!(out.metrics.counter("sched.jobs.skipped"), t.skipped);

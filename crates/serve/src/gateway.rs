@@ -7,8 +7,7 @@
 //! Running the same request schedule twice produces byte-identical
 //! responses, traces and metrics.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use inca_accel::{
@@ -21,7 +20,7 @@ use inca_obs::{
 use inca_runtime::{DropPolicy, SchedPolicy, Scheduler, TaskId, TaskSpec};
 
 use crate::place::{PlacePolicy, Placer};
-use crate::request::{Lane, RequestId, Response, ShedReason, TenantId, TenantSpec, TenantStats};
+use crate::{Lane, RequestId, Response, ShedReason, TenantId, TenantSpec, TenantStats};
 
 /// Default batch window: how long the first request of a batch waits for
 /// company before the batch is flushed, in cycles.
@@ -60,9 +59,9 @@ struct PendingReq {
 #[derive(Debug, Default)]
 struct BatchBuf {
     entries: Vec<PendingReq>,
-    /// Invalidates stale flush-heap entries after an early (size-capped)
-    /// flush.
-    generation: u64,
+    /// When the buffer flushes: set as its first entry lands (`batch_window`
+    /// later), cleared when it flushes or empties.
+    flush_at: Option<u64>,
 }
 
 /// Metadata of a request in flight on a core's scheduler.
@@ -101,8 +100,6 @@ pub struct Gateway<B: Backend> {
     /// One buffer per distinct network (program).
     batches: Vec<BatchBuf>,
     nets: Vec<Arc<inca_isa::Program>>,
-    /// Pending flushes: `(cycle, net, generation)`, earliest first.
-    flushes: BinaryHeap<Reverse<(u64, usize, u64)>>,
     placer: Placer,
     /// Cores eligible for new placements (`cores [0, active_cores)`).
     /// Parked cores — the shrink half of elastic scaling — still advance
@@ -145,7 +142,6 @@ impl<B: Backend> Gateway<B> {
             task_ids: Vec::new(),
             batches: Vec::new(),
             nets: Vec::new(),
-            flushes: BinaryHeap::new(),
             placer: Placer::new(place_policy),
             active_cores: n,
             batch_window: DEFAULT_BATCH_WINDOW,
@@ -434,8 +430,7 @@ impl<B: Backend> Gateway<B> {
             while out.len() < max && !self.batches[net].entries.is_empty() {
                 let victim = self.batches[net].entries.remove(0);
                 if self.batches[net].entries.is_empty() {
-                    // Invalidate the pending flush for the emptied buffer.
-                    self.batches[net].generation += 1;
+                    self.batches[net].flush_at = None;
                 }
                 self.tenants[victim.tenant.0].stats.dropped += 1;
                 self.trace_milestone(self.now, || {
@@ -524,8 +519,7 @@ impl<B: Backend> Gateway<B> {
         };
         let victim = buf.entries.remove(pos);
         if buf.entries.is_empty() {
-            // Invalidate the pending flush for the now-empty buffer.
-            buf.generation += 1;
+            buf.flush_at = None;
         }
         self.tenants[tenant.0].stats.dropped += 1;
         self.trace_milestone(self.now, || format!("serve.drop-oldest {tenant} {}", victim.request));
@@ -581,8 +575,7 @@ impl<B: Backend> Gateway<B> {
         if depth >= self.max_batch {
             self.flush_net(now, net);
         } else if depth == 1 {
-            let at = now + self.batch_window;
-            self.flushes.push(Reverse((at, net, self.batches[net].generation)));
+            self.batches[net].flush_at = Some(now + self.batch_window);
         }
         Accepted { request, skipped: false, deadline, core: None }
     }
@@ -611,7 +604,7 @@ impl<B: Backend> Gateway<B> {
     /// Dispatches one network's batch buffer to a single core.
     fn flush_net(&mut self, now: u64, net: usize) {
         let entries = std::mem::take(&mut self.batches[net].entries);
-        self.batches[net].generation += 1;
+        self.batches[net].flush_at = None;
         if entries.is_empty() {
             return;
         }
@@ -653,15 +646,10 @@ impl<B: Backend> Gateway<B> {
         }
     }
 
-    /// The earliest still-valid pending flush cycle.
-    fn next_flush(&mut self) -> Option<u64> {
-        while let Some(&Reverse((cycle, net, generation))) = self.flushes.peek() {
-            if self.batches[net].generation == generation && !self.batches[net].entries.is_empty() {
-                return Some(cycle);
-            }
-            let _ = self.flushes.pop();
-        }
-        None
+    /// The earliest pending flush as `(cycle, net)`; ties go to the lower
+    /// net.
+    fn next_flush(&self) -> Option<(u64, usize)> {
+        self.batches.iter().enumerate().filter_map(|(net, b)| Some((b.flush_at?, net))).min()
     }
 
     /// Advances the whole gateway to `deadline`: batch flushes and
@@ -683,7 +671,7 @@ impl<B: Backend> Gateway<B> {
     pub fn run_until(&mut self, deadline: u64) -> Result<(), SimError> {
         let mut sampled_state: Option<(u64, u64, usize)> = None;
         loop {
-            let flush = self.next_flush().filter(|&c| c <= deadline);
+            let flush = self.next_flush().filter(|&(c, _)| c <= deadline);
             // Progress guard: if nothing changed since the last boundary
             // and no flush is pending, the outstanding work is wedged
             // (nothing any barrier can serve) — stop sampling so
@@ -697,10 +685,10 @@ impl<B: Backend> Gateway<B> {
             });
             // Ties run the flush first; the boundary then samples the
             // post-flush state at the same cycle on the next iteration.
-            let (cycle, is_flush) = match (flush, sample) {
-                (Some(f), Some(s)) if s < f => (s, false),
-                (Some(f), _) => (f, true),
-                (None, Some(s)) => (s, false),
+            let (cycle, flush_net) = match (flush, sample) {
+                (Some((f, _)), Some(s)) if s < f => (s, None),
+                (Some((f, net)), _) => (f, Some(net)),
+                (None, Some(s)) => (s, None),
                 (None, None) => break,
             };
             // An overdue boundary (a request arrived *after* the scheduled
@@ -710,8 +698,7 @@ impl<B: Backend> Gateway<B> {
             let fire = cycle.max(self.now);
             event::advance(self, fire.min(deadline))?;
             self.now = self.now.max(fire);
-            if is_flush {
-                let Reverse((_, net, _)) = self.flushes.pop().expect("peeked flush exists");
+            if let Some(net) = flush_net {
                 self.flush_net(fire, net);
             } else {
                 // Frames stay pinned to the interval grid even when the
@@ -740,7 +727,7 @@ impl<B: Backend> Gateway<B> {
         loop {
             let before = (self.outstanding(), self.pool.now(), self.pending_batched());
             match self.next_flush() {
-                Some(c) if c < max_cycles => self.run_until(c)?,
+                Some((c, _)) if c < max_cycles => self.run_until(c)?,
                 _ => self.run_until(max_cycles)?,
             }
             if self.outstanding() == 0 {
@@ -874,11 +861,8 @@ impl<B: Backend> Gateway<B> {
 
 /// The serving tier shares its pool's [`Barrier`]: a core here is the
 /// engine *plus* its slot-virtualizing scheduler. Hard submits and batch
-/// flushes arm it through [`CorePool::wake`], and it is quiescent only
-/// when the engine reports no next event (`run_until` would return
-/// without touching its clock) *and* the scheduler has nothing
-/// outstanding (its pump cannot bind, and token accrual — which only
-/// touches tasks with queued jobs — cannot move), so skipping it is
+/// flushes arm it through [`CorePool::wake`], and its next tick is
+/// [`Scheduler::next_tick`] — `None` only when stepping the pair is
 /// provably a state no-op.
 impl<B: Backend> Tier for Gateway<B> {
     fn barrier(&mut self) -> &mut Barrier {
@@ -886,11 +870,7 @@ impl<B: Backend> Tier for Gateway<B> {
     }
 
     fn next_tick(&self, i: usize) -> Option<u64> {
-        let engine = self.pool.core(CoreId(i));
-        match self.scheds[i].outstanding() {
-            0 => engine.next_event(),
-            _ => Some(engine.now()),
-        }
+        self.scheds[i].next_tick(self.pool.core(CoreId(i)))
     }
 
     fn tick(&mut self, i: usize, deadline: u64) -> Result<(), SimError> {

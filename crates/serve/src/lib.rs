@@ -70,9 +70,9 @@ pub use live::{
     LiveConfig, LiveError, LiveReport, LiveServer, LiveSnapshot, TenantSummary, RESPONSE_TOPIC,
 };
 pub use place::PlacePolicy;
-pub use request::{Lane, RequestId, Response, ShedReason, TenantId, TenantSpec, TenantStats};
+pub use request::{Lane, RequestId, Response, ShedReason, TenantId, TenantSpec};
 
 pub use inca_accel::{AdvanceMode, AdvanceStats};
 pub use inca_obs::analyze::SloSpec;
 pub use inca_obs::{FlightRecorder, Sampler, TimeSeries, Violation};
-pub use inca_runtime::{DropPolicy, SchedPolicy};
+pub use inca_runtime::{DropPolicy, SchedPolicy, TaskStats as TenantStats};

@@ -21,7 +21,7 @@ use inca_obs::{spark, Metrics, TimeSeries};
 use inca_runtime::live::LiveBus;
 
 use crate::gateway::{Accepted, Gateway};
-use crate::request::{Lane, Response, ShedReason, TenantId, TenantStats};
+use crate::{Lane, Response, ShedReason, TenantId, TenantStats};
 
 /// Topic completed responses are published on.
 pub const RESPONSE_TOPIC: &str = "serve/responses";

@@ -82,17 +82,9 @@ impl Placer {
     }
 }
 
+/// `min_by_key` keeps the first minimum: ties go to the lowest core.
 fn least_loaded(cores: usize, backlog: impl Fn(usize) -> u64) -> CoreId {
-    let mut best = 0usize;
-    let mut best_load = backlog(0);
-    for c in 1..cores {
-        let load = backlog(c);
-        if load < best_load {
-            best = c;
-            best_load = load;
-        }
-    }
-    CoreId(best)
+    CoreId((0..cores).min_by_key(|&c| backlog(c)).expect("at least one core"))
 }
 
 #[cfg(test)]

@@ -230,74 +230,3 @@ impl Response {
         self.deadline.is_none_or(|d| self.finish <= d)
     }
 }
-
-/// Per-tenant lifetime counters. Conservation invariants
-/// (property-tested, mirroring `sched_props.rs`):
-///
-/// * `submitted == admitted + rejected + shed`
-/// * `admitted == completed + dropped + skipped + outstanding`
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TenantStats {
-    /// Requests submitted (admitted or not).
-    pub submitted: u64,
-    /// Requests that entered the pipeline (including degraded skips).
-    pub admitted: u64,
-    /// Submissions rejected because the deadline was already unmeetable.
-    pub rejected: u64,
-    /// Submissions shed at the door (outstanding bound hit under
-    /// [`DropPolicy::Reject`], or nothing droppable under
-    /// [`DropPolicy::DropOldest`]).
-    pub shed: u64,
-    /// Admitted requests later discarded: displaced from a batch by
-    /// [`DropPolicy::DropOldest`], or refused by a core's admission
-    /// controller at dispatch time.
-    pub dropped: u64,
-    /// Requests admitted-but-skipped under [`DropPolicy::DegradeToSkip`].
-    pub skipped: u64,
-    /// Requests completed on a datapath.
-    pub completed: u64,
-    /// Completed requests that met their deadline (deadline tenants only).
-    pub deadline_met: u64,
-    /// Completed requests that finished past their deadline.
-    pub deadline_missed: u64,
-}
-
-impl TenantStats {
-    /// Adds `other`'s counters to these (per-gateway and fleet totals).
-    pub fn add(&mut self, other: &TenantStats) {
-        self.submitted += other.submitted;
-        self.admitted += other.admitted;
-        self.rejected += other.rejected;
-        self.shed += other.shed;
-        self.dropped += other.dropped;
-        self.skipped += other.skipped;
-        self.completed += other.completed;
-        self.deadline_met += other.deadline_met;
-        self.deadline_missed += other.deadline_missed;
-    }
-
-    /// Writes the ledger into `m` as `{prefix}requests.*` and
-    /// `{prefix}deadlines.*` counters — one spelling of the keys for the
-    /// gateway (`serve.`) and the fleet (`cluster.`).
-    pub fn write_metrics(&self, m: &mut inca_obs::Metrics, prefix: &str) {
-        for (key, value) in [
-            ("requests.submitted", self.submitted),
-            ("requests.admitted", self.admitted),
-            ("requests.rejected", self.rejected),
-            ("requests.shed", self.shed),
-            ("requests.dropped", self.dropped),
-            ("requests.skipped", self.skipped),
-            ("requests.completed", self.completed),
-            ("deadlines.met", self.deadline_met),
-            ("deadlines.missed", self.deadline_missed),
-        ] {
-            m.inc(&format!("{prefix}{key}"), value);
-        }
-    }
-
-    /// Requests admitted but not yet completed, dropped or skipped.
-    #[must_use]
-    pub fn outstanding(&self) -> u64 {
-        self.admitted - self.completed - self.dropped - self.skipped
-    }
-}

@@ -98,7 +98,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             spec.priority,
             st.submitted,
             st.completed,
-            st.rejected_queue + st.rejected_admission,
+            st.shed + st.rejected,
             st.dropped,
             st.skipped,
             st.deadline_met,

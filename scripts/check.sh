@@ -46,6 +46,16 @@ echo "== serving example (deterministic frontend)"
 cargo build --release --example serve -q
 ./target/release/examples/serve > /dev/null
 
+echo "== inca CLI (compile tiny, run it interrupted under every strategy)"
+# `inca run` is the one production reader of `Report::occupancy` (its Gantt).
+cargo build --release --bin inca -q
+tmp="$(mktemp -d)"
+trap 'rm -rf "$tmp"' EXIT
+./target/release/inca compile tiny -o "$tmp/t.bin" > /dev/null
+for s in vi lbl cpu none; do
+    ./target/release/inca run "$tmp/t.bin" --interrupt-at 700000 --strategy "$s" > /dev/null
+done
+
 echo "== prog_size example (paper-scale compiles, VI pass next to lower+codegen)"
 cargo build --release -p inca-compiler --example prog_size -q
 ./target/release/examples/prog_size

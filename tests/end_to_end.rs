@@ -6,7 +6,7 @@ use inca::accel::{
     analysis, AccelConfig, DdrImage, Engine, FuncBackend, InterruptStrategy, TimingBackend,
 };
 use inca::compiler::Compiler;
-use inca::isa::{Program, TaskSlot};
+use inca::isa::{container, Program, TaskSlot};
 use inca::model::{zoo, Shape3};
 
 #[test]
@@ -29,7 +29,6 @@ fn full_pipeline_binary_round_trip() {
 
 #[test]
 fn container_round_trips_compiled_zoo_programs() {
-    use inca::isa::container;
     let cfg = AccelConfig::paper_big();
     let compiler = Compiler::new(cfg.arch);
     for net in [
@@ -156,6 +155,51 @@ fn strategies_agree_on_total_work() {
     assert_eq!(busys[0], busys[1]);
     assert_eq!(busys[0], busys[2]);
     assert_eq!(busys[0], busys[3], "VI busy cycles must match the original stream");
+}
+
+/// FNV-1a (64-bit) of `s`.
+fn fnv1a(s: &str) -> u64 {
+    s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+}
+
+/// `inca run <tiny> --interrupt-at 700000 --strategy S` — `tiny` at the
+/// CLI's default 480×640 on slot 3, a 16×16 `tiny` requester on slot 1 —
+/// renders the same Gantt chart under every strategy as when occupancy
+/// was folded from the engine's event log (values recorded at eb18ecc).
+#[test]
+fn inca_run_gantt_is_pinned() {
+    let cfg = AccelConfig::paper_big();
+    let compiler = Compiler::new(cfg.arch);
+    // What `inca compile tiny -o t.bin` writes and `inca run t.bin` reads.
+    let lo_program = compiler.compile_vi(&zoo::tiny(Shape3::new(3, 480, 640)).unwrap()).unwrap();
+    let lo_program =
+        container::decode_container(&container::encode_container(&lo_program)).unwrap();
+    let hi_program = compiler.compile_vi(&zoo::tiny(Shape3::new(3, 16, 16)).unwrap()).unwrap();
+    let (hi, lo) = (TaskSlot::new(1).unwrap(), TaskSlot::new(3).unwrap());
+    let strategies = [
+        InterruptStrategy::VirtualInstruction,
+        InterruptStrategy::LayerByLayer,
+        InterruptStrategy::CpuLike,
+        InterruptStrategy::NonPreemptive,
+    ];
+    let hashes: Vec<u64> = strategies
+        .into_iter()
+        .map(|strategy| {
+            let mut e = Engine::new(cfg, strategy, TimingBackend::new());
+            e.load(lo, lo_program.clone()).unwrap();
+            e.request_at(0, lo).unwrap();
+            e.load(hi, hi_program.clone()).unwrap();
+            e.request_at(700_000, hi).unwrap();
+            fnv1a(&e.run().unwrap().gantt(72))
+        })
+        .collect();
+    let pinned = [
+        2_013_243_836_620_497_088, // vi: the container kept no (empty) point, so it drains
+        16_126_932_235_605_473_608, // lbl
+        18_355_092_369_872_134_382, // cpu
+        2_013_243_836_620_497_088, // none
+    ];
+    assert_eq!(hashes, pinned);
 }
 
 #[test]
