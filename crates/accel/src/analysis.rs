@@ -12,7 +12,7 @@
 //! through the calibrated cost model, so benches can check theory against
 //! the simulator.
 
-use inca_isa::{Instr, LayerMeta, Opcode, Parallelism, Program, Tile};
+use inca_isa::{Instr, InterruptPoint, LayerMeta, Opcode, Parallelism, Program, Tile};
 
 use crate::engine::fold_charges;
 use crate::{instr_cycles, AccelConfig, InterruptStrategy};
@@ -72,25 +72,25 @@ pub fn predicted_span(cfg: &AccelConfig, program: &Program) -> u64 {
 
 /// The backup cost `t2` charged for taking the interrupt point starting
 /// at `vir_start` under the VI method: the summed DMA cost of the point's
-/// materialised `VIR_SAVE`s.
+/// materialised `VIR_SAVE`s. `None` when no point starts there.
 #[must_use]
-pub fn vi_t2_point(cfg: &AccelConfig, program: &Program, vir_start: u32) -> u64 {
-    let point = program
-        .interrupt_points
-        .iter()
-        .find(|p| p.vir_start == vir_start)
-        .expect("interrupt point");
-    program.instrs[point.vir_range()]
-        .iter()
-        .filter(|i| i.op == Opcode::VirSave)
-        .map(|i| instr_cycles(cfg, program.layer_of(i), i))
-        .sum()
+pub fn vi_t2_point(cfg: &AccelConfig, program: &Program, vir_start: u32) -> Option<u64> {
+    let point = program.next_interrupt_point(vir_start as usize)?;
+    (point.vir_start == vir_start).then(|| t2_of(cfg, program, point))
 }
 
 /// Per-interrupt-point backup costs for the VI method, in program order.
 #[must_use]
 pub fn vi_t2_points(cfg: &AccelConfig, program: &Program) -> Vec<u64> {
-    program.interrupt_points.iter().map(|p| vi_t2_point(cfg, program, p.vir_start)).collect()
+    program.interrupt_points.iter().map(|p| t2_of(cfg, program, p)).collect()
+}
+
+fn t2_of(cfg: &AccelConfig, program: &Program, point: &InterruptPoint) -> u64 {
+    program.instrs[point.vir_range()]
+        .iter()
+        .filter(|i| i.op == Opcode::VirSave)
+        .map(|i| instr_cycles(cfg, program.layer_of(i), i))
+        .sum()
 }
 
 /// Worst-case backup cost `t2` the analytical model predicts for
@@ -219,6 +219,27 @@ mod tests {
             t2_worst(&cfg, InterruptStrategy::VirtualInstruction, &vi),
             points.iter().copied().max().unwrap()
         );
+        // The quadratic per-point lookup this replaced, as the oracle.
+        let worst = vi
+            .interrupt_points
+            .iter()
+            .map(|p| {
+                let found = vi.interrupt_points.iter().find(|q| q.vir_start == p.vir_start);
+                vi.instrs[found.unwrap().vir_range()]
+                    .iter()
+                    .filter(|i| i.op == Opcode::VirSave)
+                    .map(|i| instr_cycles(&cfg, vi.layer_of(i), i))
+                    .sum::<u64>()
+            })
+            .max();
+        assert_eq!(Some(t2_worst(&cfg, InterruptStrategy::VirtualInstruction, &vi)), worst);
+        for (p, &t2) in vi.interrupt_points.iter().zip(&points) {
+            assert_eq!(vi_t2_point(&cfg, &vi, p.vir_start), Some(t2));
+        }
+        // A pc that starts no point is an answer, not a panic.
+        let original = vi.original_instrs().next().unwrap().0 as u32;
+        assert_eq!(vi_t2_point(&cfg, &vi, original), None);
+        assert_eq!(vi_t2_point(&cfg, &vi, u32::MAX), None);
         // Backing up a point is cheaper than dumping all on-chip state.
         assert!(
             t2_worst(&cfg, InterruptStrategy::VirtualInstruction, &vi)

@@ -145,10 +145,12 @@ pub trait Backend {
         SpanSupport::None
     }
 
-    /// Executes the pc span `span` of `program` in one call — one whole
-    /// layer under [`SpanSupport::Layer`], any run of instructions under
-    /// [`SpanSupport::Any`] — applying the job's input/output offsets
-    /// itself (the span's instructions arrive *unpatched*).
+    /// Executes the pc span `span` of `program` in one call — a run of one
+    /// layer between two of its cuts under [`SpanSupport::Group`], any run
+    /// of instructions under [`SpanSupport::Any`] — applying the job's
+    /// input/output offsets and its pending SAVE `patches` (those whose
+    /// pc lies in the span) itself: the span's instructions arrive
+    /// *unpatched*.
     ///
     /// Returns `Ok(true)` when the span was executed with effects
     /// bit-identical to stepping each original instruction, or `Ok(false)`
@@ -166,8 +168,9 @@ pub trait Backend {
         span: std::ops::Range<usize>,
         input_offset: u64,
         output_offset: u64,
+        patches: &[SavePatch],
     ) -> Result<bool, SimError> {
-        let _ = (slot, program, span, input_offset, output_offset);
+        let _ = (slot, program, span, input_offset, output_offset, patches);
         Ok(false)
     }
 }
@@ -179,12 +182,40 @@ pub trait Backend {
 pub enum SpanSupport {
     /// None: every instruction goes through [`Backend::execute`].
     None,
-    /// The pc range of one whole layer, from the layer's first instruction
-    /// (a trace-compiled layer program).
-    Layer,
+    /// A run of one layer that starts at the layer's first instruction or
+    /// right after an interrupt point's virtual group, and ends at another
+    /// point or at the layer's end — cut-aligned pieces of a
+    /// trace-compiled layer program (`inca_isa::plan::Cut`).
+    Group,
     /// Any run of instructions: they have no data semantics, so the clock
     /// is all a span moves.
     Any,
+}
+
+/// A SAVE patch the IAU holds for a job after a taken interrupt point: the
+/// `SAVE` at `pc` (save id `save_id`) skips its output channels below
+/// `end`, which the point's `VIR_SAVE`s already flushed, so no output byte
+/// is written twice.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SavePatch {
+    /// pc of the patched SAVE.
+    pub pc: usize,
+    /// Its save id.
+    pub save_id: u32,
+    /// One past the last output channel already flushed.
+    pub end: u16,
+}
+
+impl SavePatch {
+    /// The first of a SAVE's channels `c0..c0 + chans` the patch leaves it
+    /// to write, or `None` when all were flushed and the SAVE is elided —
+    /// the one patch rule stepping and span commits share.
+    #[must_use]
+    pub fn first_channel(&self, c0: u16, chans: u16) -> Option<u16> {
+        let end = c0 + chans;
+        let first = self.end.clamp(c0, end);
+        (first < end).then_some(first)
+    }
 }
 
 /// Forwards every [`Backend`] method to `B` but reports no span
@@ -263,6 +294,7 @@ impl Backend for TimingBackend {
         _span: std::ops::Range<usize>,
         _input_offset: u64,
         _output_offset: u64,
+        _patches: &[SavePatch],
     ) -> Result<bool, SimError> {
         Ok(true)
     }

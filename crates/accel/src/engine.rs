@@ -27,7 +27,7 @@ use std::sync::Arc;
 use inca_isa::{Instr, InterruptPoint, Opcode, Program, TaskSlot, TASK_SLOTS};
 use inca_obs::{ascii, HostComponent, Metrics, Probe, SpanStage, TraceEvent};
 
-use crate::{instr_cycles, AccelConfig, Backend, SimError, SpanSupport};
+use crate::{instr_cycles, AccelConfig, Backend, SavePatch, SimError, SpanSupport};
 
 /// How the accelerator hands the datapath to a higher-priority task.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
@@ -268,8 +268,8 @@ struct ActiveJob {
     params: JobParams,
     start: Option<u64>,
     pc: usize,
-    /// `save_id -> absolute end channel` already flushed by `VIR_SAVE`s.
-    flushed: HashMap<u32, u16>,
+    /// The SAVE patches taken interrupt points left pending, by pc.
+    flushed: Vec<SavePatch>,
     resume_loads: Vec<Instr>,
     needs_cpu_restore: bool,
     preempted: bool,
@@ -286,6 +286,37 @@ struct ActiveJob {
 impl ActiveJob {
     fn new(release: u64, params: JobParams) -> Self {
         Self { release, params, ..Self::default() }
+    }
+
+    /// The instruction at `pc` as the datapath executes it: with the job's
+    /// pending patch applied, `None` when that patch elides it.
+    fn executed(&self, program: &Program, pc: usize) -> Option<Instr> {
+        match self.flushed.iter().find(|p| p.pc == pc) {
+            Some(patch) => patch_save(program, &program.instrs[pc], patch),
+            None => Some(program.instrs[pc]),
+        }
+    }
+
+    /// [`ActiveJob::executed`], consuming the patch — counted and traced
+    /// as applied to a SAVE starting at `cycle`.
+    fn take_patch(
+        &mut self,
+        obs: &mut Observers,
+        slot: TaskSlot,
+        program: &Program,
+        pc: usize,
+        cycle: u64,
+    ) -> Option<Instr> {
+        let Some(i) = self.flushed.iter().position(|p| p.pc == pc) else {
+            return Some(program.instrs[pc]);
+        };
+        let patch = self.flushed.remove(i);
+        let executed = patch_save(program, &program.instrs[pc], &patch);
+        let (save_id, elided) = (patch.save_id, executed.is_none());
+        obs.counters.saves_patched += 1;
+        obs.counters.saves_elided += u64::from(elided);
+        obs.out.tracer.emit(|| TraceEvent::SavePatched { cycle, slot, save_id, elided });
+        executed
     }
 
     /// The job ran instructions of `layer` over `ran` and stands at
@@ -432,17 +463,22 @@ impl Slot {
 /// Applies the IAU's per-job `InputOffset`/`OutputOffset` registers to an
 /// instruction's DDR address: loads from the network-input region and
 /// saves to the designated-output region are shifted.
-fn apply_job_offsets(program: &Program, params: JobParams, instr: &mut Instr) {
-    if params.input_offset == 0 && params.output_offset == 0 {
+pub(crate) fn apply_job_offsets(
+    program: &Program,
+    input_offset: u64,
+    output_offset: u64,
+    instr: &mut Instr,
+) {
+    if input_offset == 0 && output_offset == 0 {
         return;
     }
     let len = u64::from(instr.ddr.bytes);
     match instr.op {
         Opcode::LoadD | Opcode::VirLoadD if program.memory.in_input_region(instr.ddr.addr, len) => {
-            instr.ddr.addr += params.input_offset;
+            instr.ddr.addr += input_offset;
         }
         Opcode::Save | Opcode::VirSave if program.memory.in_output_region(instr.ddr.addr, len) => {
-            instr.ddr.addr += params.output_offset;
+            instr.ddr.addr += output_offset;
         }
         _ => {}
     }
@@ -456,6 +492,57 @@ fn next_original(program: &Program, mut pc: usize) -> usize {
         pc += 1;
     }
     pc
+}
+
+/// One past the last original instruction before `pc`: where a job that
+/// ran up to `pc` stands (a trailing virtual group is the next step's to
+/// skip, or an arriving interrupt's to take).
+fn original_end(program: &Program, mut pc: usize) -> usize {
+    while pc > 0 && program.instrs[pc - 1].op.is_virtual() {
+        pc -= 1;
+    }
+    pc
+}
+
+/// Where the layer-by-layer drain of a job at `pc` in `layer` stops: right
+/// after the last of the consecutive original instructions of `layer`
+/// ahead (virtual groups skipped) — at `pc` when the next original
+/// instruction opens another layer, and nowhere (`usize::MAX`: run to
+/// completion) when no other layer follows.
+fn layer_boundary(program: &Program, pc: usize, layer: u16) -> usize {
+    let run = program.layer_pc_range(layer);
+    let (mut stop, mut next) = (pc, next_original(program, pc));
+    while let Some(instr) = program.instrs.get(next) {
+        if instr.layer != layer {
+            return stop;
+        }
+        stop = if run.contains(&next) { original_end(program, run.end) } else { next + 1 };
+        next = next_original(program, stop);
+    }
+    usize::MAX
+}
+
+/// The pc of the first SAVE at or after `pc` with `save_id` — the one a
+/// flush of that id patches — or `usize::MAX` when none follows.
+fn covering_save(program: &Program, pc: usize, save_id: u32) -> usize {
+    let is_it = |i: &Instr| i.op == Opcode::Save && i.save_id == save_id;
+    program.instrs[pc..].iter().position(is_it).map_or(usize::MAX, |k| pc + k)
+}
+
+/// The IAU's SAVE patch, one rule for stepping and span commits: `save`
+/// less the output channels `patch` says an earlier `VIR_SAVE` flushed, or
+/// `None` when none are left and the SAVE is elided.
+fn patch_save(program: &Program, save: &Instr, patch: &SavePatch) -> Option<Instr> {
+    let first = patch.first_channel(save.tile.c0, save.tile.chans)?;
+    let meta = program.layer_of(save);
+    let plane = u64::from(meta.out_shape.h) * u64::from(meta.out_shape.w);
+    let cut = first - save.tile.c0;
+    let mut patched = *save;
+    patched.tile.c0 = first;
+    patched.tile.chans -= cut;
+    patched.ddr.addr += u64::from(cut) * plane;
+    patched.ddr.bytes -= u32::from(cut) * u32::from(save.tile.rows) * meta.out_shape.w;
+    Some(patched)
 }
 
 /// What one executed original instruction adds to the clock: its modelled
@@ -531,12 +618,40 @@ impl CycleTable {
         self.cycles[self.program.instrs.len()]
     }
 
-    /// The first pc in `[pc0, limit]` that a job standing at `pc0` reaches
-    /// `budget` cycles or more from now (`limit` when it gets that far
-    /// sooner): every instruction before it starts inside the budget.
-    fn reach(&self, pc0: usize, limit: usize, budget: u64) -> usize {
-        let base = self.cycles[pc0];
-        pc0 + self.cycles[pc0..limit].partition_point(|&c| c - base < budget)
+    /// The first pc in `[pc0, limit]` that `job`, standing at `pc0`,
+    /// reaches `budget` cycles or more from now (`limit` when it gets that
+    /// far sooner): every instruction before it starts inside the budget.
+    /// Each pending SAVE patch on the way moves what follows it earlier by
+    /// its [`CycleTable::saving`].
+    fn reach(
+        &self,
+        cfg: &AccelConfig,
+        job: &ActiveJob,
+        pc0: usize,
+        limit: usize,
+        budget: u64,
+    ) -> usize {
+        let first_at = |lo: usize, hi: usize, target: u64| {
+            lo + self.cycles[lo..hi].partition_point(|&c| c < target)
+        };
+        let (mut lo, mut target) = (pc0, self.cycles[pc0].saturating_add(budget));
+        for patch in job.flushed.iter().filter(|p| (pc0..limit).contains(&p.pc)) {
+            let at = first_at(lo, patch.pc + 1, target);
+            if at <= patch.pc {
+                return at;
+            }
+            (lo, target) = (patch.pc + 1, target.saturating_add(self.saving(cfg, job, patch.pc)));
+        }
+        first_at(lo, limit, target)
+    }
+
+    /// The cycles `job`'s pending patch of the SAVE at `pc` takes off the
+    /// table's price for it (the table holds what an unpatched SAVE costs).
+    fn saving(&self, cfg: &AccelConfig, job: &ActiveJob, pc: usize) -> u64 {
+        let program = &*self.program;
+        let executed = job.executed(program, pc);
+        let cost = executed.map_or(0, |i| instr_cycles(cfg, program.layer_of(&i), &i));
+        self.cycles[pc + 1] - self.cycles[pc] - cost
     }
 }
 
@@ -859,34 +974,13 @@ impl<B: Backend> Engine<B> {
         let (table, job) = slots[slot.index()].scheduled();
         let program = &*table.program;
         job.pc = next_original(program, job.pc);
-        let Some(&(mut instr)) = program.instrs.get(job.pc) else {
+        let Some(&original) = program.instrs.get(job.pc) else {
             return Ok(true);
         };
-        let mut elided = false;
-        // `is_empty` first: most SAVEs find the map empty, and
-        // `HashMap::remove` hashes its key even then.
-        if instr.op == Opcode::Save && !job.flushed.is_empty() {
-            if let Some(flushed_end) = job.flushed.remove(&instr.save_id) {
-                let meta = program.layer_of(&instr);
-                let plane = u64::from(meta.out_shape.h) * u64::from(meta.out_shape.w);
-                let c0 = instr.tile.c0;
-                let end = c0 + instr.tile.chans;
-                let new_c0 = flushed_end.max(c0).min(end);
-                let cut = u32::from(new_c0 - c0);
-                elided = new_c0 >= end;
-                if !elided {
-                    instr.tile.c0 = new_c0;
-                    instr.tile.chans = end - new_c0;
-                    instr.ddr.addr += u64::from(cut) * plane;
-                    instr.ddr.bytes -= cut * u32::from(instr.tile.rows) * meta.out_shape.w;
-                }
-                obs.counters.saves_patched += 1;
-                obs.counters.saves_elided += u64::from(elided);
-                let (cycle, save_id) = (*now, instr.save_id);
-                obs.out.tracer.emit(|| TraceEvent::SavePatched { cycle, slot, save_id, elided });
-            }
-        }
-        apply_job_offsets(program, job.params, &mut instr);
+        let executed = job.take_patch(obs, slot, program, job.pc, *now);
+        let elided = executed.is_none();
+        let mut instr = executed.unwrap_or(original);
+        apply_job_offsets(program, job.params.input_offset, job.params.output_offset, &mut instr);
         let cycles = if elided {
             0
         } else {
@@ -904,31 +998,36 @@ impl<B: Backend> Engine<B> {
 
     /// Attempts to advance the running job by one *span commit*: every
     /// original instruction that starts before `barrier` (the deadline or
-    /// the earliest pending arrival; the caller holds `now < barrier`), as
-    /// far as the backend's [`SpanSupport`] reaches — to the barrier for a
-    /// timing-only job, through one whole layer from its first instruction
-    /// for a trace-compiled one (DESIGN.md §5.6).
+    /// the earliest pending arrival; the caller holds `now < barrier`) and
+    /// before pc `until`, as far as the backend's [`SpanSupport`] reaches —
+    /// to the barrier for a timing-only job; for a trace-compiled one, from
+    /// the layer's first instruction or a cut to the layer's end or the last
+    /// interrupt point before the barrier (DESIGN.md §5.6).
     ///
     /// Returns `Ok(None)` to fall back to [`Engine::exec_step`] — always
     /// safe — and `Ok(Some(done))` after a commit, which leaves clock, pc,
-    /// counters, trace, profile and DMA-overlap credit exactly where
-    /// stepping the span would: a span never crosses a pending SAVE patch,
-    /// and none of its instructions starts at or after the barrier. Its
-    /// clock comes off the slot's [`CycleTable`] in O(log n). Where cost is
-    /// not a function of the pc (`dma_overlap`) or someone wants each
-    /// instruction (a profile, a per-instruction tracer), a layer is priced
-    /// and retired by one walk over [`charge`] instead, and a timing-only
-    /// job — like a tagged one, which owes Layer spans — is left to
-    /// `exec_step`.
-    fn try_span(&mut self, slot: TaskSlot, barrier: u64) -> Result<Option<bool>, SimError> {
+    /// counters, trace, profile, DMA-overlap credit and pending SAVE
+    /// patches exactly where stepping the span would: none of its
+    /// instructions starts at or after the barrier, and each patched SAVE
+    /// inside it is priced, counted and traced as stepping patches it. Its
+    /// clock comes off the slot's [`CycleTable`] in O(log n) plus one
+    /// lookup per patch. Where cost is not a function of the pc
+    /// (`dma_overlap`) or someone wants each instruction (a profile, a
+    /// per-instruction tracer), a group span is priced and retired by one
+    /// walk over [`charge`] instead, and a timing-only job — like a tagged
+    /// one, which owes Layer spans — is left to `exec_step`.
+    fn try_span(
+        &mut self,
+        slot: TaskSlot,
+        barrier: u64,
+        until: usize,
+    ) -> Result<Option<bool>, SimError> {
         let Self { slots, backend, cfg, now, obs, .. } = self;
         let support = backend.supports_spans();
-        let (table, job) = slots[slot.index()].scheduled();
-        // Stepping applies SAVE patches instruction by instruction; never
-        // span across pending ones.
-        if support == SpanSupport::None || !job.flushed.is_empty() {
+        if support == SpanSupport::None {
             return Ok(None);
         }
+        let (table, job) = slots[slot.index()].scheduled();
         let program = &*table.program;
         // Effective pc after the free virtual skip, computed without
         // mutating the job (exec_step does its own skip when we decline).
@@ -937,63 +1036,85 @@ impl<B: Backend> Engine<B> {
             return Ok(None);
         };
         let walk = cfg.dma_overlap || obs.per_instr();
-        let whole_layer = support == SpanSupport::Layer;
-        let limit = if whole_layer {
-            let range = program.layer_pc_range(first.layer);
-            if range.start != pc0 || range.end > program.instrs.len() {
-                return Ok(None); // mid-layer (e.g. resumed after a preemption)
+        // A group span starts at its layer's first instruction or right
+        // after an interrupt point's group, and stays in the layer: `layer`
+        // is the layer's pc range and where its original instructions end.
+        let layer = match support {
+            SpanSupport::Group => {
+                let range = program.layer_pc_range(first.layer);
+                let resumes = |p: &InterruptPoint| p.vir_end as usize == pc0;
+                let at_cut = pc0 == range.start
+                    || range.contains(&pc0)
+                        && program.last_interrupt_point(pc0).is_some_and(resumes);
+                if !at_cut {
+                    return Ok(None);
+                }
+                Some((range.end, original_end(program, range.end)))
             }
-            range.end
-        } else if walk || job.params.tag.is_some() {
-            return Ok(None);
-        } else {
-            program.instrs.len()
+            _ if walk || job.params.tag.is_some() => return Ok(None),
+            _ => None,
         };
-        let originals = || program.instrs[pc0..limit].iter().filter(|i| !i.op.is_virtual());
+        let limit = layer.map_or(program.instrs.len(), |(end, _)| end).min(until);
+        if limit <= pc0 {
+            return Ok(None);
+        }
         // `reached`: the first pc of the span that would start at or after
         // the barrier (the first instruction starts at `now`, before it).
         let budget = barrier - *now;
         let reached = if walk {
-            let (mut t, mut credit) = (0, job.dma_credit);
-            for instr in originals() {
+            let (mut t, mut credit, mut reached) = (0, job.dma_credit, limit);
+            for pc in (pc0..limit).filter(|&pc| !program.instrs[pc].op.is_virtual()) {
                 if t >= budget {
-                    return Ok(None);
+                    reached = pc;
+                    break;
                 }
-                t += charge(cfg, program, instr, &mut credit);
+                if let Some(instr) = job.executed(program, pc) {
+                    t += charge(cfg, program, &instr, &mut credit);
+                }
             }
-            limit
+            reached
         } else {
-            table.reach(pc0, limit, budget)
+            table.reach(cfg, job, pc0, limit, budget)
         };
         // Land right after the last original instruction before it, where
-        // stepping stands: a trailing virtual group is the next step's to
-        // skip (or an arriving interrupt's to take).
-        let mut end = reached;
-        while program.instrs[end - 1].op.is_virtual() {
-            end -= 1;
-        }
-        let range = if whole_layer {
-            if table.originals[end] != table.originals[limit] {
-                return Ok(None); // an arrival or the deadline could land mid-layer
+        // stepping stands — for a group span, at the layer's end or at the
+        // last interrupt point on the way.
+        let mut end = original_end(program, reached);
+        if layer.is_some_and(|(_, originals_end)| end < originals_end) {
+            match program.last_interrupt_point(reached) {
+                Some(p) if p.vir_start as usize > pc0 => end = p.vir_start as usize,
+                _ => return Ok(None), // no cut before the barrier
             }
-            pc0..limit
-        } else {
-            pc0..end
-        };
+        }
         let (in_off, out_off) = (job.params.input_offset, job.params.output_offset);
-        if !backend.execute_span(slot, program, range, in_off, out_off)? {
+        if !backend.execute_span(slot, program, pc0..end, in_off, out_off, &job.flushed)? {
             return Ok(None);
         }
         let start = *now;
+        #[cfg(test)]
+        tests::count(|c| {
+            c.patched_spans += u64::from(job.flushed.first().is_some_and(|p| p.pc < end))
+        });
         if walk {
-            for instr in originals() {
-                let cycles = charge(cfg, program, instr, &mut job.dma_credit);
-                obs.retire(slot, instr, *now, cycles, false);
+            for pc in (pc0..end).filter(|&pc| !program.instrs[pc].op.is_virtual()) {
+                let executed = job.take_patch(obs, slot, program, pc, *now);
+                let cycles = executed.map_or(0, |i| charge(cfg, program, &i, &mut job.dma_credit));
+                let elided = executed.is_none();
+                obs.retire(slot, &executed.unwrap_or(program.instrs[pc]), *now, cycles, elided);
                 *now += cycles;
             }
         } else {
-            *now += table.cycles[end] - table.cycles[pc0];
-            obs.counters.instrs_retired += u64::from(table.originals[end] - table.originals[pc0]);
+            // Pending patches all lie ahead of the job, sorted by pc.
+            let (mut saved, mut elided) = (0, 0);
+            while let Some(pc) = job.flushed.first().map(|p| p.pc).filter(|&pc| pc < end) {
+                let saving = table.saving(cfg, job, pc);
+                let at = start + (table.cycles[pc] - table.cycles[pc0]) - saved;
+                elided += u64::from(job.take_patch(obs, slot, program, pc, at).is_none());
+                saved += saving;
+            }
+            *now += table.cycles[end] - table.cycles[pc0] - saved;
+            let originals = u64::from(table.originals[end] - table.originals[pc0]);
+            obs.counters.instrs_retired += originals - elided;
         }
         job.busy_cycles += *now - start;
         job.pc = end;
@@ -1063,7 +1184,7 @@ impl<B: Backend> Engine<B> {
             job.preempted = false;
             job.dma_credit = 0; // the double-buffer pipeline restarts cold
             for l in &mut loads {
-                apply_job_offsets(&program, params, l);
+                apply_job_offsets(&program, params.input_offset, params.output_offset, l);
                 t4 += self.materialize(slot, &program, l, restore_start + t4)?;
             }
             self.now += t4;
@@ -1087,15 +1208,17 @@ impl<B: Backend> Engine<B> {
         Ok(())
     }
 
-    /// Steps `slot` until `stop(pc)` holds at an instruction boundary
-    /// (`Ok(false)`) or its stream is exhausted (`Ok(true)`).
-    fn step_until(
-        &mut self,
-        slot: TaskSlot,
-        stop: impl Fn(usize) -> bool,
-    ) -> Result<bool, SimError> {
-        while !stop(self.slots[slot.index()].job().pc) {
-            if self.exec_step(slot)? {
+    /// The `t1` drain of every strategy: advances `slot` — by span commits
+    /// where the backend takes them, else step by step, looking at no
+    /// arrival meanwhile — until its pc reaches `until` at an instruction
+    /// boundary (`Ok(false)`) or its stream is exhausted (`Ok(true)`).
+    fn drain(&mut self, slot: TaskSlot, until: usize) -> Result<bool, SimError> {
+        while self.slots[slot.index()].job().pc < until {
+            let done = match self.try_span(slot, u64::MAX, until)? {
+                Some(done) => done,
+                None => self.exec_step(slot)?,
+            };
+            if done {
                 return Ok(true);
             }
         }
@@ -1118,15 +1241,25 @@ impl<B: Backend> Engine<B> {
         for idx in point.vir_range() {
             let mut vi = program.instrs[idx];
             let job = self.slots[victim.index()].job();
-            apply_job_offsets(program, job.params, &mut vi);
+            apply_job_offsets(program, job.params.input_offset, job.params.output_offset, &mut vi);
             match vi.op {
                 Opcode::VirSave => {
                     let end = vi.tile.c0 + vi.tile.chans;
-                    if end <= job.flushed.get(&vi.save_id).copied().unwrap_or(0) {
+                    let of_save = |p: &&mut SavePatch| p.save_id == vi.save_id;
+                    let job = self.slots[victim.index()].job_mut();
+                    if end <= job.flushed.iter_mut().find(of_save).map_or(0, |p| p.end) {
                         continue;
                     }
                     t2 += self.materialize(victim, program, &vi, t2_base + t2)?;
-                    self.slots[victim.index()].job_mut().flushed.insert(vi.save_id, end);
+                    let flushed = &mut self.slots[victim.index()].job_mut().flushed;
+                    match flushed.iter_mut().find(of_save) {
+                        Some(patch) => patch.end = end,
+                        None => {
+                            let pc = covering_save(program, point.resume_pc() as usize, vi.save_id);
+                            let at = flushed.partition_point(|p| p.pc < pc);
+                            flushed.insert(at, SavePatch { pc, save_id: vi.save_id, end });
+                        }
+                    }
                 }
                 Opcode::VirLoadD | Opcode::VirLoadW => resume_loads.push(vi),
                 other => {
@@ -1154,10 +1287,9 @@ impl<B: Backend> Engine<B> {
         let layer = program.instrs.get(request_pc).map_or(0, |i| i.layer);
 
         // `t1`: drain to the switch point the strategy allows; `t2`: backup.
-        let never = |_| false;
         let (t2, finished) = match self.strategy {
             // Run the victim's whole remaining program.
-            InterruptStrategy::NonPreemptive => (0, self.step_until(victim, never)?),
+            InterruptStrategy::NonPreemptive => (0, self.drain(victim, usize::MAX)?),
             InterruptStrategy::CpuLike => {
                 // The in-flight instruction already completed (the engine
                 // only observes requests at instruction boundaries).
@@ -1169,18 +1301,14 @@ impl<B: Backend> Engine<B> {
             }
             InterruptStrategy::LayerByLayer => {
                 // Stop where the next original instruction opens another layer.
-                let at_boundary = |pc| {
-                    let next = program.instrs.get(next_original(&program, pc));
-                    next.is_some_and(|i| i.layer != layer)
-                };
-                (0, self.step_until(victim, at_boundary)?)
+                (0, self.drain(victim, layer_boundary(&program, request_pc, layer))?)
             }
             InterruptStrategy::VirtualInstruction => {
                 match program.next_interrupt_point(request_pc).copied() {
                     // No point ahead: run to completion.
-                    None => (0, self.step_until(victim, never)?),
+                    None => (0, self.drain(victim, usize::MAX)?),
                     Some(p) => {
-                        if self.step_until(victim, |pc| pc >= p.vir_start as usize)? {
+                        if self.drain(victim, p.vir_start as usize)? {
                             (0, true)
                         } else {
                             self.backup_at(victim, &program, p)?
@@ -1297,7 +1425,7 @@ impl<B: Backend> Engine<B> {
                     let t0 = prof.as_ref().map(|_| std::time::Instant::now());
                     let cyc0 = self.now;
                     let arrival = self.arrivals.peek().map_or(u64::MAX, |&Reverse((t, ..))| t);
-                    let spanned = self.try_span(r, deadline.min(arrival))?;
+                    let spanned = self.try_span(r, deadline.min(arrival), usize::MAX)?;
                     let done = match spanned {
                         Some(done) => done,
                         None => self.exec_step(r)?,
@@ -1343,7 +1471,7 @@ impl<B: Backend> Engine<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::TimingBackend;
+    use crate::{Stepped, TimingBackend};
     use inca_compiler::Compiler;
     use inca_model::{zoo, Shape3};
 
@@ -1354,10 +1482,13 @@ mod tests {
         pub iterations: u64,
         /// Calls of `exec_step` (from the loop and from `t1` drains).
         pub steps: u64,
+        /// Span commits that applied a pending SAVE patch.
+        pub patched_spans: u64,
     }
 
     thread_local! {
-        static COUNTS: std::cell::Cell<Counts> = const { std::cell::Cell::new(Counts { iterations: 0, steps: 0 }) };
+        static COUNTS: std::cell::Cell<Counts> =
+            const { std::cell::Cell::new(Counts { iterations: 0, steps: 0, patched_spans: 0 }) };
     }
 
     pub(super) fn count(bump: impl FnOnce(&mut Counts)) {
@@ -1614,11 +1745,12 @@ mod tests {
 
     /// The same job preempted by a `tiny` requester every frame period:
     /// the loop goes round a bounded number of times per scheduling event
-    /// (arrival, completion) plus once per instruction that has to be
-    /// stepped — `t1` drains to the interrupt point and the instructions
-    /// under pending SAVE patches after a resume — and those are a sliver
-    /// of the program. The per-instruction engine took one iteration per
-    /// original instruction here too (236 988 + the requester's).
+    /// (arrival, completion), and nothing is stepped — the `t1` drain to
+    /// the interrupt point is a span commit, and so is the resumed run
+    /// through its pending SAVE patches. The per-instruction engine took
+    /// one iteration per original instruction here too (236 988 + the
+    /// requester's); before drains and patches joined the span commit,
+    /// 3 475 iterations and 4 018 steps.
     #[test]
     fn preempted_run_iterates_per_event_not_per_instruction() {
         let program = gem_resnet101_120x160();
@@ -1642,8 +1774,72 @@ mod tests {
         assert_eq!(report.completed_jobs.len() as u64, arrivals + 1);
         assert_eq!(report.interrupts.len() as u64, arrivals);
         let events = arrivals + report.completed_jobs.len() as u64;
-        assert!(counts.iterations <= 4 * events + counts.steps, "{counts:?} for {events} events");
-        assert!(counts.steps < originals / 20, "{counts:?}: stepping {originals} instructions");
+        assert!(counts.iterations <= 4 * events, "{counts:?} for {events} events");
+        assert_eq!(counts.steps, 0, "{counts:?}: stepping some of {originals} instructions");
+        assert!(counts.patched_spans > 0, "{counts:?}");
+    }
+
+    /// A victim resumed under the VI method holds pending SAVE patches. Its
+    /// next span commit applies them — pricing, counting and tracing each
+    /// patched SAVE as stepping does — instead of leaving them to
+    /// `exec_step`, on the timing backend (an `Any` span) and the
+    /// functional one (a `Group` span from the resume cut), and the run
+    /// equals the per-instruction oracle's.
+    #[test]
+    fn span_commits_apply_pending_save_patches() {
+        let cfg = AccelConfig::paper_small();
+        let (hi_slot, lo_slot) = (TaskSlot::new(1).unwrap(), TaskSlot::LOWEST);
+        let compile = |side| {
+            let net = zoo::tiny(Shape3::new(3, side, side)).unwrap();
+            Arc::new(Compiler::new(cfg.arch).compile_vi(&net).unwrap())
+        };
+        let programs = [(hi_slot, compile(16)), (lo_slot, compile(32))];
+        let func = || {
+            let mut b = crate::FuncBackend::with_threads(1);
+            for (slot, p) in &programs {
+                b.install_image(*slot, crate::DdrImage::for_program(p, 7));
+            }
+            b
+        };
+        // The victim (last) from cycle 0, one request for the other at `at`.
+        fn run<B: Backend>(
+            mut e: Engine<B>,
+            programs: &[(TaskSlot, Arc<Program>)],
+            at: u64,
+        ) -> Engine<B> {
+            for (slot, p) in programs {
+                e.load(*slot, Arc::clone(p)).unwrap();
+            }
+            e.request_at(0, programs[1].0).unwrap();
+            e.request_at(at, programs[0].0).unwrap();
+            e.run_until(u64::MAX).unwrap();
+            e
+        }
+        fn observed<B: Backend>(e: &Engine<B>) -> (Report, Metrics) {
+            (e.report(), e.metrics())
+        }
+        let vi = InterruptStrategy::VirtualInstruction;
+        let span = crate::analysis::predicted_span(&cfg, &programs[1].1);
+        let (mut patched, mut counts) = (0, Counts::default());
+        for k in 1..24 {
+            let at = span * k / 24;
+            let (mut timing, mut fused) = (None, None);
+            counts.patched_spans += counted(|| {
+                timing = Some(run(Engine::new(cfg, vi, TimingBackend::new()), &programs, at));
+                fused = Some(run(Engine::new(cfg, vi, func()), &programs, at));
+            })
+            .patched_spans;
+            let (timing, fused) = (timing.unwrap(), fused.unwrap());
+            let steps = run(Engine::new(cfg, vi, Stepped(TimingBackend::new())), &programs, at);
+            let tier0 = run(Engine::new(cfg, vi, Stepped(func())), &programs, at);
+            assert_eq!(observed(&timing), observed(&steps), "timing, request at {at}");
+            assert_eq!(observed(&fused), observed(&tier0), "functional, request at {at}");
+            let image = fused.backend().image(lo_slot);
+            assert_eq!(image, tier0.backend().0.image(lo_slot), "request at {at}");
+            patched += steps.metrics().counter("engine.saves.patched");
+        }
+        assert!(patched > 0, "no interrupt of the sweep left a SAVE to patch");
+        assert!(counts.patched_spans > 0, "no span commit applied a pending patch");
     }
 
     /// A reload finds the program's table by `Arc::ptr_eq` instead of

@@ -29,15 +29,17 @@ mod tier1;
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use inca_isa::plan::{Edge, LayerPlan};
 use inca_isa::{
     compile_program, CompiledProgram, Instr, LayerKind, LayerMeta, Opcode, Program, TaskSlot,
     TASK_SLOTS,
 };
 use inca_obs::Metrics;
 
-use crate::{Backend, SimError, SpanSupport};
+use crate::engine::apply_job_offsets;
+use crate::{Backend, SavePatch, SimError, SpanSupport};
 use stage::Stage;
-use tier1::Tier1State;
+use tier1::{Part, Tier1State};
 
 /// A task's DDR image (task-relative addressing, as the IAU's per-slot
 /// offset registers would provide).
@@ -286,6 +288,18 @@ impl Buffers {
         self.outputs.clear();
     }
 
+    /// Retires the blobs of `layer` a SAVE of `tile` stores: those starting
+    /// on its first row whose channels lie inside its own.
+    fn retire(&mut self, layer: u16, tile: &inca_isa::Tile) {
+        let (c0, c1) = (u32::from(tile.c0), u32::from(tile.c0) + u32::from(tile.chans));
+        self.outputs.retain(|b| {
+            !(b.layer == layer
+                && b.h0 == tile.h0
+                && u32::from(b.c0) >= c0
+                && u32::from(b.c0) + u32::from(b.chans) <= c1)
+        });
+    }
+
     fn data_at(&self, layer: u16, ch: u32, row: u32) -> Result<&[i8], SimError> {
         self.data
             .get(usize::from(layer))
@@ -298,6 +312,24 @@ impl Buffers {
             .get(usize::from(layer))
             .and_then(|p| p.get(oc, ic))
             .ok_or(SimError::MissingWeights { layer, oc, ic })
+    }
+
+    /// Whether the planes hold every entry the load `instr` of a `meta`
+    /// layer places.
+    fn holds(&self, meta: &LayerMeta, instr: &Instr) -> bool {
+        let (t, layer) = (instr.tile, usize::from(instr.layer));
+        let run = |planes: &[Plane], a: u32, b: u32, n: u16| {
+            n == 0 || planes.get(layer).is_some_and(|p| p.get_run(a, b, usize::from(n)).is_some())
+        };
+        match instr.op {
+            Opcode::LoadD | Opcode::VirLoadD => {
+                t.chan_range().all(|c| run(&self.data, c, u32::from(t.h0), t.rows))
+            }
+            _ if matches!(meta.kind, LayerKind::DwConv { .. }) => {
+                run(&self.weights, u32::from(t.c0), u32::from(t.c0), t.chans)
+            }
+            _ => t.chan_range().all(|oc| run(&self.weights, oc, u32::from(t.ic0), t.ics)),
+        }
     }
 
     /// Output channel `oc`'s kernel slices for input channels `ics`, which
@@ -487,7 +519,9 @@ impl FuncBackend {
             }
             if self.fuses_layers() {
                 let range = program.layer_pc_range(instr.layer);
-                if range.start == pc && self.execute_span(slot, program, range.clone(), 0, 0)? {
+                if range.start == pc
+                    && self.execute_span(slot, program, range.clone(), 0, 0, &[])?
+                {
                     pc = range.end;
                     continue;
                 }
@@ -691,15 +725,75 @@ impl FuncBackend {
         }
         // A real SAVE retires its blobs from the output buffer.
         if instr.op == Opcode::Save {
-            let (c0, c1) = (u32::from(t.c0), u32::from(t.c0) + u32::from(t.chans));
-            self.bufs.outputs.retain(|b| {
-                !(b.layer == layer
-                    && b.h0 == t.h0
-                    && u32::from(b.c0) >= c0
-                    && u32::from(b.c0) + u32::from(b.chans) <= c1)
-            });
+            self.bufs.retire(layer, &t);
         }
         Ok(())
+    }
+
+    /// Whether the on-chip state holds what `part`, starting at cut `cut`
+    /// of `plan`, reads from before it — the cut's live loads, and each
+    /// unstored blob one of its stores writes — as stepping needs it to.
+    fn inherits(&self, program: &Program, plan: &LayerPlan, part: &Part, cut: usize) -> bool {
+        let cut = plan.cuts[cut];
+        program.instrs[cut.vir_start as usize..cut.vir_end as usize].iter().all(|v| match v.op {
+            Opcode::VirSave => {
+                let held = |b: &OutBlob| (b.layer, b.blob) == (v.layer, v.blob);
+                self.bufs.outputs.iter().any(held) || !part.writes(plan, &v.tile)
+            }
+            _ => self.bufs.holds(program.layer_of(v), v),
+        })
+    }
+
+    /// What stepping leaves on chip after `part` of `plan` ran: the blobs
+    /// its stores covered retired and — when it stops at a cut — the cut's
+    /// live loads in the planes and the blobs the part finalised but did
+    /// not store in the output buffer (DESIGN.md §5.6). Returns the SAVEs
+    /// the job's patches elided.
+    fn hand_on(
+        &mut self,
+        slot: TaskSlot,
+        program: &Program,
+        plan: &LayerPlan,
+        part: &Part,
+        input_offset: u64,
+    ) -> Result<u64, SimError> {
+        let mut elided = 0;
+        for s in &plan.stores[part.stores.clone()] {
+            match tier1::written(s, part.patches) {
+                Some(tile) => self.bufs.retire(plan.layer, &tile),
+                None => elided += 1,
+            }
+        }
+        let Edge::Cut(cut) = part.to else { return Ok(elided) };
+        let cut = plan.cuts[cut];
+        for vi in &program.instrs[cut.vir_start as usize..cut.vir_end as usize] {
+            let mut load = *vi;
+            apply_job_offsets(program, input_offset, 0, &mut load);
+            match vi.op {
+                Opcode::VirLoadD => self.load_d(slot, program.layer_of(vi), &load)?,
+                Opcode::VirLoadW => self.load_w(slot, program.layer_of(vi), &load)?,
+                _ => {}
+            }
+        }
+        let w = program.layers[usize::from(plan.layer)].out_shape.w;
+        for v in tier1::handed_on(program, plan, part.from, part.to) {
+            let t = v.tile;
+            let acc = part.blob(&self.t1state, &t, w as usize);
+            let (c0, chans, h0, rows) = (t.c0, t.chans, t.h0, t.rows);
+            let (layer, blob) = (v.layer, v.blob);
+            self.bufs.outputs.push(OutBlob {
+                layer,
+                blob,
+                c0,
+                chans,
+                h0,
+                rows,
+                w,
+                acc,
+                finalized: true,
+            });
+        }
+        Ok(elided)
     }
 }
 
@@ -748,7 +842,7 @@ impl Backend for FuncBackend {
 
     fn supports_spans(&self) -> SpanSupport {
         if self.fuses_layers() {
-            SpanSupport::Layer
+            SpanSupport::Group
         } else {
             SpanSupport::None
         }
@@ -761,6 +855,7 @@ impl Backend for FuncBackend {
         span: std::ops::Range<usize>,
         input_offset: u64,
         output_offset: u64,
+        patches: &[SavePatch],
     ) -> Result<bool, SimError> {
         if !self.fuses_layers() || span.is_empty() {
             return Ok(false);
@@ -770,10 +865,16 @@ impl Backend for FuncBackend {
         let Some(plan) = compiled.plan(layer) else {
             return Ok(false); // compile-time deopt, already counted
         };
-        if plan.pc_start as usize != span.start || plan.pc_end as usize != span.end {
-            return Ok(false);
-        }
+        let (Some(from), Some(to)) = (plan.start_edge(span.start), plan.end_edge(span.end)) else {
+            return Ok(false); // not cut-aligned
+        };
         let meta = &program.layers[usize::from(layer)];
+        let part = Part::new(program, plan, from, to, patches);
+        if let Edge::Cut(cut) = from {
+            if !self.inherits(program, plan, &part, cut) {
+                return Ok(false); // stepping raises the buffer miss
+            }
+        }
         let Self { images, t1state, bytes_written, threads, t1counters, .. } = self;
         let Some(image) = images[slot.index()].as_mut() else {
             // Let stepping raise the exact NoImage error.
@@ -781,23 +882,26 @@ impl Backend for FuncBackend {
             return Ok(false);
         };
         let written = &mut bytes_written[slot.index()];
-        if tier1::run_plan(
+        if !tier1::run_plan(
             t1state,
             image,
             written,
             *threads,
             meta,
             plan,
+            &part,
             input_offset,
             output_offset,
         ) {
-            t1counters.exec_layers += 1;
-            t1counters.exec_instrs_fused += u64::from(plan.original_instrs);
-            Ok(true)
-        } else {
             t1counters.deopt_dynamic += 1;
-            Ok(false)
+            return Ok(false);
         }
+        let elided = self.hand_on(slot, program, plan, &part, input_offset)?;
+        // Whole layers count as layers; every span counts what it retired.
+        let fused = plan.before(to).1 - plan.before(from).1;
+        self.t1counters.exec_layers += u64::from((from, to) == (Edge::Start, Edge::End));
+        self.t1counters.exec_instrs_fused += u64::from(fused) - elided;
+        Ok(true)
     }
 
     fn rebind(&mut self, slot: TaskSlot, ctx: u64) -> Result<(), SimError> {

@@ -1,5 +1,6 @@
-//! Tier-1 layer executor: runs a compiled [`LayerPlan`] as one fused,
-//! branch-free whole-layer pass over the task's DDR image.
+//! Tier-1 layer executor: runs a compiled [`LayerPlan`] — the whole layer,
+//! or the part of it between two cuts — as one fused, branch-free pass over
+//! the task's DDR image.
 //!
 //! The plan compiler (`inca_isa::plan`) has already proven, symbolically
 //! against the instruction stream, that the layer's loads place exactly
@@ -13,17 +14,23 @@
 //! order-independent, and the plan deopts any layer where the
 //! interpreter's saturating per-group merge could diverge).
 //!
-//! The executor never touches the on-chip buffer models (`Buffers`): a
-//! fully-batched layer leaves no *observable* buffer state behind (its
-//! planes are only read by its own instructions and its blobs are retired
-//! by its SAVEs), so snapshots, restores and rebinds behave exactly as
-//! under stepping. Any condition the plan could not rule out at compile
-//! time — image too small, per-job offsets aliasing a store hull onto an
-//! operand hull — makes [`run_plan`] decline, and the engine steps the
-//! layer through the interpreter instead.
+//! A part of a layer computes only the output region its stores and the
+//! blobs it hands on read ([`Part`]), from the same DDR operands. The
+//! executor never reads the on-chip buffer models (`Buffers`): what a span
+//! leaves there — its stores' blobs retired and, at a cut, the cut's live
+//! loads and unstored blobs — the backend writes after it (DESIGN.md
+//! §5.6), so snapshots, restores and rebinds behave exactly as under
+//! stepping. Any condition the plan could not rule out at compile time —
+//! image too small, per-job offsets aliasing a store hull onto an operand
+//! hull — makes [`run_plan`] decline, and the engine steps the layer
+//! through the interpreter instead.
 
-use inca_isa::plan::{Hull, LayerPlan};
-use inca_isa::{LayerKind, LayerMeta, PoolKind, Tile};
+use std::ops::Range;
+
+use inca_isa::plan::{Edge, Hull, LayerPlan, StoreSpan};
+use inca_isa::{Instr, LayerKind, LayerMeta, Opcode, PoolKind, Program, Tile};
+
+use crate::SavePatch;
 
 use super::kernels::{conv_gemm, dw_channel, pool_channel, run_channels, GemmBlocks};
 use super::stage::{fill_col_valid, Geom};
@@ -49,9 +56,109 @@ pub(super) struct Tier1State {
     store_hulls: Vec<Hull>,
 }
 
-/// Executes `plan` against `image`. Returns `false` (leaving all state
-/// untouched) when a runtime precondition fails; the caller then deopts
-/// the layer to the interpreter.
+/// What one span runs of a layer's plan: the stores between its two edges,
+/// the job's pending SAVE patches (which may shorten or elide them), and
+/// the output region those stores and the blobs handed on at its end read.
+pub(super) struct Part<'a> {
+    pub(super) from: Edge,
+    pub(super) to: Edge,
+    pub(super) stores: Range<usize>,
+    pub(super) patches: &'a [SavePatch],
+    /// Rows `h0..h0 + rows` and channels `c0..c0 + chans` of the layer's
+    /// output (every input channel: `ics = c_in`).
+    pub(super) region: Tile,
+}
+
+impl<'a> Part<'a> {
+    pub(super) fn new(
+        program: &Program,
+        plan: &LayerPlan,
+        from: Edge,
+        to: Edge,
+        patches: &'a [SavePatch],
+    ) -> Self {
+        let meta = &program.layers[usize::from(plan.layer)];
+        let stores = plan.before(from).0..plan.before(to).0;
+        let c_in = meta.in_shape.c as u16;
+        let region = if (from, to) == (Edge::Start, Edge::End) {
+            Tile::new(0, meta.out_shape.h as u16, 0, meta.out_shape.c as u16, 0, c_in)
+        } else {
+            // The bounding box of what the span's stores write and of the
+            // blobs it hands on: at most a band of cells beyond them.
+            let written = plan.stores[stores.clone()].iter().filter_map(|s| written(s, patches));
+            let handed = handed_on(program, plan, from, to).map(|v| v.tile);
+            let (mut rows, mut chans) = ((u16::MAX, 0), (u16::MAX, 0));
+            for t in written.chain(handed) {
+                rows = (rows.0.min(t.h0), rows.1.max(t.h0 + t.rows));
+                chans = (chans.0.min(t.c0), chans.1.max(t.c0 + t.chans));
+            }
+            let (h0, c0) = (rows.0.min(rows.1), chans.0.min(chans.1));
+            Tile::new(h0, rows.1 - h0, c0, chans.1 - c0, 0, c_in)
+        };
+        Self { from, to, stores, patches, region }
+    }
+
+    /// Whether one of the part's stores writes a cell of `tile`.
+    pub(super) fn writes(&self, plan: &LayerPlan, tile: &Tile) -> bool {
+        let overlap = |a0: u16, a: u16, b0: u16, b: u16| a0 < b0 + b && b0 < a0 + a;
+        plan.stores[self.stores.clone()].iter().filter_map(|s| written(s, self.patches)).any(|w| {
+            overlap(w.h0, w.rows, tile.h0, tile.rows) && overlap(w.c0, w.chans, tile.c0, tile.chans)
+        })
+    }
+
+    /// The `rows` output rows from `h0` of channel `c`, as computed.
+    fn rows<'s>(&self, scratch: &'s [i32], c: u16, h0: u16, rows: u16, w_out: usize) -> &'s [i32] {
+        let t = &self.region;
+        let base = (usize::from(c - t.c0) * usize::from(t.rows) + usize::from(h0 - t.h0)) * w_out;
+        &scratch[base..base + usize::from(rows) * w_out]
+    }
+
+    /// A handed-on blob's accumulators (`chans × rows × w_out`, the
+    /// output buffer's layout) out of the computed region.
+    pub(super) fn blob(&self, state: &Tier1State, tile: &Tile, w_out: usize) -> Vec<i32> {
+        let mut acc = Vec::with_capacity(usize::from(tile.chans) * usize::from(tile.rows) * w_out);
+        for c in tile.c0..tile.c0 + tile.chans {
+            acc.extend_from_slice(self.rows(&state.scratch, c, tile.h0, tile.rows, w_out));
+        }
+        acc
+    }
+}
+
+/// The output cells store `s` writes under the job's `patches` — its tile
+/// less the channels a patch says are flushed — or `None` when a patch
+/// elides it.
+pub(super) fn written(s: &StoreSpan, patches: &[SavePatch]) -> Option<Tile> {
+    let first = match patches.iter().find(|p| p.pc == s.pc as usize) {
+        Some(patch) => patch.first_channel(s.c0, s.chans)?,
+        None => s.c0,
+    };
+    Some(Tile::rows_chans(s.h0, s.rows, first, s.c0 + s.chans - first))
+}
+
+/// The blobs a span from `from` to `to` finalises and leaves unstored: the
+/// `VIR_SAVE`s of `to`'s group that `from`'s does not already hold.
+pub(super) fn handed_on<'p>(
+    program: &'p Program,
+    plan: &LayerPlan,
+    from: Edge,
+    to: Edge,
+) -> impl Iterator<Item = &'p Instr> {
+    let group = |edge| -> &'p [Instr] {
+        match edge {
+            Edge::Cut(i) => {
+                let cut = &plan.cuts[i];
+                &program.instrs[cut.vir_start as usize..cut.vir_end as usize]
+            }
+            Edge::Start | Edge::End => &[],
+        }
+    };
+    let (pending, after) = (group(from), group(to));
+    after.iter().filter(move |v| v.op == Opcode::VirSave && !pending.contains(*v))
+}
+
+/// Executes `part` of `plan` against `image`. Returns `false` (leaving all
+/// state untouched) when a runtime precondition fails; the caller then
+/// deopts the layer to the interpreter.
 #[allow(clippy::too_many_arguments)]
 pub(super) fn run_plan(
     state: &mut Tier1State,
@@ -60,6 +167,7 @@ pub(super) fn run_plan(
     threads: usize,
     meta: &LayerMeta,
     plan: &LayerPlan,
+    part: &Part,
     in_off: u64,
     out_off: u64,
 ) -> bool {
@@ -95,25 +203,29 @@ pub(super) fn run_plan(
 
     let (c_in, h_in, w_in) =
         (meta.in_shape.c as usize, meta.in_shape.h as usize, meta.in_shape.w as usize);
-    let (c_out, h_out_u, w_out_u) =
-        (meta.out_shape.c as usize, meta.out_shape.h as usize, meta.out_shape.w as usize);
-    let whole = Tile::new(0, meta.out_shape.h as u16, 0, meta.out_shape.c as u16, 0, c_in as u16);
-    let g = Geom::new(&whole, meta);
+    let w_out_u = meta.out_shape.w as usize;
+    let t = part.region;
+    let (c0, chans) = (usize::from(t.c0), usize::from(t.chans));
+    let g = Geom::new(&t, meta);
+    let k2 = g.k * g.k;
+    // Operand channel `c` of the input feature map starts here.
+    let channel = |c: usize| input_hull.start + (c * h_in * w_in) as u64;
     state.scratch.clear();
-    state.scratch.resize(c_out * h_out_u * w_out_u, 0);
+    state.scratch.resize(chans * g.chan_stride(), 0);
 
     match meta.kind {
         // A fully-connected layer is a 1×1 convolution over a 1×1 plane.
         LayerKind::Conv { .. } | LayerKind::FullyConnected => {
             stage_frames(state, image, input_hull.start, c_in, h_in, &g, 0);
-            let weights = image.read(meta.weight_addr, (c_out * c_in * g.k * g.k) as u64);
+            let per_oc = c_in * k2;
+            let weights =
+                image.read(meta.weight_addr + (c0 * per_oc) as u64, (chans * per_oc) as u64);
             let Tier1State { frames, gemm, scratch, .. } = state;
             conv_gemm(frames, weights, |b| i16::from(b as i8), gemm, scratch, &g, threads);
         }
         LayerKind::DwConv { .. } => {
-            let k2 = g.k * g.k;
-            stage_weights(state, image, meta.weight_addr, c_out * k2);
-            stage_frames(state, image, input_hull.start, c_out, h_in, &g, 0);
+            stage_weights(state, image, meta.weight_addr + (c0 * k2) as u64, chans * k2);
+            stage_frames(state, image, channel(c0), chans, h_in, &g, 0);
             let macs = (g.chans * g.chan_stride() * k2) as u64;
             let Tier1State { frames, weights, scratch, .. } = state;
             let (frames, weights) = (frames.as_slice(), weights.as_slice());
@@ -127,9 +239,9 @@ pub(super) fn run_plan(
                 PoolKind::Avg => 0,
                 PoolKind::Gem { .. } => return false, // plan never compiles this
             };
-            stage_frames(state, image, input_hull.start, c_out, h_in, &g, pad);
+            stage_frames(state, image, channel(c0), chans, h_in, &g, pad);
             fill_col_valid(&mut state.col_valid, &g);
-            let macs = (g.chans * g.chan_stride() * g.k * g.k) as u64;
+            let macs = (g.chans * g.chan_stride() * k2) as u64;
             let Tier1State { frames, scratch, col_valid, .. } = state;
             let (frames, col_valid) = (frames.as_slice(), col_valid.as_slice());
             run_channels(scratch, &g, threads, macs, |cr, acc| {
@@ -141,13 +253,12 @@ pub(super) fn run_plan(
             // including the f64 GeM accumulation order (ascending rows,
             // then columns).
             let n = (h_in * w_in) as i64;
-            for (c, acc) in state.scratch.chunks_mut(g.chan_stride().max(1)).enumerate() {
+            for (cr, acc) in state.scratch.chunks_mut(g.chan_stride().max(1)).enumerate() {
                 let mut sum = 0i64;
                 let mut powered = 0f64;
                 let mut max = i64::MIN;
                 for r in 0..h_in {
-                    let addr = input_hull.start + ((c * h_in + r) * w_in) as u64;
-                    for &b in image.read(addr, w_in as u64) {
+                    for &b in image.read(channel(c0 + cr) + (r * w_in) as u64, w_in as u64) {
                         let v = i64::from(b as i8);
                         sum += v;
                         max = max.max(v);
@@ -168,10 +279,12 @@ pub(super) fn run_plan(
         }
         LayerKind::Add => {
             let base2 = input2_hull.expect("Add plan has operand-2 hull").start;
-            for (c, acc) in state.scratch.chunks_mut(g.chan_stride().max(1)).enumerate() {
-                for rr in 0..h_out_u {
-                    let a = image.read(input_hull.start + ((c * h_in + rr) * w_in) as u64, w_out);
-                    let b = image.read(base2 + ((c * h_in + rr) * w_in) as u64, w_out);
+            let h0 = usize::from(t.h0);
+            for (cr, acc) in state.scratch.chunks_mut(g.chan_stride().max(1)).enumerate() {
+                for rr in 0..g.out_rows {
+                    let row = ((c0 + cr) * h_in + h0 + rr) * w_in;
+                    let a = image.read(input_hull.start + row as u64, w_out);
+                    let b = image.read(base2 + row as u64, w_out);
                     let out = &mut acc[rr * w_out_u..(rr + 1) * w_out_u];
                     for ((o, &av), &bv) in out.iter_mut().zip(a).zip(b) {
                         *o = i32::from(av as i8) + i32::from(bv as i8);
@@ -181,7 +294,7 @@ pub(super) fn run_plan(
         }
     }
 
-    // Quantise the whole layer (the interpreter does this per-blob on
+    // Quantise the region (the interpreter does this per-blob on
     // `CALC_F`; per-element the math is identical).
     let shift = meta.quant_shift;
     let relu = meta.relu;
@@ -193,17 +306,19 @@ pub(super) fn run_plan(
         *v = x.clamp(-128, 127);
     }
 
-    // Store spans, in pc order — byte-for-byte the interpreter's SAVE
-    // loop (per channel, rows are contiguous both in the accumulator and
-    // in DDR).
-    let plane = h_out_u * w_out_u;
-    for (s, hull) in plan.stores.iter().zip(&state.store_hulls) {
-        for j in 0..usize::from(s.chans) {
-            let src_base = (usize::from(s.c0) + j) * plane + usize::from(s.h0) * w_out_u;
-            let src = &state.scratch[src_base..src_base + usize::from(s.rows) * w_out_u];
+    // Store spans, in pc order — byte-for-byte the interpreter's (patched)
+    // SAVE loop (per channel, rows are contiguous both in the accumulator
+    // and in DDR).
+    let plane = (h_out * w_out) as usize;
+    let stores =
+        plan.stores[part.stores.clone()].iter().zip(&state.store_hulls[part.stores.clone()]);
+    for (s, hull) in stores {
+        let Some(w) = written(s, part.patches) else { continue };
+        for c in w.c0..w.c0 + w.chans {
+            let src = part.rows(&state.scratch, c, s.h0, s.rows, w_out_u);
             state.row_bytes.clear();
             state.row_bytes.extend(src.iter().map(|&v| v as i8 as u8));
-            image.write(hull.start + (j * plane) as u64, &state.row_bytes);
+            image.write(hull.start + (usize::from(c - s.c0) * plane) as u64, &state.row_bytes);
             *bytes_written += u64::from(s.rows) * w_out;
         }
     }

@@ -5,7 +5,8 @@
 //! corrupts output, rather than passing silently.
 
 use inca_accel::{
-    AccelConfig, DdrImage, Engine, FuncBackend, InterruptStrategy, SimError, TimingBackend,
+    AccelConfig, Backend, DdrImage, Engine, FuncBackend, InterruptStrategy, SimError, Stepped,
+    TimingBackend,
 };
 use inca_compiler::Compiler;
 use inca_isa::{Instr, Opcode, Program, TaskSlot};
@@ -62,19 +63,33 @@ fn rebuild(p: &Program, mutate: impl Fn(&Instr) -> Option<Instr>) -> Program {
 /// Runs the victim with an interrupt at `request`; returns the last
 /// layer's output or the simulation error.
 fn run_interrupted(victim: &Program, request: u64) -> Result<Vec<i8>, SimError> {
+    run_on(|b| b, |b| b, victim, request)
+}
+
+/// [`run_interrupted`] on the tier `wrap` selects (`func` reaches the
+/// functional backend inside it).
+fn run_on<B: Backend>(
+    wrap: fn(FuncBackend) -> B,
+    func: fn(&B) -> &FuncBackend,
+    victim: &Program,
+    request: u64,
+) -> Result<Vec<i8>, SimError> {
     let (hi, lo) = (TaskSlot::new(1).unwrap(), TaskSlot::new(3).unwrap());
     let hi_prog = hi_program();
     let mut backend = FuncBackend::new();
     backend.install_image(lo, DdrImage::for_program(victim, 11));
     backend.install_image(hi, DdrImage::for_program(&hi_prog, 12));
-    let mut e =
-        Engine::new(AccelConfig::paper_small(), InterruptStrategy::VirtualInstruction, backend);
+    let mut e = Engine::new(
+        AccelConfig::paper_small(),
+        InterruptStrategy::VirtualInstruction,
+        wrap(backend),
+    );
     e.load(lo, victim.clone()).unwrap();
     e.load(hi, hi_prog).unwrap();
     e.request_at(0, lo).unwrap();
     e.request_at(request, hi).unwrap();
     e.run()?;
-    Ok(e.backend().image(lo).unwrap().read_output(victim.layers.last().unwrap()))
+    Ok(func(e.backend()).image(lo).unwrap().read_output(victim.layers.last().unwrap()))
 }
 
 #[test]
@@ -185,4 +200,34 @@ fn reference_of_untouched_program_still_transparent() {
         let out = run_interrupted(&good, span * k / 20).unwrap();
         assert_eq!(out, reference, "position {k}/20");
     }
+}
+
+/// A broken VI program fails — or passes — identically in both tiers at
+/// every interrupt position: a span that starts at a cut never runs over
+/// on-chip state stepping would miss (a dropped `VIR_LOAD_D`, a flushed
+/// blob its SAVE is not patched past), and never skips an error stepping
+/// raises.
+#[test]
+fn broken_programs_fail_identically_in_both_tiers() {
+    let good = compile_vi();
+    let span = span_of(&good);
+    let no_vir_load_d = rebuild(&good, |i| (i.op != Opcode::VirLoadD).then_some(*i));
+    let wrong_save_ids = rebuild(&good, |i| {
+        let mut i = *i;
+        if i.op == Opcode::VirSave {
+            i.save_id += 10_000;
+        }
+        Some(i)
+    });
+    let mut errors = 0;
+    for (name, broken) in [("no VIR_LOAD_D", &no_vir_load_d), ("save ids", &wrong_save_ids)] {
+        for k in 1..20 {
+            let at = span * k / 20;
+            let tier1 = run_interrupted(broken, at);
+            let tier0 = run_on(Stepped, |b| &b.0, broken, at);
+            assert_eq!(tier1, tier0, "{name}: tiers disagree on a request at {at}");
+            errors += usize::from(tier1.is_err());
+        }
+    }
+    assert!(errors > 0, "the broken programs must fail somewhere");
 }

@@ -338,11 +338,13 @@ fn lower_priority_arrival_keeps_its_place_in_the_lifecycle_trace() {
     }
 }
 
-/// A victim resumed under the VI method carries `flushed` SAVE patches: the
-/// span commit must leave those instructions to stepping (a jump would
-/// skip the patch, the elision and their counters).
+/// A victim resumed under the VI method carries pending SAVE patches: the
+/// span commit that jumps over them must shorten or elide each patched
+/// SAVE, price it, count it and trace it at the cycle stepping would (that
+/// such commits happen at all is counted in `engine.rs`'s unit test
+/// `span_commits_apply_pending_save_patches`).
 #[test]
-fn resumed_victim_with_pending_patches_is_stepped_until_they_clear() {
+fn resumed_victim_with_pending_patches_matches_the_oracle() {
     let lo = tiny(32);
     let bounds = boundaries(cfg(false), &lo);
     let mut patched = 0;

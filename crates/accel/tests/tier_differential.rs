@@ -98,12 +98,27 @@ struct Scenario<'a> {
     lo_offset: bool,
     threads: usize,
     seed: u64,
+    /// `run_until` deadlines to stop at before running dry.
+    stops: &'a [u64],
+    /// Watch through a coarse tracer and no profile, so commits price
+    /// spans off the cycle table instead of walking them.
+    coarse: bool,
 }
 
 impl<'a> Scenario<'a> {
     fn new(strategy: InterruptStrategy, requests: &'a [(u64, bool)]) -> Self {
         let cfg = AccelConfig::paper_small();
-        Self { strategy, cfg, requests, tagged: false, lo_offset: false, threads: 1, seed: 1 }
+        Self {
+            strategy,
+            cfg,
+            requests,
+            tagged: false,
+            lo_offset: false,
+            threads: 1,
+            seed: 1,
+            stops: &[],
+            coarse: false,
+        }
     }
 }
 
@@ -138,9 +153,10 @@ fn run_on<B: Backend>(
     backend.install_image(hi_slot, image_for(hi, s.seed ^ 0x5EED));
     let mut e = Engine::new(s.cfg, s.strategy, wrap(backend));
     // ≈133 k events per lo job, at most two lo jobs per scenario.
-    let (tracer, buffer) = Tracer::ring(1 << 19);
+    let (tracer, buffer) =
+        if s.coarse { Tracer::ring_coarse(1 << 19) } else { Tracer::ring(1 << 19) };
     e.set_probe(tracer.into());
-    e.set_profiling(true);
+    e.set_profiling(!s.coarse);
     e.load(lo_slot, lo.clone()).unwrap();
     e.load(hi_slot, hi.clone()).unwrap();
     for (i, &(cycle, is_hi)) in s.requests.iter().enumerate() {
@@ -148,6 +164,9 @@ fn run_on<B: Backend>(
         let slot = if is_hi { hi_slot } else { lo_slot };
         let (in_off, out_off) = if s.lo_offset && !is_hi { frame_offsets(lo) } else { (0, 0) };
         e.request_job_tagged(cycle, slot, in_off, out_off, tag).unwrap();
+    }
+    for &deadline in s.stops {
+        e.run_until(deadline).unwrap();
     }
     let report = e.run().unwrap();
     assert_eq!(buffer.dropped(), 0, "the comparison must cover the whole trace");
@@ -417,6 +436,83 @@ proptest! {
         };
         let (_, t1) = assert_tiers_agree(&scenario);
         prop_assert!(t1.counter("tier1.exec_layers") > 0);
+    }
+}
+
+/// One long layer (a 3×3 convolution of more than 500 original
+/// instructions on the small accelerator) between two short ones: where
+/// `func_infer`'s arrivals land.
+fn long_layer_program() -> Program {
+    let mut b = inca_model::NetworkBuilder::new("long_layer", Shape3::new(8, 32, 32));
+    let x = b.input_id();
+    let stem = b.conv("stem", x, 32, 1, 1, 0, true).unwrap();
+    let long = b.conv("long", stem, 64, 3, 1, 1, true).unwrap();
+    let head = b.conv("head", long, 8, 1, 1, 0, false).unwrap();
+    let net = b.finish(vec![head]).unwrap();
+    Compiler::new(AccelConfig::paper_small().arch).compile_vi(&net).unwrap()
+}
+
+/// The start cycle of every original instruction of an uncontended run of
+/// `program`, with its layer.
+fn instr_starts(cfg: &AccelConfig, program: &Program) -> Vec<(u64, u16)> {
+    let slot = TaskSlot::LOWEST;
+    let mut e =
+        Engine::new(*cfg, InterruptStrategy::VirtualInstruction, Stepped(TimingBackend::new()));
+    let (tracer, buffer) = Tracer::ring(1 << 16);
+    e.set_probe(tracer.into());
+    e.load(slot, program.clone()).unwrap();
+    e.request_at(0, slot).unwrap();
+    e.run().unwrap();
+    let starts = buffer.snapshot().into_iter().filter_map(|ev| match ev {
+        TraceEvent::InstrRetired { start, layer, .. } => Some((start, layer)),
+        _ => None,
+    });
+    starts.collect()
+}
+
+/// `func_infer` in miniature: requests land inside a long layer, a
+/// `run_until` deadline stops inside an interrupt-point group, the victim
+/// resumes mid-layer with pending SAVE patches (VI) or a restored snapshot
+/// (CPU-like) or drains to the layer's end (layer-by-layer). Tier-1 must
+/// stay identical to stepping — walked with every instruction observed, and
+/// priced off the cycle table under a coarse tracer — while running nearly
+/// all of the victim as cut-aligned Tier-1 spans.
+#[test]
+fn preempted_long_layer_runs_as_sub_layer_spans() {
+    let (lo, hi) = (long_layer_program(), hi_program());
+    let cfg = AccelConfig::paper_small();
+    let starts = instr_starts(&cfg, &lo);
+    let long: Vec<u64> = starts.iter().filter(|&&(_, l)| l == 1).map(|&(t, _)| t).collect();
+    assert!(long.len() > 500, "the long layer has {} instructions", long.len());
+    let inside = |frac: usize| long[long.len() * frac / 100] + 1;
+    let requests = [(0, false), (inside(20), true), (inside(65), true)];
+    let stops = [inside(45)];
+    let hi_instrs = hi.original_instrs().count() as u64;
+    for strategy in [
+        InterruptStrategy::VirtualInstruction,
+        InterruptStrategy::CpuLike,
+        InterruptStrategy::LayerByLayer,
+    ] {
+        for coarse in [false, true] {
+            let s = Scenario { stops: &stops, coarse, ..Scenario::new(strategy, &requests) };
+            let (t0, _) = run_tier0(&lo, &hi, &s);
+            let (t1, m1) = run_tier1(&lo, &hi, &s);
+            let what = format!("{strategy} coarse={coarse}");
+            assert_eq!(t0, t1, "{what}: tiers diverge");
+            assert!(!t1.report.interrupts.is_empty(), "{what}: the victim is preempted");
+            if strategy == InterruptStrategy::VirtualInstruction {
+                let patched = t1.engine_metrics.counter("engine.saves.patched");
+                assert!(patched > 0, "{what}: the resumes carry SAVE patches");
+            }
+            // The requester runs whole layers; what the victim retired
+            // beyond them must be nearly all fused.
+            let retired = t1.engine_metrics.counter("engine.instrs.retired") - 2 * hi_instrs;
+            let fused = m1.counter("tier1.exec_instrs_fused").saturating_sub(2 * hi_instrs);
+            assert!(
+                fused * 100 >= retired * 95,
+                "{what}: {fused} of the victim's {retired} instructions fused"
+            );
+        }
     }
 }
 

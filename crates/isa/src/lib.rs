@@ -52,7 +52,9 @@ pub use arch::{ArchSpec, Parallelism};
 pub use error::IsaError;
 pub use instr::{DdrRange, Instr, Opcode, Tile, RECORD_BYTES};
 pub use layer::{LayerKind, LayerMeta, PoolKind, Shape3};
-pub use plan::{compile_program, CompiledProgram, DeoptReason, LayerPlan, LayerTier, StoreSpan};
+pub use plan::{
+    compile_program, CompiledProgram, Cut, DeoptReason, Edge, LayerPlan, LayerTier, StoreSpan,
+};
 pub use program::{BlobRange, InterruptPoint, MemoryMap, Program, ProgramBuilder, ProgramStats};
 
 /// Number of hardware task slots managed by the IAU (paper §IV-D: "supports

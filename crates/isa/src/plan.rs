@@ -18,7 +18,9 @@
 //! by the executor using the same region tests as the engine's
 //! offset-patching, so one plan serves every job of the program.
 
-use crate::{Instr, LayerKind, LayerMeta, Opcode, PoolKind, Program};
+use std::ops::Range;
+
+use crate::{Instr, InterruptPoint, LayerKind, LayerMeta, Opcode, PoolKind, Program};
 
 /// Why a layer could not be tier-1 compiled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -82,6 +84,8 @@ impl std::fmt::Display for DeoptReason {
 /// loop produces.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StoreSpan {
+    /// pc of the SAVE (where a pending IAU patch of it is keyed).
+    pub pc: u32,
     /// Task-relative DDR address of the span (tile origin).
     pub addr: u64,
     /// First output channel.
@@ -159,6 +163,73 @@ pub struct LayerPlan {
     pub stores: Vec<StoreSpan>,
     /// Union hull of all stores (unshifted).
     pub store_hull: Option<Hull>,
+    /// The layer's legal cuts, in pc order.
+    pub cuts: Vec<Cut>,
+}
+
+/// A legal cut of a compiled layer: an interrupt point at which no
+/// `CALC_I` accumulator is open and whose virtual group names exactly the
+/// on-chip state stepping would leave there. Its `VIR_SAVE`s are the blobs
+/// finalised but not yet stored, its `VIR_LOAD_*`s the loads later
+/// instructions still read — what a span ending at the cut hands on to the
+/// next stepped instruction or taken `VIR_SAVE`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Cut {
+    /// First pc of the point's virtual group: a span ending at the cut
+    /// stops here.
+    pub vir_start: u32,
+    /// One past the group: a span starting at the cut begins here.
+    pub vir_end: u32,
+    /// The layer's SAVEs before the cut (an index into
+    /// [`LayerPlan::stores`]).
+    pub store: u32,
+    /// The layer's original instructions before the cut.
+    pub originals: u32,
+}
+
+/// Where a span of a compiled layer begins or ends: the layer's first
+/// instruction, one of its [`Cut`]s, or its end.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Edge {
+    /// The layer's first instruction.
+    Start,
+    /// The cut at this index of [`LayerPlan::cuts`].
+    Cut(usize),
+    /// Past the layer's last original instruction.
+    End,
+}
+
+impl LayerPlan {
+    /// The edge a span starting at `pc` begins on, if it is one.
+    #[must_use]
+    pub fn start_edge(&self, pc: usize) -> Option<Edge> {
+        if pc == self.pc_start as usize {
+            return Some(Edge::Start);
+        }
+        let i = self.cuts.binary_search_by_key(&pc, |c| c.vir_end as usize).ok()?;
+        Some(Edge::Cut(i))
+    }
+
+    /// The edge a span ending at `pc` (one past its last original
+    /// instruction, or the layer's end) stops on, if it is one.
+    #[must_use]
+    pub fn end_edge(&self, pc: usize) -> Option<Edge> {
+        if pc == self.last_original_pc as usize + 1 || pc == self.pc_end as usize {
+            return Some(Edge::End);
+        }
+        let i = self.cuts.binary_search_by_key(&pc, |c| c.vir_start as usize).ok()?;
+        Some(Edge::Cut(i))
+    }
+
+    /// `(stores, original instructions)` of the layer before `edge`.
+    #[must_use]
+    pub fn before(&self, edge: Edge) -> (usize, u32) {
+        match edge {
+            Edge::Start => (0, 0),
+            Edge::Cut(i) => (self.cuts[i].store as usize, self.cuts[i].originals),
+            Edge::End => (self.stores.len(), self.original_instrs),
+        }
+    }
 }
 
 /// Per-layer compilation outcome.
@@ -207,37 +278,63 @@ impl CompiledProgram {
 /// stepping; the rest carry a [`DeoptReason`].
 #[must_use]
 pub fn compile_program(program: &Program) -> CompiledProgram {
-    let layers = (0..program.layers.len()).map(|l| compile_layer(program, l as u16)).collect();
+    let mut instrs_of = vec![0usize; program.layers.len()];
+    for i in &program.instrs {
+        if let Some(n) = instrs_of.get_mut(usize::from(i.layer)) {
+            *n += 1;
+        }
+    }
+    let layers = (0..program.layers.len())
+        .map(|l| match try_compile_layer(program, l as u16, instrs_of[l]) {
+            Ok(plan) => LayerTier::Compiled(plan),
+            Err(r) => LayerTier::Deopt(r),
+        })
+        .collect();
     CompiledProgram { fingerprint: program.fingerprint(), layers }
 }
 
-/// A dense presence bitmap over a rectangular index space.
-struct Bitmap {
-    words: Vec<u64>,
-    rows: usize,
-    cols: usize,
+/// Which of a layer's loads last placed each on-chip entry of one buffer,
+/// over a rectangular index space: `(buffer-virtual channel, input row)`
+/// for data, `(oc, ic)` (depthwise `(c, 0)`) for weights.
+struct Providers {
+    cells: Vec<u32>,
+    rows: u32,
+    cols: u32,
 }
 
-impl Bitmap {
-    fn new(rows: usize, cols: usize) -> Self {
-        Self { words: vec![0; (rows * cols).div_ceil(64)], rows, cols }
+impl Providers {
+    /// No entry placed yet.
+    const NONE: u32 = u32::MAX;
+
+    fn new(rows: u32, cols: u32) -> Self {
+        Self { cells: vec![Self::NONE; rows as usize * cols as usize], rows, cols }
     }
 
-    fn set(&mut self, a: usize, b: usize) {
-        let i = a * self.cols + b;
-        self.words[i / 64] |= 1 << (i % 64);
+    /// The entries `(a, b)` for `b` in `bs`, when all lie in the space (a
+    /// CALC can demand channels no load could legally place, e.g.
+    /// `out.c > in.c` on a pool — that is a missing operand, not a
+    /// compiler panic).
+    fn run(&self, a: u32, bs: Range<u32>) -> Option<Range<usize>> {
+        let start = a as usize * self.cols as usize;
+        (a < self.rows && bs.end <= self.cols)
+            .then(|| start + bs.start as usize..start + bs.end as usize)
     }
 
-    /// Out-of-space indices read as absent (a CALC can demand channels no
-    /// load could legally place, e.g. `out.c > in.c` on a pool — that is
-    /// a missing operand, not a compiler panic).
-    fn get(&self, a: usize, b: usize) -> bool {
-        if a >= self.rows || b >= self.cols {
-            return false;
+    /// Records `load` as the provider of entries `(a, b)`, `b` in `bs`
+    /// (ignored out of space: a weightless layer keeps no weight
+    /// providers).
+    fn place(&mut self, a: u32, bs: Range<u32>, load: u32) {
+        if let Some(run) = self.run(a, bs) {
+            self.cells[run].fill(load);
         }
-        let i = a * self.cols + b;
-        self.words[i / 64] & (1 << (i % 64)) != 0
     }
+}
+
+/// One load of the layer and the pc of its last consumer (its own pc while
+/// nothing has read it).
+struct Load {
+    pc: u32,
+    last_use: u32,
 }
 
 /// Symbolic model of one output blob, mirroring the interpreter's
@@ -253,6 +350,9 @@ struct SymBlob {
     ic_ranges: Vec<(u16, u16)>,
     calcs: u32,
     finalized: bool,
+    /// Set on finalisation: the blob's content equals the whole-layer pass
+    /// ([`SymBlob::is_complete`]).
+    complete: bool,
 }
 
 impl SymBlob {
@@ -261,6 +361,26 @@ impl SymBlob {
             && ch < u32::from(self.c0) + u32::from(self.chans)
             && row >= u32::from(self.h0)
             && row < u32::from(self.h0) + u32::from(self.rows)
+    }
+
+    /// Whether the blob's content equals the whole-layer pass: its CALCs'
+    /// input-channel ranges exactly tile `[0, c_in)` (reducing kinds), or
+    /// it took exactly one CALC (the rest accumulate per CALC, so a second
+    /// one would double-add).
+    fn is_complete(&self, meta: &LayerMeta) -> bool {
+        if !meta.kind.reduces_input_channels() {
+            return self.calcs == 1;
+        }
+        let mut ranges: Vec<(u16, u16)> = self.ic_ranges.clone();
+        ranges.sort_unstable();
+        let mut next = 0u32;
+        for (ic0, ics) in ranges {
+            if u32::from(ic0) != next {
+                return false;
+            }
+            next += u32::from(ics);
+        }
+        next == meta.in_shape.c
     }
 }
 
@@ -279,16 +399,16 @@ fn overflow_safe(meta: &LayerMeta) -> bool {
     terms.saturating_mul(127 * 127) < (1u64 << 31)
 }
 
-/// The set of input rows a CALC tile demands from the data buffer —
-/// exactly the rows the fast path's `stage_rows` copies (deduplicated
-/// virtual rows, clipped to the image).
-fn demanded_rows(tile_h0: u16, tile_rows: u16, meta: &LayerMeta) -> Vec<u32> {
+/// The input rows a CALC tile demands from the data buffer — exactly the
+/// rows the fast path's `stage_rows` copies (deduplicated virtual rows,
+/// clipped to the image) — as ascending runs.
+fn demanded_rows(tile_h0: u16, tile_rows: u16, meta: &LayerMeta) -> Vec<Range<u32>> {
     let k = usize::from(meta.kind.kernel());
     let s = usize::from(meta.kind.stride());
     let p = i64::from(meta.kind.pad());
     let h_in = i64::from(meta.in_shape.h);
     let vr0 = i64::from(tile_h0) * s as i64 - p;
-    let mut rows = Vec::new();
+    let mut runs: Vec<Range<u32>> = Vec::new();
     let mut next = 0usize;
     for rr in 0..usize::from(tile_rows) {
         for ky in 0..k {
@@ -299,20 +419,25 @@ fn demanded_rows(tile_h0: u16, tile_rows: u16, meta: &LayerMeta) -> Vec<u32> {
             next = vr + 1;
             let in_r = vr0 + vr as i64;
             if (0..h_in).contains(&in_r) {
-                rows.push(in_r as u32);
+                let r = in_r as u32;
+                match runs.last_mut() {
+                    Some(run) if run.end == r => run.end += 1,
+                    _ => runs.push(r..r + 1),
+                }
             }
         }
     }
-    rows
+    runs
 }
 
 struct LayerCompiler<'a> {
     program: &'a Program,
+    layer: u16,
     meta: &'a LayerMeta,
-    /// `(buffer-virtual channel, input row)` presence.
-    data: Bitmap,
-    /// `(oc, ic)` presence (depthwise: `(c, 0)`).
-    weights: Bitmap,
+    data: Providers,
+    weights: Providers,
+    /// The layer's loads so far, in pc order (what `Providers` index).
+    loads: Vec<Load>,
     input_shifted: Option<bool>,
     input2_shifted: Option<bool>,
     blobs: Vec<SymBlob>,
@@ -329,7 +454,11 @@ impl LayerCompiler<'_> {
         }
     }
 
-    fn load_d(&mut self, instr: &Instr) -> Result<(), DeoptReason> {
+    /// Checks a data load's tile against the layer's shapes and its address
+    /// against the canonical layout. Returns which operand it feeds
+    /// (`true`: operand 2 of an Add) and whether it lies in the
+    /// network-input region.
+    fn check_load_d(&self, instr: &Instr) -> Result<(bool, bool), DeoptReason> {
         let m = self.meta;
         let t = instr.tile;
         let (h_in, w_in) = (u64::from(m.in_shape.h), u64::from(m.in_shape.w));
@@ -355,21 +484,28 @@ impl LayerCompiler<'_> {
         }
         let shifted =
             self.program.memory.in_input_region(instr.ddr.addr, u64::from(instr.ddr.bytes));
+        Ok((op2, shifted))
+    }
+
+    fn load_d(&mut self, pc: u32, instr: &Instr) -> Result<(), DeoptReason> {
+        let (op2, shifted) = self.check_load_d(instr)?;
         let flag = if op2 { &mut self.input2_shifted } else { &mut self.input_shifted };
         match flag {
             None => *flag = Some(shifted),
             Some(prev) if *prev != shifted => return Err(DeoptReason::MixedOffsetRegion),
             Some(_) => {}
         }
-        for j in 0..chans {
-            for r in 0..rows {
-                self.data.set((c0 + j) as usize, (h0 + r) as usize);
-            }
+        let load = self.new_load(pc);
+        let t = instr.tile;
+        for c in t.chan_range() {
+            self.data.place(c, t.row_range(), load);
         }
         Ok(())
     }
 
-    fn load_w(&mut self, instr: &Instr) -> Result<(), DeoptReason> {
+    /// Checks a weight load's tile against the layer's shapes and its
+    /// address against the canonical layout.
+    fn check_load_w(&self, instr: &Instr) -> Result<(), DeoptReason> {
         let m = self.meta;
         let t = instr.tile;
         let k2 = u64::from(m.kind.kernel()) * u64::from(m.kind.kernel());
@@ -381,9 +517,6 @@ impl LayerCompiler<'_> {
             if instr.ddr.addr != m.weight_addr + u64::from(c0) * k2 {
                 return Err(DeoptReason::NonCanonicalAddress);
             }
-            for j in 0..chans {
-                self.weights.set((c0 + j) as usize, 0);
-            }
             return Ok(());
         }
         let c_in = u64::from(m.in_shape.c);
@@ -394,18 +527,53 @@ impl LayerCompiler<'_> {
         if instr.ddr.addr != m.weight_addr + (u64::from(c0) * c_in + u64::from(ic0)) * k2 {
             return Err(DeoptReason::NonCanonicalAddress);
         }
-        for j in 0..chans {
-            for i in 0..ics {
-                self.weights.set((c0 + j) as usize, (ic0 + i) as usize);
-            }
+        Ok(())
+    }
+
+    fn load_w(&mut self, pc: u32, instr: &Instr) -> Result<(), DeoptReason> {
+        self.check_load_w(instr)?;
+        let load = self.new_load(pc);
+        let t = instr.tile;
+        let ics =
+            if matches!(self.meta.kind, LayerKind::DwConv { .. }) { 0..1 } else { t.ic_range() };
+        for oc in t.chan_range() {
+            self.weights.place(oc, ics.clone(), load);
         }
         Ok(())
     }
 
+    fn new_load(&mut self, pc: u32) -> u32 {
+        self.loads.push(Load { pc, last_use: pc });
+        self.loads.len() as u32 - 1
+    }
+
+    /// Marks the loads that placed entries `(a, b)`, `b` in `bs`, of the
+    /// data buffer (or the weight buffer) as read at `pc`; `false` when one
+    /// of them was never placed.
+    fn read(&mut self, pc: u32, from_weights: bool, a: u32, bs: Range<u32>) -> bool {
+        let Self { data, weights, loads, .. } = self;
+        let providers = if from_weights { weights } else { data };
+        if bs.is_empty() {
+            return true;
+        }
+        let Some(run) = providers.run(a, bs) else { return false };
+        let mut last = Providers::NONE;
+        for &load in &providers.cells[run] {
+            if load == Providers::NONE {
+                return false;
+            }
+            if load != last {
+                loads[load as usize].last_use = pc;
+                last = load;
+            }
+        }
+        true
+    }
+
     /// Checks a CALC's operand demands against what the layer's loads have
-    /// placed so far (mirroring the staging lookups), then advances the
-    /// blob lifecycle.
-    fn calc(&mut self, instr: &Instr) -> Result<(), DeoptReason> {
+    /// placed so far (mirroring the staging lookups), recording which
+    /// loads it reads, then advances the blob lifecycle.
+    fn calc(&mut self, pc: u32, instr: &Instr) -> Result<(), DeoptReason> {
         let m = self.meta;
         let t = instr.tile;
         if u32::from(t.h0) + u32::from(t.rows) > m.out_shape.h
@@ -413,6 +581,7 @@ impl LayerCompiler<'_> {
         {
             return Err(DeoptReason::TileOutOfBounds);
         }
+        let mut ok = true;
         // Operand demands, per kind.
         match m.kind {
             LayerKind::Conv { .. } => {
@@ -421,51 +590,35 @@ impl LayerCompiler<'_> {
                 }
                 let rows = demanded_rows(t.h0, t.rows, m);
                 for ic in t.ic_range() {
-                    for &r in &rows {
-                        if !self.data.get(ic as usize, r as usize) {
-                            return Err(DeoptReason::MissingOperand);
-                        }
+                    for run in &rows {
+                        ok &= self.read(pc, false, ic, run.clone());
                     }
                 }
                 for oc in t.chan_range() {
-                    for ic in t.ic_range() {
-                        if !self.weights.get(oc as usize, ic as usize) {
-                            return Err(DeoptReason::MissingOperand);
-                        }
-                    }
+                    ok &= self.read(pc, true, oc, t.ic_range());
                 }
             }
             LayerKind::DwConv { .. } | LayerKind::Pool { .. } => {
                 let rows = demanded_rows(t.h0, t.rows, m);
                 for c in t.chan_range() {
-                    for &r in &rows {
-                        if !self.data.get(c as usize, r as usize) {
-                            return Err(DeoptReason::MissingOperand);
-                        }
+                    for run in &rows {
+                        ok &= self.read(pc, false, c, run.clone());
                     }
-                    if m.kind.has_weights() && !self.weights.get(c as usize, 0) {
-                        return Err(DeoptReason::MissingOperand);
+                    if m.kind.has_weights() {
+                        ok &= self.read(pc, true, c, 0..1);
                     }
                 }
             }
             LayerKind::GlobalPool { .. } => {
                 for c in t.chan_range() {
-                    for r in 0..m.in_shape.h {
-                        if !self.data.get(c as usize, r as usize) {
-                            return Err(DeoptReason::MissingOperand);
-                        }
-                    }
+                    ok &= self.read(pc, false, c, 0..m.in_shape.h);
                 }
             }
             LayerKind::Add => {
                 let c_in = m.in_shape.c;
                 for c in t.chan_range() {
-                    for rr in 0..u32::from(t.rows) {
-                        let r = (u32::from(t.h0) + rr) as usize;
-                        if !self.data.get(c as usize, r) || !self.data.get((c + c_in) as usize, r) {
-                            return Err(DeoptReason::MissingOperand);
-                        }
-                    }
+                    ok &= self.read(pc, false, c, t.row_range())
+                        && self.read(pc, false, c + c_in, t.row_range());
                 }
             }
             LayerKind::FullyConnected => {
@@ -473,36 +626,47 @@ impl LayerCompiler<'_> {
                     return Err(DeoptReason::TileOutOfBounds);
                 }
                 for oc in t.chan_range() {
+                    ok &= self.read(pc, true, oc, t.ic_range());
+                }
+                if !t.chan_range().is_empty() {
                     for ic in t.ic_range() {
-                        if !self.weights.get(oc as usize, ic as usize)
-                            || !self.data.get(ic as usize, 0)
-                        {
-                            return Err(DeoptReason::MissingOperand);
-                        }
+                        ok &= self.read(pc, false, ic, 0..1);
                     }
                 }
             }
         }
+        if !ok {
+            return Err(DeoptReason::MissingOperand);
+        }
         // Blob lifecycle.
-        match self.blobs.iter_mut().find(|b| b.blob == instr.blob) {
-            Some(b) => {
+        let blob = match self.blobs.iter().position(|b| b.blob == instr.blob) {
+            Some(i) => {
+                let b = &mut self.blobs[i];
                 if b.finalized || (b.c0, b.chans, b.h0, b.rows) != (t.c0, t.chans, t.h0, t.rows) {
                     return Err(DeoptReason::BlobShape);
                 }
                 b.ic_ranges.push((t.ic0, t.ics));
                 b.calcs += 1;
-                b.finalized = instr.op == Opcode::CalcF;
+                b
             }
-            None => self.blobs.push(SymBlob {
-                blob: instr.blob,
-                c0: t.c0,
-                chans: t.chans,
-                h0: t.h0,
-                rows: t.rows,
-                ic_ranges: vec![(t.ic0, t.ics)],
-                calcs: 1,
-                finalized: instr.op == Opcode::CalcF,
-            }),
+            None => {
+                self.blobs.push(SymBlob {
+                    blob: instr.blob,
+                    c0: t.c0,
+                    chans: t.chans,
+                    h0: t.h0,
+                    rows: t.rows,
+                    ic_ranges: vec![(t.ic0, t.ics)],
+                    calcs: 1,
+                    finalized: false,
+                    complete: false,
+                });
+                self.blobs.last_mut().expect("just pushed")
+            }
+        };
+        if instr.op == Opcode::CalcF {
+            blob.finalized = true;
+            blob.complete = blob.is_complete(m);
         }
         Ok(())
     }
@@ -510,7 +674,7 @@ impl LayerCompiler<'_> {
     /// Verifies a SAVE against the blob model: every demanded cell comes
     /// from exactly one finalized blob whose accumulation equals the
     /// whole-layer pass, then retires blobs the interpreter would.
-    fn save(&mut self, instr: &Instr) -> Result<(), DeoptReason> {
+    fn save(&mut self, pc: u32, instr: &Instr) -> Result<(), DeoptReason> {
         let m = self.meta;
         let t = instr.tile;
         if u32::from(t.h0) + u32::from(t.rows) > m.out_shape.h
@@ -518,11 +682,8 @@ impl LayerCompiler<'_> {
         {
             return Err(DeoptReason::TileOutOfBounds);
         }
-        let c_in = m.in_shape.c;
-        for j in 0..u32::from(t.chans) {
-            let ch = u32::from(t.c0) + j;
-            for rr in 0..u32::from(t.rows) {
-                let row = u32::from(t.h0) + rr;
+        for ch in t.chan_range() {
+            for row in t.row_range() {
                 let mut covering = self.blobs.iter().filter(|b| b.finalized && b.covers(ch, row));
                 let Some(b) = covering.next() else {
                     return Err(DeoptReason::SaveCoverage);
@@ -530,29 +691,13 @@ impl LayerCompiler<'_> {
                 if covering.next().is_some() {
                     return Err(DeoptReason::SaveCoverage);
                 }
-                if m.kind.reduces_input_channels() {
-                    // The blob's CALC ic ranges must exactly tile [0, c_in)
-                    // for its content to equal the whole-layer reduction.
-                    let mut ranges: Vec<(u16, u16)> = b.ic_ranges.clone();
-                    ranges.sort_unstable();
-                    let mut next = 0u32;
-                    for (ic0, ics) in ranges {
-                        if u32::from(ic0) != next {
-                            return Err(DeoptReason::BlobShape);
-                        }
-                        next += u32::from(ics);
-                    }
-                    if next != c_in {
-                        return Err(DeoptReason::BlobShape);
-                    }
-                } else if b.calcs != 1 {
-                    // Non-reducing kinds accumulate per CALC; more than one
-                    // would double-add relative to the whole-layer pass.
+                if !b.complete {
                     return Err(DeoptReason::BlobShape);
                 }
             }
         }
         self.stores.push(StoreSpan {
+            pc,
             addr: instr.ddr.addr,
             c0: t.c0,
             chans: t.chans,
@@ -571,16 +716,68 @@ impl LayerCompiler<'_> {
         });
         Ok(())
     }
-}
 
-fn compile_layer(program: &Program, layer: u16) -> LayerTier {
-    match try_compile_layer(program, layer) {
-        Ok(plan) => LayerTier::Compiled(plan),
-        Err(r) => LayerTier::Deopt(r),
+    /// Whether interrupt point `p` can be a cut as far as the state at its
+    /// pc shows: no blob is still accumulating, its `VIR_SAVE`s name
+    /// exactly the finalised, unstored blobs (each complete, so the fused
+    /// pass computes its content), and its `VIR_LOAD_*`s are canonical
+    /// loads of this layer. (That they cover every load read after it is
+    /// checked once the layer's load liveness is known: [`live_loads_named`].)
+    fn is_cut(&self, p: &InterruptPoint) -> bool {
+        if self.blobs.len() > 64 || !self.blobs.iter().all(|b| b.finalized && b.complete) {
+            return false; // an open CALC_I accumulator, or a blob we cannot hand on
+        }
+        // Bit i: blob i has its VIR_SAVE.
+        let mut named = 0u64;
+        for vi in &self.program.instrs[p.vir_range()] {
+            let t = vi.tile;
+            let ok = vi.layer == self.layer
+                && match vi.op {
+                    Opcode::VirSave => {
+                        let shape = (t.h0, t.rows, t.c0, t.chans);
+                        let at = self.blobs.iter().position(|b| {
+                            b.blob == vi.blob && (b.h0, b.rows, b.c0, b.chans) == shape
+                        });
+                        match at {
+                            Some(i) if named & 1 << i == 0 => {
+                                named |= 1 << i;
+                                true
+                            }
+                            _ => false,
+                        }
+                    }
+                    Opcode::VirLoadD => self.check_load_d(vi).is_ok_and(|(op2, shifted)| {
+                        let flag = if op2 { self.input2_shifted } else { self.input_shifted };
+                        flag == Some(shifted)
+                    }),
+                    Opcode::VirLoadW => self.check_load_w(vi).is_ok(),
+                    _ => false,
+                };
+            if !ok {
+                return false;
+            }
+        }
+        named.count_ones() as usize == self.blobs.len()
     }
 }
 
-fn try_compile_layer(program: &Program, layer: u16) -> Result<LayerPlan, DeoptReason> {
+/// Whether `cut`'s `VIR_LOAD_*`s restore every load of the layer that an
+/// instruction after the cut still reads (`live`: those loads, in pc
+/// order — the order the VI pass emits their copies in).
+fn live_loads_named(program: &Program, cut: &Cut, mut live: impl Iterator<Item = u32>) -> bool {
+    let group = &program.instrs[cut.vir_start as usize..cut.vir_end as usize];
+    let mut copies = group.iter().filter(|v| matches!(v.op, Opcode::VirLoadD | Opcode::VirLoadW));
+    live.all(|pc| {
+        let load = program.instrs[pc as usize];
+        copies.any(|v| Instr { op: load.op, ..*v } == load)
+    })
+}
+
+fn try_compile_layer(
+    program: &Program,
+    layer: u16,
+    instrs_of_layer: usize,
+) -> Result<LayerPlan, DeoptReason> {
     let meta = &program.layers[usize::from(layer)];
     if matches!(meta.kind, LayerKind::Pool { kind: PoolKind::Gem { .. }, .. }) {
         return Err(DeoptReason::UnsupportedKind);
@@ -615,8 +812,7 @@ fn try_compile_layer(program: &Program, layer: u16) -> Result<LayerPlan, DeoptRe
         return Err(DeoptReason::Empty);
     }
     // Every instruction of this layer must live inside the (first) run.
-    let in_range = program.instrs.iter().filter(|i| i.layer == layer).count();
-    if in_range != range.len() {
+    if instrs_of_layer != range.len() {
         return Err(DeoptReason::SplitLayer);
     }
     if program.instrs[range.start].op.is_virtual() {
@@ -625,18 +821,18 @@ fn try_compile_layer(program: &Program, layer: u16) -> Result<LayerPlan, DeoptRe
         return Err(DeoptReason::SplitLayer);
     }
 
+    let weight_cols = match meta.kind {
+        LayerKind::DwConv { .. } => 1,
+        kind if kind.has_weights() => meta.in_shape.c,
+        _ => 0,
+    };
     let mut lc = LayerCompiler {
         program,
+        layer,
         meta,
-        data: Bitmap::new(c_virtual as usize, meta.in_shape.h as usize),
-        weights: Bitmap::new(
-            meta.out_shape.c as usize,
-            if matches!(meta.kind, LayerKind::DwConv { .. }) {
-                1
-            } else {
-                meta.in_shape.c as usize
-            },
-        ),
+        data: Providers::new(c_virtual as u32, meta.in_shape.h),
+        weights: Providers::new(meta.out_shape.c, weight_cols),
+        loads: Vec::new(),
         input_shifted: None,
         input2_shifted: None,
         blobs: Vec::new(),
@@ -645,18 +841,36 @@ fn try_compile_layer(program: &Program, layer: u16) -> Result<LayerPlan, DeoptRe
 
     let mut last_original = None;
     let mut originals = 0u32;
-    for pc in range.clone() {
-        let instr = &program.instrs[pc];
+    // The layer's interrupt points, met in the same pass: each is checked
+    // as a cut against the model state at its pc (a point with an empty
+    // group may sit right at the range end).
+    let first_point =
+        program.interrupt_points.partition_point(|p| (p.vir_start as usize) < range.start);
+    let mut points = program.interrupt_points[first_point..]
+        .iter()
+        .take_while(|p| p.vir_start as usize <= range.end)
+        .filter(|p| p.layer == layer)
+        .peekable();
+    let mut cuts = Vec::new();
+    for pc in range.start..=range.end {
+        while let Some(p) = points.next_if(|p| p.vir_start as usize == pc) {
+            if lc.is_cut(p) {
+                let store = lc.stores.len() as u32;
+                cuts.push(Cut { vir_start: p.vir_start, vir_end: p.vir_end, store, originals });
+            }
+        }
+        let Some(instr) = program.instrs.get(pc).filter(|_| pc < range.end) else { break };
         if instr.op.is_virtual() {
             continue; // skipped for free by stepping; not part of the batch
         }
-        last_original = Some(pc as u32);
+        let pc = pc as u32;
+        last_original = Some(pc);
         originals += 1;
         match instr.op {
-            Opcode::LoadD => lc.load_d(instr)?,
-            Opcode::LoadW => lc.load_w(instr)?,
-            Opcode::CalcI | Opcode::CalcF => lc.calc(instr)?,
-            Opcode::Save => lc.save(instr)?,
+            Opcode::LoadD => lc.load_d(pc, instr)?,
+            Opcode::LoadW => lc.load_w(pc, instr)?,
+            Opcode::CalcI | Opcode::CalcF => lc.calc(pc, instr)?,
+            Opcode::Save => lc.save(pc, instr)?,
             _ => return Err(DeoptReason::UnsupportedKind),
         }
     }
@@ -666,6 +880,17 @@ fn try_compile_layer(program: &Program, layer: u16) -> Result<LayerPlan, DeoptRe
         // keep stepping it.
         return Err(DeoptReason::Empty);
     }
+    // A cut must restore every load read after it: sweep the cuts with the
+    // loads placed before and read after each.
+    let (mut live, mut next) = (Vec::new(), 0);
+    cuts.retain(|cut| {
+        while let Some(load) = lc.loads.get(next).filter(|l| l.pc < cut.vir_start) {
+            live.push(load);
+            next += 1;
+        }
+        live.retain(|l| l.last_use >= cut.vir_start);
+        live_loads_named(program, cut, live.iter().map(|l| l.pc))
+    });
 
     let (h_in, w_in) = (u64::from(meta.in_shape.h), u64::from(meta.in_shape.w));
     let fm_bytes = u64::from(meta.in_shape.c) * h_in * w_in;
@@ -709,13 +934,14 @@ fn try_compile_layer(program: &Program, layer: u16) -> Result<LayerPlan, DeoptRe
         weight_hull,
         stores: lc.stores,
         store_hull,
+        cuts,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{DdrRange, Shape3, Tile};
+    use crate::{DdrRange, ProgramBuilder, Shape3, Tile};
 
     fn conv_layer() -> LayerMeta {
         LayerMeta {
@@ -823,6 +1049,87 @@ mod tests {
         p.instrs[2].op = Opcode::CalcI; // never finalized
         let c = compile_program(&p);
         assert_eq!(c.layers[0], LayerTier::Deopt(DeoptReason::SaveCoverage));
+    }
+
+    /// Two blobs of one output channel each, with an interrupt point after
+    /// the first blob's `CALC_I` (`P1`), after each `CALC_F` (`P2`, `P3`)
+    /// and after the `SAVE` (`P4`). `P2` restores the loads the second blob
+    /// still reads unless `drop_live_load`.
+    fn two_blob_program(drop_live_load: bool) -> Program {
+        let m = conv_layer();
+        let mut b = Program::builder("p");
+        b.layers.push(m);
+        let load_d = Instr::transfer(
+            Opcode::LoadD,
+            0,
+            0,
+            Tile::rows_chans(0, 4, 0, 2),
+            DdrRange::new(0, 32),
+        );
+        let load_w = Instr::transfer(
+            Opcode::LoadW,
+            0,
+            0,
+            Tile::new(0, 0, 0, 2, 0, 2),
+            DdrRange::new(200, 36),
+        );
+        let vir = |op, i: Instr| Instr { op, ..i };
+        let vir_save = |blob, c0| {
+            let tile = Tile::rows_chans(0, 4, c0, 1);
+            Instr::transfer(
+                Opcode::VirSave,
+                0,
+                blob,
+                tile,
+                DdrRange::new(100 + 16 * u64::from(c0), 16),
+            )
+        };
+        let point = |b: &mut ProgramBuilder, group: &[Instr]| {
+            let start = b.pc();
+            group.iter().for_each(|&i| b.push(i));
+            b.mark_interrupt_point(start, 0);
+        };
+        b.push(load_d);
+        b.push(load_w);
+        b.push(Instr::calc(Opcode::CalcI, 0, 0, Tile::new(0, 4, 0, 1, 0, 1)));
+        point(&mut b, &[]); // P1
+        b.push(Instr::calc(Opcode::CalcF, 0, 0, Tile::new(0, 4, 0, 1, 1, 1)));
+        let mut p2 =
+            vec![vir_save(0, 0), vir(Opcode::VirLoadD, load_d), vir(Opcode::VirLoadW, load_w)];
+        if drop_live_load {
+            p2.remove(1);
+        }
+        point(&mut b, &p2);
+        b.push(Instr::calc(Opcode::CalcF, 0, 1, Tile::new(0, 4, 1, 1, 0, 2)));
+        point(&mut b, &[vir_save(0, 0), vir_save(1, 1)]); // P3
+        let save = Tile::rows_chans(0, 4, 0, 2);
+        b.push(Instr::transfer(Opcode::Save, 0, 1, save, DdrRange::new(100, 32)));
+        point(&mut b, &[]); // P4
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn interrupt_points_are_cuts_only_where_they_name_the_state() {
+        let p = two_blob_program(false);
+        let c = compile_program(&p);
+        let plan = c.plan(0).expect("compiled");
+        let cut =
+            |vir_start, vir_end, store, originals| Cut { vir_start, vir_end, store, originals };
+        // P1 has an open CALC_I accumulator: not a cut.
+        assert_eq!(plan.cuts, [cut(4, 7, 0, 4), cut(8, 10, 0, 5), cut(11, 11, 1, 6)]);
+        assert_eq!(plan.start_edge(0), Some(Edge::Start));
+        assert_eq!(plan.start_edge(7), Some(Edge::Cut(0)));
+        assert_eq!(plan.start_edge(5), None, "inside a virtual group");
+        assert_eq!(plan.end_edge(4), Some(Edge::Cut(0)));
+        assert_eq!(plan.end_edge(11), Some(Edge::End), "the layer's end wins over its last cut");
+        assert_eq!(plan.before(Edge::Cut(1)), (0, 5));
+        assert_eq!(plan.before(Edge::End), (1, 6));
+        // P2 without the data load the second blob still reads: not a cut.
+        let p = two_blob_program(true);
+        let c = compile_program(&p);
+        let starts: Vec<u32> =
+            c.plan(0).expect("compiled").cuts.iter().map(|c| c.vir_start).collect();
+        assert_eq!(starts, [7, 10], "P3 and P4 only");
     }
 
     #[test]

@@ -253,6 +253,14 @@ impl Program {
         self.interrupt_points.get(idx)
     }
 
+    /// The last interrupt point whose virtual group starts at or before
+    /// `pc`, if any.
+    #[must_use]
+    pub fn last_interrupt_point(&self, pc: usize) -> Option<&InterruptPoint> {
+        let idx = self.interrupt_points.partition_point(|p| (p.vir_start as usize) <= pc);
+        idx.checked_sub(1).map(|i| &self.interrupt_points[i])
+    }
+
     /// Iterates over the original (non-virtual) instructions with their pcs.
     pub fn original_instrs(&self) -> impl Iterator<Item = (usize, &Instr)> {
         self.instrs.iter().enumerate().filter(|(_, i)| !i.op.is_virtual())
@@ -630,6 +638,9 @@ mod tests {
         assert_eq!(p.next_interrupt_point(0).unwrap().resume_pc(), 4);
         assert_eq!(p.next_interrupt_point(4).unwrap().resume_pc(), 4);
         assert!(p.next_interrupt_point(5).is_none());
+        assert!(p.last_interrupt_point(3).is_none());
+        assert_eq!(p.last_interrupt_point(4).unwrap().vir_start, 4);
+        assert_eq!(p.last_interrupt_point(9).unwrap().vir_start, 4);
     }
 
     #[test]

@@ -13,8 +13,8 @@
 #                                     #   + serve + dslam + spans + event +
 #                                     #   timeline + cluster, plus the tier-1
 #                                     #   MobileNet speedup floor (>= 4x) and
-#                                     #   the event-engine fleet speedup floor
-#                                     #   (>= 10x)
+#                                     #   the event-engine fleet work floor
+#                                     #   (stepping ticks / wakes >= 500)
 #   scripts/bench_gate.sh --quick     # deterministic bins only (func_tiers +
 #                                     #   sched + serve + dslam + spans +
 #                                     #   event + timeline + cluster): skips
@@ -28,10 +28,10 @@
 #
 # `event.fleet64.speedup` is the wall-clock ratio of two advance modes that
 # BOTH run the same engine: when the engine itself gets faster (span
-# commits, ISSUE 22: 25.2x -> ~20x) the busy cores cost both modes less
-# and the ratio drifts down while each mode got quicker. A drift there
-# after an engine change is expected, not a regression; the >= 10x floor
-# is what is gated.
+# commits: 25.2x -> ~20x) the busy cores cost both modes less and the ratio
+# drifts down while each mode got quicker, and a noisy neighbour on the
+# ~0.2 ms side moves it 3-8x. It is printed, not gated; the event floor is
+# on the deterministic work ratio of the same snapshot instead.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -82,27 +82,28 @@ print(f"bench gate: tier-1 MobileNet speedup {s:.2f}x (floor 4x) ok")
 EOF
 }
 
-# The event-engine acceptance floor: discrete-event advancement must
-# hold >= 10x over cycle-box stepping on the mostly-idle 64-core fleet
-# (DESIGN.md §5.8). Like the tier floor, checked against the freshly
-# measured snapshot so a regression is caught even inside the generous
-# wall-clock gauge tolerance. The skips counter must also be live — an
-# armed set that never disarms (event mode silently ticking every core at
-# every barrier) would keep outputs identical while erasing the entire
-# point of the engine.
+# The event-engine acceptance floor: on the mostly-idle 64-core fleet,
+# discrete-event advancement must wake cores at least 500x less often than
+# cycle-box stepping ticks them (DESIGN.md §5.8) — `stepping_ticks /
+# wakes`, both exact counters of the same snapshot, read 2 097 216 / 1 907
+# ~ 1 100 when this floor was set. Checked against the freshly measured
+# snapshot. An armed set that never disarms (event mode silently ticking
+# every core at every barrier) keeps outputs identical while erasing the
+# point of the engine: its wakes equal the stepping ticks and the ratio
+# falls to 1. The wall-clock speedup is printed next to it.
 check_event_floor() { # fig_event_engine.json -> exit 1 if below floor
     python3 - "$1" <<'EOF'
 import json, sys
 snap = json.load(open(sys.argv[1]))
-s = snap["gauges"]["event.fleet64.speedup"]
-skips = snap["counters"]["event.fleet64.skips"]
-if skips == 0:
-    sys.exit("bench gate: event engine skipped nothing on a mostly-idle "
-             "fleet - the armed set never disarms")
-if s < 10.0:
-    sys.exit(f"bench gate: event-engine fleet speedup {s:.2f}x is below the 10x floor")
-print(f"bench gate: event-engine fleet speedup {s:.2f}x (floor 10x), "
-      f"{skips} ticks skipped ok")
+c = snap["counters"]
+ticks, wakes = c["event.fleet64.stepping_ticks"], c["event.fleet64.wakes"]
+ratio = ticks / max(wakes, 1)
+speedup = snap["gauges"]["event.fleet64.speedup"]
+if ratio < 500.0:
+    sys.exit(f"bench gate: event engine woke {wakes} times for {ticks} stepping ticks "
+             f"({ratio:.1f}x, floor 500x) - the armed set does not disarm")
+print(f"bench gate: event engine {ticks} stepping ticks / {wakes} wakes = {ratio:.0f}x "
+      f"(floor 500x) ok; wall-clock speedup {speedup:.2f}x (not gated)")
 EOF
 }
 
@@ -226,10 +227,11 @@ EOF
             exit 1
         fi
         # Fixture 6: a fresh fig_event_engine snapshot with every skip
-        # turned into a wake — the skips counter zeroed (every tick "ran")
-        # and the fleet speedup collapsed to 1x, which is exactly what an
-        # armed set that never disarms anything looks like. Both the
-        # exact-match counters and the explicit floor must trip.
+        # turned into a wake — the skips counter zeroed (every tick "ran"),
+        # which is exactly what an armed set that never disarms anything
+        # looks like. The wall-clock gauge is left as measured: both the
+        # exact-match counters and the explicit floor must trip on the
+        # counters alone.
         run_bin fig_event_engine
         python3 - "$tmp/fig_event_engine.json" "$tmp/event_starved.json" <<'EOF'
 import json, sys
@@ -237,7 +239,6 @@ snap = json.load(open(sys.argv[1]))
 c = snap["counters"]
 c["event.fleet64.wakes"] += c["event.fleet64.skips"]
 c["event.fleet64.skips"] = 0
-snap["gauges"]["event.fleet64.speedup"] = 1.0
 json.dump(snap, open(sys.argv[2], "w"), separators=(",", ":"))
 EOF
         ./target/release/inca-analyze --gate "$tmp/fig_event_engine.json" "$tmp/fig_event_engine.json"
@@ -247,7 +248,7 @@ EOF
             exit 1
         fi
         if check_event_floor "$tmp/event_starved.json"; then
-            echo "bench gate selftest: FAILED — a zeroed skips counter passed the floor check" >&2
+            echo "bench gate selftest: FAILED — a never-disarming armed set passed the floor check" >&2
             exit 1
         fi
         # Fixture 7: the serve-timeline scenario run twice — quiet, and
