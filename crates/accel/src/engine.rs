@@ -390,6 +390,8 @@ struct ObsCounters {
     saves_patched: u64,
     saves_elided: u64,
     jobs_preempted: u64,
+    /// `busy_cycles` summed over the completed jobs.
+    busy_cycles: u64,
 }
 
 /// Everything that watches instructions retire.
@@ -732,9 +734,7 @@ impl<B: Backend> Engine<B> {
         m.inc("engine.jobs.completed", self.completed.len() as u64);
         m.inc("engine.jobs.preempted", self.obs.counters.jobs_preempted);
         m.inc("engine.interrupts.probed", self.interrupts.len() as u64);
-        let mut busy = 0u64;
         for j in &self.completed {
-            busy += j.busy_cycles;
             m.observe("engine.job.response_cycles", j.response());
             m.observe("engine.job.busy_cycles", j.busy_cycles);
         }
@@ -743,7 +743,7 @@ impl<B: Backend> Engine<B> {
             m.observe("engine.interrupt.cost_cycles", i.cost());
         }
         if self.now > 0 {
-            m.set_gauge("engine.utilization", busy as f64 / self.now as f64);
+            m.set_gauge("engine.utilization", self.busy_cycles() as f64 / self.now as f64);
         }
         m
     }
@@ -797,6 +797,12 @@ impl<B: Backend> Engine<B> {
     #[must_use]
     pub fn completed_jobs(&self) -> &[JobRecord] {
         &self.completed
+    }
+
+    /// Cycles spent executing instructions across the completed jobs (the
+    /// sum of their [`JobRecord::busy_cycles`], kept as they complete).
+    pub(crate) fn busy_cycles(&self) -> u64 {
+        self.obs.counters.busy_cycles
     }
 
     /// Access to the backend (e.g. to install or inspect DDR images).
@@ -1125,6 +1131,7 @@ impl<B: Backend> Engine<B> {
     fn complete_job(&mut self, slot: TaskSlot) {
         let s = &mut self.slots[slot.index()];
         let mut job = s.job.take().expect("completing job exists");
+        self.obs.counters.busy_cycles += job.busy_cycles;
         self.completed.push(JobRecord {
             slot,
             release: job.release,
@@ -1557,6 +1564,34 @@ mod tests {
             // The low job finishes after the high one.
             let lo_job = r.jobs_of(lo).next().unwrap();
             assert!(lo_job.finish > hi_job.finish, "{strategy}");
+        }
+    }
+
+    #[test]
+    fn busy_cycles_is_the_running_sum_of_completed_jobs() {
+        for strategy in [
+            InterruptStrategy::CpuLike,
+            InterruptStrategy::LayerByLayer,
+            InterruptStrategy::VirtualInstruction,
+        ] {
+            let mut e = engine(strategy);
+            let hi = TaskSlot::new(1).unwrap();
+            let lo = TaskSlot::new(3).unwrap();
+            e.load(hi, tiny_vi()).unwrap();
+            e.load(lo, tiny_vi()).unwrap();
+            e.request_at(0, lo).unwrap();
+            e.request_at(1, lo).unwrap();
+            e.request_at(2_000, hi).unwrap();
+            e.request_at(4_000, hi).unwrap();
+            let fold = |e: &Engine<TimingBackend>| {
+                e.completed_jobs().iter().map(|j| j.busy_cycles).sum::<u64>()
+            };
+            while e.run_until_complete(u64::MAX).unwrap() {
+                assert_eq!(e.busy_cycles(), fold(&e), "{strategy}: after each completion");
+            }
+            assert_eq!(e.completed_jobs().len(), 4, "{strategy}");
+            assert!(e.completed_jobs().iter().any(|j| j.preemptions > 0), "{strategy}");
+            assert_eq!(e.busy_cycles(), fold(&e), "{strategy}");
         }
     }
 

@@ -98,6 +98,10 @@ pub struct Barrier {
     /// The armed parts, in arm order: a barrier costs O(armed), and an
     /// idle one nothing, however many parts there are.
     due: Vec<usize>,
+    /// The list the last [`advance`] drained, emptied and kept for its
+    /// buffer: the next drain swaps it in as `due`, so arming never
+    /// allocates once both lists have grown.
+    spare: Vec<usize>,
     mode: AdvanceMode,
     /// Work counters, in both modes (a stepping barrier counts every
     /// part as a wake; only the event engine produces skips).
@@ -111,6 +115,7 @@ impl Barrier {
         Self {
             armed: vec![false; parts],
             due: Vec::new(),
+            spare: Vec::new(),
             mode: AdvanceMode::default(),
             stats: AdvanceStats::default(),
         }
@@ -132,7 +137,7 @@ impl Barrier {
     /// trace streams byte-identical when several armed cores share one
     /// tracer.
     pub fn drain_armed(&mut self) -> Vec<usize> {
-        let mut due = std::mem::take(&mut self.due);
+        let mut due = std::mem::replace(&mut self.due, std::mem::take(&mut self.spare));
         due.sort_unstable();
         for &i in &due {
             self.armed[i] = false;
@@ -177,7 +182,8 @@ pub fn advance<T: Tier>(tier: &mut T, deadline: u64) -> Result<(), SimError> {
         return (0..parts).try_for_each(|i| tier.tick(i, deadline));
     }
     let mut ticked = 0u64;
-    for i in b.drain_armed() {
+    let mut due = b.drain_armed();
+    for &i in &due {
         // Revalidate: an armed part may turn out quiescent. Ticking it
         // anyway would be harmless (a no-op), just wasted work.
         if tier.next_tick(i).is_none() {
@@ -192,6 +198,8 @@ pub fn advance<T: Tier>(tier: &mut T, deadline: u64) -> Result<(), SimError> {
     let b = tier.barrier();
     b.stats.wakes += ticked;
     b.stats.skips += parts as u64 - ticked;
+    due.clear();
+    b.spare = due;
     Ok(())
 }
 
@@ -227,6 +235,30 @@ mod tests {
         assert_eq!(b.drain_armed(), Vec::<usize>::new(), "stepping does not use the set");
         b.set_mode(AdvanceMode::EventDriven);
         assert_eq!(b.drain_armed(), vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn advance_reuses_the_drained_buffer() {
+        struct Busy(Barrier);
+        impl Tier for Busy {
+            fn barrier(&mut self) -> &mut Barrier {
+                &mut self.0
+            }
+            fn next_tick(&self, _: usize) -> Option<u64> {
+                Some(0)
+            }
+            fn tick(&mut self, _: usize, _: u64) -> Result<(), SimError> {
+                Ok(())
+            }
+        }
+        let mut t = Busy(Barrier::new(2));
+        t.0.arm(1);
+        t.0.arm(0);
+        advance(&mut t, 10).unwrap();
+        let kept = t.0.spare.as_ptr();
+        advance(&mut t, 20).unwrap();
+        assert_eq!(t.0.due.as_ptr(), kept, "re-arms land in the last barrier's list");
+        assert_eq!(t.0.drain_armed(), vec![0, 1]);
     }
 
     #[test]

@@ -181,7 +181,7 @@ impl<B: Backend> CorePool<B> {
     /// Panics for an out-of-range core id.
     #[must_use]
     pub fn busy_cycles(&self, core: CoreId) -> u64 {
-        self.cores[core.0].completed_jobs().iter().map(|j| j.busy_cycles).sum()
+        self.cores[core.0].busy_cycles()
     }
 
     /// Fraction of `core`'s elapsed virtual time spent executing

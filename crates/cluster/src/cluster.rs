@@ -412,16 +412,16 @@ impl<B: Backend> Cluster<B> {
     /// backlogged gateway (ties to the lowest id) and re-submit it
     /// locally. The victim counts each recalled request as dropped
     /// (migrated), the thief as freshly submitted — conservation holds
-    /// on both sides.
+    /// on both sides. Thieves are the gateways idle when the pass starts
+    /// and victims the others, so a robbed victim never turns thief and
+    /// a stolen request moves at most once per pass.
     fn steal_pass(&mut self) {
         let n = self.gateways.len();
         let now = self.now;
-        for thief in 0..n {
-            if self.gateways[thief].outstanding() > 0 {
-                continue;
-            }
+        let idle: Vec<bool> = self.gateways.iter().map(|gw| gw.outstanding() == 0).collect();
+        for thief in (0..n).filter(|&g| idle[g]) {
             let Some(victim) = (0..n)
-                .filter(|&g| g != thief && self.gateways[g].pending_batched() > 0)
+                .filter(|&g| !idle[g] && self.gateways[g].pending_batched() > 0)
                 .max_by(|&a, &b| {
                     self.gateways[a]
                         .pending_batched()
@@ -446,35 +446,11 @@ impl<B: Backend> Cluster<B> {
         }
     }
 
-    /// One fleet barrier (rebalance, skip rule, counters — see
-    /// [`Cluster::run_until`]); `run` advances one gateway.
-    fn fleet_barrier(
-        &mut self,
-        mut run: impl FnMut(&mut Gateway<B>) -> Result<(), SimError>,
-    ) -> Result<(), SimError> {
-        self.rebalance();
-        self.stats.barriers += 1;
-        for gw in &mut self.gateways {
-            if gw.outstanding() == 0 && gw.pending_batched() == 0 {
-                self.stats.skips += 1;
-                continue;
-            }
-            self.stats.wakes += 1;
-            run(gw)?;
-        }
-        Ok(())
-    }
-
-    /// The per-gateway state whose change means a barrier made progress.
-    fn progress(&self) -> Vec<(u64, usize, u64)> {
-        self.gateways.iter().map(|gw| (gw.outstanding(), gw.pending_batched(), gw.now())).collect()
-    }
-
     /// Advances the whole fleet to `deadline`: one rebalance pass
     /// (elastic + stealing), then every gateway runs to the barrier in
-    /// ascending id order. A gateway with nothing outstanding and
-    /// nothing batched is **skipped entirely** — the fleet extension of
-    /// the per-core skip rule of [`inca_accel::event::advance`], but
+    /// ascending id order. A gateway with nothing outstanding (batched
+    /// requests are outstanding) is **skipped entirely** — the per-core
+    /// skip rule of [`inca_accel::event::advance`] one tier up, but
     /// purely cycle-domain in *both* advance modes, so the skip schedule
     /// (and everything downstream, [`Cluster::advance_stats`] included)
     /// is identical across advance modes and thread counts.
@@ -483,7 +459,16 @@ impl<B: Backend> Cluster<B> {
     ///
     /// Propagates engine/backend errors.
     pub fn run_until(&mut self, deadline: u64) -> Result<(), SimError> {
-        self.fleet_barrier(|gw| gw.run_until(deadline))?;
+        self.rebalance();
+        self.stats.barriers += 1;
+        for gw in &mut self.gateways {
+            if gw.outstanding() == 0 {
+                self.stats.skips += 1;
+                continue;
+            }
+            self.stats.wakes += 1;
+            gw.run_until(deadline)?;
+        }
         // As in `Gateway::run_until`, `u64::MAX` is "no cap", not a cycle.
         if deadline != u64::MAX {
             self.now = self.now.max(deadline);
@@ -492,27 +477,15 @@ impl<B: Backend> Cluster<B> {
     }
 
     /// Runs until every admitted request completed fleet-wide (or
-    /// nothing can make progress), capped at `max_cycles`. Loops
-    /// because stealing and cascades can hand work to a gateway after
-    /// its own pass finished.
+    /// nothing can make progress), capped at `max_cycles`: that is
+    /// [`Cluster::run_until`]`(max_cycles)`, since every gateway it
+    /// visits fires each flush up to the cap and runs its cores to it.
     ///
     /// # Errors
     ///
     /// Propagates engine/backend errors.
     pub fn run_to_idle(&mut self, max_cycles: u64) -> Result<(), SimError> {
-        loop {
-            let before = self.progress();
-            self.fleet_barrier(|gw| gw.run_to_idle(max_cycles))?;
-            self.now = self.now();
-            if self.outstanding() == 0 && self.pending_batched() == 0 {
-                return Ok(());
-            }
-            if before == self.progress() {
-                // Wedged fleet-wide: no barrier, steal or cascade can
-                // serve what remains within the cap.
-                return Ok(());
-            }
-        }
+        self.run_until(max_cycles)
     }
 
     /// Takes every response produced since the last drain, gateway by

@@ -25,8 +25,8 @@
 //!    park/unpark (`set_active_cores`) hook.
 //! 5. **One virtual clock** — [`Cluster::run_until`] extends the
 //!    event-engine skip rule to gateway granularity: a gateway with
-//!    nothing outstanding and nothing batched costs *zero* simulation
-//!    work at a fleet barrier.
+//!    nothing outstanding (batched requests included) costs *zero*
+//!    simulation work at a fleet barrier.
 //!
 //! Every decision above is a pure function of cycle-domain state, so a
 //! cluster run is byte-identical across repeat runs, functional-backend

@@ -1,7 +1,6 @@
 //! The deterministic discrete-event runtime (see crate docs).
 
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 
 use inca_accel::{AccelConfig, Backend, Engine, InterruptStrategy, JobRecord, Report, SimError};
 use inca_isa::{TaskSlot, TASK_SLOTS};
@@ -183,8 +182,9 @@ pub struct Runtime<M, B: Backend> {
     engine: Engine<B>,
     nodes: Vec<Option<Box<dyn Node<M>>>>,
     subscriptions: HashMap<String, Vec<NodeId>>,
-    queue: BinaryHeap<Reverse<(u64, u64)>>,
-    events: HashMap<(u64, u64), EventKind<M>>,
+    /// Pending middleware events by `(cycle, seq)`: `seq` is unique, so
+    /// equal-cycle events fire in the order they were pushed.
+    queue: BTreeMap<(u64, u64), EventKind<M>>,
     seq: u64,
     now: u64,
     next_handle: u64,
@@ -211,8 +211,7 @@ impl<M: Clone, B: Backend> Runtime<M, B> {
             engine: Engine::new(cfg, strategy, backend),
             nodes: Vec::new(),
             subscriptions: HashMap::new(),
-            queue: BinaryHeap::new(),
-            events: HashMap::new(),
+            queue: BTreeMap::new(),
             seq: 0,
             now: 0,
             next_handle: 0,
@@ -348,10 +347,8 @@ impl<M: Clone, B: Backend> Runtime<M, B> {
     }
 
     fn push_event(&mut self, time: u64, kind: EventKind<M>) {
-        let key = (time, self.seq);
+        self.queue.insert((time, self.seq), kind);
         self.seq += 1;
-        self.queue.push(Reverse(key));
-        self.events.insert(key, kind);
     }
 
     fn drain_engine_completions(&mut self) {
@@ -487,24 +484,19 @@ impl<M: Clone, B: Backend> Runtime<M, B> {
         loop {
             // Let the accelerator catch up to the next middleware event (or
             // the deadline), surfacing completions as events.
-            let horizon = self.queue.peek().map_or(deadline, |Reverse((t, _))| (*t).min(deadline));
+            let horizon =
+                self.queue.first_key_value().map_or(deadline, |(&(t, _), _)| t.min(deadline));
             self.advance_engine(horizon)?;
-
-            match self.queue.peek() {
-                Some(&Reverse(key)) if key.0 <= deadline => {
-                    self.queue.pop();
-                    let kind = self.events.remove(&key).expect("event exists");
-                    self.now = self.now.max(key.0);
+            // Advancing only adds events: with none left within the
+            // deadline there was none before either, so the horizon was
+            // the deadline and the engine already ran to it.
+            match self.queue.first_entry() {
+                Some(event) if event.key().0 <= deadline => {
+                    let ((cycle, _), kind) = event.remove_entry();
+                    self.now = self.now.max(cycle);
                     self.dispatch(kind)?;
                 }
-                _ => {
-                    // No events left within the deadline; let the engine
-                    // finish whatever is in flight up to the deadline.
-                    self.advance_engine(deadline)?;
-                    if self.queue.peek().is_none_or(|Reverse((t, _))| *t > deadline) {
-                        break;
-                    }
-                }
+                _ => break,
             }
         }
         self.now = self.now.max(deadline.min(self.engine.now()).max(self.now));

@@ -957,22 +957,16 @@ impl<B: Backend> ScheduledEngine<B> {
     }
 
     /// Runs until every admitted job completed (or nothing can make
-    /// progress), capped at `max_cycles`.
+    /// progress), capped at `max_cycles`: that is
+    /// [`ScheduledEngine::run_until`]`(max_cycles)`, which re-pumps at
+    /// every completion and only returns once the engine ran to the cap
+    /// without one.
     ///
     /// # Errors
     ///
     /// Propagates engine/backend errors.
     pub fn run_to_idle(&mut self, max_cycles: u64) -> Result<Vec<SchedCompletion>, SimError> {
-        let mut done = Vec::new();
-        while self.sched.outstanding() > 0 && self.engine.now() < max_cycles {
-            let before = (self.engine.now(), self.sched.outstanding());
-            let mut batch = self.run_until(max_cycles)?;
-            done.append(&mut batch);
-            if (self.engine.now(), self.sched.outstanding()) == before {
-                break; // wedged: queued work no policy/slot can serve
-            }
-        }
-        Ok(done)
+        self.run_until(max_cycles)
     }
 }
 

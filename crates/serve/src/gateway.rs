@@ -718,27 +718,15 @@ impl<B: Backend> Gateway<B> {
     }
 
     /// Runs until every admitted request completed (or nothing can make
-    /// progress), capped at `max_cycles`.
+    /// progress), capped at `max_cycles`: that is
+    /// [`Gateway::run_until`]`(max_cycles)`, which fires every flush up to
+    /// the cap and runs every core to it, re-pumping at each completion.
     ///
     /// # Errors
     ///
     /// Propagates engine/backend errors.
     pub fn run_to_idle(&mut self, max_cycles: u64) -> Result<(), SimError> {
-        loop {
-            let before = (self.outstanding(), self.pool.now(), self.pending_batched());
-            match self.next_flush() {
-                Some((c, _)) if c < max_cycles => self.run_until(c)?,
-                _ => self.run_until(max_cycles)?,
-            }
-            if self.outstanding() == 0 {
-                return Ok(());
-            }
-            if (self.outstanding(), self.pool.now(), self.pending_batched()) == before {
-                // Wedged: queued work no policy/slot/window can serve
-                // within the cap.
-                return Ok(());
-            }
-        }
+        self.run_until(max_cycles)
     }
 
     /// One core's pump/run/complete loop up to `deadline`. Inclusive wall

@@ -220,10 +220,11 @@ proptest! {
     }
 }
 
-/// `u64::MAX` means "no cap": an uncapped idle loop rests the clock at
-/// the last event, not at the cap, so the gateway keeps serving after it
-/// (a clock saturated at `u64::MAX` overflowed the next submit's
-/// `now + batch_window`).
+/// `u64::MAX` means "no cap": an uncapped idle loop drains the gateway and
+/// rests the clock at the last event, not at the cap, so the gateway keeps
+/// serving after it (a clock saturated at `u64::MAX` overflowed the next
+/// submit's `now + batch_window`). A finite cap short of the finish leaves
+/// the request outstanding.
 #[test]
 fn gateway_keeps_serving_after_an_uncapped_idle_loop() {
     let pool = CorePool::new(1, cfg(), InterruptStrategy::VirtualInstruction, TimingBackend::new);
@@ -233,7 +234,10 @@ fn gateway_keeps_serving_after_an_uncapped_idle_loop() {
         // The second arrival is the first finish: the clock rested there.
         let arrival = gw.now();
         gw.submit(arrival, tenant).expect("an idle gateway admits");
+        gw.run_to_idle(arrival + 1).unwrap();
+        assert_eq!(gw.outstanding(), 1, "a finite cap leaves the request in flight");
         gw.run_to_idle(u64::MAX).unwrap();
+        assert_eq!(gw.outstanding(), 0, "an uncapped run drains");
         let responses = gw.drain_responses();
         assert_eq!(responses.len(), 1);
         assert_eq!(responses[0].arrival, arrival);

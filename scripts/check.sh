@@ -42,9 +42,11 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q -p inca \
 echo "== code lines and public setters per crate (scripts/loc.sh)"
 scripts/loc.sh
 
-echo "== serving example (deterministic frontend)"
-cargo build --release --example serve -q
+echo "== serving and cluster examples (deterministic frontends)"
+cargo build --release --example serve --example cluster -q
 ./target/release/examples/serve > /dev/null
+# Elastic scaling, work stealing and `run_to_idle` across four gateways.
+./target/release/examples/cluster > /dev/null
 
 echo "== inca CLI (compile tiny, run it interrupted under every strategy)"
 # `inca run` is the one production reader of `Report::occupancy` (its Gantt).

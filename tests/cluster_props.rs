@@ -237,10 +237,11 @@ fn conservation_and_hard_lane_isolation_under_flood() {
     );
 }
 
-/// `u64::MAX` means "no cap": an uncapped idle loop rests the clock at
-/// the last event, not at the cap, so the fleet keeps serving after it
-/// (a clock saturated at `u64::MAX` overflowed the next submit's
-/// `now + batch_window`).
+/// `u64::MAX` means "no cap": an uncapped idle loop drains the fleet and
+/// rests the clock at the last event, not at the cap, so the fleet keeps
+/// serving after it (a clock saturated at `u64::MAX` overflowed the next
+/// submit's `now + batch_window`). A finite cap short of the finish leaves
+/// the request outstanding.
 #[test]
 fn cluster_keeps_serving_after_an_uncapped_idle_loop() {
     let Fleet { mut cluster, tenants, .. } = build_fleet(2, 1, TimingBackend::new);
@@ -248,12 +249,34 @@ fn cluster_keeps_serving_after_an_uncapped_idle_loop() {
         // The second arrival is the first finish: the clock rested there.
         let arrival = cluster.now();
         cluster.submit(arrival, tenants[0]).expect("an idle fleet admits");
+        cluster.run_to_idle(arrival + 1).expect("engine");
+        assert_eq!(cluster.outstanding(), 1, "a finite cap leaves the request in flight");
         cluster.run_to_idle(u64::MAX).expect("engine");
+        assert_eq!(cluster.outstanding(), 0, "an uncapped run drains");
         let responses = cluster.drain_responses();
         assert_eq!(responses.len(), 1);
         assert_eq!(responses[0].1.arrival, arrival);
         assert_eq!(cluster.now(), responses[0].1.finish, "the clock rests at the last event");
     }
+}
+
+/// A stolen request moves once per barrier: the thieves are the gateways
+/// idle when the steal pass starts, so a robbed victim does not steal it
+/// back and a thief does not pass it on to the next idle gateway.
+#[test]
+fn a_stolen_request_moves_once_per_barrier() {
+    let Fleet { mut cluster, tenants, .. } = build_fleet(4, 1, TimingBackend::new);
+    cluster.set_steal_batch(1);
+    let (home, acc) = cluster.submit(0, tenants[0]).expect("an idle fleet admits");
+    assert_eq!(acc.core, None, "best-effort work waits in its batch");
+    cluster.run_until(1).expect("engine");
+    assert_eq!(cluster.stolen(), 1, "one idle gateway took it");
+    assert_eq!(cluster.totals().dropped, 1, "only its first gateway recalled it");
+    assert_eq!(cluster.gateway(home).totals().dropped, 1);
+    assert_eq!(cluster.pending_batched(), 1, "it waits in its thief's batch");
+    cluster.run_to_idle(u64::MAX).expect("engine");
+    assert_eq!(cluster.totals().completed, 1);
+    assert_conserved(&cluster, "steal");
 }
 
 /// Everything a cluster run can observably produce. Two runs are "the
