@@ -428,8 +428,8 @@ impl Observers {
 
 #[derive(Debug, Default)]
 struct Slot {
-    /// The loaded program, behind its cycle table.
-    table: Option<Arc<CycleTable>>,
+    /// The loaded program and its cycle table.
+    loaded: Option<(Arc<Program>, Arc<CycleTable>)>,
     job: Option<ActiveJob>,
     /// Queued jobs: `(release, parameters)`.
     backlog: VecDeque<(u64, JobParams)>,
@@ -438,19 +438,17 @@ struct Slot {
 
 /// The engine only schedules a slot that holds a program and a job.
 impl Slot {
-    /// The program with its cycle table, and the job, borrowed side by
-    /// side (no reference count moves on the per-instruction path).
-    fn scheduled(&mut self) -> (&CycleTable, &mut ActiveJob) {
-        (
-            self.table.as_deref().expect("scheduled slot has a program"),
-            self.job.as_mut().expect("scheduled slot has a job"),
-        )
+    /// The program, its cycle table and the job, borrowed side by side (no
+    /// reference count moves on the per-instruction path).
+    fn scheduled(&mut self) -> (&Program, &CycleTable, &mut ActiveJob) {
+        let (program, table) = self.loaded.as_ref().expect("scheduled slot has a program");
+        (program, table, self.job.as_mut().expect("scheduled slot has a job"))
     }
 
     /// A handle on the program that outlives a borrow of the engine, for
     /// the once-per-interrupt paths.
     fn program(&self) -> Arc<Program> {
-        Arc::clone(&self.table.as_ref().expect("scheduled slot has a program").program)
+        Arc::clone(&self.loaded.as_ref().expect("scheduled slot has a program").0)
     }
 
     fn job(&self) -> &ActiveJob {
@@ -565,36 +563,22 @@ pub(crate) fn charge(cfg: &AccelConfig, program: &Program, instr: &Instr, credit
     cycles
 }
 
-/// Folds [`charge`] over the original instructions of `program` from a
-/// cold pipeline, handing `each` every `(pc, cycles)`, and returns the sum:
-/// the uncontended makespan. The one walk behind both the admission model
-/// ([`crate::analysis::predicted_span`]) and the engine's [`CycleTable`].
-pub(crate) fn fold_charges(
-    cfg: &AccelConfig,
-    program: &Program,
-    mut each: impl FnMut(usize, u64),
-) -> u64 {
-    let (mut credit, mut total) = (0, 0);
-    for (pc, instr) in program.original_instrs() {
-        let cycles = charge(cfg, program, instr, &mut credit);
-        each(pc, cycles);
-        total += cycles;
-    }
-    total
-}
-
-/// How many programs' tables an engine keeps for reloads (oldest dropped
-/// first; a slot keeps its own table alive regardless).
-const TABLES_KEPT: usize = 16;
-
 /// Prefix sums over one program's instruction stream under one
 /// [`AccelConfig`]: between two events a job's clock is a function of its
 /// pc alone, and this is that function (12 bytes per instruction). Virtual
 /// instructions weigh nothing. Read only while `dma_overlap` is off — the
-/// overlap credit depends on where the job last resumed, not on its pc.
+/// overlap credit depends on where the job last resumed, not on its pc —
+/// but its total is the uncontended makespan either way, the admission
+/// model's [`crate::analysis::predicted_span`].
+///
+/// A program is priced once: the first table built for it is memoised on
+/// the program ([`Program::prices`]) and shared by every engine that loads
+/// it under the same configuration. It holds no `Arc<Program>` — the
+/// program owns it.
 #[derive(Debug)]
 pub(crate) struct CycleTable {
-    program: Arc<Program>,
+    /// The configuration the table was priced under.
+    cfg: AccelConfig,
     /// `cycles[pc]`: summed cost of the original instructions in `[0, pc)`.
     cycles: Box<[u64]>,
     /// `originals[pc]`: how many instructions in `[0, pc)` are original.
@@ -602,32 +586,49 @@ pub(crate) struct CycleTable {
 }
 
 impl CycleTable {
-    pub(crate) fn new(cfg: &AccelConfig, program: Arc<Program>) -> Self {
-        let n = program.instrs.len();
-        let mut cycles = vec![0u64; n + 1].into_boxed_slice();
-        let mut originals = vec![0u32; n + 1].into_boxed_slice();
-        fold_charges(cfg, &program, |pc, c| (cycles[pc + 1], originals[pc + 1]) = (c, 1));
-        for pc in 0..n {
-            cycles[pc + 1] += cycles[pc];
-            originals[pc + 1] += originals[pc];
+    /// `program`'s table under `cfg`: the one memoised on the program when
+    /// that was priced under `cfg` (compared exactly), a private one
+    /// otherwise.
+    pub(crate) fn of(cfg: &AccelConfig, program: &Program) -> Arc<Self> {
+        let memo = program.prices(|| Arc::new(Self::price(cfg, program)));
+        match Arc::clone(memo).downcast::<Self>() {
+            Ok(table) if table.cfg == *cfg => table,
+            _ => Arc::new(Self::price(cfg, program)),
         }
-        Self { program, cycles, originals }
+    }
+
+    /// Folds [`charge`] over the original instructions of `program` from a
+    /// cold pipeline.
+    fn price(cfg: &AccelConfig, program: &Program) -> Self {
+        let n = program.instrs.len();
+        let (mut cycles, mut originals) = (Vec::with_capacity(n + 1), Vec::with_capacity(n + 1));
+        let (mut credit, mut total, mut count) = (0, 0, 0);
+        cycles.push(0);
+        originals.push(0);
+        for instr in &program.instrs {
+            if !instr.op.is_virtual() {
+                total += charge(cfg, program, instr, &mut credit);
+                count += 1;
+            }
+            cycles.push(total);
+            originals.push(count);
+        }
+        Self { cfg: *cfg, cycles: cycles.into(), originals: originals.into() }
     }
 
     /// The cost of the whole program.
-    #[cfg(test)]
     pub(crate) fn total(&self) -> u64 {
-        self.cycles[self.program.instrs.len()]
+        *self.cycles.last().expect("one entry past the last pc")
     }
 
-    /// The first pc in `[pc0, limit]` that `job`, standing at `pc0`,
-    /// reaches `budget` cycles or more from now (`limit` when it gets that
-    /// far sooner): every instruction before it starts inside the budget.
-    /// Each pending SAVE patch on the way moves what follows it earlier by
-    /// its [`CycleTable::saving`].
+    /// The first pc in `[pc0, limit]` that `job`, standing at `pc0` of
+    /// `program`, reaches `budget` cycles or more from now (`limit` when it
+    /// gets that far sooner): every instruction before it starts inside the
+    /// budget. Each pending SAVE patch on the way moves what follows it
+    /// earlier by its [`CycleTable::saving`].
     fn reach(
         &self,
-        cfg: &AccelConfig,
+        program: &Program,
         job: &ActiveJob,
         pc0: usize,
         limit: usize,
@@ -642,17 +643,17 @@ impl CycleTable {
             if at <= patch.pc {
                 return at;
             }
-            (lo, target) = (patch.pc + 1, target.saturating_add(self.saving(cfg, job, patch.pc)));
+            let saving = self.saving(program, job, patch.pc);
+            (lo, target) = (patch.pc + 1, target.saturating_add(saving));
         }
         first_at(lo, limit, target)
     }
 
     /// The cycles `job`'s pending patch of the SAVE at `pc` takes off the
     /// table's price for it (the table holds what an unpatched SAVE costs).
-    fn saving(&self, cfg: &AccelConfig, job: &ActiveJob, pc: usize) -> u64 {
-        let program = &*self.program;
+    fn saving(&self, program: &Program, job: &ActiveJob, pc: usize) -> u64 {
         let executed = job.executed(program, pc);
-        let cost = executed.map_or(0, |i| instr_cycles(cfg, program.layer_of(&i), &i));
+        let cost = executed.map_or(0, |i| instr_cycles(&self.cfg, program.layer_of(&i), &i));
         self.cycles[pc + 1] - self.cycles[pc] - cost
     }
 }
@@ -674,9 +675,6 @@ pub struct Engine<B: Backend> {
     interrupts: Vec<InterruptEvent>,
     completed: Vec<JobRecord>,
     obs: Observers,
-    /// The cycle tables of the programs loaded so far, found again by
-    /// `Arc::ptr_eq`: a reload is a lookup, never a rebuild.
-    tables: Vec<Arc<CycleTable>>,
 }
 
 impl<B: Backend> Engine<B> {
@@ -699,7 +697,6 @@ impl<B: Backend> Engine<B> {
                 profile: None,
                 out: Probe::default(),
             },
-            tables: Vec::new(),
         }
     }
 
@@ -819,7 +816,9 @@ impl<B: Backend> Engine<B> {
 
     /// Installs `program` in `slot` (replacing any previous program; the
     /// slot must be idle). Accepts `Program` or a shared `Arc<Program>` —
-    /// share the `Arc` when loading one large program into many engines.
+    /// share the `Arc` (or clone the `Program`) when loading one large
+    /// program into many engines: its cycle table is built by the first
+    /// load and shared by every later one under the same configuration.
     ///
     /// # Errors
     ///
@@ -834,21 +833,11 @@ impl<B: Backend> Engine<B> {
             return Err(SimError::Engine(format!("{slot} has a job in flight")));
         }
         let program = program.into();
-        if s.table.as_ref().is_some_and(|t| Arc::ptr_eq(&t.program, &program)) {
+        if s.loaded.as_ref().is_some_and(|(p, _)| Arc::ptr_eq(p, &program)) {
             return Ok(());
         }
-        let known = self.tables.iter().find(|t| Arc::ptr_eq(&t.program, &program));
-        s.table = Some(match known {
-            Some(table) => Arc::clone(table),
-            None => {
-                let table = Arc::new(CycleTable::new(&self.cfg, program));
-                if self.tables.len() == TABLES_KEPT {
-                    self.tables.remove(0);
-                }
-                self.tables.push(Arc::clone(&table));
-                table
-            }
-        });
+        let table = CycleTable::of(&self.cfg, &program);
+        s.loaded = Some((program, table));
         // A same-slot reload keeps ownership, so the backend's on_switch
         // clear never fires — it must invalidate the slot's staged
         // buffers here or the new program would read the old one's.
@@ -920,7 +909,7 @@ impl<B: Backend> Engine<B> {
         output_offset: u64,
         tag: Option<u64>,
     ) -> Result<(), SimError> {
-        if self.slots[slot.index()].table.is_none() {
+        if self.slots[slot.index()].loaded.is_none() {
             return Err(SimError::EmptySlot(slot));
         }
         let params = JobParams { input_offset, output_offset, tag };
@@ -977,8 +966,7 @@ impl<B: Backend> Engine<B> {
         #[cfg(test)]
         tests::count(|c| c.steps += 1);
         let Self { slots, backend, cfg, now, obs, .. } = self;
-        let (table, job) = slots[slot.index()].scheduled();
-        let program = &*table.program;
+        let (program, _, job) = slots[slot.index()].scheduled();
         job.pc = next_original(program, job.pc);
         let Some(&original) = program.instrs.get(job.pc) else {
             return Ok(true);
@@ -1033,8 +1021,7 @@ impl<B: Backend> Engine<B> {
         if support == SpanSupport::None {
             return Ok(None);
         }
-        let (table, job) = slots[slot.index()].scheduled();
-        let program = &*table.program;
+        let (program, table, job) = slots[slot.index()].scheduled();
         // Effective pc after the free virtual skip, computed without
         // mutating the job (exec_step does its own skip when we decline).
         let pc0 = next_original(program, job.pc);
@@ -1080,7 +1067,7 @@ impl<B: Backend> Engine<B> {
             }
             reached
         } else {
-            table.reach(cfg, job, pc0, limit, budget)
+            table.reach(program, job, pc0, limit, budget)
         };
         // Land right after the last original instruction before it, where
         // stepping stands — for a group span, at the layer's end or at the
@@ -1113,7 +1100,7 @@ impl<B: Backend> Engine<B> {
             // Pending patches all lie ahead of the job, sorted by pc.
             let (mut saved, mut elided) = (0, 0);
             while let Some(pc) = job.flushed.first().map(|p| p.pc).filter(|&pc| pc < end) {
-                let saving = table.saving(cfg, job, pc);
+                let saving = table.saving(program, job, pc);
                 let at = start + (table.cycles[pc] - table.cycles[pc0]) - saved;
                 elided += u64::from(job.take_patch(obs, slot, program, pc, at).is_none());
                 saved += saving;
@@ -1877,26 +1864,72 @@ mod tests {
         assert!(counts.patched_spans > 0, "no span commit applied a pending patch");
     }
 
-    /// A reload finds the program's table by `Arc::ptr_eq` instead of
-    /// rebuilding it, and an engine fed ever new programs lets the oldest
-    /// tables (and the programs they hold) go.
+    /// Under one configuration a program is priced once: engines loading
+    /// it side by side, an engine made after they are gone and one loading
+    /// a clone of the program all hold the same table, and the table does
+    /// not keep the program alive.
     #[test]
-    fn reload_is_a_table_lookup_and_old_tables_age_out() {
-        let mut e = engine(InterruptStrategy::VirtualInstruction);
+    fn engines_share_one_cycle_table_per_program() {
         let slot = TaskSlot::LOWEST;
-        let programs: Vec<Arc<Program>> =
-            (0..TABLES_KEPT + 2).map(|_| Arc::new(tiny_vi())).collect();
-        for p in [&programs[0], &programs[1], &programs[0]] {
-            e.load(slot, Arc::clone(p)).unwrap();
+        let loaded = |program: Arc<Program>| {
+            let mut e = engine(InterruptStrategy::VirtualInstruction);
+            e.load(slot, program).unwrap();
+            e
+        };
+        let table = |e: &Engine<TimingBackend>| {
+            Arc::clone(&e.slots[slot.index()].loaded.as_ref().expect("loaded").1)
+        };
+        let program = Arc::new(tiny_vi());
+        let (a, b) = (loaded(Arc::clone(&program)), loaded(Arc::clone(&program)));
+        let first = table(&a);
+        assert!(Arc::ptr_eq(&first, &table(&b)));
+        drop((a, b));
+        assert!(Arc::ptr_eq(&first, &table(&loaded(Arc::clone(&program)))));
+        let clone = (*program).clone();
+        assert!(Arc::ptr_eq(&first, &table(&loaded(Arc::new(clone)))), "a clone shares it");
+        assert_eq!(Arc::strong_count(&program), 1);
+    }
+
+    /// The memoised table answers only for the configuration it was priced
+    /// under: loaded under another, in either order, the program is priced
+    /// again and the engine still equals its per-instruction oracle and the
+    /// admission model.
+    #[test]
+    fn a_table_serves_only_its_own_config() {
+        fn run<B: Backend>(cfg: AccelConfig, b: B, p: &Arc<Program>, at: Option<u64>) -> Report {
+            let (hi, lo) = (TaskSlot::new(1).unwrap(), TaskSlot::LOWEST);
+            let mut e = Engine::new(cfg, InterruptStrategy::VirtualInstruction, b);
+            e.load(lo, Arc::clone(p)).unwrap();
+            e.load(hi, Arc::clone(p)).unwrap();
+            e.request_at(0, lo).unwrap();
+            if let Some(at) = at {
+                e.request_at(at, hi).unwrap();
+            }
+            e.run().unwrap()
         }
-        assert_eq!(e.tables.len(), 2);
-        assert!(Arc::ptr_eq(e.slots[slot.index()].table.as_ref().unwrap(), &e.tables[0]));
-        for p in &programs {
-            e.load(slot, Arc::clone(p)).unwrap();
+        let small = AccelConfig::paper_small();
+        let overlap = AccelConfig { dma_overlap: true, ..small };
+        let net = zoo::tiny(Shape3::new(3, 32, 32)).unwrap();
+        for (first, then) in [(small, overlap), (overlap, small)] {
+            let program = Arc::new(Compiler::new(small.arch).compile_vi(&net).unwrap());
+            let priced = crate::analysis::predicted_span(&first, &program);
+            for cfg in [first, then] {
+                let what = format!(
+                    "priced with overlap={}, run with {}",
+                    first.dma_overlap, cfg.dma_overlap
+                );
+                let span = crate::analysis::predicted_span(&cfg, &program);
+                for at in [None, Some(span / 3), Some(span * 2 / 3)] {
+                    let report = run(cfg, TimingBackend::new(), &program, at);
+                    let oracle = run(cfg, Stepped(TimingBackend::new()), &program, at);
+                    assert_eq!(report, oracle, "{what}, request at {at:?}");
+                    if at.is_none() {
+                        assert_eq!(report.completed_jobs[0].busy_cycles, span, "{what}");
+                    }
+                }
+            }
+            assert_ne!(crate::analysis::predicted_span(&then, &program), priced);
         }
-        assert_eq!(e.tables.len(), TABLES_KEPT);
-        assert_eq!(Arc::strong_count(&programs[0]), 1, "evicted and not in the slot");
-        assert_eq!(Arc::strong_count(programs.last().unwrap()), 2, "held by its table");
     }
 
     #[test]

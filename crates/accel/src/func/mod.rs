@@ -26,13 +26,9 @@ mod reference;
 mod stage;
 mod tier1;
 
-use std::collections::HashMap;
-use std::sync::Arc;
-
 use inca_isa::plan::{Edge, LayerPlan};
 use inca_isa::{
-    compile_program, CompiledProgram, Instr, LayerKind, LayerMeta, Opcode, Program, TaskSlot,
-    TASK_SLOTS,
+    CompiledProgram, Instr, LayerKind, LayerMeta, Opcode, Program, TaskSlot, TASK_SLOTS,
 };
 use inca_obs::Metrics;
 
@@ -392,9 +388,6 @@ pub struct FuncBackend {
     kernel: CalcKernel,
     threads: usize,
     stage: Stage,
-    /// Compiled layer plans, keyed by [`Program::fingerprint`] (content
-    /// identity — a changed program recompiles, an identical clone hits).
-    plans: HashMap<u64, Arc<CompiledProgram>>,
     t1state: Tier1State,
     t1counters: Tier1Counters,
 }
@@ -412,7 +405,6 @@ impl Default for FuncBackend {
             kernel: CalcKernel::Fast,
             threads: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
             stage: Stage::default(),
-            plans: HashMap::new(),
             t1state: Tier1State::default(),
             t1counters: Tier1Counters::default(),
         }
@@ -459,25 +451,26 @@ impl FuncBackend {
         self.kernel
     }
 
-    /// The compiled tier of `program`, compiling on first sight and
-    /// caching by content fingerprint.
-    fn plan_for(&mut self, program: &Program) -> Arc<CompiledProgram> {
-        let fp = program.fingerprint();
-        if let Some(p) = self.plans.get(&fp) {
+    /// The compiled tier of `program`: its memoised [`Program::plan`],
+    /// compiled here when no backend has asked for it yet.
+    fn plan_for<'p>(&mut self, program: &'p Program) -> &'p CompiledProgram {
+        if program.is_planned() {
             self.t1counters.compile_cache_hits += 1;
-            return Arc::clone(p);
+            return program.plan();
         }
-        let compiled = Arc::new(compile_program(program));
+        let compiled = program.plan();
         self.t1counters.compile_programs += 1;
         self.t1counters.compile_layers += compiled.compiled_layers() as u64;
         self.t1counters.deopt_layers += compiled.deopt_layers() as u64;
-        self.plans.insert(fp, Arc::clone(&compiled));
         compiled
     }
 
     /// A deterministic snapshot of the Tier-1 counters. Keys are prefixed
-    /// `tier1.`: programs/layers compiled, compile-time and dynamic
-    /// deopts, plan-cache hits, fused layers and instructions.
+    /// `tier1.`: fused layers and instructions, dynamic deopts, and per
+    /// plan lookup either `compile_programs` (the program had no plan yet,
+    /// so this backend compiled it and counted its `compile_layers` and
+    /// compile-time `deopt_layers`) or `compile_cache_hits` (the plan was
+    /// already memoised on the program, by this or any other backend).
     #[must_use]
     pub fn metrics(&self) -> Metrics {
         let c = &self.t1counters;

@@ -1,7 +1,9 @@
 //! Criterion micro-benchmarks of the timing engine: instructions retired
-//! per second for an uninterrupted inference on a cold engine (load + run:
-//! with span commits the run is a table lookup, so what these time is the
-//! cycle-table build of `Engine::load`), and for the DSLAM mission's engine
+//! per second for an uninterrupted inference on a fresh engine (load + run:
+//! the program's cycle table is built by the first iteration and memoised
+//! on the program, so after it a load clones two `Arc`s and a run is a
+//! table lookup — these time the engine's per-job overhead, not the
+//! table build), and for the DSLAM mission's engine
 //! shape without the runtime — one loaded engine, GeM/ResNet101 480×640
 //! preempted by SuperPoint every 50 ms — where the cost is per scheduling
 //! event plus the instructions stepped around each interrupt.

@@ -241,12 +241,10 @@ pub enum LayerTier {
     Deopt(DeoptReason),
 }
 
-/// A program's compiled tier: one [`LayerTier`] per layer, keyed by the
-/// program's content [`Program::fingerprint`].
+/// A program's compiled tier: one [`LayerTier`] per layer, memoised on
+/// the program as [`Program::plan`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompiledProgram {
-    /// The fingerprint of the program this was compiled from.
-    pub fingerprint: u64,
     /// Per-layer plans, indexed by layer id.
     pub layers: Vec<LayerTier>,
 }
@@ -290,7 +288,7 @@ pub fn compile_program(program: &Program) -> CompiledProgram {
             Err(r) => LayerTier::Deopt(r),
         })
         .collect();
-    CompiledProgram { fingerprint: program.fingerprint(), layers }
+    CompiledProgram { layers }
 }
 
 /// Which of a layer's loads last placed each on-chip entry of one buffer,
@@ -999,7 +997,10 @@ mod tests {
     fn canonical_layer_compiles() {
         let p = canonical_program();
         let c = compile_program(&p);
-        assert_eq!(c.fingerprint, p.fingerprint());
+        assert!(!p.is_planned());
+        assert_eq!(*p.plan(), c);
+        let clone = p.clone();
+        assert!(std::ptr::eq(clone.plan(), p.plan()), "a clone shares the memoised plan");
         assert_eq!(c.compiled_layers(), 1);
         let plan = c.plan(0).expect("compiled");
         assert_eq!(plan.pc_start, 0);

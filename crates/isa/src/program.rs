@@ -1,6 +1,10 @@
 //! Compiled program containers: instruction stream, layer metadata,
 //! CalcBlob segmentation, interrupt points and the task memory map.
 
+use std::any::Any;
+use std::sync::{Arc, OnceLock};
+
+use crate::plan::{compile_program, CompiledProgram};
 use crate::{Instr, IsaError, LayerMeta};
 
 /// The task-relative DDR memory map of a compiled program.
@@ -116,13 +120,19 @@ pub struct ProgramStats {
 ///
 /// Programs are immutable once built (the engine shares them behind
 /// `Arc`), so the tables are computed at most once per program and
-/// survive clones. Never compared or serialised.
+/// survive clones (a clone shares the `Arc` entries). Never compared or
+/// serialised. The entries:
+/// * `layer_ranges` — per-layer pc ranges ([`Program::layer_pc_range`]);
+/// * `plan` — the Tier-1 layer plans ([`Program::plan`]);
+/// * `prices` — the accelerator's per-pc price table ([`Program::prices`]).
 #[derive(Debug, Clone, Default)]
 struct ProgramCache {
     /// Per-layer `(start, end)` pc ranges, indexed by layer id.
-    layer_ranges: std::sync::OnceLock<Vec<(u32, u32)>>,
-    /// Content fingerprint over the whole program.
-    fingerprint: std::sync::OnceLock<u64>,
+    layer_ranges: OnceLock<Vec<(u32, u32)>>,
+    plan: OnceLock<Arc<CompiledProgram>>,
+    /// Type-erased: this crate cannot name the accelerator's configuration
+    /// or its table type.
+    prices: OnceLock<Arc<dyn Any + Send + Sync>>,
 }
 
 /// A compiled VI-ISA program for one CNN task.
@@ -227,23 +237,29 @@ impl Program {
         table
     }
 
-    /// A deterministic content fingerprint over the whole program
-    /// (name, instruction stream, layer metadata, interrupt points,
-    /// blob ranges and memory map). Computed once and cached; suitable
-    /// for keying derived-artifact caches such as compiled layer plans.
+    /// The program's Tier-1 layer plans ([`compile_program`]), compiled by
+    /// the first call and shared by every caller after, clones included.
     #[must_use]
-    pub fn fingerprint(&self) -> u64 {
-        *self.cache.fingerprint.get_or_init(|| {
-            use std::hash::{Hash as _, Hasher as _};
-            let mut h = std::collections::hash_map::DefaultHasher::new();
-            self.name.hash(&mut h);
-            self.instrs.hash(&mut h);
-            self.layers.hash(&mut h);
-            self.interrupt_points.hash(&mut h);
-            self.blobs.hash(&mut h);
-            self.memory.hash(&mut h);
-            h.finish()
-        })
+    pub fn plan(&self) -> &CompiledProgram {
+        self.cache.plan.get_or_init(|| Arc::new(compile_program(self)))
+    }
+
+    /// Whether [`Program::plan`] has been compiled yet.
+    #[must_use]
+    pub fn is_planned(&self) -> bool {
+        self.cache.plan.get().is_some()
+    }
+
+    /// The accelerator's price table of this program: what `price` returns
+    /// on the first call, the same `Arc` on every call after, clones
+    /// included. This crate knows neither the table's type nor the
+    /// configuration it was priced under; the caller downcasts it and
+    /// checks the configuration (the first pricer's wins).
+    pub fn prices(
+        &self,
+        price: impl FnOnce() -> Arc<dyn Any + Send + Sync>,
+    ) -> &Arc<dyn Any + Send + Sync> {
+        self.cache.prices.get_or_init(price)
     }
 
     /// The next interrupt point at or after `pc`, if any.

@@ -42,11 +42,14 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q -p inca \
 echo "== code lines and public setters per crate (scripts/loc.sh)"
 scripts/loc.sh
 
-echo "== serving and cluster examples (deterministic frontends)"
-cargo build --release --example serve --example cluster -q
+echo "== serving, cluster and DSLAM examples (deterministic frontends)"
+cargo build --release --example serve --example cluster --example dslam -q
 ./target/release/examples/serve > /dev/null
 # Elastic scaling, work stealing and `run_to_idle` across four gateways.
 ./target/release/examples/cluster > /dev/null
+# The paper's experiment end to end: two agents, FE preempting PR, both
+# agents' engines sharing one price table per program.
+./target/release/examples/dslam --small > /dev/null
 
 echo "== inca CLI (compile tiny, run it interrupted under every strategy)"
 # `inca run` is the one production reader of `Report::occupancy` (its Gantt).
