@@ -25,7 +25,7 @@ use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::sync::Arc;
 
 use inca_isa::{Instr, InterruptPoint, Opcode, Program, TaskSlot, TASK_SLOTS};
-use inca_obs::{ascii, HostComponent, Metrics, Probe, SpanStage, TraceEvent};
+use inca_obs::{ascii, Histogram, HostComponent, Metrics, Probe, SpanStage, TraceEvent};
 
 use crate::{instr_cycles, AccelConfig, Backend, SavePatch, SimError, SpanSupport};
 
@@ -182,8 +182,12 @@ impl Profile {
 pub struct Report {
     /// All preemptions with their phase probes.
     pub interrupts: Vec<InterruptEvent>,
-    /// Completed jobs in completion order.
+    /// Completed jobs in completion order, less the ones a driver already
+    /// retired ([`Engine::retire_completed`]).
     pub completed_jobs: Vec<JobRecord>,
+    /// Per slot, the preemptions of the retired jobs: the first that many
+    /// resumed interrupts of the slot paused jobs no longer listed.
+    pub retired_preemptions: [u64; TASK_SLOTS],
     /// Cycle the simulation stopped at.
     pub final_cycle: u64,
     /// Cycle attribution, when profiling was enabled.
@@ -201,7 +205,8 @@ impl Report {
     /// preemption, from the end of its backup (`request_cycle + t1 + t2`)
     /// to `resumed_at`. A job's pauses are the next `preemptions` resumed
     /// interrupts of its slot (a victim that finished during the drain
-    /// never paused). Jobs still in flight are not painted.
+    /// never paused), after the pauses of its slot's retired jobs. Jobs
+    /// still in flight, and retired ones, are not painted.
     #[must_use]
     pub fn occupancy(&self) -> [Vec<(u64, u64)>; TASK_SLOTS] {
         let mut out: [Vec<(u64, u64)>; TASK_SLOTS] = Default::default();
@@ -210,6 +215,7 @@ impl Report {
                 .iter()
                 .filter(move |i| i.victim.index() == s)
                 .filter_map(|i| Some((i.request_cycle + i.latency(), i.resumed_at?)))
+                .skip(self.retired_preemptions[s] as usize)
         });
         for job in &self.completed_jobs {
             let (slot, mut from) = (job.slot.index(), job.start);
@@ -392,6 +398,11 @@ struct ObsCounters {
     jobs_preempted: u64,
     /// `busy_cycles` summed over the completed jobs.
     busy_cycles: u64,
+    /// Completed jobs, and their response and busy cycles: kept as they
+    /// complete, so they outlive the records a driver retires.
+    jobs_completed: u64,
+    response_cycles: Histogram,
+    job_busy_cycles: Histogram,
 }
 
 /// Everything that watches instructions retire.
@@ -673,7 +684,11 @@ pub struct Engine<B: Backend> {
     seq: u64,
     running: Option<TaskSlot>,
     interrupts: Vec<InterruptEvent>,
+    /// Completion records not yet retired, oldest first.
     completed: Vec<JobRecord>,
+    /// Per slot, the preemptions of the retired records
+    /// ([`Report::retired_preemptions`]).
+    retired_preemptions: [u64; TASK_SLOTS],
     obs: Observers,
 }
 
@@ -692,6 +707,7 @@ impl<B: Backend> Engine<B> {
             running: None,
             interrupts: Vec::new(),
             completed: Vec::new(),
+            retired_preemptions: [0; TASK_SLOTS],
             obs: Observers {
                 counters: ObsCounters::default(),
                 profile: None,
@@ -728,12 +744,13 @@ impl<B: Backend> Engine<B> {
         m.inc("engine.instrs.vi_materialized", self.obs.counters.vis_materialized);
         m.inc("engine.saves.patched", self.obs.counters.saves_patched);
         m.inc("engine.saves.elided", self.obs.counters.saves_elided);
-        m.inc("engine.jobs.completed", self.completed.len() as u64);
-        m.inc("engine.jobs.preempted", self.obs.counters.jobs_preempted);
+        let c = &self.obs.counters;
+        m.inc("engine.jobs.completed", c.jobs_completed);
+        m.inc("engine.jobs.preempted", c.jobs_preempted);
         m.inc("engine.interrupts.probed", self.interrupts.len() as u64);
-        for j in &self.completed {
-            m.observe("engine.job.response_cycles", j.response());
-            m.observe("engine.job.busy_cycles", j.busy_cycles);
+        if c.jobs_completed > 0 {
+            m.insert_histogram("engine.job.response_cycles", c.response_cycles.clone());
+            m.insert_histogram("engine.job.busy_cycles", c.job_busy_cycles.clone());
         }
         for i in &self.interrupts {
             m.observe("engine.interrupt.latency_cycles", i.latency());
@@ -788,12 +805,27 @@ impl<B: Backend> Engine<B> {
         self.arrivals.peek().map(|&Reverse((t, ..))| t)
     }
 
-    /// The completed-job log, oldest first — the allocation-free way to
-    /// drain completions incrementally (drivers keep a cursor into this
-    /// slice instead of cloning the full [`Report`] per advance).
+    /// The completion records not yet retired, oldest first — the
+    /// allocation-free way to drain completions incrementally (drivers
+    /// keep a cursor into this slice instead of cloning the full
+    /// [`Report`] per advance).
     #[must_use]
     pub fn completed_jobs(&self) -> &[JobRecord] {
         &self.completed
+    }
+
+    /// Forgets the oldest `n` records of [`Engine::completed_jobs`] (all of
+    /// them when it holds fewer): the ones a driver already consumed, so a
+    /// serving engine's memory stays flat however many requests it
+    /// completes. Nothing else moves: the interrupts stay, and the metrics,
+    /// [`CorePool::busy_cycles`](crate::CorePool::busy_cycles) and the
+    /// occupancy of the jobs still listed ([`Report::retired_preemptions`])
+    /// are running totals.
+    pub fn retire_completed(&mut self, n: usize) {
+        let n = n.min(self.completed.len());
+        for job in self.completed.drain(..n) {
+            self.retired_preemptions[job.slot.index()] += u64::from(job.preemptions);
+        }
     }
 
     /// Cycles spent executing instructions across the completed jobs (the
@@ -1118,8 +1150,7 @@ impl<B: Backend> Engine<B> {
     fn complete_job(&mut self, slot: TaskSlot) {
         let s = &mut self.slots[slot.index()];
         let mut job = s.job.take().expect("completing job exists");
-        self.obs.counters.busy_cycles += job.busy_cycles;
-        self.completed.push(JobRecord {
+        let record = JobRecord {
             slot,
             release: job.release,
             start: job.start.unwrap_or(job.release),
@@ -1127,7 +1158,13 @@ impl<B: Backend> Engine<B> {
             busy_cycles: job.busy_cycles,
             extra_cost_cycles: job.extra_cost_cycles,
             preemptions: job.preemptions,
-        });
+        };
+        let c = &mut self.obs.counters;
+        c.busy_cycles += record.busy_cycles;
+        c.jobs_completed += 1;
+        c.response_cycles.observe(record.response());
+        c.job_busy_cycles.observe(record.busy_cycles);
+        self.completed.push(record);
         if let Some(tag) = job.params.tag {
             // Close the job's open spans at the completion cycle (a
             // VI point that closes the program can leave a layer open).
@@ -1456,6 +1493,7 @@ impl<B: Backend> Engine<B> {
         Report {
             interrupts: self.interrupts.clone(),
             completed_jobs: self.completed.clone(),
+            retired_preemptions: self.retired_preemptions,
             final_cycle: self.now,
             profile: self.obs.profile.clone(),
         }
@@ -1579,6 +1617,60 @@ mod tests {
             assert_eq!(e.completed_jobs().len(), 4, "{strategy}");
             assert!(e.completed_jobs().iter().any(|j| j.preemptions > 0), "{strategy}");
             assert_eq!(e.busy_cycles(), fold(&e), "{strategy}");
+        }
+    }
+
+    /// A driver that consumed its completions retires them. The engine
+    /// then lists only the newer records, and nothing derived from the
+    /// retired ones moves: the interrupts, the metrics, the busy cycles,
+    /// and the occupancy of the jobs still listed (their pauses come after
+    /// the retired jobs' in the interrupt log).
+    #[test]
+    fn retiring_records_keeps_every_running_total() {
+        for strategy in [
+            InterruptStrategy::CpuLike,
+            InterruptStrategy::LayerByLayer,
+            InterruptStrategy::VirtualInstruction,
+        ] {
+            let mut e = engine(strategy);
+            let (hi, lo) = (TaskSlot::new(1).unwrap(), TaskSlot::new(3).unwrap());
+            let small = Compiler::new(e.config().arch)
+                .compile_vi(&zoo::tiny(Shape3::new(3, 16, 16)).unwrap())
+                .unwrap();
+            e.load(hi, small).unwrap();
+            e.load(lo, tiny_vi()).unwrap();
+            let span = crate::analysis::predicted_span(e.config(), &tiny_vi());
+            for k in 0..3 {
+                e.request_at(k, lo).unwrap();
+            }
+            // Far enough apart that a CPU-like victim resumes in between.
+            let backup = e.config().dma_cycles(u64::from(e.config().arch.onchip_bytes()));
+            let gap =
+                span / 2 + if strategy == InterruptStrategy::CpuLike { 2 * backup } else { 0 };
+            for k in 0..12 {
+                e.request_at(span / 3 + k * gap, hi).unwrap();
+            }
+            e.run_until(u64::MAX).unwrap();
+            let (full, metrics, busy) = (e.report(), e.metrics(), e.busy_cycles());
+            let preempted = full.jobs_of(lo).filter(|j| j.preemptions > 1).count();
+            assert!(preempted > 1, "{strategy}: {:?}", full.completed_jobs);
+            let painted = full.occupancy();
+            let mut dropped = [0; TASK_SLOTS];
+            for n in 1..=full.completed_jobs.len() {
+                let retired = full.completed_jobs[n - 1];
+                dropped[retired.slot.index()] += retired.preemptions as usize + 1;
+                e.retire_completed(1);
+                let r = e.report();
+                assert_eq!(r.completed_jobs, full.completed_jobs[n..], "{strategy}");
+                assert_eq!(r.interrupts, full.interrupts, "{strategy}");
+                for s in 0..TASK_SLOTS {
+                    assert_eq!(r.occupancy()[s], painted[s][dropped[s]..], "{strategy} slot {s}");
+                }
+                assert_eq!(e.metrics(), metrics, "{strategy}: after retiring {n}");
+                assert_eq!(e.busy_cycles(), busy, "{strategy}");
+            }
+            e.retire_completed(usize::MAX);
+            assert_eq!(e.metrics(), metrics, "{strategy}: retiring past the end");
         }
     }
 

@@ -228,7 +228,7 @@ fn report_of(jobs: &[(TaskSlot, u64, u64)], final_cycle: u64) -> Report {
             preemptions: 0,
         })
         .collect();
-    Report { interrupts: vec![], completed_jobs, final_cycle, profile: None }
+    Report { completed_jobs, final_cycle, ..Report::default() }
 }
 
 #[test]

@@ -56,7 +56,10 @@ impl Default for Histogram {
 impl Histogram {
     /// Records one sample.
     pub fn observe(&mut self, value: u64) {
-        let idx = CYCLE_BUCKETS.partition_point(|&b| b < value);
+        // The first bucket `4^i >= value`: `i` is `ceil(log2(value))`
+        // halved and rounded up, past the ladder the overflow slot.
+        let log2_ceil = u64::BITS - value.saturating_sub(1).leading_zeros();
+        let idx = (log2_ceil as usize).div_ceil(2).min(CYCLE_BUCKETS.len());
         self.counts[idx] += 1;
         self.count += 1;
         self.sum += u128::from(value);
@@ -249,7 +252,11 @@ impl Metrics {
 
     /// Records `value` into histogram `name` (created empty).
     pub fn observe(&mut self, name: &str, value: u64) {
-        self.histograms.entry(name.to_owned()).or_default().observe(value);
+        if let Some(h) = self.histograms.get_mut(name) {
+            h.observe(value);
+        } else {
+            self.histograms.entry(name.to_owned()).or_default().observe(value);
+        }
     }
 
     /// Counter value (0 when absent).
@@ -453,6 +460,23 @@ mod tests {
         assert_eq!(buckets[2], (16, 1));
         assert_eq!(buckets[3], (1 << 20, 1));
         assert_eq!(buckets[4], (u64::MAX, 1));
+    }
+
+    /// The bucket of a sample is the first boundary at or above it, which
+    /// `observe` computes from the sample's bit length.
+    #[test]
+    fn bucket_index_is_the_first_boundary_at_or_above() {
+        let mut samples = vec![0, 1, 2, 3, u64::MAX - 1, u64::MAX];
+        for b in CYCLE_BUCKETS {
+            samples.extend([b - 1, b, b + 1, b.saturating_mul(3)]);
+        }
+        samples.extend((0..64).map(|k| 1u64 << k).chain((1..64).map(|k| (1u64 << k) - 1)));
+        for v in samples {
+            let mut h = Histogram::default();
+            h.observe(v);
+            let expected = CYCLE_BUCKETS.partition_point(|&b| b < v);
+            assert_eq!(h.counts[expected], 1, "sample {v}");
+        }
     }
 
     #[test]

@@ -337,8 +337,8 @@ pub struct Scheduler {
     loaded: [Option<TaskId>; TASK_SLOTS],
     /// Monotonic scheduler clock (max of all `now` values seen).
     now: u64,
-    /// Completion cursor: engine records [`Scheduler::take_completion`]
-    /// already handed out.
+    /// Completion cursor: how many of the engine's held records
+    /// [`Scheduler::take_completion`] already handed out.
     pub(crate) seen: usize,
     next_job: u64,
     preempt_requests: u64,
@@ -839,6 +839,16 @@ impl Scheduler {
         Some((record, self.note_completion(&record)))
     }
 
+    /// Retires the engine records [`Scheduler::take_completion`] already
+    /// handed out ([`Engine::retire_completed`]), so the cursor restarts at
+    /// the engine's oldest held record. A driver that routes completions to
+    /// its caller (a gateway, [`ScheduledEngine`]) calls this after each
+    /// drain and keeps its engine's memory flat; one whose caller reads the
+    /// engine's history afterwards (the `Runtime`) does not.
+    pub fn retire_taken<B: Backend>(&mut self, engine: &mut Engine<B>) {
+        engine.retire_completed(std::mem::take(&mut self.seen));
+    }
+
     /// Routes one engine completion record to its logical task, if any.
     fn note_completion(&mut self, record: &JobRecord) -> Option<SchedCompletion> {
         let task = self.bindings[record.slot.index()]?;
@@ -938,7 +948,8 @@ impl<B: Backend> ScheduledEngine<B> {
     }
 
     /// Runs until `deadline`, pumping the scheduler at every job
-    /// completion, and returns the completions observed.
+    /// completion, and returns the completions observed. Their engine
+    /// records are retired: the returned completions carry them.
     ///
     /// # Errors
     ///
@@ -950,6 +961,7 @@ impl<B: Backend> ScheduledEngine<B> {
             while let Some((_, completion)) = self.sched.take_completion(&self.engine) {
                 done.extend(completion);
             }
+            self.sched.retire_taken(&mut self.engine);
             if !hit_completion {
                 return Ok(done);
             }
@@ -1018,6 +1030,8 @@ mod tests {
         }
         let done = se.run_to_idle(u64::MAX).unwrap();
         assert_eq!(done.len(), 9);
+        assert!(se.engine().completed_jobs().is_empty(), "the completions carry the records");
+        assert_eq!(se.engine().metrics().counter("engine.jobs.completed"), 9);
         let totals = se.scheduler().totals();
         assert_eq!(totals.completed, 9);
         assert_eq!(se.scheduler().outstanding(), 0);

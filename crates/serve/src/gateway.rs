@@ -744,6 +744,8 @@ impl<B: Backend> Gateway<B> {
                     self.finish(core, c.job.raw(), &rec);
                 }
             }
+            // The responses carry what the records said.
+            self.scheds[core].retire_taken(self.pool.core_mut(CoreId(core)));
             if !hit_completion {
                 return Ok(());
             }

@@ -7,7 +7,9 @@
 //! 1. **Conservation** — per tenant, `submitted == admitted + rejected +
 //!    shed`, and at idle `admitted == completed + dropped + skipped +
 //!    outstanding`; drained responses equal `completed + skipped`.
-//! 2. **Metrics reconcile** — the `serve.*` snapshot equals the counters.
+//! 2. **Metrics reconcile** — the `serve.*` snapshot equals the counters,
+//!    and so do the engines' own completion counts, although no engine
+//!    holds a completion record once its gateway drained it.
 //! 3. **Response sanity** — cycle arithmetic is causal (start ≥ arrival,
 //!    finish ≥ start) and every executed response names a valid core.
 //! 4. **Hard-lane isolation** (deterministic acceptance test) — on one
@@ -102,6 +104,13 @@ struct Outcome {
     responses: Vec<Response>,
     cores: usize,
     metrics: inca_obs::Metrics,
+    /// `engine.jobs.completed` summed over the pool.
+    engine_completed: u64,
+}
+
+/// Completion records the pool's engines still hold.
+fn held_records(gw: &Gateway<TimingBackend>) -> usize {
+    gw.pool().core_ids().map(|c| gw.pool().core(c).completed_jobs().len()).sum()
 }
 
 /// Drives a scenario to idle; panics on any engine error.
@@ -139,8 +148,10 @@ fn run_scenario(s: &Scenario) -> Outcome {
         gw.run_until(now).unwrap();
         let tenant = ids[sel % ids.len()];
         let _ = gw.submit(now, tenant);
+        assert_eq!(held_records(&gw), 0, "a gateway retires every record it drained");
     }
     gw.run_to_idle(now + 40_000_000_000).unwrap();
+    assert_eq!(held_records(&gw), 0);
 
     Outcome {
         totals: gw.totals(),
@@ -149,6 +160,11 @@ fn run_scenario(s: &Scenario) -> Outcome {
         responses: gw.drain_responses(),
         cores: s.cores,
         metrics: gw.metrics(),
+        engine_completed: gw
+            .pool()
+            .core_ids()
+            .map(|c| gw.pool().core(c).metrics().counter("engine.jobs.completed"))
+            .sum(),
     }
 }
 
@@ -200,6 +216,7 @@ proptest! {
             .map(|i| out.metrics.counter(&format!("serve.core{}.sched.jobs.completed", i)))
             .sum();
         prop_assert_eq!(sched_completed, t.completed);
+        prop_assert_eq!(out.engine_completed, t.completed, "retired records still count");
     }
 
     fn responses_are_causal(s in scenario_strategy()) {

@@ -55,7 +55,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             engine.load(fe_slot, fe_prog).expect("load fe");
             engine.load(pr_slot, pr_prog).expect("load pr");
             let mut waiting: Vec<(TaskSlot, Sender<(f64, u32)>)> = Vec::new();
-            let mut consumed = 0usize;
             loop {
                 // Block only when the engine has nothing to do.
                 if waiting.is_empty() {
@@ -72,16 +71,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     engine.request_at(engine.now(), req.slot).expect("request");
                     waiting.push((req.slot, req.done));
                 }
-                // Advance a slice of virtual time and report completions.
+                // Advance a slice of virtual time, report completions and
+                // retire their records: a long-lived server stays flat.
                 engine.run_until(engine.now() + 50_000).expect("run");
-                let report = engine.report();
-                for j in &report.completed_jobs[consumed..] {
+                let finished = engine.completed_jobs().len();
+                for j in engine.completed_jobs() {
                     if let Some(pos) = waiting.iter().position(|(s, _)| *s == j.slot) {
                         let (_, done) = waiting.swap_remove(pos);
                         let _ = done.send((cfg.cycles_to_us(j.response()), j.preemptions));
                     }
                 }
-                consumed = report.completed_jobs.len();
+                engine.retire_completed(finished);
             }
         })
     };

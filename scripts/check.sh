@@ -42,11 +42,13 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q -p inca \
 echo "== code lines and public setters per crate (scripts/loc.sh)"
 scripts/loc.sh
 
-echo "== serving, cluster and DSLAM examples (deterministic frontends)"
-cargo build --release --example serve --example cluster --example dslam -q
+echo "== serving, cluster, live-threads and DSLAM examples"
+cargo build --release --example serve --example cluster --example dslam --example live_threads -q
 ./target/release/examples/serve > /dev/null
 # Elastic scaling, work stealing and `run_to_idle` across four gateways.
 ./target/release/examples/cluster > /dev/null
+# A long-lived engine driver thread that retires the records it reported.
+./target/release/examples/live_threads > /dev/null
 # The paper's experiment end to end: two agents, FE preempting PR, both
 # agents' engines sharing one price table per program.
 ./target/release/examples/dslam --small > /dev/null

@@ -185,6 +185,13 @@ fn assert_conserved<B: Backend>(cluster: &Cluster<B>, label: &str) {
             t.completed + t.dropped + t.skipped,
             "{label}: gw{g} drained ledger out of balance: {t:?}"
         );
+        // The engines count what they completed, though the gateway
+        // retired every record it turned into a response.
+        let pool = gw.pool();
+        let engines = || pool.core_ids().map(|c| pool.core(c));
+        let counted: u64 = engines().map(|e| e.metrics().counter("engine.jobs.completed")).sum();
+        assert_eq!(counted, t.completed, "{label}: gw{g} engine completions");
+        assert!(engines().all(|e| e.completed_jobs().is_empty()), "{label}: gw{g} kept records");
     }
     let t = cluster.totals();
     assert_eq!(t.submitted, t.admitted + t.rejected + t.shed, "{label}: fleet ledger: {t:?}");
