@@ -1,12 +1,13 @@
 //! Fleet-layer figure (`inca-cluster`), two parts:
 //!
-//! **A — routing policy (4 gateways × 2 cores).** The same
+//! **A — routing policy (4 gateways × 4 cores).** The same
 //! deterministic Poisson-like request stream over eight distinct-
 //! program tenants plus a hard-lane tenant, routed RoundRobin vs
 //! WeightCacheAware. The acceptance shape: weight-cache-aware routing
 //! pins each tenant where its weights are warm, so it beats round-robin
-//! on **both** the router's modelled miss cycles and the schedulers'
-//! ground-truth LOAD_W reload cycles, without hurting the hard lane.
+//! on **both** the miss cycles the admitting gateways quoted and the
+//! schedulers' ground-truth LOAD_W reload cycles, without hurting the
+//! hard lane.
 //! The bench *asserts* that ordering — a cluster build whose router
 //! stops honoring reload cost fails loudly here, before the gate even
 //! compares snapshots.
@@ -243,7 +244,7 @@ fn main() {
 
     // The acceptance bar, checked in-process so it can never rot into a
     // stale baseline: weight-cache-aware routing must beat round-robin
-    // on both the modelled and the ground-truth reload axes.
+    // on both the quoted and the ground-truth reload axes.
     let (rr, wca) = (&cells[0], &cells[1]);
     assert!(
         wca.reload_cycles < rr.reload_cycles,
@@ -254,7 +255,7 @@ fn main() {
     );
     assert!(
         wca.miss_cycles < rr.miss_cycles,
-        "weight-cache-aware routing must beat round-robin on modelled miss cycles \
+        "weight-cache-aware routing must beat round-robin on quoted miss cycles \
          (wca {} vs rr {})",
         wca.miss_cycles,
         rr.miss_cycles

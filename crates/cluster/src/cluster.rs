@@ -8,13 +8,9 @@
 //! functional-backend thread counts and advance modes, exactly like the
 //! single gateway underneath it.
 
-use std::sync::Arc;
-
-use inca_accel::{analysis, AdvanceStats, Backend, CoreId, SimError};
-use inca_isa::{Program, TASK_SLOTS};
+use inca_accel::{AdvanceStats, Backend, CoreId, SimError};
 use inca_obs::Metrics;
 use inca_obs::TimeSeries;
-use inca_runtime::reload_penalty;
 use inca_serve::{Accepted, Gateway, Response, ShedReason, TenantId, TenantSpec, TenantStats};
 
 use crate::route::{RoutePolicy, RouteStats, Router};
@@ -63,19 +59,6 @@ impl Default for ElasticConfig {
     }
 }
 
-/// Per-network routing model: the modelled reload charge of a cold
-/// LOAD_W and the analytical service span, both from the paper's
-/// closed-form cost model.
-#[derive(Debug)]
-struct NetModel {
-    program: Arc<Program>,
-    /// [`reload_penalty`] — DMA cycles to re-stream the instruction
-    /// records on a weight-cache miss.
-    reload: u64,
-    /// [`analysis::predicted_span`] — uncontended service cycles.
-    span: u64,
-}
-
 /// N serving gateways fronted by one router on one virtual clock (see
 /// module docs). Tenants are registered on **every** gateway in the
 /// same order, so a tenant's [`TenantId`] — and its backend rebind
@@ -83,11 +66,6 @@ struct NetModel {
 #[derive(Debug)]
 pub struct Cluster<B: Backend> {
     gateways: Vec<Gateway<B>>,
-    nets: Vec<NetModel>,
-    /// `tenant_net[tenant]` — the tenant's network (program) index.
-    tenant_net: Vec<usize>,
-    /// `tenant_ids[tenant]` — the fleet-wide id, identical per gateway.
-    tenant_ids: Vec<TenantId>,
     router: Router,
     elastic: Option<ElasticConfig>,
     /// Max batched requests recalled per steal; 0 disables stealing.
@@ -120,9 +98,6 @@ impl<B: Backend> Cluster<B> {
         let n = gateways.len();
         Self {
             gateways,
-            nets: Vec::new(),
-            tenant_net: Vec::new(),
-            tenant_ids: Vec::new(),
             router: Router::new(route, n),
             elastic: None,
             steal_batch: 0,
@@ -140,7 +115,8 @@ impl<B: Backend> Cluster<B> {
         self.router.policy()
     }
 
-    /// Cumulative router hit/miss counters (modelled reload cycles).
+    /// Cumulative router hit/miss counters: the reload cost each admitting
+    /// gateway quoted for the request it took.
     #[must_use]
     pub fn route_stats(&self) -> RouteStats {
         self.router.stats()
@@ -194,8 +170,9 @@ impl<B: Backend> Cluster<B> {
     }
 
     /// One gateway, mutable. Intended for setup (context images,
-    /// tracers); mutating serving state mid-run voids the cluster's
-    /// routing model.
+    /// tracers). The router keeps no model of a gateway — it asks each
+    /// one for its backlog and reload cost at every submit — so a change
+    /// made here is priced from the next submit on.
     #[must_use]
     pub fn gateway_mut(&mut self, g: GatewayId) -> &mut Gateway<B> {
         &mut self.gateways[g.0]
@@ -204,34 +181,18 @@ impl<B: Backend> Cluster<B> {
     /// Registers a tenant on **every** gateway; the returned id (and
     /// its rebind context id) is valid fleet-wide.
     pub fn register(&mut self, spec: TenantSpec) -> TenantId {
-        let net = match self.nets.iter().position(|m| Arc::ptr_eq(&m.program, &spec.program)) {
-            Some(i) => i,
-            None => {
-                let cfg = *self.gateways[0].pool().core(CoreId(0)).config();
-                self.nets.push(NetModel {
-                    program: Arc::clone(&spec.program),
-                    reload: reload_penalty(&cfg, &spec.program),
-                    span: analysis::predicted_span(&cfg, &spec.program).max(1),
-                });
-                self.nets.len() - 1
-            }
-        };
-        self.tenant_net.push(net);
-        let mut id = None;
-        for gw in &mut self.gateways {
-            let tid = gw.register(spec.clone());
-            debug_assert_eq!(tid.index() + 1, self.tenant_net.len(), "tenant ids stay aligned");
-            id = Some(tid);
+        let mut ids = self.gateways.iter_mut().map(|gw| gw.register(spec.clone()));
+        let id = ids.next().expect("a cluster has at least one gateway");
+        for other in ids {
+            debug_assert_eq!(other, id, "tenant ids stay aligned");
         }
-        let id = id.expect("a cluster has at least one gateway");
-        self.tenant_ids.push(id);
         id
     }
 
     /// Number of registered tenants.
     #[must_use]
     pub fn tenant_count(&self) -> usize {
-        self.tenant_net.len()
+        self.gateways[0].tenant_count()
     }
 
     /// The cluster clock: the latest cycle seen across submissions and
@@ -316,28 +277,13 @@ impl<B: Backend> Cluster<B> {
             .sum()
     }
 
-    /// Gateway `g`'s modelled backlog in cycles: every outstanding
-    /// request charged its network's analytical span.
-    fn modelled_load(&self, g: usize) -> u64 {
-        let gw = &self.gateways[g];
-        self.tenant_ids
-            .iter()
-            .zip(&self.tenant_net)
-            .map(|(&t, &net)| gw.stats(t).outstanding() * self.nets[net].span)
-            .sum()
-    }
-
-    /// The router's residency capacity for gateway `g`: active cores ×
-    /// hardware task slots.
-    fn residency_cap(&self, g: usize) -> usize {
-        self.gateways[g].active_cores() * TASK_SLOTS
-    }
-
     /// Submits one request of `tenant` at cycle `now`, routed by the
-    /// cluster policy. On a shed or rejection, the submission cascades
-    /// deterministically through the remaining gateways in ring order;
-    /// only when **every** gateway refuses does the cluster return the
-    /// last refusal. Returns the gateway that admitted the request.
+    /// cluster policy over each gateway's [`Gateway::modelled_backlog`]
+    /// plus its [`Gateway::reload_cost`] for `tenant`. On a shed or
+    /// rejection, the submission cascades deterministically through the
+    /// remaining gateways in ring order; only when **every** gateway
+    /// refuses does the cluster return the last refusal. Returns the
+    /// gateway that admitted the request.
     ///
     /// # Errors
     ///
@@ -349,12 +295,13 @@ impl<B: Backend> Cluster<B> {
     ) -> Result<(GatewayId, Accepted), ShedReason> {
         self.now = self.now.max(now);
         let now = self.now;
-        let t = tenant.index();
-        let net = self.tenant_net[t];
-        let penalty = self.nets[net].reload;
         let n = self.gateways.len();
-        let loads: Vec<u64> = (0..n).map(|g| self.modelled_load(g)).collect();
-        let first = self.router.choose(t, net, penalty, &loads);
+        // Quoted before any submit: a refusal on one gateway leaves the
+        // others' quotes standing.
+        let reloads: Vec<u64> = self.gateways.iter().map(|gw| gw.reload_cost(tenant)).collect();
+        let costs: Vec<u64> =
+            self.gateways.iter().zip(&reloads).map(|(gw, r)| gw.modelled_backlog() + r).collect();
+        let first = self.router.choose(tenant.index(), &costs);
         let mut refusal = ShedReason::QueueFull;
         for k in 0..n {
             let g = (first + k) % n;
@@ -363,8 +310,7 @@ impl<B: Backend> Cluster<B> {
             }
             match self.gateways[g].submit(now, tenant) {
                 Ok(acc) => {
-                    let cap = self.residency_cap(g);
-                    self.router.note(g, net, penalty, cap);
+                    self.router.note(reloads[g]);
                     return Ok((GatewayId(g), acc));
                 }
                 Err(e) => refusal = e,
@@ -436,11 +382,9 @@ impl<B: Backend> Cluster<B> {
             let recalled = self.gateways[victim].recall_batched(self.steal_batch);
             for t in recalled {
                 self.stolen += 1;
-                let net = self.tenant_net[t.index()];
-                let penalty = self.nets[net].reload;
+                let reload = self.gateways[thief].reload_cost(t);
                 if self.gateways[thief].submit(now, t).is_ok() {
-                    let cap = self.residency_cap(thief);
-                    self.router.note(thief, net, penalty, cap);
+                    self.router.note(reload);
                 }
             }
         }
@@ -532,7 +476,7 @@ impl<B: Backend> Cluster<B> {
     pub fn metrics(&self) -> Metrics {
         let mut m = Metrics::new();
         m.inc("cluster.gateways", self.gateways.len() as u64);
-        m.inc("cluster.tenants", self.tenant_net.len() as u64);
+        m.inc("cluster.tenants", self.tenant_count() as u64);
         self.totals().write_metrics(&mut m, "cluster.");
         let rs = self.router.stats();
         m.inc("cluster.route.hits", rs.hits);

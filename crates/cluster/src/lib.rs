@@ -8,12 +8,12 @@
 //! coordination problems real fleets have —
 //!
 //! 1. **Weight-cache-aware routing** — tenants get a home gateway from
-//!    a consistent-hash ring; each dispatch minimizes modelled backlog
-//!    **plus the modelled LOAD_W reload cycles** of landing cold (from
-//!    [`inca_runtime::reload_penalty`] and the paper's closed-form cost
-//!    model in [`inca_accel::analysis`]). A tenant sticks to warm
-//!    weights until load imbalance exceeds the cost of re-streaming
-//!    them.
+//!    a consistent-hash ring; each dispatch minimizes, per gateway, its
+//!    [`Gateway::modelled_backlog`] **plus the LOAD_W reload cycles** it
+//!    quotes for the request ([`Gateway::reload_cost`]: zero when the
+//!    program is resident on the core it would place it on). The router
+//!    keeps no model of its own. A tenant sticks to warm weights until
+//!    load imbalance exceeds the cost of re-streaming them.
 //! 2. **Deterministic shed cascades** — an overloaded gateway's refusal
 //!    walks the ring in a fixed order; a request is only refused
 //!    fleet-wide when every gateway refused it.

@@ -3,15 +3,15 @@
 //! The interesting policy is [`RoutePolicy::WeightCacheAware`]: tenants
 //! get a *home* gateway from a consistent-hash ring (so tenant→gateway
 //! affinity survives fleet growth with minimal reshuffling), and each
-//! dispatch minimizes a cost that charges the **modelled reload cycles**
-//! of a LOAD_W weight-cache miss — [`inca_runtime::reload_penalty`] of
-//! the tenant's program — on any gateway where the router's residency
-//! model says the program is not warm. A tenant therefore sticks to its
-//! home while the fleet is balanced, and only migrates when another
-//! gateway's backlog advantage exceeds the cost of re-streaming the
-//! program's instruction records over DMA.
-
-use std::collections::VecDeque;
+//! dispatch minimizes a per-gateway cost that the gateway itself quotes:
+//! its modelled backlog ([`inca_serve::Gateway::modelled_backlog`]) plus
+//! the LOAD_W reload cycles the request would pay there
+//! ([`inca_serve::Gateway::reload_cost`]: zero when the tenant's program
+//! is resident on the core the gateway would place it on). The router
+//! keeps no residency model of its own. A tenant therefore sticks to
+//! where its program is warm while the fleet is balanced, and only
+//! migrates when another gateway's backlog advantage exceeds the cost of
+//! re-streaming the program's instruction records over DMA.
 
 /// Replicated ring points per gateway: enough that tenant homes spread
 /// evenly across small fleets without making ring lookups expensive.
@@ -22,9 +22,9 @@ const RING_POINTS: usize = 16;
 pub enum RoutePolicy {
     /// Rotate over the gateways in id order, one submission per step.
     RoundRobin,
-    /// Consistent-hash home with a cost function over modelled backlog
-    /// plus modelled LOAD_W reload cycles on a residency miss (see
-    /// module docs). Ties prefer the shortest ring distance from the
+    /// Consistent-hash home with a cost function over each gateway's
+    /// modelled backlog plus the LOAD_W reload cycles the request would
+    /// pay there (see module docs). Ties prefer the shortest ring distance from the
     /// tenant's home, then the lowest gateway id.
     #[default]
     WeightCacheAware,
@@ -48,57 +48,32 @@ fn mix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Per-gateway weight-cache residency model: an LRU over network (net)
-/// indices, approximating which programs are still resident in the
-/// gateway's task slots. Capacity tracks the gateway's *active* cores ×
-/// task slots, so elastic shrink also shrinks the modelled cache.
-#[derive(Debug, Default)]
-struct Residency {
-    lru: VecDeque<usize>,
-}
-
-impl Residency {
-    fn contains(&self, net: usize) -> bool {
-        self.lru.contains(&net)
-    }
-
-    /// Marks `net` most-recently-used; returns `true` on a hit.
-    fn touch(&mut self, net: usize, cap: usize) -> bool {
-        let hit = if let Some(pos) = self.lru.iter().position(|&n| n == net) {
-            self.lru.remove(pos);
-            true
-        } else {
-            false
-        };
-        self.lru.push_back(net);
-        while self.lru.len() > cap.max(1) {
-            self.lru.pop_front();
-        }
-        hit
-    }
-}
-
-/// Cumulative routing counters (all deterministic).
+/// Cumulative routing counters (all deterministic), tallied for every
+/// policy from the reload cost the admitting gateway quoted just before
+/// it took the request — on a routed submit (after any shed cascade) and
+/// on a steal alike.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RouteStats {
-    /// Routed submissions that landed on a gateway with the tenant's
-    /// program modelled resident.
+    /// Admitted submissions whose program was resident on the core the
+    /// gateway would place them on (quoted reload cost 0).
     pub hits: u64,
-    /// Routed submissions that landed cold.
+    /// Admitted submissions that landed cold.
     pub misses: u64,
-    /// Modelled reload cycles charged across all misses — the router's
-    /// own estimate of weight-cache damage, comparable across policies.
+    /// Reload cycles quoted across all misses. A gateway's quote is the
+    /// reload its scheduler will charge when placement and slot choice
+    /// do not move before dispatch, so this tracks
+    /// [`crate::Cluster::reload_cycles`] and is comparable across
+    /// policies.
     pub miss_cycles: u64,
 }
 
-/// Mutable routing state (ring, round-robin cursor, residency models).
+/// Mutable routing state (ring, round-robin cursor, counters).
 #[derive(Debug)]
 pub(crate) struct Router {
     policy: RoutePolicy,
     /// Consistent-hash ring: `(point, gateway)` sorted by point.
     ring: Vec<(u64, usize)>,
     rr_next: usize,
-    resident: Vec<Residency>,
     stats: RouteStats,
 }
 
@@ -111,13 +86,7 @@ impl Router {
             }
         }
         ring.sort_unstable();
-        Self {
-            policy,
-            ring,
-            rr_next: 0,
-            resident: (0..gateways).map(|_| Residency::default()).collect(),
-            stats: RouteStats::default(),
-        }
+        Self { policy, ring, rr_next: 0, stats: RouteStats::default() }
     }
 
     pub(crate) fn policy(&self) -> RoutePolicy {
@@ -135,17 +104,11 @@ impl Router {
         self.ring[i % self.ring.len()].1
     }
 
-    /// Picks the gateway one submission of `tenant` (running net `net`,
-    /// whose cold reload costs `penalty` cycles) is steered to first.
-    /// `loads[g]` is gateway `g`'s modelled backlog in cycles.
-    pub(crate) fn choose(
-        &mut self,
-        tenant: usize,
-        net: usize,
-        penalty: u64,
-        loads: &[u64],
-    ) -> usize {
-        let n = loads.len();
+    /// Picks the gateway one submission of `tenant` is steered to first.
+    /// `costs[g]` is gateway `g`'s modelled backlog plus its reload cost
+    /// for `tenant`, in cycles.
+    pub(crate) fn choose(&mut self, tenant: usize, costs: &[u64]) -> usize {
+        let n = costs.len();
         debug_assert!(n > 0);
         match self.policy {
             RoutePolicy::RoundRobin => {
@@ -156,26 +119,20 @@ impl Router {
             RoutePolicy::WeightCacheAware => {
                 let home = self.home(tenant);
                 (0..n)
-                    .min_by_key(|&g| {
-                        let miss = u64::from(!self.resident[g].contains(net)) * penalty;
-                        (loads[g] + miss, (g + n - home) % n, g)
-                    })
+                    .min_by_key(|&g| (costs[g], (g + n - home) % n, g))
                     .expect("at least one gateway")
             }
         }
     }
 
-    /// Records that a submission of net `net` actually landed on
-    /// gateway `g` (after any shed cascade), updating the residency
-    /// model (capacity `cap` program slots) and the hit/miss counters.
-    /// Runs for every policy, so modelled miss cycles are comparable
-    /// across policies in the fig_cluster bench.
-    pub(crate) fn note(&mut self, g: usize, net: usize, penalty: u64, cap: usize) {
-        if self.resident[g].touch(net, cap) {
+    /// Counts one admitted submission whose gateway quoted `reload`
+    /// cycles for it.
+    pub(crate) fn note(&mut self, reload: u64) {
+        if reload == 0 {
             self.stats.hits += 1;
         } else {
             self.stats.misses += 1;
-            self.stats.miss_cycles += penalty;
+            self.stats.miss_cycles += reload;
         }
     }
 }
@@ -187,7 +144,7 @@ mod tests {
     #[test]
     fn round_robin_rotates() {
         let mut r = Router::new(RoutePolicy::RoundRobin, 3);
-        let picks: Vec<usize> = (0..5).map(|_| r.choose(0, 0, 100, &[0, 0, 0])).collect();
+        let picks: Vec<usize> = (0..5).map(|_| r.choose(0, &[0, 0, 0])).collect();
         assert_eq!(picks, vec![0, 1, 2, 0, 1]);
     }
 
@@ -205,39 +162,19 @@ mod tests {
     #[test]
     fn warm_gateway_wins_until_backlog_exceeds_reload() {
         let mut r = Router::new(RoutePolicy::WeightCacheAware, 2);
-        let first = r.choose(7, 0, 1_000, &[0, 0]);
-        r.note(first, 0, 1_000, 8);
-        let other = 1 - first;
-        // Balanced fleet: stick to the warm gateway.
-        assert_eq!(r.choose(7, 0, 1_000, &[0, 0]), first);
-        // Backlog below the reload penalty: still cheaper to stay warm.
-        let mut loads = [0u64; 2];
-        loads[first] = 999;
-        assert_eq!(r.choose(7, 0, 1_000, &loads), first);
-        // Backlog past the penalty: migrating beats re-streaming... by
-        // enough that the cold charge no longer saves the warm gateway.
-        loads[first] = 2_000;
-        assert_eq!(r.choose(7, 0, 1_000, &loads), other);
-    }
-
-    #[test]
-    fn residency_is_lru_bounded() {
-        let mut res = Residency::default();
-        for net in 0..3 {
-            res.touch(net, 2);
-        }
-        assert!(!res.contains(0), "capacity 2 evicts the oldest");
-        assert!(res.contains(1) && res.contains(2));
-        assert!(res.touch(1, 2), "re-touch is a hit");
-    }
-
-    #[test]
-    fn note_accumulates_modelled_miss_cycles() {
-        let mut r = Router::new(RoutePolicy::RoundRobin, 2);
-        r.note(0, 0, 500, 4);
-        r.note(0, 0, 500, 4);
-        r.note(1, 0, 500, 4);
-        let s = r.stats();
-        assert_eq!((s.hits, s.misses, s.miss_cycles), (1, 2, 1_000));
+        // Equal costs go to the tenant's home.
+        let home = r.choose(7, &[0, 0]);
+        // The program is resident away from home: landing at home would
+        // reload it for 1 000 cycles.
+        let warm = 1 - home;
+        let mut costs = [0u64; 2];
+        costs[home] = 1_000;
+        assert_eq!(r.choose(7, &costs), warm);
+        // Backlog below the reload: still cheaper to stay warm.
+        costs[warm] = 999;
+        assert_eq!(r.choose(7, &costs), warm);
+        // Backlog past the reload: reloading at home beats queueing.
+        costs[warm] = 2_000;
+        assert_eq!(r.choose(7, &costs), home);
     }
 }

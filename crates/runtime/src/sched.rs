@@ -350,9 +350,9 @@ pub struct Scheduler {
 
 /// Modelled cost, in cycles, of re-DMAing `program`'s instruction stream
 /// into a task slot: the charge a [`Scheduler`] applies when a binding
-/// changes the slot's resident program, and the weight-cache miss
-/// penalty a cluster router charges when steering a tenant to a gateway
-/// where its program is not resident.
+/// changes the slot's resident program, and what a serving gateway
+/// quotes as the reload cost of a tenant whose program is not
+/// [`Scheduler::resident`] on the core it would place it on.
 #[must_use]
 pub fn reload_penalty(cfg: &AccelConfig, program: &Program) -> u64 {
     cfg.dma_cycles((program.instrs.len() * RECORD_BYTES) as u64)
@@ -482,6 +482,13 @@ impl Scheduler {
     #[must_use]
     pub fn bindings(&self) -> [Option<TaskId>; TASK_SLOTS] {
         self.bindings
+    }
+
+    /// Whether `task`'s program is resident in one of the slots (a bind
+    /// onto that slot skips the reload).
+    #[must_use]
+    pub fn resident(&self, task: TaskId) -> bool {
+        self.loaded.contains(&Some(task))
     }
 
     /// Program reloads performed so far (cumulative).

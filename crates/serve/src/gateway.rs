@@ -17,7 +17,7 @@ use inca_obs::{
     request_detail, CoreObs, HostComponent, Metrics, Observation, Probe, Sampler, SpanStage,
     TenantObs, TimeSeries, TraceEvent, Violation,
 };
-use inca_runtime::{DropPolicy, SchedPolicy, Scheduler, TaskId, TaskSpec};
+use inca_runtime::{reload_penalty, DropPolicy, SchedPolicy, Scheduler, TaskId, TaskSpec};
 
 use crate::place::{PlacePolicy, Placer};
 use crate::{Lane, RequestId, Response, ShedReason, TenantId, TenantSpec, TenantStats};
@@ -586,19 +586,39 @@ impl<B: Backend> Gateway<B> {
         id
     }
 
-    /// Modelled outstanding work on a core, in cycles: every queued or
-    /// in-flight job charged its task's full predicted span.
-    fn backlog(&self, core: usize) -> u64 {
-        let s = &self.scheds[core];
-        self.task_ids
-            .iter()
-            .map(|&t| (s.queue_depth(t) as u64 + u64::from(s.in_flight(t))) * s.predicted_span(t))
-            .sum()
+    /// The core the next dispatch of `tenant` would be placed on.
+    fn peek(&self, tenant: TenantId) -> CoreId {
+        let (scheds, tasks) = (&self.scheds, &self.task_ids);
+        self.placer.peek(tenant.0, self.active_cores, |c| backlog(&scheds[c], tasks))
     }
 
     fn place(&mut self, tenant: TenantId) -> CoreId {
-        let backlogs: Vec<u64> = (0..self.active_cores).map(|c| self.backlog(c)).collect();
-        self.placer.place(tenant.0, backlogs.len(), |c| backlogs[c])
+        let (scheds, tasks) = (&self.scheds, &self.task_ids);
+        self.placer.place(tenant.0, self.active_cores, |c| backlog(&scheds[c], tasks))
+    }
+
+    /// Reload cycles one request of `tenant` would pay if submitted now:
+    /// 0 when its program is [`Scheduler::resident`] on the core placement
+    /// would pick, otherwise [`reload_penalty`] under that core's config.
+    #[must_use]
+    pub fn reload_cost(&self, tenant: TenantId) -> u64 {
+        let core = self.peek(tenant);
+        if self.scheds[core.0].resident(self.task_ids[tenant.0]) {
+            return 0;
+        }
+        reload_penalty(self.pool.core(core).config(), &self.tenants[tenant.0].spec.program)
+    }
+
+    /// Modelled backlog in cycles: every outstanding request (batched ones
+    /// included) charged its tenant's predicted span.
+    #[must_use]
+    pub fn modelled_backlog(&self) -> u64 {
+        let s = &self.scheds[0];
+        self.tenants
+            .iter()
+            .zip(&self.task_ids)
+            .map(|(e, &t)| e.stats.outstanding() * s.predicted_span(t).max(1))
+            .sum()
     }
 
     /// Dispatches one network's batch buffer to a single core.
@@ -847,6 +867,15 @@ impl<B: Backend> Gateway<B> {
         }
         m
     }
+}
+
+/// Modelled outstanding work on a core, in cycles: every queued or
+/// in-flight job charged its task's full predicted span.
+fn backlog(s: &Scheduler, tasks: &[TaskId]) -> u64 {
+    tasks
+        .iter()
+        .map(|&t| (s.queue_depth(t) as u64 + u64::from(s.in_flight(t))) * s.predicted_span(t))
+        .sum()
 }
 
 /// The serving tier shares its pool's [`Barrier`]: a core here is the

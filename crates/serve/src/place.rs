@@ -50,35 +50,42 @@ impl Placer {
         self.affinity.push(None);
     }
 
-    /// Picks a core for one dispatch of `tenant`. `backlog(core)` is the
+    /// The core [`Placer::place`] would pick for one dispatch of `tenant`
+    /// right now, without recording the pick. `backlog(core)` is the
     /// modelled outstanding work on that core in cycles.
-    pub(crate) fn place(
-        &mut self,
+    pub(crate) fn peek(
+        &self,
         tenant: usize,
         cores: usize,
         backlog: impl Fn(usize) -> u64,
     ) -> CoreId {
         debug_assert!(cores > 0);
         match self.policy {
-            PlacePolicy::RoundRobin => {
-                let c = self.rr_next % cores;
-                self.rr_next = (self.rr_next + 1) % cores;
-                CoreId(c)
-            }
+            PlacePolicy::RoundRobin => CoreId(self.rr_next % cores),
             PlacePolicy::LeastLoaded => least_loaded(cores, backlog),
-            PlacePolicy::TenantAffinity => {
-                // A sticky placement pointing past the active-core prefix
-                // (the core was parked by an elastic shrink) is re-placed.
-                match self.affinity[tenant] {
-                    Some(c) if c.0 < cores => c,
-                    _ => {
-                        let c = least_loaded(cores, backlog);
-                        self.affinity[tenant] = Some(c);
-                        c
-                    }
-                }
-            }
+            // A sticky placement pointing past the active-core prefix (the
+            // core was parked by an elastic shrink) is re-placed.
+            PlacePolicy::TenantAffinity => match self.affinity[tenant] {
+                Some(c) if c.0 < cores => c,
+                _ => least_loaded(cores, backlog),
+            },
         }
+    }
+
+    /// Picks a core for one dispatch of `tenant`: [`Placer::peek`], then
+    /// the pick is recorded. Only its own policy reads each record — the
+    /// cursor round-robin, the stickiness tenant affinity — so both are
+    /// kept under every policy.
+    pub(crate) fn place(
+        &mut self,
+        tenant: usize,
+        cores: usize,
+        backlog: impl Fn(usize) -> u64,
+    ) -> CoreId {
+        let c = self.peek(tenant, cores, backlog);
+        self.rr_next = (c.0 + 1) % cores;
+        self.affinity[tenant] = Some(c);
+        c
     }
 }
 
@@ -118,5 +125,30 @@ mod tests {
         assert_eq!(p.place(0, 3, |c| if c == 2 { 99 } else { 0 }), CoreId(2));
         // A different tenant is free to go elsewhere.
         assert_eq!(p.place(1, 3, |c| if c == 2 { 99 } else { 0 }), CoreId(0));
+    }
+
+    #[test]
+    fn peek_is_the_next_place_and_records_nothing() {
+        let backlog = |c: usize| [5, 0, 3][c];
+        for policy in
+            [PlacePolicy::RoundRobin, PlacePolicy::LeastLoaded, PlacePolicy::TenantAffinity]
+        {
+            let mut p = Placer::new(policy);
+            p.add_tenant();
+            p.add_tenant();
+            // Three active cores, then an elastic shrink to one that parks
+            // core 1, where tenant affinity stuck both tenants, then back.
+            for (cores, sticky) in [(3, 1), (3, 1), (1, 0), (1, 0), (3, 0)] {
+                for t in 0..2 {
+                    let (rr_next, affinity) = (p.rr_next, p.affinity.clone());
+                    let peeked = p.peek(t, cores, backlog);
+                    assert_eq!((p.rr_next, &p.affinity), (rr_next, &affinity), "{policy}");
+                    assert_eq!(peeked, p.place(t, cores, backlog), "{policy}, {cores} cores");
+                }
+                if policy == PlacePolicy::TenantAffinity {
+                    assert_eq!(p.affinity, vec![Some(CoreId(sticky)); 2], "{cores} cores");
+                }
+            }
+        }
     }
 }

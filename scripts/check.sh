@@ -53,6 +53,10 @@ cargo build --release --example serve --example cluster --example dslam --exampl
 # agents' engines sharing one price table per program.
 ./target/release/examples/dslam --small > /dev/null
 
+echo "== fig_cluster at 500 000 requests (its WCA-beats-round-robin assert, long run)"
+cargo build --release -p inca-bench --bin fig_cluster -q
+./target/release/fig_cluster --requests 500000 > /dev/null
+
 echo "== inca CLI (compile tiny, run it interrupted under every strategy)"
 # `inca run` is the one production reader of `Report::occupancy` (its Gantt).
 cargo build --release --bin inca -q

@@ -77,6 +77,17 @@ struct Fleet<B: Backend> {
 fn build_fleet<B: Backend>(
     gateways: usize,
     cores: usize,
+    make_backend: impl FnMut() -> B,
+) -> Fleet<B> {
+    let (route, place) = (RoutePolicy::WeightCacheAware, PlacePolicy::TenantAffinity);
+    build_fleet_with(gateways, cores, route, place, make_backend)
+}
+
+fn build_fleet_with<B: Backend>(
+    gateways: usize,
+    cores: usize,
+    route: RoutePolicy,
+    place: PlacePolicy,
     mut make_backend: impl FnMut() -> B,
 ) -> Fleet<B> {
     let gws = (0..gateways)
@@ -87,10 +98,10 @@ fn build_fleet<B: Backend>(
                 InterruptStrategy::VirtualInstruction,
                 &mut make_backend,
             );
-            Gateway::new(pool, SchedPolicy::FixedPriority, PlacePolicy::TenantAffinity)
+            Gateway::new(pool, SchedPolicy::FixedPriority, place)
         })
         .collect();
-    let mut cluster = Cluster::new(gws, RoutePolicy::WeightCacheAware);
+    let mut cluster = Cluster::new(gws, route);
     let programs = programs();
     let mean_gap = makespan(&programs[5]);
     cluster.set_batch_window(mean_gap / 4);
@@ -284,6 +295,37 @@ fn a_stolen_request_moves_once_per_barrier() {
     cluster.run_to_idle(u64::MAX).expect("engine");
     assert_eq!(cluster.totals().completed, 1);
     assert_conserved(&cluster, "steal");
+}
+
+/// Sequential truth: when every submit drains before the next, placement
+/// and slot choice cannot move between a gateway's reload quote and the
+/// dispatch, so the router's tally of what the admitting gateways quoted
+/// is exactly what their schedulers charged — under every routing and
+/// placement policy.
+#[test]
+fn quoted_reloads_are_the_reloads_charged_when_submits_drain() {
+    const SUBMITS: u64 = 400;
+    for route in [RoutePolicy::RoundRobin, RoutePolicy::WeightCacheAware] {
+        for place in
+            [PlacePolicy::RoundRobin, PlacePolicy::LeastLoaded, PlacePolicy::TenantAffinity]
+        {
+            let Fleet { mut cluster, tenants, hard, .. } =
+                build_fleet_with(3, 2, route, place, TimingBackend::new);
+            let everyone: Vec<TenantId> = tenants.into_iter().chain([hard]).collect();
+            let mut gaps = Gaps::new(5);
+            for _ in 0..SUBMITS {
+                let tenant = everyone[gaps.pick(everyone.len() as u64) as usize];
+                cluster.submit(cluster.now(), tenant).expect("a drained fleet admits");
+                cluster.run_until(u64::MAX).expect("engine");
+            }
+            let cell = format!("{route} routing, {place} placement");
+            let s = cluster.route_stats();
+            assert_eq!(s.hits + s.misses, SUBMITS, "{cell}");
+            assert!(s.hits > 0 && s.misses > 0, "{cell}: {s:?}");
+            assert_eq!(s.misses, cluster.reloads(), "{cell}");
+            assert_eq!(s.miss_cycles, cluster.reload_cycles(), "{cell}");
+        }
+    }
 }
 
 /// Everything a cluster run can observably produce. Two runs are "the
