@@ -4,9 +4,9 @@
 //! positions), the simulation either errors loudly or demonstrably
 //! corrupts output, rather than passing silently.
 
+use inca_accel::analysis::predicted_span;
 use inca_accel::{
     AccelConfig, Backend, DdrImage, Engine, FuncBackend, InterruptStrategy, SimError, Stepped,
-    TimingBackend,
 };
 use inca_compiler::Compiler;
 use inca_isa::{Instr, Opcode, Program, TaskSlot};
@@ -30,18 +30,6 @@ fn hi_program() -> Program {
     Compiler::new(AccelConfig::paper_small().arch)
         .compile_vi(&zoo::tiny(Shape3::new(3, 16, 16)).unwrap())
         .unwrap()
-}
-
-fn span_of(p: &Program) -> u64 {
-    let slot = TaskSlot::LOWEST;
-    let mut e = Engine::new(
-        AccelConfig::paper_small(),
-        InterruptStrategy::VirtualInstruction,
-        TimingBackend::new(),
-    );
-    e.load(slot, p.clone()).unwrap();
-    e.request_at(0, slot).unwrap();
-    e.run().unwrap().completed_jobs[0].finish
 }
 
 /// Re-assembles a program with `mutate` applied to each instruction
@@ -97,7 +85,7 @@ fn missing_vir_load_d_is_caught() {
     let good = compile_vi();
     let broken = rebuild(&good, |i| (i.op != Opcode::VirLoadD).then_some(*i));
     assert!(broken.instrs.len() < good.instrs.len(), "expected VIR_LOAD_Ds to exist");
-    let span = span_of(&good);
+    let span = predicted_span(&AccelConfig::paper_small(), &good);
     let mut caught = false;
     for k in 1..20 {
         match run_interrupted(&broken, span * k / 20) {
@@ -125,7 +113,7 @@ fn wrong_save_id_wiring_is_caught() {
         }
         Some(i)
     });
-    let span = span_of(&good);
+    let span = predicted_span(&AccelConfig::paper_small(), &good);
     let mut caught = false;
     for k in 1..20 {
         match run_interrupted(&broken, span * k / 20) {
@@ -194,7 +182,7 @@ fn reference_of_untouched_program_still_transparent() {
     // Control for the tests above: the unmodified program *is* transparent
     // at the same positions.
     let good = compile_vi();
-    let span = span_of(&good);
+    let span = predicted_span(&AccelConfig::paper_small(), &good);
     let reference = run_interrupted(&good, u64::MAX >> 1).unwrap();
     for k in 1..20 {
         let out = run_interrupted(&good, span * k / 20).unwrap();
@@ -210,7 +198,7 @@ fn reference_of_untouched_program_still_transparent() {
 #[test]
 fn broken_programs_fail_identically_in_both_tiers() {
     let good = compile_vi();
-    let span = span_of(&good);
+    let span = predicted_span(&AccelConfig::paper_small(), &good);
     let no_vir_load_d = rebuild(&good, |i| (i.op != Opcode::VirLoadD).then_some(*i));
     let wrong_save_ids = rebuild(&good, |i| {
         let mut i = *i;

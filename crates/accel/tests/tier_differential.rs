@@ -13,6 +13,7 @@
 //! Every comparison is over the whole trace: the ring is sized so nothing
 //! is evicted, and `run_on` asserts it.
 
+use inca_accel::analysis::predicted_span;
 use inca_accel::{
     AccelConfig, Backend, DdrImage, Engine, FuncBackend, InterruptStrategy, Program, Stepped,
     TaskSlot, TimingBackend,
@@ -232,7 +233,7 @@ fn tiers_identical_under_every_strategy() {
     for (strategy, dma_overlap) in STRATEGIES.into_iter().flat_map(|s| [(s, false), (s, true)]) {
         let cfg = small(dma_overlap);
         // Requests chosen so the high task lands mid-network.
-        let span = makespan(&cfg, &lo_program());
+        let span = predicted_span(&cfg, &lo_program());
         let requests = [(0u64, false), (span / 5, true), (span / 2, true)];
         let scenario =
             Scenario { cfg, tagged: true, seed: 0xD1FF, ..Scenario::new(strategy, &requests) };
@@ -255,7 +256,7 @@ fn tiers_identical_under_every_strategy() {
 #[test]
 fn tiers_identical_with_job_offsets() {
     let (lo, cfg) = (lo_program(), small(true));
-    let span = makespan(&cfg, &lo);
+    let span = predicted_span(&cfg, &lo);
     let requests = [(0u64, false), (span / 3, true)];
     let scenario = Scenario {
         cfg,
@@ -314,7 +315,7 @@ fn fully_connected_layers_are_batched_and_identical() {
 #[test]
 fn tier1_plan_cache_hits_across_jobs() {
     let (lo, hi) = (lo_program(), hi_program());
-    let span = makespan(&AccelConfig::paper_small(), &lo);
+    let span = predicted_span(&AccelConfig::paper_small(), &lo);
     let requests = [(0u64, false), (span + 1, false)]; // same program twice
     let scenario = Scenario::new(InterruptStrategy::VirtualInstruction, &requests);
     let (_, m1) = run_tier1(&lo, &hi, &scenario);
@@ -388,23 +389,6 @@ fn engine_free_run_program_matches_stepping() {
     assert_eq!(stepped.bytes_written(slot), fused.bytes_written(slot));
 }
 
-/// Instruction cost is address-independent, so the timing engine gives
-/// the makespan the func engines will see.
-fn makespan(cfg: &AccelConfig, program: &Program) -> u64 {
-    let slot = TaskSlot::LOWEST;
-    let mut e = Engine::new(*cfg, InterruptStrategy::VirtualInstruction, TimingBackend::new());
-    e.load(slot, program.clone()).unwrap();
-    e.request_at(0, slot).unwrap();
-    e.run().unwrap().completed_jobs[0].finish
-}
-
-/// The lo program's makespan with the DMA-overlap credit off and on.
-fn lo_makespan(dma_overlap: bool) -> u64 {
-    static CACHE: std::sync::OnceLock<[u64; 2]> = std::sync::OnceLock::new();
-    CACHE.get_or_init(|| [false, true].map(|o| makespan(&small(o), &lo_program())))
-        [usize::from(dma_overlap)]
-}
-
 proptest! {
     #![proptest_config(prop_cases(8))]
 
@@ -421,7 +405,7 @@ proptest! {
         dma_overlap in any::<bool>(),
         tagged in any::<bool>(),
     ) {
-        let span = lo_makespan(dma_overlap);
+        let span = predicted_span(&small(dma_overlap), &lo_program());
         let requests = [
             (0u64, false),
             (span * frac1 / 1000, true),

@@ -10,8 +10,9 @@
 //!    what double-buffered overlap would change (the calibration assumes
 //!    sequential transfers; see `AccelConfig::dma_overlap`).
 
+use inca_accel::analysis::predicted_span;
 use inca_accel::{AccelConfig, InterruptStrategy};
-use inca_bench::{makespan, mean_us, probe_interrupt, sample_positions, tiny_requester, Workload};
+use inca_bench::{mean_us, probe_interrupt, sample_positions, tiny_requester, Workload};
 use inca_compiler::{CompileOptions, Compiler, LoopOrder};
 use inca_isa::Shape3;
 use inca_model::zoo;
@@ -29,7 +30,7 @@ fn workload_with(cfg: &AccelConfig, options: CompileOptions) -> Workload {
 
 fn probe_stats(cfg: &AccelConfig, w: &Workload) -> (f64, f64, f64) {
     let requester = tiny_requester(cfg);
-    let span = makespan(cfg, &w.vi);
+    let span = predicted_span(cfg, &w.vi);
     let positions = sample_positions(span / 20, span * 19 / 20, 10, 0xAB1A);
     let mut lat = Vec::new();
     let mut t2 = Vec::new();
@@ -77,7 +78,7 @@ fn main() {
     println!("\nablation 3: DDR bandwidth & overlap (default workload)\n");
     println!(
         "{:>14} {:>9} {:>14} {:>12} {:>12}",
-        "bytes/cycle", "overlap", "makespan(ms)", "latency(us)", "cost(us)"
+        "bytes/cycle", "overlap", "predicted_span(ms)", "latency(us)", "cost(us)"
     );
     let w = workload_with(&cfg, CompileOptions::default());
     for bpc in [4u32, 8, 12, 24] {
@@ -86,7 +87,7 @@ fn main() {
             c.ddr_bytes_per_cycle = bpc;
             c.dma_overlap = overlap;
             let requester = tiny_requester(&c);
-            let span = makespan(&c, &w.vi);
+            let span = predicted_span(&c, &w.vi);
             let ev = probe_interrupt(
                 &c,
                 InterruptStrategy::VirtualInstruction,

@@ -26,11 +26,13 @@
 
 use std::sync::Arc;
 
-use inca_accel::{AccelConfig, CorePool, Engine, InterruptStrategy, TimingBackend};
+use inca_accel::analysis::predicted_span;
+use inca_accel::{AccelConfig, CorePool, InterruptStrategy, TimingBackend};
+use inca_bench::p99;
 use inca_bench::workload::Gaps;
-use inca_cluster::{Cluster, ElasticConfig, RoutePolicy};
+use inca_cluster::{Cluster, RoutePolicy};
 use inca_compiler::Compiler;
-use inca_isa::{Program, TaskSlot};
+use inca_isa::Program;
 use inca_model::{zoo, Shape3};
 use inca_obs::{Metrics, MetricsSnapshot};
 use inca_serve::{DropPolicy, Gateway, PlacePolicy, SchedPolicy, TenantId, TenantSpec};
@@ -54,22 +56,6 @@ fn be_programs() -> Vec<Arc<Program>> {
         .collect()
 }
 
-/// Uninterrupted makespan of `program` on a dedicated timing engine.
-fn makespan(program: &Arc<Program>) -> u64 {
-    let slot = TaskSlot::new(3).unwrap();
-    let mut e = Engine::new(cfg(), InterruptStrategy::VirtualInstruction, TimingBackend::new());
-    e.load(slot, Arc::clone(program)).unwrap();
-    e.request_at(0, slot).unwrap();
-    e.run().unwrap().completed_jobs[0].finish
-}
-
-/// p99 over `values` (nearest-rank, integer arithmetic).
-fn p99(values: &mut [u64]) -> u64 {
-    assert!(!values.is_empty());
-    values.sort_unstable();
-    values[(99 * values.len()).div_ceil(100) - 1]
-}
-
 fn build_cluster(route: RoutePolicy) -> (Cluster<TimingBackend>, Vec<TenantId>, TenantId, u64) {
     let gateways = (0..GATEWAYS)
         .map(|_| {
@@ -87,7 +73,7 @@ fn build_cluster(route: RoutePolicy) -> (Cluster<TimingBackend>, Vec<TenantId>, 
     // Calibrate pacing on the LARGEST network so steady-state load stays
     // light: weight-cache-aware routing then keeps tenants pinned where
     // their weights are warm instead of degenerating into least-loaded.
-    let mean_gap = makespan(&programs[7]);
+    let mean_gap = predicted_span(&cfg(), &programs[7]);
     // Short batch window: at part A's light load, a long window would
     // keep requests pending (hence "outstanding") long enough to make
     // every home gateway look backlogged at the next arrival.
@@ -182,8 +168,7 @@ struct FleetCell {
 /// idle gateways pick up recalled batches).
 fn run_fleet_cell(requests: u64) -> FleetCell {
     let (mut cluster, tenants, hard, mean_gap) = build_cluster(RoutePolicy::WeightCacheAware);
-    cluster.set_elastic(Some(ElasticConfig::default()));
-    cluster.set_steal_batch(2);
+    cluster.set_rebalance(true);
     cluster.set_batch_window(mean_gap * 8);
     let mut gaps = Gaps::new(101);
     let mut now = 0u64;

@@ -27,9 +27,10 @@
 use std::sync::Arc;
 use std::time::Instant;
 
+use inca_accel::analysis::predicted_span;
 use inca_accel::{
-    AccelConfig, AdvanceMode, AdvanceStats, CoreId, CorePool, Engine, InterruptStrategy, Program,
-    Report, Tier, TimingBackend,
+    AccelConfig, AdvanceMode, AdvanceStats, CoreId, CorePool, InterruptStrategy, Program, Report,
+    Tier, TimingBackend,
 };
 use inca_bench::workload::Gaps;
 use inca_compiler::Compiler;
@@ -52,14 +53,6 @@ fn program() -> Arc<Program> {
     Arc::new(Compiler::new(cfg().arch).compile_vi(&net).expect("compile"))
 }
 
-fn makespan(program: &Arc<Program>) -> u64 {
-    let slot = TaskSlot::LOWEST;
-    let mut e = Engine::new(cfg(), InterruptStrategy::VirtualInstruction, TimingBackend::new());
-    e.load(slot, Arc::clone(program)).expect("load");
-    e.request_at(0, slot).expect("request");
-    e.run().expect("run").completed_jobs[0].finish
-}
-
 // ---------------------------------------------------------------- part A
 
 struct FleetRun {
@@ -78,7 +71,7 @@ struct FleetRun {
 /// arrival.
 fn fleet_run(mode: AdvanceMode) -> FleetRun {
     let prog = program();
-    let span = makespan(&prog);
+    let span = predicted_span(&cfg(), &prog);
     let gap = span * 50;
     let horizon = gap * REQUESTS_PER_ACTIVE + span * 2;
     let slot = TaskSlot::new(2).expect("slot");
@@ -127,7 +120,7 @@ struct ServeRun {
 /// time (every arrival is a barrier over all 64 cores).
 fn serve_run(mode: AdvanceMode) -> ServeRun {
     let prog = program();
-    let mean_gap = makespan(&prog) * 8;
+    let mean_gap = predicted_span(&cfg(), &prog) * 8;
     let pool =
         CorePool::new(FLEET, cfg(), InterruptStrategy::VirtualInstruction, TimingBackend::new);
     let mut gw = Gateway::new(pool, SchedPolicy::FixedPriority, PlacePolicy::TenantAffinity);

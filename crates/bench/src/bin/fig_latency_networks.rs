@@ -7,10 +7,10 @@
 //! on MobileNet; VI < 100 µs on the big accelerator — a 2–3
 //! order-of-magnitude reduction, consistent with Eq. 1.
 
+use inca_accel::analysis::predicted_span;
 use inca_accel::{AccelConfig, InterruptStrategy};
 use inca_bench::{
-    makespan, mean_us, print_row, probe_interrupt, sample_positions, tiny_requester, Workload,
-    CAMERA,
+    mean_us, print_row, probe_interrupt, sample_positions, tiny_requester, Workload, CAMERA,
 };
 use inca_model::zoo;
 
@@ -38,7 +38,7 @@ fn main() {
         ] {
             let workload = Workload::compile(&cfg, &net);
             let requester = tiny_requester(&cfg);
-            let span = makespan(&cfg, &workload.original);
+            let span = predicted_span(&cfg, &workload.original);
             let positions =
                 sample_positions(span / 100, span * 99 / 100, positions_n, 0xBA5E + span);
             let mut lbl = Vec::new();

@@ -6,10 +6,10 @@
 //! Also prints E7: the mean VI latency as a fraction of layer-by-layer
 //! (the paper's abstract claims ≈2 %).
 
+use inca_accel::analysis::predicted_span;
 use inca_accel::{AccelConfig, InterruptStrategy};
 use inca_bench::{
-    makespan, mean_us, print_row, probe_interrupt, sample_positions, tiny_requester, Workload,
-    CAMERA,
+    mean_us, print_row, probe_interrupt, sample_positions, tiny_requester, Workload, CAMERA,
 };
 use inca_model::zoo;
 
@@ -22,7 +22,7 @@ fn main() {
     let net = zoo::resnet101(CAMERA).expect("resnet101");
     let workload = Workload::compile(&cfg, &net);
     let requester = tiny_requester(&cfg);
-    let span = makespan(&cfg, &workload.original);
+    let span = predicted_span(&cfg, &workload.original);
     println!(
         "uninterrupted PR inference: {:.1} ms ({} original instructions)\n",
         cfg.cycles_to_ms(span),

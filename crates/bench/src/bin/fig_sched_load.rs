@@ -54,8 +54,7 @@ fn programs(cfg: &AccelConfig) -> Vec<Arc<Program>> {
 
 fn run_cell(cfg: &AccelConfig, n_tasks: usize, policy: SchedPolicy, rounds: u64) -> Cell {
     let progs = programs(cfg);
-    let mut sched = Scheduler::new(*cfg, policy);
-    sched.set_admission_control(true);
+    let sched = Scheduler::new(*cfg, policy);
     let engine = Engine::new(*cfg, InterruptStrategy::VirtualInstruction, TimingBackend::new());
     let mut se = ScheduledEngine::new(engine, sched);
 

@@ -35,10 +35,12 @@
 
 use std::sync::Arc;
 
-use inca_accel::{AccelConfig, CorePool, Engine, InterruptStrategy, TimingBackend};
+use inca_accel::analysis::predicted_span;
+use inca_accel::{AccelConfig, CorePool, InterruptStrategy, TimingBackend};
+use inca_bench::p99;
 use inca_bench::workload::Gaps;
 use inca_compiler::Compiler;
-use inca_isa::{Program, TaskSlot};
+use inca_isa::Program;
 use inca_model::{zoo, Network, Shape3};
 use inca_obs::{Metrics, MetricsSnapshot, TimeSeries, TraceBuffer, TraceEvent, Tracer};
 use inca_serve::{DropPolicy, Gateway, PlacePolicy, SchedPolicy, TenantId, TenantSpec};
@@ -53,15 +55,6 @@ fn compile(strategy: InterruptStrategy, net: &Network) -> Arc<Program> {
         InterruptStrategy::VirtualInstruction => c.compile_vi(net).unwrap(),
         _ => c.compile(net).unwrap(),
     })
-}
-
-/// Uninterrupted makespan of `program` on a dedicated timing engine.
-fn makespan(program: &Program) -> u64 {
-    let slot = TaskSlot::new(3).unwrap();
-    let mut e = Engine::new(cfg(), InterruptStrategy::VirtualInstruction, TimingBackend::new());
-    e.load(slot, program.clone()).unwrap();
-    e.request_at(0, slot).unwrap();
-    e.run().unwrap().completed_jobs[0].finish
 }
 
 /// Installs a span-recording ring on `gw` when `trace_sample > 0`.
@@ -81,13 +74,6 @@ fn span_counts(buf: Option<TraceBuffer>) -> (u64, u64) {
             b.drain().iter().filter(|e| matches!(e, TraceEvent::Span { .. })).count() as u64;
         (spans, dropped)
     })
-}
-
-/// p99 over `values` (nearest-rank, integer arithmetic).
-fn p99(values: &mut [u64]) -> u64 {
-    assert!(!values.is_empty());
-    values.sort_unstable();
-    values[(99 * values.len()).div_ceil(100) - 1]
 }
 
 // ---------------------------------------------------------------- part A
@@ -115,7 +101,7 @@ fn run_iso_cell(
 ) -> IsoCell {
     let hard_prog = compile(strategy, &zoo::tiny(Shape3::new(3, 48, 48)).unwrap());
     let be_prog = compile(strategy, &zoo::tiny(Shape3::new(3, 96, 96)).unwrap());
-    let be_span = makespan(&be_prog);
+    let be_span = predicted_span(&cfg(), &be_prog);
 
     let pool = CorePool::new(1, cfg(), strategy, TimingBackend::new);
     let mut gw = Gateway::new(pool, SchedPolicy::FixedPriority, PlacePolicy::LeastLoaded);
@@ -202,7 +188,7 @@ fn run_scale_cell(
     let strategy = InterruptStrategy::VirtualInstruction;
     let small = compile(strategy, &zoo::tiny(Shape3::new(3, 24, 24)).unwrap());
     let large = compile(strategy, &zoo::tiny(Shape3::new(3, 48, 48)).unwrap());
-    let mean_gap = makespan(&small) / 4;
+    let mean_gap = predicted_span(&cfg(), &small) / 4;
 
     let pool = CorePool::new(cores, cfg(), strategy, TimingBackend::new);
     let mut gw = Gateway::new(pool, SchedPolicy::FixedPriority, place);

@@ -10,8 +10,9 @@
 //! (`inca-obs/metrics-v1`): the per-position `t1` samples as cycle
 //! histograms plus the mean-reduction gauge.
 
+use inca_accel::analysis::predicted_span;
 use inca_accel::{AccelConfig, InterruptStrategy};
-use inca_bench::{makespan, probe_interrupt, tiny_requester, Workload};
+use inca_bench::{probe_interrupt, tiny_requester, Workload};
 use inca_isa::Shape3;
 use inca_model::NetworkBuilder;
 use inca_obs::{Metrics, MetricsSnapshot};
@@ -25,7 +26,7 @@ fn main() {
     let net = b.finish(vec![c]).expect("net");
     let workload = Workload::compile(&cfg, &net);
     let requester = tiny_requester(&cfg);
-    let span = makespan(&cfg, &workload.original);
+    let span = predicted_span(&cfg, &workload.original);
     if !json {
         println!(
             "E10: t1 across interrupt positions inside one conv layer (48ch 80x60 -> 32ch),\n\

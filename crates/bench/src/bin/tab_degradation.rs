@@ -11,8 +11,9 @@
 //! Pass `--json` for a machine-readable metrics-snapshot line
 //! (`inca-obs/metrics-v1`) with per-strategy counters and gauges.
 
+use inca_accel::analysis::predicted_span;
 use inca_accel::{AccelConfig, Engine, InterruptStrategy, TimingBackend};
-use inca_bench::{makespan, Workload, CAMERA};
+use inca_bench::{Workload, CAMERA};
 use inca_isa::{Shape3, TaskSlot};
 use inca_model::zoo;
 use inca_obs::{Metrics, MetricsSnapshot};
@@ -29,8 +30,8 @@ fn main() {
     let fe = Workload::compile(&cfg, &fe_net);
     let pr = Workload::compile(&cfg, &pr_net);
 
-    let fe_solo = makespan(&cfg, &fe.vi);
-    let pr_solo = makespan(&cfg, &pr.vi);
+    let fe_solo = predicted_span(&cfg, &fe.vi);
+    let pr_solo = predicted_span(&cfg, &pr.vi);
     let period = cfg.us_to_cycles(50_000.0);
     if !json {
         println!("FE (SuperPoint) solo: {:>8.2} ms", cfg.cycles_to_ms(fe_solo));

@@ -28,8 +28,8 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 use inca_accel::{
-    AccelConfig, AdvanceMode, CoreId, CorePool, DdrImage, Engine, FuncBackend, InterruptEvent,
-    InterruptStrategy, Program, Tier, TimingBackend,
+    analysis, AccelConfig, AdvanceMode, CoreId, CorePool, DdrImage, Engine, FuncBackend,
+    InterruptEvent, InterruptStrategy, Program, Tier, TimingBackend,
 };
 use inca_compiler::Compiler;
 use inca_isa::TaskSlot;
@@ -89,18 +89,16 @@ pub fn tiny_requester(cfg: &AccelConfig) -> Arc<Program> {
     Arc::new(Compiler::new(cfg.arch).compile_vi(&net).expect("compile tiny"))
 }
 
-/// Makespan of `program` running alone (cycles).
+/// Nearest-rank p99 of `values` in integer arithmetic (sorts `values`).
 ///
 /// # Panics
 ///
-/// Panics on simulation errors.
+/// Panics when `values` is empty.
 #[must_use]
-pub fn makespan(cfg: &AccelConfig, program: &Arc<Program>) -> u64 {
-    let slot = TaskSlot::LOWEST;
-    let mut engine = Engine::new(*cfg, InterruptStrategy::VirtualInstruction, TimingBackend::new());
-    engine.load(slot, Arc::clone(program)).expect("load");
-    engine.request_at(0, slot).expect("request");
-    engine.run().expect("run").completed_jobs[0].finish
+pub fn p99(values: &mut [u64]) -> u64 {
+    assert!(!values.is_empty(), "p99 of no values");
+    values.sort_unstable();
+    values[(99 * values.len()).div_ceil(100) - 1]
 }
 
 /// `n` deterministic interrupt-request cycles spread over `[lo, hi)`.
@@ -202,7 +200,7 @@ pub fn serve_spans_scenario_with_mode(
     let be_w = Workload::compile(&cfg, &zoo::tiny(Shape3::new(3, 96, 96)).expect("be net"));
     let hard_prog = hard_w.for_strategy(strategy);
     let be_prog = be_w.for_strategy(strategy);
-    let be_span = makespan(&cfg, &be_prog);
+    let be_span = analysis::predicted_span(&cfg, &be_prog);
 
     let pool = CorePool::new(1, cfg, strategy, TimingBackend::new);
     let mut gw = Gateway::new(pool, SchedPolicy::FixedPriority, PlacePolicy::LeastLoaded);
@@ -291,7 +289,7 @@ pub fn serve_timeline_scenario(
     let be_w = Workload::compile(&cfg, &zoo::tiny(Shape3::new(3, 48, 48)).expect("be net"));
     let hard_prog = hard_w.for_strategy(strategy);
     let be_prog = be_w.for_strategy(strategy);
-    let be_span = makespan(&cfg, &be_prog);
+    let be_span = analysis::predicted_span(&cfg, &be_prog);
     let interval = (be_span / 8).max(1);
 
     let pool = CorePool::new(2, cfg, strategy, move || FuncBackend::with_threads(threads));
@@ -397,7 +395,7 @@ mod tests {
         let cfg = AccelConfig::paper_small();
         let w = Workload::compile(&cfg, &zoo::tiny(Shape3::new(3, 32, 32)).unwrap());
         let req = tiny_requester(&cfg);
-        let span = makespan(&cfg, &w.vi);
+        let span = analysis::predicted_span(&cfg, &w.vi);
         let ev = probe_interrupt(&cfg, InterruptStrategy::VirtualInstruction, &w, &req, span / 2);
         assert!(ev.latency() > 0);
     }

@@ -33,31 +33,13 @@ impl std::fmt::Display for GatewayId {
     }
 }
 
-/// Elastic core-pool scaling policy, evaluated per gateway at every
-/// cluster barrier from queue-depth and utilization telemetry (both
-/// cycle-domain, so resizing never perturbs determinism). Grow unparks
-/// one core when the queue runs hot; shrink parks one when the queue is
-/// short *and* the active prefix is mostly idle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ElasticConfig {
-    /// Unpark one core when `outstanding + pending > grow_above ×
-    /// active_cores`.
-    pub grow_above: u64,
-    /// Park one core when `outstanding + pending < shrink_below ×
-    /// active_cores` (and utilization also allows it).
-    pub shrink_below: u64,
-    /// Additionally require cumulative busy-fraction of the active
-    /// prefix below this many permille before parking.
-    pub shrink_util_permille: u64,
-    /// Never park below this many active cores.
-    pub min_cores: usize,
-}
-
-impl Default for ElasticConfig {
-    fn default() -> Self {
-        Self { grow_above: 4, shrink_below: 1, shrink_util_permille: 300, min_cores: 1 }
-    }
-}
+// Rebalance thresholds (see `Cluster::set_rebalance`). They compare
+// cycle-domain state only, so resizing and stealing never perturb
+// determinism.
+const GROW_ABOVE: u64 = 4;
+const SHRINK_BELOW: u64 = 1;
+const SHRINK_UTIL_PERMILLE: u64 = 300;
+const STEAL_BATCH: usize = 2;
 
 /// N serving gateways fronted by one router on one virtual clock (see
 /// module docs). Tenants are registered on **every** gateway in the
@@ -67,9 +49,8 @@ impl Default for ElasticConfig {
 pub struct Cluster<B: Backend> {
     gateways: Vec<Gateway<B>>,
     router: Router,
-    elastic: Option<ElasticConfig>,
-    /// Max batched requests recalled per steal; 0 disables stealing.
-    steal_batch: usize,
+    /// Elastic scaling and work stealing at every barrier.
+    rebalance: bool,
     stolen: u64,
     cascades: u64,
     resizes: u64,
@@ -99,8 +80,7 @@ impl<B: Backend> Cluster<B> {
         Self {
             gateways,
             router: Router::new(route, n),
-            elastic: None,
-            steal_batch: 0,
+            rebalance: false,
             stolen: 0,
             cascades: 0,
             resizes: 0,
@@ -122,17 +102,16 @@ impl<B: Backend> Cluster<B> {
         self.router.stats()
     }
 
-    /// Enables (or disables, with `None`) elastic core-pool scaling.
-    pub fn set_elastic(&mut self, cfg: Option<ElasticConfig>) {
-        self.elastic = cfg;
-    }
-
-    /// Enables cross-gateway work stealing for best-effort lanes: at
-    /// every cluster barrier, each idle gateway recalls up to `max`
-    /// pending batched requests from the most backlogged gateway and
-    /// re-submits them locally. `0` disables stealing.
-    pub fn set_steal_batch(&mut self, max: usize) {
-        self.steal_batch = max;
+    /// Turns fleet rebalancing on or off (off by default). When on, every
+    /// cluster barrier first runs elastic core-pool scaling — each gateway
+    /// unparks one core when its queue exceeds 4 requests per active core,
+    /// and parks one (never the last) when the queue is under 1 per active
+    /// core and the active prefix was busy under 30 % of the time — and
+    /// then cross-gateway work stealing: each idle gateway recalls up to 2
+    /// pending batched best-effort requests from the most backlogged
+    /// gateway and re-submits them locally.
+    pub fn set_rebalance(&mut self, on: bool) {
+        self.rebalance = on;
     }
 
     /// Sets the batch window on every gateway.
@@ -323,25 +302,24 @@ impl<B: Backend> Cluster<B> {
     /// state, evaluated at every cluster barrier before any gateway
     /// advances.
     fn rebalance(&mut self) {
-        if let Some(cfg) = self.elastic {
-            for gw in &mut self.gateways {
-                let active = gw.active_cores();
-                let q = gw.outstanding() + gw.pending_batched() as u64;
-                if q > cfg.grow_above * active as u64 && active < gw.pool().cores() {
-                    gw.set_active_cores(active + 1);
-                    self.resizes += 1;
-                } else if active > cfg.min_cores.max(1)
-                    && q < cfg.shrink_below * active as u64
-                    && Self::busy_permille(gw, active) < cfg.shrink_util_permille
-                {
-                    gw.set_active_cores(active - 1);
-                    self.resizes += 1;
-                }
+        if !self.rebalance {
+            return;
+        }
+        for gw in &mut self.gateways {
+            let active = gw.active_cores();
+            let q = gw.outstanding() + gw.pending_batched() as u64;
+            if q > GROW_ABOVE * active as u64 && active < gw.pool().cores() {
+                gw.set_active_cores(active + 1);
+                self.resizes += 1;
+            } else if active > 1
+                && q < SHRINK_BELOW * active as u64
+                && Self::busy_permille(gw, active) < SHRINK_UTIL_PERMILLE
+            {
+                gw.set_active_cores(active - 1);
+                self.resizes += 1;
             }
         }
-        if self.steal_batch > 0 {
-            self.steal_pass();
-        }
+        self.steal_pass();
     }
 
     /// Cumulative busy-fraction of the active core prefix, in permille.
@@ -379,7 +357,7 @@ impl<B: Backend> Cluster<B> {
             else {
                 continue;
             };
-            let recalled = self.gateways[victim].recall_batched(self.steal_batch);
+            let recalled = self.gateways[victim].recall_batched(STEAL_BATCH);
             for t in recalled {
                 self.stolen += 1;
                 let reload = self.gateways[thief].reload_cost(t);

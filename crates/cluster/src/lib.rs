@@ -23,6 +23,10 @@
 //! 4. **Elastic core-pool scaling** — per-gateway grow/shrink driven by
 //!    queue-depth and utilization telemetry, via the gateway's
 //!    park/unpark (`set_active_cores`) hook.
+//!
+//! Stealing and elastic scaling run together under one switch,
+//! [`Cluster::set_rebalance`], off by default; their thresholds are fixed
+//! policy.
 //! 5. **One virtual clock** — [`Cluster::run_until`] extends the
 //!    event-engine skip rule to gateway granularity: a gateway with
 //!    nothing outstanding (batched requests included) costs *zero*
@@ -69,7 +73,7 @@
 mod cluster;
 mod route;
 
-pub use cluster::{Cluster, ElasticConfig, GatewayId};
+pub use cluster::{Cluster, GatewayId};
 pub use route::{RoutePolicy, RouteStats};
 
 pub use inca_accel::{AdvanceMode, AdvanceStats};

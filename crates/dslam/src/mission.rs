@@ -24,9 +24,7 @@ use inca_compiler::Compiler;
 use inca_isa::{Program, Shape3, TaskSlot};
 use inca_model::zoo;
 use inca_obs::{ChromeTrace, Metrics, TraceEvent, Tracer};
-use inca_runtime::{
-    DropPolicy, JobHandle, Node, NodeContext, Runtime, SchedPolicy, Scheduler, TaskId, TaskSpec,
-};
+use inca_runtime::{DropPolicy, JobHandle, Node, NodeContext, Runtime, TaskId, TaskSpec};
 
 use crate::camera::{Camera, CameraConfig, Frame};
 use crate::features::{FeatureExtractor, Keypoint};
@@ -63,9 +61,9 @@ pub struct MissionConfig {
     /// accelerator (a swarm of auxiliary CNNs: obstacle nets, gesture
     /// nets, …). `0` (the default) keeps the classic direct-slot mission;
     /// any other value routes FE, PR *and* the swarm through the
-    /// slot-virtualizing [`Scheduler`]: FE at priority 0 with the frame
-    /// period as deadline, PR at priority 2, the swarm at priority 3 on
-    /// drop-oldest queues.
+    /// slot-virtualizing [`inca_runtime::Scheduler`]: FE at priority 0
+    /// with the frame period as deadline, PR at priority 2, the swarm at
+    /// priority 3 on drop-oldest queues.
     pub background_tasks: usize,
 }
 
@@ -431,16 +429,15 @@ impl Mission {
         // through the slot-virtualizing scheduler. Classic mode: FE and PR
         // own fixed physical slots, exactly as the paper deploys them.
         let (fe_target, pr_target, bg_tasks) = if cfg.background_tasks > 0 {
-            rt.install_scheduler(Scheduler::new(cfg.accel, SchedPolicy::FixedPriority));
             let bg_program = self.bg_program.as_ref().expect("bg program compiled in Mission::new");
             let fe = rt.register_task(
                 TaskSpec::new("fe", Arc::clone(&self.fe_program))
                     .priority(0)
                     .deadline(period_cycles)
                     .queue(2, DropPolicy::Reject),
-            )?;
+            );
             let pr =
-                rt.register_task(TaskSpec::new("pr", Arc::clone(&self.pr_program)).priority(2))?;
+                rt.register_task(TaskSpec::new("pr", Arc::clone(&self.pr_program)).priority(2));
             let bg = (0..cfg.background_tasks)
                 .map(|i| {
                     rt.register_task(
@@ -449,7 +446,7 @@ impl Mission {
                             .queue(1, DropPolicy::DropOldest),
                     )
                 })
-                .collect::<Result<Vec<_>, _>>()?;
+                .collect();
             (AccelTarget::Task(fe), AccelTarget::Task(pr), bg)
         } else {
             let fe_slot = TaskSlot::new(1).expect("slot 1");
@@ -502,7 +499,7 @@ impl Mission {
         let report = rt.report();
         let mut metrics = rt.metrics();
         let background_completed =
-            rt.scheduler().map_or(0, |s| bg_tasks.iter().map(|&t| s.stats(t).completed).sum());
+            bg_tasks.iter().map(|&t| rt.scheduler().stats(t).completed).sum();
         drop(rt); // release the nodes' clones of the shared state
 
         let mut st = Rc::try_unwrap(state)

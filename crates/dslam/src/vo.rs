@@ -10,34 +10,18 @@
 use crate::features::{match_keypoints, Keypoint};
 use crate::geometry::{align_rigid_2d, Pose2};
 
-/// Visual-odometry configuration.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct VoConfig {
-    /// Lowe's ratio for descriptor matching.
-    pub match_ratio: f32,
-    /// Promote a new keyframe when fewer matches than this survive.
-    pub min_keyframe_matches: usize,
-    /// Promote a new keyframe beyond this displacement (metres).
-    pub max_keyframe_distance: f64,
-    /// Promote a new keyframe beyond this rotation (radians).
-    pub max_keyframe_rotation: f64,
-}
-
-impl Default for VoConfig {
-    fn default() -> Self {
-        Self {
-            match_ratio: 0.95,
-            min_keyframe_matches: 12,
-            max_keyframe_distance: 0.8,
-            max_keyframe_rotation: 0.35,
-        }
-    }
-}
+/// Lowe's ratio for descriptor matching.
+const MATCH_RATIO: f32 = 0.95;
+/// Promote a new keyframe when fewer matches than this survive.
+const MIN_KEYFRAME_MATCHES: usize = 12;
+/// Promote a new keyframe beyond this displacement (metres).
+const MAX_KEYFRAME_DISTANCE: f64 = 0.8;
+/// Promote a new keyframe beyond this rotation (radians).
+const MAX_KEYFRAME_ROTATION: f64 = 0.35;
 
 /// Visual-odometry state and estimator.
 #[derive(Debug, Clone)]
 pub struct VisualOdometry {
-    config: VoConfig,
     keyframe: Option<(Vec<Keypoint>, Pose2)>,
     pose: Pose2,
     /// Frames processed.
@@ -58,13 +42,7 @@ impl VisualOdometry {
     /// Creates a VO starting at `origin`.
     #[must_use]
     pub fn new(origin: Pose2) -> Self {
-        Self::with_config(origin, VoConfig::default())
-    }
-
-    /// Creates a VO with explicit tracking parameters.
-    #[must_use]
-    pub fn with_config(origin: Pose2, config: VoConfig) -> Self {
-        Self { config, keyframe: None, pose: origin, frames: 0, tracking_failures: 0, keyframes: 0 }
+        Self { keyframe: None, pose: origin, frames: 0, tracking_failures: 0, keyframes: 0 }
     }
 
     /// Current pose estimate.
@@ -86,7 +64,7 @@ impl VisualOdometry {
             self.promote_keyframe(keypoints);
             return self.pose;
         };
-        let matches = match_keypoints(kf_kps, &keypoints, self.config.match_ratio);
+        let matches = match_keypoints(kf_kps, &keypoints, MATCH_RATIO);
         // Static world points: p_keyframe = D · p_current, with D the
         // motion of the camera since the keyframe.
         let pairs: Vec<_> =
@@ -95,9 +73,9 @@ impl VisualOdometry {
             Some(delta) if pairs.len() >= 3 => {
                 self.pose = kf_pose.compose(delta);
                 let moved = (delta.t.x.powi(2) + delta.t.y.powi(2)).sqrt();
-                if matches.len() < self.config.min_keyframe_matches
-                    || moved > self.config.max_keyframe_distance
-                    || delta.theta.abs() > self.config.max_keyframe_rotation
+                if matches.len() < MIN_KEYFRAME_MATCHES
+                    || moved > MAX_KEYFRAME_DISTANCE
+                    || delta.theta.abs() > MAX_KEYFRAME_ROTATION
                 {
                     self.promote_keyframe(keypoints);
                 }

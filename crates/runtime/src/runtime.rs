@@ -129,12 +129,14 @@ impl<M> NodeContext<'_, M> {
         handle
     }
 
-    /// Submits one job of logical task `task` to the installed
-    /// [`Scheduler`] (see [`Runtime::install_scheduler`]). The scheduler
-    /// decides the physical slot, applies admission control and the task's
-    /// drop policy; [`Node::on_accel_done`] fires only if the job is
-    /// admitted and actually executes (rejected and degraded-to-skip jobs
-    /// complete silently — check the scheduler's [`crate::TaskStats`]).
+    /// Submits one job of logical task `task` (see
+    /// [`Runtime::register_task`]) to the runtime's [`Scheduler`]. The
+    /// scheduler decides the physical slot, applies admission control and
+    /// the task's drop policy; [`Node::on_accel_done`] fires only if the
+    /// job is admitted and actually executes (rejected and
+    /// degraded-to-skip jobs complete silently — check the scheduler's
+    /// [`crate::TaskStats`]). A task that was never registered fails the
+    /// run with [`SimError::Engine`].
     pub fn submit_task(&mut self, task: TaskId) -> JobHandle {
         let handle = JobHandle(*self.next_handle);
         *self.next_handle += 1;
@@ -192,14 +194,10 @@ pub struct Runtime<M, B: Backend> {
     deadlines: Vec<DeadlineRecord>,
     messages_delivered: u64,
     timers_fired: u64,
-    /// Always present, because it owns the completion cursor; task-less
-    /// (every record routes as a raw submission) until `scheduled`.
+    /// Owns the completion cursor; task-less (every record routes as a
+    /// raw submission) until the first [`Runtime::register_task`].
     sched: Scheduler,
-    /// Whether [`Runtime::install_scheduler`] was called.
-    scheduled: bool,
     sched_jobs: BTreeMap<u64, (JobHandle, NodeId, Option<u64>)>,
-    sched_rejected: u64,
-    sched_skipped: u64,
     tracer: Tracer,
 }
 
@@ -220,61 +218,38 @@ impl<M: Clone, B: Backend> Runtime<M, B> {
             messages_delivered: 0,
             timers_fired: 0,
             sched: Scheduler::new(cfg, SchedPolicy::FixedPriority),
-            scheduled: false,
             sched_jobs: BTreeMap::new(),
-            sched_rejected: 0,
-            sched_skipped: 0,
             tracer: Tracer::disabled(),
         }
     }
 
-    /// Installs `tracer` on the runtime **and** its embedded engine (and
-    /// the scheduler, if one is installed), so middleware, scheduler and
-    /// datapath events interleave in one stream.
+    /// Installs `tracer` on the runtime, its embedded engine and its
+    /// scheduler, so middleware, scheduler and datapath events interleave
+    /// in one stream.
     pub fn set_tracer(&mut self, tracer: Tracer) {
         self.engine.set_probe(tracer.clone().into());
         self.sched.set_probe(tracer.clone().into());
         self.tracer = tracer;
     }
 
-    /// Installs a slot-virtualizing [`Scheduler`]: nodes then submit jobs
-    /// to logical tasks via [`NodeContext::submit_task`] instead of raw
-    /// slots, and the runtime pumps slot bindings at every completion. The
-    /// scheduler inherits the runtime's tracer, and its completion cursor
-    /// starts past the raw-slot jobs that already ran.
-    pub fn install_scheduler(&mut self, mut sched: Scheduler) {
-        sched.set_probe(self.tracer.clone().into());
-        sched.seen = self.engine.completed_jobs().len();
-        self.sched = sched;
-        self.scheduled = true;
-    }
-
-    /// The installed scheduler, if any.
+    /// The runtime's slot-virtualizing [`Scheduler`] (fixed priority):
+    /// nodes submit jobs of its logical tasks via
+    /// [`NodeContext::submit_task`], and the runtime pumps slot bindings
+    /// at every completion.
     #[must_use]
-    pub fn scheduler(&self) -> Option<&Scheduler> {
-        self.scheduled.then_some(&self.sched)
+    pub fn scheduler(&self) -> &Scheduler {
+        &self.sched
     }
 
-    fn scheduler_mut(&mut self, caller: &str) -> Result<&mut Scheduler, SimError> {
-        if self.scheduled {
-            Ok(&mut self.sched)
-        } else {
-            Err(SimError::Engine(format!("{caller} without a scheduler installed")))
-        }
-    }
-
-    /// Registers a logical task with the installed scheduler.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::Engine`] when no scheduler is installed.
-    pub fn register_task(&mut self, spec: TaskSpec) -> Result<TaskId, SimError> {
-        Ok(self.scheduler_mut("register_task")?.register(spec))
+    /// Registers a logical task with the runtime's scheduler.
+    pub fn register_task(&mut self, spec: TaskSpec) -> TaskId {
+        self.sched.register(spec)
     }
 
     /// A deterministic metrics snapshot: the engine's metrics plus
-    /// `runtime.`-prefixed middleware counters. The deadline counters are
-    /// derived exactly as [`Runtime::report`] derives its records, so
+    /// `runtime.`-prefixed middleware counters, and the scheduler's
+    /// `sched.*` metrics once a task is registered. The deadline counters
+    /// are derived exactly as [`Runtime::report`] derives its records, so
     /// `runtime.deadlines.missed` always equals the report's
     /// [`RuntimeReport::deadline_misses`].
     #[must_use]
@@ -293,10 +268,11 @@ impl<M: Clone, B: Backend> Runtime<M, B> {
             + self.sched_jobs.values().filter(|(_, _, deadline)| deadline.is_some()).count() as u64;
         m.inc("runtime.deadlines.met", met);
         m.inc("runtime.deadlines.missed", late + outstanding);
-        if let Some(s) = self.scheduler() {
-            m.absorb("", &s.metrics());
-            m.inc("runtime.sched.rejected", self.sched_rejected);
-            m.inc("runtime.sched.skipped", self.sched_skipped);
+        if self.sched.task_count() > 0 {
+            let t = self.sched.totals();
+            m.absorb("", &self.sched.metrics());
+            m.inc("runtime.sched.rejected", t.shed + t.rejected);
+            m.inc("runtime.sched.skipped", t.skipped);
         }
         for d in &self.deadlines {
             if let Some(finish) = d.finish {
@@ -458,13 +434,18 @@ impl<M: Clone, B: Backend> Runtime<M, B> {
                     self.waiting[slot.index()].push_back((handle, origin, deadline));
                 }
                 Action::Sched { task, handle } => {
-                    let now = self.now;
-                    match self.scheduler_mut("submit_task")?.submit(now, task) {
-                        Ok(adm) if adm.skipped => self.sched_skipped += 1,
-                        Ok(adm) => {
+                    if task.index() >= self.sched.task_count() {
+                        return Err(SimError::Engine(format!(
+                            "submit_task of unregistered task {}",
+                            task.index()
+                        )));
+                    }
+                    // Refusals and skips are counted in the scheduler's
+                    // own ledger.
+                    if let Ok(adm) = self.sched.submit(self.now, task) {
+                        if !adm.skipped {
                             self.sched_jobs.insert(adm.job.raw(), (handle, origin, adm.deadline));
                         }
-                        Err(_) => self.sched_rejected += 1,
                     }
                 }
             }
@@ -762,7 +743,7 @@ mod tests {
 
     #[test]
     fn scheduler_multiplexes_logical_tasks_through_nodes() {
-        use crate::sched::{SchedPolicy, Scheduler, TaskSpec};
+        use crate::sched::{DropPolicy, TaskSpec};
         use std::cell::RefCell;
         use std::rc::Rc;
         use std::sync::Arc;
@@ -791,32 +772,46 @@ mod tests {
         }
 
         let mut rt = runtime();
-        rt.install_scheduler(Scheduler::new(*rt.engine().config(), SchedPolicy::FixedPriority));
         let compiler = Compiler::new(rt.engine().config().arch);
         let program =
             Arc::new(compiler.compile_vi(&zoo::tiny(Shape3::new(3, 16, 16)).unwrap()).unwrap());
         // Six logical tasks over four physical slots (one reserved).
-        let tasks: Vec<_> = (0..6u8)
+        let mut tasks: Vec<_> = (0..6u8)
             .map(|i| {
                 rt.register_task(
                     TaskSpec::new(format!("t{i}"), Arc::clone(&program)).priority(1 + (i % 3)),
                 )
-                .unwrap()
             })
             .collect();
+        // One refusal of each kind: `t0` again finds its queue full, a
+        // second job of `skip` is degraded, and `late` cannot make its
+        // deadline.
+        let skip = rt.register_task(
+            TaskSpec::new("skip", Arc::clone(&program)).queue(1, DropPolicy::DegradeToSkip),
+        );
+        let late = rt.register_task(TaskSpec::new("late", Arc::clone(&program)).deadline(1));
+        tasks.extend([tasks[0], skip, skip, late]);
         let completed = Rc::new(RefCell::new(0u32));
         let node = rt.add_node(Swarm { tasks, completed: Rc::clone(&completed) });
         rt.schedule_timer(node, 0, 0);
         rt.run_until(500_000_000).unwrap();
-        let totals = rt.scheduler().unwrap().totals();
+        let totals = rt.scheduler().totals();
+        let m = rt.metrics();
         drop(rt);
-        assert_eq!(*completed.borrow(), 6, "every logical task's job completed");
-        assert_eq!(totals.completed, 6);
-        assert_eq!(totals.submitted, 6);
+        assert_eq!(*completed.borrow(), 7, "every admitted, unskipped job completed");
+        assert_eq!(totals.completed, 7);
+        assert_eq!(totals.submitted, 10);
+        assert_eq!((totals.shed, totals.rejected, totals.skipped), (1, 1, 1));
+        // The runtime's counters are the scheduler's ledger.
+        assert_eq!(
+            m.counter("runtime.sched.rejected"),
+            m.counter("sched.jobs.rejected.queue") + m.counter("sched.jobs.rejected.admission")
+        );
+        assert_eq!(m.counter("runtime.sched.skipped"), m.counter("sched.jobs.skipped"));
     }
 
     #[test]
-    fn submit_task_without_scheduler_errors() {
+    fn submit_task_of_an_unregistered_task_errors() {
         struct Lone;
         impl Node<Msg> for Lone {
             fn name(&self) -> &str {

@@ -21,9 +21,11 @@
 //!   [`AccelConfig::dma_cycles`]) and the backend's per-context DDR image
 //!   is swapped in ([`Backend::rebind`]).
 //!
-//! Slot 0 is reserved for priority-0 tasks by default (the paper's
-//! non-preemptible emergency slot), which guarantees an urgent task never
-//! waits behind an in-flight background job.
+//! Admission control and slot placement are fixed policy: every
+//! submission passes the admission predicate, and slot 0 is reserved for
+//! priority-0 tasks (the paper's non-preemptible emergency slot), which
+//! guarantees an urgent task never waits behind an in-flight background
+//! job.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -145,8 +147,7 @@ pub struct TaskSpec {
     pub name: String,
     /// The compiled program this task runs per job.
     pub program: Arc<Program>,
-    /// Priority, 0 = most urgent. Only priority-0 tasks may bind slot 0
-    /// while [`Scheduler::set_reserve_slot0`] is on.
+    /// Priority, 0 = most urgent. Only priority-0 tasks may bind slot 0.
     pub priority: u8,
     /// Relative completion deadline in cycles (admission + accounting).
     pub relative_deadline: Option<u64>,
@@ -327,8 +328,6 @@ struct TaskState {
 pub struct Scheduler {
     cfg: AccelConfig,
     policy: SchedPolicy,
-    admission: bool,
-    reserve_slot0: bool,
     tasks: Vec<TaskState>,
     /// Which logical task's job is in flight on each physical slot.
     bindings: [Option<TaskId>; TASK_SLOTS],
@@ -339,7 +338,7 @@ pub struct Scheduler {
     now: u64,
     /// Completion cursor: how many of the engine's held records
     /// [`Scheduler::take_completion`] already handed out.
-    pub(crate) seen: usize,
+    seen: usize,
     next_job: u64,
     preempt_requests: u64,
     reloads: u64,
@@ -360,15 +359,12 @@ pub fn reload_penalty(cfg: &AccelConfig, program: &Program) -> u64 {
 
 impl Scheduler {
     /// Creates a scheduler for engines configured with `cfg`, using
-    /// `policy`. Admission control and slot-0 reservation are on by
-    /// default.
+    /// `policy`.
     #[must_use]
     pub fn new(cfg: AccelConfig, policy: SchedPolicy) -> Self {
         Self {
             cfg,
             policy,
-            admission: true,
-            reserve_slot0: true,
             tasks: Vec::new(),
             bindings: [None; TASK_SLOTS],
             loaded: [None; TASK_SLOTS],
@@ -380,16 +376,6 @@ impl Scheduler {
             reload_cycles: 0,
             probe: Probe::default(),
         }
-    }
-
-    /// Enables/disables the predicted-span admission controller.
-    pub fn set_admission_control(&mut self, enabled: bool) {
-        self.admission = enabled;
-    }
-
-    /// Enables/disables reserving slot 0 for priority-0 tasks.
-    pub fn set_reserve_slot0(&mut self, enabled: bool) {
-        self.reserve_slot0 = enabled;
     }
 
     /// Installs who watches this scheduler: the tracer its events go
@@ -429,6 +415,11 @@ impl Scheduler {
             stats: TaskStats::default(),
         });
         id
+    }
+
+    /// Number of registered tasks.
+    pub(crate) fn task_count(&self) -> usize {
+        self.tasks.len()
     }
 
     /// A task's registered spec.
@@ -540,7 +531,7 @@ impl Scheduler {
         let deadline = self.tasks[task.0].spec.relative_deadline.map(|d| now + d);
         self.tasks[task.0].stats.submitted += 1;
 
-        if self.admission && !self.admit(task, deadline) {
+        if !self.admit(task, deadline) {
             self.tasks[task.0].stats.rejected += 1;
             self.emit_rejected(now, task, "admission");
             return Err(RejectReason::AdmissionDenied);
@@ -728,7 +719,7 @@ impl Scheduler {
             self.bindings[i].is_none()
                 && engine.task_state(TaskSlot::new(i as u8).expect("valid slot"))
                     == inca_accel::TaskState::Idle
-                && (i != 0 || !self.reserve_slot0 || urgent)
+                && (i != 0 || urgent)
                 && lower.is_none_or(|l| i > l)
         };
         let preferred =

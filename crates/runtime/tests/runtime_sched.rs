@@ -1,7 +1,7 @@
-//! [`Runtime`] with an installed [`Scheduler`]: the two seams where the
-//! shared drive loop ([`Scheduler::step`] / [`Scheduler::take_completion`])
-//! meets the middleware — the completion cursor handed over at install
-//! time, and the clock the scheduler is pumped at.
+//! [`Runtime`] and its [`Scheduler`]: the two seams where the shared drive
+//! loop ([`Scheduler::step`] / [`Scheduler::take_completion`]) meets the
+//! middleware — one completion cursor for raw and task jobs, and the clock
+//! the scheduler is pumped at.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -11,9 +11,7 @@ use inca_accel::{AccelConfig, InterruptStrategy, JobRecord, TimingBackend};
 use inca_compiler::Compiler;
 use inca_isa::{Program, TaskSlot};
 use inca_model::{zoo, Shape3};
-use inca_runtime::{
-    JobHandle, Node, NodeContext, Runtime, SchedPolicy, Scheduler, TaskId, TaskSpec,
-};
+use inca_runtime::{JobHandle, Node, NodeContext, Runtime, TaskId, TaskSpec};
 
 fn cfg() -> AccelConfig {
     AccelConfig::paper_big()
@@ -54,7 +52,7 @@ impl Node<()> for Submitter {
 }
 
 #[test]
-fn install_scheduler_does_not_replay_raw_completions() {
+fn a_task_registered_after_raw_jobs_does_not_replay_their_completions() {
     let mut rt = runtime();
     // Slot 1 is also the first slot the scheduler binds, so a replayed
     // raw record would be taken for the task's completion.
@@ -66,13 +64,12 @@ fn install_scheduler_does_not_replay_raw_completions() {
     let node = rt.add_node(Submitter { slot, tasks, finishes: Rc::clone(&finishes) });
     rt.schedule_timer(node, 0, 0);
     rt.run_until(50_000_000).unwrap();
-    assert_eq!(finishes.borrow().len(), 1, "the raw job completed before the install");
+    assert_eq!(finishes.borrow().len(), 1, "the raw job completed before the task existed");
 
-    rt.install_scheduler(Scheduler::new(cfg(), SchedPolicy::FixedPriority));
-    assert_eq!(rt.register_task(TaskSpec::new("t", program)).unwrap(), TaskId::default());
+    assert_eq!(rt.register_task(TaskSpec::new("t", program)), TaskId::default());
     rt.schedule_timer(node, 1, 60_000_000);
     rt.run_until(200_000_000).unwrap();
-    assert_eq!(rt.scheduler().unwrap().totals().completed, 1);
+    assert_eq!(rt.scheduler().totals().completed, 1);
     let finishes = finishes.borrow();
     assert_eq!(finishes.len(), 2);
     assert!(finishes[1] > 60_000_000, "the task's own record, not the stale raw one");
@@ -81,11 +78,10 @@ fn install_scheduler_does_not_replay_raw_completions() {
 #[test]
 fn task_deadline_counts_from_the_submit_cycle_despite_engine_overshoot() {
     let mut rt = runtime();
-    rt.install_scheduler(Scheduler::new(cfg(), SchedPolicy::FixedPriority));
     let program = tiny(32);
     let relative = 100_000_000;
-    let bg = rt.register_task(TaskSpec::new("bg", Arc::clone(&program))).unwrap();
-    let fe = rt.register_task(TaskSpec::new("fe", program).priority(0).deadline(relative)).unwrap();
+    let bg = rt.register_task(TaskSpec::new("bg", Arc::clone(&program)));
+    let fe = rt.register_task(TaskSpec::new("fe", program).priority(0).deadline(relative));
     let slot = TaskSlot::LOWEST;
     let node = rt.add_node(Submitter { slot, tasks: vec![bg, fe], finishes: Rc::default() });
     // The background job is mid-instruction at cycle 1000, so the engine

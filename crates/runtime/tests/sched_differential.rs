@@ -9,7 +9,8 @@
 
 use std::sync::Arc;
 
-use inca_accel::{AccelConfig, DdrImage, Engine, FuncBackend, InterruptStrategy, TimingBackend};
+use inca_accel::analysis::predicted_span;
+use inca_accel::{AccelConfig, DdrImage, Engine, FuncBackend, InterruptStrategy};
 use inca_compiler::Compiler;
 use inca_isa::{Program, TaskSlot};
 use inca_model::{zoo, Shape3};
@@ -45,16 +46,6 @@ fn dedicated_run(strategy: InterruptStrategy, program: &Program, seed: u64) -> V
     e.request_at(0, slot).unwrap();
     e.run().unwrap();
     all_outputs(program, e.backend().image(slot).unwrap())
-}
-
-/// Cycle to inject mid-run arrivals at: a fraction of the uninterrupted
-/// makespan of `program`, measured on the timing backend.
-fn makespan(program: &Program) -> u64 {
-    let slot = TaskSlot::new(3).unwrap();
-    let mut e = Engine::new(cfg(), InterruptStrategy::VirtualInstruction, TimingBackend::new());
-    e.load(slot, program.clone()).unwrap();
-    e.request_at(0, slot).unwrap();
-    e.run().unwrap().completed_jobs[0].finish
 }
 
 #[test]
@@ -116,7 +107,7 @@ fn scheduled_contended_run_is_bit_identical_to_dedicated() {
             // Background pair lands first, the mids arrive mid-run (slot
             // reuse on completion), the urgent task arrives while the
             // datapath is busy (true IAU preemption through slot 0).
-            let span = makespan(&lo_prog);
+            let span = predicted_span(&cfg(), &lo_prog);
             se.submit(0, tasks[0]).unwrap();
             se.submit(0, tasks[1]).unwrap();
             let mut done = se.run_until(span / 4).unwrap();

@@ -11,8 +11,8 @@
 //!    hold the same logical task, and every bound task reports in-flight.
 //!    The ledger agrees with the queues at every step too: a task's
 //!    `outstanding()` is its queue depth plus its in-flight job.
-//! 3. **Quiescence** — with slot-0 reservation off, every admitted job
-//!    eventually completes (no lost work, no wedged queues).
+//! 3. **Quiescence** — every admitted job eventually completes (no lost
+//!    work, no wedged queues), slot-0 reservation notwithstanding.
 //! 4. **No starvation** — a deterministic 64-task flood where the single
 //!    priority-0 task must meet every deadline under `FixedPriority` and
 //!    `Edf` (the paper's emergency-task guarantee, and the acceptance bar
@@ -51,7 +51,6 @@ fn tiny(side: u32) -> Arc<Program> {
 #[derive(Debug, Clone)]
 struct Scenario {
     policy: SchedPolicy,
-    reserve_slot0: bool,
     /// Per-task (priority, queue capacity, drop policy, has deadline).
     tasks: Vec<(u8, usize, DropPolicy, bool)>,
     /// (task selector, inter-arrival gap in cycles).
@@ -65,7 +64,6 @@ fn scenario_strategy() -> impl Strategy<Value = Scenario> {
             SchedPolicy::Edf,
             SchedPolicy::PremaTokens,
         ]),
-        any::<bool>(),
         prop::collection::vec(
             (
                 0u8..4,
@@ -81,12 +79,7 @@ fn scenario_strategy() -> impl Strategy<Value = Scenario> {
         ),
         prop::collection::vec((0usize..64, 0u64..400_000), 4..40),
     )
-        .prop_map(|(policy, reserve_slot0, tasks, arrivals)| Scenario {
-            policy,
-            reserve_slot0,
-            tasks,
-            arrivals,
-        })
+        .prop_map(|(policy, tasks, arrivals)| Scenario { policy, tasks, arrivals })
 }
 
 struct Outcome {
@@ -99,8 +92,7 @@ struct Outcome {
 /// Drives a scenario to idle, asserting the binding invariant at every
 /// submission step; panics on any engine error.
 fn run_scenario(s: &Scenario) -> Outcome {
-    let mut sched = Scheduler::new(cfg(), s.policy);
-    sched.set_reserve_slot0(s.reserve_slot0);
+    let sched = Scheduler::new(cfg(), s.policy);
     let engine = Engine::new(cfg(), InterruptStrategy::VirtualInstruction, TimingBackend::new());
     let mut se = ScheduledEngine::new(engine, sched);
 
@@ -176,8 +168,8 @@ proptest! {
                 "task {} cannot complete/drop/skip more than it admitted", i
             );
         }
-        // At idle, every admitted job has a terminal state (or is still
-        // queued only when unservable, counted by `outstanding`).
+        // At idle, every admitted job has a terminal state or is counted
+        // by `outstanding`.
         let t = &out.totals;
         prop_assert_eq!(
             t.admitted,
@@ -207,11 +199,9 @@ proptest! {
         prop_assert_eq!(out.metrics.counter("sched.deadlines.missed"), t.deadline_missed);
     }
 
-    fn quiescence_without_reservation(s in scenario_strategy()) {
-        // With slot 0 available to everyone, nothing is unservable: every
+    fn quiescence_at_idle(s in scenario_strategy()) {
+        // Slots 1-3 serve every priority, so nothing is unservable: every
         // admitted job must terminate.
-        let mut s = s.clone();
-        s.reserve_slot0 = false;
         let out = run_scenario(&s);
         prop_assert_eq!(out.outstanding, 0, "all admitted jobs completed at idle");
         let t = &out.totals;
@@ -221,12 +211,13 @@ proptest! {
 
 /// The acceptance bar: 64 logical tasks flood 4 physical slots, and the
 /// single priority-0 task still meets every deadline under both
-/// `FixedPriority` and `Edf`.
+/// `FixedPriority` and `Edf`. Admission refuses none of its jobs (the
+/// background tasks carry no deadline, so admission never gates them):
+/// the reserved slot, not the gatekeeper, protects the hard task.
 #[test]
 fn high_priority_never_starves_under_flood() {
     for policy in [SchedPolicy::FixedPriority, SchedPolicy::Edf] {
-        let mut sched = Scheduler::new(cfg(), policy);
-        sched.set_admission_control(false); // raw flood, no gatekeeper
+        let sched = Scheduler::new(cfg(), policy);
         let engine =
             Engine::new(cfg(), InterruptStrategy::VirtualInstruction, TimingBackend::new());
         let mut se = ScheduledEngine::new(engine, sched);
@@ -281,6 +272,7 @@ fn high_priority_never_starves_under_flood() {
         se.run_to_idle(rounds * period * 50).unwrap();
 
         let hi_stats = se.scheduler().stats(hi);
+        assert_eq!(hi_stats.rejected, 0, "{policy}: admission refused no hi-pri job");
         assert_eq!(hi_stats.completed, rounds, "{policy}: every hi-pri job completed");
         assert_eq!(
             hi_stats.deadline_missed, 0,

@@ -32,7 +32,9 @@
 //! Everything is virtual-cycle deterministic: the [`Gateway`] frontend
 //! is single-threaded and reproducible to the byte; [`LiveServer`] runs
 //! the same gateway behind a bounded command channel on real threads,
-//! with timeouts and bounded retry-with-backoff.
+//! with timeouts and bounded retry-with-backoff. Its channel and bus
+//! capacities, retry budget, timeouts and clock tick are fixed policy,
+//! so [`LiveServer::spawn`] takes only the gateway.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -66,9 +68,7 @@ mod place;
 mod request;
 
 pub use gateway::{Accepted, Gateway, DEFAULT_BATCH_WINDOW, DEFAULT_MAX_BATCH};
-pub use live::{
-    LiveConfig, LiveError, LiveReport, LiveServer, LiveSnapshot, TenantSummary, RESPONSE_TOPIC,
-};
+pub use live::{LiveError, LiveReport, LiveServer, LiveSnapshot, TenantSummary, RESPONSE_TOPIC};
 pub use place::PlacePolicy;
 pub use request::{Lane, RequestId, Response, ShedReason, TenantId, TenantSpec};
 

@@ -26,40 +26,22 @@ use crate::{Lane, Response, ShedReason, TenantId, TenantStats};
 /// Topic completed responses are published on.
 pub const RESPONSE_TOPIC: &str = "serve/responses";
 
-/// Tuning knobs for the live frontend.
-#[derive(Debug, Clone)]
-pub struct LiveConfig {
-    /// Capacity of the bounded command channel clients submit into.
-    pub command_capacity: usize,
-    /// Submission retries when the command channel is full before the
-    /// client gives up with [`LiveError::Busy`].
-    pub retry_limit: u32,
-    /// Initial backoff between submission retries (doubles per retry).
-    pub retry_backoff: Duration,
-    /// How long a client waits for the driver's admission reply.
-    pub reply_timeout: Duration,
-    /// Per-subscriber capacity of the response bus.
-    pub bus_capacity: usize,
-    /// Virtual cycles the driver's clock advances per received command
-    /// and per idle poll (so batch windows expire without traffic).
-    pub cycles_per_tick: u64,
-    /// Wall-clock interval of the driver's idle poll.
-    pub poll_interval: Duration,
-}
-
-impl Default for LiveConfig {
-    fn default() -> Self {
-        Self {
-            command_capacity: 64,
-            retry_limit: 5,
-            retry_backoff: Duration::from_micros(50),
-            reply_timeout: Duration::from_secs(5),
-            bus_capacity: 256,
-            cycles_per_tick: 1_000,
-            poll_interval: Duration::from_millis(1),
-        }
-    }
-}
+/// Capacity of the bounded command channel clients submit into.
+const COMMAND_CAPACITY: usize = 64;
+/// Submission retries when the command channel is full before the client
+/// gives up with [`LiveError::Busy`].
+const RETRY_LIMIT: u32 = 5;
+/// Initial backoff between submission retries (doubles per retry).
+const RETRY_BACKOFF: Duration = Duration::from_micros(50);
+/// How long a client waits for the driver's reply.
+const REPLY_TIMEOUT: Duration = Duration::from_secs(5);
+/// Per-subscriber capacity of the response bus.
+const BUS_CAPACITY: usize = 256;
+/// Virtual cycles the driver's clock advances per received command and per
+/// idle poll (so batch windows expire without traffic).
+const CYCLES_PER_TICK: u64 = 1_000;
+/// Wall-clock interval of the driver's idle poll.
+const POLL_INTERVAL: Duration = Duration::from_millis(1);
 
 /// Why a live submission failed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -194,24 +176,21 @@ enum Cmd {
 pub struct LiveServer {
     tx: Sender<Cmd>,
     bus: LiveBus<Response>,
-    cfg: LiveConfig,
     handle: Option<JoinHandle<()>>,
 }
 
 impl LiveServer {
     /// Spawns the driver thread over `gateway`.
     #[must_use]
-    pub fn spawn<B>(gateway: Gateway<B>, cfg: LiveConfig) -> Self
+    pub fn spawn<B>(gateway: Gateway<B>) -> Self
     where
         B: Backend + Send + 'static,
     {
-        let (tx, rx) = bounded::<Cmd>(cfg.command_capacity.max(1));
-        let bus: LiveBus<Response> = LiveBus::with_capacity(cfg.bus_capacity.max(1));
+        let (tx, rx) = bounded::<Cmd>(COMMAND_CAPACITY);
+        let bus: LiveBus<Response> = LiveBus::with_capacity(BUS_CAPACITY);
         let driver_bus = bus.clone();
-        let tick = cfg.cycles_per_tick.max(1);
-        let poll = cfg.poll_interval;
-        let handle = thread::spawn(move || drive(gateway, rx, driver_bus, tick, poll));
-        Self { tx, bus, cfg, handle: Some(handle) }
+        let handle = thread::spawn(move || drive(gateway, rx, driver_bus));
+        Self { tx, bus, handle: Some(handle) }
     }
 
     /// Subscribes to the bounded response bus. Slow subscribers miss
@@ -232,11 +211,11 @@ impl LiveServer {
     pub fn submit(&self, tenant: TenantId) -> Result<Accepted, LiveError> {
         let (reply, rx) = bounded(1);
         let mut cmd = Cmd::Submit { tenant, reply };
-        let mut backoff = self.cfg.retry_backoff;
-        for attempt in 0..=self.cfg.retry_limit {
+        let mut backoff = RETRY_BACKOFF;
+        for attempt in 0..=RETRY_LIMIT {
             match self.tx.try_send(cmd) {
                 Ok(()) => {
-                    return match rx.recv_timeout(self.cfg.reply_timeout) {
+                    return match rx.recv_timeout(REPLY_TIMEOUT) {
                         Ok(Ok(accepted)) => Ok(accepted),
                         Ok(Err(reason)) => Err(LiveError::Shed(reason)),
                         Err(RecvTimeoutError::Timeout) => Err(LiveError::TimedOut),
@@ -245,7 +224,7 @@ impl LiveServer {
                 }
                 Err(TrySendError::Full(back)) => {
                     cmd = back;
-                    if attempt < self.cfg.retry_limit {
+                    if attempt < RETRY_LIMIT {
                         thread::sleep(backoff);
                         backoff = backoff.saturating_mul(2);
                     }
@@ -265,7 +244,7 @@ impl LiveServer {
     pub fn snapshot(&self) -> Result<LiveSnapshot, LiveError> {
         let (reply, rx) = bounded(1);
         self.tx.send(Cmd::Snapshot { reply }).map_err(|_| LiveError::Disconnected)?;
-        match rx.recv_timeout(self.cfg.reply_timeout) {
+        match rx.recv_timeout(REPLY_TIMEOUT) {
             Ok(s) => Ok(s),
             Err(RecvTimeoutError::Timeout) => Err(LiveError::TimedOut),
             Err(RecvTimeoutError::Disconnected) => Err(LiveError::Disconnected),
@@ -282,7 +261,7 @@ impl LiveServer {
     pub fn shutdown(mut self) -> Result<LiveReport, LiveError> {
         let (reply, rx) = bounded(1);
         self.tx.send(Cmd::Shutdown { reply }).map_err(|_| LiveError::Disconnected)?;
-        let report = match rx.recv_timeout(self.cfg.reply_timeout.saturating_mul(4)) {
+        let report = match rx.recv_timeout(REPLY_TIMEOUT.saturating_mul(4)) {
             Ok(r) => r,
             Err(RecvTimeoutError::Timeout) => return Err(LiveError::TimedOut),
             Err(RecvTimeoutError::Disconnected) => return Err(LiveError::Disconnected),
@@ -296,19 +275,13 @@ impl LiveServer {
 
 /// The driver loop: apply commands, advance the virtual clock, publish
 /// completions.
-fn drive<B: Backend>(
-    mut gateway: Gateway<B>,
-    rx: Receiver<Cmd>,
-    bus: LiveBus<Response>,
-    tick: u64,
-    poll: Duration,
-) {
+fn drive<B: Backend>(mut gateway: Gateway<B>, rx: Receiver<Cmd>, bus: LiveBus<Response>) {
     let mut clock = gateway.now();
     let mut published = 0u64;
     loop {
-        match rx.recv_timeout(poll) {
+        match rx.recv_timeout(POLL_INTERVAL) {
             Ok(Cmd::Submit { tenant, reply }) => {
-                clock += tick;
+                clock += CYCLES_PER_TICK;
                 let outcome = gateway.submit(clock, tenant);
                 let _ = reply.send(outcome);
                 // Serve whatever is ready without waiting for the poll.
@@ -342,7 +315,7 @@ fn drive<B: Backend>(
             }
             Err(RecvTimeoutError::Timeout) => {
                 // Idle tick: expire batch windows, finish in-flight work.
-                clock = clock.max(gateway.now()) + tick;
+                clock = clock.max(gateway.now()) + CYCLES_PER_TICK;
                 if gateway.run_until(clock).is_err() {
                     break;
                 }

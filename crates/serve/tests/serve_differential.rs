@@ -9,6 +9,7 @@
 
 use std::sync::Arc;
 
+use inca_accel::analysis::predicted_span;
 use inca_accel::{AccelConfig, CorePool, DdrImage, Engine, FuncBackend, InterruptStrategy};
 use inca_compiler::Compiler;
 use inca_isa::{Program, TaskSlot};
@@ -54,17 +55,6 @@ fn compile(strategy: InterruptStrategy, net: &inca_model::Network) -> Arc<Progra
         InterruptStrategy::VirtualInstruction => compiler.compile_vi(net).unwrap(),
         _ => compiler.compile(net).unwrap(),
     })
-}
-
-/// Uninterrupted makespan of `program`, measured on the timing backend
-/// (FuncBackend charges identical cycles).
-fn makespan(program: &Program) -> u64 {
-    let slot = TaskSlot::new(3).unwrap();
-    let mut e =
-        Engine::new(cfg(), InterruptStrategy::VirtualInstruction, inca_accel::TimingBackend::new());
-    e.load(slot, program.clone()).unwrap();
-    e.request_at(0, slot).unwrap();
-    e.run().unwrap().completed_jobs[0].finish
 }
 
 #[test]
@@ -124,7 +114,7 @@ fn served_contended_run_is_bit_identical_to_dedicated() {
             // Backgrounds land first (batched together — same network),
             // the mids arrive mid-run, the hard request arrives while the
             // datapath is busy (true IAU preemption through slot 0).
-            let span = makespan(&lo_prog);
+            let span = predicted_span(&cfg(), &lo_prog);
             gw.submit(0, tenants[0]).unwrap();
             gw.submit(0, tenants[1]).unwrap();
             gw.run_until(span / 4).unwrap();

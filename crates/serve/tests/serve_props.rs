@@ -22,6 +22,7 @@
 
 use std::sync::Arc;
 
+use inca_accel::analysis::predicted_span;
 use inca_accel::{AccelConfig, CorePool, InterruptStrategy, TimingBackend};
 use inca_compiler::Compiler;
 use inca_isa::Program;
@@ -308,17 +309,6 @@ fn gateway_probe_reaches_every_part() {
     }
 }
 
-/// Uninterrupted makespan of `program` on a dedicated timing engine.
-fn makespan(program: &Program) -> u64 {
-    use inca_accel::Engine;
-    use inca_isa::TaskSlot;
-    let slot = TaskSlot::new(3).unwrap();
-    let mut e = Engine::new(cfg(), InterruptStrategy::VirtualInstruction, TimingBackend::new());
-    e.load(slot, program.clone()).unwrap();
-    e.request_at(0, slot).unwrap();
-    e.run().unwrap().completed_jobs[0].finish
-}
-
 /// The acceptance bar (mirrors `fig_serve_load` part A): on a single
 /// core, the hard lane's worst-case latency under best-effort saturation
 /// stays within 10% of its unloaded latency when the VI strategy carries
@@ -342,7 +332,7 @@ fn hard_lane_latency_is_isolated_from_best_effort_load_under_vi() {
             InterruptStrategy::VirtualInstruction => compiler.compile_vi(&be_net).unwrap(),
             _ => compiler.compile(&be_net).unwrap(),
         });
-        let be_span = makespan(&be_prog);
+        let be_span = predicted_span(&cfg(), &be_prog);
 
         let pool = CorePool::new(1, cfg(), strategy, TimingBackend::new);
         let mut gw = Gateway::new(pool, SchedPolicy::FixedPriority, PlacePolicy::LeastLoaded);

@@ -14,26 +14,17 @@
 
 use std::sync::Arc;
 
-use inca::accel::{AccelConfig, CorePool, Engine, InterruptStrategy, TimingBackend};
-use inca::cluster::{Cluster, ElasticConfig, GatewayId, RoutePolicy};
+use inca::accel::analysis::predicted_span;
+use inca::accel::{AccelConfig, CorePool, InterruptStrategy, TimingBackend};
+use inca::cluster::{Cluster, GatewayId, RoutePolicy};
 use inca::compiler::Compiler;
-use inca::isa::{Program, TaskSlot};
+use inca::isa::Program;
 use inca::model::{zoo, Shape3};
 use inca::serve::{DropPolicy, Gateway, PlacePolicy, SchedPolicy, TenantSpec};
 use inca_bench::workload::Gaps;
 
 const GATEWAYS: usize = 4;
 const CORES: usize = 4;
-
-/// Uncontended end-to-end cycles of `program` — the yardstick the
-/// arrival rate and deadlines are calibrated against.
-fn makespan(cfg: AccelConfig, program: &Arc<Program>) -> u64 {
-    let mut e = Engine::new(cfg, InterruptStrategy::VirtualInstruction, TimingBackend::new());
-    let slot = TaskSlot::new(3).expect("slot 3 exists");
-    e.load(slot, Arc::clone(program)).expect("load");
-    e.request_at(0, slot).expect("request");
-    e.run().expect("run").completed_jobs[0].finish
-}
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cfg = AccelConfig::paper_big();
@@ -57,9 +48,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         })
         .collect();
     let mut cluster = Cluster::new(gateways, RoutePolicy::WeightCacheAware);
-    cluster.set_elastic(Some(ElasticConfig::default()));
-    cluster.set_steal_batch(2);
-    let gap = makespan(cfg, programs.last().expect("eight programs"));
+    cluster.set_rebalance(true);
+    let gap = predicted_span(&cfg, programs.last().expect("eight programs"));
     cluster.set_batch_window(gap / 4);
 
     let tenants: Vec<_> = programs

@@ -36,8 +36,7 @@ use inca::compiler::Compiler;
 use inca::model::{zoo, Shape3};
 use inca::obs::{Analyzer, Tracer};
 use inca::serve::{
-    DropPolicy, Gateway, LiveConfig, LiveServer, PlacePolicy, SchedPolicy, TenantId, TenantSpec,
-    TenantSummary,
+    DropPolicy, Gateway, LiveServer, PlacePolicy, SchedPolicy, TenantId, TenantSpec, TenantSummary,
 };
 
 fn build_gateway() -> Result<(Gateway<TimingBackend>, [TenantId; 3]), Box<dyn std::error::Error>> {
@@ -170,7 +169,7 @@ fn run_live(watch: bool) -> Result<(), Box<dyn std::error::Error>> {
         gw.enable_timeline(50_000, 1024);
     }
     let [camera, lidar, estop] = tenants;
-    let server = LiveServer::spawn(gw, LiveConfig::default());
+    let server = LiveServer::spawn(gw);
     let responses = server.responses();
 
     // The submission loop may be cut short (a wedged driver, an estop

@@ -42,8 +42,14 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q -p inca \
 echo "== code lines and public setters per crate (scripts/loc.sh)"
 scripts/loc.sh
 
-echo "== serving, cluster, live-threads and DSLAM examples"
-cargo build --release --example serve --example cluster --example dslam --example live_threads -q
+echo "== quickstart, scheduler, priority-inversion, serving, cluster, live-threads and DSLAM examples"
+cargo build --release --example quickstart --example scheduler --example priority_inversion \
+    --example serve --example cluster --example dslam --example live_threads -q
+# `cargo test` only compiles examples; running these three checks they
+# succeed end to end (quickstart asserts interrupt transparency).
+./target/release/examples/quickstart > /dev/null
+./target/release/examples/scheduler > /dev/null
+./target/release/examples/priority_inversion > /dev/null
 ./target/release/examples/serve > /dev/null
 # Elastic scaling, work stealing and `run_to_idle` across four gateways.
 ./target/release/examples/cluster > /dev/null

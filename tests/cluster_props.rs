@@ -23,18 +23,20 @@
 
 use std::sync::Arc;
 
+use inca::accel::analysis::predicted_span;
 use inca::accel::{
-    AccelConfig, AdvanceMode, AdvanceStats, Backend, CoreId, CorePool, Engine, FuncBackend,
+    AccelConfig, AdvanceMode, AdvanceStats, Backend, CoreId, CorePool, FuncBackend,
     InterruptStrategy, Tier, TimingBackend,
 };
-use inca::cluster::{Cluster, ElasticConfig, GatewayId, RoutePolicy, RouteStats};
+use inca::cluster::{Cluster, GatewayId, RoutePolicy, RouteStats};
 use inca::compiler::Compiler;
-use inca::isa::{Program, TaskSlot};
+use inca::isa::Program;
 use inca::model::{zoo, Shape3};
 use inca::obs::{Metrics, MetricsSnapshot};
 use inca::serve::{
     DropPolicy, Gateway, PlacePolicy, Response, SchedPolicy, TenantId, TenantSpec, TenantStats,
 };
+use inca_bench::p99;
 use inca_bench::workload::Gaps;
 
 fn cfg() -> AccelConfig {
@@ -51,20 +53,6 @@ fn programs() -> Vec<Arc<Program>> {
             Arc::new(c.compile_vi(&zoo::tiny(Shape3::new(3, side, side)).unwrap()).unwrap())
         })
         .collect()
-}
-
-fn makespan(program: &Arc<Program>) -> u64 {
-    let slot = TaskSlot::new(3).unwrap();
-    let mut e = Engine::new(cfg(), InterruptStrategy::VirtualInstruction, TimingBackend::new());
-    e.load(slot, Arc::clone(program)).unwrap();
-    e.request_at(0, slot).unwrap();
-    e.run().unwrap().completed_jobs[0].finish
-}
-
-fn p99(values: &mut [u64]) -> u64 {
-    assert!(!values.is_empty());
-    values.sort_unstable();
-    values[(99 * values.len()).div_ceil(100) - 1]
 }
 
 struct Fleet<B: Backend> {
@@ -103,7 +91,7 @@ fn build_fleet_with<B: Backend>(
         .collect();
     let mut cluster = Cluster::new(gws, route);
     let programs = programs();
-    let mean_gap = makespan(&programs[5]);
+    let mean_gap = predicted_span(&cfg(), &programs[5]);
     cluster.set_batch_window(mean_gap / 4);
     let tenants: Vec<TenantId> = programs
         .iter()
@@ -231,8 +219,7 @@ fn conservation_and_hard_lane_isolation_under_flood() {
     // machinery on: stealing, elastic scaling, shed cascades.
     let mut flood = build_fleet(4, 4, TimingBackend::new);
     flood.cluster.set_batch_window(window);
-    flood.cluster.set_elastic(Some(ElasticConfig::default()));
-    flood.cluster.set_steal_batch(2);
+    flood.cluster.set_rebalance(true);
     let flood_responses = drive(&mut flood, HARD_FRAMES, true);
     let mut flood_lat = hard_latencies(&flood_responses, flood.hard);
     assert_eq!(flood_lat.len() as u64, HARD_FRAMES);
@@ -280,11 +267,13 @@ fn cluster_keeps_serving_after_an_uncapped_idle_loop() {
 
 /// A stolen request moves once per barrier: the thieves are the gateways
 /// idle when the steal pass starts, so a robbed victim does not steal it
-/// back and a thief does not pass it on to the next idle gateway.
+/// back and a thief does not pass it on to the next idle gateway. One
+/// pending request on one-core gateways leaves elastic scaling nothing to
+/// resize, so only the steal pass acts.
 #[test]
 fn a_stolen_request_moves_once_per_barrier() {
     let Fleet { mut cluster, tenants, .. } = build_fleet(4, 1, TimingBackend::new);
-    cluster.set_steal_batch(1);
+    cluster.set_rebalance(true);
     let (home, acc) = cluster.submit(0, tenants[0]).expect("an idle fleet admits");
     assert_eq!(acc.core, None, "best-effort work waits in its batch");
     cluster.run_until(1).expect("engine");
@@ -372,8 +361,7 @@ fn func_run(threads: usize, mode: AdvanceMode) -> ClusterObservables {
     for g in 0..fleet.cluster.gateway_count() {
         fleet.cluster.gateway_mut(GatewayId(g)).barrier().set_mode(mode);
     }
-    fleet.cluster.set_elastic(Some(ElasticConfig::default()));
-    fleet.cluster.set_steal_batch(2);
+    fleet.cluster.set_rebalance(true);
     fleet.cluster.enable_timeline(fleet.mean_gap, 4096);
 
     // The functional backend executes real int8 arithmetic, so every

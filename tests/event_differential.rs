@@ -19,6 +19,7 @@
 
 use std::sync::Arc;
 
+use inca::accel::analysis::predicted_span;
 use inca::accel::{
     AccelConfig, AdvanceMode, AdvanceStats, Backend, CoreId, CorePool, DdrImage, Engine,
     FuncBackend, InterruptStrategy, Report, SpanSupport, Stepped, Tier,
@@ -67,14 +68,6 @@ fn all_outputs(program: &Program, image: &DdrImage) -> LayerOutputs {
     program.layers.iter().map(|m| image.read_output(m)).collect()
 }
 
-fn makespan(strategy: InterruptStrategy, program: &Arc<Program>) -> u64 {
-    let slot = TaskSlot::new(3).unwrap();
-    let mut e = Engine::new(cfg(), strategy, inca::accel::TimingBackend::new());
-    e.load(slot, Arc::clone(program)).unwrap();
-    e.request_at(0, slot).unwrap();
-    e.run().unwrap().completed_jobs[0].finish
-}
-
 /// Everything a pool run can observably produce, snapshotted mid-run and
 /// at the end. Two runs are "the same run" iff these compare equal.
 #[derive(Debug, PartialEq)]
@@ -102,7 +95,7 @@ fn pool_run<B: Backend>(
 ) -> (PoolObservables, AdvanceStats) {
     let lo_prog = compile(strategy, &zoo::tiny(Shape3::new(3, 24, 24)).unwrap());
     let hi_prog = compile(strategy, &zoo::tiny(Shape3::new(3, 16, 16)).unwrap());
-    let span = makespan(strategy, &lo_prog);
+    let span = predicted_span(&cfg(), &lo_prog);
     let (lo, hi) = (TaskSlot::new(3).unwrap(), TaskSlot::new(1).unwrap());
 
     let (tracer, buf) = Tracer::ring(1 << 16);
@@ -275,7 +268,7 @@ fn gateway_run(
         }
     }
 
-    let span = makespan(strategy, &lo_prog);
+    let span = predicted_span(&cfg(), &lo_prog);
     gw.submit(0, tenants[0]).unwrap();
     gw.submit(0, tenants[1]).unwrap();
     gw.run_until(span / 4).unwrap();
@@ -377,7 +370,7 @@ fn span_commits_match_the_stepped_oracle() {
     let (hi, lo) = (TaskSlot::new(1).unwrap(), TaskSlot::new(3).unwrap());
     for strategy in STRATEGIES {
         let program = compile(strategy, &net);
-        let span = makespan(strategy, &program);
+        let span = predicted_span(&cfg(), &program);
         let mut spans = Engine::new(cfg(), strategy, TimingBackend::new());
         let mut steps = Engine::new(cfg(), strategy, Stepped(TimingBackend::new()));
         macro_rules! both {
