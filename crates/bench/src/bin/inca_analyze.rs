@@ -257,9 +257,9 @@ fn mission_mode(args: &Args) -> Result<ExitCode, String> {
         let mission = Mission::new(cfg).map_err(|e| e.to_string())?;
         let (_outcome, trace) = mission.run_traced(200_000).map_err(|e| e.to_string())?;
 
-        // The mission's victim is always PR (FE outranks it, and without
-        // background tasks nothing outranks FE), so the analytical t2
-        // model is evaluated on the PR program.
+        // The mission's victim is always PR (FE outranks it, and nothing
+        // outranks FE), so the analytical t2 model is evaluated on the PR
+        // program.
         let model = T2Model {
             strategy: strategy.to_string(),
             worst_t2: analysis::t2_worst(&accel, *strategy, mission.pr_program()),

@@ -23,7 +23,8 @@
 //!   matching, rigid alignment and GeM pooling over synthetic CNN
 //!   responses);
 //! * [`mission`] — the full two-agent mission wired through
-//!   [`inca_runtime::Runtime`] nodes onto the accelerator engine.
+//!   [`inca_runtime::Runtime`] nodes onto the accelerator engine, FE and
+//!   PR each on a fixed task slot (FE's preempts PR's).
 //!
 //! ## Example
 //!

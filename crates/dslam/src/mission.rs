@@ -13,7 +13,7 @@
 //!   encoding the newest frame each time a pass completes.
 //!
 //! After both agents run, PR codes are matched across agents and a match
-//! above threshold triggers map merging.
+//! above a fixed similarity threshold triggers map merging.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -24,7 +24,7 @@ use inca_compiler::Compiler;
 use inca_isa::{Program, Shape3, TaskSlot};
 use inca_model::zoo;
 use inca_obs::{ChromeTrace, Metrics, TraceEvent, Tracer};
-use inca_runtime::{DropPolicy, JobHandle, Node, NodeContext, Runtime, TaskId, TaskSpec};
+use inca_runtime::{JobHandle, Node, NodeContext, Runtime};
 
 use crate::camera::{Camera, CameraConfig, Frame};
 use crate::features::{FeatureExtractor, Keypoint};
@@ -34,6 +34,10 @@ use crate::trajectory::Trajectory;
 use crate::vo::VisualOdometry;
 use crate::world::World;
 use crate::DslamError;
+
+/// PR similarity threshold for a loop closure within an agent and for a
+/// cross-agent match.
+const MERGE_THRESHOLD: f32 = 0.90;
 
 /// Mission parameters.
 #[derive(Debug, Clone)]
@@ -52,19 +56,9 @@ pub struct MissionConfig {
     pub fe_input: Shape3,
     /// PR backbone input shape (GeM/ResNet101; paper: 3×480×640).
     pub pr_input: Shape3,
-    /// PR similarity threshold for cross-agent matching.
-    pub merge_threshold: f32,
     /// Run intra-agent loop-closure pose-graph relaxation after the
     /// mission (bounds VO drift before merging).
     pub loop_closure: bool,
-    /// Number of best-effort background tasks sharing each agent's
-    /// accelerator (a swarm of auxiliary CNNs: obstacle nets, gesture
-    /// nets, …). `0` (the default) keeps the classic direct-slot mission;
-    /// any other value routes FE, PR *and* the swarm through the
-    /// slot-virtualizing [`inca_runtime::Scheduler`]: FE at priority 0
-    /// with the frame period as deadline, PR at priority 2, the swarm at
-    /// priority 3 on drop-oldest queues.
-    pub background_tasks: usize,
 }
 
 impl Default for MissionConfig {
@@ -81,9 +75,7 @@ impl Default for MissionConfig {
             // configuration downsamples even further, to 120x160.
             fe_input: Shape3::new(1, 240, 320),
             pr_input: Shape3::new(3, 480, 640),
-            merge_threshold: 0.90,
             loop_closure: true,
-            background_tasks: 0,
         }
     }
 }
@@ -115,9 +107,6 @@ pub struct AgentOutcome {
     pub deadline_misses: usize,
     /// PR passes completed.
     pub pr_completed: u32,
-    /// Background swarm jobs completed (0 unless
-    /// [`MissionConfig::background_tasks`] is set).
-    pub background_completed: u64,
     /// VO tracking failures.
     pub vo_failures: u32,
     /// Intra-agent loop closures applied by the pose-graph relaxation.
@@ -202,16 +191,8 @@ impl Node<Msg> for CameraNode {
     }
 }
 
-/// Where a node's accelerator jobs go: a fixed physical slot (the classic
-/// mission) or a logical task on the installed scheduler (swarm mode).
-#[derive(Clone, Copy)]
-enum AccelTarget {
-    Slot(TaskSlot),
-    Task(TaskId),
-}
-
 struct FeNode {
-    target: AccelTarget,
+    slot: TaskSlot,
     period_cycles: u64,
     extractor: FeatureExtractor,
     pending: Option<Arc<Frame>>,
@@ -230,16 +211,7 @@ impl Node<Msg> for FeNode {
             return;
         }
         self.pending = Some(Arc::clone(frame));
-        match self.target {
-            AccelTarget::Slot(slot) => {
-                let _ = ctx.submit_accel_with_deadline(slot, ctx.now() + self.period_cycles);
-            }
-            // The scheduler already carries the frame-period deadline in
-            // the FE task spec.
-            AccelTarget::Task(task) => {
-                let _ = ctx.submit_task(task);
-            }
-        }
+        let _ = ctx.submit_accel_with_deadline(self.slot, ctx.now() + self.period_cycles);
     }
     fn on_accel_done(&mut self, ctx: &mut NodeContext<'_, Msg>, _j: JobHandle, _r: &JobRecord) {
         // The CNN backbone finished; the FE post-processing block (NMS +
@@ -283,7 +255,7 @@ impl Node<Msg> for VoNode {
 }
 
 struct PrNode {
-    target: AccelTarget,
+    slot: TaskSlot,
     recognizer: PlaceRecognizer,
     snapshot: Option<Arc<Frame>>,
     started: bool,
@@ -295,14 +267,7 @@ impl PrNode {
     fn submit(&mut self, ctx: &mut NodeContext<'_, Msg>, frame: Arc<Frame>) {
         self.snapshot = Some(frame);
         self.started = true;
-        match self.target {
-            AccelTarget::Slot(slot) => {
-                let _ = ctx.submit_accel(slot);
-            }
-            AccelTarget::Task(task) => {
-                let _ = ctx.submit_task(task);
-            }
-        }
+        let _ = ctx.submit_accel(self.slot);
     }
 }
 
@@ -344,32 +309,11 @@ impl Node<Msg> for PrNode {
     }
 }
 
-/// Best-effort background swarm: re-submits every auxiliary task once per
-/// frame period; the drop-oldest queues absorb whatever the accelerator
-/// cannot serve.
-struct SwarmNode {
-    tasks: Vec<TaskId>,
-    period_cycles: u64,
-}
-
-impl Node<Msg> for SwarmNode {
-    fn name(&self) -> &str {
-        "bg-swarm"
-    }
-    fn on_timer(&mut self, ctx: &mut NodeContext<'_, Msg>, _t: u32) {
-        for &task in &self.tasks {
-            let _ = ctx.submit_task(task);
-        }
-        ctx.schedule_timer(self.period_cycles, 0);
-    }
-}
-
 /// The mission driver.
 pub struct Mission {
     config: MissionConfig,
     fe_program: Arc<Program>,
     pr_program: Arc<Program>,
-    bg_program: Option<Arc<Program>>,
     world: Arc<World>,
 }
 
@@ -391,15 +335,8 @@ impl Mission {
             zoo::gem_resnet101(config.pr_input).map_err(inca_compiler::CompileError::Model)?;
         let fe_program = Arc::new(compiler.compile_vi(&fe_net)?);
         let pr_program = Arc::new(compiler.compile_vi(&pr_net)?);
-        let bg_program = if config.background_tasks > 0 {
-            let bg_net =
-                zoo::tiny(Shape3::new(3, 32, 32)).map_err(inca_compiler::CompileError::Model)?;
-            Some(Arc::new(compiler.compile_vi(&bg_net)?))
-        } else {
-            None
-        };
         let world = Arc::new(World::paper_arena(config.seed));
-        Ok(Self { config, fe_program, pr_program, bg_program, world })
+        Ok(Self { config, fe_program, pr_program, world })
     }
 
     /// The compiled FE program (for inspection).
@@ -425,36 +362,12 @@ impl Mission {
         rt.set_tracer(tracer.clone());
         let period_cycles = cfg.accel.us_to_cycles(cfg.camera.period_s() * 1e6);
 
-        // Swarm mode: everything (FE, PR and the background tasks) goes
-        // through the slot-virtualizing scheduler. Classic mode: FE and PR
-        // own fixed physical slots, exactly as the paper deploys them.
-        let (fe_target, pr_target, bg_tasks) = if cfg.background_tasks > 0 {
-            let bg_program = self.bg_program.as_ref().expect("bg program compiled in Mission::new");
-            let fe = rt.register_task(
-                TaskSpec::new("fe", Arc::clone(&self.fe_program))
-                    .priority(0)
-                    .deadline(period_cycles)
-                    .queue(2, DropPolicy::Reject),
-            );
-            let pr =
-                rt.register_task(TaskSpec::new("pr", Arc::clone(&self.pr_program)).priority(2));
-            let bg = (0..cfg.background_tasks)
-                .map(|i| {
-                    rt.register_task(
-                        TaskSpec::new(format!("bg{i}"), Arc::clone(bg_program))
-                            .priority(3)
-                            .queue(1, DropPolicy::DropOldest),
-                    )
-                })
-                .collect();
-            (AccelTarget::Task(fe), AccelTarget::Task(pr), bg)
-        } else {
-            let fe_slot = TaskSlot::new(1).expect("slot 1");
-            let pr_slot = TaskSlot::new(3).expect("slot 3");
-            rt.engine_mut().load(fe_slot, Arc::clone(&self.fe_program))?;
-            rt.engine_mut().load(pr_slot, Arc::clone(&self.pr_program))?;
-            (AccelTarget::Slot(fe_slot), AccelTarget::Slot(pr_slot), Vec::new())
-        };
+        // FE and PR own fixed physical slots, exactly as the paper deploys
+        // them.
+        let fe_slot = TaskSlot::new(1).expect("slot 1");
+        let pr_slot = TaskSlot::new(3).expect("slot 3");
+        rt.engine_mut().load(fe_slot, Arc::clone(&self.fe_program))?;
+        rt.engine_mut().load(pr_slot, Arc::clone(&self.pr_program))?;
 
         let state: Shared = Rc::default();
         let frames_total = (cfg.duration_s * cfg.camera.fps).floor() as u32;
@@ -470,7 +383,7 @@ impl Mission {
             state: Rc::clone(&state),
         });
         let fe = rt.add_node(FeNode {
-            target: fe_target,
+            slot: fe_slot,
             period_cycles,
             extractor: FeatureExtractor::default(),
             pending: None,
@@ -478,7 +391,7 @@ impl Mission {
         });
         let vo = rt.add_node(VoNode { state: Rc::clone(&state) });
         let pr = rt.add_node(PrNode {
-            target: pr_target,
+            slot: pr_slot,
             recognizer: PlaceRecognizer::default(),
             snapshot: None,
             started: false,
@@ -489,17 +402,11 @@ impl Mission {
         rt.subscribe(pr, "camera/image");
         rt.subscribe(vo, "fe/features");
         rt.schedule_timer(cam, 0, 0);
-        if !bg_tasks.is_empty() {
-            let swarm = rt.add_node(SwarmNode { tasks: bg_tasks.clone(), period_cycles });
-            rt.schedule_timer(swarm, 0, 0);
-        }
 
         let deadline = cfg.accel.us_to_cycles(cfg.duration_s * 1e6);
         rt.run_until(deadline)?;
         let report = rt.report();
         let mut metrics = rt.metrics();
-        let background_completed =
-            bg_tasks.iter().map(|&t| rt.scheduler().stats(t).completed).sum();
         drop(rt); // release the nodes' clones of the shared state
 
         let mut st = Rc::try_unwrap(state)
@@ -509,7 +416,7 @@ impl Mission {
         let mut loop_closures = 0;
         if cfg.loop_closure {
             let closures =
-                crate::posegraph::detect_loop_closures(&st.map, &st.codes, cfg.merge_threshold, 40);
+                crate::posegraph::detect_loop_closures(&st.map, &st.codes, MERGE_THRESHOLD, 40);
             loop_closures = crate::posegraph::optimize_trajectory(&mut st.map, &closures, 5);
             if loop_closures > 0 {
                 tracer.emit(|| TraceEvent::Milestone {
@@ -523,7 +430,6 @@ impl Mission {
         metrics.inc("dslam.fe.completed", u64::from(st.fe_completed));
         metrics.inc("dslam.fe.dropped", u64::from(st.fe_dropped));
         metrics.inc("dslam.pr.completed", u64::from(st.pr_completed));
-        metrics.inc("dslam.bg.completed", background_completed);
         metrics
             .inc("dslam.vo.failures", u64::from(st.vo.as_ref().map_or(0, |v| v.tracking_failures)));
         metrics.inc("dslam.loop_closures", loop_closures as u64);
@@ -533,7 +439,6 @@ impl Mission {
             fe_dropped: st.fe_dropped,
             deadline_misses: report.deadline_misses(),
             pr_completed: st.pr_completed,
-            background_completed,
             vo_failures: st.vo.as_ref().map_or(0, |v| v.tracking_failures),
             loop_closures,
             ate_before_optimization: ate_before,
@@ -595,7 +500,7 @@ impl Mission {
         for cb in &b.codes.codes {
             for ca in &a.codes.codes {
                 let s = code_similarity(cb, ca);
-                if s >= self.config.merge_threshold {
+                if s >= MERGE_THRESHOLD {
                     candidates.push((s, ca.frame, cb.frame));
                 }
             }
@@ -757,24 +662,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn background_swarm_shares_the_accelerator_without_hurting_fe() {
-        let mut cfg = MissionConfig::small_test();
-        cfg.duration_s = 1.0;
-        cfg.background_tasks = 6;
-        let outcome = Mission::new(cfg).unwrap().run().unwrap();
-        for (i, a) in outcome.agents.iter().enumerate() {
-            assert!(a.fe_completed > 0, "agent {i}: FE starved by the swarm");
-            assert!(a.pr_completed > 0, "agent {i}: PR starved by the swarm");
-            assert!(a.background_completed > 0, "agent {i}: swarm never ran");
-            assert_eq!(
-                a.deadline_misses, 0,
-                "agent {i}: FE missed frame deadlines under the swarm"
-            );
-            assert!(!a.interrupts.is_empty(), "agent {i}: priority work should preempt the swarm");
-        }
-    }
-
     /// FNV-1a over every agent's accelerator schedule (jobs, preemptions,
     /// deadline verdicts).
     fn schedule_digest(outcome: &MissionOutcome) -> u64 {
@@ -796,50 +683,32 @@ mod tests {
     }
 
     #[test]
-    fn swarm_mode_is_deterministic() {
-        let cfg = {
-            let mut c = MissionConfig::small_test();
-            c.duration_s = 1.0;
-            c.background_tasks = 4;
-            c
-        };
-        let a = Mission::new(cfg.clone()).unwrap().run().unwrap();
-        let b = Mission::new(cfg).unwrap().run().unwrap();
-        // `BENCH_dslam.json` completes no background job, so this digest
-        // (recorded before the drive loop moved into `Scheduler::step`)
-        // is the only absolute pin on the Runtime + Scheduler schedule.
-        assert_eq!(schedule_digest(&a), 0xff17_9a46_9811_d875);
-        assert_eq!(schedule_digest(&a), schedule_digest(&b));
-        assert_eq!(a.agents[0].fe_completed, b.agents[0].fe_completed);
-        assert_eq!(a.agents[0].pr_completed, b.agents[0].pr_completed);
-        assert_eq!(a.agents[0].background_completed, b.agents[0].background_completed);
-        assert_eq!(
-            a.agents[0].map.trajectory.last().map(|s| s.estimate),
-            b.agents[0].map.trajectory.last().map(|s| s.estimate),
-        );
+    fn classic_mission_schedule_is_pinned() {
+        let mut cfg = MissionConfig::small_test();
+        cfg.duration_s = 1.0;
+        let outcome = Mission::new(cfg).unwrap().run().unwrap();
+        // The only `cargo test` pin on the `Runtime` schedule: both
+        // agents' jobs, preemptions and deadline verdicts.
+        assert_eq!(schedule_digest(&outcome), 0x78f1_16ae_abec_a441);
     }
 
     #[test]
     fn runs_share_the_compiled_programs() {
-        for background_tasks in [0, 2] {
-            let mut cfg = MissionConfig::small_test();
-            cfg.duration_s = 0.5;
-            cfg.background_tasks = background_tasks;
-            let mission = Mission::new(cfg).unwrap();
-            let (a, b) = (mission.run().unwrap(), mission.run().unwrap());
-            assert_eq!(schedule_digest(&a), schedule_digest(&b));
-            for (x, y) in a.agents.iter().zip(&b.agents) {
-                assert!(x.fe_completed > 0);
-                assert_eq!(
-                    (x.frames, x.fe_completed, x.pr_completed, x.background_completed),
-                    (y.frames, y.fe_completed, y.pr_completed, y.background_completed)
-                );
-            }
-            // Every engine and scheduler that borrowed a program is gone.
-            let programs = [&mission.fe_program, &mission.pr_program];
-            for program in programs.into_iter().chain(&mission.bg_program) {
-                assert_eq!(Arc::strong_count(program), 1, "{}", program.name);
-            }
+        let mut cfg = MissionConfig::small_test();
+        cfg.duration_s = 0.5;
+        let mission = Mission::new(cfg).unwrap();
+        let (a, b) = (mission.run().unwrap(), mission.run().unwrap());
+        assert_eq!(schedule_digest(&a), schedule_digest(&b));
+        for (x, y) in a.agents.iter().zip(&b.agents) {
+            assert!(x.fe_completed > 0);
+            assert_eq!(
+                (x.frames, x.fe_completed, x.pr_completed),
+                (y.frames, y.fe_completed, y.pr_completed)
+            );
+        }
+        // Every engine that borrowed a program is gone.
+        for program in [&mission.fe_program, &mission.pr_program] {
+            assert_eq!(Arc::strong_count(program), 1, "{}", program.name);
         }
     }
 

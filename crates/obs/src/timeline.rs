@@ -163,57 +163,49 @@ impl FlightRecorder {
             .map(|v| (v.cycle.saturating_sub(self.pre), v.cycle.saturating_add(self.post)))
     }
 
-    /// Tenants selected by a spec: lanes match on the hard flag, `taskN`
-    /// selects tenant index N; slot selectors are not visible at the
-    /// gateway frame level and match nothing.
-    fn selected(sel: TaskSel, tenants: &[TenantObs]) -> Vec<usize> {
-        tenants
-            .iter()
-            .enumerate()
-            .filter(|(i, t)| match sel {
-                TaskSel::Lane { hard } => t.hard == hard,
-                TaskSel::SchedTask(id) => *i == id as usize,
-                TaskSel::Slot(_) => false,
-            })
-            .map(|(i, _)| i)
-            .collect()
-    }
-
     /// Evaluates every armed spec against one observation; the first
     /// violation freezes (later frames never overwrite it).
     pub fn check(&mut self, obs: &Observation) {
         if self.violation.is_some() {
             return;
         }
-        for spec in &self.specs {
-            let sel = Self::selected(spec.sel, &obs.tenants);
-            if let Some(max) = spec.max_depth {
-                for &i in &sel {
-                    let depth = obs.tenants[i].queue_depth;
-                    if depth > max {
-                        self.violation = Some(Violation {
-                            cycle: obs.cycle,
-                            spec: spec.name.clone(),
-                            clause: format!("depth {depth} > {max} (tenant {i})"),
-                        });
-                        return;
-                    }
-                }
-            }
-            if spec.deadline.is_some() || spec.max_miss_rate > 0.0 {
-                let missed: u64 = sel.iter().map(|&i| obs.tenants[i].missed).sum();
-                let completed: u64 = sel.iter().map(|&i| obs.tenants[i].completed).sum();
-                if completed > 0 && missed as f64 > spec.max_miss_rate * completed as f64 {
-                    self.violation = Some(Violation {
-                        cycle: obs.cycle,
-                        spec: spec.name.clone(),
-                        clause: format!("miss rate {missed}/{completed} > {}", spec.max_miss_rate),
-                    });
-                    return;
-                }
-            }
+        self.violation = self.specs.iter().find_map(|spec| {
+            failing_clause(spec, &obs.tenants).map(|clause| Violation {
+                cycle: obs.cycle,
+                spec: spec.name.clone(),
+                clause,
+            })
+        });
+    }
+}
+
+/// The verdict of the first timeline-checkable clause of `spec` that
+/// fails on one boundary's tenant state (`missed`/`completed` cumulative),
+/// `None` when all pass — the one rule [`FlightRecorder::check`] and
+/// [`TimeSeries::eval_spec`] share. Lanes select tenants by the hard
+/// flag, `taskN` selects tenant index N; slot selectors are not visible
+/// at the gateway frame level and select nothing.
+fn failing_clause(spec: &SloSpec, tenants: &[TenantObs]) -> Option<String> {
+    let selected = || {
+        tenants.iter().enumerate().filter(|(i, t)| match spec.sel {
+            TaskSel::Lane { hard } => t.hard == hard,
+            TaskSel::SchedTask(id) => *i == id as usize,
+            TaskSel::Slot(_) => false,
+        })
+    };
+    if let Some(max) = spec.max_depth {
+        if let Some((i, t)) = selected().find(|(_, t)| t.queue_depth > max) {
+            return Some(format!("depth {} > {max} (tenant {i})", t.queue_depth));
         }
     }
+    if spec.deadline.is_some() || spec.max_miss_rate > 0.0 {
+        let missed: u64 = selected().map(|(_, t)| t.missed).sum();
+        let completed: u64 = selected().map(|(_, t)| t.completed).sum();
+        if completed > 0 && missed as f64 > spec.max_miss_rate * completed as f64 {
+            return Some(format!("miss rate {missed}/{completed} > {}", spec.max_miss_rate));
+        }
+    }
+    None
 }
 
 /// The deterministic cycle-domain sampler: feed it cumulative
@@ -686,35 +678,29 @@ impl TimeSeries {
     /// Specs with no timeline-checkable clause pass vacuously.
     #[must_use]
     pub fn eval_spec(&self, spec: &SloSpec) -> Vec<bool> {
-        let tenants = self.tenants();
-        let sel: Vec<usize> = (0..tenants)
-            .filter(|&i| match spec.sel {
-                TaskSel::Lane { hard } => self.lanes.get(i).copied().unwrap_or(false) == hard,
-                TaskSel::SchedTask(id) => i == id as usize,
-                TaskSel::Slot(_) => false,
+        // Per tenant: its queue-depth, missed and completed columns (an
+        // absent column reads as zeros).
+        let cols: Vec<[&[u64]; 3]> = (0..self.tenants())
+            .map(|t| {
+                ["queue_depth", "missed", "completed"]
+                    .map(|c| self.column(&format!("tenant{t}.{c}")).unwrap_or(&[]))
             })
             .collect();
-        let n = self.len();
-        let zero = vec![0u64; n];
-        let col = |name: String| self.column(&name).map_or_else(|| zero.clone(), <[u64]>::to_vec);
-        let depths: Vec<Vec<u64>> =
-            sel.iter().map(|&t| col(format!("tenant{t}.queue_depth"))).collect();
-        let missed: Vec<Vec<u64>> = sel.iter().map(|&t| col(format!("tenant{t}.missed"))).collect();
-        let completed: Vec<Vec<u64>> =
-            sel.iter().map(|&t| col(format!("tenant{t}.completed"))).collect();
-        let (mut miss_cum, mut done_cum) = (0u64, 0u64);
-        (0..n)
+        let mut tenants: Vec<TenantObs> = (0..cols.len())
+            .map(|t| TenantObs {
+                hard: self.lanes.get(t).copied().unwrap_or(false),
+                ..TenantObs::default()
+            })
+            .collect();
+        (0..self.len())
             .map(|i| {
-                let mut ok = true;
-                if let Some(max) = spec.max_depth {
-                    ok &= depths.iter().all(|d| d[i] <= max);
+                for (obs, [depth, missed, completed]) in tenants.iter_mut().zip(&cols) {
+                    let at = |col: &[u64]| col.get(i).copied().unwrap_or(0);
+                    obs.queue_depth = at(depth);
+                    obs.missed += at(missed);
+                    obs.completed += at(completed);
                 }
-                miss_cum += missed.iter().map(|m| m[i]).sum::<u64>();
-                done_cum += completed.iter().map(|c| c[i]).sum::<u64>();
-                if spec.deadline.is_some() || spec.max_miss_rate > 0.0 {
-                    ok &= done_cum == 0 || miss_cum as f64 <= spec.max_miss_rate * done_cum as f64;
-                }
-                ok
+                failing_clause(spec, &tenants).is_none()
             })
             .collect()
     }

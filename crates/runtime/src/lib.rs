@@ -10,7 +10,8 @@
 //!   accelerator-job completions;
 //! * [`Runtime`] — the executor: topic pub/sub, timers, and an embedded
 //!   [`inca_accel::Engine`] advanced in lock-step so accelerator
-//!   completions interleave correctly with middleware events;
+//!   completions interleave correctly with middleware events; nodes
+//!   submit jobs on fixed physical slots, as the paper's ROS nodes do;
 //! * deadline accounting — jobs carry optional deadlines
 //!   ([`NodeContext::submit_accel_with_deadline`]) and the report counts
 //!   misses, reproducing the paper's "finishing before deadline"
@@ -18,7 +19,8 @@
 //! * [`sched`] — a slot-virtualizing admission scheduler multiplexing any
 //!   number of logical tasks (own program, period, deadline, priority)
 //!   onto the 4 physical IAU slots, with PREMA-style predicted-span
-//!   admission control and pluggable binding/preemption policies;
+//!   admission control and pluggable binding/preemption policies, driven
+//!   by [`ScheduledEngine`] and by each `inca-serve` gateway core;
 //! * [`live`] — a small thread-based pub/sub bus (crossbeam channels +
 //!   `parking_lot`) demonstrating the same API contract with real OS
 //!   threads, as in a ROS deployment.

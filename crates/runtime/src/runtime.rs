@@ -6,8 +6,6 @@ use inca_accel::{AccelConfig, Backend, Engine, InterruptStrategy, JobRecord, Rep
 use inca_isa::{TaskSlot, TASK_SLOTS};
 use inca_obs::{Metrics, TraceEvent, Tracer};
 
-use crate::sched::{SchedPolicy, Scheduler, TaskId, TaskSpec};
-
 /// Identifies a registered [`Node`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(usize);
@@ -27,10 +25,8 @@ pub struct JobHandle(u64);
 pub struct DeadlineRecord {
     /// The job.
     pub job: JobHandle,
-    /// Slot it ran in or, still outstanding, the raw slot it is queued on.
-    /// `None` for a scheduler job still outstanding at report time: its
-    /// slot is the scheduler's to choose and it may not have one yet.
-    pub slot: Option<TaskSlot>,
+    /// Slot it ran in or, still outstanding, the slot it is queued on.
+    pub slot: TaskSlot,
     /// Cycle it had to finish by.
     pub deadline: u64,
     /// Cycle it finished (`None` if still outstanding at report time).
@@ -73,7 +69,6 @@ enum Action<M> {
     Publish { topic: String, msg: M },
     Timer { at: u64, timer: u32 },
     Accel { slot: TaskSlot, deadline: Option<u64>, handle: JobHandle },
-    Sched { task: TaskId, handle: JobHandle },
 }
 
 /// Capabilities handed to a [`Node`] callback.
@@ -128,21 +123,6 @@ impl<M> NodeContext<'_, M> {
         self.actions.push((self.node, Action::Accel { slot, deadline, handle }));
         handle
     }
-
-    /// Submits one job of logical task `task` (see
-    /// [`Runtime::register_task`]) to the runtime's [`Scheduler`]. The
-    /// scheduler decides the physical slot, applies admission control and
-    /// the task's drop policy; [`Node::on_accel_done`] fires only if the
-    /// job is admitted and actually executes (rejected and
-    /// degraded-to-skip jobs complete silently — check the scheduler's
-    /// [`crate::TaskStats`]). A task that was never registered fails the
-    /// run with [`SimError::Engine`].
-    pub fn submit_task(&mut self, task: TaskId) -> JobHandle {
-        let handle = JobHandle(*self.next_handle);
-        *self.next_handle += 1;
-        self.actions.push((self.node, Action::Sched { task, handle }));
-        handle
-    }
 }
 
 enum EventKind<M> {
@@ -194,10 +174,8 @@ pub struct Runtime<M, B: Backend> {
     deadlines: Vec<DeadlineRecord>,
     messages_delivered: u64,
     timers_fired: u64,
-    /// Owns the completion cursor; task-less (every record routes as a
-    /// raw submission) until the first [`Runtime::register_task`].
-    sched: Scheduler,
-    sched_jobs: BTreeMap<u64, (JobHandle, NodeId, Option<u64>)>,
+    /// Completion cursor: how many of the engine's records were routed.
+    seen: usize,
     tracer: Tracer,
 }
 
@@ -217,39 +195,21 @@ impl<M: Clone, B: Backend> Runtime<M, B> {
             deadlines: Vec::new(),
             messages_delivered: 0,
             timers_fired: 0,
-            sched: Scheduler::new(cfg, SchedPolicy::FixedPriority),
-            sched_jobs: BTreeMap::new(),
+            seen: 0,
             tracer: Tracer::disabled(),
         }
     }
 
-    /// Installs `tracer` on the runtime, its embedded engine and its
-    /// scheduler, so middleware, scheduler and datapath events interleave
-    /// in one stream.
+    /// Installs `tracer` on the runtime and its embedded engine, so
+    /// middleware and datapath events interleave in one stream.
     pub fn set_tracer(&mut self, tracer: Tracer) {
         self.engine.set_probe(tracer.clone().into());
-        self.sched.set_probe(tracer.clone().into());
         self.tracer = tracer;
     }
 
-    /// The runtime's slot-virtualizing [`Scheduler`] (fixed priority):
-    /// nodes submit jobs of its logical tasks via
-    /// [`NodeContext::submit_task`], and the runtime pumps slot bindings
-    /// at every completion.
-    #[must_use]
-    pub fn scheduler(&self) -> &Scheduler {
-        &self.sched
-    }
-
-    /// Registers a logical task with the runtime's scheduler.
-    pub fn register_task(&mut self, spec: TaskSpec) -> TaskId {
-        self.sched.register(spec)
-    }
-
     /// A deterministic metrics snapshot: the engine's metrics plus
-    /// `runtime.`-prefixed middleware counters, and the scheduler's
-    /// `sched.*` metrics once a task is registered. The deadline counters
-    /// are derived exactly as [`Runtime::report`] derives its records, so
+    /// `runtime.`-prefixed middleware counters. The deadline counters are
+    /// derived from the same records as [`Runtime::report`], so
     /// `runtime.deadlines.missed` always equals the report's
     /// [`RuntimeReport::deadline_misses`].
     #[must_use]
@@ -259,21 +219,9 @@ impl<M: Clone, B: Backend> Runtime<M, B> {
         m.inc("runtime.timers.fired", self.timers_fired);
         let met = self.deadlines.iter().filter(|d| d.met()).count() as u64;
         let late = self.deadlines.iter().filter(|d| !d.met()).count() as u64;
-        let outstanding: u64 = self
-            .waiting
-            .iter()
-            .flat_map(|q| q.iter())
-            .filter(|(_, _, deadline)| deadline.is_some())
-            .count() as u64
-            + self.sched_jobs.values().filter(|(_, _, deadline)| deadline.is_some()).count() as u64;
+        let outstanding = self.outstanding_deadlines().count() as u64;
         m.inc("runtime.deadlines.met", met);
         m.inc("runtime.deadlines.missed", late + outstanding);
-        if self.sched.task_count() > 0 {
-            let t = self.sched.totals();
-            m.absorb("", &self.sched.metrics());
-            m.inc("runtime.sched.rejected", t.shed + t.rejected);
-            m.inc("runtime.sched.skipped", t.skipped);
-        }
         for d in &self.deadlines {
             if let Some(finish) = d.finish {
                 if finish <= d.deadline {
@@ -328,18 +276,14 @@ impl<M: Clone, B: Backend> Runtime<M, B> {
     }
 
     fn drain_engine_completions(&mut self) {
-        while let Some((rec, completion)) = self.sched.take_completion(&self.engine) {
-            // Scheduler-bound jobs are routed by logical task; raw
-            // submissions fall through to the per-slot waiting queues.
-            let routed = match completion {
-                Some(c) => self.sched_jobs.remove(&c.job.raw()),
-                None => self.waiting[rec.slot.index()].pop_front(),
-            };
-            if let Some((handle, node, deadline)) = routed {
+        while let Some(&rec) = self.engine.completed_jobs().get(self.seen) {
+            self.seen += 1;
+            // A slot runs its jobs in submission order.
+            if let Some((handle, node, deadline)) = self.waiting[rec.slot.index()].pop_front() {
                 if let Some(d) = deadline {
                     self.deadlines.push(DeadlineRecord {
                         job: handle,
-                        slot: Some(rec.slot),
+                        slot: rec.slot,
                         deadline: d,
                         finish: Some(rec.finish),
                     });
@@ -433,26 +377,9 @@ impl<M: Clone, B: Backend> Runtime<M, B> {
                     self.engine.request_at(self.now, slot)?;
                     self.waiting[slot.index()].push_back((handle, origin, deadline));
                 }
-                Action::Sched { task, handle } => {
-                    if task.index() >= self.sched.task_count() {
-                        return Err(SimError::Engine(format!(
-                            "submit_task of unregistered task {}",
-                            task.index()
-                        )));
-                    }
-                    // Refusals and skips are counted in the scheduler's
-                    // own ledger.
-                    if let Ok(adm) = self.sched.submit(self.now, task) {
-                        if !adm.skipped {
-                            self.sched_jobs.insert(adm.job.raw(), (handle, origin, adm.deadline));
-                        }
-                    }
-                }
             }
         }
-        // Let the scheduler bind what the callback queued (a no-op on
-        // the task-less one).
-        self.sched.pump(self.now, &mut self.engine)
+        Ok(())
     }
 
     /// Runs the co-simulation until `deadline` cycles.
@@ -484,20 +411,17 @@ impl<M: Clone, B: Backend> Runtime<M, B> {
         Ok(())
     }
 
-    /// Advances the engine to `horizon`, surfacing completions as events:
-    /// stepped completion by completion, so freed slots re-bind at the
-    /// exact completion cycle (the task-less scheduler binds nothing, and
-    /// stopping at a completion moves no clock). Skipped when
-    /// [`Scheduler::next_tick`] says the round-trip is a state no-op —
-    /// the same rule the serving gateway applies per core.
+    /// Advances the engine to `horizon` completion by completion,
+    /// surfacing each completion as an event (stopping at a completion
+    /// moves no clock). Skipped when [`Engine::next_event`] says no job is
+    /// outstanding, so the round-trip would be a state no-op — the same
+    /// rule the serving gateway applies per core.
     fn advance_engine(&mut self, horizon: u64) -> Result<(), SimError> {
-        if self.sched.next_tick(&self.engine).is_none() {
+        if self.engine.next_event().is_none() {
             return Ok(());
         }
-        // Pumped at the middleware clock, not the engine's (see
-        // `Scheduler::step`).
         loop {
-            let hit_completion = self.sched.step(self.now, &mut self.engine, horizon)?;
+            let hit_completion = self.engine.run_until_complete(horizon)?;
             self.drain_engine_completions();
             if !hit_completion {
                 return Ok(());
@@ -505,19 +429,21 @@ impl<M: Clone, B: Backend> Runtime<M, B> {
         }
     }
 
+    /// The deadline-carrying jobs still queued on their slot, as unmet
+    /// records.
+    fn outstanding_deadlines(&self) -> impl Iterator<Item = DeadlineRecord> + '_ {
+        self.waiting.iter().zip(TaskSlot::all()).flat_map(|(q, slot)| {
+            q.iter().filter_map(move |&(job, _, deadline)| {
+                Some(DeadlineRecord { job, slot, deadline: deadline?, finish: None })
+            })
+        })
+    }
+
     /// Builds the report (outstanding deadline jobs count as unmet).
     #[must_use]
     pub fn report(&self) -> RuntimeReport {
-        // A raw job waits in the queue of its slot; which slot a
-        // scheduler job holds is known here only once it completes.
-        let raw = self.waiting.iter().zip(TaskSlot::all()).flat_map(|(q, slot)| {
-            q.iter().map(move |&(job, _, deadline)| (job, Some(slot), deadline))
-        });
-        let sched = self.sched_jobs.values().map(|&(job, _, deadline)| (job, None, deadline));
         let mut deadlines = self.deadlines.clone();
-        deadlines.extend(raw.chain(sched).filter_map(|(job, slot, deadline)| {
-            Some(DeadlineRecord { job, slot, deadline: deadline?, finish: None })
-        }));
+        deadlines.extend(self.outstanding_deadlines());
         RuntimeReport {
             accel: self.engine.report(),
             deadlines,
@@ -739,92 +665,6 @@ mod tests {
         rt.run_until(1_000).unwrap();
         drop(rt);
         assert_eq!(*seen.borrow(), vec![3, 1, 4, 1, 5], "ties resolve by submission order");
-    }
-
-    #[test]
-    fn scheduler_multiplexes_logical_tasks_through_nodes() {
-        use crate::sched::{DropPolicy, TaskSpec};
-        use std::cell::RefCell;
-        use std::rc::Rc;
-        use std::sync::Arc;
-
-        struct Swarm {
-            tasks: Vec<crate::sched::TaskId>,
-            completed: Rc<RefCell<u32>>,
-        }
-        impl Node<Msg> for Swarm {
-            fn name(&self) -> &str {
-                "swarm"
-            }
-            fn on_timer(&mut self, ctx: &mut NodeContext<'_, Msg>, _t: u32) {
-                for &task in &self.tasks {
-                    let _ = ctx.submit_task(task);
-                }
-            }
-            fn on_accel_done(
-                &mut self,
-                _ctx: &mut NodeContext<'_, Msg>,
-                _j: JobHandle,
-                _r: &JobRecord,
-            ) {
-                *self.completed.borrow_mut() += 1;
-            }
-        }
-
-        let mut rt = runtime();
-        let compiler = Compiler::new(rt.engine().config().arch);
-        let program =
-            Arc::new(compiler.compile_vi(&zoo::tiny(Shape3::new(3, 16, 16)).unwrap()).unwrap());
-        // Six logical tasks over four physical slots (one reserved).
-        let mut tasks: Vec<_> = (0..6u8)
-            .map(|i| {
-                rt.register_task(
-                    TaskSpec::new(format!("t{i}"), Arc::clone(&program)).priority(1 + (i % 3)),
-                )
-            })
-            .collect();
-        // One refusal of each kind: `t0` again finds its queue full, a
-        // second job of `skip` is degraded, and `late` cannot make its
-        // deadline.
-        let skip = rt.register_task(
-            TaskSpec::new("skip", Arc::clone(&program)).queue(1, DropPolicy::DegradeToSkip),
-        );
-        let late = rt.register_task(TaskSpec::new("late", Arc::clone(&program)).deadline(1));
-        tasks.extend([tasks[0], skip, skip, late]);
-        let completed = Rc::new(RefCell::new(0u32));
-        let node = rt.add_node(Swarm { tasks, completed: Rc::clone(&completed) });
-        rt.schedule_timer(node, 0, 0);
-        rt.run_until(500_000_000).unwrap();
-        let totals = rt.scheduler().totals();
-        let m = rt.metrics();
-        drop(rt);
-        assert_eq!(*completed.borrow(), 7, "every admitted, unskipped job completed");
-        assert_eq!(totals.completed, 7);
-        assert_eq!(totals.submitted, 10);
-        assert_eq!((totals.shed, totals.rejected, totals.skipped), (1, 1, 1));
-        // The runtime's counters are the scheduler's ledger.
-        assert_eq!(
-            m.counter("runtime.sched.rejected"),
-            m.counter("sched.jobs.rejected.queue") + m.counter("sched.jobs.rejected.admission")
-        );
-        assert_eq!(m.counter("runtime.sched.skipped"), m.counter("sched.jobs.skipped"));
-    }
-
-    #[test]
-    fn submit_task_of_an_unregistered_task_errors() {
-        struct Lone;
-        impl Node<Msg> for Lone {
-            fn name(&self) -> &str {
-                "lone"
-            }
-            fn on_timer(&mut self, ctx: &mut NodeContext<'_, Msg>, _t: u32) {
-                let _ = ctx.submit_task(crate::sched::TaskId::default());
-            }
-        }
-        let mut rt = runtime();
-        let node = rt.add_node(Lone);
-        rt.schedule_timer(node, 0, 0);
-        assert!(rt.run_until(1_000).is_err());
     }
 
     #[test]

@@ -417,11 +417,6 @@ impl Scheduler {
         id
     }
 
-    /// Number of registered tasks.
-    pub(crate) fn task_count(&self) -> usize {
-        self.tasks.len()
-    }
-
     /// A task's registered spec.
     #[must_use]
     pub fn spec(&self, task: TaskId) -> &TaskSpec {
@@ -784,11 +779,11 @@ impl Scheduler {
         Ok(())
     }
 
-    /// The first half of the drive loop every tier above an engine runs:
-    /// pump at cycle `now`, then run `engine` to `deadline` or to its next
-    /// job completion, whichever comes first. Returns `true` when a
-    /// completion stopped it — drain [`Scheduler::take_completion`] and
-    /// step again, so the freed slot re-binds at the exact completion
+    /// The first half of the drive loop every scheduling tier above an
+    /// engine runs: pump at cycle `now`, then run `engine` to `deadline` or
+    /// to its next job completion, whichever comes first. Returns `true`
+    /// when a completion stopped it — drain [`Scheduler::take_completion`]
+    /// and step again, so the freed slot re-binds at the exact completion
     /// cycle.
     ///
     /// `now` is the caller's clock, not `engine.now()`: the engine
@@ -826,8 +821,9 @@ impl Scheduler {
 
     /// The second half: the next completion record of `engine` this
     /// scheduler has not seen yet, with the scheduler completion when it
-    /// belongs to a scheduler-bound job (`None` inside: a raw,
-    /// non-scheduled submission). `None` once every record was taken.
+    /// belongs to a scheduler-bound job (`None` inside: a job requested on
+    /// the engine directly). `None` once every record was taken; retire
+    /// the taken ones with [`Scheduler::retire_taken`].
     pub fn take_completion<B: Backend>(
         &mut self,
         engine: &Engine<B>,
@@ -839,10 +835,9 @@ impl Scheduler {
 
     /// Retires the engine records [`Scheduler::take_completion`] already
     /// handed out ([`Engine::retire_completed`]), so the cursor restarts at
-    /// the engine's oldest held record. A driver that routes completions to
-    /// its caller (a gateway, [`ScheduledEngine`]) calls this after each
-    /// drain and keeps its engine's memory flat; one whose caller reads the
-    /// engine's history afterwards (the `Runtime`) does not.
+    /// the engine's oldest held record. Every driver above a scheduler (a
+    /// gateway, [`ScheduledEngine`]) routes completions to its caller, so
+    /// it calls this after each drain and keeps its engine's memory flat.
     pub fn retire_taken<B: Backend>(&mut self, engine: &mut Engine<B>) {
         engine.retire_completed(std::mem::take(&mut self.seen));
     }
@@ -897,8 +892,8 @@ impl Scheduler {
 /// slots at the exact completion cycle (via
 /// [`Engine::run_until_complete`]).
 ///
-/// This is the standalone driver used by benches and tests; the
-/// [`crate::Runtime`] embeds the same logic behind its node API.
+/// This is the standalone driver used by benches and tests; a serving
+/// gateway runs the same loop per core.
 #[derive(Debug)]
 pub struct ScheduledEngine<B: Backend> {
     engine: Engine<B>,

@@ -42,7 +42,7 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q -p inca \
 echo "== code lines and public setters per crate (scripts/loc.sh)"
 scripts/loc.sh
 
-echo "== quickstart, scheduler, priority-inversion, serving, cluster, live-threads and DSLAM examples"
+echo "== quickstart, scheduler, priority-inversion, serving, cluster, live-threads, DSLAM and loop-closure examples"
 cargo build --release --example quickstart --example scheduler --example priority_inversion \
     --example serve --example cluster --example dslam --example live_threads -q
 # `cargo test` only compiles examples; running these three checks they
@@ -58,6 +58,9 @@ cargo build --release --example quickstart --example scheduler --example priorit
 # The paper's experiment end to end: two agents, FE preempting PR, both
 # agents' engines sharing one price table per program.
 ./target/release/examples/dslam --small > /dev/null
+# The loop-closure ablation: the only mission run with `loop_closure: false`.
+cargo build --release -p inca-dslam --example loop_closure -q
+./target/release/examples/loop_closure > /dev/null
 
 echo "== fig_cluster at 500 000 requests (its WCA-beats-round-robin assert, long run)"
 cargo build --release -p inca-bench --bin fig_cluster -q

@@ -15,10 +15,11 @@
 use std::collections::BTreeMap;
 
 use inca::accel::{AdvanceMode, InterruptStrategy};
+use inca::obs::analyze::SloSpec;
 use inca::obs::{
     CoreObs, Metrics, MetricsSnapshot, Observation, Sampler, TenantObs, TimeSeries, Violation,
 };
-use inca_bench::{serve_timeline_scenario, TimelineRun};
+use inca_bench::{serve_timeline_scenario, TimelineRun, TIMELINE_SLO};
 use proptest::prelude::*;
 
 const MODES: [AdvanceMode; 2] = [AdvanceMode::EventDriven, AdvanceMode::Stepping];
@@ -119,6 +120,28 @@ fn scenario_columns_reconcile_with_the_metrics_snapshot() {
     assert_eq!(snap.metrics.counter("timeline.frames"), run.series.len() as u64);
     assert_eq!(snap.metrics.counter("timeline.dropped"), run.series.dropped);
     assert_eq!(snap.metrics.counter("timeline.recorder.tripped"), 1);
+}
+
+/// The exported series' evaluator and the live flight recorder apply one
+/// rule: on the spiked scenario the first frame `eval_spec` fails is the
+/// boundary the recorder tripped at, under both advance modes.
+#[test]
+fn eval_spec_fails_first_at_the_recorder_violation() {
+    for strategy in [InterruptStrategy::VirtualInstruction, InterruptStrategy::LayerByLayer] {
+        for mode in MODES {
+            let run = serve_timeline_scenario(strategy, mode, 1, true);
+            let series = &run.series;
+            assert_eq!(series.dropped, 0, "{strategy}/{mode:?}: frames were evicted");
+            let spec = SloSpec::parse(TIMELINE_SLO, &[], series.clock_hz).expect("timeline slo");
+            let first_fail = series.eval_spec(&spec).iter().position(|ok| !ok);
+            let violation = run.violation.as_ref().expect("the spike trips the recorder");
+            assert_eq!(
+                first_fail.map(|i| series.cycles[i]),
+                Some(violation.cycle),
+                "{strategy}/{mode:?}"
+            );
+        }
+    }
 }
 
 /// Two gateways' series (same interval, same grid) merge into one fleet
