@@ -780,27 +780,21 @@ impl Scheduler {
     }
 
     /// The first half of the drive loop every scheduling tier above an
-    /// engine runs: pump at cycle `now`, then run `engine` to `deadline` or
-    /// to its next job completion, whichever comes first. Returns `true`
-    /// when a completion stopped it — drain [`Scheduler::take_completion`]
-    /// and step again, so the freed slot re-binds at the exact completion
-    /// cycle.
-    ///
-    /// `now` is the caller's clock, not `engine.now()`: the engine
-    /// overshoots a horizon by up to one instruction, and pumping there
-    /// would raise the scheduler clock that the next submission's
-    /// relative deadline is added to.
+    /// engine runs: pump at the engine's clock, then run `engine` to
+    /// `deadline` or to its next job completion, whichever comes first.
+    /// Returns `true` when a completion stopped it — drain
+    /// [`Scheduler::take_completion`] and step again, so the freed slot
+    /// re-binds at the exact completion cycle.
     ///
     /// # Errors
     ///
     /// Propagates engine/backend errors.
     pub fn step<B: Backend>(
         &mut self,
-        now: u64,
         engine: &mut Engine<B>,
         deadline: u64,
     ) -> Result<bool, SimError> {
-        self.pump(now, engine)?;
+        self.pump(engine.now(), engine)?;
         engine.run_until_complete(deadline)
     }
 
@@ -950,7 +944,7 @@ impl<B: Backend> ScheduledEngine<B> {
     pub fn run_until(&mut self, deadline: u64) -> Result<Vec<SchedCompletion>, SimError> {
         let mut done = Vec::new();
         loop {
-            let hit_completion = self.sched.step(self.engine.now(), &mut self.engine, deadline)?;
+            let hit_completion = self.sched.step(&mut self.engine, deadline)?;
             while let Some((_, completion)) = self.sched.take_completion(&self.engine) {
                 done.extend(completion);
             }

@@ -756,7 +756,7 @@ impl<B: Backend> Gateway<B> {
         let _timer = self.probe.host.as_ref().map(|p| p.timer(HostComponent::Gateway));
         loop {
             let engine = self.pool.core_mut(CoreId(core));
-            let hit_completion = self.scheds[core].step(engine.now(), engine, deadline)?;
+            let hit_completion = self.scheds[core].step(engine, deadline)?;
             while let Some((rec, completion)) =
                 self.scheds[core].take_completion(self.pool.core(CoreId(core)))
             {
