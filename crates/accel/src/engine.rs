@@ -21,7 +21,7 @@
 //! `t2 + t4` (§IV-B).
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BTreeMap, BinaryHeap, HashMap, VecDeque};
 use std::sync::Arc;
 
 use inca_isa::{Instr, InterruptPoint, Opcode, Program, TaskSlot, TASK_SLOTS};
@@ -107,6 +107,131 @@ impl InterruptEvent {
     }
 }
 
+/// One [`InterruptEvent`] as the engine stores it: 32 bytes instead of 56.
+/// `resumed` is `resumed_at − request_cycle`, [`Packed::NEVER`] while the
+/// victim has not resumed.
+#[derive(Debug, Clone, Copy)]
+struct Packed {
+    request_cycle: u64,
+    t1: u32,
+    t2: u32,
+    t4: u32,
+    resumed: u32,
+    request_pc: u32,
+    layer: u16,
+    victim: TaskSlot,
+    winner: TaskSlot,
+}
+
+const _: () = assert!(std::mem::size_of::<Packed>() == 32);
+
+impl Packed {
+    const NEVER: u32 = u32::MAX;
+
+    /// What a spilled event leaves in [`InterruptLog::packed`]; never read.
+    const SPILLED: Self = Self {
+        request_cycle: 0,
+        t1: 0,
+        t2: 0,
+        t4: 0,
+        resumed: Self::NEVER,
+        request_pc: 0,
+        layer: 0,
+        victim: TaskSlot::HIGHEST,
+        winner: TaskSlot::HIGHEST,
+    };
+
+    /// `ev` exactly, or `None` when a value is too wide for its field.
+    fn pack(ev: &InterruptEvent) -> Option<Self> {
+        let resumed = match ev.resumed_at {
+            None => Self::NEVER,
+            Some(at) => {
+                let delta = u32::try_from(at.checked_sub(ev.request_cycle)?).ok()?;
+                (delta != Self::NEVER).then_some(delta)?
+            }
+        };
+        Some(Self {
+            request_cycle: ev.request_cycle,
+            t1: ev.t1.try_into().ok()?,
+            t2: ev.t2.try_into().ok()?,
+            t4: ev.t4.try_into().ok()?,
+            resumed,
+            request_pc: ev.request_pc,
+            layer: ev.layer,
+            victim: ev.victim,
+            winner: ev.winner,
+        })
+    }
+
+    fn unpack(&self) -> InterruptEvent {
+        InterruptEvent {
+            request_cycle: self.request_cycle,
+            victim: self.victim,
+            winner: self.winner,
+            layer: self.layer,
+            request_pc: self.request_pc,
+            t1: self.t1.into(),
+            t2: self.t2.into(),
+            t4: self.t4.into(),
+            resumed_at: (self.resumed != Self::NEVER)
+                .then(|| self.request_cycle + u64::from(self.resumed)),
+        }
+    }
+}
+
+/// The engine's interrupt log, in probe order: one [`Packed`] record per
+/// event, and the few events a [`Packed`] cannot hold exactly kept whole
+/// in `wide`, by index (their packed slot holds [`Packed::SPILLED`]).
+#[derive(Debug, Default)]
+struct InterruptLog {
+    packed: Vec<Packed>,
+    wide: BTreeMap<usize, InterruptEvent>,
+}
+
+impl InterruptLog {
+    fn len(&self) -> usize {
+        self.packed.len()
+    }
+
+    fn get(&self, i: usize) -> InterruptEvent {
+        match self.wide.get(&i) {
+            Some(ev) => *ev,
+            None => self.packed[i].unpack(),
+        }
+    }
+
+    fn iter(&self) -> impl Iterator<Item = InterruptEvent> + '_ {
+        (0..self.len()).map(|i| self.get(i))
+    }
+
+    /// Appends `ev`; returns its index.
+    fn push(&mut self, ev: InterruptEvent) -> usize {
+        let i = self.len();
+        self.packed.push(Packed::SPILLED);
+        self.set(i, ev);
+        i
+    }
+
+    fn set(&mut self, i: usize, ev: InterruptEvent) {
+        match Packed::pack(&ev) {
+            Some(p) => {
+                self.packed[i] = p;
+                self.wide.remove(&i);
+            }
+            None => {
+                self.wide.insert(i, ev);
+            }
+        }
+    }
+
+    /// Records that the victim of event `i` resumed at `at` after `t4`
+    /// restore cycles.
+    fn resume(&mut self, i: usize, t4: u64, at: u64) {
+        let ev = InterruptEvent { t4, resumed_at: Some(at), ..self.get(i) };
+        self.set(i, ev);
+    }
+}
+
 /// A completed job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct JobRecord {
@@ -180,7 +305,9 @@ impl Profile {
 /// Simulation outcome.
 #[derive(Debug, Clone, Default, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct Report {
-    /// All preemptions with their phase probes.
+    /// All preemptions with their phase probes, in probe order. The
+    /// engine stores them packed (32 bytes each, exact for every value)
+    /// and unpacks them here.
     pub interrupts: Vec<InterruptEvent>,
     /// Completed jobs in completion order, less the ones a driver already
     /// retired ([`Engine::retire_completed`]).
@@ -683,7 +810,7 @@ pub struct Engine<B: Backend> {
     arrivals: BinaryHeap<Reverse<(u64, u64, TaskSlot, JobParams)>>,
     seq: u64,
     running: Option<TaskSlot>,
-    interrupts: Vec<InterruptEvent>,
+    interrupts: InterruptLog,
     /// Completion records not yet retired, oldest first.
     completed: Vec<JobRecord>,
     /// Per slot, the preemptions of the retired records
@@ -705,7 +832,7 @@ impl<B: Backend> Engine<B> {
             arrivals: BinaryHeap::new(),
             seq: 0,
             running: None,
-            interrupts: Vec::new(),
+            interrupts: InterruptLog::default(),
             completed: Vec::new(),
             retired_preemptions: [0; TASK_SLOTS],
             obs: Observers {
@@ -752,7 +879,7 @@ impl<B: Backend> Engine<B> {
             m.insert_histogram("engine.job.response_cycles", c.response_cycles.clone());
             m.insert_histogram("engine.job.busy_cycles", c.job_busy_cycles.clone());
         }
-        for i in &self.interrupts {
+        for i in self.interrupts.iter() {
             m.observe("engine.interrupt.latency_cycles", i.latency());
             m.observe("engine.interrupt.cost_cycles", i.cost());
         }
@@ -1224,8 +1351,7 @@ impl<B: Backend> Engine<B> {
             }
             self.slots[slot.index()].job_mut().extra_cost_cycles += t4;
             if let Some(idx) = last_interrupt {
-                self.interrupts[idx].t4 = t4;
-                self.interrupts[idx].resumed_at = Some(self.now);
+                self.interrupts.resume(idx, t4, self.now);
             }
             self.obs.out.tracer.emit(|| TraceEvent::Resumed { slot, restore_start, t4 });
         }
@@ -1379,13 +1505,12 @@ impl<B: Backend> Engine<B> {
         job.preempted = true;
         job.preemptions += 1;
         job.extra_cost_cycles += t2;
-        job.last_interrupt = Some(self.interrupts.len());
         if let Some(tag) = job.params.tag {
             job.spans.close_layer(&self.obs.out, tag, pause);
             job.spans.close_exec(&self.obs.out, tag, victim, pause);
             job.spans.preempt_pause = Some(pause);
         }
-        self.interrupts.push(probe);
+        job.last_interrupt = Some(self.interrupts.push(probe));
         self.obs.counters.jobs_preempted += 1;
         let request = request_cycle;
         self.obs.out.tracer.emit(|| TraceEvent::Preempted {
@@ -1491,7 +1616,7 @@ impl<B: Backend> Engine<B> {
     #[must_use]
     pub fn report(&self) -> Report {
         Report {
-            interrupts: self.interrupts.clone(),
+            interrupts: self.interrupts.iter().collect(),
             completed_jobs: self.completed.clone(),
             retired_preemptions: self.retired_preemptions,
             final_cycle: self.now,
@@ -1672,6 +1797,60 @@ mod tests {
             e.retire_completed(usize::MAX);
             assert_eq!(e.metrics(), metrics, "{strategy}: retiring past the end");
         }
+    }
+
+    /// The log stores every event exactly: values that fit their packed
+    /// field round-trip through it, wider ones (and a resume delta equal
+    /// to the never-resumed marker) spill whole, at push or at resume.
+    #[test]
+    fn interrupt_log_round_trips_every_value() {
+        let edges = [0, u64::from(u32::MAX) - 1, u64::from(u32::MAX), u64::MAX / 2];
+        let base = InterruptEvent {
+            request_cycle: 7,
+            victim: TaskSlot::LOWEST,
+            winner: TaskSlot::new(1).unwrap(),
+            layer: u16::MAX,
+            request_pc: u32::MAX,
+            t1: 1,
+            t2: 2,
+            t4: 3,
+            resumed_at: Some(107),
+        };
+        let mut want = vec![InterruptEvent { t4: 0, resumed_at: None, ..base }];
+        for v in edges {
+            want.extend([
+                InterruptEvent { t1: v, ..base },
+                InterruptEvent { t2: v, ..base },
+                InterruptEvent { t4: v, ..base },
+                InterruptEvent { resumed_at: Some(base.request_cycle + v), ..base },
+                InterruptEvent { request_cycle: v, resumed_at: Some(v + 100), ..base },
+            ]);
+        }
+        let mut log = InterruptLog::default();
+        for ev in &want {
+            log.push(*ev);
+        }
+        // t1, t2, t4 and the resume delta at u64::MAX / 2; the delta at
+        // u32::MAX (the marker).
+        assert_eq!(log.wide.len(), 5);
+        // Resumes land exactly too, spilling when they do not fit.
+        for v in edges {
+            let never = InterruptEvent { t4: 0, resumed_at: None, ..base };
+            let i = log.push(never);
+            log.resume(i, v, base.request_cycle + v);
+            want.push(InterruptEvent { t4: v, resumed_at: Some(base.request_cycle + v), ..base });
+        }
+        let spilled =
+            log.push(InterruptEvent { t1: u64::MAX / 2, t4: 0, resumed_at: None, ..base });
+        log.resume(spilled, 9, 11);
+        want.push(InterruptEvent { t1: u64::MAX / 2, t4: 9, resumed_at: Some(11), ..base });
+        // A spilled event whose new values fit is packed again.
+        let marker = Some(base.request_cycle + u64::from(u32::MAX));
+        let packs = log.push(InterruptEvent { resumed_at: marker, ..base });
+        log.resume(packs, 9, 11);
+        want.push(InterruptEvent { t4: 9, resumed_at: Some(11), ..base });
+        assert_eq!(log.wide.len(), 5 + 2 + 1);
+        assert_eq!(log.iter().collect::<Vec<_>>(), want);
     }
 
     #[test]

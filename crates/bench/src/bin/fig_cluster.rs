@@ -10,7 +10,8 @@
 //! hard lane.
 //! The bench *asserts* that ordering — a cluster build whose router
 //! stops honoring reload cost fails loudly here, before the gate even
-//! compares snapshots.
+//! compares snapshots — and that under both policies the quoted miss
+//! cycles stay within 2 % of the charged reload cycles.
 //!
 //! **B — fleet mechanics (same fleet, weight-cache-aware).** Elastic
 //! scaling and cross-gateway work stealing enabled under a bursty
@@ -245,6 +246,21 @@ fn main() {
         wca.miss_cycles,
         rr.miss_cycles
     );
+    // The quote tracks the charge: a gateway quotes a reload iff its
+    // scheduler would pay one now, so under load the two differ only
+    // where placement or the bound jobs changed between quote and
+    // dispatch.
+    for c in &cells {
+        let (quoted, charged) = (c.miss_cycles as f64, c.reload_cycles as f64);
+        assert!(
+            (quoted - charged).abs() <= 0.02 * charged,
+            "{}: quoted miss cycles must be within 2% of the charged reload cycles \
+             (quoted {} vs charged {})",
+            c.route,
+            c.miss_cycles,
+            c.reload_cycles
+        );
+    }
     assert!(fleet.skips > 0, "idle gateways must be skipped at cluster barriers");
 
     if json {

@@ -19,7 +19,8 @@
 //! * binding a task to a slot whose resident program differs triggers a
 //!   **reload**: the instruction stream is re-DMAed (charged via
 //!   [`AccelConfig::dma_cycles`]) and the backend's per-context DDR image
-//!   is swapped in ([`Backend::rebind`]).
+//!   is swapped in ([`Backend::rebind`]); among the slots the slot order
+//!   allows, a task binds to the one already holding its program.
 //!
 //! Admission control and slot placement are fixed policy: every
 //! submission passes the admission predicate, and slot 0 is reserved for
@@ -332,7 +333,8 @@ pub struct Scheduler {
     /// Which logical task's job is in flight on each physical slot.
     bindings: [Option<TaskId>; TASK_SLOTS],
     /// Which task's program is resident in each slot (survives
-    /// completions; a re-bind of the same task skips the reload).
+    /// completions; `choose_slot` prefers it, and a re-bind of the same
+    /// task skips the reload).
     loaded: [Option<TaskId>; TASK_SLOTS],
     /// Monotonic scheduler clock (max of all `now` values seen).
     now: u64,
@@ -470,8 +472,9 @@ impl Scheduler {
         self.bindings
     }
 
-    /// Whether `task`'s program is resident in one of the slots (a bind
-    /// onto that slot skips the reload).
+    /// Whether `task`'s program is resident in one of the slots. A bind
+    /// takes that slot whenever the slot-order rule allows it there, and
+    /// then skips the reload.
     #[must_use]
     pub fn resident(&self, task: TaskId) -> bool {
         self.loaded.contains(&Some(task))
@@ -690,7 +693,9 @@ impl Scheduler {
     /// keep slot order consistent with policy rank order: above every
     /// bound job that outranks the candidate, and — when possible — below
     /// the bound jobs the candidate outranks, which hands the candidate
-    /// the datapath and preempts whichever of them is running. Slots the
+    /// the datapath and preempts whichever of them is running. Among the
+    /// slots that rule allows, the one already holding the task's program
+    /// wins (its bind skips the reload), else the lowest. Slots the
     /// engine is using outside this scheduler are never touched.
     fn choose_slot<B: Backend>(&mut self, cand: usize, engine: &Engine<B>) -> Option<TaskSlot> {
         let urgent = self.tasks[cand].spec.priority == 0;
@@ -717,9 +722,15 @@ impl Scheduler {
                 && (i != 0 || urgent)
                 && lower.is_none_or(|l| i > l)
         };
-        let preferred =
-            (0..TASK_SLOTS).filter(|&i| feasible(i) && upper.is_none_or(|u| i < u)).min();
-        let chosen = preferred.or_else(|| (0..TASK_SLOTS).filter(|&i| feasible(i)).min())?;
+        // Within the allowed slots: the one already holding the task's
+        // program (no reload), else the lowest.
+        let task = Some(TaskId(cand));
+        let pick = |allowed: &dyn Fn(usize) -> bool| {
+            let resident = (0..TASK_SLOTS).find(|&i| allowed(i) && self.loaded[i] == task);
+            resident.or_else(|| (0..TASK_SLOTS).find(|&i| allowed(i)))
+        };
+        let chosen =
+            pick(&|i| feasible(i) && upper.is_none_or(|u| i < u)).or_else(|| pick(&feasible))?;
         let running_min = self.bindings.iter().position(Option::is_some);
         if running_min.is_some_and(|r| chosen < r) {
             self.preempt_requests += 1;
@@ -1041,6 +1052,70 @@ mod tests {
         assert_eq!(b[0], Some(urgent), "priority 0 takes the reserved slot");
         assert_ne!(b[1].or(b[2]).or(b[3]), None, "background task binds elsewhere");
         assert_ne!(b[0], Some(bg));
+    }
+
+    #[test]
+    fn a_resident_program_rebinds_in_its_slot() {
+        let mut se = scheduled(SchedPolicy::FixedPriority);
+        let a = se.register(TaskSpec::new("a", tiny(16)).priority(1));
+        let b = se.register(TaskSpec::new("b", tiny(20)).priority(2));
+        se.submit(0, a).unwrap();
+        se.submit(0, b).unwrap();
+        se.sched.pump(0, &mut se.engine).unwrap();
+        assert_eq!(se.scheduler().bindings(), [None, Some(a), Some(b), None]);
+        se.run_to_idle(u64::MAX).unwrap();
+        let (reloads, cycles) = (se.scheduler().reloads(), se.scheduler().reload_cycles());
+        // Slots 1–3 are free and b's program sits in slot 2: b binds there,
+        // not in the lowest free slot, and pays no reload.
+        let now = se.engine().now();
+        se.submit(now, b).unwrap();
+        se.sched.pump(now, &mut se.engine).unwrap();
+        assert_eq!(se.scheduler().bindings(), [None, None, Some(b), None]);
+        assert_eq!(se.scheduler().reloads(), reloads);
+        assert_eq!(se.scheduler().reload_cycles(), cycles);
+        assert_eq!(se.run_to_idle(u64::MAX).unwrap().len(), 1);
+    }
+
+    #[test]
+    fn slot_order_outranks_residency() {
+        let mut se = scheduled(SchedPolicy::FixedPriority);
+        let better = se.register(TaskSpec::new("better", tiny(16)).priority(1));
+        let worse = se.register(TaskSpec::new("worse", tiny(20)).priority(2));
+        // `worse` binds slot 1 alone; `better`, arriving while it is bound,
+        // falls back to the rank-inverted slot 2.
+        se.submit(0, worse).unwrap();
+        se.sched.pump(0, &mut se.engine).unwrap();
+        se.submit(0, better).unwrap();
+        se.sched.pump(0, &mut se.engine).unwrap();
+        assert_eq!(se.scheduler().bindings(), [None, Some(worse), Some(better), None]);
+        se.run_to_idle(u64::MAX).unwrap();
+        // Now `better` rebinds in its slot 2, and `worse`, resident in
+        // slot 1 below it, must still bind above it: slot 3, reloading.
+        let now = se.engine().now();
+        se.submit(now, better).unwrap();
+        se.sched.pump(now, &mut se.engine).unwrap();
+        let (reloads, cycles) = (se.scheduler().reloads(), se.scheduler().reload_cycles());
+        se.submit(now, worse).unwrap();
+        se.sched.pump(now, &mut se.engine).unwrap();
+        assert_eq!(se.scheduler().bindings(), [None, None, Some(better), Some(worse)]);
+        assert_eq!(se.scheduler().reloads(), reloads + 1);
+        let penalty = reload_penalty(&cfg(), &se.scheduler().spec(worse).program);
+        assert_eq!(se.scheduler().reload_cycles(), cycles + penalty);
+        assert_eq!(se.run_to_idle(u64::MAX).unwrap().len(), 2);
+    }
+
+    #[test]
+    fn a_non_urgent_program_resident_in_slot0_never_binds_there() {
+        let mut s = Scheduler::new(cfg(), SchedPolicy::FixedPriority);
+        let bg = s.register(TaskSpec::new("bg", tiny(16)).priority(1));
+        let mut engine =
+            Engine::new(cfg(), InterruptStrategy::VirtualInstruction, TimingBackend::new());
+        engine.load(TaskSlot::HIGHEST, Arc::clone(&s.spec(bg).program)).unwrap();
+        s.loaded[0] = Some(bg);
+        s.submit(0, bg).unwrap();
+        s.pump(0, &mut engine).unwrap();
+        assert_eq!(s.bindings(), [None, Some(bg), None, None]);
+        assert_eq!(s.reloads(), 1, "slot 1 loads the program slot 0 holds");
     }
 
     #[test]

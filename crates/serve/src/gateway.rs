@@ -600,6 +600,9 @@ impl<B: Backend> Gateway<B> {
     /// Reload cycles one request of `tenant` would pay if submitted now:
     /// 0 when its program is [`Scheduler::resident`] on the core placement
     /// would pick, otherwise [`reload_penalty`] under that core's config.
+    /// The scheduler binds a resident task to the slot holding its
+    /// program whenever slot order allows, so the quote is what the bind
+    /// charges unless placement or the bound jobs change before dispatch.
     #[must_use]
     pub fn reload_cost(&self, tenant: TenantId) -> u64 {
         let core = self.peek(tenant);
