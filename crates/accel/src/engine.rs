@@ -25,7 +25,7 @@ use std::collections::{BTreeMap, BinaryHeap, HashMap, VecDeque};
 use std::sync::Arc;
 
 use inca_isa::{Instr, InterruptPoint, Opcode, Program, TaskSlot, TASK_SLOTS};
-use inca_obs::{ascii, Histogram, HostComponent, Metrics, Probe, SpanStage, TraceEvent};
+use inca_obs::{ascii, Histogram, Metrics, Probe, SpanStage, TraceEvent};
 
 use crate::{instr_cycles, AccelConfig, Backend, SavePatch, SimError, SpanSupport};
 
@@ -844,12 +844,11 @@ impl<B: Backend> Engine<B> {
     }
 
     /// Installs who watches this engine: the tracer its [`TraceEvent`]s
-    /// go through, the core id stamped on its spans and the host
-    /// self-profiler (one `Instant::now` pair per engine advance when
-    /// present). The default [`Probe`] costs one discriminant check per
-    /// site and nothing it records changes a deterministic output. An
-    /// enabled tracer immediately receives one [`TraceEvent::EngineMeta`]
-    /// naming the interrupt strategy and clock, so recorded traces are
+    /// go through and the core id stamped on its spans. The default
+    /// [`Probe`] costs one discriminant check per site and nothing it
+    /// records changes a deterministic output. An enabled tracer
+    /// immediately receives one [`TraceEvent::EngineMeta`] naming the
+    /// interrupt strategy and clock, so recorded traces are
     /// self-describing for the analysis layer.
     pub fn set_probe(&mut self, probe: Probe) {
         self.obs.out = probe;
@@ -1575,25 +1574,11 @@ impl<B: Backend> Engine<B> {
                     self.preempt(r, s)?;
                 }
                 (Some(r), _) => {
-                    // Host self-profiling is wall-clock only: it never
-                    // touches the virtual clock or any trace output.
-                    let prof = self.obs.out.host.clone();
-                    let t0 = prof.as_ref().map(|_| std::time::Instant::now());
-                    let cyc0 = self.now;
                     let arrival = self.arrivals.peek().map_or(u64::MAX, |&Reverse((t, ..))| t);
-                    let spanned = self.try_span(r, deadline.min(arrival), usize::MAX)?;
-                    let done = match spanned {
+                    let done = match self.try_span(r, deadline.min(arrival), usize::MAX)? {
                         Some(done) => done,
                         None => self.exec_step(r)?,
                     };
-                    if let (Some(p), Some(t0)) = (prof.as_ref(), t0) {
-                        let comp = if spanned.is_some() {
-                            HostComponent::Tier1Batch
-                        } else {
-                            HostComponent::EngineStep
-                        };
-                        p.add(comp, t0.elapsed().as_nanos() as u64, self.now - cyc0);
-                    }
                     if done {
                         self.complete_job(r);
                     }

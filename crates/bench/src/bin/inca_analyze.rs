@@ -338,7 +338,7 @@ fn spans_mode(args: &Args) -> Result<ExitCode, String> {
         [one] => *one,
         _ => return Err("--spans takes a single strategy, not `all`".to_owned()),
     };
-    let out = serve_spans_scenario(strategy, args.trace_sample, None);
+    let out = serve_spans_scenario(strategy, args.trace_sample);
     let mut a = Analyzer::new();
     a.consume(&out.events);
     a.clock_hz = Some(out.clock_hz);

@@ -1,6 +1,6 @@
 //! CI-fast performance smoke test of the functional backend.
 //!
-//! Four suites, one metrics-snapshot JSON line (`inca-obs/metrics-v1`,
+//! Three suites, one metrics-snapshot JSON line (`inca-obs/metrics-v1`,
 //! the schema shared by all bench bins):
 //!
 //! * **Kernel suite** — pushes one SuperPoint-backbone frame and one
@@ -19,27 +19,17 @@
 //!   of MobileNetV1's, one depthwise, one fully-connected), each under both
 //!   tiers, as `layer.{name}.tier{0,1}_macs_per_s` plus a table on stderr:
 //!   where a network-level number comes from.
-//! * **Host-profiling suite** — enables [`HostProf`] over the canonical
-//!   serve-spans scenario (gateway/scheduler/Tier-0 stepping) and a
-//!   direct Tier-1 functional-backend run, then reports wall seconds and
-//!   cycles-per-host-second per component as `hostprof.*` gauges (which
-//!   the regression gate ignores — wall clock is host-dependent) and a
-//!   human table on stderr.
 //!
 //! Run with `cargo run --release -p inca-bench --bin perf_smoke`; numbers
 //! are tracked in EXPERIMENTS.md ("Functional backend fast path") and
 //! gated against `BENCH_func.json` by `scripts/bench_gate.sh`.
 
-use std::sync::Arc;
 use std::time::Instant;
 
-use inca_accel::{
-    AccelConfig, Backend, CalcKernel, DdrImage, Engine, FuncBackend, InterruptStrategy, Program,
-    TaskSlot,
-};
+use inca_accel::{AccelConfig, Backend, CalcKernel, DdrImage, FuncBackend, Program, TaskSlot};
 use inca_compiler::Compiler;
 use inca_model::{zoo, ModelError, Network, NetworkBuilder, NodeId, Shape3};
-use inca_obs::{HostProf, Metrics, MetricsSnapshot, Probe};
+use inca_obs::{Metrics, MetricsSnapshot};
 
 /// One ResNet-18 basic block (two 3×3/64 convs with an identity shortcut)
 /// at the 28×28 stage resolution.
@@ -192,32 +182,6 @@ fn main() {
         m.set_gauge(&format!("layer.{name}.tier1_macs_per_s"), macs / t1);
         eprintln!("{name:<24} {macs:>12.0} {:>14.3e} {:>14.3e}", macs / t0, macs / t1);
     }
-
-    // Host-profiling suite: one shared profiler across the serve-spans
-    // scenario (TimingBackend — gateway, scheduler and Tier-0 stepping)
-    // and a direct Tier-1 functional run (layer batches).
-    let prof = HostProf::new();
-    let serve = inca_bench::serve_spans_scenario(
-        InterruptStrategy::VirtualInstruction,
-        0,
-        Some(prof.clone()),
-    );
-    assert!(serve.responses > 0, "hostprof serve scenario completes requests");
-    {
-        let (net, _) = &tier_workloads[0];
-        let program = Arc::new(compiler.compile_vi(net).unwrap());
-        let mut backend = FuncBackend::with_threads(1);
-        backend.install_image(TaskSlot::LOWEST, DdrImage::for_program(&program, 0xBEEF));
-        let mut engine =
-            Engine::new(AccelConfig::paper_small(), InterruptStrategy::VirtualInstruction, backend);
-        engine.set_probe(Probe { host: Some(prof.clone()), ..Probe::default() });
-        engine.load(TaskSlot::LOWEST, Arc::clone(&program)).unwrap();
-        engine.request_at(0, TaskSlot::LOWEST).unwrap();
-        engine.run().unwrap();
-    }
-    let report = prof.report();
-    eprint!("{}", report.render());
-    m.absorb("", &report.metrics());
 
     println!("{}", MetricsSnapshot::new("perf_smoke", m).to_json());
 }

@@ -36,8 +36,7 @@ use inca_isa::TaskSlot;
 use inca_model::{zoo, Network, Shape3};
 use inca_obs::analyze::SloSpec;
 use inca_obs::{
-    timeline, FlightRecorder, HostProf, MetricsSnapshot, Probe, TimeSeries, TraceEvent, Tracer,
-    Violation,
+    timeline, FlightRecorder, MetricsSnapshot, TimeSeries, TraceEvent, Tracer, Violation,
 };
 use inca_serve::{DropPolicy, Gateway, PlacePolicy, SchedPolicy, TenantSpec};
 
@@ -166,19 +165,14 @@ pub struct SpansScenario {
 /// byte-identical event streams on any host or thread count.
 ///
 /// `trace_sample` is the gateway's span-sampling modulus (1 = every
-/// request, 0 = spans off); `host_prof` optionally installs the wall-clock
-/// self-profiler (which never alters the returned events).
+/// request, 0 = spans off).
 ///
 /// # Panics
 ///
 /// Panics on compile or simulation errors (bench harness context).
 #[must_use]
-pub fn serve_spans_scenario(
-    strategy: InterruptStrategy,
-    trace_sample: u64,
-    host_prof: Option<HostProf>,
-) -> SpansScenario {
-    serve_spans_scenario_with_mode(strategy, trace_sample, host_prof, AdvanceMode::default())
+pub fn serve_spans_scenario(strategy: InterruptStrategy, trace_sample: u64) -> SpansScenario {
+    serve_spans_scenario_with_mode(strategy, trace_sample, AdvanceMode::default())
 }
 
 /// [`serve_spans_scenario`] with an explicit gateway [`AdvanceMode`] —
@@ -192,7 +186,6 @@ pub fn serve_spans_scenario(
 pub fn serve_spans_scenario_with_mode(
     strategy: InterruptStrategy,
     trace_sample: u64,
-    host_prof: Option<HostProf>,
     mode: AdvanceMode,
 ) -> SpansScenario {
     let cfg = AccelConfig::paper_big();
@@ -208,7 +201,7 @@ pub fn serve_spans_scenario_with_mode(
     gw.set_batch_window(be_span / 8);
     gw.set_max_batch(4);
     let (tracer, buf) = Tracer::ring(1 << 16);
-    gw.set_probe(Probe { host: host_prof, ..tracer.into() }, trace_sample);
+    gw.set_probe(tracer.into(), trace_sample);
 
     let hard = gw.register(
         TenantSpec::new("estop", Arc::clone(&hard_prog))

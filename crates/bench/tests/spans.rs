@@ -10,7 +10,6 @@
 //!   field exactly;
 //! * each request's five-part breakdown tiles its end-to-end latency
 //!   **exactly** (queue is the residual by construction);
-//! * enabling [`HostProf`] changes no deterministic byte (differential);
 //! * the sampling modulus is honored (`RequestId % N == 0`).
 
 use std::sync::Arc;
@@ -20,7 +19,7 @@ use inca_bench::serve_spans_scenario;
 use inca_compiler::Compiler;
 use inca_model::{zoo, Shape3};
 use inca_obs::analyze::import;
-use inca_obs::{Analyzer, ChromeTrace, HostProf, MetricsSnapshot, SpanStage, TraceEvent, Tracer};
+use inca_obs::{Analyzer, ChromeTrace, MetricsSnapshot, SpanStage, TraceEvent, Tracer};
 
 const STRATEGIES: [InterruptStrategy; 3] = [
     InterruptStrategy::VirtualInstruction,
@@ -35,8 +34,8 @@ fn spans_of(events: &[TraceEvent]) -> Vec<TraceEvent> {
 #[test]
 fn span_streams_byte_identical_across_runs_and_strategies() {
     for strategy in STRATEGIES {
-        let a = serve_spans_scenario(strategy, 1, None);
-        let b = serve_spans_scenario(strategy, 1, None);
+        let a = serve_spans_scenario(strategy, 1);
+        let b = serve_spans_scenario(strategy, 1);
         assert!(a.dropped == 0 && b.dropped == 0, "{strategy}: ring did not overflow");
         assert_eq!(a.events, b.events, "{strategy}: identical runs emit identical streams");
         assert!(!spans_of(&a.events).is_empty(), "{strategy}: the canonical scenario emits spans");
@@ -83,7 +82,7 @@ fn func_backend_spans_identical_across_thread_counts() {
 
 #[test]
 fn chrome_round_trip_reconstructs_spans_exactly() {
-    let out = serve_spans_scenario(InterruptStrategy::VirtualInstruction, 1, None);
+    let out = serve_spans_scenario(InterruptStrategy::VirtualInstruction, 1);
     let mut original = spans_of(&out.events);
 
     let mut chrome = ChromeTrace::new(out.clock_hz as f64 / 1e6);
@@ -107,7 +106,7 @@ fn chrome_round_trip_reconstructs_spans_exactly() {
 
 #[test]
 fn breakdowns_tile_latency_exactly_and_cover_every_stage() {
-    let out = serve_spans_scenario(InterruptStrategy::VirtualInstruction, 1, None);
+    let out = serve_spans_scenario(InterruptStrategy::VirtualInstruction, 1);
     let mut analyzer = Analyzer::new();
     analyzer.consume(&out.events);
     let breakdowns = analyzer.spans.breakdowns();
@@ -129,26 +128,11 @@ fn breakdowns_tile_latency_exactly_and_cover_every_stage() {
 }
 
 #[test]
-fn host_profiling_changes_no_deterministic_byte() {
-    let plain = serve_spans_scenario(InterruptStrategy::VirtualInstruction, 1, None);
-    let prof = HostProf::new();
-    let profiled =
-        serve_spans_scenario(InterruptStrategy::VirtualInstruction, 1, Some(prof.clone()));
-    assert_eq!(plain.events, profiled.events, "profiling perturbs no trace event");
-    assert_eq!(plain.dropped, profiled.dropped);
-    assert_eq!(plain.responses, profiled.responses);
-    // ...while the profiler itself did observe the run.
-    let report = prof.report();
-    assert!(report.stats(inca_obs::HostComponent::EngineStep).calls > 0);
-    assert!(report.stats(inca_obs::HostComponent::Sched).calls > 0);
-}
-
-#[test]
 fn trace_sample_modulus_selects_requests_deterministically() {
-    let off = serve_spans_scenario(InterruptStrategy::VirtualInstruction, 0, None);
+    let off = serve_spans_scenario(InterruptStrategy::VirtualInstruction, 0);
     assert!(spans_of(&off.events).is_empty(), "sample 0 = spans off");
 
-    let sampled = serve_spans_scenario(InterruptStrategy::VirtualInstruction, 2, None);
+    let sampled = serve_spans_scenario(InterruptStrategy::VirtualInstruction, 2);
     let spans = spans_of(&sampled.events);
     assert!(!spans.is_empty());
     assert!(
@@ -160,7 +144,7 @@ fn trace_sample_modulus_selects_requests_deterministically() {
     );
     // Sampling filters whole requests, never truncates a tagged one: the
     // sampled run's spans are exactly the full run's even-id spans.
-    let full = serve_spans_scenario(InterruptStrategy::VirtualInstruction, 1, None);
+    let full = serve_spans_scenario(InterruptStrategy::VirtualInstruction, 1);
     let even: Vec<TraceEvent> = spans_of(&full.events)
         .into_iter()
         .filter(|e| matches!(e, TraceEvent::Span { request, .. } if request % 2 == 0))

@@ -11,6 +11,7 @@
 use inca_accel::{AdvanceStats, Backend, CoreId, SimError};
 use inca_obs::Metrics;
 use inca_obs::TimeSeries;
+use inca_runtime::Scheduler;
 use inca_serve::{Accepted, Gateway, Response, ShedReason, TenantId, TenantSpec, TenantStats};
 
 use crate::route::{RoutePolicy, RouteStats, Router};
@@ -236,24 +237,19 @@ impl<B: Backend> Cluster<B> {
     /// `fig_cluster` bench gates routing policies on.
     #[must_use]
     pub fn reload_cycles(&self) -> u64 {
-        self.gateways
-            .iter()
-            .map(|gw| {
-                (0..gw.pool().cores()).map(|c| gw.scheduler(CoreId(c)).reload_cycles()).sum::<u64>()
-            })
-            .sum()
+        self.schedulers().map(Scheduler::reload_cycles).sum()
     }
 
     /// Actual LOAD_W reload **count** fleet-wide (same tap as
     /// [`Cluster::reload_cycles`], in events instead of cycles).
     #[must_use]
     pub fn reloads(&self) -> u64 {
-        self.gateways
-            .iter()
-            .map(|gw| {
-                (0..gw.pool().cores()).map(|c| gw.scheduler(CoreId(c)).reloads()).sum::<u64>()
-            })
-            .sum()
+        self.schedulers().map(Scheduler::reloads).sum()
+    }
+
+    /// Every core's scheduler, fleet-wide.
+    fn schedulers(&self) -> impl Iterator<Item = &Scheduler> {
+        self.gateways.iter().flat_map(|gw| gw.pool().core_ids().map(|c| gw.scheduler(c)))
     }
 
     /// Submits one request of `tenant` at cycle `now`, routed by the

@@ -79,9 +79,6 @@ pub fn glob_match(pattern: &str, key: &str) -> bool {
 pub fn default_rules() -> Vec<GateRule> {
     vec![
         GateRule::new("counters.threads", RuleKind::Ignore),
-        // Host self-profiling is wall-clock (non-deterministic by design);
-        // never gate on it.
-        GateRule::new("gauges.hostprof*", RuleKind::Ignore),
         GateRule::new("gauges.*macs_per_s", RuleKind::RelTol { tol: 0.45, higher_is_better: true }),
         GateRule::new("gauges.*speedup*", RuleKind::RelTol { tol: 0.35, higher_is_better: true }),
         GateRule::new("*", RuleKind::Exact),

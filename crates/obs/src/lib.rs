@@ -8,7 +8,7 @@
 //!   with. A disabled tracer costs one discriminant check per site;
 //!   event-construction closures never run.
 //! * [`probe`] — [`Probe`], the one observer handle (tracer, serving-core
-//!   stamp, host profiler) each tier holds, and the one span constructor.
+//!   stamp) each tier holds, and the one span constructor.
 //! * [`metrics`] — a [`Metrics`] registry of counters, gauges and
 //!   fixed-bucket cycle [`Histogram`]s, snapshotted into the flat JSON
 //!   schema ([`METRICS_SCHEMA`]) shared by all bench bins.
@@ -33,7 +33,6 @@
 pub mod analyze;
 pub mod ascii;
 pub mod chrome;
-pub mod hostprof;
 pub mod json;
 pub mod metrics;
 pub mod probe;
@@ -44,7 +43,6 @@ pub mod trace;
 pub use analyze::Analyzer;
 pub use ascii::{paint, render, spark, TimelineRow};
 pub use chrome::{ChromeTrace, APP_TID, RUNTIME_TID};
-pub use hostprof::{HostComponent, HostProf, HostProfReport, HostTimer};
 pub use metrics::{
     Histogram, Metrics, MetricsSnapshot, CYCLE_BUCKETS, METRICS_SCHEMA, SPANS_SCHEMA,
 };

@@ -1,14 +1,13 @@
 //! [`Probe`]: who watches a run — the one observer handle an engine, a
 //! scheduler and a gateway each hold.
 
-use crate::hostprof::HostProf;
 use crate::span::{request_span_id, span_id, SpanStage, NO_CORE};
 use crate::trace::{TraceEvent, Tracer};
 
-/// Everything a tier reports through: the trace stream, the serving-core
-/// index stamped on the spans it emits, and the wall-clock self-profiler.
-/// The default watches nothing and costs one discriminant check per hook;
-/// nothing a probe records ever feeds back into the simulation.
+/// Everything a tier reports through: the trace stream and the
+/// serving-core index stamped on the spans it emits. The default watches
+/// nothing and costs one discriminant check per hook; nothing a probe
+/// records ever feeds back into the simulation.
 #[derive(Debug, Clone, Default)]
 pub struct Probe {
     /// Where trace events go.
@@ -17,9 +16,6 @@ pub struct Probe {
     /// [`NO_CORE`], outside a pool; a gateway stamps each core's copy while
     /// fanning a probe out).
     pub core: Option<u32>,
-    /// Host self-profiler (wall clock; excluded from every deterministic
-    /// artifact).
-    pub host: Option<HostProf>,
 }
 
 impl From<Tracer> for Probe {

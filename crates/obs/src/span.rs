@@ -7,11 +7,7 @@
 //! deterministically from `(request, stage, seq)` with FNV-1a, so the
 //! same run produces the same ids on any host, at any thread count, and
 //! a re-imported Chrome trace reconstructs the exact same graph.
-//!
-//! Time domains: cycles are the only authoritative domain (they make
-//! traces byte-identical). The optional wall-clock domain on [`Span`]
-//! exists for host-side correlation (e.g. [`crate::hostprof`]) and is
-//! **never** populated on the deterministic paths.
+//! Cycles are the only time domain: they make traces byte-identical.
 
 use crate::trace::TraceEvent;
 
@@ -122,9 +118,7 @@ pub fn request_span_id(request: u64) -> u64 {
 /// serving core (single-engine runs).
 pub const NO_CORE: u32 = u32::MAX;
 
-/// A closed span, as reconstructed by the analysis layer. The cycle
-/// domain (`start`/`end`) is authoritative; `wall_ns` is an optional
-/// host-time correlation filled only by non-deterministic tooling.
+/// A closed span, as reconstructed by the analysis layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Span {
     /// Deterministic id (see [`span_id`]).
@@ -145,9 +139,6 @@ pub struct Span {
     /// request roots, layer id for layer spans, winner slot for
     /// preemptions, batch size for batch waits; otherwise 0).
     pub detail: u64,
-    /// Optional wall-clock interval (ns since an arbitrary epoch).
-    /// `None` on every deterministic path.
-    pub wall_ns: Option<(u64, u64)>,
 }
 
 impl Span {
@@ -162,14 +153,13 @@ impl Span {
     pub fn from_event(ev: &TraceEvent) -> Option<Self> {
         match *ev {
             TraceEvent::Span { id, parent, request, stage, start, end, core, detail } => {
-                Some(Span { id, parent, request, stage, start, end, core, detail, wall_ns: None })
+                Some(Span { id, parent, request, stage, start, end, core, detail })
             }
             _ => None,
         }
     }
 
-    /// The trace event carrying this span (drops `wall_ns`, which never
-    /// enters deterministic streams).
+    /// The trace event carrying this span.
     #[must_use]
     pub fn to_event(&self) -> TraceEvent {
         TraceEvent::Span {
@@ -238,7 +228,6 @@ mod tests {
             end: 250,
             core: 1,
             detail: 0,
-            wall_ns: None,
         };
         assert_eq!(Span::from_event(&s.to_event()), Some(s));
         assert_eq!(s.cycles(), 150);

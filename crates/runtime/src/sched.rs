@@ -33,7 +33,7 @@ use std::sync::Arc;
 
 use inca_accel::{AccelConfig, Backend, Engine, JobRecord, SimError};
 use inca_isa::{Program, TaskSlot, RECORD_BYTES, TASK_SLOTS};
-use inca_obs::{HostComponent, Metrics, Probe, SpanStage, TraceEvent};
+use inca_obs::{Metrics, Probe, SpanStage, TraceEvent};
 
 /// Identifies a logical task registered with a [`Scheduler`]. The
 /// `Default` value names the first-registered task.
@@ -265,6 +265,18 @@ impl TaskStats {
         }
     }
 
+    /// Counts one completion at cycle `finish` against the job's absolute
+    /// `deadline`, if it has one: met when `finish <= deadline`, else
+    /// missed.
+    pub fn complete(&mut self, finish: u64, deadline: Option<u64>) {
+        self.completed += 1;
+        match deadline {
+            Some(d) if finish <= d => self.deadline_met += 1,
+            Some(_) => self.deadline_missed += 1,
+            None => {}
+        }
+    }
+
     /// Admitted but not yet completed, dropped or skipped (for a
     /// scheduler task: queued or in flight).
     #[must_use]
@@ -284,14 +296,6 @@ pub struct SchedCompletion {
     pub deadline: Option<u64>,
     /// The engine's completion record (physical slot, timing).
     pub record: JobRecord,
-}
-
-impl SchedCompletion {
-    /// Whether the job met its deadline (deadline-less jobs always do).
-    #[must_use]
-    pub fn met(&self) -> bool {
-        self.deadline.is_none_or(|d| self.record.finish <= d)
-    }
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -338,14 +342,11 @@ pub struct Scheduler {
     loaded: [Option<TaskId>; TASK_SLOTS],
     /// Monotonic scheduler clock (max of all `now` values seen).
     now: u64,
-    /// Completion cursor: how many of the engine's held records
-    /// [`Scheduler::take_completion`] already handed out.
-    seen: usize,
     next_job: u64,
     preempt_requests: u64,
     reloads: u64,
     reload_cycles: u64,
-    /// Who watches: tracer, span core stamp, host self-profiler.
+    /// Who watches: tracer and span core stamp.
     probe: Probe,
 }
 
@@ -371,7 +372,6 @@ impl Scheduler {
             bindings: [None; TASK_SLOTS],
             loaded: [None; TASK_SLOTS],
             now: 0,
-            seen: 0,
             next_job: 0,
             preempt_requests: 0,
             reloads: 0,
@@ -381,9 +381,7 @@ impl Scheduler {
     }
 
     /// Installs who watches this scheduler: the tracer its events go
-    /// through, the serving-core index stamped on its spans, and the host
-    /// self-profiler ([`Scheduler::pump`] time is attributed to
-    /// [`HostComponent::Sched`]).
+    /// through and the serving-core index stamped on its spans.
     pub fn set_probe(&mut self, probe: Probe) {
         self.probe = probe;
     }
@@ -615,29 +613,27 @@ impl Scheduler {
         self.probe.tracer.emit(|| TraceEvent::SchedRejected { cycle, task: task.0 as u32, reason });
     }
 
-    /// Policy rank of a task's next runnable (queue-head) job; lower is
-    /// more urgent.
-    fn head_rank(&self, idx: usize) -> (u64, u64, u64) {
+    /// Policy rank of task `idx`'s job `job` with absolute `deadline`;
+    /// lower is more urgent.
+    fn rank(&self, idx: usize, job: SchedJob, deadline: Option<u64>) -> (u64, u64, u64) {
         let t = &self.tasks[idx];
-        let head = t.queue.front().expect("ranked task has a queued job");
         match self.policy {
-            SchedPolicy::FixedPriority => (u64::from(t.spec.priority), head.job.0, 0),
-            SchedPolicy::Edf => (head.deadline.unwrap_or(u64::MAX), head.job.0, 0),
-            SchedPolicy::PremaTokens => {
-                (u64::MAX - t.tokens, u64::from(t.spec.priority), head.job.0)
-            }
+            SchedPolicy::FixedPriority => (u64::from(t.spec.priority), job.0, 0),
+            SchedPolicy::Edf => (deadline.unwrap_or(u64::MAX), job.0, 0),
+            SchedPolicy::PremaTokens => (u64::MAX - t.tokens, u64::from(t.spec.priority), job.0),
         }
+    }
+
+    /// Policy rank of a task's next runnable (queue-head) job.
+    fn head_rank(&self, idx: usize) -> (u64, u64, u64) {
+        let head = self.tasks[idx].queue.front().expect("ranked task has a queued job");
+        self.rank(idx, head.job, head.deadline)
     }
 
     /// Policy rank of a task's in-flight job (for preemption decisions).
     fn bound_rank(&self, idx: usize) -> (u64, u64, u64) {
-        let t = &self.tasks[idx];
-        let f = t.inflight.as_ref().expect("bound task has an in-flight job");
-        match self.policy {
-            SchedPolicy::FixedPriority => (u64::from(t.spec.priority), f.job.0, 0),
-            SchedPolicy::Edf => (f.deadline.unwrap_or(u64::MAX), f.job.0, 0),
-            SchedPolicy::PremaTokens => (u64::MAX - t.tokens, u64::from(t.spec.priority), f.job.0),
-        }
+        let f = self.tasks[idx].inflight.as_ref().expect("bound task has an in-flight job");
+        self.rank(idx, f.job, f.deadline)
     }
 
     /// PREMA token accrual: waiting tasks earn `weight` tokens per kilocycle,
@@ -664,7 +660,6 @@ impl Scheduler {
     /// Propagates engine errors (e.g. loading over a raw in-flight job on
     /// a slot the scheduler does not own).
     pub fn pump<B: Backend>(&mut self, now: u64, engine: &mut Engine<B>) -> Result<(), SimError> {
-        let _timer = self.probe.host.as_ref().map(|p| p.timer(HostComponent::Sched));
         if self.policy == SchedPolicy::PremaTokens {
             self.accrue_tokens(now.max(engine.now()));
         }
@@ -790,12 +785,15 @@ impl Scheduler {
         Ok(())
     }
 
-    /// The first half of the drive loop every scheduling tier above an
-    /// engine runs: pump at the engine's clock, then run `engine` to
-    /// `deadline` or to its next job completion, whichever comes first.
-    /// Returns `true` when a completion stopped it — drain
-    /// [`Scheduler::take_completion`] and step again, so the freed slot
-    /// re-binds at the exact completion cycle.
+    /// The drive call every scheduling tier above an engine loops on:
+    /// pump at the engine's clock, run `engine` to `deadline` or to its
+    /// next job completion, whichever comes first, then route every
+    /// completion record the engine holds — the scheduler-bound ones are
+    /// appended to `done`, a job requested on the engine directly is not —
+    /// and retire them all ([`Engine::retire_completed`]), so the engine's
+    /// memory stays flat. Returns `true` when a completion stopped the
+    /// run: step again, so the freed slot re-binds at the exact
+    /// completion cycle.
     ///
     /// # Errors
     ///
@@ -804,9 +802,15 @@ impl Scheduler {
         &mut self,
         engine: &mut Engine<B>,
         deadline: u64,
+        done: &mut Vec<SchedCompletion>,
     ) -> Result<bool, SimError> {
         self.pump(engine.now(), engine)?;
-        engine.run_until_complete(deadline)
+        let hit_completion = engine.run_until_complete(deadline)?;
+        let held = engine.completed_jobs();
+        let n = held.len();
+        done.extend(held.iter().filter_map(|record| self.note_completion(record)));
+        engine.retire_completed(n);
+        Ok(hit_completion)
     }
 
     /// The next cycle this scheduler and `engine` can make progress: the
@@ -824,29 +828,6 @@ impl Scheduler {
         }
     }
 
-    /// The second half: the next completion record of `engine` this
-    /// scheduler has not seen yet, with the scheduler completion when it
-    /// belongs to a scheduler-bound job (`None` inside: a job requested on
-    /// the engine directly). `None` once every record was taken; retire
-    /// the taken ones with [`Scheduler::retire_taken`].
-    pub fn take_completion<B: Backend>(
-        &mut self,
-        engine: &Engine<B>,
-    ) -> Option<(JobRecord, Option<SchedCompletion>)> {
-        let record = *engine.completed_jobs().get(self.seen)?;
-        self.seen += 1;
-        Some((record, self.note_completion(&record)))
-    }
-
-    /// Retires the engine records [`Scheduler::take_completion`] already
-    /// handed out ([`Engine::retire_completed`]), so the cursor restarts at
-    /// the engine's oldest held record. Every driver above a scheduler (a
-    /// gateway, [`ScheduledEngine`]) routes completions to its caller, so
-    /// it calls this after each drain and keeps its engine's memory flat.
-    pub fn retire_taken<B: Backend>(&mut self, engine: &mut Engine<B>) {
-        engine.retire_completed(std::mem::take(&mut self.seen));
-    }
-
     /// Routes one engine completion record to its logical task, if any.
     fn note_completion(&mut self, record: &JobRecord) -> Option<SchedCompletion> {
         let task = self.bindings[record.slot.index()]?;
@@ -854,15 +835,7 @@ impl Scheduler {
         debug_assert_eq!(f.slot, record.slot);
         self.bindings[record.slot.index()] = None;
         self.now = self.now.max(record.finish);
-        let stats = &mut self.tasks[task.0].stats;
-        stats.completed += 1;
-        if let Some(d) = f.deadline {
-            if record.finish <= d {
-                stats.deadline_met += 1;
-            } else {
-                stats.deadline_missed += 1;
-            }
-        }
+        self.tasks[task.0].stats.complete(record.finish, f.deadline);
         Some(SchedCompletion { task, job: f.job, deadline: f.deadline, record: *record })
     }
 
@@ -954,16 +927,8 @@ impl<B: Backend> ScheduledEngine<B> {
     /// Propagates engine/backend errors.
     pub fn run_until(&mut self, deadline: u64) -> Result<Vec<SchedCompletion>, SimError> {
         let mut done = Vec::new();
-        loop {
-            let hit_completion = self.sched.step(&mut self.engine, deadline)?;
-            while let Some((_, completion)) = self.sched.take_completion(&self.engine) {
-                done.extend(completion);
-            }
-            self.sched.retire_taken(&mut self.engine);
-            if !hit_completion {
-                return Ok(done);
-            }
-        }
+        while self.sched.step(&mut self.engine, deadline, &mut done)? {}
+        Ok(done)
     }
 
     /// Runs until every admitted job completed (or nothing can make
@@ -1222,6 +1187,21 @@ mod tests {
             preemptions: 0,
         };
         assert_eq!(s.note_completion(&rec), None);
+        // Through the drive call: a raw job on slot 2 next to a bound one.
+        // Both records are retired; only the scheduler's job is returned.
+        let t = s.register(TaskSpec::new("t", tiny(16)).priority(1));
+        let mut engine =
+            Engine::new(cfg(), InterruptStrategy::VirtualInstruction, TimingBackend::new());
+        engine.load(rec.slot, tiny(20)).unwrap();
+        engine.request_at(0, rec.slot).unwrap();
+        s.submit(0, t).unwrap();
+        let mut done = Vec::new();
+        while s.step(&mut engine, u64::MAX, &mut done).unwrap() {}
+        assert_eq!(done.len(), 1);
+        assert_eq!((done[0].task, done[0].record.slot.index()), (t, 1));
+        assert!(engine.completed_jobs().is_empty(), "the raw job's record is retired too");
+        assert_eq!(engine.metrics().counter("engine.jobs.completed"), 2);
+        assert_eq!(s.totals().completed, 1);
     }
 
     #[test]

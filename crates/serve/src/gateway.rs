@@ -10,14 +10,14 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use inca_accel::{
-    event, AdvanceStats, Backend, Barrier, CoreId, CorePool, JobRecord, SimError, Tier,
-};
+use inca_accel::{event, AdvanceStats, Backend, Barrier, CoreId, CorePool, SimError, Tier};
 use inca_obs::{
-    request_detail, CoreObs, HostComponent, Metrics, Observation, Probe, Sampler, SpanStage,
-    TenantObs, TimeSeries, TraceEvent, Violation,
+    request_detail, CoreObs, Metrics, Observation, Probe, Sampler, SpanStage, TenantObs,
+    TimeSeries, TraceEvent, Violation,
 };
-use inca_runtime::{reload_penalty, DropPolicy, SchedPolicy, Scheduler, TaskId, TaskSpec};
+use inca_runtime::{
+    reload_penalty, DropPolicy, SchedCompletion, SchedPolicy, Scheduler, TaskId, TaskSpec,
+};
 
 use crate::place::{PlacePolicy, Placer};
 use crate::{Lane, RequestId, Response, ShedReason, TenantId, TenantSpec, TenantStats};
@@ -110,12 +110,13 @@ pub struct Gateway<B: Backend> {
     now: u64,
     next_request: u64,
     responses: Vec<Response>,
+    /// Completion buffer [`Gateway::advance_core`] reuses across calls.
+    done: Vec<SchedCompletion>,
     batches_dispatched: u64,
     batched_requests: u64,
     lat: Metrics,
-    /// Who watches: milestones go to its tracer, run-loop wall time to its
-    /// host profiler. Each core's scheduler and engine hold a copy stamped
-    /// with the core index.
+    /// Who watches: milestones go to its tracer. Each core's scheduler and
+    /// engine hold a copy stamped with the core index.
     probe: Probe,
     /// Span sampling modulus: requests with `raw % n == 0` emit causal
     /// spans; `0` disables span emission entirely.
@@ -149,6 +150,7 @@ impl<B: Backend> Gateway<B> {
             now: 0,
             next_request: 0,
             responses: Vec::new(),
+            done: Vec::new(),
             batches_dispatched: 0,
             batched_requests: 0,
             lat: Metrics::new(),
@@ -183,8 +185,7 @@ impl<B: Backend> Gateway<B> {
     /// every core's scheduler and engine, stamped with the core's index so
     /// spans from different cores stay distinguishable in one merged
     /// stream — admission/bind events, engine lifecycle events and request
-    /// spans; `probe.host` profiles the run loop, the schedulers and the
-    /// engines (wall clock only: it never changes a deterministic output).
+    /// spans.
     ///
     /// `sample_every` is the deterministic request-span sampling modulus:
     /// requests whose raw id satisfies `id % n == 0` emit causal
@@ -428,11 +429,7 @@ impl<B: Backend> Gateway<B> {
         let mut out = Vec::new();
         for net in 0..self.batches.len() {
             while out.len() < max && !self.batches[net].entries.is_empty() {
-                let victim = self.batches[net].entries.remove(0);
-                if self.batches[net].entries.is_empty() {
-                    self.batches[net].flush_at = None;
-                }
-                self.tenants[victim.tenant.0].stats.dropped += 1;
+                let victim = self.unbatch(net, 0);
                 self.trace_milestone(self.now, || {
                     format!("serve.recall {} {}", victim.tenant, victim.request)
                 });
@@ -513,17 +510,25 @@ impl<B: Backend> Gateway<B> {
     /// requests and already-dispatched work cannot be recalled).
     fn drop_oldest_pending(&mut self, tenant: TenantId) -> bool {
         let net = self.tenants[tenant.0].net;
-        let buf = &mut self.batches[net];
-        let Some(pos) = buf.entries.iter().position(|e| e.tenant == tenant) else {
+        let Some(pos) = self.batches[net].entries.iter().position(|e| e.tenant == tenant) else {
             return false;
         };
+        let victim = self.unbatch(net, pos);
+        self.trace_milestone(self.now, || format!("serve.drop-oldest {tenant} {}", victim.request));
+        true
+    }
+
+    /// Takes entry `pos` out of network `net`'s batch buffer before it was
+    /// dispatched, disarming the flush of a buffer it empties, and counts
+    /// it dropped on its tenant.
+    fn unbatch(&mut self, net: usize, pos: usize) -> PendingReq {
+        let buf = &mut self.batches[net];
         let victim = buf.entries.remove(pos);
         if buf.entries.is_empty() {
             buf.flush_at = None;
         }
-        self.tenants[tenant.0].stats.dropped += 1;
-        self.trace_milestone(self.now, || format!("serve.drop-oldest {tenant} {}", victim.request));
-        true
+        self.tenants[victim.tenant.0].stats.dropped += 1;
+        victim
     }
 
     fn submit_hard(&mut self, now: u64, tenant: TenantId) -> Result<Accepted, ShedReason> {
@@ -752,45 +757,33 @@ impl<B: Backend> Gateway<B> {
         self.run_until(max_cycles)
     }
 
-    /// One core's pump/run/complete loop up to `deadline`. Inclusive wall
-    /// time lands under [`HostComponent::Gateway`]; the report subtracts
-    /// the nested engine/scheduler components to get gateway self-time.
+    /// One core's pump/run/complete loop up to `deadline`: the
+    /// scheduler's steps, each completion finished into a response. The
+    /// completion buffer lives on the gateway, so a call allocates nothing.
     fn advance_core(&mut self, core: usize, deadline: u64) -> Result<(), SimError> {
-        let _timer = self.probe.host.as_ref().map(|p| p.timer(HostComponent::Gateway));
+        let mut done = std::mem::take(&mut self.done);
         loop {
             let engine = self.pool.core_mut(CoreId(core));
-            let hit_completion = self.scheds[core].step(engine, deadline)?;
-            while let Some((rec, completion)) =
-                self.scheds[core].take_completion(self.pool.core(CoreId(core)))
-            {
-                if let Some(c) = completion {
-                    self.finish(core, c.job.raw(), &rec);
-                }
+            let stepped = self.scheds[core].step(engine, deadline, &mut done);
+            for c in done.drain(..) {
+                self.finish(core, &c);
             }
-            // The responses carry what the records said.
-            self.scheds[core].retire_taken(self.pool.core_mut(CoreId(core)));
-            if !hit_completion {
-                return Ok(());
+            if !matches!(stepped, Ok(true)) {
+                self.done = done;
+                return stepped.map(drop);
             }
         }
     }
 
     /// Routes one scheduler completion back to its request.
-    fn finish(&mut self, core: usize, raw_job: u64, rec: &JobRecord) {
+    fn finish(&mut self, core: usize, c: &SchedCompletion) {
+        let rec = c.record;
         let meta = self.inflight[core]
-            .remove(&raw_job)
+            .remove(&c.job.raw())
             .expect("every scheduler-bound job was submitted by the gateway");
         self.now = self.now.max(rec.finish);
         let lane = self.tenants[meta.tenant.0].spec.lane;
-        let st = &mut self.tenants[meta.tenant.0].stats;
-        st.completed += 1;
-        if let Some(d) = meta.deadline {
-            if rec.finish <= d {
-                st.deadline_met += 1;
-            } else {
-                st.deadline_missed += 1;
-            }
-        }
+        self.tenants[meta.tenant.0].stats.complete(rec.finish, meta.deadline);
         let response = Response {
             request: meta.request,
             tenant: meta.tenant,

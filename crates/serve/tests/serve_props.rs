@@ -265,16 +265,14 @@ fn gateway_keeps_serving_after_an_uncapped_idle_loop() {
 
 /// One `set_probe` call is the whole observer wiring: the gateway's own
 /// milestones, every core's scheduler and engine events, and request spans
-/// stamped with the serving core's index all land in the one ring, and
-/// the host profiler hears from all three tiers.
+/// stamped with the serving core's index all land in the one ring.
 #[test]
 fn gateway_probe_reaches_every_part() {
-    use inca_obs::{HostComponent, HostProf, Probe, SpanStage, TraceEvent, Tracer};
+    use inca_obs::{SpanStage, TraceEvent, Tracer};
     let pool = CorePool::new(2, cfg(), InterruptStrategy::VirtualInstruction, TimingBackend::new);
     let mut gw = Gateway::new(pool, SchedPolicy::FixedPriority, PlacePolicy::RoundRobin);
     let (tracer, ring) = Tracer::ring(1 << 12);
-    let prof = HostProf::new();
-    gw.set_probe(Probe { host: Some(prof.clone()), ..tracer.into() }, 1);
+    gw.set_probe(tracer.into(), 1);
     let tenant = gw.register(TenantSpec::new("estop", tiny(16)).hard(1_000_000_000));
     for _ in 0..2 {
         gw.submit(0, tenant).expect("an idle gateway admits");
@@ -302,10 +300,35 @@ fn gateway_probe_reaches_every_part() {
             assert!(stamped, "{}: no {stage} span stamped core {core}", r.request);
         }
     }
-    let report = prof.report();
-    // (A per-instruction ring makes the engines step.)
-    for c in [HostComponent::Gateway, HostComponent::Sched, HostComponent::EngineStep] {
-        assert!(report.stats(c).calls > 0, "{c}: the host profiler heard nothing");
+}
+
+/// A hard request finishing exactly at its deadline meets it, one cycle
+/// later misses it — on the gateway's tenant ledger and on the serving
+/// core's scheduler ledger alike.
+#[test]
+fn finishing_on_the_deadline_cycle_meets_it_on_both_ledgers() {
+    let program = tiny(16);
+    let serve_one = |relative_deadline: u64| {
+        let pool =
+            CorePool::new(1, cfg(), InterruptStrategy::VirtualInstruction, TimingBackend::new);
+        let mut gw = Gateway::new(pool, SchedPolicy::FixedPriority, PlacePolicy::RoundRobin);
+        let tenant =
+            gw.register(TenantSpec::new("estop", Arc::clone(&program)).hard(relative_deadline));
+        gw.submit(0, tenant).expect("an idle gateway admits");
+        gw.run_to_idle(u64::MAX).unwrap();
+        let finish = gw.drain_responses()[0].finish;
+        let core = gw.scheduler(inca_accel::CoreId(0)).totals();
+        (finish, gw.stats(tenant), core)
+    };
+    // A solo request's finish cycle does not depend on its deadline.
+    let (finish, ..) = serve_one(u64::MAX / 2);
+    for (deadline, met) in [(finish, 1), (finish - 1, 0)] {
+        let (again, gateway, core) = serve_one(deadline);
+        assert_eq!(again, finish);
+        for ledger in [gateway, core] {
+            assert_eq!(ledger.completed, 1);
+            assert_eq!((ledger.deadline_met, ledger.deadline_missed), (met, 1 - met), "{deadline}");
+        }
     }
 }
 

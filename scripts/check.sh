@@ -23,6 +23,15 @@ export INCA_PROP_CASES
 : "${INCA_EVENT_PROP_CASES:=24}"
 export INCA_EVENT_PROP_CASES
 
+echo "== no simulator crate reads a wall clock"
+# Every result of the simulator is in virtual cycles; host time is
+# measured from outside, by benchmark/ and the bench bins. (LiveServer's
+# thread timeouts use `Duration`, not a clock reading.)
+if grep -rnwE 'Instant|SystemTime' crates/{isa,model,compiler,accel,runtime,serve,cluster,obs,dslam}/src; then
+    echo "check.sh: a simulator crate reads the wall clock (see above)" >&2
+    exit 1
+fi
+
 echo "== cargo fmt --check"
 cargo fmt --all --check
 

@@ -348,9 +348,8 @@ fn gateway_runs_are_byte_identical_across_modes() {
 fn bench_canonical_spans_scenario_is_mode_invariant() {
     for strategy in STRATEGIES {
         let ev: SpansScenario =
-            serve_spans_scenario_with_mode(strategy, 1, None, AdvanceMode::EventDriven);
-        let st: SpansScenario =
-            serve_spans_scenario_with_mode(strategy, 1, None, AdvanceMode::Stepping);
+            serve_spans_scenario_with_mode(strategy, 1, AdvanceMode::EventDriven);
+        let st: SpansScenario = serve_spans_scenario_with_mode(strategy, 1, AdvanceMode::Stepping);
         assert_eq!(ev.events, st.events, "{strategy}: canonical span streams diverge");
         assert_eq!(ev.dropped, st.dropped, "{strategy}");
         assert_eq!(ev.responses, st.responses, "{strategy}");
