@@ -226,13 +226,82 @@ fn im2col(frames: &[i8], col: &mut Vec<i16>, kk: usize, g: &Geom, px: std::ops::
     }
 }
 
+/// The instruction sets [`gemm_rows_body`] is compiled for, narrowest
+/// first. One source, so every variant computes the same sums. Only the
+/// variant-equivalence test caps the dispatch below the widest.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[cfg_attr(not(test), allow(dead_code))]
+enum Simd {
+    /// The build's baseline: 128-bit SSE2 on x86-64.
+    Portable,
+    /// 256-bit lanes.
+    Avx2,
+    /// 512-bit lanes.
+    Avx512bw,
+}
+
+/// [`gemm_rows_body`] on the widest vector unit this CPU has.
+fn gemm_rows(w: &[i16], col: &[i16], kk: usize, out: &mut [i32], plane: usize, p0: usize) {
+    gemm_rows_upto(Simd::Avx512bw, w, col, kk, out, plane, p0);
+}
+
+/// Runs the widest variant of [`gemm_rows_body`] that is no wider than
+/// `cap` and that `std::is_x86_feature_detected!` reports; the portable
+/// one on any other target. Detection is a cached atomic load.
+#[allow(unsafe_code)]
+fn gemm_rows_upto(
+    cap: Simd,
+    w: &[i16],
+    col: &[i16],
+    kk: usize,
+    out: &mut [i32],
+    plane: usize,
+    p0: usize,
+) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        if cap >= Simd::Avx512bw && std::is_x86_feature_detected!("avx512bw") {
+            // SAFETY: `gemm_rows_avx512bw` only needs AVX-512BW, which
+            // `is_x86_feature_detected!("avx512bw")` just reported.
+            return unsafe { gemm_rows_avx512bw(w, col, kk, out, plane, p0) };
+        }
+        if cap >= Simd::Avx2 && std::is_x86_feature_detected!("avx2") {
+            // SAFETY: `gemm_rows_avx2` only needs AVX2, which
+            // `is_x86_feature_detected!("avx2")` just reported.
+            return unsafe { gemm_rows_avx2(w, col, kk, out, plane, p0) };
+        }
+    }
+    let _ = cap; // read only on x86-64
+    gemm_rows_portable(w, col, kk, out, plane, p0);
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512bw")]
+fn gemm_rows_avx512bw(w: &[i16], col: &[i16], kk: usize, out: &mut [i32], plane: usize, p0: usize) {
+    gemm_rows_body(w, col, kk, out, plane, p0);
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn gemm_rows_avx2(w: &[i16], col: &[i16], kk: usize, out: &mut [i32], plane: usize, p0: usize) {
+    gemm_rows_body(w, col, kk, out, plane, p0);
+}
+
+/// Never inlined, like the two wide variants: each is compiled once, in a
+/// context where the [`dot_2x4`] loop vectorizes, whatever the callers
+/// look like.
+#[inline(never)]
+fn gemm_rows_portable(w: &[i16], col: &[i16], kk: usize, out: &mut [i32], plane: usize, p0: usize) {
+    gemm_rows_body(w, col, kk, out, plane, p0);
+}
+
 /// `out[oc][p0 + px] = w[oc] · col[px]` for the output channels whose
 /// `plane`-strided accumulators make up `out`, in 2-channel × 4-pixel
 /// register blocks (single dot products on an odd last channel and the
-/// pixel remainder). Never inlined: compiled once, in a context where the
-/// [`dot_2x4`] loop vectorizes, whatever the callers look like.
-#[inline(never)]
-fn gemm_rows(w: &[i16], col: &[i16], kk: usize, out: &mut [i32], plane: usize, p0: usize) {
+/// pixel remainder). Always inlined: it is compiled once per [`Simd`]
+/// variant, inside that variant's wrapper.
+#[inline(always)]
+fn gemm_rows_body(w: &[i16], col: &[i16], kk: usize, out: &mut [i32], plane: usize, p0: usize) {
     let npx = col.len() / kk;
     let quads = npx / 4 * 4;
     for (w, out) in w.chunks(2 * kk).zip(out.chunks_mut(2 * plane)) {
@@ -261,9 +330,11 @@ fn gemm_rows(w: &[i16], col: &[i16], kk: usize, out: &mut [i32], plane: usize, p
 /// Eight `K`-contiguous dot products — two weight rows against the four
 /// pixel rows of `x` — sharing each operand load. Widening `i16` products
 /// summed along `K` into wrapping `i32` lanes: the shape LLVM lowers to
-/// `pmaddwd` on baseline x86-64 (`|w·x| ≤ 2¹⁴`, so a lane's pair sum
-/// `≤ 2¹⁵` is exact in `i32`).
-#[inline]
+/// `pmaddwd` on baseline x86-64, and under AVX2 / AVX-512BW to 8 / 16
+/// sign-extended lanes multiplied by `vpmulld` (`|w·x| ≤ 2¹⁴`, so a
+/// product and a `pmaddwd` pair sum `≤ 2¹⁵` are exact in `i32` at any
+/// width, and the lanes' wrapping sums are order-free).
+#[inline(always)]
 fn dot_2x4(w0: &[i16], w1: &[i16], x: &[i16]) -> [[i32; 4]; 2] {
     let kk = w0.len();
     let (w1, x0, x1, x2, x3) =
@@ -282,7 +353,7 @@ fn dot_2x4(w0: &[i16], w1: &[i16], x: &[i16]) -> [[i32; 4]; 2] {
 }
 
 /// One `K`-contiguous widening dot product, wrapping `i32`.
-#[inline]
+#[inline(always)]
 fn dot(w: &[i16], x: &[i16]) -> i32 {
     w.iter().zip(x).fold(0i32, |a, (&w, &x)| a.wrapping_add(i32::from(w) * i32::from(x)))
 }
@@ -429,4 +500,78 @@ fn global_pool(
         };
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `oc` weight rows and `plane` pixel rows of length `kk`, int8-range
+    /// values from an LCG, or all `fill` when given.
+    fn operands(kk: usize, oc: usize, plane: usize, seed: u64, fill: Option<i16>) -> [Vec<i16>; 2] {
+        let mut state = seed;
+        let mut next = move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            fill.unwrap_or((state >> 56) as u8 as i8 as i16)
+        };
+        [(0..oc * kk).map(|_| next()).collect(), (0..plane * kk).map(|_| next()).collect()]
+    }
+
+    /// The GEMM of `conv_gemm` over one `plane`, in `block_px`-pixel blocks,
+    /// on the widest variant up to `cap`.
+    fn gemm(
+        cap: Simd,
+        w: &[i16],
+        col: &[i16],
+        kk: usize,
+        plane: usize,
+        block_px: usize,
+    ) -> Vec<i32> {
+        let mut out = vec![i32::MIN; w.len() / kk * plane];
+        for p0 in (0..plane).step_by(block_px) {
+            let npx = block_px.min(plane - p0);
+            gemm_rows_upto(cap, w, &col[p0 * kk..(p0 + npx) * kk], kk, &mut out, plane, p0);
+        }
+        out
+    }
+
+    /// Every vector width this CPU runs computes the portable body's bits,
+    /// on the register-block remainders of `kernel_equiv`'s GEMM shapes
+    /// and on all-`−128` operands at ResNet-18's largest reduction. After
+    /// dispatch, the integration suites reach only the widest variant.
+    #[test]
+    fn every_simd_variant_matches_the_portable_body() {
+        // (K, output channels, plane, pixel block, all-equal operand)
+        let cases = [
+            // Two blocks: 64 pixels and 35 (remainder 3); 67 channels (odd).
+            (1960, 67, 99, 64, None),
+            (333, 33, 399, 399, None),
+            (24, 41, 899, 899, None),
+            (4, 7, 240, 240, None),
+            // A single output pixel and a single output channel.
+            (325, 1, 1, 1, None),
+            // `(−128)²` pair sums: 2¹⁵ each, 4608 · 2¹⁴ in all.
+            (4608, 3, 9, 9, Some(-128)),
+        ];
+        for (i, (kk, oc, plane, block_px, fill)) in cases.into_iter().enumerate() {
+            let [w, col] = operands(kk, oc, plane, 0x51AD_0000 + i as u64, fill);
+            let portable = gemm(Simd::Portable, &w, &col, kk, plane, block_px);
+            let naive: Vec<i32> = w
+                .chunks(kk)
+                .flat_map(|w| {
+                    col.chunks(kk).map(move |x| {
+                        w.iter()
+                            .zip(x)
+                            .fold(0i32, |a, (&w, &x)| a.wrapping_add(i32::from(w) * i32::from(x)))
+                    })
+                })
+                .collect();
+            assert_eq!(portable, naive, "case {i}: portable body");
+            for cap in [Simd::Avx2, Simd::Avx512bw] {
+                let wide = gemm(cap, &w, &col, kk, plane, block_px);
+                let first_diff = wide.iter().zip(&portable).position(|(a, b)| a != b);
+                assert_eq!(first_diff, None, "case {i}: {cap:?} differs at this output");
+            }
+        }
+    }
 }

@@ -49,7 +49,9 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-#![forbid(unsafe_code)]
+// The one exception is the int8 GEMM's run-time dispatch to its AVX2 /
+// AVX-512BW builds (`func::kernels::gemm_rows_upto`).
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 mod backend;

@@ -30,6 +30,8 @@
 //! yield **byte-identical** trace files regardless of host machine or the
 //! functional backend's worker-thread count.
 
+#![forbid(unsafe_code)]
+
 pub mod analyze;
 pub mod ascii;
 pub mod chrome;

@@ -32,6 +32,23 @@ if grep -rnwE 'Instant|SystemTime' crates/{isa,model,compiler,accel,runtime,serv
     exit 1
 fi
 
+echo "== unsafe code only in the int8 GEMM's vector dispatch"
+# `inca-accel` denies `unsafe_code` and allows it on one function, the
+# GEMM's run-time choice of its AVX2 / AVX-512BW build
+# (`func::kernels::gemm_rows_upto`); the other eight simulator crates
+# forbid it outright.
+if grep -rnw 'unsafe' crates/{isa,model,compiler,accel,runtime,serve,cluster,obs,dslam}/src |
+        grep -v '^crates/accel/src/func/kernels\.rs:'; then
+    echo "check.sh: unsafe code outside crates/accel/src/func/kernels.rs (see above)" >&2
+    exit 1
+fi
+for c in isa model compiler runtime serve cluster obs dslam; do
+    if ! grep -qx '#!\[forbid(unsafe_code)\]' "crates/$c/src/lib.rs"; then
+        echo "check.sh: crates/$c/src/lib.rs lost #![forbid(unsafe_code)]" >&2
+        exit 1
+    fi
+done
+
 echo "== cargo fmt --check"
 cargo fmt --all --check
 

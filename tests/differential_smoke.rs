@@ -5,11 +5,15 @@
 //! holds the bit-identical-resume property through `ScheduledEngine` and
 //! through the full serving pipeline too. Five tasks share the four slots
 //! under the VI method; the urgent one preempts the contended datapath, and
-//! every task's outputs must equal its dedicated, uncontended run.
+//! every task's outputs must equal its dedicated, uncontended run. One more
+//! cell holds the fast CALC kernels to their reference oracle on a whole
+//! MobileNetV1, which `crates/accel/tests/kernel_equiv.rs` does per layer.
 
 use std::sync::Arc;
 
-use inca::accel::{AccelConfig, CorePool, DdrImage, Engine, FuncBackend, InterruptStrategy};
+use inca::accel::{
+    AccelConfig, CalcKernel, CorePool, DdrImage, Engine, FuncBackend, InterruptStrategy,
+};
 use inca::compiler::Compiler;
 use inca::isa::{Program, TaskSlot};
 use inca::model::{zoo, Shape3};
@@ -54,8 +58,12 @@ fn plan() -> Vec<(&'static str, Arc<Program>, u8, u64)> {
 
 /// The reference: one program alone on its own engine.
 fn dedicated(program: &Program, seed: u64) -> Vec<Vec<i8>> {
+    solo(FuncBackend::new(), program, seed)
+}
+
+/// `program` alone on an engine over `backend`; every layer's output.
+fn solo(mut backend: FuncBackend, program: &Program, seed: u64) -> Vec<Vec<i8>> {
     let slot = TaskSlot::new(3).unwrap();
-    let mut backend = FuncBackend::new();
     backend.install_image(slot, image_with_input(program, seed));
     let mut e = Engine::new(cfg(), VI, backend);
     e.load(slot, program.clone()).unwrap();
@@ -72,6 +80,21 @@ fn span(plan: &[(&str, Arc<Program>, u8, u64)]) -> u64 {
     e.load(slot, Arc::clone(&plan[0].1)).unwrap();
     e.request_at(0, slot).unwrap();
     e.run().unwrap().completed_jobs[0].finish
+}
+
+/// The default (fast, dispatched-GEMM) kernels against the reference
+/// oracle on conv, depthwise, pointwise, pooling and FC layers: every
+/// layer output equal.
+#[test]
+fn fast_kernels_match_the_reference_on_mobilenet() {
+    let net = zoo::mobilenet_v1(Shape3::new(3, 32, 32)).unwrap();
+    let program = Compiler::new(cfg().arch).compile_vi(&net).unwrap();
+    let fast = solo(FuncBackend::new(), &program, 6_007);
+    let reference = solo(FuncBackend::with_kernel(CalcKernel::Reference), &program, 6_007);
+    for (i, (f, r)) in fast.iter().zip(&reference).enumerate() {
+        assert_eq!(f, r, "layer {i} ({})", program.layers[i].name);
+    }
+    assert!(fast.iter().all(|out| out.iter().any(|&v| v != 0)), "a layer output is all zero");
 }
 
 #[test]
