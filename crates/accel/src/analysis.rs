@@ -71,6 +71,18 @@ pub fn predicted_span(cfg: &AccelConfig, program: &Program) -> u64 {
     CycleTable::of(cfg, program).total()
 }
 
+/// Each instruction of `program` with the cycles an uncontended run
+/// charges it under `cfg` (0 for a virtual instruction), in program
+/// order: the terms of [`predicted_span`], read off the same memoised
+/// cycle table.
+pub fn charges<'p>(
+    cfg: &AccelConfig,
+    program: &'p Program,
+) -> impl Iterator<Item = (&'p Instr, u64)> {
+    let table = CycleTable::of(cfg, program);
+    program.instrs.iter().enumerate().map(move |(pc, i)| (i, table.at(pc)))
+}
+
 /// The backup cost `t2` charged for taking the interrupt point starting
 /// at `vir_start` under the VI method: the summed DMA cost of the point's
 /// materialised `VIR_SAVE`s. `None` when no point starts there.
@@ -193,6 +205,43 @@ mod tests {
                     .map(|(_, i)| instr_cycles(&cfg, program.layer_of(i), i))
                     .sum();
                 assert_eq!(span < bare, dma_overlap, "{what}: {span} vs bare {bare}");
+            }
+        }
+    }
+
+    #[test]
+    fn charges_sum_to_the_span_and_to_a_solo_run() {
+        use crate::{Engine, TimingBackend};
+        use inca_compiler::Compiler;
+        use inca_isa::TaskSlot;
+        use inca_model::zoo;
+
+        let input = Shape3::new(3, 64, 64);
+        let nets = [zoo::tiny(input), zoo::mobilenet_v1(input), zoo::resnet18(input)];
+        for net in nets.map(|n| n.expect("net")) {
+            for base in [AccelConfig::paper_big(), AccelConfig::paper_small()] {
+                for dma_overlap in [false, true] {
+                    let cfg = AccelConfig { dma_overlap, ..base };
+                    let program = Compiler::new(cfg.arch).compile_vi(&net).expect("compile vi");
+                    let what = format!("{} {:?} overlap={dma_overlap}", net.name, cfg.arch);
+                    let mut sum = 0;
+                    for (instr, cycles) in charges(&cfg, &program) {
+                        assert!(!instr.op.is_virtual() || cycles == 0, "{what}: {instr:?}");
+                        sum += cycles;
+                    }
+                    assert_eq!(sum, predicted_span(&cfg, &program), "{what}");
+                    let slot = TaskSlot::LOWEST;
+                    let mut engine = Engine::new(
+                        cfg,
+                        InterruptStrategy::VirtualInstruction,
+                        TimingBackend::new(),
+                    );
+                    engine.load(slot, program).expect("load");
+                    engine.request_at(0, slot).expect("request");
+                    let report = engine.run().expect("run");
+                    assert_eq!(report.final_cycle, sum, "{what}");
+                    assert_eq!(report.completed_jobs[0].busy_cycles, sum, "{what}");
+                }
             }
         }
     }

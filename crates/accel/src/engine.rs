@@ -21,7 +21,7 @@
 //! `t2 + t4` (§IV-B).
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, HashMap, VecDeque};
+use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use std::sync::Arc;
 
 use inca_isa::{Instr, InterruptPoint, Opcode, Program, TaskSlot, TASK_SLOTS};
@@ -259,49 +259,6 @@ impl JobRecord {
     }
 }
 
-/// Cycle attribution collected when profiling is enabled
-/// ([`Engine::set_profiling`]).
-#[derive(Debug, Clone, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub struct Profile {
-    /// Cycles per `(slot index, layer id)`.
-    pub per_layer: HashMap<(u8, u16), u64>,
-    /// Cycles per opcode (indexed by the order of `Opcode::ALL`).
-    pub per_opcode: [u64; 8],
-    /// Cycles spent on interrupt backup (`t2`) and restore (`t4`).
-    pub interrupt_overhead: u64,
-}
-
-impl Profile {
-    fn charge(&mut self, slot: TaskSlot, instr: &Instr, cycles: u64) {
-        *self.per_layer.entry((slot.index() as u8, instr.layer)).or_insert(0) += cycles;
-        let idx = Opcode::ALL.iter().position(|o| *o == instr.op).expect("known opcode");
-        self.per_opcode[idx] += cycles;
-    }
-
-    /// Cycles attributed to a slot, summed over layers.
-    #[must_use]
-    pub fn slot_cycles(&self, slot: TaskSlot) -> u64 {
-        self.per_layer
-            .iter()
-            .filter(|((s, _), _)| usize::from(*s) == slot.index())
-            .map(|(_, c)| *c)
-            .sum()
-    }
-
-    /// Layers of a slot ranked by cycles, descending.
-    #[must_use]
-    pub fn hottest_layers(&self, slot: TaskSlot) -> Vec<(u16, u64)> {
-        let mut v: Vec<(u16, u64)> = self
-            .per_layer
-            .iter()
-            .filter(|((s, _), _)| usize::from(*s) == slot.index())
-            .map(|((_, l), c)| (*l, *c))
-            .collect();
-        v.sort_by_key(|&(_, c)| std::cmp::Reverse(c));
-        v
-    }
-}
-
 /// Simulation outcome.
 #[derive(Debug, Clone, Default, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct Report {
@@ -317,8 +274,6 @@ pub struct Report {
     pub retired_preemptions: [u64; TASK_SLOTS],
     /// Cycle the simulation stopped at.
     pub final_cycle: u64,
-    /// Cycle attribution, when profiling was enabled.
-    pub profile: Option<Profile>,
 }
 
 impl Report {
@@ -536,14 +491,12 @@ struct ObsCounters {
 #[derive(Debug)]
 struct Observers {
     counters: ObsCounters,
-    profile: Option<Profile>,
     out: Probe,
 }
 
 impl Observers {
     /// Records one retired instruction: the retired counter and the
-    /// `InstrRetired` event (an elided SAVE retires nothing) and the
-    /// profile charge. Stepping and an instruction-by-instruction span
+    /// `InstrRetired` event (an elided SAVE retires nothing). Stepping and an instruction-by-instruction span
     /// commit both account through here, which is what keeps their
     /// observables equal.
     fn retire(&mut self, slot: TaskSlot, instr: &Instr, start: u64, cycles: u64, elided: bool) {
@@ -553,14 +506,6 @@ impl Observers {
             let retired = || TraceEvent::InstrRetired { start, cycles, slot, op, layer };
             self.out.tracer.emit_instr(retired);
         }
-        if let Some(p) = self.profile.as_mut() {
-            p.charge(slot, instr, cycles);
-        }
-    }
-
-    /// Whether someone needs every instruction reported one by one.
-    fn per_instr(&self) -> bool {
-        self.profile.is_some() || self.out.tracer.per_instr()
     }
 }
 
@@ -759,6 +704,11 @@ impl CycleTable {
         *self.cycles.last().expect("one entry past the last pc")
     }
 
+    /// What the instruction at `pc` costs (0 for a virtual one).
+    pub(crate) fn at(&self, pc: usize) -> u64 {
+        self.cycles[pc + 1] - self.cycles[pc]
+    }
+
     /// The first pc in `[pc0, limit]` that `job`, standing at `pc0` of
     /// `program`, reaches `budget` cycles or more from now (`limit` when it
     /// gets that far sooner): every instruction before it starts inside the
@@ -835,11 +785,7 @@ impl<B: Backend> Engine<B> {
             interrupts: InterruptLog::default(),
             completed: Vec::new(),
             retired_preemptions: [0; TASK_SLOTS],
-            obs: Observers {
-                counters: ObsCounters::default(),
-                profile: None,
-                out: Probe::default(),
-            },
+            obs: Observers { counters: ObsCounters::default(), out: Probe::default() },
         }
     }
 
@@ -886,12 +832,6 @@ impl<B: Backend> Engine<B> {
             m.set_gauge("engine.utilization", self.busy_cycles() as f64 / self.now as f64);
         }
         m
-    }
-
-    /// Enables or disables per-layer/per-opcode cycle attribution (small
-    /// per-instruction overhead; off by default).
-    pub fn set_profiling(&mut self, enabled: bool) {
-        self.obs.profile = if enabled { Some(Profile::default()) } else { None };
     }
 
     /// The configuration in use.
@@ -1111,9 +1051,6 @@ impl<B: Backend> Engine<B> {
         self.obs.counters.vis_materialized += 1;
         let (op, layer) = (vi.op, vi.layer);
         self.obs.out.tracer.emit(|| TraceEvent::ViMaterialized { start, cycles, slot, op, layer });
-        if let Some(p) = self.obs.profile.as_mut() {
-            p.charge(slot, vi, cycles);
-        }
         Ok(cycles)
     }
 
@@ -1158,13 +1095,13 @@ impl<B: Backend> Engine<B> {
     ///
     /// Returns `Ok(None)` to fall back to [`Engine::exec_step`] — always
     /// safe — and `Ok(Some(done))` after a commit, which leaves clock, pc,
-    /// counters, trace, profile, DMA-overlap credit and pending SAVE
+    /// counters, trace, DMA-overlap credit and pending SAVE
     /// patches exactly where stepping the span would: none of its
     /// instructions starts at or after the barrier, and each patched SAVE
     /// inside it is priced, counted and traced as stepping patches it. Its
     /// clock comes off the slot's [`CycleTable`] in O(log n) plus one
     /// lookup per patch. Where cost is not a function of the pc
-    /// (`dma_overlap`) or someone wants each instruction (a profile, a
+    /// (`dma_overlap`) or someone wants each instruction (a
     /// per-instruction tracer), a group span is priced and retired by one
     /// walk over [`charge`] instead, and a timing-only job — like a tagged
     /// one, which owes Layer spans — is left to `exec_step`.
@@ -1186,7 +1123,7 @@ impl<B: Backend> Engine<B> {
         let Some(first) = program.instrs.get(pc0) else {
             return Ok(None);
         };
-        let walk = cfg.dma_overlap || obs.per_instr();
+        let walk = cfg.dma_overlap || obs.out.tracer.per_instr();
         // A group span starts at its layer's first instruction or right
         // after an interrupt point's group, and stays in the layer: `layer`
         // is the layer's pc range and where its original instructions end.
@@ -1345,9 +1282,6 @@ impl<B: Backend> Engine<B> {
                 t4 += self.materialize(slot, &program, l, restore_start + t4)?;
             }
             self.now += t4;
-            if let Some(p) = self.obs.profile.as_mut() {
-                p.interrupt_overhead += t4;
-            }
             self.slots[slot.index()].job_mut().extra_cost_cycles += t4;
             if let Some(idx) = last_interrupt {
                 self.interrupts.resume(idx, t4, self.now);
@@ -1494,9 +1428,6 @@ impl<B: Backend> Engine<B> {
             return Ok(());
         }
 
-        if let Some(p) = self.obs.profile.as_mut() {
-            p.interrupt_overhead += t2;
-        }
         // The victim stops executing where t1 ended; backup (t2) counts as
         // preempted-out time, so the Exec segment closes at `now − t2`.
         let pause = self.now.saturating_sub(t2);
@@ -1605,7 +1536,6 @@ impl<B: Backend> Engine<B> {
             completed_jobs: self.completed.clone(),
             retired_preemptions: self.retired_preemptions,
             final_cycle: self.now,
-            profile: self.obs.profile.clone(),
         }
     }
 }
@@ -1920,34 +1850,6 @@ mod tests {
         // A single instruction may overshoot, but not by more than one
         // instruction's cost.
         assert!(e.now() < 10 + 100_000);
-    }
-
-    #[test]
-    fn profiling_accounts_for_all_cycles() {
-        let mut e = engine(InterruptStrategy::VirtualInstruction);
-        e.set_profiling(true);
-        let hi = TaskSlot::new(1).unwrap();
-        let lo = TaskSlot::new(3).unwrap();
-        e.load(hi, tiny_vi()).unwrap();
-        e.load(lo, tiny_vi()).unwrap();
-        e.request_at(0, lo).unwrap();
-        e.request_at(2_000, hi).unwrap();
-        let r = e.run().unwrap();
-        let p = r.profile.clone().expect("profiling enabled");
-        // Per-slot totals equal busy + extra cycles of the jobs.
-        for slot in [hi, lo] {
-            let job = r.jobs_of(slot).next().unwrap();
-            assert_eq!(p.slot_cycles(slot), job.busy_cycles + job.extra_cost_cycles, "{slot}");
-        }
-        // Opcode breakdown sums to the same grand total.
-        let grand: u64 = p.per_opcode.iter().sum();
-        let jobs: u64 = r.completed_jobs.iter().map(|j| j.busy_cycles + j.extra_cost_cycles).sum();
-        assert_eq!(grand, jobs);
-        // The overhead counter equals the probes' t2+t4 sum (possibly 0
-        // when the interrupt lands on an empty point).
-        let probed: u64 = r.interrupts.iter().map(InterruptEvent::cost).sum();
-        assert_eq!(p.interrupt_overhead, probed);
-        assert!(!p.hottest_layers(lo).is_empty());
     }
 
     #[test]

@@ -558,12 +558,6 @@ impl FuncBackend {
         }
     }
 
-    /// The logical context currently bound to `slot`, if any.
-    #[must_use]
-    pub fn bound_ctx(&self, slot: TaskSlot) -> Option<u64> {
-        self.bound_ctx[slot.index()]
-    }
-
     /// Total bytes `SAVE`/`VIR_SAVE` wrote to `slot`'s DDR image.
     ///
     /// With correct SaveID patching, an interrupted run writes *exactly*

@@ -69,9 +69,7 @@ pub mod resources;
 pub use backend::{Backend, SavePatch, SimError, SpanSupport, Stepped, TimingBackend};
 pub use config::AccelConfig;
 pub use cost::instr_cycles;
-pub use engine::{
-    Engine, InterruptEvent, InterruptStrategy, JobRecord, Profile, Report, TaskState,
-};
+pub use engine::{Engine, InterruptEvent, InterruptStrategy, JobRecord, Report, TaskState};
 pub use event::{AdvanceMode, AdvanceStats, Barrier, Tier};
 pub use func::{CalcKernel, DdrImage, FuncBackend};
 pub use multicore::{CoreId, CorePool};

@@ -199,27 +199,35 @@ impl<B: Backend> CorePool<B> {
         self.busy_cycles(core) as f64 / now as f64
     }
 
+    /// The engine of `core`, unarmed; an error for an out-of-range id.
+    fn engine_mut(&mut self, core: CoreId) -> Result<&mut Engine<B>, SimError> {
+        let cores = self.cores.len();
+        self.cores
+            .get_mut(core.0)
+            .ok_or_else(|| SimError::Engine(format!("{core} is out of range for {cores} cores")))
+    }
+
     /// Loads `program` into `slot` of `core`.
     ///
     /// # Errors
     ///
-    /// See [`Engine::load`].
+    /// An out-of-range `core`, or see [`Engine::load`].
     pub fn load(
         &mut self,
         core: CoreId,
         slot: TaskSlot,
         program: impl Into<Arc<Program>>,
     ) -> Result<(), SimError> {
-        self.cores[core.0].load(slot, program)
+        self.engine_mut(core)?.load(slot, program)
     }
 
     /// Schedules a request on `core`/`slot` at `cycle`.
     ///
     /// # Errors
     ///
-    /// See [`Engine::request_at`].
+    /// An out-of-range `core`, or see [`Engine::request_at`].
     pub fn request_at(&mut self, cycle: u64, core: CoreId, slot: TaskSlot) -> Result<(), SimError> {
-        self.cores[core.0].request_at(cycle, slot)?;
+        self.engine_mut(core)?.request_at(cycle, slot)?;
         self.barrier.arm(core.0);
         Ok(())
     }

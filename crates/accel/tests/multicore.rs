@@ -50,6 +50,28 @@ fn out_of_range_core_id_is_catchable() {
     assert_eq!(pool.core_ids().collect::<Vec<_>>(), vec![CoreId(0), CoreId(1)]);
 }
 
+/// `load` and `request_at` take a caller's core id and return a
+/// `Result`: an id past the pool is an error naming the core and the pool
+/// size, and arms nothing.
+#[test]
+fn load_and_request_reject_an_out_of_range_core() {
+    let cfg = AccelConfig::paper_big();
+    let mut pool = CorePool::new(2, cfg, InterruptStrategy::NonPreemptive, TimingBackend::new);
+    let slot = TaskSlot::new(2).unwrap();
+    let out_of_range = |r: Result<(), SimError>, core: CoreId| match r {
+        Err(SimError::Engine(m)) => {
+            assert!(m.contains(&format!("{core} ")) && m.ends_with(" 2 cores"), "{m}");
+        }
+        other => panic!("expected an engine error, got {other:?}"),
+    };
+    out_of_range(pool.load(CoreId(2), slot, program_for(&cfg, 16)), CoreId(2));
+    out_of_range(pool.request_at(0, CoreId(2), slot), CoreId(2));
+    out_of_range(pool.request_at(0, CoreId(usize::MAX), slot), CoreId(usize::MAX));
+    assert_eq!(pool.next_wake(), None);
+    pool.run_until(10_000).unwrap();
+    assert_eq!(pool.advance_stats().wakes, 0, "no core was armed");
+}
+
 #[test]
 #[should_panic(expected = "index out of bounds")]
 fn busy_cycles_out_of_range_panics() {

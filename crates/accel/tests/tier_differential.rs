@@ -101,7 +101,7 @@ struct Scenario<'a> {
     seed: u64,
     /// `run_until` deadlines to stop at before running dry.
     stops: &'a [u64],
-    /// Watch through a coarse tracer and no profile, so commits price
+    /// Watch through a coarse tracer, so commits price
     /// spans off the cycle table instead of walking them.
     coarse: bool,
 }
@@ -157,7 +157,6 @@ fn run_on<B: Backend>(
     let (tracer, buffer) =
         if s.coarse { Tracer::ring_coarse(1 << 19) } else { Tracer::ring(1 << 19) };
     e.set_probe(tracer.into());
-    e.set_profiling(!s.coarse);
     e.load(lo_slot, lo.clone()).unwrap();
     e.load(hi_slot, hi.clone()).unwrap();
     for (i, &(cycle, is_hi)) in s.requests.iter().enumerate() {

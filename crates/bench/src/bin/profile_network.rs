@@ -1,6 +1,7 @@
 //! Per-layer profiler: where do a network's cycles go on the simulated
 //! accelerator? Prints the hottest layers, the opcode breakdown and the
-//! compute-array utilisation.
+//! compute-array utilisation of a solo run, grouped from the per-instruction
+//! charges of `inca_accel::analysis::charges`.
 //!
 //! ```sh
 //! cargo run --release -p inca-bench --bin profile_network -- resnet101
@@ -10,7 +11,7 @@
 //! (`inca-obs/metrics-v1`, the schema shared by all bench bins) instead of
 //! the human-readable report.
 
-use inca_accel::{AccelConfig, Engine, InterruptStrategy, TimingBackend};
+use inca_accel::{analysis, AccelConfig, Engine, InterruptStrategy, TimingBackend};
 use inca_bench::{Workload, CAMERA};
 use inca_isa::{Opcode, TaskSlot};
 use inca_model::{zoo, Network, Shape3};
@@ -46,16 +47,21 @@ fn main() {
     let slot = TaskSlot::LOWEST;
 
     let mut engine = Engine::new(cfg, InterruptStrategy::VirtualInstruction, TimingBackend::new());
-    engine.set_profiling(true);
     engine.load(slot, workload.vi.clone()).expect("load");
     engine.request_at(0, slot).expect("request");
-    let report = engine.run().expect("run");
-    let profile = report.profile.as_ref().expect("profiling on");
-    let total = report.final_cycle;
+    let total = engine.run().expect("run").final_cycle;
+
+    let mut per_layer = vec![0u64; workload.vi.layers.len()];
+    let mut per_opcode = [0u64; Opcode::ALL.len()];
+    for (instr, cycles) in analysis::charges(&cfg, &workload.vi) {
+        let op = Opcode::ALL.iter().position(|o| *o == instr.op).expect("known opcode");
+        per_layer[usize::from(instr.layer)] += cycles;
+        per_opcode[op] += cycles;
+    }
 
     let calc: u64 = Opcode::ALL
         .iter()
-        .zip(profile.per_opcode.iter())
+        .zip(per_opcode.iter())
         .filter(|(op, _)| op.is_calc())
         .map(|(_, c)| *c)
         .sum();
@@ -63,7 +69,7 @@ fn main() {
 
     if json {
         let mut m = engine.metrics();
-        for (op, cycles) in Opcode::ALL.iter().zip(profile.per_opcode.iter()) {
+        for (op, cycles) in Opcode::ALL.iter().zip(per_opcode.iter()) {
             if *cycles > 0 {
                 m.inc(&format!("profile.opcode.{}.cycles", op.mnemonic()), *cycles);
             }
@@ -85,7 +91,7 @@ fn main() {
     );
 
     println!("opcode breakdown:");
-    for (op, cycles) in Opcode::ALL.iter().zip(profile.per_opcode.iter()) {
+    for (op, cycles) in Opcode::ALL.iter().zip(per_opcode.iter()) {
         if *cycles == 0 {
             continue;
         }
@@ -112,8 +118,10 @@ fn main() {
     );
 
     println!("hottest layers:");
-    for (layer, cycles) in profile.hottest_layers(slot).into_iter().take(12) {
-        let meta = &workload.vi.layers[usize::from(layer)];
+    let mut hottest: Vec<(usize, u64)> = per_layer.into_iter().enumerate().collect();
+    hottest.sort_by_key(|&(_, c)| std::cmp::Reverse(c));
+    for (layer, cycles) in hottest.into_iter().filter(|&(_, c)| c > 0).take(12) {
+        let meta = &workload.vi.layers[layer];
         println!(
             "  {:<22} {:?} {:>14} -> {:<14} {:>9.2} ms  {:>5.1}%",
             meta.name,

@@ -10,7 +10,6 @@
 
 use inca_accel::{AdvanceStats, Backend, CoreId, SimError};
 use inca_obs::Metrics;
-use inca_obs::TimeSeries;
 use inca_runtime::Scheduler;
 use inca_serve::{Accepted, Gateway, Response, ShedReason, TenantId, TenantSpec, TenantStats};
 
@@ -126,14 +125,6 @@ impl<B: Backend> Cluster<B> {
     pub fn set_max_batch(&mut self, n: usize) {
         for gw in &mut self.gateways {
             gw.set_max_batch(n);
-        }
-    }
-
-    /// Enables cycle-domain timeline sampling on every gateway (same
-    /// interval and capacity), for [`Cluster::take_fleet_timeline`].
-    pub fn enable_timeline(&mut self, interval: u64, capacity: usize) {
-        for gw in &mut self.gateways {
-            gw.enable_timeline(interval, capacity);
         }
     }
 
@@ -414,31 +405,6 @@ impl<B: Backend> Cluster<B> {
             out.extend(gw.drain_responses().into_iter().map(|r| (GatewayId(g), r)));
         }
         out
-    }
-
-    /// The fleet timeline: every gateway's series union-aligned and
-    /// merged into one (core and tenant column groups renumbered per
-    /// gateway — gateway `g`'s tenant `t` appears as group `g × tenants
-    /// + t`). `Ok(None)` when timelines are disabled.
-    ///
-    /// # Errors
-    ///
-    /// [`TimeSeries::merge`]'s message when gateways were given mismatched
-    /// sampling intervals through [`Cluster::gateway_mut`]
-    /// ([`Cluster::enable_timeline`] always configures them uniformly).
-    pub fn take_fleet_timeline(&mut self, name: &str) -> Result<Option<TimeSeries>, String> {
-        let mut acc: Option<TimeSeries> = None;
-        for (g, gw) in self.gateways.iter_mut().enumerate() {
-            let Some(series) = gw.take_timeline(&format!("gw{g}")) else { return Ok(None) };
-            acc = Some(match acc {
-                None => series,
-                Some(a) => a.merge(&series)?,
-            });
-        }
-        Ok(acc.map(|mut s| {
-            s.name = name.to_owned();
-            s
-        }))
     }
 
     /// A deterministic metrics snapshot: fleet-level `cluster.*`

@@ -269,14 +269,6 @@ impl SloSpec {
             .collect()
     }
 
-    /// Evaluates the spec against an analyzed trace. Lane selectors and
-    /// `*_share` clauses fail here (no span data) — use
-    /// [`Self::evaluate_with_spans`] when spans are available.
-    #[must_use]
-    pub fn evaluate(&self, attr: &Attribution, preempt: &PreemptionStats) -> SloReport {
-        self.evaluate_with_spans(attr, preempt, None)
-    }
-
     /// Evaluates the spec against an analyzed trace, with optional
     /// request-scoped span data backing lane selectors (`hard`/`be`) and
     /// the `*_share` clauses.
@@ -515,13 +507,13 @@ mod tests {
         }
         let preempt = PreemptionStats::default();
         let spec = SloSpec::parse("slot1=100cy", &[], HZ).expect("parse");
-        let report = spec.evaluate(&attr, &preempt);
+        let report = spec.evaluate_with_spans(&attr, &preempt, None);
         assert!(!report.passed, "one response (130cy) busts the 100cy deadline");
         assert!((report.miss_rate - 1.0 / 3.0).abs() < 1e-12);
         assert_eq!(report.slack.count(), 3);
 
         let lenient = SloSpec::parse("slot1=100cy+miss:0.5", &[], HZ).expect("parse");
-        assert!(lenient.evaluate(&attr, &preempt).passed);
+        assert!(lenient.evaluate_with_spans(&attr, &preempt, None).passed);
     }
 
     #[test]
@@ -546,14 +538,14 @@ mod tests {
         });
 
         let ok = SloSpec::parse("slot1=latency:60cy+queue:80cy+jobs:1", &[], HZ).expect("parse");
-        assert!(ok.evaluate(&attr, &preempt).passed);
+        assert!(ok.evaluate_with_spans(&attr, &preempt, None).passed);
 
         let tight = SloSpec::parse("slot1=latency:50cy", &[], HZ).expect("parse");
-        let r = tight.evaluate(&attr, &preempt);
+        let r = tight.evaluate_with_spans(&attr, &preempt, None);
         assert!(!r.passed, "worst winning latency is 55cy: {:?}", r.clauses);
 
         let starved = SloSpec::parse("slot1=jobs:2", &[], HZ).expect("parse");
-        assert!(!starved.evaluate(&attr, &preempt).passed);
+        assert!(!starved.evaluate_with_spans(&attr, &preempt, None).passed);
     }
 
     #[test]
@@ -570,12 +562,12 @@ mod tests {
         });
         let preempt = PreemptionStats::default();
         let ok = SloSpec::parse("task3=queue:3us+jobs:1", &[], HZ).expect("parse");
-        assert!(ok.evaluate(&attr, &preempt).passed);
+        assert!(ok.evaluate_with_spans(&attr, &preempt, None).passed);
         let tight = SloSpec::parse("task3=queue:2us", &[], HZ).expect("parse");
-        assert!(!tight.evaluate(&attr, &preempt).passed);
+        assert!(!tight.evaluate_with_spans(&attr, &preempt, None).passed);
         // Deadline clauses need slot-level completion data.
         let bad = SloSpec::parse("task3=50ms", &[], HZ).expect("parse");
-        assert!(!bad.evaluate(&attr, &preempt).passed);
+        assert!(!bad.evaluate_with_spans(&attr, &preempt, None).passed);
     }
 
     #[test]
@@ -618,7 +610,7 @@ mod tests {
 
         // Lane clauses without span data fail loudly instead of passing
         // vacuously.
-        assert!(!spec.evaluate(&attr, &preempt).passed);
+        assert!(!spec.evaluate_with_spans(&attr, &preempt, None).passed);
 
         // Share clauses need a lane selector.
         let misdirected = SloSpec::parse("slot1=queue_share:<0.5", &[], HZ).expect("parse");

@@ -5,8 +5,7 @@
 //! busy/reload-cycle burn, per-tenant queue depth, outstanding work and
 //! deadline/shed counter deltas, plus advance-mode work telemetry — into
 //! a bounded drop-oldest ring. Frames export as the columnar
-//! [`TIMESERIES_SCHEMA`] JSON envelope, which is mergeable across
-//! gateways ([`TimeSeries::merge`]).
+//! [`TIMESERIES_SCHEMA`] JSON envelope.
 //!
 //! Sampling lives entirely in the **cycle domain**: frames are taken at
 //! fixed virtual-cycle boundaries interleaved deterministically with the
@@ -246,12 +245,6 @@ impl Sampler {
         self.next = (now / self.interval + 1) * self.interval;
     }
 
-    /// The sample interval in cycles.
-    #[must_use]
-    pub fn interval(&self) -> u64 {
-        self.interval
-    }
-
     /// The next sample-boundary cycle.
     #[must_use]
     pub fn next_at(&self) -> u64 {
@@ -488,54 +481,6 @@ fn group_count(columns: &BTreeMap<String, Vec<u64>>, prefix: &str) -> usize {
         .unwrap_or(0)
 }
 
-/// Renumbers `core{i}.x` / `tenant{i}.x` keys by a group offset; other
-/// keys pass through (and merge by summation).
-fn renumber(key: &str, core_offset: usize, tenant_offset: usize) -> String {
-    for (prefix, offset) in [("core", core_offset), ("tenant", tenant_offset)] {
-        if let Some(rest) = key.strip_prefix(prefix) {
-            let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
-            if let Ok(i) = digits.parse::<usize>() {
-                return format!("{prefix}{}{}", i + offset, &rest[digits.len()..]);
-            }
-        }
-    }
-    key.to_owned()
-}
-
-/// Sorted union of two strictly-increasing cycle axes — the common grid
-/// a fleet merge aligns both series onto.
-fn union_cycles(a: &[u64], b: &[u64]) -> Vec<u64> {
-    let mut out = Vec::with_capacity(a.len().max(b.len()));
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < a.len() || j < b.len() {
-        let next = match (a.get(i), b.get(j)) {
-            (Some(&x), Some(&y)) => {
-                if x <= y {
-                    i += 1;
-                    if x == y {
-                        j += 1;
-                    }
-                    x
-                } else {
-                    j += 1;
-                    y
-                }
-            }
-            (Some(&x), None) => {
-                i += 1;
-                x
-            }
-            (None, Some(&y)) => {
-                j += 1;
-                y
-            }
-            (None, None) => unreachable!(),
-        };
-        out.push(next);
-    }
-    out
-}
-
 impl TimeSeries {
     /// Number of frames.
     #[must_use]
@@ -595,80 +540,6 @@ impl TimeSeries {
             columns: self.columns.iter().map(|(k, v)| (k.clone(), pick(v))).collect(),
             violation: self.violation.clone(),
         }
-    }
-
-    /// Merges two series sampled on the same interval and clock: `coreN.*`
-    /// and `tenantN.*` column groups of `other` are appended (renumbered
-    /// past this series' groups), every other column is summed
-    /// element-wise, drop counts add, and the earlier violation (by
-    /// cycle) is kept. The cycle axes are union-aligned: a frame one
-    /// series lacks (its gateway was idle-skipped at that boundary, or
-    /// it simply stopped earlier) contributes zero to all of its columns
-    /// — correct because delta columns really are zero over a skipped
-    /// window and the gauges of an idle gateway really are zero.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message on interval/clock mismatch.
-    pub fn merge(&self, other: &TimeSeries) -> Result<TimeSeries, String> {
-        if self.interval != other.interval {
-            return Err(format!(
-                "interval mismatch: {} vs {} cycles",
-                self.interval, other.interval
-            ));
-        }
-        if self.clock_hz != other.clock_hz {
-            return Err(format!("clock mismatch: {} vs {} Hz", self.clock_hz, other.clock_hz));
-        }
-        let cycles = union_cycles(&self.cycles, &other.cycles);
-        let n = cycles.len();
-        // Scatter a source column onto the union axis: frames the source
-        // sampled land on their cycle, everything else stays zero.
-        let align = |src: &[u64], v: &[u64]| {
-            let mut out = vec![0u64; n];
-            let mut j = 0usize;
-            for (slot, &c) in out.iter_mut().zip(&cycles) {
-                if j < src.len() && src[j] == c {
-                    *slot = v[j];
-                    j += 1;
-                }
-            }
-            out
-        };
-        let mut columns: BTreeMap<String, Vec<u64>> = BTreeMap::new();
-        for (k, v) in &self.columns {
-            columns.insert(k.clone(), align(&self.cycles, v));
-        }
-        let (core_off, tenant_off) = (self.cores(), self.tenants());
-        for (k, v) in &other.columns {
-            let key = renumber(k, core_off, tenant_off);
-            match columns.get_mut(&key) {
-                Some(dst) => {
-                    for (d, s) in dst.iter_mut().zip(align(&other.cycles, v)) {
-                        *d += s;
-                    }
-                }
-                None => {
-                    columns.insert(key, align(&other.cycles, v));
-                }
-            }
-        }
-        let mut lanes = self.lanes.clone();
-        lanes.extend(&other.lanes);
-        let violation = match (&self.violation, &other.violation) {
-            (Some(a), Some(b)) => Some(if a.cycle <= b.cycle { a.clone() } else { b.clone() }),
-            (a, b) => a.clone().or_else(|| b.clone()),
-        };
-        Ok(TimeSeries {
-            name: format!("{}+{}", self.name, other.name),
-            clock_hz: self.clock_hz,
-            interval: self.interval,
-            dropped: self.dropped + other.dropped,
-            lanes,
-            cycles,
-            columns,
-            violation,
-        })
     }
 
     /// Per-frame pass verdicts for the timeline-checkable clauses of
@@ -950,62 +821,6 @@ mod tests {
                       \"interval\":1,\"frames\":2,\"dropped\":0,\"lanes\":[],\"cycles\":[1,2],\
                       \"columns\":{\"a\":[1]}}";
         assert!(TimeSeries::from_json(ragged).is_err());
-    }
-
-    #[test]
-    fn merge_appends_groups_and_sums_scalars() {
-        let mk = |name: &str| {
-            let mut s = Sampler::new(100, 8);
-            s.record(obs(100, 40, 2, 0, 1));
-            s.record(obs(200, 90, 1, 0, 3));
-            s.series(name, 300_000_000)
-        };
-        let merged = mk("a").merge(&mk("b")).expect("merge");
-        assert_eq!(merged.name, "a+b");
-        assert_eq!(merged.cores(), 2);
-        assert_eq!(merged.tenants(), 4);
-        assert_eq!(merged.column("core1.busy"), mk("b").column("core0.busy"));
-        assert_eq!(merged.column("tenant2.queue_depth"), mk("b").column("tenant0.queue_depth"));
-        let a_barriers: u64 = mk("a").column("advance.barriers").unwrap().iter().sum();
-        let m_barriers: u64 = merged.column("advance.barriers").unwrap().iter().sum();
-        assert_eq!(m_barriers, a_barriers * 2, "scalar columns sum");
-        assert_eq!(merged.lanes, vec![true, false, true, false]);
-
-        let mut other = mk("c");
-        other.interval = 7;
-        assert!(mk("a").merge(&other).is_err());
-    }
-
-    #[test]
-    fn merge_zero_pads_a_shorter_series() {
-        let mut a = Sampler::new(100, 8);
-        a.record(obs(100, 40, 0, 0, 1));
-        a.record(obs(200, 90, 0, 0, 2));
-        let mut b = Sampler::new(100, 8);
-        b.record(obs(100, 10, 0, 0, 1));
-        let merged = a.series("a", 1).merge(&b.series("b", 1)).expect("merge");
-        assert_eq!(merged.cycles, vec![100, 200]);
-        assert_eq!(merged.column("core1.busy"), Some(&[10, 0][..]));
-    }
-
-    #[test]
-    fn merge_union_aligns_diverging_cycle_axes() {
-        // Gateway a sampled boundaries 100 and 300; gateway b was
-        // idle-skipped at 300 but awake at 200 and 400. The fleet view
-        // covers the union grid with zeros where a gateway was absent.
-        let mut a = Sampler::new(100, 8);
-        a.record(obs(100, 40, 0, 0, 1));
-        a.record(obs(300, 90, 0, 0, 2));
-        let mut b = Sampler::new(100, 8);
-        b.record(obs(200, 10, 3, 0, 1));
-        b.record(obs(400, 20, 1, 0, 1));
-        let merged = a.series("a", 1).merge(&b.series("b", 1)).expect("merge");
-        assert_eq!(merged.cycles, vec![100, 200, 300, 400]);
-        assert_eq!(merged.column("core0.busy"), Some(&[40, 0, 50, 0][..]));
-        assert_eq!(merged.column("core1.busy"), Some(&[0, 10, 0, 10][..]));
-        assert_eq!(merged.column("tenant2.queue_depth"), Some(&[0, 3, 0, 1][..]));
-        let completed: u64 = merged.column("tenant0.completed").unwrap().iter().sum();
-        assert_eq!(completed, 2, "delta sums survive the re-gridding");
     }
 
     #[test]

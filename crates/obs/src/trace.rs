@@ -132,7 +132,7 @@ pub enum TraceEvent {
     },
     /// The runtime delivered a publication to its subscribers.
     MessagePublished {
-        /// Cycle (or publish sequence number on the wall-clock live bus).
+        /// Cycle.
         cycle: u64,
         /// Topic name.
         topic: String,

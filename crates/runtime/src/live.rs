@@ -8,7 +8,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TrySendError};
-use inca_obs::{Metrics, TraceEvent, Tracer};
+use inca_obs::Metrics;
 use parking_lot::Mutex;
 
 type Subscribers<M> = HashMap<String, Vec<Sender<(String, M)>>>;
@@ -18,9 +18,8 @@ struct BusState<M> {
     subscribers: Subscribers<M>,
     /// Per-subscriber channel capacity; `None` means unbounded.
     capacity: Option<usize>,
-    /// Monotonic publish sequence — the bus has no virtual clock, so this
-    /// stands in as the (deterministic) trace timestamp.
-    publish_seq: u64,
+    /// Publishes so far, to any topic.
+    publishes: u64,
     messages_sent: u64,
     messages_dropped: u64,
     dropped_subscribers: u64,
@@ -31,7 +30,7 @@ impl<M> Default for BusState<M> {
         Self {
             subscribers: HashMap::new(),
             capacity: None,
-            publish_seq: 0,
+            publishes: 0,
             messages_sent: 0,
             messages_dropped: 0,
             dropped_subscribers: 0,
@@ -54,12 +53,11 @@ impl<M> Default for BusState<M> {
 #[derive(Debug, Clone)]
 pub struct LiveBus<M> {
     state: Arc<Mutex<BusState<M>>>,
-    tracer: Tracer,
 }
 
 impl<M> Default for LiveBus<M> {
     fn default() -> Self {
-        Self { state: Arc::new(Mutex::new(BusState::default())), tracer: Tracer::disabled() }
+        Self { state: Arc::new(Mutex::new(BusState::default())) }
     }
 }
 
@@ -88,14 +86,6 @@ impl<M: Clone + Send + 'static> LiveBus<M> {
         self.state.lock().capacity
     }
 
-    /// Installs a tracer; each publish is recorded as a
-    /// [`TraceEvent::MessagePublished`] stamped with the bus's publish
-    /// sequence number (the bus runs on wall-clock threads, so a virtual
-    /// cycle is not available).
-    pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = tracer;
-    }
-
     /// Subscribes to `topic`, returning the receiving end of a channel of
     /// `(topic, message)` pairs — bounded to the bus capacity when one was
     /// configured ([`LiveBus::with_capacity`]), unbounded otherwise.
@@ -115,16 +105,8 @@ impl<M: Clone + Send + 'static> LiveBus<M> {
     /// miss this message (counted, not buffered).
     pub fn publish(&self, topic: &str, msg: M) -> usize {
         let mut st = self.state.lock();
-        let seq = st.publish_seq;
-        st.publish_seq += 1;
-        let Some(subs) = st.subscribers.get_mut(topic) else {
-            self.tracer.emit(|| TraceEvent::MessagePublished {
-                cycle: seq,
-                topic: topic.to_owned(),
-                subscribers: 0,
-            });
-            return 0;
-        };
+        st.publishes += 1;
+        let Some(subs) = st.subscribers.get_mut(topic) else { return 0 };
         let before = subs.len();
         let mut reached = 0usize;
         let mut dropped = 0u64;
@@ -142,11 +124,6 @@ impl<M: Clone + Send + 'static> LiveBus<M> {
         st.dropped_subscribers += (before - subs.len()) as u64;
         st.messages_dropped += dropped;
         st.messages_sent += reached as u64;
-        self.tracer.emit(|| TraceEvent::MessagePublished {
-            cycle: seq,
-            topic: topic.to_owned(),
-            subscribers: reached as u32,
-        });
         reached
     }
 
@@ -161,7 +138,7 @@ impl<M: Clone + Send + 'static> LiveBus<M> {
     pub fn metrics(&self) -> Metrics {
         let st = self.state.lock();
         let mut m = Metrics::new();
-        m.inc("bus.publishes", st.publish_seq);
+        m.inc("bus.publishes", st.publishes);
         m.inc("bus.messages.sent", st.messages_sent);
         m.inc("bus.messages.dropped", st.messages_dropped);
         m.inc("bus.subscribers.dropped", st.dropped_subscribers);
@@ -205,22 +182,6 @@ mod tests {
         drop(rx);
         assert_eq!(bus.publish("t", 1), 0);
         assert_eq!(bus.metrics().counter("bus.subscribers.dropped"), 1);
-    }
-
-    #[test]
-    fn publishes_are_traced_with_sequence_stamps() {
-        let (tracer, buf) = Tracer::ring(8);
-        let mut bus: LiveBus<u32> = LiveBus::new();
-        bus.set_tracer(tracer);
-        let _rx = bus.subscribe("t");
-        bus.publish("t", 1);
-        bus.publish("t", 2);
-        let events = buf.snapshot();
-        assert_eq!(events.len(), 2);
-        assert!(matches!(
-            &events[1],
-            TraceEvent::MessagePublished { cycle: 1, topic, subscribers: 1 } if topic == "t"
-        ));
     }
 
     #[test]
@@ -285,37 +246,19 @@ mod tests {
 
     #[test]
     fn sequence_stamps_stay_monotonic_across_dropped_subscribers() {
-        let (tracer, buf) = Tracer::ring(16);
-        let mut bus: LiveBus<u32> = LiveBus::new();
-        bus.set_tracer(tracer);
+        let bus: LiveBus<u32> = LiveBus::new();
         let rx_a = bus.subscribe("t");
-        bus.publish("t", 0); // seq 0: one live subscriber
+        let mut reached = vec![bus.publish("t", 0)]; // one live subscriber
         drop(rx_a);
-        bus.publish("t", 1); // seq 1: prunes the dead one
-        bus.publish("missing", 2); // seq 2: topic never subscribed
+        reached.push(bus.publish("t", 1)); // prunes the dead one
+        reached.push(bus.publish("missing", 2)); // topic never subscribed
         let _rx_b = bus.subscribe("t");
-        bus.publish("t", 3); // seq 3: fresh subscriber
-        let events = buf.snapshot();
-        let stamps: Vec<u64> = events
-            .iter()
-            .map(|e| match e {
-                TraceEvent::MessagePublished { cycle, .. } => *cycle,
-                other => panic!("unexpected event {other:?}"),
-            })
-            .collect();
-        assert_eq!(
-            stamps,
-            vec![0, 1, 2, 3],
-            "every publish is stamped, gap-free, in order, dead receivers or not"
-        );
-        let reached: Vec<u32> = events
-            .iter()
-            .map(|e| match e {
-                TraceEvent::MessagePublished { subscribers, .. } => *subscribers,
-                other => panic!("unexpected event {other:?}"),
-            })
-            .collect();
+        reached.push(bus.publish("t", 3)); // fresh subscriber
         assert_eq!(reached, vec![1, 0, 0, 1]);
-        assert_eq!(bus.metrics().counter("bus.publishes"), 4);
+        assert_eq!(
+            bus.metrics().counter("bus.publishes"),
+            4,
+            "every publish is counted, dead receivers or not"
+        );
     }
 }

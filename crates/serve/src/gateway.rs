@@ -285,12 +285,6 @@ impl<B: Backend> Gateway<B> {
             .then(|| request.raw())
     }
 
-    /// The placement policy in use.
-    #[must_use]
-    pub fn place_policy(&self) -> PlacePolicy {
-        self.placer.policy()
-    }
-
     /// The gateway clock: the latest cycle seen across submissions, runs
     /// and core completions.
     #[must_use]
@@ -730,8 +724,8 @@ impl<B: Backend> Gateway<B> {
                 self.flush_net(fire, net);
             } else {
                 // Frames stay pinned to the interval grid even when the
-                // boundary fired late — the cycle axis is what merge and
-                // the differential suites compare.
+                // boundary fired late — the cycle axis is what the
+                // differential suites compare.
                 let obs = self.observe(cycle);
                 self.sampler.as_mut().expect("sample boundary implies sampler").record(obs);
                 sampled_state = Some(state);

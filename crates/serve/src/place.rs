@@ -42,10 +42,6 @@ impl Placer {
         Self { policy, rr_next: 0, affinity: Vec::new() }
     }
 
-    pub(crate) fn policy(&self) -> PlacePolicy {
-        self.policy
-    }
-
     pub(crate) fn add_tenant(&mut self) {
         self.affinity.push(None);
     }

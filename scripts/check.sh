@@ -102,6 +102,10 @@ for s in vi lbl cpu none; do
     ./target/release/inca run "$tmp/t.bin" --interrupt-at 700000 --strategy "$s" > /dev/null
 done
 
+echo "== profile_network (per-layer/opcode table read off the cycle table)"
+cargo build --release -p inca-bench --bin profile_network -q
+./target/release/profile_network mobilenet --json > /dev/null
+
 echo "== prog_size example (paper-scale compiles, VI pass next to lower+codegen)"
 cargo build --release -p inca-compiler --example prog_size -q
 ./target/release/examples/prog_size

@@ -184,7 +184,6 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
 
     let lo = TaskSlot::new(3).map_err(|e| e.to_string())?;
     let mut engine = Engine::new(cfg, strategy, TimingBackend::new());
-    engine.set_profiling(true);
     engine.load(lo, program).map_err(|e| e.to_string())?;
     engine.request_at(0, lo).map_err(|e| e.to_string())?;
     if let Some(at) = interrupt_at {

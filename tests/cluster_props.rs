@@ -327,7 +327,8 @@ struct ClusterObservables {
     /// counters stripped (everything else must match bytewise).
     metrics_json: String,
     /// Merged fleet timeline without the advance columns.
-    timeline_json: String,
+    /// Each gateway's own advance-stripped timeline, in gateway order.
+    timeline_json: Vec<String>,
     route: RouteStats,
     stolen: u64,
     cascades: u64,
@@ -359,10 +360,11 @@ fn strip_event(m: &Metrics) -> Metrics {
 fn func_run(threads: usize, mode: AdvanceMode) -> ClusterObservables {
     let mut fleet = build_fleet(3, 2, || FuncBackend::with_threads(threads));
     for g in 0..fleet.cluster.gateway_count() {
-        fleet.cluster.gateway_mut(GatewayId(g)).barrier().set_mode(mode);
+        let gw = fleet.cluster.gateway_mut(GatewayId(g));
+        gw.barrier().set_mode(mode);
+        let _ = gw.enable_timeline(fleet.mean_gap, 4096);
     }
     fleet.cluster.set_rebalance(true);
-    fleet.cluster.enable_timeline(fleet.mean_gap, 4096);
 
     // The functional backend executes real int8 arithmetic, so every
     // core that might serve a tenant (any of them, thanks to stealing)
@@ -391,15 +393,17 @@ fn func_run(threads: usize, mode: AdvanceMode) -> ClusterObservables {
     let responses = drive(&mut fleet, 12, true);
     assert!(!hard_latencies(&responses, fleet.hard).is_empty());
     let Fleet { mut cluster, .. } = fleet;
-    let timeline = cluster
-        .take_fleet_timeline("fleet")
-        .expect("uniform sampling intervals")
-        .expect("timeline enabled");
+    let timeline_json = (0..cluster.gateway_count())
+        .map(|g| {
+            let series = cluster.gateway_mut(GatewayId(g)).take_timeline(&format!("gw{g}"));
+            series.expect("timeline enabled").without_advance().to_json()
+        })
+        .collect();
     ClusterObservables {
         responses,
         totals: cluster.totals(),
         metrics_json: MetricsSnapshot::new("cluster", strip_event(&cluster.metrics())).to_json(),
-        timeline_json: timeline.without_advance().to_json(),
+        timeline_json,
         route: cluster.route_stats(),
         stolen: cluster.stolen(),
         cascades: cluster.cascades(),
@@ -430,15 +434,42 @@ fn cluster_runs_are_byte_identical_across_threads_modes_and_repeats() {
     }
 }
 
-/// Mismatched sampling intervals can only be set behind the cluster's
-/// back, through `gateway_mut` — which is caller input, so merging them is
-/// an error to report, not a panic.
+/// Inside a stealing cluster each gateway keeps its own timeline, sampled
+/// at its own interval (the intervals need not agree): every series
+/// covers its gateway's whole run, so its frame deltas sum to that
+/// gateway's final busy cycles and completions.
 #[test]
-fn mismatched_timeline_intervals_are_an_error_not_a_panic() {
-    let mut fleet = build_fleet(2, 1, TimingBackend::new);
-    fleet.cluster.enable_timeline(fleet.mean_gap, 64);
-    assert!(matches!(fleet.cluster.take_fleet_timeline("fleet"), Ok(Some(_))));
-    let _ = fleet.cluster.gateway_mut(GatewayId(1)).enable_timeline(fleet.mean_gap * 2, 64);
-    let err = fleet.cluster.take_fleet_timeline("fleet").expect_err("intervals differ");
-    assert!(err.contains("interval mismatch"), "{err}");
+fn per_gateway_timelines_reconcile_with_each_gateways_totals() {
+    // The flood fleet's long batch window leaves backlog to steal.
+    let mut fleet = build_fleet(4, 2, TimingBackend::new);
+    fleet.cluster.set_batch_window(fleet.mean_gap * 8);
+    fleet.cluster.set_rebalance(true);
+    let interval = |g: usize| fleet.mean_gap * (g as u64 + 1);
+    let intervals: Vec<u64> = (0..fleet.cluster.gateway_count()).map(interval).collect();
+    for (g, &every) in intervals.iter().enumerate() {
+        let _ = fleet.cluster.gateway_mut(GatewayId(g)).enable_timeline(every, 4096);
+    }
+    let responses = drive(&mut fleet, 16, true);
+    assert!(!responses.is_empty());
+    let cluster = &mut fleet.cluster;
+    assert!(cluster.stolen() > 0, "the flood must make gateways steal");
+    for (g, &every) in intervals.iter().enumerate() {
+        let series = cluster.gateway_mut(GatewayId(g)).take_timeline(&format!("gw{g}"));
+        let series = series.expect("timeline enabled");
+        assert_eq!(series.interval, every, "gw{g}");
+        assert_eq!(series.dropped, 0, "gw{g}: frames were evicted");
+        assert!(series.cycles.windows(2).all(|w| w[0] < w[1]), "gw{g}: axis not increasing");
+        let sum = |col: String| series.column(&col).expect("column").iter().sum::<u64>();
+        let gw = cluster.gateway(GatewayId(g));
+        let completed: u64 =
+            (0..series.tenants()).map(|t| sum(format!("tenant{t}.completed"))).sum();
+        assert_eq!(completed, gw.totals().completed, "gw{g}: completions");
+        let pool = gw.pool();
+        assert_eq!(series.cores(), pool.cores(), "gw{g}");
+        for c in pool.core_ids() {
+            assert_eq!(sum(format!("core{}.busy", c.0)), pool.busy_cycles(c), "gw{g} {c}");
+        }
+        let json = series.to_json();
+        assert_eq!(inca::obs::TimeSeries::from_json(&json).expect("round-trip").to_json(), json);
+    }
 }

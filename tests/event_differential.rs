@@ -357,7 +357,7 @@ fn bench_canonical_spans_scenario_is_mode_invariant() {
     }
 }
 
-/// Span commits ≡ per-instruction stepping (DESIGN.md §5.6, invariant 14):
+/// Span commits ≡ per-instruction stepping (DESIGN.md §5.6, invariant 13):
 /// `Engine<TimingBackend>` jumps a job to the next event off its cycle
 /// table, `Engine<Stepped<TimingBackend>>` cannot. One net, every strategy,
 /// every observable compared after every call. The full matrix, the edge

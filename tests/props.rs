@@ -4,10 +4,13 @@
 
 use proptest::prelude::*;
 
-use inca::accel::{AccelConfig, DdrImage, Engine, FuncBackend, InterruptStrategy, TimingBackend};
+use inca::accel::{
+    AccelConfig, CoreId, CorePool, DdrImage, Engine, FuncBackend, InterruptStrategy, SimError,
+    TimingBackend,
+};
 use inca::compiler::{CompileOptions, Compiler, LoopOrder};
 use inca::isa::{DdrRange, Instr, Opcode, Program, TaskSlot, Tile};
-use inca::model::{Network, NetworkBuilder, Shape3};
+use inca::model::{zoo, Network, NetworkBuilder, Shape3};
 
 fn arb_opcode() -> impl Strategy<Value = Opcode> {
     prop::sample::select(Opcode::ALL.to_vec())
@@ -192,6 +195,33 @@ proptest! {
             e.run().unwrap().final_cycle
         };
         prop_assert_eq!(run(), run());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// A caller's core id past the pool is an engine error from `load`
+    /// and `request_at`, never a panic, and arms nothing: only a job on a
+    /// real core completes.
+    #[test]
+    fn core_ids_past_the_pool_are_errors_not_panics(cores in 1usize..=4, core in 0usize..8) {
+        let cfg = AccelConfig::paper_small();
+        let tiny = zoo::tiny(Shape3::new(3, 16, 16)).unwrap();
+        let program = Compiler::new(cfg.arch).compile_vi(&tiny).unwrap();
+        let mut pool =
+            CorePool::new(cores, cfg, InterruptStrategy::NonPreemptive, TimingBackend::new);
+        let slot = TaskSlot::LOWEST;
+        let load = pool.load(CoreId(core), slot, program);
+        let request = pool.request_at(0, CoreId(core), slot);
+        if core < cores {
+            prop_assert!(load.is_ok() && request.is_ok(), "{:?} {:?}", load, request);
+        } else {
+            prop_assert!(matches!(load, Err(SimError::Engine(_))), "{:?}", load);
+            prop_assert!(matches!(request, Err(SimError::Engine(_))), "{:?}", request);
+        }
+        let done: usize = pool.run().unwrap().iter().map(|r| r.completed_jobs.len()).sum();
+        prop_assert_eq!(done, usize::from(core < cores));
     }
 }
 

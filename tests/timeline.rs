@@ -12,13 +12,9 @@
 //! deltas over any observation stream reproduces the final cumulative
 //! snapshot, and gauge columns end on the final instantaneous value.
 
-use std::collections::BTreeMap;
-
 use inca::accel::{AdvanceMode, InterruptStrategy};
 use inca::obs::analyze::SloSpec;
-use inca::obs::{
-    CoreObs, Metrics, MetricsSnapshot, Observation, Sampler, TenantObs, TimeSeries, Violation,
-};
+use inca::obs::{CoreObs, Metrics, MetricsSnapshot, Observation, Sampler, TenantObs, TimeSeries};
 use inca_bench::{serve_timeline_scenario, TimelineRun, TIMELINE_SLO};
 use proptest::prelude::*;
 
@@ -144,34 +140,31 @@ fn eval_spec_fails_first_at_the_recorder_violation() {
     }
 }
 
-/// Two gateways' series (same interval, same grid) merge into one fleet
-/// view: groups are renumbered and appended, shared columns summed.
+/// `slice` (the window the slice dump exports) partitions the series:
+/// two adjacent windows hold every frame once, and their column deltas
+/// add back to the whole series'.
 #[test]
-fn fleet_merge_appends_groups_and_sums_advance_columns() {
-    let a = serve_timeline_scenario(
+fn adjacent_slices_partition_the_series() {
+    let run = serve_timeline_scenario(
         InterruptStrategy::VirtualInstruction,
         AdvanceMode::EventDriven,
         1,
-        false,
-    )
-    .series;
-    let b = serve_timeline_scenario(
-        InterruptStrategy::VirtualInstruction,
-        AdvanceMode::EventDriven,
-        1,
-        false,
-    )
-    .series;
-    let fleet = a.merge(&b).expect("same grid merges");
-    assert_eq!(fleet.cores(), a.cores() + b.cores());
-    assert_eq!(fleet.tenants(), a.tenants() + b.tenants());
-    let sum = |s: &inca::obs::TimeSeries, col: &str| s.column(col).unwrap().iter().sum::<u64>();
-    assert_eq!(
-        sum(&fleet, "advance.barriers"),
-        sum(&a, "advance.barriers") + sum(&b, "advance.barriers")
+        true,
     );
-    let round = inca::obs::TimeSeries::from_json(&fleet.to_json()).unwrap();
-    assert_eq!(round.to_json(), fleet.to_json());
+    let whole = &run.series;
+    assert!(whole.len() >= 2, "the scenario samples more than one frame");
+    let mid = whole.cycles[whole.len() / 2];
+    let (lo, hi) = (whole.slice(0, mid), whole.slice(mid + 1, u64::MAX));
+    assert_eq!(lo.len() + hi.len(), whole.len());
+    assert_eq!(lo.cycles.last(), Some(&mid));
+    assert_eq!([&lo.cycles[..], &hi.cycles[..]].concat(), whole.cycles);
+    for (name, col) in &whole.columns {
+        let sum = |s: &TimeSeries| s.column(name).expect("column").iter().sum::<u64>();
+        assert_eq!(sum(&lo) + sum(&hi), col.iter().sum::<u64>(), "{name}");
+    }
+    assert_eq!((lo.cores(), lo.tenants()), (whole.cores(), whole.tenants()));
+    let json = hi.to_json();
+    assert_eq!(TimeSeries::from_json(&json).expect("round-trip").to_json(), json);
 }
 
 /// Step layout for the property test: 17 small increments per step.
@@ -206,80 +199,6 @@ fn obs_from(cycle: u64, cum: &[u64], raw: &[u64]) -> Observation {
         barriers: cum[14],
         wakes: cum[15],
         skips: cum[16],
-    }
-}
-
-/// One synthetic gateway series for the fleet-merge property test:
-/// `gaps` spaces the frames on the shared `interval` grid (sparse axes
-/// model idle-skipped gateways), `cores`/`tenants` size the column
-/// groups, `fill` seeds deterministic column values, `dropped` and
-/// `violation` exercise the merged bookkeeping.
-#[derive(Debug, Clone)]
-struct GwSeries {
-    gaps: Vec<u64>,
-    cores: usize,
-    tenants: usize,
-    fill: u64,
-    dropped: u64,
-    violation: Option<(u64, u64)>,
-}
-
-fn arb_gw() -> impl Strategy<Value = GwSeries> {
-    (
-        prop::collection::vec(1u64..=6, 1..24),
-        1usize..=2,
-        1usize..=2,
-        0u64..=9,
-        0u64..=5,
-        // The vendored proptest has no `option::of`: draw a presence
-        // die alongside the violation payload instead (25% None).
-        (0u64..=3, 0u64..=1000, 0u64..=3),
-    )
-        .prop_map(|(gaps, cores, tenants, fill, dropped, (has, vc, vs))| GwSeries {
-            gaps,
-            cores,
-            tenants,
-            fill,
-            dropped,
-            violation: (has > 0).then_some((vc, vs)),
-        })
-}
-
-fn build_series(gw: &GwSeries, interval: u64, id: usize) -> TimeSeries {
-    let mut cycles = Vec::with_capacity(gw.gaps.len());
-    let mut at = 0u64;
-    for g in &gw.gaps {
-        at += g * interval;
-        cycles.push(at);
-    }
-    let n = cycles.len();
-    // Deterministic but gateway-distinct frame values.
-    let vals =
-        |salt: u64| (0..n as u64).map(|i| (gw.fill + salt + i * (id as u64 + 1)) % 11).collect();
-    let mut columns: BTreeMap<String, Vec<u64>> = BTreeMap::new();
-    for c in 0..gw.cores {
-        columns.insert(format!("core{c}.busy"), vals(c as u64));
-        columns.insert(format!("core{c}.reload_cycles"), vals(c as u64 + 3));
-    }
-    for t in 0..gw.tenants {
-        columns.insert(format!("tenant{t}.completed"), vals(t as u64 + 5));
-        columns.insert(format!("tenant{t}.queue_depth"), vals(t as u64 + 7));
-    }
-    columns.insert("advance.barriers".into(), vals(13));
-    columns.insert("advance.skips".into(), vals(17));
-    TimeSeries {
-        name: format!("gw{id}"),
-        clock_hz: 1_000_000,
-        interval,
-        dropped: gw.dropped,
-        lanes: vec![false; gw.tenants],
-        cycles,
-        columns,
-        violation: gw.violation.map(|(cycle, spec)| Violation {
-            cycle,
-            spec: format!("spec{spec}"),
-            clause: format!("depth {spec} > 0"),
-        }),
     }
 }
 
@@ -341,89 +260,5 @@ proptest! {
             let col = series.column(name).expect(name);
             prop_assert_eq!(*col.last().unwrap(), last_raw[idx], "gauge {}", name);
         }
-    }
-
-    /// Folding a whole fleet of gateway series through
-    /// [`TimeSeries::merge`] — sparse axes, uneven group counts, drops
-    /// and violations included — loses nothing: the union axis covers
-    /// every sampled boundary, per-gateway column groups keep their
-    /// delta sums under renumbering, shared columns sum, drop counts
-    /// add, and the earliest violation by cycle survives the fold.
-    #[test]
-    fn fleet_merge_preserves_sums_drops_and_the_earliest_violation(
-        interval in 1u64..=64,
-        gws in prop::collection::vec(arb_gw(), 2..6),
-    ) {
-        let series: Vec<TimeSeries> =
-            gws.iter().enumerate().map(|(i, g)| build_series(g, interval, i)).collect();
-        let mut fleet = series[0].clone();
-        for s in &series[1..] {
-            fleet = fleet.merge(s).expect("same grid merges");
-        }
-
-        // Union axis: strictly increasing, covers every source boundary.
-        prop_assert!(fleet.cycles.windows(2).all(|w| w[0] < w[1]));
-        for s in &series {
-            for c in &s.cycles {
-                prop_assert!(fleet.cycles.binary_search(c).is_ok());
-            }
-        }
-
-        // Group bookkeeping: groups append, lanes concatenate, drops add.
-        prop_assert_eq!(fleet.cores(), series.iter().map(TimeSeries::cores).sum::<usize>());
-        prop_assert_eq!(fleet.tenants(), series.iter().map(TimeSeries::tenants).sum::<usize>());
-        prop_assert_eq!(fleet.lanes.len(), fleet.tenants());
-        prop_assert_eq!(fleet.dropped, series.iter().map(|s| s.dropped).sum::<u64>());
-
-        // Delta-sum preservation: each source group's columns reappear
-        // renumbered past the groups merged before it, sums intact.
-        let (mut core_off, mut tenant_off) = (0usize, 0usize);
-        let sum = |s: &TimeSeries, col: &str| s.column(col).expect(col).iter().sum::<u64>();
-        for s in &series {
-            for (key, v) in &s.columns {
-                let merged_key = if let Some(rest) = key.strip_prefix("core") {
-                    let digits: String =
-                        rest.chars().take_while(char::is_ascii_digit).collect();
-                    let i: usize = digits.parse().unwrap();
-                    format!("core{}{}", i + core_off, &rest[digits.len()..])
-                } else if let Some(rest) = key.strip_prefix("tenant") {
-                    let digits: String =
-                        rest.chars().take_while(char::is_ascii_digit).collect();
-                    let i: usize = digits.parse().unwrap();
-                    format!("tenant{}{}", i + tenant_off, &rest[digits.len()..])
-                } else {
-                    continue;
-                };
-                prop_assert_eq!(
-                    sum(&fleet, &merged_key),
-                    v.iter().sum::<u64>(),
-                    "group column {} -> {} lost its delta sum", key, merged_key
-                );
-            }
-            core_off += s.cores();
-            tenant_off += s.tenants();
-        }
-        for shared in ["advance.barriers", "advance.skips"] {
-            prop_assert_eq!(
-                sum(&fleet, shared),
-                series.iter().map(|s| sum(s, shared)).sum::<u64>(),
-                "shared column {} must sum element-wise", shared
-            );
-        }
-
-        // The earliest violation by cycle wins the fold.
-        let earliest = series.iter().filter_map(|s| s.violation.as_ref())
-            .min_by_key(|v| v.cycle);
-        match (earliest, &fleet.violation) {
-            (None, None) => {}
-            (Some(e), Some(got)) => {
-                prop_assert_eq!(got.cycle, e.cycle, "kept violation is not the earliest");
-            }
-            (e, got) => prop_assert!(false, "violation lost or minted: {e:?} vs {got:?}"),
-        }
-
-        // The merged fleet view still round-trips to the byte.
-        let json = fleet.to_json();
-        prop_assert_eq!(TimeSeries::from_json(&json).expect("round-trip").to_json(), json);
     }
 }
