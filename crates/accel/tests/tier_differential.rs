@@ -213,7 +213,7 @@ fn assert_tiers_agree(s: &Scenario) -> (Observables, inca_obs::Metrics) {
     // Tagged jobs put their span tree in the compared stream: Layer spans
     // under Exec segments, and a Preempted span per resumed preemption.
     let spans = |stage| {
-        let is = |e: &&TraceEvent| matches!(e, TraceEvent::Span { stage: s, .. } if *s == stage);
+        let is = |e: &&TraceEvent| matches!(e, TraceEvent::Span(s) if s.stage == stage);
         t1.trace.iter().filter(is).count()
     };
     if s.tagged {

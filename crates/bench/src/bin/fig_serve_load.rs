@@ -70,8 +70,7 @@ fn attach_tracer(gw: &mut Gateway<TimingBackend>, trace_sample: u64) -> Option<T
 fn span_counts(buf: Option<TraceBuffer>) -> (u64, u64) {
     buf.map_or((0, 0), |b| {
         let dropped = b.dropped();
-        let spans =
-            b.drain().iter().filter(|e| matches!(e, TraceEvent::Span { .. })).count() as u64;
+        let spans = b.drain().iter().filter(|e| matches!(e, TraceEvent::Span(_))).count() as u64;
         (spans, dropped)
     })
 }

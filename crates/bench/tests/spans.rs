@@ -19,7 +19,7 @@ use inca_bench::serve_spans_scenario;
 use inca_compiler::Compiler;
 use inca_model::{zoo, Shape3};
 use inca_obs::analyze::import;
-use inca_obs::{Analyzer, ChromeTrace, MetricsSnapshot, SpanStage, TraceEvent, Tracer};
+use inca_obs::{Analyzer, ChromeTrace, MetricsSnapshot, Span, SpanStage, TraceEvent, Tracer};
 
 const STRATEGIES: [InterruptStrategy; 3] = [
     InterruptStrategy::VirtualInstruction,
@@ -27,8 +27,14 @@ const STRATEGIES: [InterruptStrategy; 3] = [
     InterruptStrategy::CpuLike,
 ];
 
-fn spans_of(events: &[TraceEvent]) -> Vec<TraceEvent> {
-    events.iter().filter(|e| matches!(e, TraceEvent::Span { .. })).cloned().collect()
+fn spans_of(events: &[TraceEvent]) -> Vec<Span> {
+    events
+        .iter()
+        .filter_map(|e| match e {
+            TraceEvent::Span(s) => Some(*s),
+            _ => None,
+        })
+        .collect()
 }
 
 #[test]
@@ -71,10 +77,7 @@ fn func_backend_spans_identical_across_thread_counts() {
     };
     let one = run(1);
     assert!(!one.is_empty(), "tagged Tier-1 job emits spans");
-    assert!(
-        one.iter().any(|e| matches!(e, TraceEvent::Span { stage: SpanStage::Layer, .. })),
-        "Tier-1 batches emit Layer spans"
-    );
+    assert!(one.iter().any(|s| s.stage == SpanStage::Layer), "Tier-1 batches emit Layer spans");
     for threads in [2, 4] {
         assert_eq!(one, run(threads), "{threads} threads: same spans as 1 thread");
     }
@@ -89,15 +92,10 @@ fn chrome_round_trip_reconstructs_spans_exactly() {
     chrome.add_process(0, "core0", &out.events);
     let text = chrome.finish();
     let procs = import(&text).expect("chrome import");
-    let mut reimported: Vec<TraceEvent> = procs.iter().flat_map(|p| spans_of(&p.events)).collect();
+    let mut reimported: Vec<Span> = procs.iter().flat_map(|p| spans_of(&p.events)).collect();
 
     // The importer orders by cycle; compare as sorted multisets.
-    let key = |e: &TraceEvent| match *e {
-        TraceEvent::Span { id, parent, request, stage, start, end, core, detail } => {
-            (start, end, id, parent, request, stage.code(), core, detail)
-        }
-        _ => unreachable!("spans_of filtered"),
-    };
+    let key = |s: &Span| (s.start, s.end, s.id, s.parent, s.request, s.stage, s.core, s.detail);
     original.sort_by_key(key);
     reimported.sort_by_key(key);
     assert!(!original.is_empty());
@@ -136,18 +134,13 @@ fn trace_sample_modulus_selects_requests_deterministically() {
     let spans = spans_of(&sampled.events);
     assert!(!spans.is_empty());
     assert!(
-        spans.iter().all(|e| match e {
-            TraceEvent::Span { request, .. } => request % 2 == 0,
-            _ => unreachable!(),
-        }),
+        spans.iter().all(|s| s.request % 2 == 0),
         "only RequestId % 2 == 0 requests are tagged"
     );
     // Sampling filters whole requests, never truncates a tagged one: the
     // sampled run's spans are exactly the full run's even-id spans.
     let full = serve_spans_scenario(InterruptStrategy::VirtualInstruction, 1);
-    let even: Vec<TraceEvent> = spans_of(&full.events)
-        .into_iter()
-        .filter(|e| matches!(e, TraceEvent::Span { request, .. } if request % 2 == 0))
-        .collect();
+    let even: Vec<Span> =
+        spans_of(&full.events).into_iter().filter(|s| s.request % 2 == 0).collect();
     assert_eq!(spans, even);
 }

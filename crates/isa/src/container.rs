@@ -10,8 +10,8 @@
 //! ```text
 //! container := "VIIC" | version u16 | reserved u16
 //!            | name_len u16 | name utf8
-//!            | memory map (weights_base, weights_bytes,
-//!                          activations_base, activations_bytes) u64 ×4
+//!            | memory map (weights, activations, input, output:
+//!                          base and bytes each) u64 ×8
 //!            | layer_count u32 | layer*
 //!            | instruction stream (the v1 `instruction.bin` format)
 //! ```
@@ -229,7 +229,8 @@ pub fn decode_container(bytes: &[u8]) -> Result<Program, IsaError> {
         output_bytes: r.get_u64_le(),
     };
     let layer_count = r.get_u32_le() as usize;
-    let mut layers = Vec::with_capacity(layer_count);
+    // The count is untrusted: grow with the records actually read.
+    let mut layers = Vec::new();
     for _ in 0..layer_count {
         layers.push(get_layer(&mut r)?);
     }
@@ -311,6 +312,19 @@ mod tests {
         let mut bytes = encode_container(&p);
         bytes[4] = 0xEE; // version
         assert!(matches!(decode_container(&bytes), Err(IsaError::UnsupportedVersion(_))));
+    }
+
+    #[test]
+    fn huge_layer_count_is_a_truncation_not_an_allocation() {
+        // Valid header, empty name, zeroed memory map, u32::MAX layers, nothing after.
+        let mut bytes = MAGIC.to_vec();
+        bytes.put_u16_le(VERSION);
+        bytes.put_u16_le(0);
+        bytes.put_u16_le(0);
+        bytes.extend_from_slice(&[0; 64]);
+        bytes.put_u32_le(u32::MAX);
+        assert_eq!(bytes.len(), 78);
+        assert!(matches!(decode_container(&bytes), Err(IsaError::TruncatedRecord { .. })));
     }
 
     #[test]

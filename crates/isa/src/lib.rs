@@ -43,7 +43,6 @@ mod instr;
 mod layer;
 mod program;
 
-pub mod asm;
 pub mod container;
 pub mod encode;
 pub mod plan;

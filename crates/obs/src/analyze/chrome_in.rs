@@ -22,7 +22,7 @@ use inca_isa::{Opcode, TaskSlot, TASK_SLOTS};
 
 use crate::chrome::{APP_TID, RUNTIME_TID};
 use crate::json::Value;
-use crate::span::SpanStage;
+use crate::span::{Span, SpanStage};
 use crate::trace::TraceEvent;
 
 /// Clock assumed for traces without an `"engine meta"` instant (the
@@ -79,7 +79,7 @@ fn rank(ev: &TraceEvent) -> u8 {
         TraceEvent::DeadlineMet { .. } | TraceEvent::DeadlineMissed { .. } => 9,
         TraceEvent::MessagePublished { .. } | TraceEvent::TimerFired { .. } => 10,
         TraceEvent::Milestone { .. } => 11,
-        TraceEvent::Span { .. } => 12,
+        TraceEvent::Span(_) => 12,
     }
 }
 
@@ -167,7 +167,7 @@ pub fn import(text: &str) -> Result<Vec<ImportedProcess>, String> {
                 ) else {
                     continue;
                 };
-                p.events.push(TraceEvent::Span {
+                p.events.push(TraceEvent::Span(Span {
                     id,
                     parent: arg_u64(args, "parent").unwrap_or(0),
                     request,
@@ -176,7 +176,7 @@ pub fn import(text: &str) -> Result<Vec<ImportedProcess>, String> {
                     end,
                     core: arg_u64(args, "core").map_or(crate::span::NO_CORE, |c| c as u32),
                     detail: arg_u64(args, "detail").unwrap_or(0),
-                });
+                }));
             }
             "X" => {
                 let Some(ts) = rec.get("ts").and_then(Value::as_f64) else { continue };

@@ -572,9 +572,9 @@ mod tests {
 
     #[test]
     fn lane_selectors_and_share_clauses_use_spans() {
-        use crate::span::{request_detail, request_span_id, span_id, NO_CORE};
+        use crate::span::{request_detail, request_span_id, span_id, Span, NO_CORE};
         let mk = |request: u64, stage: SpanStage, seq: u32, start: u64, end: u64, detail: u64| {
-            TraceEvent::Span {
+            TraceEvent::Span(Span {
                 id: span_id(request, stage, seq),
                 parent: if stage == SpanStage::Request { 0 } else { request_span_id(request) },
                 request,
@@ -583,7 +583,7 @@ mod tests {
                 end,
                 core: NO_CORE,
                 detail,
-            }
+            })
         };
         let mut spans = SpanAnalysis::new();
         // Hard request: 1000cy total, 300 queue (residual), 50 reload,

@@ -19,7 +19,7 @@ use std::collections::BTreeMap;
 
 use crate::metrics::Metrics;
 pub use crate::metrics::SPANS_SCHEMA;
-use crate::span::{split_request_detail, Span, SpanStage};
+use crate::span::{split_request_detail, SpanStage};
 use crate::trace::TraceEvent;
 
 /// One request's exact latency decomposition.
@@ -109,7 +109,7 @@ impl SpanAnalysis {
 
     /// Folds one event (non-span events are ignored).
     pub fn push(&mut self, ev: &TraceEvent) {
-        let Some(span) = Span::from_event(ev) else { return };
+        let TraceEvent::Span(span) = ev else { return };
         self.span_events += 1;
         let acc = self.per_request.entry(span.request).or_default();
         match span.stage {
@@ -313,7 +313,7 @@ impl SpanAnalysis {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::span::{request_detail, request_span_id, span_id, NO_CORE};
+    use crate::span::{request_detail, request_span_id, span_id, Span, NO_CORE};
 
     fn span(
         request: u64,
@@ -323,7 +323,7 @@ mod tests {
         end: u64,
         detail: u64,
     ) -> TraceEvent {
-        TraceEvent::Span {
+        TraceEvent::Span(Span {
             id: span_id(request, stage, seq),
             parent: if stage == SpanStage::Request { 0 } else { request_span_id(request) },
             request,
@@ -332,7 +332,7 @@ mod tests {
             end,
             core: NO_CORE,
             detail,
-        }
+        })
     }
 
     fn sample() -> SpanAnalysis {

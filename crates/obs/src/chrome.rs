@@ -19,6 +19,7 @@
 //! backend thread counts.
 
 use crate::json::{self, Obj};
+use crate::span::Span;
 use crate::trace::TraceEvent;
 use inca_isa::TASK_SLOTS;
 
@@ -130,7 +131,7 @@ impl ChromeTrace {
         }
         self.meta(pid, Some(RUNTIME_TID), "thread_name", "runtime");
         self.meta(pid, Some(APP_TID), "thread_name", "app");
-        if events.iter().any(|ev| matches!(ev, TraceEvent::Span { .. })) {
+        if events.iter().any(|ev| matches!(ev, TraceEvent::Span(_))) {
             for stage in crate::span::SpanStage::ALL {
                 self.meta(
                     pid,
@@ -144,8 +145,8 @@ impl ChromeTrace {
         let span_tid = |stage: crate::span::SpanStage| SPAN_TID_BASE + stage.code() as u32;
         let mut span_tracks: std::collections::HashMap<u64, u32> = std::collections::HashMap::new();
         for ev in events {
-            if let TraceEvent::Span { id, stage, .. } = ev {
-                span_tracks.insert(*id, span_tid(*stage));
+            if let TraceEvent::Span(s) = ev {
+                span_tracks.insert(s.id, span_tid(s.stage));
             }
         }
 
@@ -274,7 +275,7 @@ impl ChromeTrace {
                         Obj::new().str("strategy", strategy).u64("clock_hz", *clock_hz).finish();
                     self.instant(pid, RUNTIME_TID, "engine meta", *cycle, Some(args));
                 }
-                TraceEvent::Span { id, parent, request, stage, start, end, core, detail } => {
+                TraceEvent::Span(Span { id, parent, request, stage, start, end, core, detail }) => {
                     last_cycle = last_cycle.max(*end);
                     // All fields ride as raw u64 args so the importer
                     // round-trips spans exactly despite the float

@@ -22,8 +22,8 @@
 //!   accounting with model-drift checks, SLO evaluation, occupancy
 //!   attribution, and the perf-baseline regression gate.
 //! * [`timeline`] — cycle-domain time-series telemetry: the periodic
-//!   [`Sampler`] over bounded frame rings, the columnar
-//!   [`TIMESERIES_SCHEMA`] export, and the SLO-triggered
+//!   [`Sampler`] over a bounded ring of cumulative observations, the
+//!   write-only columnar [`TIMESERIES_SCHEMA`] export, and the SLO-triggered
 //!   [`FlightRecorder`] that freezes a window around the first violation.
 //!
 //! Because every timestamp is a virtual cycle, the same program and seed
@@ -53,7 +53,7 @@ pub use span::{
     request_detail, request_span_id, span_id, split_request_detail, Span, SpanStage, NO_CORE,
 };
 pub use timeline::{
-    CoreObs, FlightRecorder, Frame, Observation, Sampler, TenantObs, TimeSeries, Violation,
+    CoreObs, FlightRecorder, Observation, Sampler, TenantObs, TimeSeries, Violation,
     TIMESERIES_SCHEMA,
 };
 pub use trace::{RingSink, TraceBuffer, TraceEvent, Tracer};

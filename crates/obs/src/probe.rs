@@ -1,7 +1,7 @@
 //! [`Probe`]: who watches a run — the one observer handle an engine, a
 //! scheduler and a gateway each hold.
 
-use crate::span::{request_span_id, span_id, SpanStage, NO_CORE};
+use crate::span::{request_span_id, span_id, Span, SpanStage, NO_CORE};
 use crate::trace::{TraceEvent, Tracer};
 
 /// Everything a tier reports through: the trace stream and the
@@ -40,19 +40,21 @@ impl Probe {
         cycles: std::ops::Range<u64>,
         detail: u64,
     ) {
-        self.tracer.emit(|| TraceEvent::Span {
-            id: span_id(tag, stage, seq),
-            parent: match (stage, parent_exec) {
-                (SpanStage::Request, _) => 0,
-                (_, Some(exec)) => span_id(tag, SpanStage::Exec, exec),
-                (_, None) => request_span_id(tag),
-            },
-            request: tag,
-            stage,
-            start: cycles.start,
-            end: cycles.end,
-            core: self.core.unwrap_or(NO_CORE),
-            detail,
+        self.tracer.emit(|| {
+            TraceEvent::Span(Span {
+                id: span_id(tag, stage, seq),
+                parent: match (stage, parent_exec) {
+                    (SpanStage::Request, _) => 0,
+                    (_, Some(exec)) => span_id(tag, SpanStage::Exec, exec),
+                    (_, None) => request_span_id(tag),
+                },
+                request: tag,
+                stage,
+                start: cycles.start,
+                end: cycles.end,
+                core: self.core.unwrap_or(NO_CORE),
+                detail,
+            })
         });
     }
 }
@@ -68,15 +70,8 @@ mod tests {
         probe.span(9, SpanStage::Layer, 2, Some(1), 10..20, 7);
         probe.span(9, SpanStage::Queue, 0, None, 0..10, 0);
         probe.span(9, SpanStage::Request, 0, None, 0..30, 5);
-        let want = |id, parent, stage, start, end, detail| TraceEvent::Span {
-            id,
-            parent,
-            request: 9,
-            stage,
-            start,
-            end,
-            core: 3,
-            detail,
+        let want = |id, parent, stage, start, end, detail| {
+            TraceEvent::Span(Span { id, parent, request: 9, stage, start, end, core: 3, detail })
         };
         let root = request_span_id(9);
         assert_eq!(
@@ -101,6 +96,6 @@ mod tests {
         Probe::default().span(9, SpanStage::Exec, 0, None, 0..1, 0);
         let (tracer, buf) = Tracer::ring(1);
         Probe::from(tracer).span(9, SpanStage::Exec, 0, None, 0..1, 0);
-        assert!(matches!(buf.snapshot()[0], TraceEvent::Span { core: NO_CORE, .. }));
+        assert!(matches!(buf.snapshot()[0], TraceEvent::Span(Span { core: NO_CORE, .. })));
     }
 }

@@ -2,14 +2,13 @@
 //!
 //! A [`SpanStage`] names one edge of a served request's lifecycle —
 //! admission, batch wait, scheduler queue, program reload, execution,
-//! preempted-out, per-layer — and a `TraceEvent::Span` records one closed
-//! interval of that stage in **virtual cycles**. Span ids are derived
-//! deterministically from `(request, stage, seq)` with FNV-1a, so the
-//! same run produces the same ids on any host, at any thread count, and
-//! a re-imported Chrome trace reconstructs the exact same graph.
+//! preempted-out, per-layer — and a [`Span`], carried in the trace as
+//! `TraceEvent::Span`, records one closed interval of that stage in
+//! **virtual cycles**. Span ids are derived deterministically from
+//! `(request, stage, seq)` with FNV-1a, so the same run produces the same
+//! ids on any host, at any thread count, and a re-imported Chrome trace
+//! reconstructs the exact same graph.
 //! Cycles are the only time domain: they make traces byte-identical.
-
-use crate::trace::TraceEvent;
 
 /// The lifecycle stage a span measures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -75,12 +74,6 @@ impl SpanStage {
             SpanStage::Layer => "layer",
         }
     }
-
-    /// Inverse of [`SpanStage::as_str`].
-    #[must_use]
-    pub fn parse_name(s: &str) -> Option<Self> {
-        SpanStage::ALL.iter().copied().find(|st| st.as_str() == s)
-    }
 }
 
 impl std::fmt::Display for SpanStage {
@@ -118,7 +111,8 @@ pub fn request_span_id(request: u64) -> u64 {
 /// serving core (single-engine runs).
 pub const NO_CORE: u32 = u32::MAX;
 
-/// A closed span, as reconstructed by the analysis layer.
+/// One closed span: built by [`crate::Probe::span`], carried by
+/// `TraceEvent::Span` and read back by the analysis layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Span {
     /// Deterministic id (see [`span_id`]).
@@ -147,32 +141,6 @@ impl Span {
     pub fn cycles(&self) -> u64 {
         self.end.saturating_sub(self.start)
     }
-
-    /// Builds the analysis-side span from a trace event, if it is one.
-    #[must_use]
-    pub fn from_event(ev: &TraceEvent) -> Option<Self> {
-        match *ev {
-            TraceEvent::Span { id, parent, request, stage, start, end, core, detail } => {
-                Some(Span { id, parent, request, stage, start, end, core, detail })
-            }
-            _ => None,
-        }
-    }
-
-    /// The trace event carrying this span.
-    #[must_use]
-    pub fn to_event(&self) -> TraceEvent {
-        TraceEvent::Span {
-            id: self.id,
-            parent: self.parent,
-            request: self.request,
-            stage: self.stage,
-            start: self.start,
-            end: self.end,
-            core: self.core,
-            detail: self.detail,
-        }
-    }
 }
 
 /// Packs `(lane, tenant)` into a request root span's detail word.
@@ -195,7 +163,6 @@ mod tests {
     fn codes_round_trip() {
         for st in SpanStage::ALL {
             assert_eq!(SpanStage::from_code(st.code()), Some(st));
-            assert_eq!(SpanStage::parse_name(st.as_str()), Some(st));
         }
         assert_eq!(SpanStage::from_code(7), None);
     }
@@ -218,8 +185,8 @@ mod tests {
     }
 
     #[test]
-    fn event_round_trip() {
-        let s = Span {
+    fn cycles_is_the_interval_length() {
+        let mut s = Span {
             id: span_id(9, SpanStage::Reload, 0),
             parent: request_span_id(9),
             request: 9,
@@ -229,7 +196,8 @@ mod tests {
             core: 1,
             detail: 0,
         };
-        assert_eq!(Span::from_event(&s.to_event()), Some(s));
         assert_eq!(s.cycles(), 150);
+        s.end = 50;
+        assert_eq!(s.cycles(), 0, "an inverted interval is empty");
     }
 }

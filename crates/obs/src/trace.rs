@@ -12,7 +12,7 @@ use std::sync::Arc;
 use inca_isa::{Opcode, TaskSlot};
 use parking_lot::Mutex;
 
-use crate::span::SpanStage;
+use crate::span::Span;
 
 /// One observability event. Every variant carries the virtual cycle(s) it
 /// refers to; ordering in a recorded stream follows emission order, which
@@ -202,27 +202,8 @@ pub enum TraceEvent {
     /// One closed interval of a request's lifecycle (DESIGN.md §5.7),
     /// emitted when the interval ends. Only emitted for requests tagged
     /// by the serving gateway — classic engine/runtime paths never carry
-    /// a request tag and their streams are unchanged. Ids are
-    /// deterministic ([`crate::span::span_id`]); `parent` links the span
-    /// into the request's causal tree (`0` for the root).
-    Span {
-        /// Deterministic span id.
-        id: u64,
-        /// Parent span id (`0` for the request root).
-        parent: u64,
-        /// The request (`RequestId::raw`).
-        request: u64,
-        /// Lifecycle stage measured.
-        stage: SpanStage,
-        /// Start cycle (inclusive).
-        start: u64,
-        /// End cycle (exclusive).
-        end: u64,
-        /// Serving core index, or [`crate::span::NO_CORE`].
-        core: u32,
-        /// Stage-specific detail word (DESIGN.md §5.7).
-        detail: u64,
-    },
+    /// a request tag and their streams are unchanged.
+    Span(Span),
     /// An application-level milestone (e.g. DSLAM PR match, map merge).
     Milestone {
         /// Cycle.
@@ -257,7 +238,7 @@ impl TraceEvent {
             | TraceEvent::Milestone { cycle, .. } => *cycle,
             TraceEvent::Preempted { request, .. } => *request,
             TraceEvent::Resumed { restore_start, .. } => *restore_start,
-            TraceEvent::Span { start, .. } => *start,
+            TraceEvent::Span(s) => s.start,
         }
     }
 }

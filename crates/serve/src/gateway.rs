@@ -203,10 +203,11 @@ impl<B: Backend> Gateway<B> {
         self.trace_sample = sample_every;
     }
 
-    /// Enables cycle-domain timeline sampling: one [`Frame`] every
-    /// `interval` cycles into a bounded ring of `capacity` frames
-    /// (overflow evicts the oldest and is counted, surfaced loudly by the
-    /// export layers). The first boundary is the first interval multiple
+    /// Enables cycle-domain timeline sampling: one cumulative
+    /// [`Observation`] every `interval` cycles into a bounded ring of
+    /// `capacity` frames (overflow evicts the oldest and is counted,
+    /// surfaced loudly by the export layers; deltas are taken at export).
+    /// The first boundary is the first interval multiple
     /// strictly after the current gateway clock. Sampling interleaves
     /// with the run loop in the cycle domain, so frames are
     /// byte-identical across hosts, backend thread counts and advance
@@ -216,8 +217,6 @@ impl<B: Backend> Gateway<B> {
     /// Returns the new sampler, e.g. to [`Sampler::arm`] a flight recorder
     /// on it: its specs are checked at every sample boundary, and the
     /// first violation freezes a window around it for the dump helpers.
-    ///
-    /// [`Frame`]: inca_obs::timeline::Frame
     pub fn enable_timeline(&mut self, interval: u64, capacity: usize) -> &mut Sampler {
         let mut s = Sampler::new(interval, capacity);
         s.align(self.now());

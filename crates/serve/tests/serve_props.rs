@@ -294,8 +294,8 @@ fn gateway_probe_reaches_every_part() {
         let core = r.core.unwrap().0 as u32;
         for stage in [SpanStage::Queue, SpanStage::Exec, SpanStage::Request] {
             let stamped = events.iter().any(|e| {
-                matches!(e, TraceEvent::Span { request, stage: s, core: c, .. }
-                    if *request == r.request.raw() && *s == stage && *c == core)
+                matches!(e, TraceEvent::Span(s)
+                    if s.request == r.request.raw() && s.stage == stage && s.core == core)
             });
             assert!(stamped, "{}: no {stage} span stamped core {core}", r.request);
         }

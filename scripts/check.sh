@@ -92,15 +92,32 @@ echo "== fig_cluster at 500 000 requests (its WCA-beats-round-robin assert, long
 cargo build --release -p inca-bench --bin fig_cluster -q
 ./target/release/fig_cluster --requests 500000 > /dev/null
 
-echo "== inca CLI (compile tiny, run it interrupted under every strategy)"
-# `inca run` is the one production reader of `Report::occupancy` (its Gantt).
+echo "== inca CLI (compile tiny, stats, disasm, run it interrupted under every strategy)"
+# `inca run` is the one production reader of `Report::occupancy` (its Gantt);
+# `inca disasm` prints `Instr::listing`, the one text form of an instruction.
 cargo build --release --bin inca -q
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 ./target/release/inca compile tiny -o "$tmp/t.bin" > /dev/null
+./target/release/inca stats "$tmp/t.bin" > /dev/null
+./target/release/inca disasm "$tmp/t.bin" --limit 40 > /dev/null
 for s in vi lbl cpu none; do
     ./target/release/inca run "$tmp/t.bin" --interrupt-at 700000 --strategy "$s" > /dev/null
 done
+
+echo "== inca-analyze --timeline --export (timeseries-v1 is write-only: check its shape)"
+cargo build --release -p inca-bench --bin inca-analyze -q
+./target/release/inca-analyze --timeline --export "$tmp/ts.json" > /dev/null
+python3 - "$tmp/ts.json" <<'EOF'
+import json, sys
+ts = json.load(open(sys.argv[1]))
+assert ts["schema"] == "inca-obs/timeseries-v1", ts["schema"]
+n = len(ts["cycles"])
+assert ts["frames"] == n, (ts["frames"], n)
+bad = [k for k, v in ts["columns"].items() if len(v) != n]
+assert not bad, f"columns not {n} frames long: {bad}"
+print(f"timeseries-v1 export: {n} frames, {len(ts['columns'])} columns ok")
+EOF
 
 echo "== profile_network (per-layer/opcode table read off the cycle table)"
 cargo build --release -p inca-bench --bin profile_network -q

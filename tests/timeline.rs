@@ -18,6 +18,8 @@ use inca::obs::{CoreObs, Metrics, MetricsSnapshot, Observation, Sampler, TenantO
 use inca_bench::{serve_timeline_scenario, TimelineRun, TIMELINE_SLO};
 use proptest::prelude::*;
 
+mod common;
+
 const MODES: [AdvanceMode; 2] = [AdvanceMode::EventDriven, AdvanceMode::Stepping];
 
 fn prop_cases(default_cases: u32) -> ProptestConfig {
@@ -60,10 +62,7 @@ fn assert_matrix(strategy: InterruptStrategy) {
         assert!(v.clause.contains("depth"), "unexpected clause {:?}", v.clause);
         assert!(base.chrome_dump.is_some() && base.slice_dump.is_some());
 
-        // from_json(to_json) round-trips to the byte on real output.
-        let json = base.series.to_json();
-        let back = inca::obs::TimeSeries::from_json(&json).expect("round-trip");
-        assert_eq!(back.to_json(), json);
+        common::assert_well_formed(&base.series.to_json(), base.series.tenants());
 
         per_mode.push((
             base.series.without_advance().to_json(),
@@ -163,8 +162,7 @@ fn adjacent_slices_partition_the_series() {
         assert_eq!(sum(&lo) + sum(&hi), col.iter().sum::<u64>(), "{name}");
     }
     assert_eq!((lo.cores(), lo.tenants()), (whole.cores(), whole.tenants()));
-    let json = hi.to_json();
-    assert_eq!(TimeSeries::from_json(&json).expect("round-trip").to_json(), json);
+    common::assert_well_formed(&hi.to_json(), hi.tenants());
 }
 
 /// Step layout for the property test: 17 small increments per step.
