@@ -113,7 +113,7 @@ where
         f(0, scratch);
         return;
     }
-    crossbeam::thread::scope(|sc| {
+    std::thread::scope(|sc| {
         let mut rest = scratch;
         let mut c0 = 0usize;
         let f = &f;
@@ -122,11 +122,10 @@ where
             let take = (chans - c0).div_ceil(workers - wi);
             let (head, tail) = rest.split_at_mut(take * stride);
             rest = tail;
-            sc.spawn(move |_| f(c0, head));
+            sc.spawn(move || f(c0, head));
             c0 += take;
         }
-    })
-    .expect("calc worker panicked");
+    });
 }
 
 /// [`run_channel_ranges`] for kernels that work one channel at a time:

@@ -1,20 +1,17 @@
 //! `inca-analyze` — the trace-analysis CLI (DESIGN.md §5.4).
 //!
-//! Three modes:
+//! Four modes, one of which must be named:
 //!
-//! * **file** (default): `inca-analyze trace.json [--slo SPEC]... [--json]`
-//!   — imports an exported Chrome trace (e.g. the DSLAM mission trace
-//!   written by `--mission --trace FILE`), prints preemption/occupancy/
-//!   deadline accounting per process, and evaluates SLO specs
-//!   (`fe=50ms`, `pr=deadline:1s+latency:200us`, …; `fe`→slot 1,
-//!   `pr`→slot 3). Exits 1 when any SLO clause fails.
 //! * **mission**: `inca-analyze --mission [--seconds N] [--strategy S|all]
 //!   [--trace FILE] [--slo SPEC]... [--json]` — runs the DSLAM mission
 //!   in-process under each interrupt strategy, reports per-strategy
 //!   t1/t2/t4 distributions and checks the measured backup cost `t2`
 //!   against the analytical model (`inca_accel::analysis::t2_worst`):
 //!   exact strategies must match exactly, the VI bound must hold. Exits 2
-//!   on model drift.
+//!   on model drift. SLO specs (`fe=50ms`, `pr=deadline:1s+latency:200us`,
+//!   …; `fe`→slot 1, `pr`→slot 3) are evaluated per strategy; exits 1
+//!   when any clause fails. `--trace` writes the Chrome trace for
+//!   Perfetto.
 //! * **gate**: `inca-analyze --gate BASELINE FRESH` — compares two
 //!   `metrics-v1` snapshots under the default tolerance rules
 //!   (deterministic cycle metrics exact, wall-clock throughput ±45%).
@@ -28,8 +25,7 @@
 //!   Chrome trace (`--trace`, span tracks + flow arrows), and with
 //!   `--json` emits an `inca-obs/spans-v1` snapshot the regression gate
 //!   can diff against `BENCH_spans.json`. SLO specs may use the lane
-//!   selectors (`hard=queue_share:<0.2`). A trace file containing span
-//!   events gets the same treatment in file mode.
+//!   selectors (`hard=queue_share:<0.2`).
 //! * **timeline**: `inca-analyze --timeline [--strategy S]
 //!   [--inject-spike] [--export FILE] [--trace FILE] [--slo SPEC]...
 //!   [--json]` — runs the canonical serve-timeline scenario with the
@@ -50,7 +46,6 @@ use inca_obs::{spark, Metrics, MetricsSnapshot};
 use std::process::ExitCode;
 
 const USAGE: &str = "usage:
-  inca-analyze <trace.json> [--slo SPEC]... [--json]
   inca-analyze --mission [--seconds N] [--strategy S|all] [--trace FILE] [--slo SPEC]... [--json]
   inca-analyze --gate <baseline.json> <fresh.json>
   inca-analyze --spans [--strategy S] [--trace-sample N] [--quantile Q] [--trace FILE] [--slo SPEC]... [--json]
@@ -70,7 +65,6 @@ struct Args {
     export: Option<String>,
     gate: Option<(String, String)>,
     trace_out: Option<String>,
-    file: Option<String>,
     slo: Vec<String>,
     json: bool,
     seconds: f64,
@@ -88,7 +82,6 @@ fn parse_args() -> Result<Args, String> {
         export: None,
         gate: None,
         trace_out: None,
-        file: None,
         slo: Vec::new(),
         json: false,
         seconds: 3.0,
@@ -138,12 +131,7 @@ fn parse_args() -> Result<Args, String> {
                 out.quantile = Some(q);
             }
             "--help" | "-h" => return Err(USAGE.to_owned()),
-            f if f.starts_with("--") => return Err(format!("unknown flag {f}\n{USAGE}")),
-            file => {
-                if out.file.replace(file.to_owned()).is_some() {
-                    return Err(format!("more than one trace file\n{USAGE}"));
-                }
-            }
+            arg => return Err(format!("unknown argument {arg}\n{USAGE}")),
         }
         i += 1;
     }
@@ -209,37 +197,6 @@ fn gate_mode(baseline: &str, fresh: &str) -> Result<ExitCode, String> {
     let report = analyze::compare(&base, &new, &analyze::default_rules());
     print!("{}", report.render());
     Ok(if report.passed { ExitCode::SUCCESS } else { ExitCode::from(1) })
-}
-
-fn file_mode(args: &Args) -> Result<ExitCode, String> {
-    let path = args.file.as_deref().ok_or_else(|| USAGE.to_owned())?;
-    let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    let procs = analyze::import(&text)?;
-    if procs.is_empty() {
-        return Err("trace has no processes".to_owned());
-    }
-    let mut combined = Metrics::new();
-    let mut slo_ok = true;
-    for p in &procs {
-        let mut a = Analyzer::new();
-        a.consume(&p.events);
-        if args.json {
-            combined.absorb(&format!("{}.", p.name), &a.metrics());
-            continue;
-        }
-        println!("== {} (pid {}, {} events) ==", p.name, p.pid, p.events.len());
-        print!("{}", a.render());
-        let specs = parse_slos(&args.slo, a.clock_hz_or_default())?;
-        // SLO specs only make sense on processes with slot activity.
-        if a.attribution.slots.iter().any(|s| s.finished > 0) {
-            slo_ok &= run_slos(&specs, &a, &p.name);
-        }
-        println!();
-    }
-    if args.json {
-        println!("{}", MetricsSnapshot::new("inca-analyze", combined).to_json());
-    }
-    Ok(if slo_ok { ExitCode::SUCCESS } else { ExitCode::from(1) })
 }
 
 fn mission_mode(args: &Args) -> Result<ExitCode, String> {
@@ -477,7 +434,7 @@ fn main() -> ExitCode {
     } else if args.mission {
         mission_mode(&args)
     } else {
-        file_mode(&args)
+        Err(format!("no mode given\n{USAGE}"))
     };
     match result {
         Ok(code) => code,

@@ -322,11 +322,13 @@ impl Mission {
     ///
     /// # Errors
     ///
-    /// Propagates model/compiler errors (e.g. a resolution too small for
-    /// the backbone's downsampling stack).
+    /// [`DslamError::Config`] unless `duration_s` is positive and finite
+    /// (a NaN duration would run no frame, an infinite one never end);
+    /// otherwise propagates model/compiler errors (e.g. a resolution too
+    /// small for the backbone's downsampling stack).
     pub fn new(config: MissionConfig) -> Result<Self, DslamError> {
-        if config.duration_s <= 0.0 {
-            return Err(DslamError::Config("duration must be positive".into()));
+        if !(config.duration_s > 0.0 && config.duration_s.is_finite()) {
+            return Err(DslamError::Config("duration must be positive and finite".into()));
         }
         let compiler = Compiler::new(config.accel.arch);
         let fe_net =
@@ -612,9 +614,13 @@ mod tests {
 
     #[test]
     fn config_validation() {
-        let mut cfg = MissionConfig::small_test();
-        cfg.duration_s = 0.0;
-        assert!(matches!(Mission::new(cfg), Err(DslamError::Config(_))));
+        for duration_s in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -1.0] {
+            let cfg = MissionConfig { duration_s, ..MissionConfig::small_test() };
+            assert!(
+                matches!(Mission::new(cfg), Err(DslamError::Config(_))),
+                "duration {duration_s} must be rejected"
+            );
+        }
     }
 
     #[test]

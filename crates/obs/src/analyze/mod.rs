@@ -1,10 +1,10 @@
-//! Trace analysis: streaming consumers of [`TraceEvent`] rings or
-//! re-imported trace JSON that compute preemption-latency accounting,
-//! occupancy/queue-delay attribution, deadline bookkeeping, declarative
-//! SLO evaluation and baseline regression gating (DESIGN.md §5.4).
+//! Trace analysis: streaming consumers of [`TraceEvent`] rings that
+//! compute preemption-latency accounting, occupancy/queue-delay
+//! attribution, deadline bookkeeping, declarative SLO evaluation and
+//! baseline regression gating (DESIGN.md §5.4).
 //!
-//! The entry point is [`Analyzer`]: feed it events (from a live
-//! [`crate::TraceBuffer`] or [`chrome_in::import`]) and read back
+//! The entry point is [`Analyzer`]: feed it the events of a
+//! [`crate::TraceBuffer`] and read back
 //! structured stats, a rendered summary, or a `metrics-v1` registry whose
 //! deadline accounting is derived exactly like the runtime's
 //! `runtime.deadlines.*` counters — so a trace-driven analysis can be
@@ -12,7 +12,6 @@
 
 pub mod attribution;
 pub mod baseline;
-pub mod chrome_in;
 pub mod preemption;
 pub mod slo;
 pub mod spans;
@@ -21,13 +20,16 @@ pub use attribution::{Attribution, LatencyBreakdown, SlotAttribution, TaskAttrib
 pub use baseline::{
     compare, default_rules, glob_match, Finding, GateReport, GateRule, RuleKind, Verdict,
 };
-pub use chrome_in::{import, ImportedProcess, DEFAULT_CLOCK_HZ};
 pub use preemption::{DriftReport, PreemptionStats, T2Model};
 pub use slo::{ClauseResult, DeadlineStats, SloReport, SloSpec, TaskSel};
 pub use spans::{RequestBreakdown, SpanAnalysis, SPANS_SCHEMA};
 
 use crate::metrics::Metrics;
 use crate::trace::TraceEvent;
+
+/// Clock assumed for traces without a [`TraceEvent::EngineMeta`] (the
+/// paper's 300 MHz).
+const DEFAULT_CLOCK_HZ: u64 = 300_000_000;
 
 /// Streaming trace analyzer: one pass over an event stream, all the
 /// derived accounting at the end.

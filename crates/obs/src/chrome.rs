@@ -277,9 +277,9 @@ impl ChromeTrace {
                 }
                 TraceEvent::Span(Span { id, parent, request, stage, start, end, core, detail }) => {
                     last_cycle = last_cycle.max(*end);
-                    // All fields ride as raw u64 args so the importer
-                    // round-trips spans exactly despite the float
-                    // microsecond timebase.
+                    // All fields ride as raw u64 args so a trace viewer
+                    // shows spans exactly despite the float microsecond
+                    // timebase.
                     let args = Obj::new()
                         .u64("id", *id)
                         .u64("parent", *parent)

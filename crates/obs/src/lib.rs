@@ -18,7 +18,7 @@
 //! * [`ascii`] — the fixed-width timeline renderer behind
 //!   `Report::gantt`, hardened against out-of-range intervals.
 //! * [`analyze`] — the trace-analysis engine: streaming [`Analyzer`] over
-//!   recorded rings or re-imported trace JSON, preemption t1/t2/t4
+//!   recorded rings, preemption t1/t2/t4
 //!   accounting with model-drift checks, SLO evaluation, occupancy
 //!   attribution, and the perf-baseline regression gate.
 //! * [`timeline`] — cycle-domain time-series telemetry: the periodic

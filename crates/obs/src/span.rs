@@ -6,8 +6,8 @@
 //! `TraceEvent::Span`, records one closed interval of that stage in
 //! **virtual cycles**. Span ids are derived deterministically from
 //! `(request, stage, seq)` with FNV-1a, so the same run produces the same
-//! ids on any host, at any thread count, and a re-imported Chrome trace
-//! reconstructs the exact same graph.
+//! ids on any host, at any thread count, and the Chrome export carries
+//! every field of the graph as integer args.
 //! Cycles are the only time domain: they make traces byte-identical.
 
 /// The lifecycle stage a span measures.

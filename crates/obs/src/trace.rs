@@ -7,10 +7,9 @@
 //! host speed or the functional backend's worker-thread count.
 
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use inca_isa::{Opcode, TaskSlot};
-use parking_lot::Mutex;
 
 use crate::span::Span;
 
@@ -188,9 +187,9 @@ pub enum TraceEvent {
     },
     /// Engine configuration metadata, emitted once when a tracer is
     /// attached: names the interrupt strategy and the virtual clock, so a
-    /// recorded (or exported and re-imported) trace is self-describing —
-    /// the analysis layer uses it to attribute stats per strategy and to
-    /// convert microsecond timestamps back to cycles.
+    /// recorded or exported trace is self-describing — the analysis
+    /// layer uses it to attribute stats per strategy and to render cycles
+    /// as microseconds.
     EngineMeta {
         /// Cycle the tracer was attached.
         cycle: u64,
@@ -253,7 +252,7 @@ struct RingState {
 /// A bounded in-memory recorder. When full, the **oldest** events are
 /// dropped (and counted), so the tail of a long run is always retained.
 /// `record` takes `&self`, so one ring is shared by every layer of the
-/// stack (engine, runtime, bus) through cloned [`Tracer`]s.
+/// stack (engine, scheduler, gateway, runtime) through cloned [`Tracer`]s.
 #[derive(Debug)]
 pub struct RingSink {
     state: Mutex<RingState>,
@@ -273,8 +272,15 @@ impl RingSink {
         }
     }
 
+    /// Every update (one pop, one push, one count) leaves the ring valid,
+    /// so a lock poisoned by a panicking recorder is recovered, not
+    /// propagated.
+    fn lock(&self) -> MutexGuard<'_, RingState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     fn record(&self, event: TraceEvent) {
-        let mut st = self.state.lock();
+        let mut st = self.lock();
         if st.events.len() == st.capacity {
             st.events.pop_front();
             st.dropped += 1;
@@ -293,27 +299,27 @@ impl TraceBuffer {
     /// A copy of all retained events, in emission order.
     #[must_use]
     pub fn snapshot(&self) -> Vec<TraceEvent> {
-        let st = self.ring.state.lock();
+        let st = self.ring.lock();
         st.events.iter().cloned().collect()
     }
 
     /// Drains and returns all retained events.
     #[must_use]
     pub fn drain(&self) -> Vec<TraceEvent> {
-        let mut st = self.ring.state.lock();
+        let mut st = self.ring.lock();
         st.events.drain(..).collect()
     }
 
     /// Events dropped because the ring was full.
     #[must_use]
     pub fn dropped(&self) -> u64 {
-        self.ring.state.lock().dropped
+        self.ring.lock().dropped
     }
 
     /// Number of retained events.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.ring.state.lock().events.len()
+        self.ring.lock().events.len()
     }
 
     /// Whether no events are retained.

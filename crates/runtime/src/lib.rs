@@ -20,10 +20,7 @@
 //!   number of logical tasks (own program, period, deadline, priority)
 //!   onto the 4 physical IAU slots, with PREMA-style predicted-span
 //!   admission control and pluggable binding/preemption policies, driven
-//!   by [`ScheduledEngine`] and by each `inca-serve` gateway core;
-//! * [`live`] — a small thread-based pub/sub bus (crossbeam channels +
-//!   `parking_lot`) demonstrating the same API contract with real OS
-//!   threads, as in a ROS deployment.
+//!   by [`ScheduledEngine`] and by each `inca-serve` gateway core.
 //!
 //! ## Example
 //!
@@ -67,7 +64,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod live;
 mod runtime;
 pub mod sched;
 

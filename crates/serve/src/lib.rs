@@ -1,6 +1,6 @@
 //! `inca-serve`: a multi-core inference serving gateway for the INCA
 //! accelerator — priority lanes, same-network batching, deadline-aware
-//! admission, pluggable placement and bounded-backpressure frontends.
+//! admission, pluggable placement and bounded backpressure.
 //!
 //! The INCA paper (DAC 2020) gives a *single* accelerator core the
 //! ability to multi-task: four fixed-priority hardware task slots and an
@@ -29,12 +29,9 @@
 //!    running best-effort work through the IAU (under the VI strategy,
 //!    at virtual-instruction boundaries).
 //!
-//! Everything is virtual-cycle deterministic: the [`Gateway`] frontend
-//! is single-threaded and reproducible to the byte; [`LiveServer`] runs
-//! the same gateway behind a bounded command channel on real threads,
-//! with timeouts and bounded retry-with-backoff. Its channel and bus
-//! capacities, retry budget, timeouts and clock tick are fixed policy,
-//! so [`LiveServer::spawn`] takes only the gateway.
+//! Everything is virtual-cycle deterministic: the [`Gateway`] is
+//! single-threaded, its caller owns the virtual clock, and a run is
+//! reproducible to the byte.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -63,12 +60,10 @@
 #![warn(missing_docs)]
 
 pub mod gateway;
-pub mod live;
 mod place;
 mod request;
 
 pub use gateway::{Accepted, Gateway, DEFAULT_BATCH_WINDOW, DEFAULT_MAX_BATCH};
-pub use live::{LiveError, LiveReport, LiveServer, LiveSnapshot, TenantSummary, RESPONSE_TOPIC};
 pub use place::PlacePolicy;
 pub use request::{Lane, RequestId, Response, ShedReason, TenantId, TenantSpec};
 
