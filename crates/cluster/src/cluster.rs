@@ -59,6 +59,10 @@ pub struct Cluster<B: Backend> {
     /// one wake per gateway visited, one skip per idle gateway whose
     /// advance was provably a no-op.
     stats: AdvanceStats,
+    /// `submit`'s per-gateway quotes — reload cost and total cost — in
+    /// buffers reused across calls.
+    reloads: Vec<u64>,
+    costs: Vec<u64>,
 }
 
 impl<B: Backend> Cluster<B> {
@@ -86,6 +90,8 @@ impl<B: Backend> Cluster<B> {
             resizes: 0,
             now: 0,
             stats: AdvanceStats::default(),
+            reloads: Vec::with_capacity(n),
+            costs: Vec::with_capacity(n),
         }
     }
 
@@ -157,6 +163,7 @@ impl<B: Backend> Cluster<B> {
         for other in ids {
             debug_assert_eq!(other, id, "tenant ids stay aligned");
         }
+        self.router.add_tenant();
         id
     }
 
@@ -264,10 +271,13 @@ impl<B: Backend> Cluster<B> {
         let n = self.gateways.len();
         // Quoted before any submit: a refusal on one gateway leaves the
         // others' quotes standing.
-        let reloads: Vec<u64> = self.gateways.iter().map(|gw| gw.reload_cost(tenant)).collect();
-        let costs: Vec<u64> =
-            self.gateways.iter().zip(&reloads).map(|(gw, r)| gw.modelled_backlog() + r).collect();
-        let first = self.router.choose(tenant.index(), &costs);
+        self.reloads.clear();
+        self.reloads.extend(self.gateways.iter().map(|gw| gw.reload_cost(tenant)));
+        self.costs.clear();
+        self.costs.extend(
+            self.gateways.iter().zip(&self.reloads).map(|(gw, r)| gw.modelled_backlog() + r),
+        );
+        let first = self.router.choose(tenant.index(), &self.costs);
         let mut refusal = ShedReason::QueueFull;
         for k in 0..n {
             let g = (first + k) % n;
@@ -276,7 +286,7 @@ impl<B: Backend> Cluster<B> {
             }
             match self.gateways[g].submit(now, tenant) {
                 Ok(acc) => {
-                    self.router.note(reloads[g]);
+                    self.router.note(self.reloads[g]);
                     return Ok((GatewayId(g), acc));
                 }
                 Err(e) => refusal = e,

@@ -73,6 +73,8 @@ pub(crate) struct Router {
     policy: RoutePolicy,
     /// Consistent-hash ring: `(point, gateway)` sorted by point.
     ring: Vec<(u64, usize)>,
+    /// `homes[tenant]`: the tenant's ring home, looked up at registration.
+    homes: Vec<usize>,
     rr_next: usize,
     stats: RouteStats,
 }
@@ -86,7 +88,7 @@ impl Router {
             }
         }
         ring.sort_unstable();
-        Self { policy, ring, rr_next: 0, stats: RouteStats::default() }
+        Self { policy, ring, homes: Vec::new(), rr_next: 0, stats: RouteStats::default() }
     }
 
     pub(crate) fn policy(&self) -> RoutePolicy {
@@ -97,6 +99,11 @@ impl Router {
         self.stats
     }
 
+    /// Registers the next tenant, fixing its home gateway.
+    pub(crate) fn add_tenant(&mut self) {
+        self.homes.push(self.home(self.homes.len()));
+    }
+
     /// The tenant's home gateway: first ring point at or after its hash.
     pub(crate) fn home(&self, tenant: usize) -> usize {
         let h = mix64(tenant as u64 ^ 0x517C_C1B7_2722_0A95);
@@ -104,7 +111,8 @@ impl Router {
         self.ring[i % self.ring.len()].1
     }
 
-    /// Picks the gateway one submission of `tenant` is steered to first.
+    /// Picks the gateway one submission of (registered) `tenant` is
+    /// steered to first.
     /// `costs[g]` is gateway `g`'s modelled backlog plus its reload cost
     /// for `tenant`, in cycles.
     pub(crate) fn choose(&mut self, tenant: usize, costs: &[u64]) -> usize {
@@ -117,7 +125,7 @@ impl Router {
                 g
             }
             RoutePolicy::WeightCacheAware => {
-                let home = self.home(tenant);
+                let home = self.homes[tenant];
                 (0..n)
                     .min_by_key(|&g| (costs[g], (g + n - home) % n, g))
                     .expect("at least one gateway")
@@ -162,6 +170,9 @@ mod tests {
     #[test]
     fn warm_gateway_wins_until_backlog_exceeds_reload() {
         let mut r = Router::new(RoutePolicy::WeightCacheAware, 2);
+        for _ in 0..8 {
+            r.add_tenant();
+        }
         // Equal costs go to the tenant's home.
         let home = r.choose(7, &[0, 0]);
         // The program is resident away from home: landing at home would

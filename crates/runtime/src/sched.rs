@@ -334,6 +334,16 @@ pub struct Scheduler {
     cfg: AccelConfig,
     policy: SchedPolicy,
     tasks: Vec<TaskState>,
+    /// Queued (admitted, not yet bound) jobs over all tasks: the sum of
+    /// every task's queue length, kept where a queue grows or shrinks.
+    queued: usize,
+    /// Every queued or in-flight job charged its task's predicted span,
+    /// kept where `queued` changes and where a job completes.
+    backlog: u64,
+    /// Tasks with a queued job and none in flight: `pump`'s bind
+    /// candidates, kept where a queue fills, a slot binds or a job
+    /// completes. Unordered; `pump` ranks it.
+    ready: Vec<usize>,
     /// Which logical task's job is in flight on each physical slot.
     bindings: [Option<TaskId>; TASK_SLOTS],
     /// Which task's program is resident in each slot (survives
@@ -369,6 +379,9 @@ impl Scheduler {
             cfg,
             policy,
             tasks: Vec::new(),
+            queued: 0,
+            backlog: 0,
+            ready: Vec::new(),
             bindings: [None; TASK_SLOTS],
             loaded: [None; TASK_SLOTS],
             now: 0,
@@ -461,7 +474,29 @@ impl Scheduler {
     /// tasks.
     #[must_use]
     pub fn outstanding(&self) -> usize {
-        self.tasks.iter().map(|t| t.queue.len() + usize::from(t.inflight.is_some())).sum()
+        let n = self.queued + self.bindings.iter().filter(|b| b.is_some()).count();
+        debug_assert_eq!(
+            n,
+            self.tasks.iter().map(|t| t.queue.len() + usize::from(t.inflight.is_some())).sum(),
+            "the queued count matches the task queues"
+        );
+        n
+    }
+
+    /// Modelled outstanding work in cycles: every queued or in-flight job
+    /// charged its task's full predicted span (what least-loaded
+    /// placement compares cores by).
+    #[must_use]
+    pub fn modelled_backlog(&self) -> u64 {
+        debug_assert_eq!(
+            self.backlog,
+            self.tasks
+                .iter()
+                .map(|t| (t.queue.len() as u64 + u64::from(t.inflight.is_some())) * t.span)
+                .sum::<u64>(),
+            "the running backlog matches the task queues"
+        );
+        self.backlog
     }
 
     /// Current task-to-slot bindings (physical slot order).
@@ -534,6 +569,7 @@ impl Scheduler {
         }
 
         let t = &mut self.tasks[task.0];
+        let was_empty = t.queue.is_empty();
         if t.queue.len() >= t.spec.queue_capacity {
             match t.spec.drop_policy {
                 DropPolicy::Reject => {
@@ -544,6 +580,8 @@ impl Scheduler {
                 DropPolicy::DropOldest => {
                     t.queue.pop_front();
                     t.stats.dropped += 1;
+                    self.queued -= 1;
+                    self.backlog -= t.span;
                     self.emit_rejected(now, task, "drop-oldest");
                 }
                 DropPolicy::DegradeToSkip => {
@@ -564,6 +602,11 @@ impl Scheduler {
         t.stats.admitted += 1;
         t.queue.push_back(Pending { job, deadline, admitted: now, tag });
         let depth = t.queue.len() as u32;
+        if was_empty && t.inflight.is_none() {
+            self.ready.push(task.0);
+        }
+        self.queued += 1;
+        self.backlog += t.span;
         self.probe.tracer.emit(|| TraceEvent::SchedAdmitted {
             cycle: now,
             task: task.0 as u32,
@@ -664,21 +707,36 @@ impl Scheduler {
             self.accrue_tokens(now.max(engine.now()));
         }
         self.now = self.now.max(now);
-        loop {
-            let mut waiting: Vec<usize> = (0..self.tasks.len())
+        debug_assert_eq!(
+            {
+                let mut ready = self.ready.clone();
+                ready.sort_unstable();
+                ready
+            },
+            (0..self.tasks.len())
                 .filter(|&i| self.tasks[i].inflight.is_none() && !self.tasks[i].queue.is_empty())
-                .collect();
-            waiting.sort_by_key(|&i| self.head_rank(i));
+                .collect::<Vec<_>>(),
+            "the ready list is the tasks with a queued job and none in flight"
+        );
+        // Only a free slot can take a queued job.
+        while !self.ready.is_empty() && self.bindings.contains(&None) {
+            // Ranks are unique (each carries its head job's id), so the
+            // list's own order never matters.
+            let mut ready = std::mem::take(&mut self.ready);
+            ready.sort_by_key(|&i| self.head_rank(i));
+            self.ready = ready;
             // The best-ranked candidate binds first; a candidate that no
             // slot can serve (e.g. the reserved slot 0 is the only one
             // free) does not block worse-ranked ones.
-            let Some((cand, slot)) =
-                waiting.iter().find_map(|&i| self.choose_slot(i, engine).map(|s| (i, s)))
-            else {
-                return Ok(());
+            let Some((cand, slot)) = (0..self.ready.len()).find_map(|k| {
+                let i = self.ready[k];
+                self.choose_slot(i, engine).map(|s| (i, s))
+            }) else {
+                break;
             };
             self.bind(cand, slot, engine)?;
         }
+        Ok(())
     }
 
     /// Picks the physical slot for `cand`'s queue-head job, or `None` when
@@ -739,7 +797,9 @@ impl Scheduler {
         slot: TaskSlot,
         engine: &mut Engine<B>,
     ) -> Result<(), SimError> {
-        let pending = self.tasks[idx].queue.pop_front().expect("bound task has a queued job");
+        // The job leaves the queue once the engine took it: an engine
+        // error leaves it queued.
+        let pending = *self.tasks[idx].queue.front().expect("bound task has a queued job");
         let task = TaskId(idx);
         let mut reload = 0u64;
         if self.loaded[slot.index()] != Some(task) {
@@ -754,6 +814,10 @@ impl Scheduler {
         let base = self.now.max(engine.now());
         let release = base + reload;
         engine.request_job_tagged(release, slot, 0, 0, pending.tag)?;
+        self.tasks[idx].queue.pop_front();
+        self.queued -= 1;
+        let k = self.ready.iter().position(|&i| i == idx).expect("a bound task was ready");
+        self.ready.swap_remove(k);
         self.reload_cycles += reload;
         if let Some(tag) = pending.tag {
             // Queue span: admission to the cycle a slot was secured; the
@@ -833,6 +897,10 @@ impl Scheduler {
         let task = self.bindings[record.slot.index()]?;
         let f = self.tasks[task.0].inflight.take().expect("bound task has an in-flight job");
         debug_assert_eq!(f.slot, record.slot);
+        if !self.tasks[task.0].queue.is_empty() {
+            self.ready.push(task.0);
+        }
+        self.backlog -= self.tasks[task.0].span;
         self.bindings[record.slot.index()] = None;
         self.now = self.now.max(record.finish);
         self.tasks[task.0].stats.complete(record.finish, f.deadline);

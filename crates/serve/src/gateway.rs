@@ -7,12 +7,11 @@
 //! Running the same request schedule twice produces byte-identical
 //! responses, traces and metrics.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use inca_accel::{event, AdvanceStats, Backend, Barrier, CoreId, CorePool, SimError, Tier};
 use inca_obs::{
-    request_detail, CoreObs, Metrics, Observation, Probe, Sampler, SpanStage, TenantObs,
+    request_detail, CoreObs, Histogram, Metrics, Observation, Probe, Sampler, SpanStage, TenantObs,
     TimeSeries, TraceEvent, Violation,
 };
 use inca_runtime::{
@@ -20,6 +19,7 @@ use inca_runtime::{
 };
 
 use crate::place::{PlacePolicy, Placer};
+use crate::slab::Slab;
 use crate::{Lane, RequestId, Response, ShedReason, TenantId, TenantSpec, TenantStats};
 
 /// Default batch window: how long the first request of a batch waits for
@@ -28,6 +28,17 @@ pub const DEFAULT_BATCH_WINDOW: u64 = 10_000;
 
 /// Default maximum batch size (a full batch flushes immediately).
 pub const DEFAULT_MAX_BATCH: usize = 4;
+
+/// Metric-key spelling of each lane, indexed by [`lane_index`].
+const LANE_KEYS: [&str; 2] = ["hard", "be"];
+
+/// A lane's index into the per-lane histograms and [`LANE_KEYS`].
+fn lane_index(lane: Lane) -> usize {
+    match lane {
+        Lane::Hard => 0,
+        Lane::BestEffort => 1,
+    }
+}
 
 /// Outcome of a successful [`Gateway::submit`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,6 +90,9 @@ struct TenantEntry {
     spec: TenantSpec,
     /// Network-group index (tenants sharing a program share a group).
     net: usize,
+    /// What one outstanding request adds to [`Gateway::modelled_backlog`]:
+    /// the predicted span (at least 1 cycle).
+    unit: u64,
     stats: TenantStats,
 }
 
@@ -92,13 +106,17 @@ struct TenantEntry {
 pub struct Gateway<B: Backend> {
     pool: CorePool<B>,
     scheds: Vec<Scheduler>,
-    /// Per-core map from raw scheduler job id to request metadata.
-    inflight: Vec<HashMap<u64, InflightMeta>>,
+    /// Per-core request metadata keyed by raw scheduler job id (a core's
+    /// scheduler issues them densely).
+    inflight: Vec<Slab<InflightMeta>>,
     tenants: Vec<TenantEntry>,
     /// `task_ids[tenant]` — identical on every core by construction.
     task_ids: Vec<TaskId>,
     /// One buffer per distinct network (program).
     batches: Vec<BatchBuf>,
+    /// The earliest armed buffer as `(flush_at, net)`, ties to the lower
+    /// net; kept where a buffer arms or disarms.
+    next_flush: Option<(u64, usize)>,
     nets: Vec<Arc<inca_isa::Program>>,
     placer: Placer,
     /// Cores eligible for new placements (`cores [0, active_cores)`).
@@ -112,9 +130,16 @@ pub struct Gateway<B: Backend> {
     responses: Vec<Response>,
     /// Completion buffer [`Gateway::advance_core`] reuses across calls.
     done: Vec<SchedCompletion>,
+    /// Requests admitted but not yet completed, dropped or skipped: the
+    /// sum of every tenant's `stats.outstanding()`.
+    outstanding: u64,
+    /// Every outstanding request charged its tenant's `unit`.
+    backlog: u64,
     batches_dispatched: u64,
     batched_requests: u64,
-    lat: Metrics,
+    /// End-to-end latency and time-to-first-byte per lane.
+    latency: [Histogram; 2],
+    ttfb: [Histogram; 2],
     /// Who watches: milestones go to its tracer. Each core's scheduler and
     /// engine hold a copy stamped with the core index.
     probe: Probe,
@@ -138,10 +163,11 @@ impl<B: Backend> Gateway<B> {
         Self {
             pool,
             scheds,
-            inflight: (0..n).map(|_| HashMap::new()).collect(),
+            inflight: (0..n).map(|_| Slab::default()).collect(),
             tenants: Vec::new(),
             task_ids: Vec::new(),
             batches: Vec::new(),
+            next_flush: None,
             nets: Vec::new(),
             placer: Placer::new(place_policy),
             active_cores: n,
@@ -151,9 +177,12 @@ impl<B: Backend> Gateway<B> {
             next_request: 0,
             responses: Vec::new(),
             done: Vec::new(),
+            outstanding: 0,
+            backlog: 0,
             batches_dispatched: 0,
             batched_requests: 0,
-            lat: Metrics::new(),
+            latency: Default::default(),
+            ttfb: Default::default(),
             probe: Probe::default(),
             trace_sample: 0,
             sampler: None,
@@ -334,7 +363,8 @@ impl<B: Backend> Gateway<B> {
             debug_assert_eq!(tid.index(), id.0, "tenant/task indices stay aligned per core");
             task_id = Some(tid);
         }
-        self.task_ids.push(task_id.expect("a pool has at least one core"));
+        let task_id = task_id.expect("a pool has at least one core");
+        self.task_ids.push(task_id);
         let net = match self.nets.iter().position(|p| Arc::ptr_eq(p, &spec.program)) {
             Some(i) => i,
             None => {
@@ -344,7 +374,8 @@ impl<B: Backend> Gateway<B> {
             }
         };
         self.placer.add_tenant();
-        self.tenants.push(TenantEntry { spec, net, stats: TenantStats::default() });
+        let unit = self.scheds[0].predicted_span(task_id).max(1);
+        self.tenants.push(TenantEntry { spec, net, unit, stats: TenantStats::default() });
         id
     }
 
@@ -400,7 +431,12 @@ impl<B: Backend> Gateway<B> {
     /// pool-wide (includes batched-not-yet-dispatched ones).
     #[must_use]
     pub fn outstanding(&self) -> u64 {
-        self.tenants.iter().map(|t| t.stats.outstanding()).sum()
+        debug_assert_eq!(
+            self.outstanding,
+            self.tenants.iter().map(|t| t.stats.outstanding()).sum::<u64>(),
+            "the running count matches the tenant ledgers"
+        );
+        self.outstanding
     }
 
     /// Requests sitting in batch buffers, not yet dispatched to a core.
@@ -478,6 +514,7 @@ impl<B: Backend> Gateway<B> {
     /// datapath does no work.
     fn admit_skip(&mut self, now: u64, tenant: TenantId) -> Accepted {
         let request = self.next_request_id();
+        // Admitted and skipped at once: the running counters never see it.
         let st = &mut self.tenants[tenant.0].stats;
         st.admitted += 1;
         st.skipped += 1;
@@ -518,9 +555,10 @@ impl<B: Backend> Gateway<B> {
         let buf = &mut self.batches[net];
         let victim = buf.entries.remove(pos);
         if buf.entries.is_empty() {
-            buf.flush_at = None;
+            self.disarm(net);
         }
         self.tenants[victim.tenant.0].stats.dropped += 1;
+        self.settle(victim.tenant);
         victim
     }
 
@@ -534,7 +572,7 @@ impl<B: Backend> Gateway<B> {
         match self.scheds[core.0].submit_tagged(now, task, tag) {
             Ok(adm) => {
                 let request = self.next_request_id();
-                self.tenants[tenant.0].stats.admitted += 1;
+                self.open(tenant);
                 self.pool.wake(core);
                 self.inflight[core.0].insert(
                     adm.job.raw(),
@@ -565,7 +603,7 @@ impl<B: Backend> Gateway<B> {
     fn submit_batched(&mut self, now: u64, tenant: TenantId) -> Accepted {
         let request = self.next_request_id();
         let deadline = self.tenants[tenant.0].spec.relative_deadline.map(|d| now + d);
-        self.tenants[tenant.0].stats.admitted += 1;
+        self.open(tenant);
         let net = self.tenants[tenant.0].net;
         self.batches[net].entries.push(PendingReq { request, tenant, arrival: now, deadline });
         let depth = self.batches[net].entries.len();
@@ -573,7 +611,7 @@ impl<B: Backend> Gateway<B> {
         if depth >= self.max_batch {
             self.flush_net(now, net);
         } else if depth == 1 {
-            self.batches[net].flush_at = Some(now + self.batch_window);
+            self.arm(net, now + self.batch_window);
         }
         Accepted { request, skipped: false, deadline, core: None }
     }
@@ -586,13 +624,13 @@ impl<B: Backend> Gateway<B> {
 
     /// The core the next dispatch of `tenant` would be placed on.
     fn peek(&self, tenant: TenantId) -> CoreId {
-        let (scheds, tasks) = (&self.scheds, &self.task_ids);
-        self.placer.peek(tenant.0, self.active_cores, |c| backlog(&scheds[c], tasks))
+        let scheds = &self.scheds;
+        self.placer.peek(tenant.0, self.active_cores, |c| scheds[c].modelled_backlog())
     }
 
     fn place(&mut self, tenant: TenantId) -> CoreId {
-        let (scheds, tasks) = (&self.scheds, &self.task_ids);
-        self.placer.place(tenant.0, self.active_cores, |c| backlog(&scheds[c], tasks))
+        let scheds = &self.scheds;
+        self.placer.place(tenant.0, self.active_cores, |c| scheds[c].modelled_backlog())
     }
 
     /// Reload cycles one request of `tenant` would pay if submitted now:
@@ -614,18 +652,34 @@ impl<B: Backend> Gateway<B> {
     /// included) charged its tenant's predicted span.
     #[must_use]
     pub fn modelled_backlog(&self) -> u64 {
-        let s = &self.scheds[0];
-        self.tenants
-            .iter()
-            .zip(&self.task_ids)
-            .map(|(e, &t)| e.stats.outstanding() * s.predicted_span(t).max(1))
-            .sum()
+        debug_assert_eq!(
+            self.backlog,
+            self.tenants.iter().map(|e| e.stats.outstanding() * e.unit).sum::<u64>(),
+            "the running backlog matches the tenant ledgers"
+        );
+        self.backlog
+    }
+
+    /// Counts one admitted request of `tenant`: it is outstanding until
+    /// [`Gateway::settle`] closes it.
+    fn open(&mut self, tenant: TenantId) {
+        let e = &mut self.tenants[tenant.0];
+        e.stats.admitted += 1;
+        self.outstanding += 1;
+        self.backlog += e.unit;
+    }
+
+    /// Closes one outstanding request of `tenant`; the caller counts it
+    /// completed or dropped on the tenant's ledger.
+    fn settle(&mut self, tenant: TenantId) {
+        self.outstanding -= 1;
+        self.backlog -= self.tenants[tenant.0].unit;
     }
 
     /// Dispatches one network's batch buffer to a single core.
     fn flush_net(&mut self, now: u64, net: usize) {
         let entries = std::mem::take(&mut self.batches[net].entries);
-        self.batches[net].flush_at = None;
+        self.disarm(net);
         if entries.is_empty() {
             return;
         }
@@ -661,6 +715,7 @@ impl<B: Backend> Gateway<B> {
                     // between admission and flush): the admitted request
                     // is discarded, not silently lost.
                     self.tenants[e.tenant.0].stats.dropped += 1;
+                    self.settle(e.tenant);
                     self.trace_milestone(now, || format!("serve.drop {} dispatch", e.request));
                 }
             }
@@ -670,7 +725,34 @@ impl<B: Backend> Gateway<B> {
     /// The earliest pending flush as `(cycle, net)`; ties go to the lower
     /// net.
     fn next_flush(&self) -> Option<(u64, usize)> {
+        debug_assert_eq!(
+            self.next_flush,
+            self.earliest_armed(),
+            "the cached flush is the earliest"
+        );
+        self.next_flush
+    }
+
+    /// Scans every buffer for the earliest armed flush.
+    fn earliest_armed(&self) -> Option<(u64, usize)> {
         self.batches.iter().enumerate().filter_map(|(net, b)| Some((b.flush_at?, net))).min()
+    }
+
+    /// Arms network `net`'s buffer to flush at cycle `at`.
+    fn arm(&mut self, net: usize, at: u64) {
+        self.batches[net].flush_at = Some(at);
+        if self.next_flush.is_none_or(|next| (at, net) < next) {
+            self.next_flush = Some((at, net));
+        }
+    }
+
+    /// Disarms network `net`'s buffer; when it held the earliest flush,
+    /// the next one is found by a scan (once per flush, not per barrier).
+    fn disarm(&mut self, net: usize) {
+        self.batches[net].flush_at = None;
+        if self.next_flush.is_some_and(|(_, n)| n == net) {
+            self.next_flush = self.earliest_armed();
+        }
     }
 
     /// Advances the whole gateway to `deadline`: batch flushes and
@@ -697,19 +779,21 @@ impl<B: Backend> Gateway<B> {
             // and no flush is pending, the outstanding work is wedged
             // (nothing any barrier can serve) — stop sampling so
             // `run_until(u64::MAX)` terminates. Cycle-domain state only,
-            // so the guard fires identically in both advance modes.
-            let state = (self.outstanding(), self.pool.now(), self.pending_batched());
-            let sample = self.sampler.as_ref().map(Sampler::next_at).filter(|&c| {
-                c <= deadline
-                    && self.outstanding() > 0
-                    && (flush.is_some() || sampled_state != Some(state))
-            });
+            // so the guard fires identically in both advance modes. Without
+            // a sampler there is no boundary and no guard state to build.
+            let sample = self
+                .sampler
+                .as_ref()
+                .map(Sampler::next_at)
+                .filter(|&c| c <= deadline && self.outstanding() > 0)
+                .map(|c| (c, (self.outstanding(), self.pool.now(), self.pending_batched())))
+                .filter(|&(_, state)| flush.is_some() || sampled_state != Some(state));
             // Ties run the flush first; the boundary then samples the
             // post-flush state at the same cycle on the next iteration.
             let (cycle, flush_net) = match (flush, sample) {
-                (Some((f, _)), Some(s)) if s < f => (s, None),
+                (Some((f, _)), Some((s, _))) if s < f => (s, None),
                 (Some((f, net)), _) => (f, Some(net)),
-                (None, Some(s)) => (s, None),
+                (None, Some((s, _))) => (s, None),
                 (None, None) => break,
             };
             // An overdue boundary (a request arrived *after* the scheduled
@@ -727,7 +811,7 @@ impl<B: Backend> Gateway<B> {
                 // differential suites compare.
                 let obs = self.observe(cycle);
                 self.sampler.as_mut().expect("sample boundary implies sampler").record(obs);
-                sampled_state = Some(state);
+                sampled_state = sample.map(|(_, state)| state);
             }
         }
         // `u64::MAX` means "no cap", not a cycle: resting the clock there
@@ -772,11 +856,12 @@ impl<B: Backend> Gateway<B> {
     fn finish(&mut self, core: usize, c: &SchedCompletion) {
         let rec = c.record;
         let meta = self.inflight[core]
-            .remove(&c.job.raw())
+            .take(c.job.raw())
             .expect("every scheduler-bound job was submitted by the gateway");
         self.now = self.now.max(rec.finish);
         let lane = self.tenants[meta.tenant.0].spec.lane;
         self.tenants[meta.tenant.0].stats.complete(rec.finish, meta.deadline);
+        self.settle(meta.tenant);
         let response = Response {
             request: meta.request,
             tenant: meta.tenant,
@@ -789,12 +874,9 @@ impl<B: Backend> Gateway<B> {
             batched: meta.batched,
             skipped: false,
         };
-        let (lane_key, latency_key, ttfb_key) = match lane {
-            Lane::Hard => ("hard", "serve.latency.hard", "serve.ttfb.hard"),
-            Lane::BestEffort => ("be", "serve.latency.be", "serve.ttfb.be"),
-        };
-        self.lat.observe(latency_key, response.latency());
-        self.lat.observe(ttfb_key, response.ttfb());
+        let l = lane_index(lane);
+        self.latency[l].observe(response.latency());
+        self.ttfb[l].observe(response.ttfb());
         if let Some(tag) = self.tag_for(meta.request) {
             // Root span closes at the response: every other stage of this
             // request parents (directly or via an exec segment) to it.
@@ -803,7 +885,7 @@ impl<B: Backend> Gateway<B> {
             self.scheds[core].probe().span(tag, SpanStage::Request, 0, None, life, detail);
         }
         self.trace_milestone(rec.finish, || {
-            format!("serve.done {} {} {lane_key}", meta.tenant, meta.request)
+            format!("serve.done {} {} {}", meta.tenant, meta.request, LANE_KEYS[l])
         });
         self.responses.push(response);
     }
@@ -850,21 +932,18 @@ impl<B: Backend> Gateway<B> {
         for (i, entry) in self.tenants.iter().enumerate() {
             m.set_gauge(&format!("serve.tenant{i}.outstanding"), entry.stats.outstanding() as f64);
         }
-        m.absorb("", &self.lat);
+        for (l, key) in LANE_KEYS.iter().enumerate() {
+            for (name, h) in [("latency", &self.latency[l]), ("ttfb", &self.ttfb[l])] {
+                if h.count() > 0 {
+                    m.insert_histogram(&format!("serve.{name}.{key}"), h.clone());
+                }
+            }
+        }
         for (i, s) in self.scheds.iter().enumerate() {
             m.absorb(&format!("serve.core{i}."), &s.metrics());
         }
         m
     }
-}
-
-/// Modelled outstanding work on a core, in cycles: every queued or
-/// in-flight job charged its task's full predicted span.
-fn backlog(s: &Scheduler, tasks: &[TaskId]) -> u64 {
-    tasks
-        .iter()
-        .map(|&t| (s.queue_depth(t) as u64 + u64::from(s.in_flight(t))) * s.predicted_span(t))
-        .sum()
 }
 
 /// The serving tier shares its pool's [`Barrier`]: a core here is the

@@ -62,6 +62,7 @@
 pub mod gateway;
 mod place;
 mod request;
+mod slab;
 
 pub use gateway::{Accepted, Gateway, DEFAULT_BATCH_WINDOW, DEFAULT_MAX_BATCH};
 pub use place::PlacePolicy;

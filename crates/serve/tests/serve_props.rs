@@ -332,6 +332,51 @@ fn finishing_on_the_deadline_cycle_meets_it_on_both_ledgers() {
     }
 }
 
+/// `Gateway::metrics()` carries one latency and one time-to-first-byte
+/// histogram per lane that served, `serve.{latency,ttfb}.{hard,be}`: each
+/// holds exactly the drained responses' `latency()` / `ttfb()`, and a lane
+/// that served nothing has no histogram at all, not an empty one.
+#[test]
+fn lane_histograms_hold_the_responses_of_served_lanes_only() {
+    use inca_obs::Histogram;
+    let program = tiny(16);
+    for lanes in [vec![Lane::Hard, Lane::BestEffort], vec![Lane::Hard], vec![Lane::BestEffort]] {
+        let pool =
+            CorePool::new(2, cfg(), InterruptStrategy::VirtualInstruction, TimingBackend::new);
+        let mut gw = Gateway::new(pool, SchedPolicy::FixedPriority, PlacePolicy::LeastLoaded);
+        let tenants: Vec<_> = lanes
+            .iter()
+            .map(|&lane| {
+                let spec = TenantSpec::new(format!("{lane}"), Arc::clone(&program));
+                gw.register(if lane == Lane::Hard { spec.hard(1 << 40) } else { spec })
+            })
+            .collect();
+        for i in 0..12u64 {
+            let _ = gw.submit(i * 1_000, tenants[i as usize % tenants.len()]);
+        }
+        gw.run_to_idle(u64::MAX).unwrap();
+        let responses = gw.drain_responses();
+        let m = gw.metrics();
+        for (lane, key) in [(Lane::Hard, "hard"), (Lane::BestEffort, "be")] {
+            let (mut latency, mut ttfb) = (Histogram::default(), Histogram::default());
+            for r in responses.iter().filter(|r| r.lane == lane && !r.skipped) {
+                latency.observe(r.latency());
+                ttfb.observe(r.ttfb());
+            }
+            let (latency_key, ttfb_key) =
+                (format!("serve.latency.{key}"), format!("serve.ttfb.{key}"));
+            if lanes.contains(&lane) {
+                assert!(latency.count() > 0, "{lanes:?}: the {key} lane served");
+                assert_eq!(m.histogram(&latency_key), Some(&latency), "{lanes:?}: {latency_key}");
+                assert_eq!(m.histogram(&ttfb_key), Some(&ttfb), "{lanes:?}: {ttfb_key}");
+            } else {
+                assert_eq!(m.histogram(&latency_key), None, "{lanes:?}: {latency_key}");
+                assert_eq!(m.histogram(&ttfb_key), None, "{lanes:?}: {ttfb_key}");
+            }
+        }
+    }
+}
+
 /// The acceptance bar (mirrors `fig_serve_load` part A): on a single
 /// core, the hard lane's worst-case latency under best-effort saturation
 /// stays within 10% of its unloaded latency when the VI strategy carries
