@@ -148,9 +148,8 @@ pub trait Backend {
     /// Executes the pc span `span` of `program` in one call — a run of one
     /// layer between two of its cuts under [`SpanSupport::Group`], any run
     /// of instructions under [`SpanSupport::Any`] — applying the job's
-    /// input/output offsets and its pending SAVE `patches` (those whose
-    /// pc lies in the span) itself: the span's instructions arrive
-    /// *unpatched*.
+    /// pending SAVE `patches` (those whose pc lies in the span) itself: the
+    /// span's instructions arrive *unpatched*.
     ///
     /// Returns `Ok(true)` when the span was executed with effects
     /// bit-identical to stepping each original instruction, or `Ok(false)`
@@ -166,11 +165,9 @@ pub trait Backend {
         slot: TaskSlot,
         program: &Program,
         span: std::ops::Range<usize>,
-        input_offset: u64,
-        output_offset: u64,
         patches: &[SavePatch],
     ) -> Result<bool, SimError> {
-        let _ = (slot, program, span, input_offset, output_offset, patches);
+        let _ = (slot, program, span, patches);
         Ok(false)
     }
 }
@@ -292,8 +289,6 @@ impl Backend for TimingBackend {
         _slot: TaskSlot,
         _program: &Program,
         _span: std::ops::Range<usize>,
-        _input_offset: u64,
-        _output_offset: u64,
         _patches: &[SavePatch],
     ) -> Result<bool, SimError> {
         Ok(true)

@@ -336,24 +336,15 @@ impl Report {
     }
 }
 
-/// What a request programs into the IAU besides its slot.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
-struct JobParams {
-    /// IAU `InputOffset` register: shifts loads from the network-input
-    /// region (lets software point the same program at another frame).
-    input_offset: u64,
-    /// IAU `OutputOffset` register: shifts saves to the designated-output
-    /// region.
-    output_offset: u64,
-    /// Request tag for causal-span emission (`RequestId::raw`); untagged
-    /// jobs emit no spans (DESIGN.md §5.7).
-    tag: Option<u64>,
-}
+/// What a request carries besides its slot: the tag for causal-span
+/// emission (`RequestId::raw`); untagged jobs emit no spans (DESIGN.md
+/// §5.7).
+type RequestTag = Option<u64>;
 
 #[derive(Debug, Default)]
 struct ActiveJob {
     release: u64,
-    params: JobParams,
+    tag: RequestTag,
     start: Option<u64>,
     pc: usize,
     /// The SAVE patches taken interrupt points left pending, by pc.
@@ -372,8 +363,8 @@ struct ActiveJob {
 }
 
 impl ActiveJob {
-    fn new(release: u64, params: JobParams) -> Self {
-        Self { release, params, ..Self::default() }
+    fn new(release: u64, tag: RequestTag) -> Self {
+        Self { release, tag, ..Self::default() }
     }
 
     /// The instruction at `pc` as the datapath executes it: with the job's
@@ -413,7 +404,7 @@ impl ActiveJob {
     /// free virtual groups), so the emission position is the same whether
     /// the layer was stepped or committed whole.
     fn ran_layer(&mut self, out: &Probe, program: &Program, layer: u16, ran: std::ops::Range<u64>) {
-        let Some(tag) = self.params.tag else { return };
+        let Some(tag) = self.tag else { return };
         self.spans.layer_open.get_or_insert((layer, ran.start));
         let next = program.instrs.get(next_original(program, self.pc));
         if next.is_none_or(|i| i.layer != layer) {
@@ -494,28 +485,13 @@ struct Observers {
     out: Probe,
 }
 
-impl Observers {
-    /// Records one retired instruction: the retired counter and the
-    /// `InstrRetired` event (an elided SAVE retires nothing). Stepping and an instruction-by-instruction span
-    /// commit both account through here, which is what keeps their
-    /// observables equal.
-    fn retire(&mut self, slot: TaskSlot, instr: &Instr, start: u64, cycles: u64, elided: bool) {
-        if !elided {
-            self.counters.instrs_retired += 1;
-            let (op, layer) = (instr.op, instr.layer);
-            let retired = || TraceEvent::InstrRetired { start, cycles, slot, op, layer };
-            self.out.tracer.emit_instr(retired);
-        }
-    }
-}
-
 #[derive(Debug, Default)]
 struct Slot {
     /// The loaded program and its cycle table.
     loaded: Option<(Arc<Program>, Arc<CycleTable>)>,
     job: Option<ActiveJob>,
-    /// Queued jobs: `(release, parameters)`.
-    backlog: VecDeque<(u64, JobParams)>,
+    /// Queued jobs: `(release, tag)`.
+    backlog: VecDeque<(u64, RequestTag)>,
     auto_resubmit: bool,
 }
 
@@ -540,30 +516,6 @@ impl Slot {
 
     fn job_mut(&mut self) -> &mut ActiveJob {
         self.job.as_mut().expect("scheduled slot has a job")
-    }
-}
-
-/// Applies the IAU's per-job `InputOffset`/`OutputOffset` registers to an
-/// instruction's DDR address: loads from the network-input region and
-/// saves to the designated-output region are shifted.
-pub(crate) fn apply_job_offsets(
-    program: &Program,
-    input_offset: u64,
-    output_offset: u64,
-    instr: &mut Instr,
-) {
-    if input_offset == 0 && output_offset == 0 {
-        return;
-    }
-    let len = u64::from(instr.ddr.bytes);
-    match instr.op {
-        Opcode::LoadD | Opcode::VirLoadD if program.memory.in_input_region(instr.ddr.addr, len) => {
-            instr.ddr.addr += input_offset;
-        }
-        Opcode::Save | Opcode::VirSave if program.memory.in_output_region(instr.ddr.addr, len) => {
-            instr.ddr.addr += output_offset;
-        }
-        _ => {}
     }
 }
 
@@ -755,9 +707,9 @@ pub struct Engine<B: Backend> {
     backend: B,
     slots: [Slot; TASK_SLOTS],
     now: u64,
-    /// Pending requests as `(cycle, seq, slot, parameters)`; `seq` is
-    /// unique, so the order never reaches the last two fields.
-    arrivals: BinaryHeap<Reverse<(u64, u64, TaskSlot, JobParams)>>,
+    /// Pending requests as `(cycle, seq, slot, tag)`; `seq` is unique, so
+    /// the order never reaches the last two fields.
+    arrivals: BinaryHeap<Reverse<(u64, u64, TaskSlot, RequestTag)>>,
     seq: u64,
     running: Option<TaskSlot>,
     interrupts: InterruptLog,
@@ -969,29 +921,10 @@ impl<B: Backend> Engine<B> {
     ///
     /// [`SimError::EmptySlot`] when no program is loaded.
     pub fn request_at(&mut self, cycle: u64, slot: TaskSlot) -> Result<(), SimError> {
-        self.request_job(cycle, slot, 0, 0)
+        self.request_job_tagged(cycle, slot, None)
     }
 
-    /// Like [`Engine::request_at`], additionally programming the IAU's
-    /// per-job `InputOffset`/`OutputOffset` registers: loads from the
-    /// program's network-input region and saves to its designated-output
-    /// region are shifted by the given byte offsets, so software can run
-    /// the same program against different frame buffers.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::EmptySlot`] when no program is loaded.
-    pub fn request_job(
-        &mut self,
-        cycle: u64,
-        slot: TaskSlot,
-        input_offset: u64,
-        output_offset: u64,
-    ) -> Result<(), SimError> {
-        self.request_job_tagged(cycle, slot, input_offset, output_offset, None)
-    }
-
-    /// Like [`Engine::request_job`], additionally carrying a request tag:
+    /// Like [`Engine::request_at`], additionally carrying a request tag:
     /// the job emits causal [`TraceEvent::Span`]s (Exec / Preempted /
     /// Layer) attributed to that request. Untagged jobs emit none, so
     /// legacy traces stay byte-identical.
@@ -1003,30 +936,27 @@ impl<B: Backend> Engine<B> {
         &mut self,
         cycle: u64,
         slot: TaskSlot,
-        input_offset: u64,
-        output_offset: u64,
         tag: Option<u64>,
     ) -> Result<(), SimError> {
         if self.slots[slot.index()].loaded.is_none() {
             return Err(SimError::EmptySlot(slot));
         }
-        let params = JobParams { input_offset, output_offset, tag };
-        self.arrivals.push(Reverse((cycle, self.seq, slot, params)));
+        self.arrivals.push(Reverse((cycle, self.seq, slot, tag)));
         self.seq += 1;
         Ok(())
     }
 
     fn release_due(&mut self) {
-        while let Some(&Reverse((t, _, slot, params))) = self.arrivals.peek() {
+        while let Some(&Reverse((t, _, slot, tag))) = self.arrivals.peek() {
             if t > self.now {
                 break;
             }
             self.arrivals.pop();
             let st = &mut self.slots[slot.index()];
             if st.job.is_none() {
-                st.job = Some(ActiveJob::new(t, params));
+                st.job = Some(ActiveJob::new(t, tag));
             } else {
-                st.backlog.push_back((t, params));
+                st.backlog.push_back((t, tag));
             }
             self.obs.out.tracer.emit(|| TraceEvent::JobReleased { cycle: t, slot });
         }
@@ -1068,8 +998,7 @@ impl<B: Backend> Engine<B> {
         };
         let executed = job.take_patch(obs, slot, program, job.pc, *now);
         let elided = executed.is_none();
-        let mut instr = executed.unwrap_or(original);
-        apply_job_offsets(program, job.params.input_offset, job.params.output_offset, &mut instr);
+        let instr = executed.unwrap_or(original);
         let cycles = if elided {
             0
         } else {
@@ -1078,7 +1007,7 @@ impl<B: Backend> Engine<B> {
         };
         let start = *now;
         *now += cycles;
-        obs.retire(slot, &instr, start, cycles, elided);
+        obs.counters.instrs_retired += u64::from(!elided);
         job.busy_cycles += cycles;
         job.pc += 1;
         job.ran_layer(&obs.out, program, instr.layer, start..*now);
@@ -1101,10 +1030,9 @@ impl<B: Backend> Engine<B> {
     /// inside it is priced, counted and traced as stepping patches it. Its
     /// clock comes off the slot's [`CycleTable`] in O(log n) plus one
     /// lookup per patch. Where cost is not a function of the pc
-    /// (`dma_overlap`) or someone wants each instruction (a
-    /// per-instruction tracer), a group span is priced and retired by one
-    /// walk over [`charge`] instead, and a timing-only job — like a tagged
-    /// one, which owes Layer spans — is left to `exec_step`.
+    /// (`dma_overlap`), a group span is priced and retired by one walk over
+    /// [`charge`] instead, and a timing-only job — like a tagged one, which
+    /// owes Layer spans — is left to `exec_step`.
     fn try_span(
         &mut self,
         slot: TaskSlot,
@@ -1123,7 +1051,7 @@ impl<B: Backend> Engine<B> {
         let Some(first) = program.instrs.get(pc0) else {
             return Ok(None);
         };
-        let walk = cfg.dma_overlap || obs.out.tracer.per_instr();
+        let walk = cfg.dma_overlap;
         // A group span starts at its layer's first instruction or right
         // after an interrupt point's group, and stays in the layer: `layer`
         // is the layer's pc range and where its original instructions end.
@@ -1139,7 +1067,7 @@ impl<B: Backend> Engine<B> {
                 }
                 Some((range.end, original_end(program, range.end)))
             }
-            _ if walk || job.params.tag.is_some() => return Ok(None),
+            _ if walk || job.tag.is_some() => return Ok(None),
             _ => None,
         };
         let limit = layer.map_or(program.instrs.len(), |(end, _)| end).min(until);
@@ -1174,8 +1102,7 @@ impl<B: Backend> Engine<B> {
                 _ => return Ok(None), // no cut before the barrier
             }
         }
-        let (in_off, out_off) = (job.params.input_offset, job.params.output_offset);
-        if !backend.execute_span(slot, program, pc0..end, in_off, out_off, &job.flushed)? {
+        if !backend.execute_span(slot, program, pc0..end, &job.flushed)? {
             return Ok(None);
         }
         let start = *now;
@@ -1186,10 +1113,8 @@ impl<B: Backend> Engine<B> {
         if walk {
             for pc in (pc0..end).filter(|&pc| !program.instrs[pc].op.is_virtual()) {
                 let executed = job.take_patch(obs, slot, program, pc, *now);
-                let cycles = executed.map_or(0, |i| charge(cfg, program, &i, &mut job.dma_credit));
-                let elided = executed.is_none();
-                obs.retire(slot, &executed.unwrap_or(program.instrs[pc]), *now, cycles, elided);
-                *now += cycles;
+                *now += executed.map_or(0, |i| charge(cfg, program, &i, &mut job.dma_credit));
+                obs.counters.instrs_retired += u64::from(executed.is_some());
             }
         } else {
             // Pending patches all lie ahead of the job, sorted by pc.
@@ -1228,7 +1153,7 @@ impl<B: Backend> Engine<B> {
         c.response_cycles.observe(record.response());
         c.job_busy_cycles.observe(record.busy_cycles);
         self.completed.push(record);
-        if let Some(tag) = job.params.tag {
+        if let Some(tag) = job.tag {
             // Close the job's open spans at the completion cycle (a
             // VI point that closes the program can leave a layer open).
             job.spans.close_layer(&self.obs.out, tag, self.now);
@@ -1241,12 +1166,11 @@ impl<B: Backend> Engine<B> {
             busy_cycles,
             preemptions,
         });
-        if let Some((release, params)) = s.backlog.pop_front() {
-            s.job = Some(ActiveJob::new(release, params));
+        if let Some((release, tag)) = s.backlog.pop_front() {
+            s.job = Some(ActiveJob::new(release, tag));
         } else if s.auto_resubmit {
-            // Auto-resubmission reuses the completed job's offsets (the
-            // new job is a fresh, untagged release).
-            s.job = Some(ActiveJob::new(cycle, JobParams { tag: None, ..job.params }));
+            // An auto-resubmitted job is a fresh, untagged release.
+            s.job = Some(ActiveJob::new(cycle, None));
             self.obs.out.tracer.emit(|| TraceEvent::JobReleased { cycle, slot });
         }
         if self.running == Some(slot) {
@@ -1272,13 +1196,11 @@ impl<B: Backend> Engine<B> {
                 t4 = self.cfg.dma_cycles(u64::from(self.cfg.arch.onchip_bytes()));
                 self.backend.restore(slot)?;
             }
-            let mut loads = std::mem::take(&mut job.resume_loads);
-            let params = job.params;
+            let loads = std::mem::take(&mut job.resume_loads);
             let last_interrupt = job.last_interrupt.take();
             job.preempted = false;
             job.dma_credit = 0; // the double-buffer pipeline restarts cold
-            for l in &mut loads {
-                apply_job_offsets(&program, params.input_offset, params.output_offset, l);
+            for l in &loads {
                 t4 += self.materialize(slot, &program, l, restore_start + t4)?;
             }
             self.now += t4;
@@ -1291,7 +1213,7 @@ impl<B: Backend> Engine<B> {
         // Close the request's pending Preempted span and open its next
         // Exec segment at the cycle execution actually (re)starts.
         let job = self.slots[slot.index()].job_mut();
-        if let Some(tag) = job.params.tag {
+        if let Some(tag) = job.tag {
             job.spans.dispatched(&self.obs.out, tag, self.now);
         }
         self.running = Some(slot);
@@ -1329,9 +1251,7 @@ impl<B: Backend> Engine<B> {
         let mut t2 = 0u64;
         let mut resume_loads = Vec::new();
         for idx in point.vir_range() {
-            let mut vi = program.instrs[idx];
-            let job = self.slots[victim.index()].job();
-            apply_job_offsets(program, job.params.input_offset, job.params.output_offset, &mut vi);
+            let vi = program.instrs[idx];
             match vi.op {
                 Opcode::VirSave => {
                     let end = vi.tile.c0 + vi.tile.chans;
@@ -1435,7 +1355,7 @@ impl<B: Backend> Engine<B> {
         job.preempted = true;
         job.preemptions += 1;
         job.extra_cost_cycles += t2;
-        if let Some(tag) = job.params.tag {
+        if let Some(tag) = job.tag {
             job.spans.close_layer(&self.obs.out, tag, pause);
             job.spans.close_exec(&self.obs.out, tag, victim, pause);
             job.spans.preempt_pause = Some(pause);
@@ -1923,6 +1843,32 @@ mod tests {
         assert_eq!(counts.steps, 0, "{counts:?}");
     }
 
+    /// A tracer watches without slowing the engine: an untagged solo job
+    /// on the timing backend runs as span commits with a ring installed,
+    /// and reports and counts exactly what the untraced run does.
+    #[test]
+    fn traced_solo_run_takes_span_commits() {
+        let program = Arc::new(tiny_vi());
+        let run = |probe: Option<Probe>| {
+            let mut e = engine(InterruptStrategy::VirtualInstruction);
+            if let Some(probe) = probe {
+                e.set_probe(probe);
+            }
+            e.load(TaskSlot::LOWEST, Arc::clone(&program)).unwrap();
+            e.request_at(0, TaskSlot::LOWEST).unwrap();
+            let counts = counted(|| {
+                e.run_until(u64::MAX).unwrap();
+            });
+            (counts, e.report(), e.metrics())
+        };
+        let (tracer, buffer) = inca_obs::Tracer::ring(1 << 10);
+        let (counts, traced, traced_metrics) = run(Some(tracer.into()));
+        assert_eq!(counts.steps, 0, "{counts:?}: a tracer made the engine step");
+        assert!(!buffer.is_empty(), "the ring recorded the run");
+        let (_, untraced, untraced_metrics) = run(None);
+        assert_eq!((traced, traced_metrics), (untraced, untraced_metrics));
+    }
+
     /// The same job preempted by a `tiny` requester every frame period:
     /// the loop goes round a bounded number of times per scheduling event
     /// (arrival, completion), and nothing is stepped — the `t1` drain to
@@ -1932,7 +1878,7 @@ mod tests {
     /// requester's); before drains and patches joined the span commit,
     /// 3 475 iterations and 4 018 steps.
     #[test]
-    fn preempted_run_iterates_per_event_not_per_instruction() {
+    fn preempted_run_loops_once_per_event() {
         let program = gem_resnet101_120x160();
         let originals = program.original_instrs().count() as u64;
         let (hi, lo) = (TaskSlot::new(1).unwrap(), TaskSlot::LOWEST);

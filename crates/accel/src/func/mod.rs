@@ -32,7 +32,6 @@ use inca_isa::{
 };
 use inca_obs::Metrics;
 
-use crate::engine::apply_job_offsets;
 use crate::{Backend, SavePatch, SimError, SpanSupport};
 use stage::Stage;
 use tier1::{Part, Tier1State};
@@ -512,9 +511,7 @@ impl FuncBackend {
             }
             if self.fuses_layers() {
                 let range = program.layer_pc_range(instr.layer);
-                if range.start == pc
-                    && self.execute_span(slot, program, range.clone(), 0, 0, &[])?
-                {
+                if range.start == pc && self.execute_span(slot, program, range.clone(), &[])? {
                     pc = range.end;
                     continue;
                 }
@@ -742,7 +739,6 @@ impl FuncBackend {
         program: &Program,
         plan: &LayerPlan,
         part: &Part,
-        input_offset: u64,
     ) -> Result<u64, SimError> {
         let mut elided = 0;
         for s in &plan.stores[part.stores.clone()] {
@@ -754,11 +750,9 @@ impl FuncBackend {
         let Edge::Cut(cut) = part.to else { return Ok(elided) };
         let cut = plan.cuts[cut];
         for vi in &program.instrs[cut.vir_start as usize..cut.vir_end as usize] {
-            let mut load = *vi;
-            apply_job_offsets(program, input_offset, 0, &mut load);
             match vi.op {
-                Opcode::VirLoadD => self.load_d(slot, program.layer_of(vi), &load)?,
-                Opcode::VirLoadW => self.load_w(slot, program.layer_of(vi), &load)?,
+                Opcode::VirLoadD => self.load_d(slot, program.layer_of(vi), vi)?,
+                Opcode::VirLoadW => self.load_w(slot, program.layer_of(vi), vi)?,
                 _ => {}
             }
         }
@@ -840,8 +834,6 @@ impl Backend for FuncBackend {
         slot: TaskSlot,
         program: &Program,
         span: std::ops::Range<usize>,
-        input_offset: u64,
-        output_offset: u64,
         patches: &[SavePatch],
     ) -> Result<bool, SimError> {
         if !self.fuses_layers() || span.is_empty() {
@@ -869,21 +861,11 @@ impl Backend for FuncBackend {
             return Ok(false);
         };
         let written = &mut bytes_written[slot.index()];
-        if !tier1::run_plan(
-            t1state,
-            image,
-            written,
-            *threads,
-            meta,
-            plan,
-            &part,
-            input_offset,
-            output_offset,
-        ) {
+        if !tier1::run_plan(t1state, image, written, *threads, meta, plan, &part) {
             t1counters.deopt_dynamic += 1;
             return Ok(false);
         }
-        let elided = self.hand_on(slot, program, plan, &part, input_offset)?;
+        let elided = self.hand_on(slot, program, plan, &part)?;
         // Whole layers count as layers; every span counts what it retired.
         let fused = plan.before(to).1 - plan.before(from).1;
         self.t1counters.exec_layers += u64::from((from, to) == (Edge::Start, Edge::End));

@@ -159,7 +159,6 @@ pub(super) fn handed_on<'p>(
 /// Executes `part` of `plan` against `image`. Returns `false` (leaving all
 /// state untouched) when a runtime precondition fails; the caller then
 /// deopts the layer to the interpreter.
-#[allow(clippy::too_many_arguments)]
 pub(super) fn run_plan(
     state: &mut Tier1State,
     image: &mut DdrImage,
@@ -168,20 +167,14 @@ pub(super) fn run_plan(
     meta: &LayerMeta,
     plan: &LayerPlan,
     part: &Part,
-    in_off: u64,
-    out_off: u64,
 ) -> bool {
     let capacity = image.capacity();
-    let in_shift = if plan.input_shifted { in_off } else { 0 };
-    let in2_shift = if plan.input2_shifted { in_off } else { 0 };
-    let input_hull = plan.input_hull.shifted(in_shift);
-    let input2_hull = plan.input2_hull.map(|h| h.shifted(in2_shift));
+    let (input_hull, input2_hull) = (plan.input_hull, plan.input2_hull);
     let (h_out, w_out) = (u64::from(meta.out_shape.h), u64::from(meta.out_shape.w));
     state.store_hulls.clear();
     state.store_hulls.extend(plan.stores.iter().map(|s| {
-        let base = s.addr + if s.shifted { out_off } else { 0 };
-        let end = base + u64::from(s.chans - 1) * h_out * w_out + u64::from(s.rows) * w_out;
-        Hull { start: base, end }
+        let end = s.addr + u64::from(s.chans - 1) * h_out * w_out + u64::from(s.rows) * w_out;
+        Hull { start: s.addr, end }
     }));
     // Every region the fused pass touches must fit the image, and stores
     // must not alias any operand region (stepping interleaves loads and

@@ -5,8 +5,8 @@
 use std::sync::Arc;
 
 use inca_accel::{
-    AccelConfig, DdrImage, Engine, FuncBackend, InterruptStrategy, JobRecord, Report, TaskState,
-    TimingBackend,
+    analysis, AccelConfig, DdrImage, Engine, FuncBackend, InterruptStrategy, JobRecord, Report,
+    TaskState, TimingBackend,
 };
 use inca_compiler::Compiler;
 use inca_isa::{Program, TaskSlot, TASK_SLOTS};
@@ -312,19 +312,10 @@ fn occupancy_matches_the_lifecycle_trace() {
     let (hi_program, lo_program) = (program(16), program(64));
     // The solo run's makespan and the start of its last instruction (a
     // request is observed at instruction boundaries only).
-    let (span, last) = {
-        let mut e = engine(InterruptStrategy::VirtualInstruction);
-        let (tracer, ring) = Tracer::ring(1 << 10);
-        e.set_probe(tracer.into());
-        e.load(lo, Arc::clone(&lo_program)).unwrap();
-        e.request_at(0, lo).unwrap();
-        let span = e.run().unwrap().final_cycle;
-        let last = ring.drain().into_iter().rev().find_map(|ev| match ev {
-            TraceEvent::InstrRetired { start, .. } => Some(start),
-            _ => None,
-        });
-        (span, last.unwrap())
-    };
+    let cfg = AccelConfig::paper_small();
+    let span = analysis::predicted_span(&cfg, &lo_program);
+    let charges = analysis::charges(&cfg, &lo_program).filter(|(i, _)| !i.op.is_virtual());
+    let last = span - charges.last().unwrap().1;
     let resumed = [span / 3, 2 * span / 3, 4 * span / 3];
     let drained = [last];
     for strategy in [
@@ -335,7 +326,7 @@ fn occupancy_matches_the_lifecycle_trace() {
     ] {
         for (arrivals, lo_jobs) in [(&resumed[..], 2), (&drained[..], 1)] {
             let mut e = engine(strategy);
-            let (tracer, ring) = Tracer::ring_coarse(1 << 12);
+            let (tracer, ring) = Tracer::ring(1 << 12);
             e.set_probe(tracer.into());
             e.load(hi, Arc::clone(&hi_program)).unwrap();
             e.load(lo, Arc::clone(&lo_program)).unwrap();

@@ -21,8 +21,8 @@
 use std::sync::Arc;
 
 use inca_accel::{
-    AccelConfig, Backend, Engine, InterruptStrategy, Program, Report, Stepped, TaskSlot, TaskState,
-    TimingBackend,
+    analysis, AccelConfig, Backend, Engine, InterruptStrategy, Program, Report, Stepped, TaskSlot,
+    TaskState, TimingBackend,
 };
 use inca_compiler::Compiler;
 use inca_isa::{Instr, Opcode};
@@ -177,28 +177,16 @@ impl Pair {
     }
 }
 
-/// The start cycle of every instruction of an uncontended run of `program`
-/// released at cycle 0, plus its finish cycle — from the oracle's trace.
-fn boundaries(cfg: AccelConfig, program: &Arc<Program>) -> Vec<u64> {
-    let mut e =
-        Engine::new(cfg, InterruptStrategy::VirtualInstruction, Stepped(TimingBackend::new()));
-    let (tracer, buffer) = Tracer::ring(1 << 21);
-    e.set_probe(tracer.into());
-    e.load(TaskSlot::LOWEST, Arc::clone(program)).unwrap();
-    e.request_at(0, TaskSlot::LOWEST).unwrap();
-    let finish = e.run().unwrap().final_cycle;
-    assert_eq!(buffer.dropped(), 0);
-    let mut starts: Vec<u64> = buffer
-        .drain()
-        .into_iter()
-        .filter_map(|ev| match ev {
-            TraceEvent::InstrRetired { start, .. } => Some(start),
-            _ => None,
-        })
-        .collect();
-    assert_eq!(starts.len(), program.original_instrs().count());
-    starts.push(finish);
-    starts
+/// The start cycle of every original instruction of an uncontended run of
+/// `program` released at cycle 0, plus its finish cycle: the prefix sums of
+/// the engine's own per-instruction charges.
+fn boundaries(cfg: AccelConfig, program: &Program) -> Vec<u64> {
+    let charges = analysis::charges(&cfg, program).filter(|(i, _)| !i.op.is_virtual());
+    let ends = charges.scan(0, |t, (_, cycles)| {
+        *t += cycles;
+        Some(*t)
+    });
+    std::iter::once(0).chain(ends).collect()
 }
 
 /// A deterministic stream of "random" numbers below `bound`.
@@ -303,8 +291,7 @@ fn superpoint_120x160_matrix() {
 
 /// An arrival that preempts nobody still ends the span it lands in: its
 /// `JobReleased` is traced when the clock reaches it, between the running
-/// job's `JobStarted` and `JobFinished`. A coarse ring leaves span commits
-/// on (it wants no per-instruction events).
+/// job's `JobStarted` and `JobFinished`. A tracer leaves span commits on.
 #[test]
 fn lower_priority_arrival_keeps_its_place_in_the_lifecycle_trace() {
     let lo = tiny(32);
@@ -312,9 +299,9 @@ fn lower_priority_arrival_keeps_its_place_in_the_lifecycle_trace() {
     let (top, low) = (slot(1), slot(3));
     for strategy in STRATEGIES {
         let mut p = Pair::new(cfg(false), strategy, "no-preempt arrival");
-        let (tracer, spans) = Tracer::ring_coarse(1 << 12);
+        let (tracer, spans) = Tracer::ring(1 << 12);
         p.spans.set_probe(tracer.into());
-        let (tracer, steps) = Tracer::ring_coarse(1 << 12);
+        let (tracer, steps) = Tracer::ring(1 << 12);
         p.steps.set_probe(tracer.into());
         p.load(top, &lo);
         p.load(low, &tiny(16));

@@ -13,10 +13,10 @@
 //! Every comparison is over the whole trace: the ring is sized so nothing
 //! is evicted, and `run_on` asserts it.
 
-use inca_accel::analysis::predicted_span;
+use inca_accel::analysis::{charges, predicted_span};
 use inca_accel::{
     AccelConfig, Backend, DdrImage, Engine, FuncBackend, InterruptStrategy, Program, Stepped,
-    TaskSlot, TimingBackend,
+    TaskSlot,
 };
 use inca_compiler::Compiler;
 use inca_isa::Opcode;
@@ -58,32 +58,14 @@ fn hi_program() -> Program {
         .clone()
 }
 
-/// Pre-fill of every output frame: shows which frame a job wrote.
-const UNWRITTEN: u8 = 0xA5;
-
-/// The program's image plus a second input/output frame pair past its own
-/// footprint (where [`frame_offsets`] points a job): a different input
-/// pattern in each frame, both output frames [`UNWRITTEN`].
+/// The program's image with a non-zero input frame (`DdrImage::for_program`
+/// leaves the input zero).
 fn image_for(program: &Program, seed: u64) -> DdrImage {
     let m = &program.memory;
-    let base = DdrImage::for_program(program, seed);
-    let mut img = DdrImage::new(m.total_bytes() + m.input_bytes + m.output_bytes);
-    img.write(0, base.read(0, base.capacity()));
-    let (in_off, out_off) = frame_offsets(program);
-    for frame in 0..2 {
-        let data: Vec<u8> =
-            (0..m.input_bytes).map(|i| ((i * 7 + 3 + frame * 5) % 15) as u8).collect();
-        img.write(m.input_base + frame * in_off, &data);
-        img.write(m.output_base + frame * out_off, &vec![UNWRITTEN; m.output_bytes as usize]);
-    }
+    let mut img = DdrImage::for_program(program, seed);
+    let data: Vec<u8> = (0..m.input_bytes).map(|i| ((i * 7 + 3) % 15) as u8).collect();
+    img.write(m.input_base, &data);
     img
-}
-
-/// `(InputOffset, OutputOffset)` that move a job of `program` to the
-/// second frame pair.
-fn frame_offsets(program: &Program) -> (u64, u64) {
-    let m = &program.memory;
-    (m.total_bytes() - m.input_base, m.total_bytes() + m.input_bytes - m.output_base)
 }
 
 /// The contended two-task scenario both tiers run.
@@ -95,31 +77,16 @@ struct Scenario<'a> {
     requests: &'a [(u64, bool)],
     /// Tag request `i` with `1 + i`, so its job emits causal spans.
     tagged: bool,
-    /// Run the lo jobs on the second frame ([`frame_offsets`]).
-    lo_offset: bool,
     threads: usize,
     seed: u64,
     /// `run_until` deadlines to stop at before running dry.
     stops: &'a [u64],
-    /// Watch through a coarse tracer, so commits price
-    /// spans off the cycle table instead of walking them.
-    coarse: bool,
 }
 
 impl<'a> Scenario<'a> {
     fn new(strategy: InterruptStrategy, requests: &'a [(u64, bool)]) -> Self {
         let cfg = AccelConfig::paper_small();
-        Self {
-            strategy,
-            cfg,
-            requests,
-            tagged: false,
-            lo_offset: false,
-            threads: 1,
-            seed: 1,
-            stops: &[],
-            coarse: false,
-        }
+        Self { strategy, cfg, requests, tagged: false, threads: 1, seed: 1, stops: &[] }
     }
 }
 
@@ -153,17 +120,14 @@ fn run_on<B: Backend>(
     backend.install_image(lo_slot, image_for(lo, s.seed));
     backend.install_image(hi_slot, image_for(hi, s.seed ^ 0x5EED));
     let mut e = Engine::new(s.cfg, s.strategy, wrap(backend));
-    // ≈133 k events per lo job, at most two lo jobs per scenario.
-    let (tracer, buffer) =
-        if s.coarse { Tracer::ring_coarse(1 << 19) } else { Tracer::ring(1 << 19) };
+    let (tracer, buffer) = Tracer::ring(1 << 16);
     e.set_probe(tracer.into());
     e.load(lo_slot, lo.clone()).unwrap();
     e.load(hi_slot, hi.clone()).unwrap();
     for (i, &(cycle, is_hi)) in s.requests.iter().enumerate() {
         let tag = s.tagged.then_some(1 + i as u64);
         let slot = if is_hi { hi_slot } else { lo_slot };
-        let (in_off, out_off) = if s.lo_offset && !is_hi { frame_offsets(lo) } else { (0, 0) };
-        e.request_job_tagged(cycle, slot, in_off, out_off, tag).unwrap();
+        e.request_job_tagged(cycle, slot, tag).unwrap();
     }
     for &deadline in s.stops {
         e.run_until(deadline).unwrap();
@@ -199,10 +163,7 @@ fn assert_tiers_agree(s: &Scenario) -> (Observables, inca_obs::Metrics) {
     let (lo, hi) = (lo_program(), hi_program());
     let (t0, m0) = run_tier0(&lo, &hi, s);
     let (t1, m1) = run_tier1(&lo, &hi, s);
-    let what = format!(
-        "{} overlap={} tagged={} offset={}",
-        s.strategy, s.cfg.dma_overlap, s.tagged, s.lo_offset
-    );
+    let what = format!("{} overlap={} tagged={}", s.strategy, s.cfg.dma_overlap, s.tagged);
     assert_eq!(t0.report, t1.report, "{what}: reports diverge");
     assert_eq!(t0.engine_metrics, t1.engine_metrics, "{what}: engine metrics diverge");
     assert_eq!(t0.trace, t1.trace, "{what}: trace streams diverge");
@@ -246,34 +207,6 @@ fn tiers_identical_under_every_strategy() {
             "{strategy}: fused layers should batch multiple instructions"
         );
     }
-}
-
-/// The IAU's job-offset registers reach the fused path as two integers
-/// (`Backend::execute_span`): a preempted, tagged lo job pointed at the
-/// second frame must read that frame's input (the frames differ, so the
-/// images would diverge otherwise) and write only its output.
-#[test]
-fn tiers_identical_with_job_offsets() {
-    let (lo, cfg) = (lo_program(), small(true));
-    let span = predicted_span(&cfg, &lo);
-    let requests = [(0u64, false), (span / 3, true)];
-    let scenario = Scenario {
-        cfg,
-        tagged: true,
-        lo_offset: true,
-        seed: 0x0FF5,
-        ..Scenario::new(InterruptStrategy::VirtualInstruction, &requests)
-    };
-    let (moved, t1) = assert_tiers_agree(&scenario);
-    assert!(t1.counter("tier1.exec_layers") > 0, "offset jobs must still fuse layers");
-    assert_eq!(moved.report.interrupts.len(), 1, "the lo job was preempted");
-    let m = &lo.memory;
-    let written = |off| {
-        moved.images[0].read(m.output_base + off, m.output_bytes)
-            != vec![UNWRITTEN; m.output_bytes as usize]
-    };
-    assert!(written(frame_offsets(&lo).1), "the job writes the frame OutputOffset names");
-    assert!(!written(0), "and leaves the base frame alone");
 }
 
 /// Fully-connected layers take the same GEMM as convolutions in both
@@ -436,19 +369,13 @@ fn long_layer_program() -> Program {
 }
 
 /// The start cycle of every original instruction of an uncontended run of
-/// `program`, with its layer.
+/// `program`, with its layer: the prefix sums of the engine's own charges.
 fn instr_starts(cfg: &AccelConfig, program: &Program) -> Vec<(u64, u16)> {
-    let slot = TaskSlot::LOWEST;
-    let mut e =
-        Engine::new(*cfg, InterruptStrategy::VirtualInstruction, Stepped(TimingBackend::new()));
-    let (tracer, buffer) = Tracer::ring(1 << 16);
-    e.set_probe(tracer.into());
-    e.load(slot, program.clone()).unwrap();
-    e.request_at(0, slot).unwrap();
-    e.run().unwrap();
-    let starts = buffer.snapshot().into_iter().filter_map(|ev| match ev {
-        TraceEvent::InstrRetired { start, layer, .. } => Some((start, layer)),
-        _ => None,
+    let originals = charges(cfg, program).filter(|(i, _)| !i.op.is_virtual());
+    let starts = originals.scan(0, |t, (i, cycles)| {
+        let start = *t;
+        *t += cycles;
+        Some((start, i.layer))
     });
     starts.collect()
 }
@@ -457,45 +384,52 @@ fn instr_starts(cfg: &AccelConfig, program: &Program) -> Vec<(u64, u16)> {
 /// `run_until` deadline stops inside an interrupt-point group, the victim
 /// resumes mid-layer with pending SAVE patches (VI) or a restored snapshot
 /// (CPU-like) or drains to the layer's end (layer-by-layer). Tier-1 must
-/// stay identical to stepping — walked with every instruction observed, and
-/// priced off the cycle table under a coarse tracer — while running nearly
-/// all of the victim as cut-aligned Tier-1 spans.
+/// stay identical to stepping — tagged, so each tier's `Layer` spans are
+/// in the compared trace; priced off the cycle table, and walked under
+/// `dma_overlap` — while running nearly all of the victim as cut-aligned
+/// Tier-1 spans.
 #[test]
 fn preempted_long_layer_runs_as_sub_layer_spans() {
     let (lo, hi) = (long_layer_program(), hi_program());
-    let cfg = AccelConfig::paper_small();
-    let starts = instr_starts(&cfg, &lo);
-    let long: Vec<u64> = starts.iter().filter(|&&(_, l)| l == 1).map(|&(t, _)| t).collect();
-    assert!(long.len() > 500, "the long layer has {} instructions", long.len());
-    let inside = |frac: usize| long[long.len() * frac / 100] + 1;
-    let requests = [(0, false), (inside(20), true), (inside(65), true)];
-    let stops = [inside(45)];
     let hi_instrs = hi.original_instrs().count() as u64;
-    for strategy in [
+    for (strategy, dma_overlap) in [
         InterruptStrategy::VirtualInstruction,
         InterruptStrategy::CpuLike,
         InterruptStrategy::LayerByLayer,
-    ] {
-        for coarse in [false, true] {
-            let s = Scenario { stops: &stops, coarse, ..Scenario::new(strategy, &requests) };
-            let (t0, _) = run_tier0(&lo, &hi, &s);
-            let (t1, m1) = run_tier1(&lo, &hi, &s);
-            let what = format!("{strategy} coarse={coarse}");
-            assert_eq!(t0, t1, "{what}: tiers diverge");
-            assert!(!t1.report.interrupts.is_empty(), "{what}: the victim is preempted");
-            if strategy == InterruptStrategy::VirtualInstruction {
-                let patched = t1.engine_metrics.counter("engine.saves.patched");
-                assert!(patched > 0, "{what}: the resumes carry SAVE patches");
-            }
-            // The requester runs whole layers; what the victim retired
-            // beyond them must be nearly all fused.
-            let retired = t1.engine_metrics.counter("engine.instrs.retired") - 2 * hi_instrs;
-            let fused = m1.counter("tier1.exec_instrs_fused").saturating_sub(2 * hi_instrs);
-            assert!(
-                fused * 100 >= retired * 95,
-                "{what}: {fused} of the victim's {retired} instructions fused"
-            );
+    ]
+    .into_iter()
+    .flat_map(|s| [(s, false), (s, true)])
+    {
+        let cfg = small(dma_overlap);
+        let starts = instr_starts(&cfg, &lo);
+        let long: Vec<u64> = starts.iter().filter(|&&(_, l)| l == 1).map(|&(t, _)| t).collect();
+        assert!(long.len() > 500, "the long layer has {} instructions", long.len());
+        let inside = |frac: usize| long[long.len() * frac / 100] + 1;
+        let requests = [(0, false), (inside(20), true), (inside(65), true)];
+        let stops = [inside(45)];
+        let s = Scenario { cfg, stops: &stops, tagged: true, ..Scenario::new(strategy, &requests) };
+        let (t0, _) = run_tier0(&lo, &hi, &s);
+        let (t1, m1) = run_tier1(&lo, &hi, &s);
+        let what = format!("{strategy} overlap={dma_overlap}");
+        assert_eq!(t0, t1, "{what}: tiers diverge");
+        let layer_spans = t1
+            .trace
+            .iter()
+            .filter(|e| matches!(e, TraceEvent::Span(s) if s.stage == SpanStage::Layer));
+        assert!(layer_spans.count() >= lo.layers.len(), "{what}: Layer spans missing");
+        assert!(!t1.report.interrupts.is_empty(), "{what}: the victim is preempted");
+        if strategy == InterruptStrategy::VirtualInstruction {
+            let patched = t1.engine_metrics.counter("engine.saves.patched");
+            assert!(patched > 0, "{what}: the resumes carry SAVE patches");
         }
+        // The requester runs whole layers; what the victim retired
+        // beyond them must be nearly all fused.
+        let retired = t1.engine_metrics.counter("engine.instrs.retired") - 2 * hi_instrs;
+        let fused = m1.counter("tier1.exec_instrs_fused").saturating_sub(2 * hi_instrs);
+        assert!(
+            fused * 100 >= retired * 95,
+            "{what}: {fused} of the victim's {retired} instructions fused"
+        );
     }
 }
 

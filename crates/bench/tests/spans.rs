@@ -70,7 +70,7 @@ fn func_backend_spans_identical_across_thread_counts() {
         let (tracer, buf) = Tracer::ring(1 << 14);
         engine.set_probe(tracer.into());
         engine.load(TaskSlot::LOWEST, Arc::clone(&program)).unwrap();
-        engine.request_job_tagged(0, TaskSlot::LOWEST, 0, 0, Some(7)).unwrap();
+        engine.request_job_tagged(0, TaskSlot::LOWEST, Some(7)).unwrap();
         engine.run().unwrap();
         spans_of(&buf.drain())
     };

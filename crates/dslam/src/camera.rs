@@ -55,7 +55,7 @@ impl CameraConfig {
 
     /// Focal length in pixels implied by width and FOV.
     #[must_use]
-    pub fn focal_px(&self) -> f64 {
+    fn focal_px(&self) -> f64 {
         f64::from(self.width) / (2.0 * (self.fov / 2.0).tan())
     }
 }

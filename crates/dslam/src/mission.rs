@@ -480,12 +480,9 @@ impl Mission {
         &self,
         trace_capacity: Option<usize>,
     ) -> Result<(MissionOutcome, Option<MissionTrace>), DslamError> {
-        // Per-instruction events (hundreds of thousands per simulated
-        // second) would evict the sparse scheduling events a bounded ring
-        // is meant to retain, so mission traces keep everything else.
         let recorder = |cap: Option<usize>| match cap {
             Some(c) => {
-                let (tracer, buffer) = Tracer::ring_coarse(c);
+                let (tracer, buffer) = Tracer::ring(c);
                 (tracer, Some(buffer))
             }
             None => (Tracer::disabled(), None),

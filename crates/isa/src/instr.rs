@@ -165,8 +165,8 @@ impl Tile {
 
 /// A contiguous-by-convention DDR transfer (task-relative byte address).
 ///
-/// The address is relative to the owning task's base offset; the IAU adds
-/// the per-slot `InputOffset`/`OutputOffset` at run time.
+/// The address is relative to the DDR image backing the owning task's
+/// slot.
 #[derive(
     Debug, Clone, Copy, Default, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize,
 )]

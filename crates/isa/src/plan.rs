@@ -13,10 +13,9 @@
 //!
 //! Compilation is *conservative*: any shape the verifier cannot prove
 //! equivalent deopts that layer to the interpreter ([`DeoptReason`]), which
-//! remains the differential oracle. Plans carry no addresses resolved
-//! against a concrete DDR image; per-job input/output offsets are applied
-//! by the executor using the same region tests as the engine's
-//! offset-patching, so one plan serves every job of the program.
+//! remains the differential oracle. Plans carry task-relative addresses,
+//! resolved against whichever DDR image backs the job's slot, so one plan
+//! serves every job of the program.
 
 use std::ops::Range;
 
@@ -39,9 +38,6 @@ pub enum DeoptReason {
     /// A load's DDR address differs from the canonical layout address, so
     /// the plan cannot re-derive operand bytes from the layer metadata.
     NonCanonicalAddress,
-    /// Loads of one operand straddle the input-offset region boundary
-    /// (some shifted by the IAU's `InputOffset`, some not).
-    MixedOffsetRegion,
     /// A CALC demanded data or weights no prior load of the layer placed.
     MissingOperand,
     /// CALCs of one blob disagree on the output tile, re-accumulate after
@@ -65,7 +61,6 @@ impl std::fmt::Display for DeoptReason {
             DeoptReason::ShapeTooLarge => "shape-too-large",
             DeoptReason::TileOutOfBounds => "tile-out-of-bounds",
             DeoptReason::NonCanonicalAddress => "non-canonical-address",
-            DeoptReason::MixedOffsetRegion => "mixed-offset-region",
             DeoptReason::MissingOperand => "missing-operand",
             DeoptReason::BlobShape => "blob-shape",
             DeoptReason::SaveCoverage => "save-coverage",
@@ -79,8 +74,7 @@ impl std::fmt::Display for DeoptReason {
 ///
 /// The executor writes, for each channel `j < chans`, the contiguous
 /// `rows·w_out` bytes of the whole-layer accumulator starting at output
-/// cell `(c0+j, h0)` to `addr (+ job output offset when shifted) +
-/// j·h_out·w_out` — byte-for-byte what the interpreter's per-row SAVE
+/// cell `(c0+j, h0)` to `addr + j·h_out·w_out` — byte-for-byte what the interpreter's per-row SAVE
 /// loop produces.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StoreSpan {
@@ -96,9 +90,6 @@ pub struct StoreSpan {
     pub h0: u16,
     /// Output rows covered.
     pub rows: u16,
-    /// Whether the engine's offset patching would shift this SAVE by the
-    /// job's `OutputOffset` (it lies in the designated-output region).
-    pub shifted: bool,
 }
 
 impl StoreSpan {
@@ -119,12 +110,6 @@ pub struct Hull {
 }
 
 impl Hull {
-    /// Shifts the hull by a job offset.
-    #[must_use]
-    pub fn shifted(self, off: u64) -> Hull {
-        Hull { start: self.start + off, end: self.end + off }
-    }
-
     /// Whether two hulls overlap.
     #[must_use]
     pub fn overlaps(self, other: Hull) -> bool {
@@ -147,12 +132,6 @@ pub struct LayerPlan {
     pub last_original_pc: u32,
     /// Original (non-virtual) instructions in the run.
     pub original_instrs: u32,
-    /// Whether operand-1 loads lie in the network-input region (shifted by
-    /// the job's `InputOffset`).
-    pub input_shifted: bool,
-    /// Whether operand-2 loads (Add layers) lie in the network-input
-    /// region.
-    pub input2_shifted: bool,
     /// Full operand-1 feature-map hull `[input_addr, +c_in·h_in·w_in)`.
     pub input_hull: Hull,
     /// Full operand-2 hull (Add layers only).
@@ -161,7 +140,7 @@ pub struct LayerPlan {
     pub weight_hull: Option<Hull>,
     /// The layer's SAVEs, in pc order.
     pub stores: Vec<StoreSpan>,
-    /// Union hull of all stores (unshifted).
+    /// Union hull of all stores.
     pub store_hull: Option<Hull>,
     /// The layer's legal cuts, in pc order.
     pub cuts: Vec<Cut>,
@@ -436,8 +415,6 @@ struct LayerCompiler<'a> {
     weights: Providers,
     /// The layer's loads so far, in pc order (what `Providers` index).
     loads: Vec<Load>,
-    input_shifted: Option<bool>,
-    input2_shifted: Option<bool>,
     blobs: Vec<SymBlob>,
     stores: Vec<StoreSpan>,
 }
@@ -453,10 +430,8 @@ impl LayerCompiler<'_> {
     }
 
     /// Checks a data load's tile against the layer's shapes and its address
-    /// against the canonical layout. Returns which operand it feeds
-    /// (`true`: operand 2 of an Add) and whether it lies in the
-    /// network-input region.
-    fn check_load_d(&self, instr: &Instr) -> Result<(bool, bool), DeoptReason> {
+    /// against the canonical layout.
+    fn check_load_d(&self, instr: &Instr) -> Result<(), DeoptReason> {
         let m = self.meta;
         let t = instr.tile;
         let (h_in, w_in) = (u64::from(m.in_shape.h), u64::from(m.in_shape.w));
@@ -480,19 +455,11 @@ impl LayerCompiler<'_> {
         if instr.ddr.addr != canonical {
             return Err(DeoptReason::NonCanonicalAddress);
         }
-        let shifted =
-            self.program.memory.in_input_region(instr.ddr.addr, u64::from(instr.ddr.bytes));
-        Ok((op2, shifted))
+        Ok(())
     }
 
     fn load_d(&mut self, pc: u32, instr: &Instr) -> Result<(), DeoptReason> {
-        let (op2, shifted) = self.check_load_d(instr)?;
-        let flag = if op2 { &mut self.input2_shifted } else { &mut self.input_shifted };
-        match flag {
-            None => *flag = Some(shifted),
-            Some(prev) if *prev != shifted => return Err(DeoptReason::MixedOffsetRegion),
-            Some(_) => {}
-        }
+        self.check_load_d(instr)?;
         let load = self.new_load(pc);
         let t = instr.tile;
         for c in t.chan_range() {
@@ -701,10 +668,6 @@ impl LayerCompiler<'_> {
             chans: t.chans,
             h0: t.h0,
             rows: t.rows,
-            shifted: self
-                .program
-                .memory
-                .in_output_region(instr.ddr.addr, u64::from(instr.ddr.bytes)),
         });
         // Retirement mirrors the interpreter exactly (including blobs that
         // never finalized).
@@ -744,10 +707,7 @@ impl LayerCompiler<'_> {
                             _ => false,
                         }
                     }
-                    Opcode::VirLoadD => self.check_load_d(vi).is_ok_and(|(op2, shifted)| {
-                        let flag = if op2 { self.input2_shifted } else { self.input_shifted };
-                        flag == Some(shifted)
-                    }),
+                    Opcode::VirLoadD => self.check_load_d(vi).is_ok(),
                     Opcode::VirLoadW => self.check_load_w(vi).is_ok(),
                     _ => false,
                 };
@@ -831,8 +791,6 @@ fn try_compile_layer(
         data: Providers::new(c_virtual as u32, meta.in_shape.h),
         weights: Providers::new(meta.out_shape.c, weight_cols),
         loads: Vec::new(),
-        input_shifted: None,
-        input2_shifted: None,
         blobs: Vec::new(),
         stores: Vec::new(),
     };
@@ -925,8 +883,6 @@ fn try_compile_layer(
         pc_end: range.end as u32,
         last_original_pc,
         original_instrs: originals,
-        input_shifted: lc.input_shifted.unwrap_or(false),
-        input2_shifted: lc.input2_shifted.unwrap_or(false),
         input_hull,
         input2_hull,
         weight_hull,
@@ -1140,6 +1096,5 @@ mod tests {
         let c = Hull { start: 10, end: 12 };
         assert!(a.overlaps(b));
         assert!(!a.overlaps(c));
-        assert_eq!(a.shifted(5), Hull { start: 5, end: 15 });
     }
 }

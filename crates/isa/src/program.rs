@@ -18,13 +18,13 @@ pub struct MemoryMap {
     pub activations_base: u64,
     /// Bytes of activations (all layer inputs/outputs).
     pub activations_bytes: u64,
-    /// Start of the network-input feature map (the region the IAU's
-    /// per-job `InputOffset` register shifts).
+    /// Start of the network-input feature map (where a host writes a
+    /// frame).
     pub input_base: u64,
     /// Bytes of the network input.
     pub input_bytes: u64,
-    /// Start of the designated output feature map (shifted by the IAU's
-    /// `OutputOffset`).
+    /// Start of the designated output feature map (where a host reads the
+    /// result).
     pub output_base: u64,
     /// Bytes of the designated output.
     pub output_bytes: u64,
@@ -35,22 +35,6 @@ impl MemoryMap {
     #[must_use]
     pub fn total_bytes(&self) -> u64 {
         (self.weights_base + self.weights_bytes).max(self.activations_base + self.activations_bytes)
-    }
-
-    /// Whether `addr..addr+len` lies inside the network-input region.
-    #[must_use]
-    pub fn in_input_region(&self, addr: u64, len: u64) -> bool {
-        self.input_bytes > 0
-            && addr >= self.input_base
-            && addr + len <= self.input_base + self.input_bytes
-    }
-
-    /// Whether `addr..addr+len` lies inside the designated-output region.
-    #[must_use]
-    pub fn in_output_region(&self, addr: u64, len: u64) -> bool {
-        self.output_bytes > 0
-            && addr >= self.output_base
-            && addr + len <= self.output_base + self.output_bytes
     }
 }
 

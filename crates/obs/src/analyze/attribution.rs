@@ -161,8 +161,7 @@ impl Attribution {
                     t.queue_delay.observe(cycle.saturating_sub(admit));
                 }
             }
-            TraceEvent::InstrRetired { start, cycles, .. }
-            | TraceEvent::ViMaterialized { start, cycles, .. } => {
+            TraceEvent::ViMaterialized { start, cycles, .. } => {
                 self.window(start + cycles);
             }
             _ => {}

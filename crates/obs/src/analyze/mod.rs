@@ -80,7 +80,7 @@ impl Analyzer {
 
     /// The clock used for µs rendering (default 300 MHz).
     #[must_use]
-    pub fn clock_hz_or_default(&self) -> u64 {
+    fn clock_hz_or_default(&self) -> u64 {
         self.clock_hz.unwrap_or(DEFAULT_CLOCK_HZ)
     }
 

@@ -6,10 +6,8 @@
 //! * tids 0..3 — one track per task slot, in priority order. Job
 //!   executions are `"job"` slices; the paper's interrupt phases appear as
 //!   nested slices (`t1` finish-current-op, `t2` backup, `t4` restore),
-//!   with materialised virtual instructions nested inside `t2`/`t4` and —
-//!   when instruction export is enabled — retired instructions nested
-//!   inside the job slice. Deadline outcomes and job releases are thread
-//!   instants.
+//!   with materialised virtual instructions nested inside `t2`/`t4`.
+//!   Deadline outcomes and job releases are thread instants.
 //! * tid 8 — the runtime track: topic publications and timer fires.
 //! * tid 9 — the application track: milestones (PR match, map merge, …).
 //!
@@ -35,7 +33,6 @@ pub const SPAN_TID_BASE: u32 = 16;
 #[derive(Debug)]
 pub struct ChromeTrace {
     cycles_per_us: f64,
-    include_instructions: bool,
     parts: Vec<String>,
 }
 
@@ -44,19 +41,7 @@ impl ChromeTrace {
     /// trace's microsecond timebase (300 for the paper's 300 MHz clock).
     #[must_use]
     pub fn new(cycles_per_us: f64) -> Self {
-        Self {
-            cycles_per_us: cycles_per_us.max(f64::MIN_POSITIVE),
-            include_instructions: false,
-            parts: Vec::new(),
-        }
-    }
-
-    /// Also exports every retired instruction as a nested slice (large
-    /// traces; off by default).
-    #[must_use]
-    pub fn include_instructions(mut self, yes: bool) -> Self {
-        self.include_instructions = yes;
-        self
+        Self { cycles_per_us: cycles_per_us.max(f64::MIN_POSITIVE), parts: Vec::new() }
     }
 
     fn ts(&self, cycle: u64) -> String {
@@ -156,14 +141,6 @@ impl ChromeTrace {
         for ev in events {
             last_cycle = last_cycle.max(ev.cycle());
             match ev {
-                TraceEvent::InstrRetired { start, cycles, slot, op, layer } => {
-                    last_cycle = last_cycle.max(start + cycles);
-                    if self.include_instructions {
-                        let args = Obj::new().u64("layer", u64::from(*layer)).finish();
-                        let tid = slot.index() as u32;
-                        self.slice(pid, tid, op.mnemonic(), *start, *cycles, Some(args));
-                    }
-                }
                 TraceEvent::ViMaterialized { start, cycles, slot, op, layer } => {
                     last_cycle = last_cycle.max(start + cycles);
                     let args = Obj::new().u64("layer", u64::from(*layer)).finish();

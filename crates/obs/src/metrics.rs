@@ -315,7 +315,7 @@ impl Metrics {
     /// Serialises the three maps as a JSON object fragment (used by
     /// [`MetricsSnapshot::to_json`]).
     #[must_use]
-    pub fn to_json_fragment(&self) -> (String, String, String) {
+    fn to_json_fragment(&self) -> (String, String, String) {
         let mut counters = Obj::new();
         for (k, v) in &self.counters {
             counters = counters.u64(k, *v);

@@ -516,7 +516,7 @@ impl TimeSeries {
 /// Trace events whose cycle falls inside `[lo, hi]` — the recorder's
 /// frozen window.
 #[must_use]
-pub fn window_events(events: &[TraceEvent], lo: u64, hi: u64) -> Vec<TraceEvent> {
+fn window_events(events: &[TraceEvent], lo: u64, hi: u64) -> Vec<TraceEvent> {
     events
         .iter()
         .filter(|e| {

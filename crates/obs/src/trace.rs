@@ -18,19 +18,6 @@ use crate::span::Span;
 /// for the single-threaded engine/runtime equals cycle order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TraceEvent {
-    /// An original instruction retired on the datapath.
-    InstrRetired {
-        /// Cycle execution of this instruction began.
-        start: u64,
-        /// Cycles charged.
-        cycles: u64,
-        /// Slot it ran for.
-        slot: TaskSlot,
-        /// Opcode.
-        op: Opcode,
-        /// Layer id.
-        layer: u16,
-    },
     /// A virtual instruction was materialised by the IAU (a `VIR_SAVE`
     /// during backup, or a `VIR_LOAD_*` during resume).
     ViMaterialized {
@@ -219,9 +206,7 @@ impl TraceEvent {
     #[must_use]
     pub fn cycle(&self) -> u64 {
         match self {
-            TraceEvent::InstrRetired { start, .. } | TraceEvent::ViMaterialized { start, .. } => {
-                *start
-            }
+            TraceEvent::ViMaterialized { start, .. } => *start,
             TraceEvent::SavePatched { cycle, .. }
             | TraceEvent::JobReleased { cycle, .. }
             | TraceEvent::JobStarted { cycle, .. }
@@ -341,8 +326,6 @@ impl std::fmt::Debug for TraceBuffer {
 #[derive(Clone, Default)]
 pub struct Tracer {
     inner: Option<Arc<RingSink>>,
-    /// Declines per-instruction events ([`Tracer::ring_coarse`]).
-    coarse: bool,
 }
 
 impl Tracer {
@@ -357,18 +340,7 @@ impl Tracer {
     #[must_use]
     pub fn ring(capacity: usize) -> (Self, TraceBuffer) {
         let ring = Arc::new(RingSink::new(capacity));
-        (Self { inner: Some(Arc::clone(&ring)), coarse: false }, TraceBuffer { ring })
-    }
-
-    /// Like [`Tracer::ring`], but the tracer declines per-instruction
-    /// events ([`Tracer::per_instr`] is `false`), so
-    /// [`TraceEvent::InstrRetired`] — one per instruction — neither evicts
-    /// the sparse scheduling events a bounded ring is meant to retain nor
-    /// gets built in the first place.
-    #[must_use]
-    pub fn ring_coarse(capacity: usize) -> (Self, TraceBuffer) {
-        let (tracer, buffer) = Self::ring(capacity);
-        (Self { coarse: true, ..tracer }, buffer)
+        (Self { inner: Some(Arc::clone(&ring)) }, TraceBuffer { ring })
     }
 
     /// Whether events are being recorded. Instrumentation with non-trivial
@@ -379,30 +351,12 @@ impl Tracer {
         self.inner.is_some()
     }
 
-    /// Whether per-instruction events ([`Tracer::emit_instr`]) are being
-    /// recorded. An engine may advance a job by whole spans of
-    /// instructions only while this is `false`.
-    #[inline]
-    #[must_use]
-    pub fn per_instr(&self) -> bool {
-        self.enabled() && !self.coarse
-    }
-
     /// Records the event produced by `make` — which is only evaluated when
     /// the tracer is enabled.
     #[inline]
     pub fn emit(&self, make: impl FnOnce() -> TraceEvent) {
         if let Some(sink) = &self.inner {
             sink.record(make());
-        }
-    }
-
-    /// [`Tracer::emit`] for an event that occurs once per instruction
-    /// ([`TraceEvent::InstrRetired`]): a coarse tracer skips it.
-    #[inline]
-    pub fn emit_instr(&self, make: impl FnOnce() -> TraceEvent) {
-        if self.per_instr() {
-            self.emit(make);
         }
     }
 }
@@ -453,20 +407,6 @@ mod tests {
         assert_eq!(events[0].cycle(), 3);
         assert_eq!(events[1].cycle(), 4);
         assert!(buf.is_empty());
-    }
-
-    #[test]
-    fn coarse_ring_declines_per_instruction_events_only() {
-        let (t, buf) = Tracer::ring_coarse(8);
-        assert!(t.enabled() && !t.per_instr());
-        t.emit_instr(|| unreachable!("a coarse tracer never builds per-instruction events"));
-        t.emit(|| TraceEvent::JobStarted { cycle: 1, slot: slot(0) });
-        assert_eq!(buf.len(), 1);
-        let (full, buf) = Tracer::ring(8);
-        assert!(full.per_instr());
-        full.emit_instr(|| TraceEvent::JobStarted { cycle: 2, slot: slot(0) });
-        assert_eq!(buf.len(), 1);
-        assert!(!Tracer::disabled().per_instr());
     }
 
     #[test]

@@ -813,7 +813,7 @@ impl Scheduler {
         engine.backend_mut().rebind(slot, task.ctx())?;
         let base = self.now.max(engine.now());
         let release = base + reload;
-        engine.request_job_tagged(release, slot, 0, 0, pending.tag)?;
+        engine.request_job_tagged(release, slot, pending.tag)?;
         self.tasks[idx].queue.pop_front();
         self.queued -= 1;
         let k = self.ready.iter().position(|&i| i == idx).expect("a bound task was ready");

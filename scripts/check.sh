@@ -119,6 +119,16 @@ assert not bad, f"columns not {n} frames long: {bad}"
 print(f"timeseries-v1 export: {n} frames, {len(ts['columns'])} columns ok")
 EOF
 
+echo "== fig_serve_load traced at every request (its span ring must not overflow)"
+cargo build --release -p inca-bench --bin fig_serve_load -q
+./target/release/fig_serve_load --json --trace-sample 1 --rounds 128 > "$tmp/serve.json"
+python3 - "$tmp/serve.json" <<'EOF'
+import json, sys
+counters = json.load(open(sys.argv[1]))["counters"]
+assert counters["trace.dropped"] == 0, f"trace.dropped = {counters['trace.dropped']}"
+print(f"fig_serve_load trace: {counters['trace.span_events']} span events, none dropped")
+EOF
+
 echo "== profile_network (per-layer/opcode table read off the cycle table)"
 cargo build --release -p inca-bench --bin profile_network -q
 ./target/release/profile_network mobilenet --json > /dev/null

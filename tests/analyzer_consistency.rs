@@ -172,7 +172,7 @@ fn chrome_export_carries_the_deadline_ledger() {
         let mut a = Analyzer::new();
         a.consume(&events);
         let cfg = AccelConfig::paper_big();
-        let mut chrome = ChromeTrace::new(cfg.clock_hz as f64 / 1e6).include_instructions(true);
+        let mut chrome = ChromeTrace::new(cfg.clock_hz as f64 / 1e6);
         chrome.add_process(0, "runtime", &events);
         let doc = Value::parse(&chrome.finish()).unwrap();
         let trace_events = doc.get("traceEvents").and_then(Value::as_arr).unwrap();

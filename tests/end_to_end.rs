@@ -10,7 +10,7 @@ use inca::accel::{
 use inca::compiler::Compiler;
 use inca::isa::{container, Program, TaskSlot};
 use inca::model::{zoo, Shape3};
-use inca::obs::{TraceEvent, Tracer};
+use inca::obs::{SpanStage, TraceEvent, Tracer};
 
 #[test]
 fn full_pipeline_binary_round_trip() {
@@ -229,39 +229,44 @@ fn dslam_outperforms_non_preemptive_on_deadlines() {
 }
 
 /// The per-instruction charges `analysis::charges` reads off the cycle
-/// table are what a traced solo run retires: grouped by layer and by
-/// opcode they equal the `InstrRetired` events, and the virtual
-/// instructions, never materialised without an interrupt, charge nothing.
+/// table are what a tagged solo run spends: summed per layer they equal
+/// its `Layer` spans, under both configurations with the DMA-overlap
+/// credit off and on, and the virtual instructions, never materialised
+/// without an interrupt, charge nothing.
 #[test]
 fn charges_are_what_a_traced_solo_run_retires() {
-    let cfg = AccelConfig::paper_big();
     let input = Shape3::new(3, 64, 64);
-    for net in [zoo::mobilenet_v1(input), zoo::resnet18(input)].map(Result::unwrap) {
-        let vi = Compiler::new(cfg.arch).compile_vi(&net).unwrap();
-        let mut predicted = BTreeMap::<(u16, &str), u64>::new();
-        for (instr, cycles) in analysis::charges(&cfg, &vi) {
-            assert!(!instr.op.is_virtual() || cycles == 0, "{}: {instr:?}", net.name);
-            if cycles > 0 {
-                *predicted.entry((instr.layer, instr.op.mnemonic())).or_default() += cycles;
-            }
-        }
-
-        let slot = TaskSlot::LOWEST;
-        let (tracer, buffer) = Tracer::ring(1 << 18);
-        let mut e = Engine::new(cfg, InterruptStrategy::VirtualInstruction, TimingBackend::new());
-        e.set_probe(tracer.into());
-        e.load(slot, vi.clone()).unwrap();
-        e.request_at(0, slot).unwrap();
-        e.run().unwrap();
-        assert_eq!(buffer.dropped(), 0, "{}: the comparison must cover the whole trace", net.name);
-        let mut retired = BTreeMap::<(u16, &str), u64>::new();
-        for event in buffer.drain() {
-            if let TraceEvent::InstrRetired { cycles, op, layer, .. } = event {
-                if cycles > 0 {
-                    *retired.entry((layer, op.mnemonic())).or_default() += cycles;
+    for (size, base) in [("small", AccelConfig::paper_small()), ("big", AccelConfig::paper_big())] {
+        for dma_overlap in [false, true] {
+            let cfg = AccelConfig { dma_overlap, ..base };
+            for net in [zoo::mobilenet_v1(input), zoo::resnet18(input)].map(Result::unwrap) {
+                let what = format!("{} {size} overlap={dma_overlap}", net.name);
+                let vi = Compiler::new(cfg.arch).compile_vi(&net).unwrap();
+                let mut predicted = BTreeMap::<u64, u64>::new();
+                for (instr, cycles) in analysis::charges(&cfg, &vi) {
+                    assert!(!instr.op.is_virtual() || cycles == 0, "{what}: {instr:?}");
+                    *predicted.entry(u64::from(instr.layer)).or_default() += cycles;
                 }
+
+                let slot = TaskSlot::LOWEST;
+                let (tracer, buffer) = Tracer::ring(1 << 12);
+                let strategy = InterruptStrategy::VirtualInstruction;
+                let mut e = Engine::new(cfg, strategy, TimingBackend::new());
+                e.set_probe(tracer.into());
+                e.load(slot, vi.clone()).unwrap();
+                e.request_job_tagged(0, slot, Some(1)).unwrap();
+                e.run().unwrap();
+                assert_eq!(buffer.dropped(), 0, "{what}: the comparison must cover the trace");
+                let mut spent = BTreeMap::<u64, u64>::new();
+                for event in buffer.drain() {
+                    if let TraceEvent::Span(s) = event {
+                        if s.stage == SpanStage::Layer {
+                            *spent.entry(s.detail).or_default() += s.cycles();
+                        }
+                    }
+                }
+                assert_eq!(spent, predicted, "{what}");
             }
         }
-        assert_eq!(retired, predicted, "{}", net.name);
     }
 }

@@ -118,8 +118,8 @@ fn pool_run<B: Backend>(
     for (i, &c) in active.iter().enumerate() {
         let e = pool.core_mut(CoreId(c));
         // Stagger the work so equal-wake ties AND distinct wakes both occur.
-        e.request_job_tagged(c as u64 * 100, lo, 0, 0, Some(1 + i as u64)).unwrap();
-        e.request_job_tagged(span / 3 + c as u64 * 100, hi, 0, 0, Some(100 + i as u64)).unwrap();
+        e.request_job_tagged(c as u64 * 100, lo, Some(1 + i as u64)).unwrap();
+        e.request_job_tagged(span / 3 + c as u64 * 100, hi, Some(100 + i as u64)).unwrap();
     }
 
     let mut mid = Vec::new();

@@ -48,7 +48,7 @@ fn traced_func_run(threads: usize) -> (String, String) {
     let ev = report.interrupts[0];
     assert!(ev.t2 > 0 && ev.t4 > 0, "preemption must pay real backup/restore phases");
 
-    let mut chrome = ChromeTrace::new(cfg.clock_hz as f64 / 1e6).include_instructions(true);
+    let mut chrome = ChromeTrace::new(cfg.clock_hz as f64 / 1e6);
     chrome.add_process(0, "accel", &buf.snapshot());
     (chrome.finish(), MetricsSnapshot::new("func_run", engine.metrics()).to_json())
 }
@@ -89,7 +89,7 @@ fn traces_are_byte_identical_across_repeat_runs_per_strategy() {
             e.request_at(0, lo).unwrap();
             e.request_at(5_000, hi).unwrap();
             e.run().unwrap();
-            let mut chrome = ChromeTrace::new(cfg.clock_hz as f64 / 1e6).include_instructions(true);
+            let mut chrome = ChromeTrace::new(cfg.clock_hz as f64 / 1e6);
             chrome.add_process(0, "accel", &buf.snapshot());
             (chrome.finish(), MetricsSnapshot::new("run", e.metrics()).to_json())
         };
