@@ -26,12 +26,6 @@ pub struct AccelConfig {
     /// window per pixel per cycle (3 in Angel-Eye). Larger kernels are
     /// decomposed into multiple passes, 1×1 uses a fraction of one pass.
     pub convolver_kernel: u8,
-    /// Model double-buffered DMA: `LOAD`/`SAVE` cycles hide under compute
-    /// executed since the previous transfer. Off by default — the paper's
-    /// timing table (E5) was measured without overlap, so the calibration
-    /// assumes sequential transfers; the `abl_design_choices` bench
-    /// quantifies what overlap would buy.
-    pub dma_overlap: bool,
 }
 
 impl AccelConfig {
@@ -45,7 +39,6 @@ impl AccelConfig {
             dma_setup_cycles: 60,
             calc_pipeline_cycles: 16,
             convolver_kernel: 3,
-            dma_overlap: false,
         }
     }
 

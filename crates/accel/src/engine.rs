@@ -356,9 +356,6 @@ struct ActiveJob {
     busy_cycles: u64,
     extra_cost_cycles: u64,
     last_interrupt: Option<usize>,
-    /// Compute cycles accumulated since the last transfer, available to
-    /// hide DMA under when `AccelConfig::dma_overlap` is set.
-    dma_credit: u64,
     spans: JobSpans,
 }
 
@@ -580,30 +577,11 @@ fn patch_save(program: &Program, save: &Instr, patch: &SavePatch) -> Option<Inst
     Some(patched)
 }
 
-/// What one executed original instruction adds to the clock: its modelled
-/// cost, less — under `AccelConfig::dma_overlap` — the part of a transfer
-/// hidden behind the compute cycles banked in `credit` (a `CALC` banks its
-/// cycles, a transfer spends what it hides behind).
-pub(crate) fn charge(cfg: &AccelConfig, program: &Program, instr: &Instr, credit: &mut u64) -> u64 {
-    let mut cycles = instr_cycles(cfg, program.layer_of(instr), instr);
-    if cfg.dma_overlap {
-        if instr.op.is_calc() {
-            *credit = credit.saturating_add(cycles);
-        } else {
-            let hidden = cycles.min(*credit);
-            *credit -= hidden;
-            cycles -= hidden;
-        }
-    }
-    cycles
-}
-
 /// Prefix sums over one program's instruction stream under one
 /// [`AccelConfig`]: between two events a job's clock is a function of its
 /// pc alone, and this is that function (12 bytes per instruction). Virtual
-/// instructions weigh nothing. Read only while `dma_overlap` is off — the
-/// overlap credit depends on where the job last resumed, not on its pc —
-/// but its total is the uncontended makespan either way, the admission
+/// instructions weigh nothing. Every run of the program, contended or not,
+/// is priced off it; its total is the uncontended makespan, the admission
 /// model's [`crate::analysis::predicted_span`].
 ///
 /// A program is priced once: the first table built for it is memoised on
@@ -632,17 +610,16 @@ impl CycleTable {
         }
     }
 
-    /// Folds [`charge`] over the original instructions of `program` from a
-    /// cold pipeline.
+    /// Sums [`instr_cycles`] over the original instructions of `program`.
     fn price(cfg: &AccelConfig, program: &Program) -> Self {
         let n = program.instrs.len();
         let (mut cycles, mut originals) = (Vec::with_capacity(n + 1), Vec::with_capacity(n + 1));
-        let (mut credit, mut total, mut count) = (0, 0, 0);
+        let (mut total, mut count) = (0, 0);
         cycles.push(0);
         originals.push(0);
         for instr in &program.instrs {
             if !instr.op.is_virtual() {
-                total += charge(cfg, program, instr, &mut credit);
+                total += instr_cycles(cfg, program.layer_of(instr), instr);
                 count += 1;
             }
             cycles.push(total);
@@ -1003,7 +980,7 @@ impl<B: Backend> Engine<B> {
             0
         } else {
             backend.execute(slot, program, &instr)?;
-            charge(cfg, program, &instr, &mut job.dma_credit)
+            instr_cycles(cfg, program.layer_of(&instr), &instr)
         };
         let start = *now;
         *now += cycles;
@@ -1024,22 +1001,19 @@ impl<B: Backend> Engine<B> {
     ///
     /// Returns `Ok(None)` to fall back to [`Engine::exec_step`] — always
     /// safe — and `Ok(Some(done))` after a commit, which leaves clock, pc,
-    /// counters, trace, DMA-overlap credit and pending SAVE
-    /// patches exactly where stepping the span would: none of its
-    /// instructions starts at or after the barrier, and each patched SAVE
-    /// inside it is priced, counted and traced as stepping patches it. Its
-    /// clock comes off the slot's [`CycleTable`] in O(log n) plus one
-    /// lookup per patch. Where cost is not a function of the pc
-    /// (`dma_overlap`), a group span is priced and retired by one walk over
-    /// [`charge`] instead, and a timing-only job — like a tagged one, which
-    /// owes Layer spans — is left to `exec_step`.
+    /// counters, trace and pending SAVE patches exactly where stepping the
+    /// span would: none of its instructions starts at or after the barrier,
+    /// and each patched SAVE inside it is priced, counted and traced as
+    /// stepping patches it. Its clock comes off the slot's [`CycleTable`]
+    /// in O(log n) plus one lookup per patch. A tagged timing-only job,
+    /// which owes Layer spans, is left to `exec_step`.
     fn try_span(
         &mut self,
         slot: TaskSlot,
         barrier: u64,
         until: usize,
     ) -> Result<Option<bool>, SimError> {
-        let Self { slots, backend, cfg, now, obs, .. } = self;
+        let Self { slots, backend, now, obs, .. } = self;
         let support = backend.supports_spans();
         if support == SpanSupport::None {
             return Ok(None);
@@ -1051,7 +1025,6 @@ impl<B: Backend> Engine<B> {
         let Some(first) = program.instrs.get(pc0) else {
             return Ok(None);
         };
-        let walk = cfg.dma_overlap;
         // A group span starts at its layer's first instruction or right
         // after an interrupt point's group, and stays in the layer: `layer`
         // is the layer's pc range and where its original instructions end.
@@ -1067,7 +1040,7 @@ impl<B: Backend> Engine<B> {
                 }
                 Some((range.end, original_end(program, range.end)))
             }
-            _ if walk || job.tag.is_some() => return Ok(None),
+            _ if job.tag.is_some() => return Ok(None),
             _ => None,
         };
         let limit = layer.map_or(program.instrs.len(), |(end, _)| end).min(until);
@@ -1076,22 +1049,7 @@ impl<B: Backend> Engine<B> {
         }
         // `reached`: the first pc of the span that would start at or after
         // the barrier (the first instruction starts at `now`, before it).
-        let budget = barrier - *now;
-        let reached = if walk {
-            let (mut t, mut credit, mut reached) = (0, job.dma_credit, limit);
-            for pc in (pc0..limit).filter(|&pc| !program.instrs[pc].op.is_virtual()) {
-                if t >= budget {
-                    reached = pc;
-                    break;
-                }
-                if let Some(instr) = job.executed(program, pc) {
-                    t += charge(cfg, program, &instr, &mut credit);
-                }
-            }
-            reached
-        } else {
-            table.reach(program, job, pc0, limit, budget)
-        };
+        let reached = table.reach(program, job, pc0, limit, barrier - *now);
         // Land right after the last original instruction before it, where
         // stepping stands — for a group span, at the layer's end or at the
         // last interrupt point on the way.
@@ -1110,25 +1068,17 @@ impl<B: Backend> Engine<B> {
         tests::count(|c| {
             c.patched_spans += u64::from(job.flushed.first().is_some_and(|p| p.pc < end))
         });
-        if walk {
-            for pc in (pc0..end).filter(|&pc| !program.instrs[pc].op.is_virtual()) {
-                let executed = job.take_patch(obs, slot, program, pc, *now);
-                *now += executed.map_or(0, |i| charge(cfg, program, &i, &mut job.dma_credit));
-                obs.counters.instrs_retired += u64::from(executed.is_some());
-            }
-        } else {
-            // Pending patches all lie ahead of the job, sorted by pc.
-            let (mut saved, mut elided) = (0, 0);
-            while let Some(pc) = job.flushed.first().map(|p| p.pc).filter(|&pc| pc < end) {
-                let saving = table.saving(program, job, pc);
-                let at = start + (table.cycles[pc] - table.cycles[pc0]) - saved;
-                elided += u64::from(job.take_patch(obs, slot, program, pc, at).is_none());
-                saved += saving;
-            }
-            *now += table.cycles[end] - table.cycles[pc0] - saved;
-            let originals = u64::from(table.originals[end] - table.originals[pc0]);
-            obs.counters.instrs_retired += originals - elided;
+        // Pending patches all lie ahead of the job, sorted by pc.
+        let (mut saved, mut elided) = (0, 0);
+        while let Some(pc) = job.flushed.first().map(|p| p.pc).filter(|&pc| pc < end) {
+            let saving = table.saving(program, job, pc);
+            let at = start + (table.cycles[pc] - table.cycles[pc0]) - saved;
+            elided += u64::from(job.take_patch(obs, slot, program, pc, at).is_none());
+            saved += saving;
         }
+        *now += table.cycles[end] - table.cycles[pc0] - saved;
+        let originals = u64::from(table.originals[end] - table.originals[pc0]);
+        obs.counters.instrs_retired += originals - elided;
         job.busy_cycles += *now - start;
         job.pc = end;
         job.ran_layer(&obs.out, program, first.layer, start..*now);
@@ -1199,7 +1149,6 @@ impl<B: Backend> Engine<B> {
             let loads = std::mem::take(&mut job.resume_loads);
             let last_interrupt = job.last_interrupt.take();
             job.preempted = false;
-            job.dma_credit = 0; // the double-buffer pipeline restarts cold
             for l in &loads {
                 t4 += self.materialize(slot, &program, l, restore_start + t4)?;
             }
@@ -1773,26 +1722,6 @@ mod tests {
     }
 
     #[test]
-    fn dma_overlap_shortens_but_preserves_work() {
-        let run = |overlap: bool| {
-            let mut cfg = AccelConfig::paper_big();
-            cfg.dma_overlap = overlap;
-            let mut e =
-                Engine::new(cfg, InterruptStrategy::VirtualInstruction, TimingBackend::new());
-            let slot = TaskSlot::new(2).unwrap();
-            e.load(slot, tiny_vi()).unwrap();
-            e.request_at(0, slot).unwrap();
-            let r = e.run().unwrap();
-            r.completed_jobs[0].finish
-        };
-        let sequential = run(false);
-        let overlapped = run(true);
-        assert!(overlapped < sequential, "{overlapped} !< {sequential}");
-        // Overlap can at best hide all transfers, not compute.
-        assert!(overlapped * 3 > sequential, "implausible speedup");
-    }
-
-    #[test]
     fn gantt_renders_all_slots() {
         let mut e = engine(InterruptStrategy::VirtualInstruction);
         let hi = TaskSlot::new(1).unwrap();
@@ -2012,15 +1941,15 @@ mod tests {
             e.run().unwrap()
         }
         let small = AccelConfig::paper_small();
-        let overlap = AccelConfig { dma_overlap: true, ..small };
+        let slow_ddr = AccelConfig { ddr_bytes_per_cycle: 4, ..small };
         let net = zoo::tiny(Shape3::new(3, 32, 32)).unwrap();
-        for (first, then) in [(small, overlap), (overlap, small)] {
+        for (first, then) in [(small, slow_ddr), (slow_ddr, small)] {
             let program = Arc::new(Compiler::new(small.arch).compile_vi(&net).unwrap());
             let priced = crate::analysis::predicted_span(&first, &program);
             for cfg in [first, then] {
                 let what = format!(
-                    "priced with overlap={}, run with {}",
-                    first.dma_overlap, cfg.dma_overlap
+                    "priced at {} B/cycle, run at {}",
+                    first.ddr_bytes_per_cycle, cfg.ddr_bytes_per_cycle
                 );
                 let span = crate::analysis::predicted_span(&cfg, &program);
                 for at in [None, Some(span / 3), Some(span * 2 / 3)] {

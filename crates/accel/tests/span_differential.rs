@@ -43,17 +43,6 @@ fn prop_cases(default_cases: u32) -> ProptestConfig {
     ProptestConfig::with_cases(cases)
 }
 
-/// The small accelerator: its tiling gives even `tiny` interrupt points
-/// with `VIR_SAVE`s (the big one compiles it to 46 instructions, none
-/// virtual).
-fn cfg(dma_overlap: bool) -> AccelConfig {
-    AccelConfig { dma_overlap, ..AccelConfig::paper_small() }
-}
-
-fn big(dma_overlap: bool) -> AccelConfig {
-    AccelConfig { dma_overlap, ..AccelConfig::paper_big() }
-}
-
 fn slot(i: u8) -> TaskSlot {
     TaskSlot::new(i).unwrap()
 }
@@ -76,8 +65,11 @@ fn tiny_on(cfg: &AccelConfig, side: u32) -> Arc<Program> {
     program
 }
 
+/// `tiny` on the small accelerator: its tiling gives even `tiny` interrupt
+/// points with `VIR_SAVE`s (the big one compiles it to 46 instructions,
+/// none virtual).
 fn tiny(side: u32) -> Arc<Program> {
-    tiny_on(&cfg(false), side)
+    tiny_on(&AccelConfig::paper_small(), side)
 }
 
 /// `program` with every instruction passed through `edit` (which may drop,
@@ -148,7 +140,7 @@ impl Pair {
         Self {
             spans: Engine::new(cfg, strategy, TimingBackend::new()),
             steps: Engine::new(cfg, strategy, Stepped(TimingBackend::new())),
-            what: format!("{what} {strategy} overlap={}", cfg.dma_overlap),
+            what: format!("{what} {strategy}"),
             calls: 0,
         }
     }
@@ -257,36 +249,34 @@ fn contended(
     p.finish()
 }
 
-fn matrix(name: &str, cfg: fn(bool) -> AccelConfig, lo: &Arc<Program>) {
+fn matrix(name: &str, cfg: AccelConfig, lo: &Arc<Program>) {
     for strategy in STRATEGIES {
-        for dma_overlap in [false, true] {
-            let report = contended(cfg(dma_overlap), strategy, name, lo);
-            assert_eq!(report.completed_jobs.len(), 10, "{name} {strategy}: jobs");
-            let preemptive = strategy != InterruptStrategy::NonPreemptive;
-            assert_eq!(
-                report.interrupts.iter().any(|i| i.resumed_at.is_some()),
-                preemptive,
-                "{name} {strategy}: the scenario must preempt and resume"
-            );
-        }
+        let report = contended(cfg, strategy, name, lo);
+        assert_eq!(report.completed_jobs.len(), 10, "{name} {strategy}: jobs");
+        let preemptive = strategy != InterruptStrategy::NonPreemptive;
+        assert_eq!(
+            report.interrupts.iter().any(|i| i.resumed_at.is_some()),
+            preemptive,
+            "{name} {strategy}: the scenario must preempt and resume"
+        );
     }
 }
 
 #[test]
 fn tiny_32_matrix() {
-    matrix("tiny32", cfg, &tiny(32));
+    matrix("tiny32", AccelConfig::paper_small(), &tiny(32));
 }
 
 #[test]
 fn mobilenet_v1_96_matrix() {
-    let net = zoo::mobilenet_v1(Shape3::new(3, 96, 96)).unwrap();
-    matrix("mobilenet96", big, &compile(&big(false), &net));
+    let (cfg, net) = (AccelConfig::paper_big(), zoo::mobilenet_v1(Shape3::new(3, 96, 96)).unwrap());
+    matrix("mobilenet96", cfg, &compile(&cfg, &net));
 }
 
 #[test]
 fn superpoint_120x160_matrix() {
-    let net = zoo::superpoint(Shape3::new(1, 120, 160)).unwrap();
-    matrix("superpoint", big, &compile(&big(false), &net));
+    let (cfg, net) = (AccelConfig::paper_big(), zoo::superpoint(Shape3::new(1, 120, 160)).unwrap());
+    matrix("superpoint", cfg, &compile(&cfg, &net));
 }
 
 /// An arrival that preempts nobody still ends the span it lands in: its
@@ -295,10 +285,10 @@ fn superpoint_120x160_matrix() {
 #[test]
 fn lower_priority_arrival_keeps_its_place_in_the_lifecycle_trace() {
     let lo = tiny(32);
-    let bounds = boundaries(cfg(false), &lo);
+    let bounds = boundaries(AccelConfig::paper_small(), &lo);
     let (top, low) = (slot(1), slot(3));
     for strategy in STRATEGIES {
-        let mut p = Pair::new(cfg(false), strategy, "no-preempt arrival");
+        let mut p = Pair::new(AccelConfig::paper_small(), strategy, "no-preempt arrival");
         let (tracer, spans) = Tracer::ring(1 << 12);
         p.spans.set_probe(tracer.into());
         let (tracer, steps) = Tracer::ring(1 << 12);
@@ -333,10 +323,11 @@ fn lower_priority_arrival_keeps_its_place_in_the_lifecycle_trace() {
 #[test]
 fn resumed_victim_with_pending_patches_matches_the_oracle() {
     let lo = tiny(32);
-    let bounds = boundaries(cfg(false), &lo);
+    let bounds = boundaries(AccelConfig::paper_small(), &lo);
     let mut patched = 0;
     for k in (1..bounds.len() - 1).step_by(7) {
-        let mut p = Pair::new(cfg(false), InterruptStrategy::VirtualInstruction, "patches");
+        let mut p =
+            Pair::new(AccelConfig::paper_small(), InterruptStrategy::VirtualInstruction, "patches");
         p.load(slot(1), &tiny(16));
         p.load(slot(3), &lo);
         p.request(0, slot(3));
@@ -364,22 +355,20 @@ fn zero_cost_instructions_share_a_start_cycle() {
         }
         vec![i]
     });
-    let bounds = boundaries(cfg(false), &lo);
+    let bounds = boundaries(AccelConfig::paper_small(), &lo);
     let ties: Vec<u64> = bounds.windows(2).filter(|w| w[0] == w[1]).map(|w| w[0]).collect();
     assert!(ties.len() > 4, "the rewrite must produce zero-cost instructions");
     for strategy in STRATEGIES {
-        for dma_overlap in [false, true] {
-            let mut p = Pair::new(cfg(dma_overlap), strategy, "zero-cost");
-            p.load(slot(0), &tiny(16));
-            p.load(slot(3), &lo);
-            p.request(0, slot(3));
-            p.request(ties[ties.len() / 2], slot(0)); // an arrival exactly on a tie
-            for &t in ties.iter().step_by(3) {
-                p.run_until(t);
-                p.run_until(t + 1);
-            }
-            assert_eq!(p.finish().completed_jobs.len(), 2);
+        let mut p = Pair::new(AccelConfig::paper_small(), strategy, "zero-cost");
+        p.load(slot(0), &tiny(16));
+        p.load(slot(3), &lo);
+        p.request(0, slot(3));
+        p.request(ties[ties.len() / 2], slot(0)); // an arrival exactly on a tie
+        for &t in ties.iter().step_by(3) {
+            p.run_until(t);
+            p.run_until(t + 1);
         }
+        assert_eq!(p.finish().completed_jobs.len(), 2);
     }
 }
 
@@ -393,28 +382,27 @@ fn program_ending_in_a_virtual_group() {
     let last = base.instrs.len() - 1;
     let lo = rewrite(&base, |pc, i| if pc == last { vec![i, vir, vir] } else { vec![i] });
     assert!(lo.instrs.last().unwrap().op.is_virtual());
+    let cfg = AccelConfig::paper_small();
+    let bounds = boundaries(cfg, &lo);
+    let finish = *bounds.last().unwrap();
     for strategy in STRATEGIES {
-        for dma_overlap in [false, true] {
-            let bounds = boundaries(cfg(dma_overlap), &lo);
-            let finish = *bounds.last().unwrap();
-            let mut p = Pair::new(cfg(dma_overlap), strategy, "virtual-tail");
-            p.load(slot(2), &tiny(16));
-            p.load(slot(3), &lo);
-            p.request(0, slot(3));
-            p.request(bounds[bounds.len() - 2], slot(2)); // under the last instruction
-            p.run_until(finish - 1);
-            p.run_until(finish); // the last instruction retired; the job has not completed
-            p.run_until_complete(finish + 1);
-            assert_eq!(p.finish().completed_jobs.len(), 2);
+        let mut p = Pair::new(cfg, strategy, "virtual-tail");
+        p.load(slot(2), &tiny(16));
+        p.load(slot(3), &lo);
+        p.request(0, slot(3));
+        p.request(bounds[bounds.len() - 2], slot(2)); // under the last instruction
+        p.run_until(finish - 1);
+        p.run_until(finish); // the last instruction retired; the job has not completed
+        p.run_until_complete(finish + 1);
+        assert_eq!(p.finish().completed_jobs.len(), 2);
 
-            let mut solo = Pair::new(cfg(dma_overlap), strategy, "virtual-tail solo");
-            solo.load(slot(3), &lo);
-            solo.request(7, slot(3));
-            solo.run_until(7 + finish);
-            assert_eq!(solo.spans.task_state(slot(3)), TaskState::Running);
-            assert!(solo.run_until_complete(u64::MAX));
-            assert_eq!(solo.finish().completed_jobs[0].finish, 7 + finish);
-        }
+        let mut solo = Pair::new(cfg, strategy, "virtual-tail solo");
+        solo.load(slot(3), &lo);
+        solo.request(7, slot(3));
+        solo.run_until(7 + finish);
+        assert_eq!(solo.spans.task_state(slot(3)), TaskState::Running);
+        assert!(solo.run_until_complete(u64::MAX));
+        assert_eq!(solo.finish().completed_jobs[0].finish, 7 + finish);
     }
 }
 
@@ -423,24 +411,23 @@ fn program_ending_in_a_virtual_group() {
 #[test]
 fn auto_resubmit_under_periodic_requesters() {
     let (lo, hi) = (tiny(24), tiny(16));
-    let period = *boundaries(cfg(false), &lo).last().unwrap() * 3 / 2;
+    let cfg = AccelConfig::paper_small();
+    let period = *boundaries(cfg, &lo).last().unwrap() * 3 / 2;
     for strategy in STRATEGIES {
-        for dma_overlap in [false, true] {
-            let mut p = Pair::new(cfg(dma_overlap), strategy, "auto-resubmit");
-            p.load(slot(1), &hi);
-            p.load(slot(3), &lo);
-            both!(p, |e| e.set_auto_resubmit(slot(3), true));
-            p.request(0, slot(3));
-            for k in 1..=12 {
-                p.request(k * period, slot(1));
-            }
-            let horizon = 14 * period;
-            while p.run_until_complete(horizon) {}
-            both!(p, |e| e.set_auto_resubmit(slot(3), false));
-            let report = p.finish();
-            assert!(report.jobs_of(slot(3)).count() > 1, "{strategy}: lo jobs");
-            assert_eq!(report.jobs_of(slot(1)).count(), 12, "{strategy}: hi jobs");
+        let mut p = Pair::new(cfg, strategy, "auto-resubmit");
+        p.load(slot(1), &hi);
+        p.load(slot(3), &lo);
+        both!(p, |e| e.set_auto_resubmit(slot(3), true));
+        p.request(0, slot(3));
+        for k in 1..=12 {
+            p.request(k * period, slot(1));
         }
+        let horizon = 14 * period;
+        while p.run_until_complete(horizon) {}
+        both!(p, |e| e.set_auto_resubmit(slot(3), false));
+        let report = p.finish();
+        assert!(report.jobs_of(slot(3)).count() > 1, "{strategy}: lo jobs");
+        assert_eq!(report.jobs_of(slot(1)).count(), 12, "{strategy}: hi jobs");
     }
 }
 
@@ -450,9 +437,10 @@ fn auto_resubmit_under_periodic_requesters() {
 #[test]
 fn reloading_a_slot_switches_tables() {
     let (a, b) = (tiny(32), tiny(24));
-    let span = |p: &Arc<Program>| *boundaries(cfg(false), p).last().unwrap();
+    let span = |p: &Arc<Program>| *boundaries(AccelConfig::paper_small(), p).last().unwrap();
     assert_ne!(span(&a), span(&b));
-    let mut p = Pair::new(cfg(false), InterruptStrategy::VirtualInstruction, "reload");
+    let mut p =
+        Pair::new(AccelConfig::paper_small(), InterruptStrategy::VirtualInstruction, "reload");
     let s = slot(3);
     let mut expected = Vec::new();
     for program in [&a, &b, &a, &a, &b] {
@@ -475,17 +463,15 @@ proptest! {
     #![proptest_config(prop_cases(24))]
 
     /// Arbitrary arrival sets over all four slots, arbitrary deadline
-    /// sequences through both entry points, every strategy, the overlap
-    /// credit off and on.
+    /// sequences through both entry points, every strategy.
     #[test]
     fn spans_and_steps_agree_on_random_schedules(
         strategy_idx in 0usize..STRATEGIES.len(),
-        dma_overlap in any::<bool>(),
         auto_resubmit in any::<bool>(),
         arrivals in prop::collection::vec((0u64..400_000, 0u8..4), 1..12),
         calls in prop::collection::vec((0u64..500_000, any::<bool>()), 0..10),
     ) {
-        let mut p = Pair::new(cfg(dma_overlap), STRATEGIES[strategy_idx], "prop");
+        let mut p = Pair::new(AccelConfig::paper_small(), STRATEGIES[strategy_idx], "prop");
         let programs = [tiny(16), tiny(24), tiny(16), tiny(32)];
         for (i, program) in programs.iter().enumerate() {
             p.load(slot(i as u8), program);

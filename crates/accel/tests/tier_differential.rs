@@ -7,8 +7,7 @@
 //! interrupt strategy, including mid-layer preemption and resume.
 //!
 //! The deterministic tests pin a contended two-task scenario per
-//! strategy, with the DMA-overlap credit off and on and with tagged jobs
-//! (causal spans in the stream); the proptest sweeps randomized request
+//! strategy, with tagged jobs (causal spans in the stream); the proptest sweeps randomized request
 //! cycles so interrupts land at arbitrary VI points inside compiled runs.
 //! Every comparison is over the whole trace: the ring is sized so nothing
 //! is evicted, and `run_on` asserts it.
@@ -72,7 +71,6 @@ fn image_for(program: &Program, seed: u64) -> DdrImage {
 #[derive(Clone, Copy)]
 struct Scenario<'a> {
     strategy: InterruptStrategy,
-    cfg: AccelConfig,
     /// `(cycle, is_hi)`.
     requests: &'a [(u64, bool)],
     /// Tag request `i` with `1 + i`, so its job emits causal spans.
@@ -85,13 +83,8 @@ struct Scenario<'a> {
 
 impl<'a> Scenario<'a> {
     fn new(strategy: InterruptStrategy, requests: &'a [(u64, bool)]) -> Self {
-        let cfg = AccelConfig::paper_small();
-        Self { strategy, cfg, requests, tagged: false, threads: 1, seed: 1, stops: &[] }
+        Self { strategy, requests, tagged: false, threads: 1, seed: 1, stops: &[] }
     }
-}
-
-fn small(dma_overlap: bool) -> AccelConfig {
-    AccelConfig { dma_overlap, ..AccelConfig::paper_small() }
 }
 
 /// Everything an outside observer can see from one engine run.
@@ -119,7 +112,7 @@ fn run_on<B: Backend>(
     let mut backend = FuncBackend::with_threads(s.threads);
     backend.install_image(lo_slot, image_for(lo, s.seed));
     backend.install_image(hi_slot, image_for(hi, s.seed ^ 0x5EED));
-    let mut e = Engine::new(s.cfg, s.strategy, wrap(backend));
+    let mut e = Engine::new(AccelConfig::paper_small(), s.strategy, wrap(backend));
     let (tracer, buffer) = Tracer::ring(1 << 16);
     e.set_probe(tracer.into());
     e.load(lo_slot, lo.clone()).unwrap();
@@ -163,7 +156,7 @@ fn assert_tiers_agree(s: &Scenario) -> (Observables, inca_obs::Metrics) {
     let (lo, hi) = (lo_program(), hi_program());
     let (t0, m0) = run_tier0(&lo, &hi, s);
     let (t1, m1) = run_tier1(&lo, &hi, s);
-    let what = format!("{} overlap={} tagged={}", s.strategy, s.cfg.dma_overlap, s.tagged);
+    let what = format!("{} tagged={}", s.strategy, s.tagged);
     assert_eq!(t0.report, t1.report, "{what}: reports diverge");
     assert_eq!(t0.engine_metrics, t1.engine_metrics, "{what}: engine metrics diverge");
     assert_eq!(t0.trace, t1.trace, "{what}: trace streams diverge");
@@ -190,13 +183,12 @@ fn assert_tiers_agree(s: &Scenario) -> (Observables, inca_obs::Metrics) {
 
 #[test]
 fn tiers_identical_under_every_strategy() {
-    for (strategy, dma_overlap) in STRATEGIES.into_iter().flat_map(|s| [(s, false), (s, true)]) {
-        let cfg = small(dma_overlap);
-        // Requests chosen so the high task lands mid-network.
-        let span = predicted_span(&cfg, &lo_program());
-        let requests = [(0u64, false), (span / 5, true), (span / 2, true)];
+    // Requests chosen so the high task lands mid-network.
+    let span = predicted_span(&AccelConfig::paper_small(), &lo_program());
+    let requests = [(0u64, false), (span / 5, true), (span / 2, true)];
+    for strategy in STRATEGIES {
         let scenario =
-            Scenario { cfg, tagged: true, seed: 0xD1FF, ..Scenario::new(strategy, &requests) };
+            Scenario { tagged: true, seed: 0xD1FF, ..Scenario::new(strategy, &requests) };
         let (_, t1) = assert_tiers_agree(&scenario);
         assert!(
             t1.counter("tier1.exec_layers") > 0,
@@ -334,17 +326,15 @@ proptest! {
         frac2 in 0u64..1000,
         threads in 1usize..3,
         seed in 0u64..1 << 48,
-        dma_overlap in any::<bool>(),
         tagged in any::<bool>(),
     ) {
-        let span = predicted_span(&small(dma_overlap), &lo_program());
+        let span = predicted_span(&AccelConfig::paper_small(), &lo_program());
         let requests = [
             (0u64, false),
             (span * frac1 / 1000, true),
             (span * frac2 / 1000, true),
         ];
         let scenario = Scenario {
-            cfg: small(dma_overlap),
             tagged,
             threads,
             seed,
@@ -385,42 +375,36 @@ fn instr_starts(cfg: &AccelConfig, program: &Program) -> Vec<(u64, u16)> {
 /// resumes mid-layer with pending SAVE patches (VI) or a restored snapshot
 /// (CPU-like) or drains to the layer's end (layer-by-layer). Tier-1 must
 /// stay identical to stepping — tagged, so each tier's `Layer` spans are
-/// in the compared trace; priced off the cycle table, and walked under
-/// `dma_overlap` — while running nearly all of the victim as cut-aligned
-/// Tier-1 spans.
+/// in the compared trace — while running nearly all of the victim as
+/// cut-aligned Tier-1 spans.
 #[test]
 fn preempted_long_layer_runs_as_sub_layer_spans() {
     let (lo, hi) = (long_layer_program(), hi_program());
     let hi_instrs = hi.original_instrs().count() as u64;
-    for (strategy, dma_overlap) in [
+    let starts = instr_starts(&AccelConfig::paper_small(), &lo);
+    let long: Vec<u64> = starts.iter().filter(|&&(_, l)| l == 1).map(|&(t, _)| t).collect();
+    assert!(long.len() > 500, "the long layer has {} instructions", long.len());
+    let inside = |frac: usize| long[long.len() * frac / 100] + 1;
+    let requests = [(0, false), (inside(20), true), (inside(65), true)];
+    let stops = [inside(45)];
+    for strategy in [
         InterruptStrategy::VirtualInstruction,
         InterruptStrategy::CpuLike,
         InterruptStrategy::LayerByLayer,
-    ]
-    .into_iter()
-    .flat_map(|s| [(s, false), (s, true)])
-    {
-        let cfg = small(dma_overlap);
-        let starts = instr_starts(&cfg, &lo);
-        let long: Vec<u64> = starts.iter().filter(|&&(_, l)| l == 1).map(|&(t, _)| t).collect();
-        assert!(long.len() > 500, "the long layer has {} instructions", long.len());
-        let inside = |frac: usize| long[long.len() * frac / 100] + 1;
-        let requests = [(0, false), (inside(20), true), (inside(65), true)];
-        let stops = [inside(45)];
-        let s = Scenario { cfg, stops: &stops, tagged: true, ..Scenario::new(strategy, &requests) };
+    ] {
+        let s = Scenario { stops: &stops, tagged: true, ..Scenario::new(strategy, &requests) };
         let (t0, _) = run_tier0(&lo, &hi, &s);
         let (t1, m1) = run_tier1(&lo, &hi, &s);
-        let what = format!("{strategy} overlap={dma_overlap}");
-        assert_eq!(t0, t1, "{what}: tiers diverge");
+        assert_eq!(t0, t1, "{strategy}: tiers diverge");
         let layer_spans = t1
             .trace
             .iter()
             .filter(|e| matches!(e, TraceEvent::Span(s) if s.stage == SpanStage::Layer));
-        assert!(layer_spans.count() >= lo.layers.len(), "{what}: Layer spans missing");
-        assert!(!t1.report.interrupts.is_empty(), "{what}: the victim is preempted");
+        assert!(layer_spans.count() >= lo.layers.len(), "{strategy}: Layer spans missing");
+        assert!(!t1.report.interrupts.is_empty(), "{strategy}: the victim is preempted");
         if strategy == InterruptStrategy::VirtualInstruction {
             let patched = t1.engine_metrics.counter("engine.saves.patched");
-            assert!(patched > 0, "{what}: the resumes carry SAVE patches");
+            assert!(patched > 0, "{strategy}: the resumes carry SAVE patches");
         }
         // The requester runs whole layers; what the victim retired
         // beyond them must be nearly all fused.
@@ -428,7 +412,7 @@ fn preempted_long_layer_runs_as_sub_layer_spans() {
         let fused = m1.counter("tier1.exec_instrs_fused").saturating_sub(2 * hi_instrs);
         assert!(
             fused * 100 >= retired * 95,
-            "{what}: {fused} of the victim's {retired} instructions fused"
+            "{strategy}: {fused} of the victim's {retired} instructions fused"
         );
     }
 }

@@ -6,9 +6,9 @@
 //! 2. **Loop order** — height-outer keeps input rows resident (restore =
 //!    `VIR_LOAD_D`); channel-outer keeps weights resident (restore needs
 //!    `VIR_LOAD_W`), trading DDR weight traffic for data traffic.
-//! 3. **DMA model** — bandwidth sensitivity of interrupt latency/cost, and
-//!    what double-buffered overlap would change (the calibration assumes
-//!    sequential transfers; see `AccelConfig::dma_overlap`).
+//! 3. **DDR bandwidth** — sensitivity of the makespan and of interrupt
+//!    latency/cost to `AccelConfig::ddr_bytes_per_cycle` (transfers run
+//!    one after another, as in the calibration table).
 
 use inca_accel::analysis::predicted_span;
 use inca_accel::{AccelConfig, InterruptStrategy};
@@ -75,40 +75,30 @@ fn main() {
         );
     }
 
-    println!("\nablation 3: DDR bandwidth & overlap (default workload)\n");
+    println!("\nablation 3: DDR bandwidth (default workload)\n");
     println!(
-        "{:>14} {:>9} {:>14} {:>12} {:>12}",
-        "bytes/cycle", "overlap", "predicted_span(ms)", "latency(us)", "cost(us)"
+        "{:>14} {:>14} {:>12} {:>12}",
+        "bytes/cycle", "predicted_span(ms)", "latency(us)", "cost(us)"
     );
     let w = workload_with(&cfg, CompileOptions::default());
     for bpc in [4u32, 8, 12, 24] {
-        for overlap in [false, true] {
-            let mut c = cfg;
-            c.ddr_bytes_per_cycle = bpc;
-            c.dma_overlap = overlap;
-            let requester = tiny_requester(&c);
-            let span = predicted_span(&c, &w.vi);
-            let ev = probe_interrupt(
-                &c,
-                InterruptStrategy::VirtualInstruction,
-                &w,
-                &requester,
-                span / 3,
-            );
-            println!(
-                "{bpc:>14} {overlap:>9} {:>14.2} {:>12.1} {:>12.1}",
-                c.cycles_to_ms(span),
-                c.cycles_to_us(ev.latency()),
-                c.cycles_to_us(ev.cost()),
-            );
-        }
+        let c = AccelConfig { ddr_bytes_per_cycle: bpc, ..cfg };
+        let requester = tiny_requester(&c);
+        let span = predicted_span(&c, &w.vi);
+        let ev =
+            probe_interrupt(&c, InterruptStrategy::VirtualInstruction, &w, &requester, span / 3);
+        println!(
+            "{bpc:>14} {:>14.2} {:>12.1} {:>12.1}",
+            c.cycles_to_ms(span),
+            c.cycles_to_us(ev.latency()),
+            c.cycles_to_us(ev.cost()),
+        );
     }
     println!(
         "\nreadings: small SAVE groups bound t2 tightly (fewer unsaved blobs) at the\n\
          price of more SAVE instructions; channel-outer has cheap interrupts (data\n\
          is re-loaded per blob anyway, so restores are nearly free) but nearly 2x\n\
          the steady-state DDR traffic — exactly why Angel-Eye uses height-outer;\n\
-         bandwidth moves both the makespan and the interrupt cost, overlap only\n\
-         the makespan (interrupt-path transfers are not double-buffered)."
+         bandwidth moves both the makespan and the interrupt cost."
     );
 }

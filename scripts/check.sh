@@ -141,6 +141,10 @@ echo "== benchmark package (detached: own workspace and lock file; --quick)"
 # `benchmark/` is outside the workspace, so nothing above compiles it. It
 # is the frozen measurement surface: build it against this tree and run
 # every workload once at 1/10 size — ledgers, resumed==solo, ops_failed.
+# Building it may rewrite its lock file; the EXIT trap puts the committed
+# one back, whether the run passes or fails.
+cp benchmark/Cargo.lock "$tmp/benchmark.lock"
+trap 'cp "$tmp/benchmark.lock" benchmark/Cargo.lock; rm -rf "$tmp"' EXIT
 cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --quick > /dev/null
 
 if [ "${INCA_BENCH_GATE:-0}" != 0 ]; then

@@ -11,6 +11,8 @@
 //!                                            timing run (+ Gantt with an interrupt)
 //! ```
 
+use std::fmt;
+use std::io::{ErrorKind, Write};
 use std::process::ExitCode;
 
 use inca::accel::{AccelConfig, ArchSpec, Engine, InterruptStrategy, TimingBackend};
@@ -76,18 +78,36 @@ fn parse_strategy(s: &str) -> Result<InterruptStrategy, String> {
     }
 }
 
+/// Writes `text` to the command's output. A reader that closed the pipe
+/// early (`inca disasm prog.bin | head -1`) has all it asked for: the
+/// command ends there with exit 0 instead of panicking as `print!` does.
+fn emit(out: &mut dyn Write, text: fmt::Arguments) -> Result<(), String> {
+    match out.write_fmt(text) {
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => std::process::exit(0),
+        r => r.map_err(|e| format!("writing output: {e}")),
+    }
+}
+
+/// `println!` into a command's output, through [`emit`].
+macro_rules! outln {
+    ($out:expr, $($arg:tt)*) => {
+        emit($out, format_args!("{}\n", format_args!($($arg)*)))?
+    };
+}
+
 /// Fetches the value following `--flag`, if present.
 fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
     args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1)).map(String::as_str)
 }
 
-fn cmd_networks() -> Result<(), String> {
-    println!("{:<12} {:>10} {:>12} {:>12}", "network", "layers", "GMACs@480p", "params MB");
+fn cmd_networks(out: &mut dyn Write) -> Result<(), String> {
+    outln!(out, "{:<12} {:>10} {:>12} {:>12}", "network", "layers", "GMACs@480p", "params MB");
     for name in ZOO {
         let input = Shape3::new(3, 480, 640);
         let net = network_by_name(name, input)?;
         let s = net.stats();
-        println!(
+        outln!(
+            out,
             "{name:<12} {:>10} {:>12.2} {:>12.2}",
             s.layers,
             s.macs as f64 / 1e9,
@@ -97,9 +117,9 @@ fn cmd_networks() -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_compile(args: &[String]) -> Result<(), String> {
+fn cmd_compile(args: &[String], out: &mut dyn Write) -> Result<(), String> {
     let name = args.first().ok_or("usage: inca compile <network> -o <file>")?;
-    let out = flag_value(args, "-o").ok_or("missing -o <file>")?;
+    let path = flag_value(args, "-o").ok_or("missing -o <file>")?;
     let arch = parse_arch(flag_value(args, "--arch").unwrap_or("big"))?;
     let input = parse_shape(flag_value(args, "--input").unwrap_or("3,480,640"))?;
     let no_vi = args.iter().any(|a| a == "--no-vi");
@@ -109,10 +129,11 @@ fn cmd_compile(args: &[String]) -> Result<(), String> {
     let program = if no_vi { compiler.compile(&net) } else { compiler.compile_vi(&net) }
         .map_err(|e| e.to_string())?;
     let bytes = container::encode_container(&program);
-    std::fs::write(out, &bytes).map_err(|e| e.to_string())?;
+    std::fs::write(path, &bytes).map_err(|e| e.to_string())?;
     let s = program.stats();
-    println!(
-        "wrote {out}: {} instructions ({} virtual), {} layers, {} bytes",
+    outln!(
+        out,
+        "wrote {path}: {} instructions ({} virtual), {} layers, {} bytes",
         s.instrs,
         s.virtual_instrs,
         s.layers,
@@ -126,30 +147,38 @@ fn load_container(path: &str) -> Result<Program, String> {
     container::decode_container(&bytes).map_err(|e| e.to_string())
 }
 
-fn cmd_stats(args: &[String]) -> Result<(), String> {
+fn cmd_stats(args: &[String], out: &mut dyn Write) -> Result<(), String> {
     let path = args.first().ok_or("usage: inca stats <file>")?;
     let p = load_container(path)?;
     let s = p.stats();
-    println!("program `{}`", p.name);
-    println!("  instructions     : {} ({} virtual)", s.instrs, s.virtual_instrs);
-    println!("  CalcBlobs        : {}", s.blobs);
-    println!("  interrupt points : {}", s.interrupt_points);
-    println!("  layers           : {}", s.layers);
-    println!("  MACs             : {:.3} G", s.macs as f64 / 1e9);
-    println!("  DDR traffic      : {:.2} MB per pass", s.ddr_bytes as f64 / 1e6);
+    outln!(out, "program `{}`", p.name);
+    outln!(out, "  instructions     : {} ({} virtual)", s.instrs, s.virtual_instrs);
+    outln!(out, "  CalcBlobs        : {}", s.blobs);
+    outln!(out, "  interrupt points : {}", s.interrupt_points);
+    outln!(out, "  layers           : {}", s.layers);
+    outln!(out, "  MACs             : {:.3} G", s.macs as f64 / 1e9);
+    outln!(out, "  DDR traffic      : {:.2} MB per pass", s.ddr_bytes as f64 / 1e6);
     let m = &p.memory;
-    println!(
+    outln!(
+        out,
         "  memory map       : weights {:#x}+{}, activations {:#x}+{}",
-        m.weights_base, m.weights_bytes, m.activations_base, m.activations_bytes
+        m.weights_base,
+        m.weights_bytes,
+        m.activations_base,
+        m.activations_bytes
     );
-    println!(
+    outln!(
+        out,
         "  input / output   : {:#x}+{} / {:#x}+{}",
-        m.input_base, m.input_bytes, m.output_base, m.output_bytes
+        m.input_base,
+        m.input_bytes,
+        m.output_base,
+        m.output_bytes
     );
     Ok(())
 }
 
-fn cmd_disasm(args: &[String]) -> Result<(), String> {
+fn cmd_disasm(args: &[String], out: &mut dyn Write) -> Result<(), String> {
     let path = args.first().ok_or("usage: inca disasm <file> [--limit N]")?;
     let limit: usize = flag_value(args, "--limit")
         .map(|v| v.parse().map_err(|_| format!("bad --limit `{v}`")))
@@ -157,23 +186,22 @@ fn cmd_disasm(args: &[String]) -> Result<(), String> {
         .unwrap_or(200);
     let p = load_container(path)?;
     for line in p.listing().lines().take(limit) {
-        println!("{line}");
+        outln!(out, "{line}");
     }
     if p.len() > limit {
-        println!("... ({} more instructions; raise --limit)", p.len() - limit);
+        outln!(out, "... ({} more instructions; raise --limit)", p.len() - limit);
     }
     Ok(())
 }
 
-fn cmd_dot(args: &[String]) -> Result<(), String> {
+fn cmd_dot(args: &[String], out: &mut dyn Write) -> Result<(), String> {
     let name = args.first().ok_or("usage: inca dot <network> [--input C,H,W]")?;
     let input = parse_shape(flag_value(args, "--input").unwrap_or("3,480,640"))?;
     let net = network_by_name(name, input)?;
-    print!("{}", net.to_dot());
-    Ok(())
+    emit(out, format_args!("{}", net.to_dot()))
 }
 
-fn cmd_run(args: &[String]) -> Result<(), String> {
+fn cmd_run(args: &[String], out: &mut dyn Write) -> Result<(), String> {
     let path = args.first().ok_or("usage: inca run <file> [--interrupt-at CYC] [--strategy S]")?;
     let strategy = parse_strategy(flag_value(args, "--strategy").unwrap_or("vi"))?;
     let interrupt_at: Option<u64> = flag_value(args, "--interrupt-at")
@@ -197,7 +225,8 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     }
     let report = engine.run().map_err(|e| e.to_string())?;
     for job in &report.completed_jobs {
-        println!(
+        outln!(
+            out,
             "{}: released @{} cycles, finished @{} ({:.3} ms response, {} preemptions)",
             job.slot,
             job.release,
@@ -207,7 +236,8 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         );
     }
     for ev in &report.interrupts {
-        println!(
+        outln!(
+            out,
             "interrupt in layer {}: latency {:.1} µs (t1 {:.1} + t2 {:.1}), cost {:.1} µs",
             ev.layer,
             cfg.cycles_to_us(ev.latency()),
@@ -217,19 +247,19 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         );
     }
     if interrupt_at.is_some() {
-        println!("\n{}", report.gantt(72));
+        outln!(out, "\n{}", report.gantt(72));
     }
     Ok(())
 }
 
-fn dispatch(cmd: &str, rest: &[String]) -> Result<(), String> {
+fn dispatch(cmd: &str, rest: &[String], out: &mut dyn Write) -> Result<(), String> {
     match cmd {
-        "networks" => cmd_networks(),
-        "compile" => cmd_compile(rest),
-        "stats" => cmd_stats(rest),
-        "disasm" => cmd_disasm(rest),
-        "dot" => cmd_dot(rest),
-        "run" => cmd_run(rest),
+        "networks" => cmd_networks(out),
+        "compile" => cmd_compile(rest, out),
+        "stats" => cmd_stats(rest, out),
+        "disasm" => cmd_disasm(rest, out),
+        "dot" => cmd_dot(rest, out),
+        "run" => cmd_run(rest, out),
         other => Err(format!("unknown command `{other}`; see the module docs")),
     }
 }
@@ -240,7 +270,7 @@ fn main() -> ExitCode {
         eprintln!("usage: inca <networks|compile|stats|disasm|dot|run> ...");
         return ExitCode::FAILURE;
     };
-    match dispatch(cmd, &args[1..]) {
+    match dispatch(cmd, &args[1..], &mut std::io::stdout().lock()) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
@@ -297,10 +327,12 @@ mod tests {
                 .iter()
                 .map(ToString::to_string)
                 .collect();
-        cmd_compile(&args).unwrap();
+        let mut text = Vec::new();
+        cmd_compile(&args, &mut text).unwrap();
         let stat_args = vec![out.to_str().unwrap().to_string()];
-        cmd_stats(&stat_args).unwrap();
-        cmd_disasm(&stat_args).unwrap();
+        cmd_stats(&stat_args, &mut text).unwrap();
+        cmd_disasm(&stat_args, &mut text).unwrap();
+        assert!(String::from_utf8(text).unwrap().contains("instructions"));
         let p = load_container(out.to_str().unwrap()).unwrap();
         assert!(p.stats().instrs > 0);
         let _ = std::fs::remove_file(&out);

@@ -73,50 +73,45 @@ fn decoded_binary_runs_identically() {
     assert_eq!(run(vi), run(decoded));
 }
 
+/// Invariant 6 of DESIGN.md: a request landing inside a VI job waits
+/// exactly the charges from where the job stands to its next interrupt
+/// point (or to its end when none follows), read off the cycle table.
 #[test]
-fn measured_vi_latency_respects_analytical_worst_case() {
-    // Invariant 6 of DESIGN.md: for requests landing inside a layer, the
-    // measured VI t1 never exceeds the closed-form worst case for that
-    // layer (one CalcBlob), plus the loads/saves the blob interleaves.
-    let cfg = AccelConfig::paper_big();
-    let compiler = Compiler::new(cfg.arch);
-    let net = zoo::mobilenet_v1(Shape3::new(3, 96, 96)).unwrap();
-    let vi = compiler.compile_vi(&net).unwrap();
-    let hi_prog = compiler.compile_vi(&zoo::tiny(Shape3::new(3, 16, 16)).unwrap()).unwrap();
-
-    // Solo makespan.
-    let span = {
-        let slot = TaskSlot::LOWEST;
-        let mut e = Engine::new(cfg, InterruptStrategy::VirtualInstruction, TimingBackend::new());
-        e.load(slot, vi.clone()).unwrap();
-        e.request_at(0, slot).unwrap();
-        e.run().unwrap().completed_jobs[0].finish
-    };
-
-    for i in 0..10 {
-        let request = span * (2 * i + 1) / 20;
-        let (hi, lo) = (TaskSlot::new(1).unwrap(), TaskSlot::new(3).unwrap());
-        let mut e = Engine::new(cfg, InterruptStrategy::VirtualInstruction, TimingBackend::new());
-        e.load(hi, hi_prog.clone()).unwrap();
-        e.load(lo, vi.clone()).unwrap();
-        e.request_at(0, lo).unwrap();
-        e.request_at(request, hi).unwrap();
-        let report = e.run().unwrap();
-        let ev = report.interrupts[0];
-        let meta = &vi.layers[usize::from(ev.layer)];
-        let bound = analysis::t1_vi_worst(&cfg, meta);
-        // Allow the blob's DMA interleaving (loads dominated by the data
-        // rows) on top of the pure-compute bound.
-        let slack = 4 * cfg.dma_cycles(u64::from(cfg.arch.data_buffer_bytes / 4));
-        assert!(
-            ev.t1 <= bound + slack,
-            "t1 {} exceeds worst case {} + slack {} in layer {} (`{}`)",
-            ev.t1,
-            bound,
-            slack,
-            ev.layer,
-            meta.name
-        );
+fn measured_vi_t1_is_the_charges_to_the_next_interrupt_point() {
+    let input = Shape3::new(3, 96, 96);
+    let nets = [zoo::mobilenet_v1(input), zoo::resnet18(Shape3::new(3, 64, 64))];
+    for net in nets.map(Result::unwrap) {
+        for (size, cfg) in
+            [("small", AccelConfig::paper_small()), ("big", AccelConfig::paper_big())]
+        {
+            let compiler = Compiler::new(cfg.arch);
+            let vi = compiler.compile_vi(&net).unwrap();
+            let hi_prog = compiler.compile_vi(&zoo::tiny(Shape3::new(3, 16, 16)).unwrap()).unwrap();
+            let prefix: Vec<u64> = std::iter::once(0)
+                .chain(analysis::charges(&cfg, &vi).scan(0, |t, (_, cycles)| {
+                    *t += cycles;
+                    Some(*t)
+                }))
+                .collect();
+            let span = *prefix.last().unwrap();
+            for i in 0..40 {
+                let request = span * (2 * i + 1) / 80;
+                let (hi, lo) = (TaskSlot::new(1).unwrap(), TaskSlot::new(3).unwrap());
+                let strategy = InterruptStrategy::VirtualInstruction;
+                let mut e = Engine::new(cfg, strategy, TimingBackend::new());
+                e.load(hi, hi_prog.clone()).unwrap();
+                e.load(lo, vi.clone()).unwrap();
+                e.request_at(0, lo).unwrap();
+                e.request_at(request, hi).unwrap();
+                let ev = e.run().unwrap().interrupts[0];
+                let stop = vi
+                    .next_interrupt_point(ev.request_pc as usize)
+                    .map_or(vi.instrs.len(), |p| p.vir_start as usize);
+                let layer = &vi.layers[usize::from(ev.layer)].name;
+                let what = format!("{} {size} request at {request} in `{layer}`", net.name);
+                assert_eq!(ev.t1, prefix[stop] - request, "{what}");
+            }
+        }
     }
 }
 
@@ -205,6 +200,43 @@ fn inca_run_gantt_is_pinned() {
     assert_eq!(hashes, pinned);
 }
 
+/// `inca disasm prog.bin | head -1`: a reader that closes the pipe after
+/// one line ends the command with exit 0, not a `Broken pipe` panic. The
+/// listing (ResNet-18 at 64×64, about 1.4 MB) is far larger than a pipe's
+/// buffer, so the command is still writing when the pipe closes.
+#[test]
+fn inca_disasm_into_a_closed_pipe_exits_cleanly() {
+    use std::io::BufRead;
+    use std::process::{Command, Stdio};
+
+    let cfg = AccelConfig::paper_big();
+    let net = zoo::resnet18(Shape3::new(3, 64, 64)).unwrap();
+    let program = Compiler::new(cfg.arch).compile_vi(&net).unwrap();
+    let dir = std::env::temp_dir().join(format!("inca_closed_pipe_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("r18.bin");
+    std::fs::write(&path, container::encode_container(&program)).unwrap();
+
+    let mut child = Command::new(env!("CARGO_BIN_EXE_inca"))
+        .arg("disasm")
+        .arg(&path)
+        .args(["--limit", "100000"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let mut first = String::new();
+    let mut stdout = std::io::BufReader::new(child.stdout.take().unwrap());
+    stdout.read_line(&mut first).unwrap();
+    drop(stdout);
+    let done = child.wait_with_output().unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+    let stderr = String::from_utf8_lossy(&done.stderr);
+    assert!(first.contains("conv1"), "first line: {first}");
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+    assert_eq!(done.status.code(), Some(0), "stderr: {stderr}");
+}
+
 #[test]
 fn dslam_outperforms_non_preemptive_on_deadlines() {
     use inca::dslam::mission::{Mission, MissionConfig};
@@ -230,43 +262,39 @@ fn dslam_outperforms_non_preemptive_on_deadlines() {
 
 /// The per-instruction charges `analysis::charges` reads off the cycle
 /// table are what a tagged solo run spends: summed per layer they equal
-/// its `Layer` spans, under both configurations with the DMA-overlap
-/// credit off and on, and the virtual instructions, never materialised
-/// without an interrupt, charge nothing.
+/// its `Layer` spans under both configurations, and the virtual
+/// instructions, never materialised without an interrupt, charge nothing.
 #[test]
 fn charges_are_what_a_traced_solo_run_retires() {
     let input = Shape3::new(3, 64, 64);
-    for (size, base) in [("small", AccelConfig::paper_small()), ("big", AccelConfig::paper_big())] {
-        for dma_overlap in [false, true] {
-            let cfg = AccelConfig { dma_overlap, ..base };
-            for net in [zoo::mobilenet_v1(input), zoo::resnet18(input)].map(Result::unwrap) {
-                let what = format!("{} {size} overlap={dma_overlap}", net.name);
-                let vi = Compiler::new(cfg.arch).compile_vi(&net).unwrap();
-                let mut predicted = BTreeMap::<u64, u64>::new();
-                for (instr, cycles) in analysis::charges(&cfg, &vi) {
-                    assert!(!instr.op.is_virtual() || cycles == 0, "{what}: {instr:?}");
-                    *predicted.entry(u64::from(instr.layer)).or_default() += cycles;
-                }
+    for (size, cfg) in [("small", AccelConfig::paper_small()), ("big", AccelConfig::paper_big())] {
+        for net in [zoo::mobilenet_v1(input), zoo::resnet18(input)].map(Result::unwrap) {
+            let what = format!("{} {size}", net.name);
+            let vi = Compiler::new(cfg.arch).compile_vi(&net).unwrap();
+            let mut predicted = BTreeMap::<u64, u64>::new();
+            for (instr, cycles) in analysis::charges(&cfg, &vi) {
+                assert!(!instr.op.is_virtual() || cycles == 0, "{what}: {instr:?}");
+                *predicted.entry(u64::from(instr.layer)).or_default() += cycles;
+            }
 
-                let slot = TaskSlot::LOWEST;
-                let (tracer, buffer) = Tracer::ring(1 << 12);
-                let strategy = InterruptStrategy::VirtualInstruction;
-                let mut e = Engine::new(cfg, strategy, TimingBackend::new());
-                e.set_probe(tracer.into());
-                e.load(slot, vi.clone()).unwrap();
-                e.request_job_tagged(0, slot, Some(1)).unwrap();
-                e.run().unwrap();
-                assert_eq!(buffer.dropped(), 0, "{what}: the comparison must cover the trace");
-                let mut spent = BTreeMap::<u64, u64>::new();
-                for event in buffer.drain() {
-                    if let TraceEvent::Span(s) = event {
-                        if s.stage == SpanStage::Layer {
-                            *spent.entry(s.detail).or_default() += s.cycles();
-                        }
+            let slot = TaskSlot::LOWEST;
+            let (tracer, buffer) = Tracer::ring(1 << 12);
+            let strategy = InterruptStrategy::VirtualInstruction;
+            let mut e = Engine::new(cfg, strategy, TimingBackend::new());
+            e.set_probe(tracer.into());
+            e.load(slot, vi.clone()).unwrap();
+            e.request_job_tagged(0, slot, Some(1)).unwrap();
+            e.run().unwrap();
+            assert_eq!(buffer.dropped(), 0, "{what}: the comparison must cover the trace");
+            let mut spent = BTreeMap::<u64, u64>::new();
+            for event in buffer.drain() {
+                if let TraceEvent::Span(s) = event {
+                    if s.stage == SpanStage::Layer {
+                        *spent.entry(s.detail).or_default() += s.cycles();
                     }
                 }
-                assert_eq!(spent, predicted, "{what}");
             }
+            assert_eq!(spent, predicted, "{what}");
         }
     }
 }
