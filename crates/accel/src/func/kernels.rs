@@ -3,15 +3,16 @@
 //!
 //! Convolutions and fully-connected layers — in both execution tiers — run
 //! through one blocked int8 GEMM ([`conv_gemm`]); depthwise and pooling keep
-//! row-wise kernels. Every kernel here is bit-identical to
-//! [`super::reference`]: the staged frames materialise the reference
-//! kernel's bounds checks as padding that contributes the identity element,
-//! and `i32` accumulation is wrapping — integer addition is associative and
-//! commutative mod 2³², so neither the loop-order change nor the channel
-//! partitioning can alter a single bit (see DESIGN.md, "Functional backend
-//! fast path"). Overflow, which would distinguish wrapping `i32` from the
-//! reference's clamped `i64`, is ruled out for realistic layer shapes
-//! (`ics·k²·127² ≪ 2³¹`) and asserted against by the property tests.
+//! row-wise kernels. Every kernel here is bit-identical to a naive
+//! per-pixel evaluation (the accel tests' golden layer evaluator): the
+//! staged frames materialise its bounds checks as padding that contributes
+//! the identity element, and `i32` accumulation is wrapping — integer
+//! addition is associative and commutative mod 2³², so neither the
+//! loop-order change nor the channel partitioning can alter a single bit
+//! (see DESIGN.md, "Functional backend fast path"). Overflow, which would
+//! distinguish wrapping `i32` from the golden's exact `i64`, is ruled out
+//! for realistic layer shapes (`ics·k²·127² ≪ 2³¹`) and asserted against
+//! by the property tests.
 
 use inca_isa::{Instr, LayerKind, LayerMeta, PoolKind};
 
@@ -161,7 +162,7 @@ pub(super) struct GemmBlocks {
 /// pixel-major im2col block (`px × K`); per run of output channels the
 /// weight rows are widened next to it; and the workers, sharing both
 /// read-only, each sweep their own output channels with the [`dot_2x4`]
-/// micro-kernel. The sums are the reference kernel's MACs in a different
+/// micro-kernel. The sums are a naive convolution's MACs in a different
 /// order, so under wrapping `i32` addition the result is bit-identical —
 /// at every block size and worker count.
 pub(super) fn conv_gemm<W: Copy>(
@@ -394,7 +395,7 @@ pub(super) fn dw_channel(frame: &[i8], wts: &[i8], acc: &mut [i32], g: &Geom) {
 /// Max/avg pooling for one channel. Padding carries the identity
 /// (`i8::MIN` / `0`); the valid count is recovered arithmetically as
 /// `valid_rows(rr) × col_valid[x]`, and empty windows yield `0` exactly
-/// like the reference kernel.
+/// like a naive window loop.
 pub(super) fn pool_channel(
     frame: &[i8],
     acc: &mut [i32],

@@ -8,21 +8,16 @@
 //! `VIR_LOAD_W` (a compiler or IAU bug) surfaces as a
 //! [`SimError::MissingData`] instead of silently wrong output.
 //!
-//! CALC execution has two interchangeable kernels (see DESIGN.md,
-//! "Functional backend fast path"):
-//!
-//! * [`CalcKernel::Fast`] (the default) — stages each tile's rows and
-//!   weights into persistent zero-padded buffers, runs convolutions and
-//!   fully-connected layers as one blocked int8 GEMM (depthwise and
-//!   pooling as branch-free row loops), and partitions output channels
-//!   across a scoped worker pool. Results are bit-identical to the
-//!   reference kernel at every thread count.
-//! * [`CalcKernel::Reference`] — the original naive per-pixel
-//!   bounds-checked kernel, kept verbatim in [`reference`] as the proptest
-//!   oracle and the `perf_smoke` baseline.
+//! CALC execution has one kernel (see DESIGN.md, "Functional backend fast
+//! path"): it stages each tile's rows and weights into persistent
+//! zero-padded buffers, runs convolutions and fully-connected layers as one
+//! blocked int8 GEMM (depthwise and pooling as branch-free row loops), and
+//! partitions output channels across a scoped worker pool. Results are
+//! bit-identical at every thread count and to the naive golden layer
+//! evaluator the accel integration tests hold it to
+//! (`crates/accel/tests/common/golden.rs`).
 
 mod kernels;
-mod reference;
 mod stage;
 mod tier1;
 
@@ -347,17 +342,6 @@ impl Buffers {
     }
 }
 
-/// Which CALC kernel a [`FuncBackend`] executes.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum CalcKernel {
-    /// Staged, branch-free, optionally multi-threaded kernels.
-    #[default]
-    Fast,
-    /// The original naive per-pixel kernel — the correctness oracle and
-    /// performance baseline. Always single-threaded.
-    Reference,
-}
-
 /// Cheap always-on Tier-1 event counters (surfaced as `tier1.*` metrics).
 #[derive(Debug, Clone, Copy, Default)]
 struct Tier1Counters {
@@ -384,7 +368,6 @@ pub struct FuncBackend {
     owner: Option<TaskSlot>,
     snapshots: [Option<Buffers>; TASK_SLOTS],
     bytes_written: [u64; TASK_SLOTS],
-    kernel: CalcKernel,
     threads: usize,
     stage: Stage,
     t1state: Tier1State,
@@ -401,7 +384,6 @@ impl Default for FuncBackend {
             owner: None,
             snapshots: Default::default(),
             bytes_written: [0; TASK_SLOTS],
-            kernel: CalcKernel::Fast,
             threads: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
             stage: Stage::default(),
             t1state: Tier1State::default(),
@@ -411,26 +393,19 @@ impl Default for FuncBackend {
 }
 
 impl FuncBackend {
-    /// Creates a backend with no images installed, using the fast kernel
-    /// with one worker per available hardware thread.
+    /// Creates a backend with no images installed and one CALC worker per
+    /// available hardware thread.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
     }
 
     /// Creates a backend whose CALC worker pool uses `threads` workers
-    /// (clamped to at least 1). `1` runs the fast kernel inline on the
+    /// (clamped to at least 1). `1` runs the kernels inline on the
     /// caller's thread; results are bit-identical at every thread count.
     #[must_use]
     pub fn with_threads(threads: usize) -> Self {
         Self { threads: threads.max(1), ..Self::default() }
-    }
-
-    /// Creates a backend running the retained naive [`CalcKernel::Reference`]
-    /// kernel — the proptest oracle and `perf_smoke` baseline.
-    #[must_use]
-    pub fn with_kernel(kernel: CalcKernel) -> Self {
-        Self { kernel, ..Self::default() }
     }
 
     /// Sets the CALC worker count (clamped to at least 1).
@@ -442,12 +417,6 @@ impl FuncBackend {
     #[must_use]
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// The kernel this backend executes CALC with.
-    #[must_use]
-    pub fn kernel(&self) -> CalcKernel {
-        self.kernel
     }
 
     /// The compiled tier of `program`: its memoised [`Program::plan`],
@@ -484,15 +453,6 @@ impl FuncBackend {
         m
     }
 
-    /// Whether whole layers run as one fused Tier-1 pass: always, except
-    /// under the reference kernel — it is the measurement baseline and
-    /// proptest oracle, and batching under it would defeat both. (Tier-0,
-    /// the per-instruction interpreter, is `Stepped<FuncBackend>`: the
-    /// engine never offers it a layer.)
-    fn fuses_layers(&self) -> bool {
-        self.kernel == CalcKernel::Fast
-    }
-
     /// Runs every original instruction of `program` once on `slot`,
     /// engine-free (no timing, no interrupts) — batching whole layers
     /// through Tier-1 where a plan exists, stepping the rest.
@@ -509,12 +469,10 @@ impl FuncBackend {
                 pc += 1;
                 continue;
             }
-            if self.fuses_layers() {
-                let range = program.layer_pc_range(instr.layer);
-                if range.start == pc && self.execute_span(slot, program, range.clone(), &[])? {
-                    pc = range.end;
-                    continue;
-                }
+            let range = program.layer_pc_range(instr.layer);
+            if range.start == pc && self.execute_span(slot, program, range.clone(), &[])? {
+                pc = range.end;
+                continue;
             }
             self.execute(slot, program, instr)?;
             pc += 1;
@@ -633,26 +591,11 @@ impl FuncBackend {
 
     fn calc(&mut self, instr: &Instr, meta: &LayerMeta) -> Result<(), SimError> {
         let entry = self.blob_entry(instr, meta);
-        let Self { bufs, stage, kernel, threads, .. } = self;
-
-        match kernel {
-            CalcKernel::Fast => {
-                kernels::calc_into(bufs, stage, instr, meta, *threads)?;
-                let blob = &mut bufs.outputs[entry];
-                for (dst, &add) in blob.acc.iter_mut().zip(stage.scratch.iter()) {
-                    *dst = dst.saturating_add(add);
-                }
-            }
-            CalcKernel::Reference => {
-                let scratch = reference::calc_scratch(bufs, instr, meta)?;
-                let blob = &mut bufs.outputs[entry];
-                for (dst, add) in blob.acc.iter_mut().zip(scratch) {
-                    *dst = dst.saturating_add(
-                        i32::try_from(add.clamp(i64::from(i32::MIN), i64::from(i32::MAX)))
-                            .expect("clamped"),
-                    );
-                }
-            }
+        let Self { bufs, stage, threads, .. } = self;
+        kernels::calc_into(bufs, stage, instr, meta, *threads)?;
+        let blob = &mut bufs.outputs[entry];
+        for (dst, &add) in blob.acc.iter_mut().zip(stage.scratch.iter()) {
+            *dst = dst.saturating_add(add);
         }
 
         if instr.op == Opcode::CalcF {
@@ -822,11 +765,7 @@ impl Backend for FuncBackend {
     }
 
     fn supports_spans(&self) -> SpanSupport {
-        if self.fuses_layers() {
-            SpanSupport::Group
-        } else {
-            SpanSupport::None
-        }
+        SpanSupport::Group
     }
 
     fn execute_span(
@@ -836,7 +775,7 @@ impl Backend for FuncBackend {
         span: std::ops::Range<usize>,
         patches: &[SavePatch],
     ) -> Result<bool, SimError> {
-        if !self.fuses_layers() || span.is_empty() {
+        if span.is_empty() {
             return Ok(false);
         }
         let layer = program.instrs[span.start].layer;
@@ -973,8 +912,7 @@ mod tests {
         assert!(FuncBackend::new().threads() >= 1);
         assert_eq!(FuncBackend::with_threads(0).threads(), 1);
         assert_eq!(FuncBackend::with_threads(4).threads(), 4);
-        let mut b = FuncBackend::with_kernel(CalcKernel::Reference);
-        assert_eq!(b.kernel(), CalcKernel::Reference);
+        let mut b = FuncBackend::with_threads(4);
         b.set_threads(0);
         assert_eq!(b.threads(), 1);
     }

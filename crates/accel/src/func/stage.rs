@@ -129,7 +129,7 @@ impl Stage {
     /// get their data copied at column offset `p`. Only virtual rows a
     /// window actually touches are demanded from the data buffer (when
     /// `s > k` the frame has gap rows no window reads — those stay `pad`
-    /// without a buffer lookup, exactly mirroring the reference kernel's
+    /// without a buffer lookup, exactly mirroring a naive window loop's
     /// bounds checks).
     pub(super) fn stage_rows(
         &mut self,

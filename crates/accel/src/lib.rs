@@ -71,7 +71,7 @@ pub use config::AccelConfig;
 pub use cost::instr_cycles;
 pub use engine::{Engine, InterruptEvent, InterruptStrategy, JobRecord, Report, TaskState};
 pub use event::{AdvanceMode, AdvanceStats, Barrier, Tier};
-pub use func::{CalcKernel, DdrImage, FuncBackend};
+pub use func::{DdrImage, FuncBackend};
 pub use multicore::{CoreId, CorePool};
 
 pub use inca_isa::{ArchSpec, Parallelism, Program, TaskSlot};

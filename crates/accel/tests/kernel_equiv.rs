@@ -1,13 +1,15 @@
-//! Property test: the staged, multi-threaded fast CALC kernels are
-//! bit-identical to the retained naive `reference` kernel.
+//! Property test: the staged, multi-threaded CALC kernels are
+//! bit-identical to the golden model (`common/golden.rs`), the naive
+//! per-pixel evaluator of a lowered layer.
 //!
 //! Random single-layer programs (Conv/DwConv/MaxPool/AvgPool with random
-//! kernel/stride/pad and random row/channel/input-channel tilings) are run
-//! through `FuncBackend` with the reference kernel and with the fast
-//! kernel at thread counts {1, 2, 8}; every output byte must match.
+//! kernel/stride/pad, quantisation shift and ReLU, and random row/channel/
+//! input-channel tilings) are run through `FuncBackend` stepped (Tier-0)
+//! and batched (Tier-1) at thread counts {1, 2, 8}; every output byte must
+//! match the golden layer over the case's image.
 //!
-//! Because the reference accumulates in exact `i64` while the fast path
-//! uses wrapping `i32`, equality here is also the "no silent overflow"
+//! Because the golden accumulates in exact `i64` while the kernels use
+//! wrapping `i32`, equality here is also the "no silent overflow"
 //! assertion of DESIGN.md §2: with int8 operands the per-instruction
 //! partial sums provably fit an `i32`, and any regression of that bound
 //! would show up as a mismatch.
@@ -17,14 +19,17 @@
 //! odd output-channel counts (the 2-channel block's remainder), planes whose
 //! pixel count is not a multiple of 4, strides 2 and 3, `k = 7`. Directed
 //! cases add what random small shapes cannot: planes and channel counts
-//! larger than one operand block, worker spawns, both execution tiers, and
-//! extreme operand values.
+//! larger than one operand block, worker spawns, extreme operand values,
+//! and pools requantised with a shift and ReLU over negative inputs.
 //!
 //! A deterministic companion test runs whole compiled networks (covering
 //! GlobalPool, Add, FullyConnected, Concat lowering and the compiler's
-//! real tilings) through both kernels.
+//! real tilings) against the golden model layer by layer.
 
-use inca_accel::{AccelConfig, Backend, CalcKernel, DdrImage, FuncBackend};
+mod common;
+
+use common::golden::{reference_layer, reference_run};
+use inca_accel::{AccelConfig, Backend, DdrImage, FuncBackend};
 use inca_compiler::Compiler;
 use inca_isa::{
     DdrRange, Instr, LayerKind, LayerMeta, MemoryMap, Opcode, PoolKind, Program, Shape3, TaskSlot,
@@ -215,10 +220,15 @@ fn run_tier1(threads: usize, program: &Program, image: &DdrImage) -> Vec<i8> {
     backend.image(slot).unwrap().read_output(&program.layers[0])
 }
 
-/// Reference kernel vs the fast kernel stepped (Tier-0) and batched
-/// (Tier-1), each at thread counts 1, 2 and 8.
+/// The golden layer over `image`: the single layer's expected output.
+fn golden(program: &Program, image: &DdrImage) -> Vec<i8> {
+    reference_layer(&program.layers[0], image)
+}
+
+/// The golden layer vs the kernels stepped (Tier-0) and batched (Tier-1),
+/// each at thread counts 1, 2 and 8.
 fn assert_all_paths_match(what: &str, program: &Program, image: &DdrImage) {
-    let want = run(FuncBackend::with_kernel(CalcKernel::Reference), program, image);
+    let want = golden(program, image);
     for threads in [1usize, 2, 8] {
         let tier0 = FuncBackend::with_threads(threads);
         assert_eq!(run(tier0, program, image), want, "{what}: tier-0, threads={threads}");
@@ -283,21 +293,51 @@ fn extreme_operands_accumulate_exactly() {
 
     // Everything −128: the centre pixel sums 4608 · 2¹⁴ = 75 497 472.
     let (program, image) = fill(20, &|_| -128, &|_| -128);
-    let out = run(FuncBackend::with_kernel(CalcKernel::Reference), &program, &image);
-    assert_eq!(i32::from(out[4]), (4608 << 14) >> 20, "reference centre pixel");
+    let out = golden(&program, &image);
+    assert_eq!(i32::from(out[4]), (4608 << 14) >> 20, "golden centre pixel");
     assert_all_paths_match("all -128", &program, &image);
 
     // Inputs −128 against weights alternating −128 / +127: each pair sums
     // 2¹⁴ − 16 256 = 128, the centre pixel 2304 · 128 = 294 912.
     let (program, image) = fill(12, &|_| -128, &|i| if i % 2 == 0 { -128 } else { 127 });
-    let out = run(FuncBackend::with_kernel(CalcKernel::Reference), &program, &image);
-    assert_eq!(i32::from(out[4]), (2304 * 128) >> 12, "reference centre pixel");
+    let out = golden(&program, &image);
+    assert_eq!(i32::from(out[4]), (2304 * 128) >> 12, "golden centre pixel");
     assert_all_paths_match("-128 x -128/+127", &program, &image);
 
     // Mixed signs on both sides: ±127 / −128 inputs against the same weights.
     let (program, image) =
         fill(10, &|i| [127, -128, -127][i % 3], &|i| if i % 2 == 0 { -128 } else { 127 });
     assert_all_paths_match("mixed +-127/-128", &program, &image);
+}
+
+/// Pools are requantised like every other kind: CalcF's `>> quant_shift`,
+/// ReLU and int8 clamp apply to Max and Avg pools too. Two all-negative
+/// channels and three mixed-sign ones, shift 2 and ReLU: every output must
+/// land in `0..=31` and the negative channels must pool to 0 — a golden
+/// that skipped the pools' requantisation would keep negative and
+/// unshifted values.
+#[test]
+fn pools_requantise_with_shift_and_relu() {
+    let (c_in, h_in, w_in) = (5u32, 9u32, 11u32);
+    let plane = (h_in * w_in) as usize;
+    let input: Vec<u8> = (0..c_in as usize * plane)
+        .map(|i| {
+            let (c, px) = (i / plane, i % plane);
+            let v = if c < 2 { -1 - (px * 7 % 128) as i32 } else { (c * 131 + px * 37) as i32 };
+            v as u8
+        })
+        .collect();
+    for (kind_sel, what) in [(2u8, "max pool"), (3, "avg pool")] {
+        let (program, mut image) =
+            build_case(kind_sel, 3, 2, 1, h_in, w_in, c_in, 1, 2, true, 0, Some(0x9001));
+        image.write(0, &input);
+        let want = golden(&program, &image);
+        assert!(want.iter().all(|v| (0..=31).contains(v)), "{what}: golden {want:?}");
+        let out_plane = want.len() / c_in as usize;
+        assert!(want[..2 * out_plane].iter().all(|&v| v == 0), "{what}: ReLU over negatives");
+        assert!(want.iter().any(|&v| v > 0), "{what}: the mixed channels pool above 0");
+        assert_all_paths_match(what, &program, &image);
+    }
 }
 
 proptest! {
@@ -320,15 +360,18 @@ proptest! {
             kind_sel, k, s, p, h_in, w_in, c_in, c_out, quant_shift, relu, data_seed,
             Some(tile_seed),
         );
-        let want = run(FuncBackend::with_kernel(CalcKernel::Reference), &program, &image);
+        let want = golden(&program, &image);
         for threads in [1usize, 2, 8] {
-            let got = run(FuncBackend::with_threads(threads), &program, &image);
-            prop_assert_eq!(
-                &got,
-                &want,
-                "fast kernel (threads={}) diverged from reference on kind_sel={} k={} s={} p={}",
-                threads, kind_sel, k, s, p
-            );
+            let tier0 = run(FuncBackend::with_threads(threads), &program, &image);
+            let tier1 = run_tier1(threads, &program, &image);
+            for (tier, got) in [(0, &tier0), (1, &tier1)] {
+                prop_assert_eq!(
+                    got,
+                    &want,
+                    "tier-{} (threads={}) diverged from the golden on kind_sel={} k={} s={} p={}",
+                    tier, threads, kind_sel, k, s, p
+                );
+            }
         }
     }
 }
@@ -347,11 +390,11 @@ fn tiny_residual() -> inca_model::Network {
 }
 
 /// Whole compiled networks — covering GlobalPool, Add, FullyConnected,
-/// Concat lowering and the compiler's real tilings — produce identical
-/// outputs under the reference kernel and the fast kernel at thread
-/// counts 1, 2 and the default (available parallelism).
+/// Concat lowering and the compiler's real tilings — match the golden model
+/// layer by layer at thread counts 1, 2 and the default (available
+/// parallelism).
 #[test]
-fn full_networks_match_reference_kernel_at_all_thread_counts() {
+fn full_networks_match_golden_at_all_thread_counts() {
     let compiler = Compiler::new(AccelConfig::paper_small().arch);
     let nets = [
         zoo::tiny(Shape3::new(3, 32, 32)).unwrap(),
@@ -360,35 +403,34 @@ fn full_networks_match_reference_kernel_at_all_thread_counts() {
     ];
     for net in nets {
         let program = compiler.compile_vi(&net).unwrap();
-        let seed = 0x5EED_0001;
-        let run_net = |backend: FuncBackend| -> Vec<Vec<i8>> {
+        let mut image = DdrImage::for_program(&program, 0x5EED_0001);
+        let first = &program.layers[0];
+        let input: Vec<u8> =
+            (0..first.in_shape.bytes()).map(|i| ((i * 7 + 3) % 15) as u8).collect();
+        image.write(first.input_addr, &input);
+        let outputs = |img: &DdrImage| -> Vec<Vec<i8>> {
+            program.layers.iter().map(|m| img.read_output(m)).collect()
+        };
+        let mut golden_img = image.clone();
+        reference_run(&program, &mut golden_img);
+        let want = outputs(&golden_img);
+        for mut backend in
+            [FuncBackend::with_threads(1), FuncBackend::with_threads(2), FuncBackend::new()]
+        {
+            let threads = backend.threads();
             let slot = TaskSlot::new(3).unwrap();
-            let mut backend = backend;
-            let mut image = DdrImage::for_program(&program, seed);
-            let first = &program.layers[0];
-            let input: Vec<u8> =
-                (0..first.in_shape.bytes()).map(|i| ((i * 7 + 3) % 15) as u8).collect();
-            image.write(first.input_addr, &input);
-            backend.install_image(slot, image);
+            backend.install_image(slot, image.clone());
             backend.on_switch(slot);
             for instr in &program.instrs {
                 if !instr.op.is_virtual() {
                     backend.execute(slot, &program, instr).unwrap();
                 }
             }
-            let img = backend.image(slot).unwrap();
-            program.layers.iter().map(|m| img.read_output(m)).collect()
-        };
-        let want = run_net(FuncBackend::with_kernel(CalcKernel::Reference));
-        for backend in
-            [FuncBackend::with_threads(1), FuncBackend::with_threads(2), FuncBackend::new()]
-        {
-            let threads = backend.threads();
-            let got = run_net(backend);
+            let got = outputs(backend.image(slot).unwrap());
             for (l, (a, b)) in got.iter().zip(want.iter()).enumerate() {
                 assert_eq!(
                     a, b,
-                    "{}: layer {l} `{}` differs between fast (threads={threads}) and reference",
+                    "{}: layer {l} `{}` differs from the golden (threads={threads})",
                     net.name, program.layers[l].name
                 );
             }

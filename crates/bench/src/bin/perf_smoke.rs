@@ -4,11 +4,9 @@
 //! the schema shared by all bench bins):
 //!
 //! * **Kernel suite** — pushes one SuperPoint-backbone frame and one
-//!   ResNet-18 basic block through `FuncBackend` under three kernel
-//!   configurations (the retained naive reference kernel, the fast
-//!   kernel at 1 thread, and the fast kernel at the default thread
-//!   count) and reports MACs/s per configuration plus the speedups
-//!   over the reference.
+//!   ResNet-18 basic block through `FuncBackend` at 1 thread and at the
+//!   default thread count and reports MACs/s per configuration
+//!   (`{name}.fast_1t_macs_per_s` / `{name}.fast_default_macs_per_s`).
 //! * **Tier suite** — runs end-to-end MobileNetV1 and ResNet-18 under
 //!   both execution tiers (Tier-0 per-instruction stepping vs Tier-1
 //!   trace-compiled layer programs) and reports
@@ -26,7 +24,7 @@
 
 use std::time::Instant;
 
-use inca_accel::{AccelConfig, Backend, CalcKernel, DdrImage, FuncBackend, Program, TaskSlot};
+use inca_accel::{AccelConfig, Backend, DdrImage, FuncBackend, Program, TaskSlot};
 use inca_compiler::Compiler;
 use inca_model::{zoo, ModelError, Network, NetworkBuilder, NodeId, Shape3};
 use inca_obs::{Metrics, MetricsSnapshot};
@@ -143,15 +141,11 @@ fn main() {
     for (net, name) in &workloads {
         let program = compiler.compile_vi(net).unwrap();
         let macs = net.total_macs() as f64;
-        let t_ref = measure(FuncBackend::with_kernel(CalcKernel::Reference), &program, 1);
         let t_fast1 = measure(FuncBackend::with_threads(1), &program, 3);
         let t_fastn = measure(FuncBackend::new(), &program, 3);
         m.inc(&format!("{name}.macs"), macs as u64);
-        m.set_gauge(&format!("{name}.reference_macs_per_s"), macs / t_ref);
         m.set_gauge(&format!("{name}.fast_1t_macs_per_s"), macs / t_fast1);
         m.set_gauge(&format!("{name}.fast_default_macs_per_s"), macs / t_fastn);
-        m.set_gauge(&format!("{name}.speedup_1t"), t_ref / t_fast1);
-        m.set_gauge(&format!("{name}.speedup_default"), t_ref / t_fastn);
     }
 
     // Tier suite: end-to-end networks, Tier-0 stepping vs Tier-1

@@ -133,6 +133,23 @@ echo "== profile_network (per-layer/opcode table read off the cycle table)"
 cargo build --release -p inca-bench --bin profile_network -q
 ./target/release/profile_network mobilenet --json > /dev/null
 
+echo "== perf_smoke key set = BENCH_func.json key set (names only: the values are wall-clock)"
+# The --quick bench gate skips perf_smoke, and the full gate's throughput
+# gauges need a quiet host, so this is the step that notices a gauge
+# added, renamed or dropped without its baseline.
+cargo build --release -p inca-bench --bin perf_smoke -q
+./target/release/perf_smoke --json 2> /dev/null > "$tmp/perf_smoke.json"
+python3 - BENCH_func.json "$tmp/perf_smoke.json" <<'EOF'
+import json, sys
+def keys(path):
+    doc = json.load(open(path))
+    return {f"{part}.{k}" for part in ("counters", "gauges", "histograms") for k in doc[part]}
+base, fresh = keys(sys.argv[1]), keys(sys.argv[2])
+assert base == fresh, (
+    f"only in BENCH_func.json: {sorted(base - fresh)}; only in perf_smoke: {sorted(fresh - base)}")
+print(f"perf_smoke: {len(fresh)} keys, the same set as BENCH_func.json")
+EOF
+
 echo "== prog_size example (paper-scale compiles, VI pass next to lower+codegen)"
 cargo build --release -p inca-compiler --example prog_size -q
 ./target/release/examples/prog_size

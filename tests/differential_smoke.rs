@@ -6,14 +6,15 @@
 //! through the full serving pipeline too. Five tasks share the four slots
 //! under the VI method; the urgent one preempts the contended datapath, and
 //! every task's outputs must equal its dedicated, uncontended run. One more
-//! cell holds the fast CALC kernels to their reference oracle on a whole
-//! MobileNetV1, which `crates/accel/tests/kernel_equiv.rs` does per layer.
+//! cell holds the CALC kernels to the golden model on a whole MobileNetV1,
+//! which `crates/accel/tests/kernel_equiv.rs` does per layer.
+
+#[path = "../crates/accel/tests/common/golden.rs"]
+mod golden;
 
 use std::sync::Arc;
 
-use inca::accel::{
-    AccelConfig, CalcKernel, CorePool, DdrImage, Engine, FuncBackend, InterruptStrategy,
-};
+use inca::accel::{AccelConfig, CorePool, DdrImage, Engine, FuncBackend, InterruptStrategy};
 use inca::compiler::Compiler;
 use inca::isa::{Program, TaskSlot};
 use inca::model::{zoo, Shape3};
@@ -56,13 +57,9 @@ fn plan() -> Vec<(&'static str, Arc<Program>, u8, u64)> {
     ]
 }
 
-/// The reference: one program alone on its own engine.
+/// The reference: one program alone on its own engine; every layer's output.
 fn dedicated(program: &Program, seed: u64) -> Vec<Vec<i8>> {
-    solo(FuncBackend::new(), program, seed)
-}
-
-/// `program` alone on an engine over `backend`; every layer's output.
-fn solo(mut backend: FuncBackend, program: &Program, seed: u64) -> Vec<Vec<i8>> {
+    let mut backend = FuncBackend::new();
     let slot = TaskSlot::new(3).unwrap();
     backend.install_image(slot, image_with_input(program, seed));
     let mut e = Engine::new(cfg(), VI, backend);
@@ -82,15 +79,16 @@ fn span(plan: &[(&str, Arc<Program>, u8, u64)]) -> u64 {
     e.run().unwrap().completed_jobs[0].finish
 }
 
-/// The default (fast, dispatched-GEMM) kernels against the reference
-/// oracle on conv, depthwise, pointwise, pooling and FC layers: every
-/// layer output equal.
+/// The default (dispatched-GEMM) kernels against the golden model on conv,
+/// depthwise, pointwise, pooling and FC layers: every layer output equal.
 #[test]
 fn fast_kernels_match_the_reference_on_mobilenet() {
     let net = zoo::mobilenet_v1(Shape3::new(3, 32, 32)).unwrap();
     let program = Compiler::new(cfg().arch).compile_vi(&net).unwrap();
-    let fast = solo(FuncBackend::new(), &program, 6_007);
-    let reference = solo(FuncBackend::with_kernel(CalcKernel::Reference), &program, 6_007);
+    let fast = dedicated(&program, 6_007);
+    let mut golden_img = image_with_input(&program, 6_007);
+    golden::reference_run(&program, &mut golden_img);
+    let reference = outputs(&program, &golden_img);
     for (i, (f, r)) in fast.iter().zip(&reference).enumerate() {
         assert_eq!(f, r, "layer {i} ({})", program.layers[i].name);
     }
