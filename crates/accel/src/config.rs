@@ -9,7 +9,7 @@ use inca_isa::ArchSpec;
 /// the accelerator and IAU clocked at 300 MHz. The DMA and compute-array
 /// constants are calibrated against the paper draft's backup-vs-conv
 /// timing table (EXPERIMENTS.md, E5).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct AccelConfig {
     /// Static architecture (parallelism + buffer capacities).
     pub arch: ArchSpec,

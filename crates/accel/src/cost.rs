@@ -154,7 +154,7 @@ mod tests {
     fn global_pool_scans_the_whole_plane() {
         let cfg = AccelConfig::paper_big();
         let gem = meta_of(
-            LayerKind::GlobalPool { kind: inca_isa::PoolKind::Gem { p: 3 } },
+            LayerKind::GlobalPool { p: 3 },
             Shape3::new(2048, 15, 20),
             Shape3::new(2048, 1, 1),
         );

@@ -16,7 +16,7 @@ use inca_isa::Program;
 use crate::AccelConfig;
 
 /// Energy-model constants.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyModel {
     /// Energy per int8 multiply-accumulate, picojoules.
     pub pj_per_mac: f64,
@@ -35,7 +35,7 @@ impl Default for EnergyModel {
 }
 
 /// An energy estimate broken into its components (millijoules).
-#[derive(Debug, Clone, Copy, Default, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EnergyEstimate {
     /// Compute energy.
     pub compute_mj: f64,

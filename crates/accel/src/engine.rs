@@ -30,7 +30,7 @@ use inca_obs::{ascii, Histogram, Metrics, Probe, SpanStage, TraceEvent};
 use crate::{instr_cycles, AccelConfig, Backend, SavePatch, SimError, SpanSupport};
 
 /// How the accelerator hands the datapath to a higher-priority task.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum InterruptStrategy {
     /// The native, non-interruptible accelerator (the paper's baseline
     /// motivation): a higher-priority request waits until the running
@@ -70,7 +70,7 @@ pub enum TaskState {
 }
 
 /// One preemption, probed with the paper's four phases (cycles).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InterruptEvent {
     /// Cycle the high-priority request was released.
     pub request_cycle: u64,
@@ -233,7 +233,7 @@ impl InterruptLog {
 }
 
 /// A completed job.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JobRecord {
     /// Slot.
     pub slot: TaskSlot,
@@ -260,7 +260,7 @@ impl JobRecord {
 }
 
 /// Simulation outcome.
-#[derive(Debug, Clone, Default, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Report {
     /// All preemptions with their phase probes, in probe order. The
     /// engine stores them packed (32 bytes each, exact for every value)

@@ -63,12 +63,7 @@ pub(super) fn calc_into(
             });
         }
         LayerKind::Pool { kind, .. } => {
-            let pad = match kind {
-                PoolKind::Max => i8::MIN,
-                PoolKind::Avg => 0,
-                PoolKind::Gem { .. } => unreachable!("GeM is GlobalPool"),
-            };
-            stage.stage_rows(bufs, layer, t.chan_range(), &g, pad)?;
+            stage.stage_rows(bufs, layer, t.chan_range(), &g, pool_pad(kind))?;
             stage.stage_col_valid(&g);
             let macs = (g.chans * g.chan_stride() * g.k * g.k) as u64;
             let Stage { rows, scratch, col_valid, .. } = stage;
@@ -77,8 +72,15 @@ pub(super) fn calc_into(
                 pool_channel(&rows[cr * g.frame_stride()..], acc, &g, kind, col_valid);
             });
         }
-        LayerKind::GlobalPool { kind } => {
-            global_pool(bufs, stage, layer, &t, meta, kind, &g)?;
+        LayerKind::GlobalPool { p } => {
+            let n = meta.in_shape.h as usize * meta.in_shape.w as usize;
+            for (cr, acc) in stage.scratch.chunks_mut(g.chan_stride()).enumerate() {
+                let c = u32::from(t.c0) + cr as u32;
+                let rows = (0..meta.in_shape.h)
+                    .map(|r| bufs.data_at(layer, c, r))
+                    .collect::<Result<Vec<_>, _>>()?;
+                acc[0] = gem(rows.into_iter().flatten().copied(), n, p);
+            }
         }
         LayerKind::Add => {
             let c_in = meta.in_shape.c;
@@ -392,6 +394,15 @@ pub(super) fn dw_channel(frame: &[i8], wts: &[i8], acc: &mut [i32], g: &Geom) {
     }
 }
 
+/// A pool's identity element: the padding its staged frame carries and
+/// each window's starting value.
+pub(super) fn pool_pad(kind: PoolKind) -> i8 {
+    match kind {
+        PoolKind::Max => i8::MIN,
+        PoolKind::Avg => 0,
+    }
+}
+
 /// Max/avg pooling for one channel. Padding carries the identity
 /// (`i8::MIN` / `0`); the valid count is recovered arithmetically as
 /// `valid_rows(rr) × col_valid[x]`, and empty windows yield `0` exactly
@@ -405,11 +416,7 @@ pub(super) fn pool_channel(
 ) {
     for rr in 0..g.out_rows {
         let acc_row = &mut acc[rr * g.w_out..(rr + 1) * g.w_out];
-        match kind {
-            PoolKind::Max => acc_row.fill(i32::from(i8::MIN)),
-            PoolKind::Avg => acc_row.fill(0),
-            PoolKind::Gem { .. } => unreachable!("GeM is GlobalPool"),
-        }
+        acc_row.fill(i32::from(pool_pad(kind)));
         for ky in 0..g.k {
             let srow = &frame[(rr * g.s + ky) * g.stage_w..][..g.stage_w];
             for kx in 0..g.k {
@@ -434,7 +441,6 @@ pub(super) fn pool_channel(
                             *a += i32::from(x);
                         }
                     }
-                    PoolKind::Gem { .. } => unreachable!("GeM is GlobalPool"),
                 }
             }
         }
@@ -456,50 +462,18 @@ pub(super) fn pool_channel(
                         *a / count
                     }
                 }
-                PoolKind::Gem { .. } => unreachable!("GeM is GlobalPool"),
             };
         }
     }
 }
 
-/// Global pooling (whole input per channel). Sums fit `i64` trivially and
-/// the per-channel result is in int8 range, so the `i32` scratch is exact.
-fn global_pool(
-    bufs: &Buffers,
-    stage: &mut Stage,
-    layer: u16,
-    t: &inca_isa::Tile,
-    meta: &LayerMeta,
-    kind: PoolKind,
-    g: &Geom,
-) -> Result<(), SimError> {
-    let n = i64::from(meta.in_shape.h) * i64::from(meta.in_shape.w);
-    for (cr, acc) in stage.scratch.chunks_mut(g.chan_stride()).enumerate() {
-        let c = u32::from(t.c0) + cr as u32;
-        let mut sum = 0i64;
-        let mut powered = 0f64;
-        let mut max = i64::MIN;
-        for r in 0..meta.in_shape.h {
-            let row = bufs.data_at(layer, c, r)?;
-            for &v in row {
-                let v = i64::from(v);
-                sum += v;
-                max = max.max(v);
-                if let PoolKind::Gem { p } = kind {
-                    powered += f64::from(v.max(0) as i32).powi(i32::from(p));
-                }
-            }
-        }
-        acc[0] = match kind {
-            PoolKind::Avg => (sum / n.max(1)) as i32,
-            PoolKind::Max => max.max(0) as i32,
-            PoolKind::Gem { p } => {
-                let mean = powered / n.max(1) as f64;
-                mean.powf(1.0 / f64::from(p)).round() as i32
-            }
-        };
-    }
-    Ok(())
+/// One channel's GeM pool, `round(mean(max(x, 0)^p)^(1/p))` over its
+/// `n` pixels. Both tiers call this with the pixels in ascending rows, then
+/// columns, so their `f64` accumulation order — and the result — agree.
+pub(super) fn gem(pixels: impl Iterator<Item = i8>, n: usize, p: u8) -> i32 {
+    let powered = pixels.fold(0f64, |acc, v| acc + f64::from(v.max(0)).powi(i32::from(p)));
+    let mean = powered / n.max(1) as f64;
+    mean.powf(1.0 / f64::from(p)).round() as i32
 }
 
 #[cfg(test)]

@@ -28,11 +28,13 @@
 use std::ops::Range;
 
 use inca_isa::plan::{Edge, Hull, LayerPlan, StoreSpan};
-use inca_isa::{Instr, LayerKind, LayerMeta, Opcode, PoolKind, Program, Tile};
+use inca_isa::{Instr, LayerKind, LayerMeta, Opcode, Program, Tile};
 
 use crate::SavePatch;
 
-use super::kernels::{conv_gemm, dw_channel, pool_channel, run_channels, GemmBlocks};
+use super::kernels::{
+    conv_gemm, dw_channel, gem, pool_channel, pool_pad, run_channels, GemmBlocks,
+};
 use super::stage::{fill_col_valid, Geom};
 use super::DdrImage;
 
@@ -227,12 +229,7 @@ pub(super) fn run_plan(
             });
         }
         LayerKind::Pool { kind, .. } => {
-            let pad = match kind {
-                PoolKind::Max => i8::MIN,
-                PoolKind::Avg => 0,
-                PoolKind::Gem { .. } => return false, // plan never compiles this
-            };
-            stage_frames(state, image, channel(c0), chans, h_in, &g, pad);
+            stage_frames(state, image, channel(c0), chans, h_in, &g, pool_pad(kind));
             fill_col_valid(&mut state.col_valid, &g);
             let macs = (g.chans * g.chan_stride() * k2) as u64;
             let Tier1State { frames, scratch, col_valid, .. } = state;
@@ -241,33 +238,11 @@ pub(super) fn run_plan(
                 pool_channel(&frames[cr * g.frame_stride()..], acc, &g, kind, col_valid);
             });
         }
-        LayerKind::GlobalPool { kind } => {
-            // Mirrors the Tier-0 `global_pool` arithmetic exactly,
-            // including the f64 GeM accumulation order (ascending rows,
-            // then columns).
-            let n = (h_in * w_in) as i64;
+        LayerKind::GlobalPool { p } => {
+            let n = h_in * w_in;
             for (cr, acc) in state.scratch.chunks_mut(g.chan_stride().max(1)).enumerate() {
-                let mut sum = 0i64;
-                let mut powered = 0f64;
-                let mut max = i64::MIN;
-                for r in 0..h_in {
-                    for &b in image.read(channel(c0 + cr) + (r * w_in) as u64, w_in as u64) {
-                        let v = i64::from(b as i8);
-                        sum += v;
-                        max = max.max(v);
-                        if let PoolKind::Gem { p } = kind {
-                            powered += f64::from(v.max(0) as i32).powi(i32::from(p));
-                        }
-                    }
-                }
-                acc[0] = match kind {
-                    PoolKind::Avg => (sum / n.max(1)) as i32,
-                    PoolKind::Max => max.max(0) as i32,
-                    PoolKind::Gem { p } => {
-                        let mean = powered / n.max(1) as f64;
-                        mean.powf(1.0 / f64::from(p)).round() as i32
-                    }
-                };
+                let pixels = image.read(channel(c0 + cr), n as u64);
+                acc[0] = gem(pixels.iter().map(|&b| b as i8), n, p);
             }
         }
         LayerKind::Add => {

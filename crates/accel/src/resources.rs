@@ -11,9 +11,7 @@
 use inca_isa::Parallelism;
 
 /// FPGA resource usage.
-#[derive(
-    Debug, Clone, Copy, Default, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct ResourceEstimate {
     /// DSP48 slices.
     pub dsp: u32,

@@ -144,36 +144,23 @@ pub fn reference_layer(meta: &LayerMeta, image: &DdrImage) -> Vec<i8> {
                                     sum / count
                                 }
                             }
-                            PoolKind::Gem { .. } => unreachable!(),
                         };
                         out[oidx(c, y, x)] = finalize(v, meta.quant_shift, meta.relu);
                     }
                 }
             }
         }
-        LayerKind::GlobalPool { kind } => {
+        LayerKind::GlobalPool { p } => {
             let n = i64::from(hi) * i64::from(wi);
             for c in 0..co {
-                let mut sum = 0i64;
                 let mut powered = 0f64;
-                let mut max = i64::MIN;
                 for y in 0..hi {
                     for x in 0..wi {
                         let v = at(c, i64::from(y), i64::from(x));
-                        sum += v;
-                        max = max.max(v);
-                        if let PoolKind::Gem { p } = kind {
-                            powered += f64::from(v.max(0) as i32).powi(i32::from(p));
-                        }
+                        powered += f64::from(v.max(0) as i32).powi(i32::from(p));
                     }
                 }
-                let v = match kind {
-                    PoolKind::Avg => sum / n.max(1),
-                    PoolKind::Max => max.max(0),
-                    PoolKind::Gem { p } => {
-                        (powered / n.max(1) as f64).powf(1.0 / f64::from(p)).round() as i64
-                    }
-                };
+                let v = (powered / n.max(1) as f64).powf(1.0 / f64::from(p)).round() as i64;
                 out[oidx(c, 0, 0)] = finalize(v, meta.quant_shift, meta.relu);
             }
         }

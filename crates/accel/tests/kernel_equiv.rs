@@ -3,10 +3,11 @@
 //! per-pixel evaluator of a lowered layer.
 //!
 //! Random single-layer programs (Conv/DwConv/MaxPool/AvgPool with random
-//! kernel/stride/pad, quantisation shift and ReLU, and random row/channel/
-//! input-channel tilings) are run through `FuncBackend` stepped (Tier-0)
-//! and batched (Tier-1) at thread counts {1, 2, 8}; every output byte must
-//! match the golden layer over the case's image.
+//! kernel/stride/pad, GeM global pools with `p` in {1, 2, 3}, quantisation
+//! shift and ReLU, and random row/channel/input-channel tilings) are run
+//! through `FuncBackend` stepped (Tier-0) and batched (Tier-1) at thread
+//! counts {1, 2, 8}; every output byte must match the golden layer over
+//! the case's image.
 //!
 //! Because the golden accumulates in exact `i64` while the kernels use
 //! wrapping `i32`, equality here is also the "no silent overflow"
@@ -77,19 +78,24 @@ fn build_case(
     // `None`: one CALC per layer (whole-plane, whole-channel tile).
     tile_seed: Option<u64>,
 ) -> (Program, DdrImage) {
-    // Ensure at least one output row/column exists.
-    let min_dim = u32::from(k).saturating_sub(2 * u32::from(p)).max(1);
-    let h_in = h_in.max(min_dim);
-    let w_in = w_in.max(min_dim);
-    let out_dim = |x: u32| (x + 2 * u32::from(p) - u32::from(k)) / u32::from(s) + 1;
-    let (h_out, w_out) = (out_dim(h_in), out_dim(w_in));
-
     let (kind, c_out) = match kind_sel {
         0 => (LayerKind::Conv { kernel: k, stride: s, pad: p }, c_out),
         1 => (LayerKind::DwConv { kernel: k, stride: s, pad: p }, c_in),
         2 => (LayerKind::Pool { kind: PoolKind::Max, kernel: k, stride: s, pad: p }, c_in),
-        _ => (LayerKind::Pool { kind: PoolKind::Avg, kernel: k, stride: s, pad: p }, c_in),
+        3 => (LayerKind::Pool { kind: PoolKind::Avg, kernel: k, stride: s, pad: p }, c_in),
+        // GeM with p = 1, 2, 3; the window geometry is unused.
+        4..=6 => (LayerKind::GlobalPool { p: kind_sel - 3 }, c_in),
+        other => panic!("no layer kind {other}"),
     };
+    // Ensure at least one output row/column exists.
+    let min_dim = u32::from(k).saturating_sub(2 * u32::from(p)).max(1);
+    let h_in = h_in.max(min_dim);
+    let w_in = w_in.max(min_dim);
+    let out_dim = |x: u32| match kind {
+        LayerKind::GlobalPool { .. } => 1,
+        _ => (x + 2 * u32::from(p) - u32::from(k)) / u32::from(s) + 1,
+    };
+    let (h_out, w_out) = (out_dim(h_in), out_dim(w_in));
     let k2 = u64::from(k) * u64::from(k);
     let weight_bytes = match kind {
         LayerKind::Conv { .. } => u64::from(c_out) * u64::from(c_in) * k2,
@@ -311,11 +317,11 @@ fn extreme_operands_accumulate_exactly() {
 }
 
 /// Pools are requantised like every other kind: CalcF's `>> quant_shift`,
-/// ReLU and int8 clamp apply to Max and Avg pools too. Two all-negative
-/// channels and three mixed-sign ones, shift 2 and ReLU: every output must
-/// land in `0..=31` and the negative channels must pool to 0 — a golden
-/// that skipped the pools' requantisation would keep negative and
-/// unshifted values.
+/// ReLU and int8 clamp apply to Max, Avg and GeM pools too. Two
+/// all-negative channels and three mixed-sign ones, shift 2 and ReLU:
+/// every output must land in `0..=31` and the negative channels must pool
+/// to 0 — a golden that skipped the pools' requantisation would keep
+/// negative and unshifted values.
 #[test]
 fn pools_requantise_with_shift_and_relu() {
     let (c_in, h_in, w_in) = (5u32, 9u32, 11u32);
@@ -327,9 +333,14 @@ fn pools_requantise_with_shift_and_relu() {
             v as u8
         })
         .collect();
-    for (kind_sel, what) in [(2u8, "max pool"), (3, "avg pool")] {
+    let pools =
+        [(2u8, "max pool"), (3, "avg pool"), (4, "GeM p=1"), (5, "GeM p=2"), (6, "GeM p=3")];
+    // A random row × channel tiling, then one whole-plane tile.
+    for ((kind_sel, what), tile_seed) in
+        pools.into_iter().flat_map(|k| [(k, Some(0x9001)), (k, None)])
+    {
         let (program, mut image) =
-            build_case(kind_sel, 3, 2, 1, h_in, w_in, c_in, 1, 2, true, 0, Some(0x9001));
+            build_case(kind_sel, 3, 2, 1, h_in, w_in, c_in, 1, 2, true, 0, tile_seed);
         image.write(0, &input);
         let want = golden(&program, &image);
         assert!(want.iter().all(|v| (0..=31).contains(v)), "{what}: golden {want:?}");
@@ -341,9 +352,10 @@ fn pools_requantise_with_shift_and_relu() {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
+    // 32 expected draws for each of the seven kinds.
+    #![proptest_config(ProptestConfig::with_cases(224))]
     fn fast_kernel_matches_reference_oracle(
-        kind_sel in 0u8..4,
+        kind_sel in 0u8..7,
         k in prop::sample::select(vec![1u8, 2, 3, 5, 7]),
         s in 1u8..=3,
         p in 0u8..=3,

@@ -1,8 +1,7 @@
 //! # inca-bench — the experiment harness
 //!
 //! One binary per table/figure of the paper's evaluation (see DESIGN.md's
-//! experiment index E1–E10) plus Criterion micro-benchmarks of the
-//! simulator and compiler hot paths.
+//! experiment index E1–E10) plus `perf_smoke`, the kernel throughput probe.
 //!
 //! | binary | reproduces |
 //! |---|---|

@@ -55,7 +55,7 @@ fn lower_kind(op: &Op) -> LayerKind {
         }
         Op::Add { .. } => LayerKind::Add,
         Op::FullyConnected { .. } => LayerKind::FullyConnected,
-        Op::GemPool { p } => LayerKind::GlobalPool { kind: inca_isa::PoolKind::Gem { p } },
+        Op::GemPool { p } => LayerKind::GlobalPool { p },
         Op::Concat | Op::Input => unreachable!("lowered separately"),
     }
 }

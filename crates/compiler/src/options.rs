@@ -1,9 +1,7 @@
 //! Compilation options.
 
 /// Tile traversal order within a convolution layer.
-#[derive(
-    Debug, Clone, Copy, Default, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum LoopOrder {
     /// Height tiles outermost, output-channel groups inner (input rows are
     /// resident across the CalcBlobs of a height tile; weights are
@@ -19,7 +17,7 @@ pub enum LoopOrder {
 }
 
 /// Options controlling code generation and the VI pass.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CompileOptions {
     /// Loop order (see [`LoopOrder`]).
     pub loop_order: LoopOrder,

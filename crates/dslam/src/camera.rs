@@ -8,7 +8,7 @@ use crate::world::World;
 
 /// Camera intrinsics/extrinsics (the paper's AirSim camera: 640×480 at
 /// 20 fps).
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CameraConfig {
     /// Image width in pixels.
     pub width: u32,
@@ -61,7 +61,7 @@ impl CameraConfig {
 }
 
 /// One landmark observation in a frame.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Observation {
     /// Observed landmark's id (ground truth; perception must not use it
     /// except through the appearance descriptor).
@@ -79,7 +79,7 @@ pub struct Observation {
 }
 
 /// A camera frame: all visible landmark observations.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Frame {
     /// Frame index.
     pub index: u32,

@@ -61,7 +61,7 @@ pub fn descriptor_similarity(a: &Descriptor, b: &Descriptor) -> f32 {
 }
 
 /// SuperPoint-style post-processing configuration.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FeatureConfig {
     /// Non-maximum-suppression radius in pixels.
     pub nms_radius: f64,

@@ -1,7 +1,7 @@
 //! Planar geometry: points, SE(2) poses and rigid alignment.
 
 /// A 2-D point (metres).
-#[derive(Debug, Clone, Copy, Default, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Point2 {
     /// X coordinate.
     pub x: f64,
@@ -50,7 +50,7 @@ pub fn wrap_angle(a: f64) -> f64 {
 }
 
 /// An SE(2) pose: translation + heading.
-#[derive(Debug, Clone, Copy, Default, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Pose2 {
     /// Position.
     pub t: Point2,

@@ -6,7 +6,7 @@ use crate::camera::Frame;
 use crate::geometry::{align_rigid_2d, Point2, Pose2};
 
 /// One trajectory sample.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PoseSample {
     /// Frame index.
     pub frame: u32,

@@ -3,7 +3,7 @@
 use crate::geometry::{wrap_angle, Point2, Pose2};
 
 /// A constant-speed waypoint-loop trajectory with heading along the path.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Trajectory {
     /// Waypoints (closed loop).
     pub waypoints: Vec<Point2>,

@@ -12,7 +12,7 @@ use rand_chacha::ChaCha8Rng;
 use crate::geometry::Point2;
 
 /// A visual landmark.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Landmark {
     /// Stable id.
     pub id: u32,
@@ -25,7 +25,7 @@ pub struct Landmark {
 }
 
 /// A cylindrical pillar.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Pillar {
     /// Centre.
     pub center: Point2,
@@ -34,7 +34,7 @@ pub struct Pillar {
 }
 
 /// The rectangular arena with pillars and a central cluster.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct World {
     /// Arena half-extent in x (metres); the arena spans `[-x, x]`.
     pub half_x: f64,

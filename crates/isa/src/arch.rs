@@ -4,7 +4,7 @@
 /// Hardware parallelism of the compute array (paper §IV-A): each `CALC`
 /// instruction processes `height` output lines from `input` input channels
 /// to `output` output channels.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Parallelism {
     /// `Para_in` — input-channel parallelism.
     pub input: u16,
@@ -40,7 +40,7 @@ impl std::fmt::Display for Parallelism {
 }
 
 /// Static architecture description of an Angel-Eye-class accelerator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ArchSpec {
     /// Compute-array parallelism.
     pub parallelism: Parallelism,

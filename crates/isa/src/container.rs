@@ -16,8 +16,7 @@
 //!            | instruction stream (the v1 `instruction.bin` format)
 //! ```
 
-use bytes::{Buf, BufMut};
-
+use crate::encode::take;
 use crate::{IsaError, LayerKind, LayerMeta, MemoryMap, PoolKind, Program, Shape3};
 
 /// Container magic.
@@ -26,128 +25,105 @@ pub const MAGIC: [u8; 4] = *b"VIIC";
 pub const VERSION: u16 = 1;
 
 fn put_shape(out: &mut Vec<u8>, s: Shape3) {
-    out.put_u32_le(s.c);
-    out.put_u32_le(s.h);
-    out.put_u32_le(s.w);
+    for v in [s.c, s.h, s.w] {
+        out.extend_from_slice(&v.to_le_bytes());
+    }
 }
 
 fn get_shape(r: &mut &[u8]) -> Shape3 {
-    Shape3::new(r.get_u32_le(), r.get_u32_le(), r.get_u32_le())
+    let mut dim = || u32::from_le_bytes(take(r));
+    Shape3::new(dim(), dim(), dim())
 }
 
-fn kind_encoding(kind: &LayerKind) -> (u8, u8, u8, u8, u8, u8) {
-    // (tag, kernel, stride, pad, pool_tag, gem_p)
+/// `[tag, kernel, stride, pad, pool_tag, gem_p]`. Windowed pools are tag 2
+/// with pool tag 0 (max) or 1 (avg); a global pool is tag 3 with pool
+/// tag 2 and its GeM exponent.
+fn kind_encoding(kind: &LayerKind) -> [u8; 6] {
     match *kind {
-        LayerKind::Conv { kernel, stride, pad } => (0, kernel, stride, pad, 0, 0),
-        LayerKind::DwConv { kernel, stride, pad } => (1, kernel, stride, pad, 0, 0),
+        LayerKind::Conv { kernel, stride, pad } => [0, kernel, stride, pad, 0, 0],
+        LayerKind::DwConv { kernel, stride, pad } => [1, kernel, stride, pad, 0, 0],
         LayerKind::Pool { kind, kernel, stride, pad } => {
-            let (pt, gp) = pool_encoding(kind);
-            (2, kernel, stride, pad, pt, gp)
+            let pool_tag = match kind {
+                PoolKind::Max => 0,
+                PoolKind::Avg => 1,
+            };
+            [2, kernel, stride, pad, pool_tag, 0]
         }
-        LayerKind::GlobalPool { kind } => {
-            let (pt, gp) = pool_encoding(kind);
-            (3, 0, 0, 0, pt, gp)
+        LayerKind::GlobalPool { p } => [3, 0, 0, 0, 2, p],
+        LayerKind::Add => [4, 0, 0, 0, 0, 0],
+        LayerKind::FullyConnected => [5, 0, 0, 0, 0, 0],
+    }
+}
+
+fn kind_decoding(bytes: [u8; 6]) -> Result<LayerKind, IsaError> {
+    let [tag, kernel, stride, pad, pool_tag, gem_p] = bytes;
+    Ok(match (tag, pool_tag) {
+        (0, _) => LayerKind::Conv { kernel, stride, pad },
+        (1, _) => LayerKind::DwConv { kernel, stride, pad },
+        (2, 0) => LayerKind::Pool { kind: PoolKind::Max, kernel, stride, pad },
+        (2, 1) => LayerKind::Pool { kind: PoolKind::Avg, kernel, stride, pad },
+        (3, 2) if gem_p != 0 => LayerKind::GlobalPool { p: gem_p },
+        (2 | 3, _) => {
+            return Err(IsaError::Invalid(format!(
+                "layer-kind tag {tag} with pool tag {pool_tag} and GeM exponent {gem_p}"
+            )))
         }
-        LayerKind::Add => (4, 0, 0, 0, 0, 0),
-        LayerKind::FullyConnected => (5, 0, 0, 0, 0, 0),
-    }
-}
-
-fn pool_encoding(kind: PoolKind) -> (u8, u8) {
-    match kind {
-        PoolKind::Max => (0, 0),
-        PoolKind::Avg => (1, 0),
-        PoolKind::Gem { p } => (2, p),
-    }
-}
-
-fn pool_decoding(tag: u8, p: u8) -> Result<PoolKind, IsaError> {
-    match tag {
-        0 => Ok(PoolKind::Max),
-        1 => Ok(PoolKind::Avg),
-        2 => Ok(PoolKind::Gem { p }),
-        other => Err(IsaError::Invalid(format!("unknown pool tag {other}"))),
-    }
-}
-
-fn kind_decoding(
-    tag: u8,
-    kernel: u8,
-    stride: u8,
-    pad: u8,
-    pool_tag: u8,
-    gem_p: u8,
-) -> Result<LayerKind, IsaError> {
-    Ok(match tag {
-        0 => LayerKind::Conv { kernel, stride, pad },
-        1 => LayerKind::DwConv { kernel, stride, pad },
-        2 => LayerKind::Pool { kind: pool_decoding(pool_tag, gem_p)?, kernel, stride, pad },
-        3 => LayerKind::GlobalPool { kind: pool_decoding(pool_tag, gem_p)? },
-        4 => LayerKind::Add,
-        5 => LayerKind::FullyConnected,
-        other => return Err(IsaError::Invalid(format!("unknown layer-kind tag {other}"))),
+        (4, _) => LayerKind::Add,
+        (5, _) => LayerKind::FullyConnected,
+        _ => return Err(IsaError::Invalid(format!("unknown layer-kind tag {tag}"))),
     })
 }
 
 fn put_str(out: &mut Vec<u8>, s: &str) {
-    let bytes = s.as_bytes();
-    out.put_u16_le(u16::try_from(bytes.len().min(u16::MAX as usize)).expect("fits"));
-    out.put_slice(&bytes[..bytes.len().min(u16::MAX as usize)]);
+    let bytes = &s.as_bytes()[..s.len().min(u16::MAX as usize)];
+    out.extend_from_slice(&(bytes.len() as u16).to_le_bytes());
+    out.extend_from_slice(bytes);
 }
 
 fn get_str(r: &mut &[u8]) -> Result<String, IsaError> {
-    if r.remaining() < 2 {
-        return Err(IsaError::TruncatedRecord { len: r.remaining(), expected: 2 });
+    if r.len() < 2 {
+        return Err(IsaError::TruncatedRecord { len: r.len(), expected: 2 });
     }
-    let n = usize::from(r.get_u16_le());
-    if r.remaining() < n {
-        return Err(IsaError::TruncatedRecord { len: r.remaining(), expected: n });
+    let n = usize::from(u16::from_le_bytes(take(r)));
+    if r.len() < n {
+        return Err(IsaError::TruncatedRecord { len: r.len(), expected: n });
     }
-    let mut buf = vec![0u8; n];
-    r.copy_to_slice(&mut buf);
-    String::from_utf8(buf).map_err(|_| IsaError::Invalid("non-utf8 name".into()))
+    let (name, rest) = r.split_at(n);
+    *r = rest;
+    String::from_utf8(name.to_vec()).map_err(|_| IsaError::Invalid("non-utf8 name".into()))
 }
 
 fn put_layer(out: &mut Vec<u8>, m: &LayerMeta) {
-    out.put_u16_le(m.id);
-    let (tag, k, s, p, pt, gp) = kind_encoding(&m.kind);
-    out.put_u8(tag);
-    out.put_u8(k);
-    out.put_u8(s);
-    out.put_u8(p);
-    out.put_u8(pt);
-    out.put_u8(gp);
+    out.extend_from_slice(&m.id.to_le_bytes());
+    out.extend_from_slice(&kind_encoding(&m.kind));
     put_shape(out, m.in_shape);
     put_shape(out, m.out_shape);
-    out.put_u64_le(m.input_addr);
-    out.put_u8(u8::from(m.input2_addr.is_some()));
-    out.put_u64_le(m.input2_addr.unwrap_or(0));
-    out.put_u64_le(m.output_addr);
-    out.put_u64_le(m.weight_addr);
-    out.put_u64_le(m.weight_bytes);
-    out.put_u8(m.quant_shift);
-    out.put_u8(u8::from(m.relu));
+    out.extend_from_slice(&m.input_addr.to_le_bytes());
+    out.push(u8::from(m.input2_addr.is_some()));
+    out.extend_from_slice(&m.input2_addr.unwrap_or(0).to_le_bytes());
+    for v in [m.output_addr, m.weight_addr, m.weight_bytes] {
+        out.extend_from_slice(&v.to_le_bytes());
+    }
+    out.push(m.quant_shift);
+    out.push(u8::from(m.relu));
     put_str(out, &m.name);
 }
 
 fn get_layer(r: &mut &[u8]) -> Result<LayerMeta, IsaError> {
-    if r.remaining() < 2 + 6 + 24 + 8 + 1 + 8 + 8 + 8 + 8 + 2 {
-        return Err(IsaError::TruncatedRecord { len: r.remaining(), expected: 75 });
+    if r.len() < 2 + 6 + 24 + 8 + 1 + 8 + 8 + 8 + 8 + 2 {
+        return Err(IsaError::TruncatedRecord { len: r.len(), expected: 75 });
     }
-    let id = r.get_u16_le();
-    let (tag, k, s, p, pt, gp) =
-        (r.get_u8(), r.get_u8(), r.get_u8(), r.get_u8(), r.get_u8(), r.get_u8());
-    let kind = kind_decoding(tag, k, s, p, pt, gp)?;
+    let id = u16::from_le_bytes(take(r));
+    let kind = kind_decoding(take(r))?;
     let in_shape = get_shape(r);
     let out_shape = get_shape(r);
-    let input_addr = r.get_u64_le();
-    let has2 = r.get_u8() != 0;
-    let input2 = r.get_u64_le();
-    let output_addr = r.get_u64_le();
-    let weight_addr = r.get_u64_le();
-    let weight_bytes = r.get_u64_le();
-    let quant_shift = r.get_u8();
-    let relu = r.get_u8() != 0;
+    let input_addr = u64::from_le_bytes(take(r));
+    let [has2] = take(r);
+    let input2 = u64::from_le_bytes(take(r));
+    let output_addr = u64::from_le_bytes(take(r));
+    let weight_addr = u64::from_le_bytes(take(r));
+    let weight_bytes = u64::from_le_bytes(take(r));
+    let [quant_shift, relu] = take(r);
     let name = get_str(r)?;
     Ok(LayerMeta {
         id,
@@ -156,12 +132,12 @@ fn get_layer(r: &mut &[u8]) -> Result<LayerMeta, IsaError> {
         in_shape,
         out_shape,
         input_addr,
-        input2_addr: has2.then_some(input2),
+        input2_addr: (has2 != 0).then_some(input2),
         output_addr,
         weight_addr,
         weight_bytes,
         quant_shift,
-        relu,
+        relu: relu != 0,
     })
 }
 
@@ -169,19 +145,24 @@ fn get_layer(r: &mut &[u8]) -> Result<LayerMeta, IsaError> {
 #[must_use]
 pub fn encode_container(program: &Program) -> Vec<u8> {
     let mut out = Vec::new();
-    out.put_slice(&MAGIC);
-    out.put_u16_le(VERSION);
-    out.put_u16_le(0);
+    out.extend_from_slice(&MAGIC);
+    out.extend_from_slice(&VERSION.to_le_bytes());
+    out.extend_from_slice(&0u16.to_le_bytes());
     put_str(&mut out, &program.name);
-    out.put_u64_le(program.memory.weights_base);
-    out.put_u64_le(program.memory.weights_bytes);
-    out.put_u64_le(program.memory.activations_base);
-    out.put_u64_le(program.memory.activations_bytes);
-    out.put_u64_le(program.memory.input_base);
-    out.put_u64_le(program.memory.input_bytes);
-    out.put_u64_le(program.memory.output_base);
-    out.put_u64_le(program.memory.output_bytes);
-    out.put_u32_le(program.layers.len() as u32);
+    let m = &program.memory;
+    for v in [
+        m.weights_base,
+        m.weights_bytes,
+        m.activations_base,
+        m.activations_bytes,
+        m.input_base,
+        m.input_bytes,
+        m.output_base,
+        m.output_bytes,
+    ] {
+        out.extend_from_slice(&v.to_le_bytes());
+    }
+    out.extend_from_slice(&(program.layers.len() as u32).to_le_bytes());
     for m in &program.layers {
         put_layer(&mut out, m);
     }
@@ -197,38 +178,39 @@ pub fn encode_container(program: &Program) -> Vec<u8> {
 ///
 /// # Errors
 ///
-/// Bad magic/version, truncation, unknown tags, or a stream that fails
-/// program validation.
+/// Bad magic/version, truncation, unknown tags, a pool tag its layer kind
+/// does not run, a GeM exponent of 0, or a stream that fails program
+/// validation.
 pub fn decode_container(bytes: &[u8]) -> Result<Program, IsaError> {
     let mut r: &[u8] = bytes;
-    if r.remaining() < 8 {
-        return Err(IsaError::TruncatedRecord { len: r.remaining(), expected: 8 });
+    if r.len() < 8 {
+        return Err(IsaError::TruncatedRecord { len: r.len(), expected: 8 });
     }
-    let mut magic = [0u8; 4];
-    r.copy_to_slice(&mut magic);
+    let magic = take(&mut r);
     if magic != MAGIC {
         return Err(IsaError::BadMagic(magic));
     }
-    let version = r.get_u16_le();
+    let version = u16::from_le_bytes(take(&mut r));
     if version != VERSION {
         return Err(IsaError::UnsupportedVersion(version));
     }
-    let _reserved = r.get_u16_le();
+    let _reserved: [u8; 2] = take(&mut r);
     let name = get_str(&mut r)?;
-    if r.remaining() < 64 + 4 {
-        return Err(IsaError::TruncatedRecord { len: r.remaining(), expected: 68 });
+    if r.len() < 64 + 4 {
+        return Err(IsaError::TruncatedRecord { len: r.len(), expected: 68 });
     }
+    let mut word = || u64::from_le_bytes(take(&mut r));
     let memory = MemoryMap {
-        weights_base: r.get_u64_le(),
-        weights_bytes: r.get_u64_le(),
-        activations_base: r.get_u64_le(),
-        activations_bytes: r.get_u64_le(),
-        input_base: r.get_u64_le(),
-        input_bytes: r.get_u64_le(),
-        output_base: r.get_u64_le(),
-        output_bytes: r.get_u64_le(),
+        weights_base: word(),
+        weights_bytes: word(),
+        activations_base: word(),
+        activations_bytes: word(),
+        input_base: word(),
+        input_bytes: word(),
+        output_base: word(),
+        output_bytes: word(),
     };
-    let layer_count = r.get_u32_le() as usize;
+    let layer_count = u32::from_le_bytes(take(&mut r)) as usize;
     // The count is untrusted: grow with the records actually read.
     let mut layers = Vec::new();
     for _ in 0..layer_count {
@@ -247,7 +229,7 @@ mod tests {
         b.layers.push(LayerMeta {
             id: 0,
             name: "pool".into(),
-            kind: LayerKind::GlobalPool { kind: PoolKind::Gem { p: 3 } },
+            kind: LayerKind::GlobalPool { p: 3 },
             in_shape: Shape3::new(8, 4, 4),
             out_shape: Shape3::new(8, 1, 1),
             input_addr: 0,
@@ -318,11 +300,10 @@ mod tests {
     fn huge_layer_count_is_a_truncation_not_an_allocation() {
         // Valid header, empty name, zeroed memory map, u32::MAX layers, nothing after.
         let mut bytes = MAGIC.to_vec();
-        bytes.put_u16_le(VERSION);
-        bytes.put_u16_le(0);
-        bytes.put_u16_le(0);
+        bytes.extend_from_slice(&VERSION.to_le_bytes());
+        bytes.extend_from_slice(&[0; 4]);
         bytes.extend_from_slice(&[0; 64]);
-        bytes.put_u32_le(u32::MAX);
+        bytes.extend_from_slice(&u32::MAX.to_le_bytes());
         assert_eq!(bytes.len(), 78);
         assert!(matches!(decode_container(&bytes), Err(IsaError::TruncatedRecord { .. })));
     }
@@ -334,16 +315,35 @@ mod tests {
             LayerKind::DwConv { kernel: 3, stride: 2, pad: 1 },
             LayerKind::Pool { kind: PoolKind::Max, kernel: 2, stride: 2, pad: 0 },
             LayerKind::Pool { kind: PoolKind::Avg, kernel: 3, stride: 1, pad: 1 },
-            LayerKind::GlobalPool { kind: PoolKind::Gem { p: 3 } },
-            LayerKind::GlobalPool { kind: PoolKind::Avg },
+            LayerKind::GlobalPool { p: 3 },
             LayerKind::Add,
             LayerKind::FullyConnected,
         ];
         for kind in kinds {
-            let (tag, k, s, p, pt, gp) = kind_encoding(&kind);
-            assert_eq!(kind_decoding(tag, k, s, p, pt, gp).unwrap(), kind);
+            assert_eq!(kind_decoding(kind_encoding(&kind)).unwrap(), kind);
         }
-        assert!(kind_decoding(99, 0, 0, 0, 0, 0).is_err());
-        assert!(pool_decoding(7, 0).is_err());
+        // An unknown tag, a global pool that is not GeM, a windowed GeM
+        // and a GeM exponent of 0.
+        for bytes in [
+            [99, 0, 0, 0, 0, 0],
+            [3, 0, 0, 0, 0, 0],
+            [3, 0, 0, 0, 1, 0],
+            [2, 2, 2, 0, 2, 3],
+            [3, 0, 0, 0, 2, 0],
+        ] {
+            assert!(matches!(kind_decoding(bytes), Err(IsaError::Invalid(_))), "{bytes:?}");
+        }
+    }
+
+    #[test]
+    fn gem_exponent_zero_is_rejected() {
+        let p = sample_program();
+        let mut bytes = encode_container(&p);
+        // Header, name, memory map and layer count, then the layer's id
+        // and its first five kind bytes.
+        let gem_p = 4 + 2 + 2 + 2 + p.name.len() + 64 + 4 + 2 + 5;
+        assert_eq!(bytes[gem_p], 3);
+        bytes[gem_p] = 0;
+        assert!(matches!(decode_container(&bytes), Err(IsaError::Invalid(_))));
     }
 }

@@ -15,8 +15,6 @@
 //!
 //! Each record is exactly [`RECORD_BYTES`] (40) bytes.
 
-use bytes::{Buf, BufMut};
-
 use crate::instr::RECORD_BYTES;
 use crate::{DdrRange, Instr, IsaError, Opcode, Program, Tile};
 
@@ -27,28 +25,36 @@ pub const VERSION: u16 = 1;
 /// Header size in bytes.
 pub const HEADER_BYTES: usize = 16;
 
+/// Splits the next `N` bytes off the front of `r`. Every caller checks the
+/// remaining length first, so a short slice is a codec bug, not bad input.
+pub(crate) fn take<const N: usize>(r: &mut &[u8]) -> [u8; N] {
+    let (head, tail) = r.split_first_chunk().expect("length checked by the caller");
+    *r = tail;
+    *head
+}
+
+/// Appends one instruction's 40-byte record to `out`.
+fn put_instr(out: &mut Vec<u8>, instr: &Instr) {
+    out.push(instr.op as u8);
+    out.push(0); // flags (reserved)
+    out.extend_from_slice(&instr.layer.to_le_bytes());
+    out.extend_from_slice(&instr.blob.to_le_bytes());
+    let t = instr.tile;
+    for v in [t.h0, t.rows, t.c0, t.chans, t.ic0, t.ics] {
+        out.extend_from_slice(&v.to_le_bytes());
+    }
+    out.extend_from_slice(&instr.save_id.to_le_bytes());
+    out.extend_from_slice(&instr.ddr.addr.to_le_bytes());
+    out.extend_from_slice(&instr.ddr.bytes.to_le_bytes());
+    out.extend_from_slice(&0u32.to_le_bytes()); // reserved
+}
+
 /// Encodes one instruction into its 40-byte record.
 #[must_use]
 pub fn encode_instr(instr: &Instr) -> [u8; RECORD_BYTES] {
-    let mut buf = [0u8; RECORD_BYTES];
-    {
-        let mut w: &mut [u8] = &mut buf;
-        w.put_u8(instr.op as u8);
-        w.put_u8(0); // flags (reserved)
-        w.put_u16_le(instr.layer);
-        w.put_u32_le(instr.blob);
-        w.put_u16_le(instr.tile.h0);
-        w.put_u16_le(instr.tile.rows);
-        w.put_u16_le(instr.tile.c0);
-        w.put_u16_le(instr.tile.chans);
-        w.put_u16_le(instr.tile.ic0);
-        w.put_u16_le(instr.tile.ics);
-        w.put_u32_le(instr.save_id);
-        w.put_u64_le(instr.ddr.addr);
-        w.put_u32_le(instr.ddr.bytes);
-        w.put_u32_le(0); // reserved
-    }
-    buf
+    let mut out = Vec::with_capacity(RECORD_BYTES);
+    put_instr(&mut out, instr);
+    out.try_into().expect("a record is RECORD_BYTES long")
 }
 
 /// Decodes one instruction record.
@@ -62,20 +68,23 @@ pub fn decode_instr(bytes: &[u8]) -> Result<Instr, IsaError> {
         return Err(IsaError::TruncatedRecord { len: bytes.len(), expected: RECORD_BYTES });
     }
     let mut r: &[u8] = bytes;
-    let op = Opcode::from_byte(r.get_u8())?;
-    let _flags = r.get_u8();
-    let layer = r.get_u16_le();
-    let blob = r.get_u32_le();
+    let [op, _flags] = take(&mut r);
+    let op = Opcode::from_byte(op)?;
+    let layer = u16::from_le_bytes(take(&mut r));
+    let blob = u32::from_le_bytes(take(&mut r));
     let tile = Tile {
-        h0: r.get_u16_le(),
-        rows: r.get_u16_le(),
-        c0: r.get_u16_le(),
-        chans: r.get_u16_le(),
-        ic0: r.get_u16_le(),
-        ics: r.get_u16_le(),
+        h0: u16::from_le_bytes(take(&mut r)),
+        rows: u16::from_le_bytes(take(&mut r)),
+        c0: u16::from_le_bytes(take(&mut r)),
+        chans: u16::from_le_bytes(take(&mut r)),
+        ic0: u16::from_le_bytes(take(&mut r)),
+        ics: u16::from_le_bytes(take(&mut r)),
     };
-    let save_id = r.get_u32_le();
-    let ddr = DdrRange { addr: r.get_u64_le(), bytes: r.get_u32_le() };
+    let save_id = u32::from_le_bytes(take(&mut r));
+    let ddr = DdrRange {
+        addr: u64::from_le_bytes(take(&mut r)),
+        bytes: u32::from_le_bytes(take(&mut r)),
+    };
     Ok(Instr { op, layer, blob, tile, ddr, save_id })
 }
 
@@ -83,13 +92,13 @@ pub fn decode_instr(bytes: &[u8]) -> Result<Instr, IsaError> {
 #[must_use]
 pub fn encode_program(program: &Program) -> Vec<u8> {
     let mut out = Vec::with_capacity(HEADER_BYTES + program.instrs.len() * RECORD_BYTES);
-    out.put_slice(&MAGIC);
-    out.put_u16_le(VERSION);
-    out.put_u16_le(RECORD_BYTES as u16);
-    out.put_u32_le(program.instrs.len() as u32);
-    out.put_u32_le(0);
+    out.extend_from_slice(&MAGIC);
+    out.extend_from_slice(&VERSION.to_le_bytes());
+    out.extend_from_slice(&(RECORD_BYTES as u16).to_le_bytes());
+    out.extend_from_slice(&(program.instrs.len() as u32).to_le_bytes());
+    out.extend_from_slice(&0u32.to_le_bytes());
     for i in &program.instrs {
-        out.extend_from_slice(&encode_instr(i));
+        put_instr(&mut out, i);
     }
     out
 }
@@ -105,23 +114,21 @@ pub fn decode_stream(bytes: &[u8]) -> Result<Vec<Instr>, IsaError> {
         return Err(IsaError::TruncatedRecord { len: bytes.len(), expected: HEADER_BYTES });
     }
     let mut r: &[u8] = bytes;
-    let mut magic = [0u8; 4];
-    r.copy_to_slice(&mut magic);
+    let magic = take(&mut r);
     if magic != MAGIC {
         return Err(IsaError::BadMagic(magic));
     }
-    let version = r.get_u16_le();
+    let version = u16::from_le_bytes(take(&mut r));
     if version != VERSION {
         return Err(IsaError::UnsupportedVersion(version));
     }
-    let rec = usize::from(r.get_u16_le());
+    let rec = usize::from(u16::from_le_bytes(take(&mut r)));
     if rec != RECORD_BYTES {
         return Err(IsaError::Invalid(format!(
             "record size {rec} does not match expected {RECORD_BYTES}"
         )));
     }
-    let count = r.get_u32_le() as usize;
-    let _reserved = r.get_u32_le();
+    let count = u32::from_le_bytes(take(&mut r)) as usize;
     let body = &bytes[HEADER_BYTES..];
     if body.len() != count * RECORD_BYTES {
         return Err(IsaError::TruncatedRecord { len: body.len(), expected: count * RECORD_BYTES });

@@ -12,7 +12,7 @@ pub const RECORD_BYTES: usize = 40;
 /// the virtual-instruction extension: they are present in the compiled
 /// stream but are skipped and discarded by the IAU unless an interrupt
 /// lands on their interrupt point.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum Opcode {
     /// Load weights/bias from DDR to the on-chip weight buffer.
@@ -112,9 +112,7 @@ impl std::fmt::Display for Opcode {
 /// `VIR_SAVE`, and in the *input* feature-map for `LOAD_D` / `VIR_LOAD_D`.
 /// Channel ranges follow the same convention; `ic0`/`ics` give the input
 /// channel group consumed by a `CALC_*` or covered by a `LOAD_W`.
-#[derive(
-    Debug, Clone, Copy, Default, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct Tile {
     /// First row covered.
     pub h0: u16,
@@ -167,9 +165,7 @@ impl Tile {
 ///
 /// The address is relative to the DDR image backing the owning task's
 /// slot.
-#[derive(
-    Debug, Clone, Copy, Default, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct DdrRange {
     /// Task-relative byte address.
     pub addr: u64,
@@ -194,7 +190,7 @@ impl DdrRange {
 /// carry (opcode, DDR address/length), they keep the tile geometry so the
 /// functional simulator can execute the identical stream the timing
 /// simulator schedules.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Instr {
     /// Operation.
     pub op: Opcode,

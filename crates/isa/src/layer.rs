@@ -6,9 +6,7 @@
 //! quantisation.
 
 /// A `(channels, height, width)` tensor shape in CHW layout.
-#[derive(
-    Debug, Clone, Copy, Default, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct Shape3 {
     /// Channels.
     pub c: u32,
@@ -44,23 +42,17 @@ impl std::fmt::Display for Shape3 {
     }
 }
 
-/// Pooling flavour.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+/// Windowed pooling flavour.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PoolKind {
     /// Max pooling.
     Max,
     /// Average pooling (integer mean, rounded toward zero).
     Avg,
-    /// Generalised-mean (GeM) pooling with integer exponent `p`
-    /// (paper: the PR head of GeM/ResNet101).
-    Gem {
-        /// The GeM exponent (3 in the paper's PR model).
-        p: u8,
-    },
 }
 
 /// Operation a layer performs, in lowered form.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LayerKind {
     /// Standard convolution `kernel`×`kernel`, stride `stride`, zero padding
     /// `pad`.
@@ -92,11 +84,14 @@ pub enum LayerKind {
         /// Zero padding on each border.
         pad: u8,
     },
-    /// Global spatial pooling over the whole feature map (output `Cx1x1`),
-    /// e.g. GeM pooling in the PR head or MobileNet's global average pool.
+    /// Generalised-mean (GeM) pooling over the whole feature map (output
+    /// `Cx1x1`): `round(mean(max(x, 0)^p)^(1/p))` per channel. The PR head
+    /// of GeM/ResNet101 uses `p = 3`; `p = 1` is a global average pool
+    /// over the ReLU'd input.
     GlobalPool {
-        /// Pooling flavour.
-        kind: PoolKind,
+        /// The GeM exponent; the model builder and the container decoder
+        /// reject 0.
+        p: u8,
     },
     /// Element-wise addition of this layer's input with a second feature
     /// map (`input2_addr`), as in ResNet shortcut joins.
@@ -159,7 +154,7 @@ impl LayerKind {
 }
 
 /// Lowered execution metadata for one layer of a compiled [`crate::Program`].
-#[derive(Debug, Clone, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct LayerMeta {
     /// Layer id (its index in `Program::layers`).
     pub id: u16,

@@ -62,9 +62,7 @@ pub const TASK_SLOTS: usize = 4;
 
 /// A hardware task slot. Slot 0 has the highest priority and is never
 /// preempted; slot 3 has the lowest priority.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TaskSlot(u8);
 
 impl TaskSlot {

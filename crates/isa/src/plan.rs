@@ -19,13 +19,14 @@
 
 use std::ops::Range;
 
-use crate::{Instr, InterruptPoint, LayerKind, LayerMeta, Opcode, PoolKind, Program};
+use crate::{Instr, InterruptPoint, LayerKind, LayerMeta, Opcode, Program};
 
 /// Why a layer could not be tier-1 compiled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DeoptReason {
-    /// Layer kind the compiled tier does not implement (e.g. GeM spatial
-    /// pooling, which only exists as `GlobalPool`).
+    /// An opcode the compiled tier does not execute: it runs `LOAD_D`,
+    /// `LOAD_W`, `CALC_I`, `CALC_F` and `SAVE`, and skips virtual
+    /// instructions.
     UnsupportedKind,
     /// Worst-case accumulator magnitude could reach `i32` saturation, so
     /// the interpreter's per-group saturating merge is not provably equal
@@ -737,9 +738,6 @@ fn try_compile_layer(
     instrs_of_layer: usize,
 ) -> Result<LayerPlan, DeoptReason> {
     let meta = &program.layers[usize::from(layer)];
-    if matches!(meta.kind, LayerKind::Pool { kind: PoolKind::Gem { .. }, .. }) {
-        return Err(DeoptReason::UnsupportedKind);
-    }
     if !overflow_safe(meta) {
         return Err(DeoptReason::PotentialOverflow);
     }

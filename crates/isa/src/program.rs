@@ -8,7 +8,7 @@ use crate::plan::{compile_program, CompiledProgram};
 use crate::{Instr, IsaError, LayerMeta};
 
 /// The task-relative DDR memory map of a compiled program.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct MemoryMap {
     /// Start of the weight region (usually 0).
     pub weights_base: u64,
@@ -44,7 +44,7 @@ impl MemoryMap {
 /// (paper §IV-C). The virtual instructions belonging to the point occupy
 /// `vir_pcs` in the stream; `resume_pc` is where execution continues after
 /// the point (first pc past the virtual group).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct InterruptPoint {
     /// First pc of the virtual-instruction group (== `resume_pc` when the
     /// group is empty).
@@ -71,7 +71,7 @@ impl InterruptPoint {
 
 /// The pc range `[start, end)` occupied by one CalcBlob, including its
 /// loads and trailing virtual group if any.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BlobRange {
     /// Blob id.
     pub blob: u32,
@@ -82,7 +82,7 @@ pub struct BlobRange {
 }
 
 /// Aggregate statistics of a compiled program.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ProgramStats {
     /// Total instructions (original + virtual).
     pub instrs: usize,
@@ -120,7 +120,7 @@ struct ProgramCache {
 }
 
 /// A compiled VI-ISA program for one CNN task.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Program {
     /// Human-readable name (e.g. `resnet101@480x640`).
     pub name: String,

@@ -235,9 +235,13 @@ impl NetworkBuilder {
     ///
     /// # Errors
     ///
-    /// Unknown input node.
+    /// Unknown input node, or an exponent `p` of 0 (every channel would
+    /// pool to the same value whatever its input).
     pub fn gem_pool(&mut self, name: &str, input: NodeId, p: u8) -> Result<NodeId, ModelError> {
         let s = self.shape_of(input)?;
+        if p == 0 {
+            return Err(ModelError::Invalid(format!("GeM pool `{name}` has exponent 0")));
+        }
         Ok(self.push(name, Op::GemPool { p }, vec![input], Shape3::new(s.c, 1, 1)))
     }
 
@@ -297,6 +301,13 @@ mod tests {
         assert_eq!(b.shape_of(g).unwrap(), Shape3::new(2048, 1, 1));
         let f = b.fully_connected("f", g, 2048, false).unwrap();
         assert_eq!(b.shape_of(f).unwrap(), Shape3::new(2048, 1, 1));
+    }
+
+    #[test]
+    fn gem_exponent_zero_is_rejected() {
+        let mut b = NetworkBuilder::new("t", Shape3::new(8, 4, 4));
+        let x = b.input_id();
+        assert!(matches!(b.gem_pool("g", x, 0), Err(ModelError::Invalid(_))));
     }
 
     #[test]

@@ -4,9 +4,7 @@ use crate::{ModelError, Op, Shape3};
 
 /// Identifier of a node within its [`Network`] (also its topological
 /// position: inputs of a node always have smaller ids).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub(crate) usize);
 
 impl NodeId {
@@ -24,7 +22,7 @@ impl std::fmt::Display for NodeId {
 }
 
 /// One node of the DAG.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Node {
     /// Node id (== index in [`Network::nodes`]).
     pub id: NodeId,
@@ -71,7 +69,7 @@ impl Node {
 }
 
 /// Aggregate statistics of a network.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NetworkStats {
     /// Non-input nodes.
     pub layers: usize,
@@ -89,7 +87,7 @@ pub struct NetworkStats {
 ///
 /// Built through [`crate::NetworkBuilder`]; node ids are topologically
 /// ordered by construction.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Network {
     /// Network name.
     pub name: String,

@@ -3,7 +3,7 @@
 use inca_isa::PoolKind;
 
 /// Spatial pooling configuration at the model level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PoolOp {
     /// Pooling flavour.
     pub kind: PoolKind,
@@ -19,7 +19,7 @@ pub struct PoolOp {
 ///
 /// Every variant other than [`Op::Input`] consumes one input node
 /// ([`Op::Add`] consumes two).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Op {
     /// Network input placeholder.
     Input,

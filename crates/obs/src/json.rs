@@ -1,7 +1,7 @@
 //! A minimal, dependency-free JSON writer **and reader**.
 //!
-//! The workspace's `serde` is an offline marker stub (see `vendor/serde`),
-//! so every exporter in this crate serialises by hand. The writer is
+//! The build is offline and has no `serde`, so every exporter in this
+//! crate serialises by hand. The writer is
 //! deliberately tiny: objects and arrays are built in order, numbers use
 //! Rust's default (shortest round-trip) formatting, and the output for a
 //! given input is byte-stable — which the trace-determinism tests rely on.
