@@ -2,14 +2,17 @@
 //! scoped worker pool.
 //!
 //! Convolutions and fully-connected layers — in both execution tiers — run
-//! through one blocked int8 GEMM ([`conv_gemm`]); depthwise and pooling keep
-//! row-wise kernels. Every kernel here is bit-identical to a naive
-//! per-pixel evaluation (the accel tests' golden layer evaluator): the
-//! staged frames materialise its bounds checks as padding that contributes
-//! the identity element, and `i32` accumulation is wrapping — integer
-//! addition is associative and commutative mod 2³², so neither the
-//! loop-order change nor the channel partitioning can alter a single bit
-//! (see DESIGN.md, "Functional backend fast path"). Overflow, which would
+//! through one blocked int8 GEMM ([`conv_gemm`]) whose micro-kernel sums
+//! `pmaddwd`-shaped pair products; depthwise convolution sums each block
+//! of output columns in registers ([`dw_channel`]). Both are compiled
+//! once per vector width and share one run-time dispatch ([`run_upto`]);
+//! pooling keeps row-wise kernels. Every kernel here is bit-identical to
+//! a naive per-pixel evaluation (the accel tests' golden layer
+//! evaluator): the staged frames materialise its bounds checks as padding
+//! that contributes the identity element, and `i32` accumulation is
+//! wrapping — integer addition is associative and commutative mod 2³², so
+//! neither the loop-order change nor the channel partitioning can alter a
+//! single bit (see DESIGN.md, "Functional backend fast path"). Overflow, which would
 //! distinguish wrapping `i32` from the golden's exact `i64`, is ruled out
 //! for realistic layer shapes (`ics·k²·127² ≪ 2³¹`) and asserted against
 //! by the property tests.
@@ -25,6 +28,23 @@ const PAR_MIN_MACS: u64 = 1 << 18;
 
 /// Upper bound on each of the GEMM's two widened operand blocks.
 const BLOCK_BYTES: usize = 256 << 10;
+
+/// The same bound for a plane of fewer than 4 pixels, whose widened weight
+/// rows are each read once: an L1-sized block is re-read from L1 (+12 %
+/// on a 1024 × 1000 fully-connected layer against `BLOCK_BYTES`).
+const ROW_BLOCK_BYTES: usize = 16 << 10;
+
+/// `i32` lanes per vector-kernel accumulator in every [`Simd`] variant:
+/// one 256-bit register, two 128-bit ones in the portable build. With
+/// four lanes the portable GEMM runs at a quarter of the rate (LLVM then
+/// vectorizes its step loop across steps, with gathers); sixteen under
+/// AVX-512BW spill the 2×4 block's accumulators.
+const LANES: usize = 8;
+
+/// The GEMM's widened operand rows are zero-padded to a multiple of this
+/// many `K` indices, one [`dot_2x4`] step of [`LANES`] pairs, so the
+/// micro-kernel has no `K` remainder; the zeros add nothing to any sum.
+const K_STEP: usize = 2 * LANES;
 
 /// Executes one CALC instruction's arithmetic into `stage.scratch`
 /// (blob-layout `i32`, wrapping accumulation).
@@ -162,9 +182,10 @@ pub(super) struct GemmBlocks {
 ///
 /// Per block of output pixels the staged windows are gathered into a
 /// pixel-major im2col block (`px × K`); per run of output channels the
-/// weight rows are widened next to it; and the workers, sharing both
-/// read-only, each sweep their own output channels with the [`dot_2x4`]
-/// micro-kernel. The sums are a naive convolution's MACs in a different
+/// weight rows are widened next to it, both with every row zero-padded to
+/// whole [`K_STEP`]s on planes the [`dot_2x4`] micro-kernel sweeps; and
+/// the workers, sharing both read-only, each sweep their own output
+/// channels. The sums are a naive convolution's MACs in a different
 /// order, so under wrapping `i32` addition the result is bit-identical —
 /// at every block size and worker count.
 pub(super) fn conv_gemm<W: Copy>(
@@ -182,53 +203,95 @@ pub(super) fn conv_gemm<W: Copy>(
         return;
     }
     let GemmBlocks { col, rows } = blocks;
+    // A plane narrower than one register block (a fully-connected layer,
+    // a 1-pixel tile) never reaches `dot_2x4`: its rows stay unpadded, and
+    // each widened weight row is read once, right after widening.
+    let (kp, block_bytes) = match plane {
+        ..4 => (kk, ROW_BLOCK_BYTES),
+        _ => (kk.next_multiple_of(K_STEP), BLOCK_BYTES),
+    };
     // Whole register blocks, so only a plane's (a tile's) last block has
     // a pixel remainder (an odd channel).
-    let fit = BLOCK_BYTES / (2 * kk);
+    let fit = block_bytes / (2 * kp);
     let (block_px, block_oc) = (fit.max(4) / 4 * 4, fit.max(2) / 2 * 2);
     for p0 in (0..plane).step_by(block_px) {
         let npx = block_px.min(plane - p0);
-        im2col(frames, col, kk, g, p0..p0 + npx);
+        im2col(frames, col, kp, g, p0..p0 + npx);
         for (w, out) in weights.chunks(block_oc * kk).zip(scratch.chunks_mut(block_oc * plane)) {
-            rows.clear();
-            rows.extend(w.iter().map(|&w| widen(w)));
+            widen_rows(w, &widen, kk, kp, rows);
             let macs = (w.len() * npx) as u64;
             run_channel_ranges(out, plane, threads, macs, |c0, out| {
-                gemm_rows(&rows[c0 * kk..], col, kk, out, plane, p0);
+                let w = &rows[c0 * kp..];
+                run(Kernel::Gemm { w, col, kk: kp, out, plane, p0 });
             });
         }
     }
 }
 
+/// Sets `rows` to the `kk`-long rows of `w`, widened and each zero-padded
+/// to `kp` (in one pass when there is no padding).
+fn widen_rows<W: Copy>(
+    w: &[W],
+    widen: impl Fn(W) -> i16,
+    kk: usize,
+    kp: usize,
+    rows: &mut Vec<i16>,
+) {
+    rows.clear();
+    if kk == kp {
+        rows.extend(w.iter().map(|&w| widen(w)));
+        return;
+    }
+    for w in w.chunks(kk) {
+        rows.extend(w.iter().map(|&w| widen(w)));
+        rows.resize(rows.len() + kp - kk, 0);
+    }
+}
+
 /// Gathers the `k × k × ics` window of each output pixel in the non-empty
-/// range `px` into one `K`-long row of `col` (`icr`-major, then `ky`, `kx`
-/// — the canonical weight order). The frames' padding makes every window in-bounds. One
-/// `K` index at a time, so the inner loop walks a staged input row and a
-/// `col` column with no per-pixel set-up, whatever `k` and `s`.
-fn im2col(frames: &[i8], col: &mut Vec<i16>, kk: usize, g: &Geom, px: std::ops::Range<usize>) {
-    col.resize(px.len() * kk, 0);
-    for rr in px.start / g.w_out..=(px.end - 1) / g.w_out {
-        // The columns of output row `rr` that fall inside the block.
-        let x0 = px.start.max(rr * g.w_out) - rr * g.w_out;
-        let x1 = px.end.min((rr + 1) * g.w_out) - rr * g.w_out;
-        let dst = &mut col[(rr * g.w_out + x0 - px.start) * kk..][..(x1 - x0) * kk];
-        for icr in 0..g.ics {
-            for ky in 0..g.k {
-                let src =
-                    &frames[icr * g.frame_stride() + (rr * g.s + ky) * g.stage_w + x0 * g.s..];
-                for kx in 0..g.k {
-                    let k_idx = (icr * g.k + ky) * g.k + kx;
-                    let column = dst[k_idx..].iter_mut().step_by(kk);
-                    for (d, &v) in column.zip(src[kx..].iter().step_by(g.s)) {
-                        *d = i16::from(v);
-                    }
+/// range `px` into the first `K` entries of one `kp`-long, zero-padded
+/// row of `col` (`icr`-major, then `ky`, `kx` — the canonical weight
+/// order). The frames' padding makes every window in-bounds. One pixel at
+/// a time, so every store is contiguous; the common kernel shapes get
+/// constant `k` and `s`.
+fn im2col(frames: &[i8], col: &mut Vec<i16>, kp: usize, g: &Geom, px: std::ops::Range<usize>) {
+    col.resize(px.len() * kp, 0);
+    match (g.k, g.s) {
+        (1, 1) => im2col_body(frames, col, kp, g, px, 1, 1),
+        (3, 1) => im2col_body(frames, col, kp, g, px, 3, 1),
+        (3, 2) => im2col_body(frames, col, kp, g, px, 3, 2),
+        (k, s) => im2col_body(frames, col, kp, g, px, k, s),
+    }
+}
+
+#[inline(always)]
+fn im2col_body(
+    frames: &[i8],
+    col: &mut [i16],
+    kp: usize,
+    g: &Geom,
+    px: std::ops::Range<usize>,
+    k: usize,
+    s: usize,
+) {
+    let kk = g.ics * k * k;
+    for (p, dst) in px.zip(col.chunks_exact_mut(kp)) {
+        let (rr, x) = (p / g.w_out, p % g.w_out);
+        let window = &frames[rr * s * g.stage_w + x * s..];
+        let (dst, pad) = dst.split_at_mut(kk);
+        pad.fill(0);
+        for (icr, dst) in dst.chunks_exact_mut(k * k).enumerate() {
+            let window = &window[icr * g.frame_stride()..];
+            for (ky, dst) in dst.chunks_exact_mut(k).enumerate() {
+                for (d, &v) in dst.iter_mut().zip(&window[ky * g.stage_w..][..k]) {
+                    *d = i16::from(v);
                 }
             }
         }
     }
 }
 
-/// The instruction sets [`gemm_rows_body`] is compiled for, narrowest
+/// The instruction sets [`Kernel::run`] is compiled for, narrowest
 /// first. One source, so every variant computes the same sums. Only the
 /// variant-equivalence test caps the dispatch below the widest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -242,66 +305,80 @@ enum Simd {
     Avx512bw,
 }
 
-/// [`gemm_rows_body`] on the widest vector unit this CPU has.
-fn gemm_rows(w: &[i16], col: &[i16], kk: usize, out: &mut [i32], plane: usize, p0: usize) {
-    gemm_rows_upto(Simd::Avx512bw, w, col, kk, out, plane, p0);
+/// One call of a multi-versioned kernel, as [`run_upto`] hands it to the
+/// build it picks.
+enum Kernel<'a> {
+    /// [`gemm_rows_body`]'s arguments.
+    Gemm { w: &'a [i16], col: &'a [i16], kk: usize, out: &'a mut [i32], plane: usize, p0: usize },
+    /// [`dw_body`]'s arguments.
+    Depthwise { frame: &'a [i8], wts: &'a [i8], acc: &'a mut [i32], g: &'a Geom },
 }
 
-/// Runs the widest variant of [`gemm_rows_body`] that is no wider than
-/// `cap` and that `std::is_x86_feature_detected!` reports; the portable
-/// one on any other target. Detection is a cached atomic load.
+impl Kernel<'_> {
+    /// Runs the kernel. Always inlined: it is compiled once per [`Simd`]
+    /// variant, inside that variant's wrapper.
+    #[inline(always)]
+    fn run(self) {
+        match self {
+            Kernel::Gemm { w, col, kk, out, plane, p0 } => {
+                gemm_rows_body(w, col, kk, out, plane, p0)
+            }
+            Kernel::Depthwise { frame, wts, acc, g } => dw_body(frame, wts, acc, g),
+        }
+    }
+}
+
+/// Runs `kernel` on the widest vector unit this CPU has.
+fn run(kernel: Kernel) {
+    run_upto(Simd::Avx512bw, kernel);
+}
+
+/// Runs the widest variant of `kernel` that is no wider than `cap` and
+/// that `std::is_x86_feature_detected!` reports; the portable one on any
+/// other target. Detection is a cached atomic load.
 #[allow(unsafe_code)]
-fn gemm_rows_upto(
-    cap: Simd,
-    w: &[i16],
-    col: &[i16],
-    kk: usize,
-    out: &mut [i32],
-    plane: usize,
-    p0: usize,
-) {
+fn run_upto(cap: Simd, kernel: Kernel) {
     #[cfg(target_arch = "x86_64")]
     {
         if cap >= Simd::Avx512bw && std::is_x86_feature_detected!("avx512bw") {
-            // SAFETY: `gemm_rows_avx512bw` only needs AVX-512BW, which
+            // SAFETY: `run_avx512bw` only needs AVX-512BW, which
             // `is_x86_feature_detected!("avx512bw")` just reported.
-            return unsafe { gemm_rows_avx512bw(w, col, kk, out, plane, p0) };
+            return unsafe { run_avx512bw(kernel) };
         }
         if cap >= Simd::Avx2 && std::is_x86_feature_detected!("avx2") {
-            // SAFETY: `gemm_rows_avx2` only needs AVX2, which
+            // SAFETY: `run_avx2` only needs AVX2, which
             // `is_x86_feature_detected!("avx2")` just reported.
-            return unsafe { gemm_rows_avx2(w, col, kk, out, plane, p0) };
+            return unsafe { run_avx2(kernel) };
         }
     }
     let _ = cap; // read only on x86-64
-    gemm_rows_portable(w, col, kk, out, plane, p0);
+    run_portable(kernel);
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512bw")]
-fn gemm_rows_avx512bw(w: &[i16], col: &[i16], kk: usize, out: &mut [i32], plane: usize, p0: usize) {
-    gemm_rows_body(w, col, kk, out, plane, p0);
+fn run_avx512bw(kernel: Kernel) {
+    kernel.run();
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn gemm_rows_avx2(w: &[i16], col: &[i16], kk: usize, out: &mut [i32], plane: usize, p0: usize) {
-    gemm_rows_body(w, col, kk, out, plane, p0);
+fn run_avx2(kernel: Kernel) {
+    kernel.run();
 }
 
 /// Never inlined, like the two wide variants: each is compiled once, in a
-/// context where the [`dot_2x4`] loop vectorizes, whatever the callers
-/// look like.
+/// context where the kernel loops vectorize, whatever the callers look
+/// like.
 #[inline(never)]
-fn gemm_rows_portable(w: &[i16], col: &[i16], kk: usize, out: &mut [i32], plane: usize, p0: usize) {
-    gemm_rows_body(w, col, kk, out, plane, p0);
+fn run_portable(kernel: Kernel) {
+    kernel.run();
 }
 
 /// `out[oc][p0 + px] = w[oc] · col[px]` for the output channels whose
 /// `plane`-strided accumulators make up `out`, in 2-channel × 4-pixel
 /// register blocks (single dot products on an odd last channel and the
-/// pixel remainder). Always inlined: it is compiled once per [`Simd`]
-/// variant, inside that variant's wrapper.
+/// pixel remainder).
 #[inline(always)]
 fn gemm_rows_body(w: &[i16], col: &[i16], kk: usize, out: &mut [i32], plane: usize, p0: usize) {
     let npx = col.len() / kk;
@@ -330,28 +407,56 @@ fn gemm_rows_body(w: &[i16], col: &[i16], kk: usize, out: &mut [i32], plane: usi
 }
 
 /// Eight `K`-contiguous dot products — two weight rows against the four
-/// pixel rows of `x` — sharing each operand load. Widening `i16` products
-/// summed along `K` into wrapping `i32` lanes: the shape LLVM lowers to
-/// `pmaddwd` on baseline x86-64, and under AVX2 / AVX-512BW to 8 / 16
-/// sign-extended lanes multiplied by `vpmulld` (`|w·x| ≤ 2¹⁴`, so a
-/// product and a `pmaddwd` pair sum `≤ 2¹⁵` are exact in `i32` at any
-/// width, and the lanes' wrapping sums are order-free).
+/// pixel rows of `x` — sharing each operand load. `K` is a multiple of
+/// [`K_STEP`] and walked one step at a time: each (row, pixel) pair adds
+/// its [`pair_sums`] into its own [`LANES`]-lane wrapping accumulator,
+/// which LLVM lowers to `pmaddwd` and an add (`vpmaddwd` on 256 bits under
+/// AVX2 and AVX-512BW), and the lanes fold at the end. `|w·x| ≤ 2¹⁴`, so
+/// a pair sum `≤ 2¹⁵` is exact in `i32`, and wrapping sums are
+/// order-free: the result is the plain dot products' bits.
 #[inline(always)]
 fn dot_2x4(w0: &[i16], w1: &[i16], x: &[i16]) -> [[i32; 4]; 2] {
     let kk = w0.len();
-    let (w1, x0, x1, x2, x3) =
-        (&w1[..kk], &x[..kk], &x[kk..2 * kk], &x[2 * kk..3 * kk], &x[3 * kk..4 * kk]);
-    let mut acc = [[0i32; 4]; 2];
-    for i in 0..kk {
-        let w = [i32::from(w0[i]), i32::from(w1[i])];
-        let x = [i32::from(x0[i]), i32::from(x1[i]), i32::from(x2[i]), i32::from(x3[i])];
-        for (acc, w) in acc.iter_mut().zip(w) {
-            for (a, x) in acc.iter_mut().zip(x) {
-                *a = a.wrapping_add(w * x);
+    debug_assert_eq!(kk % K_STEP, 0, "K is padded to whole steps");
+    let steps = kk / K_STEP;
+    let ws = [w0, w1].map(|w| pair_steps(w, steps));
+    let xs = [0, 1, 2, 3].map(|i| pair_steps(&x[i * kk..], steps));
+    let mut lanes = [[[0i32; LANES]; 4]; 2];
+    for step in 0..steps {
+        for (lanes, w) in lanes.iter_mut().zip(&ws) {
+            for (lanes, x) in lanes.iter_mut().zip(&xs) {
+                let sums = pair_sums(&w[step], &x[step]);
+                for (a, s) in lanes.iter_mut().zip(sums) {
+                    *a = a.wrapping_add(s);
+                }
             }
         }
     }
+    let mut acc = [[0i32; 4]; 2];
+    for (acc, lanes) in acc.iter_mut().zip(&lanes) {
+        for (a, lanes) in acc.iter_mut().zip(lanes) {
+            *a = lanes.iter().fold(0i32, |a, &v| a.wrapping_add(v));
+        }
+    }
     acc
+}
+
+/// The first `steps` runs of [`LANES`] operand pairs in `row`.
+#[inline(always)]
+fn pair_steps(row: &[i16], steps: usize) -> &[[[i16; 2]; LANES]] {
+    &row.as_chunks::<2>().0.as_chunks::<LANES>().0[..steps]
+}
+
+/// The pair sums `w[j][0]·x[j][0] + w[j][1]·x[j][1]`: `pmaddwd`'s shape.
+/// A function of its own because LLVM only finds that shape here —
+/// written inline in the accumulator add, it loses it.
+#[inline(always)]
+fn pair_sums(w: &[[i16; 2]; LANES], x: &[[i16; 2]; LANES]) -> [i32; LANES] {
+    let mut sums = [0i32; LANES];
+    for ((s, w), x) in sums.iter_mut().zip(w).zip(x) {
+        *s = i32::from(w[0]) * i32::from(x[0]) + i32::from(w[1]) * i32::from(x[1]);
+    }
+    sums
 }
 
 /// One `K`-contiguous widening dot product, wrapping `i32`.
@@ -360,36 +465,77 @@ fn dot(w: &[i16], x: &[i16]) -> i32 {
     w.iter().zip(x).fold(0i32, |a, (&w, &x)| a.wrapping_add(i32::from(w) * i32::from(x)))
 }
 
-/// One kernel-row of widening MACs: `acc[x] += w · srow[x·s + kx]` for all
-/// output columns, over slices — branch-free and auto-vectorizable for the
-/// dominant `s == 1` case (depthwise only; convolutions take [`conv_gemm`]).
-#[inline]
-fn mac_row(acc: &mut [i32], srow: &[i8], wrow: &[i8], s: usize) {
-    let w_out = acc.len();
-    if s == 1 {
-        for (kx, &wv) in wrow.iter().enumerate() {
-            let wv = i32::from(wv);
-            for (a, &x) in acc.iter_mut().zip(&srow[kx..kx + w_out]) {
-                *a = a.wrapping_add(wv * i32::from(x));
+/// Depthwise convolution for one channel (its own row frame and k² taps),
+/// on the widest vector unit this CPU has.
+pub(super) fn dw_channel(frame: &[i8], wts: &[i8], acc: &mut [i32], g: &Geom) {
+    run(Kernel::Depthwise { frame, wts, acc, g });
+}
+
+/// [`dw_channel`]'s body. The 3×3 kernels at stride 1 and 2 that
+/// depthwise layers use take the vector path with constant `k` and `s`;
+/// any other shape runs [`dw_scalar`].
+#[inline(always)]
+fn dw_body(frame: &[i8], wts: &[i8], acc: &mut [i32], g: &Geom) {
+    match (g.k, g.s) {
+        (3, 1) => dw_rows::<3, 1>(frame, wts, acc, g),
+        (3, 2) => dw_rows::<3, 2>(frame, wts, acc, g),
+        (k, s) => dw_scalar(frame, wts, acc, g, k, s, 0),
+    }
+}
+
+/// Each output row in blocks of [`LANES`] columns whose `K × K` taps are
+/// summed in registers and stored once. A row's last partial block is
+/// recomputed as the row's last `LANES` columns (the store overwrites). A
+/// row narrower than that is one block that reads on into the next
+/// staged rows and keeps its first `w_out` sums, as long as the frame
+/// reaches that far; the rows past that run [`dw_scalar`]. The products
+/// are exact in `i16` (`|w·x| ≤ 2¹⁴`), the sums wrapping `i32`.
+#[inline(always)]
+fn dw_rows<const K: usize, const S: usize>(frame: &[i8], wts: &[i8], acc: &mut [i32], g: &Geom) {
+    let (w_out, stage_w) = (g.w_out, g.stage_w);
+    let mut w = [[0i16; K]; K];
+    for (w, &v) in w.iter_mut().flatten().zip(wts) {
+        *w = i16::from(v);
+    }
+    // The staged bytes one block reads, from its first window's corner.
+    let reach = (K - 1) * stage_w + (LANES - 1) * S + K;
+    for rr in 0..g.out_rows {
+        let rows = &frame[rr * S * stage_w..];
+        let out = &mut acc[rr * w_out..(rr + 1) * w_out];
+        for x0 in (0..w_out).step_by(LANES) {
+            let x = x0.min(w_out.saturating_sub(LANES));
+            let rows = &rows[x * S..];
+            if rows.len() < reach {
+                return dw_scalar(frame, wts, acc, g, K, S, rr);
             }
-        }
-    } else {
-        for (kx, &wv) in wrow.iter().enumerate() {
-            let wv = i32::from(wv);
-            for (a, &x) in acc.iter_mut().zip(srow[kx..].iter().step_by(s)) {
-                *a = a.wrapping_add(wv * i32::from(x));
+            let mut sums = [0i32; LANES];
+            for (ky, w) in w.iter().enumerate() {
+                let src = &rows[ky * stage_w..][..(LANES - 1) * S + K];
+                for (kx, &w) in w.iter().enumerate() {
+                    for (j, a) in sums.iter_mut().enumerate() {
+                        *a = a.wrapping_add(i32::from(w * i16::from(src[j * S + kx])));
+                    }
+                }
             }
+            let n = LANES.min(w_out);
+            out[x..x + n].copy_from_slice(&sums[..n]);
         }
     }
 }
 
-/// Depthwise convolution for one channel (its own row frame and k² taps).
-pub(super) fn dw_channel(frame: &[i8], wts: &[i8], acc: &mut [i32], g: &Geom) {
-    for rr in 0..g.out_rows {
-        let acc_row = &mut acc[rr * g.w_out..(rr + 1) * g.w_out];
-        for ky in 0..g.k {
-            let srow = &frame[(rr * g.s + ky) * g.stage_w..][..g.stage_w];
-            mac_row(acc_row, srow, &wts[ky * g.k..(ky + 1) * g.k], g.s);
+/// Output rows `rr0..` of [`dw_rows`], one output at a time.
+fn dw_scalar(frame: &[i8], wts: &[i8], acc: &mut [i32], g: &Geom, k: usize, s: usize, rr0: usize) {
+    for rr in rr0..g.out_rows {
+        let rows = &frame[rr * s * g.stage_w..];
+        for (x, o) in acc[rr * g.w_out..(rr + 1) * g.w_out].iter_mut().enumerate() {
+            let mut a = 0i32;
+            for (ky, w) in wts[..k * k].chunks_exact(k).enumerate() {
+                let src = &rows[ky * g.stage_w + x * s..][..k];
+                for (&w, &v) in w.iter().zip(src) {
+                    a = a.wrapping_add(i32::from(w) * i32::from(v));
+                }
+            }
+            *o = a;
         }
     }
 }
@@ -492,7 +638,8 @@ mod tests {
     }
 
     /// The GEMM of `conv_gemm` over one `plane`, in `block_px`-pixel blocks,
-    /// on the widest variant up to `cap`.
+    /// on the widest variant up to `cap`, with both operands padded the
+    /// way `conv_gemm` pads them.
     fn gemm(
         cap: Simd,
         w: &[i16],
@@ -501,22 +648,29 @@ mod tests {
         plane: usize,
         block_px: usize,
     ) -> Vec<i32> {
+        let kp = kk.next_multiple_of(K_STEP);
+        let [mut w_pad, mut col_pad] = [vec![], vec![]];
+        widen_rows(w, i16::from, kk, kp, &mut w_pad);
+        widen_rows(col, i16::from, kk, kp, &mut col_pad);
         let mut out = vec![i32::MIN; w.len() / kk * plane];
         for p0 in (0..plane).step_by(block_px) {
             let npx = block_px.min(plane - p0);
-            gemm_rows_upto(cap, w, &col[p0 * kk..(p0 + npx) * kk], kk, &mut out, plane, p0);
+            let col = &col_pad[p0 * kp..(p0 + npx) * kp];
+            run_upto(cap, Kernel::Gemm { w: &w_pad, col, kk: kp, out: &mut out, plane, p0 });
         }
         out
     }
 
     /// Every vector width this CPU runs computes the portable body's bits,
-    /// on the register-block remainders of `kernel_equiv`'s GEMM shapes
-    /// and on all-`−128` operands at ResNet-18's largest reduction. After
+    /// on the register-block remainders of `kernel_equiv`'s GEMM shapes,
+    /// on `K` just below, at and above one and two pair steps, and on
+    /// all-`−128` operands at ResNet-18's largest
+    /// reduction. After
     /// dispatch, the integration suites reach only the widest variant.
     #[test]
     fn every_simd_variant_matches_the_portable_body() {
         // (K, output channels, plane, pixel block, all-equal operand)
-        let cases = [
+        let mut cases = vec![
             // Two blocks: 64 pixels and 35 (remainder 3); 67 channels (odd).
             (1960, 67, 99, 64, None),
             (333, 33, 399, 399, None),
@@ -527,6 +681,11 @@ mod tests {
             // `(−128)²` pair sums: 2¹⁵ each, 4608 · 2¹⁴ in all.
             (4608, 3, 9, 9, Some(-128)),
         ];
+        // K = 1, 2L − 1, 2L, 2L + 1 and 4L + 3 for L = 4 and for
+        // L = LANES = 8: all padding, none, both.
+        for kk in [1, 7, 8, 9, 19, 15, 16, 17, 35] {
+            cases.push((kk, 5, 10, 10, None));
+        }
         for (i, (kk, oc, plane, block_px, fill)) in cases.into_iter().enumerate() {
             let [w, col] = operands(kk, oc, plane, 0x51AD_0000 + i as u64, fill);
             let portable = gemm(Simd::Portable, &w, &col, kk, plane, block_px);
@@ -545,6 +704,74 @@ mod tests {
                 let wide = gemm(cap, &w, &col, kk, plane, block_px);
                 let first_diff = wide.iter().zip(&portable).position(|(a, b)| a != b);
                 assert_eq!(first_diff, None, "case {i}: {cap:?} differs at this output");
+            }
+        }
+    }
+
+    /// The depthwise kernel, like the GEMM: every vector width computes the
+    /// portable body's bits, for 3×3 taps at strides 1 and 2 on rows
+    /// narrower than one block of either lane count, one block wide, and
+    /// wider with a partial last block, and for the scalar shapes; the
+    /// last case is all `−128`.
+    #[test]
+    fn every_simd_variant_matches_the_portable_depthwise_body() {
+        let out_rows = 3;
+        for (i, (k, s, w_out, fill)) in [
+            (3, 1, 3, None),
+            (3, 1, 4, None),
+            (3, 1, 8, None),
+            (3, 1, 24, None),
+            (3, 1, 37, None),
+            (3, 2, 3, None),
+            (3, 2, 6, None),
+            (3, 2, 12, None),
+            (3, 2, 21, None),
+            (5, 1, 9, None),
+            (1, 1, 9, None),
+            (3, 1, 13, Some(-128)),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let stage_w = (w_out - 1) * s + k + 1;
+            let n_vr = (out_rows - 1) * s + k;
+            let [wts, frame] = operands(1, k * k, n_vr * stage_w, 0xD00D_0000 + i as u64, fill)
+                .map(|v| v.into_iter().map(|v| v as i8).collect::<Vec<_>>());
+            let g = Geom {
+                k,
+                s,
+                p: 1,
+                h_in: 0,
+                w_in: 0,
+                w_out,
+                out_rows,
+                chans: 1,
+                ics: 0,
+                vr0: 0,
+                n_vr,
+                stage_w,
+            };
+            let depthwise = |cap| {
+                let mut acc = vec![0; out_rows * w_out];
+                run_upto(cap, Kernel::Depthwise { frame: &frame, wts: &wts, acc: &mut acc, g: &g });
+                acc
+            };
+            let portable = depthwise(Simd::Portable);
+            let naive: Vec<i32> = (0..out_rows * w_out)
+                .map(|o| {
+                    let (rr, x) = (o / w_out, o % w_out);
+                    (0..k * k)
+                        .map(|t| {
+                            let (ky, kx) = (t / k, t % k);
+                            let v = frame[(rr * s + ky) * stage_w + x * s + kx];
+                            i32::from(wts[t]) * i32::from(v)
+                        })
+                        .sum()
+                })
+                .collect();
+            assert_eq!(portable, naive, "case {i}: portable body");
+            for cap in [Simd::Avx2, Simd::Avx512bw] {
+                assert_eq!(depthwise(cap), portable, "case {i}: {cap:?}");
             }
         }
     }

@@ -49,8 +49,9 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-// The one exception is the int8 GEMM's run-time dispatch to its AVX2 /
-// AVX-512BW builds (`func::kernels::gemm_rows_upto`).
+// The one exception is the run-time dispatch of the int8 GEMM and
+// depthwise kernels to their AVX2 / AVX-512BW builds
+// (`func::kernels::run_upto`).
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

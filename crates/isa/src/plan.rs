@@ -24,10 +24,6 @@ use crate::{Instr, InterruptPoint, LayerKind, LayerMeta, Opcode, Program};
 /// Why a layer could not be tier-1 compiled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DeoptReason {
-    /// An opcode the compiled tier does not execute: it runs `LOAD_D`,
-    /// `LOAD_W`, `CALC_I`, `CALC_F` and `SAVE`, and skips virtual
-    /// instructions.
-    UnsupportedKind,
     /// Worst-case accumulator magnitude could reach `i32` saturation, so
     /// the interpreter's per-group saturating merge is not provably equal
     /// to one whole-layer wrapping pass.
@@ -57,7 +53,6 @@ pub enum DeoptReason {
 impl std::fmt::Display for DeoptReason {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match self {
-            DeoptReason::UnsupportedKind => "unsupported-kind",
             DeoptReason::PotentialOverflow => "potential-overflow",
             DeoptReason::ShapeTooLarge => "shape-too-large",
             DeoptReason::TileOutOfBounds => "tile-out-of-bounds",
@@ -814,19 +809,17 @@ fn try_compile_layer(
             }
         }
         let Some(instr) = program.instrs.get(pc).filter(|_| pc < range.end) else { break };
-        if instr.op.is_virtual() {
-            continue; // skipped for free by stepping; not part of the batch
-        }
         let pc = pc as u32;
-        last_original = Some(pc);
-        originals += 1;
         match instr.op {
+            // Skipped for free by stepping; not part of the batch.
+            Opcode::VirSave | Opcode::VirLoadD | Opcode::VirLoadW => continue,
             Opcode::LoadD => lc.load_d(pc, instr)?,
             Opcode::LoadW => lc.load_w(pc, instr)?,
             Opcode::CalcI | Opcode::CalcF => lc.calc(pc, instr)?,
             Opcode::Save => lc.save(pc, instr)?,
-            _ => return Err(DeoptReason::UnsupportedKind),
         }
+        last_original = Some(pc);
+        originals += 1;
     }
     let last_original_pc = last_original.ok_or(DeoptReason::Empty)?;
     if lc.stores.is_empty() {

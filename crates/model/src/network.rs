@@ -245,6 +245,9 @@ impl Network {
                     )));
                 }
             }
+            if let Op::GemPool { p: 0 } = n.op {
+                return Err(ModelError::Invalid(format!("GeM pool `{}` has exponent 0", n.name)));
+            }
             if let Op::Add { .. } = n.op {
                 let a = self.node(n.inputs[0]).out_shape;
                 let b = self.node(n.inputs[1]).out_shape;
@@ -328,6 +331,19 @@ mod tests {
     #[test]
     fn validate_passes_for_builder_output() {
         assert_eq!(small_net().validate(), Ok(()));
+    }
+
+    /// The fields are public, so a network the builder would refuse can
+    /// still be written by hand; `validate` refuses it too.
+    #[test]
+    fn validate_rejects_a_gem_exponent_of_zero() {
+        let mut b = NetworkBuilder::new("t", Shape3::new(3, 16, 16));
+        let x = b.input_id();
+        let g = b.gem_pool("g", x, 3).unwrap();
+        let mut n = b.finish(vec![g]).unwrap();
+        assert_eq!(n.validate(), Ok(()));
+        n.nodes[g.0].op = Op::GemPool { p: 0 };
+        assert!(matches!(n.validate(), Err(ModelError::Invalid(m)) if m.contains("exponent 0")));
     }
 
     #[test]

@@ -71,10 +71,11 @@ gates() {
 # machine regression is caught even if the 35% gauge tolerance isn't.
 # Both tiers run one GEMM kernel, so the ratio is the interpreter
 # overhead Tier-1 removes and nothing else. It measured 4.8-5.1x with the
-# GEMM's SSE2 build; with its AVX-512BW build, whose gain Tier-0's
-# per-instruction staging mostly hides, it measures 8.6-11.2x (quartiles
-# of 35 runs, median 9.9x, 2-vCPU AVX-512 host). It was 5.4x, floor 5x,
-# while only Tier-1 had a blocked kernel.
+# GEMM's SSE2 build and 8.6-11.2x with its AVX-512BW `vpmulld` body; with
+# the pair-sum (`vpmaddwd`) body and depthwise on the same dispatch,
+# whose gains Tier-0's per-instruction staging mostly hides, it measures
+# 15.9-20.3x (quartiles of 12 runs, median 17.4x, 2-vCPU AVX-512 host).
+# It was 5.4x, floor 5x, while only Tier-1 had a blocked kernel.
 check_tier_floor() { # perf_smoke.json -> exit 1 if below floor
     python3 - "$1" <<'EOF'
 import json, sys

@@ -32,11 +32,11 @@ if grep -rnwE 'Instant|SystemTime|Duration|sleep' crates/{isa,model,compiler,acc
     exit 1
 fi
 
-echo "== unsafe code only in the int8 GEMM's vector dispatch"
+echo "== unsafe code only in the int8 kernels' vector dispatch"
 # `inca-accel` denies `unsafe_code` and allows it on one function, the
-# GEMM's run-time choice of its AVX2 / AVX-512BW build
-# (`func::kernels::gemm_rows_upto`); the other eight simulator crates
-# forbid it outright.
+# run-time choice of the AVX2 / AVX-512BW build of the GEMM and
+# depthwise kernels (`func::kernels::run_upto`); the other eight
+# simulator crates forbid it outright.
 if grep -rnw 'unsafe' crates/{isa,model,compiler,accel,runtime,serve,cluster,obs,dslam}/src |
         grep -v '^crates/accel/src/func/kernels\.rs:'; then
     echo "check.sh: unsafe code outside crates/accel/src/func/kernels.rs (see above)" >&2
