@@ -92,6 +92,11 @@ impl std::error::Error for SimError {}
 /// * virtual instructions arrive only when materialised by an interrupt
 ///   (`VIR_SAVE` during backup, `VIR_LOAD_*` during resume).
 pub trait Backend {
+    /// Whether this is the stepping reference: set by [`Stepped`] only,
+    /// and read by [`Tier::STEPPED`](crate::Tier::STEPPED), so a pool of
+    /// stepped engines also ticks every core at every barrier.
+    const STEPPED: bool = false;
+
     /// Executes one instruction for `slot`.
     ///
     /// # Errors
@@ -218,11 +223,15 @@ impl SavePatch {
 /// Forwards every [`Backend`] method to `B` but reports no span
 /// capability, so `Engine<Stepped<B>>` advances one instruction at a time
 /// — the per-instruction oracle the span commit is differentially tested
-/// against (`tests/span_differential.rs`).
+/// against (`tests/span_differential.rs`) — and a pool or gateway of
+/// such engines ticks every core at every barrier, the oracle of the
+/// event engine's skips (`tests/event_differential.rs`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Stepped<B>(pub B);
 
 impl<B: Backend> Backend for Stepped<B> {
+    const STEPPED: bool = true;
+
     fn execute(&mut self, slot: TaskSlot, program: &Program, i: &Instr) -> Result<(), SimError> {
         self.0.execute(slot, program, i)
     }

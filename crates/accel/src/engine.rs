@@ -784,9 +784,9 @@ impl<B: Backend> Engine<B> {
     /// The next cycle this engine can make progress, or `None` when it is
     /// quiescent: no running job, no ready/preempted job in any slot, no
     /// pending arrival. Advancing a quiescent engine is a state no-op,
-    /// which is what lets the event engine skip it entirely
-    /// ([`CorePool`](crate::CorePool) in
-    /// [`AdvanceMode::EventDriven`](crate::AdvanceMode)).
+    /// which is what lets the event engine skip it entirely (a
+    /// [`CorePool`](crate::CorePool) over any backend but
+    /// [`Stepped`](crate::Stepped)).
     ///
     /// With work in a slot the answer is the current cycle; otherwise it
     /// is the earliest pending arrival (which may lie in the past for a

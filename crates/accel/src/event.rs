@@ -6,44 +6,26 @@
 //! idle. The event engine inverts that: every tier that advances parts
 //! at a barrier (a [`CorePool`](crate::CorePool) of engines, a serving
 //! gateway of scheduler+engine pairs) implements [`Tier`] and carries one
-//! [`Barrier`] — the set of armed parts, the [`AdvanceMode`] and the
-//! [`AdvanceStats`] counters. [`advance`] then only ticks armed parts;
-//! quiescent ones (no running job, no ready job, no pending arrival,
-//! nothing queued above) are skipped entirely, and skipping them is
-//! *provably* a state no-op, which is what keeps event-driven and
-//! stepping runs byte-identical (see DESIGN.md §5.8).
+//! [`Barrier`] — the set of armed parts and the [`AdvanceStats`]
+//! counters. [`advance`] then only ticks armed parts; quiescent ones (no
+//! running job, no ready job, no pending arrival, nothing queued above)
+//! are skipped entirely, and skipping them is *provably* a state no-op,
+//! which is what keeps event-driven and stepping runs byte-identical (see
+//! DESIGN.md §5.8).
+//!
+//! The stepping reference is a type, not a mode: a tier over
+//! [`Stepped`](crate::Stepped) engines has [`Tier::STEPPED`] set and ticks
+//! every part at every barrier, the loop the event engine replaced.
 //!
 //! Cross-part couplings — a request landing on a core, a scheduler pump
 //! from the serving gateway, a batch flush — are expressed as explicit
-//! wake events via [`Barrier::arm`].
+//! wake events via [`CorePool::wake`](crate::CorePool::wake).
 
 use crate::SimError;
 
-/// How a pool (or gateway) advances its cores at each barrier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AdvanceMode {
-    /// Discrete-event: only armed components tick; quiescent cores are
-    /// skipped. Byte-identical to [`AdvanceMode::Stepping`] on every
-    /// deterministic artifact (outputs, traces, metrics, spans).
-    #[default]
-    EventDriven,
-    /// The cycle-box legacy mode: every core is stepped to every
-    /// barrier, exactly as the pre-event-engine code did.
-    Stepping,
-}
-
-impl std::fmt::Display for AdvanceMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::EventDriven => write!(f, "event"),
-            Self::Stepping => write!(f, "stepping"),
-        }
-    }
-}
-
 /// Counters of advancement work, for the events-vs-cycles accounting in
 /// `fig_event_engine`. Deterministic: identical runs (and identical
-/// hosts vs CI) produce identical stats. A stepping-mode barrier counts
+/// hosts vs CI) produce identical stats. A stepping barrier counts
 /// every core as a wake (it really does visit them all); only the event
 /// engine produces skips.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -53,7 +35,7 @@ pub struct AdvanceStats {
     /// Component ticks actually executed.
     pub wakes: u64,
     /// Component ticks skipped because the component was quiescent
-    /// (stepping mode would have executed these as no-ops).
+    /// (a stepping tier would have executed these as no-ops).
     pub skips: u64,
 }
 
@@ -69,6 +51,11 @@ impl AdvanceStats {
 /// tiers share the [`Barrier`] of the lowest one, so a part is armed,
 /// counted and skipped in exactly one place.
 pub trait Tier {
+    /// Whether every barrier ticks every part: the stepping reference the
+    /// event engine is differentially tested against. Set by tiers over
+    /// [`Stepped`](crate::Stepped) engines, never by the product's.
+    const STEPPED: bool = false;
+
     /// The tier's barrier bundle.
     fn barrier(&mut self) -> &mut Barrier;
 
@@ -87,8 +74,9 @@ pub trait Tier {
     fn tick(&mut self, i: usize, deadline: u64) -> Result<(), SimError>;
 }
 
-/// The advance state of a [`Tier`]: which parts are armed, how barriers
-/// visit them, and how much work that took.
+/// The advance state of a [`Tier`]: which parts are armed and how much
+/// work the barriers took. Opaque outside this crate: only [`advance`]
+/// and the tiers' own arm paths touch the armed set.
 #[derive(Debug)]
 pub struct Barrier {
     /// `armed[i]`: part `i` is visited at the next barrier. Arms are
@@ -102,21 +90,18 @@ pub struct Barrier {
     /// buffer: the next drain swaps it in as `due`, so arming never
     /// allocates once both lists have grown.
     spare: Vec<usize>,
-    mode: AdvanceMode,
-    /// Work counters, in both modes (a stepping barrier counts every
-    /// part as a wake; only the event engine produces skips).
-    pub stats: AdvanceStats,
+    /// Work counters (a stepping barrier counts every part as a wake;
+    /// only the event engine produces skips).
+    pub(crate) stats: AdvanceStats,
 }
 
 impl Barrier {
-    /// A barrier over `parts` parts, all disarmed, in the default mode.
-    #[must_use]
-    pub fn new(parts: usize) -> Self {
+    /// A barrier over `parts` parts, all disarmed.
+    pub(crate) fn new(parts: usize) -> Self {
         Self {
             armed: vec![false; parts],
             due: Vec::new(),
             spare: Vec::new(),
-            mode: AdvanceMode::default(),
             stats: AdvanceStats::default(),
         }
     }
@@ -126,7 +111,7 @@ impl Barrier {
     /// # Panics
     ///
     /// Panics for an out-of-range part index.
-    pub fn arm(&mut self, i: usize) {
+    pub(crate) fn arm(&mut self, i: usize) {
         if !std::mem::replace(&mut self.armed[i], true) {
             self.due.push(i);
         }
@@ -136,7 +121,7 @@ impl Barrier {
     /// the order a stepping loop visits cores, which is what keeps merged
     /// trace streams byte-identical when several armed cores share one
     /// tracer.
-    pub fn drain_armed(&mut self) -> Vec<usize> {
+    pub(crate) fn drain_armed(&mut self) -> Vec<usize> {
         let mut due = std::mem::replace(&mut self.due, std::mem::take(&mut self.spare));
         due.sort_unstable();
         for &i in &due {
@@ -144,31 +129,16 @@ impl Barrier {
         }
         due
     }
-
-    /// The advance mode in effect.
-    #[must_use]
-    pub fn mode(&self) -> AdvanceMode {
-        self.mode
-    }
-
-    /// Selects the advance mode. Stepping does not maintain the armed
-    /// set, so switching to [`AdvanceMode::EventDriven`] arms every part;
-    /// the next barrier's revalidation drops the quiescent ones.
-    pub fn set_mode(&mut self, mode: AdvanceMode) {
-        self.mode = mode;
-        if mode == AdvanceMode::EventDriven {
-            (0..self.armed.len()).for_each(|i| self.arm(i));
-        }
-    }
 }
 
 /// One barrier: advances `tier` to `deadline`.
 ///
-/// In [`AdvanceMode::EventDriven`] only armed parts tick, in ascending
-/// part order — the order the stepping loop visits them, so merged
-/// trace streams stay byte-identical when several parts share one
-/// tracer — and each is re-armed from its own [`Tier::next_tick`]
-/// afterwards. In [`AdvanceMode::Stepping`] every part ticks.
+/// Only armed parts tick, in ascending part order — the order the
+/// stepping loop visits them, so merged trace streams stay
+/// byte-identical when several parts share one tracer — and each is
+/// re-armed from its own [`Tier::next_tick`] afterwards. A
+/// [`Tier::STEPPED`] tier ticks every part instead; the branch is
+/// resolved at compile time.
 ///
 /// # Errors
 ///
@@ -177,12 +147,18 @@ pub fn advance<T: Tier>(tier: &mut T, deadline: u64) -> Result<(), SimError> {
     let b = tier.barrier();
     let parts = b.armed.len();
     b.stats.barriers += 1;
-    if b.mode == AdvanceMode::Stepping {
+    if T::STEPPED {
         b.stats.wakes += parts as u64;
         return (0..parts).try_for_each(|i| tier.tick(i, deadline));
     }
     let mut ticked = 0u64;
     let mut due = b.drain_armed();
+    // Skipping is a no-op only for a quiescent part: work that landed on
+    // a part without an arm shows here, at the next barrier.
+    #[cfg(debug_assertions)]
+    for i in (0..parts).filter(|i| due.binary_search(i).is_err()) {
+        assert!(tier.next_tick(i).is_none(), "part {i} has work but is not armed");
+    }
     for &i in &due {
         // Revalidate: an armed part may turn out quiescent. Ticking it
         // anyway would be harmless (a no-op), just wasted work.
@@ -227,14 +203,41 @@ mod tests {
         assert_eq!(b.drain_armed(), Vec::<usize>::new(), "drain disarms everything");
     }
 
+    /// Never armed, never busy: ticking it is a no-op, which only a
+    /// stepping tier pays for.
+    struct Quiescent<const STEPPED: bool> {
+        barrier: Barrier,
+        ticks: u64,
+    }
+
+    impl<const S: bool> Tier for Quiescent<S> {
+        const STEPPED: bool = S;
+        fn barrier(&mut self) -> &mut Barrier {
+            &mut self.barrier
+        }
+        fn next_tick(&self, _: usize) -> Option<u64> {
+            None
+        }
+        fn tick(&mut self, _: usize, _: u64) -> Result<(), SimError> {
+            self.ticks += 1;
+            Ok(())
+        }
+    }
+
+    fn three_barriers<const S: bool>() -> (u64, AdvanceStats) {
+        let mut t = Quiescent::<S> { barrier: Barrier::new(2), ticks: 0 };
+        for deadline in [10, 20, 30] {
+            advance(&mut t, deadline).unwrap();
+        }
+        (t.ticks, t.barrier.stats)
+    }
+
     #[test]
-    fn switching_to_event_driven_arms_every_part() {
-        let mut b = Barrier::new(3);
-        assert_eq!(b.mode(), AdvanceMode::EventDriven);
-        b.set_mode(AdvanceMode::Stepping);
-        assert_eq!(b.drain_armed(), Vec::<usize>::new(), "stepping does not use the set");
-        b.set_mode(AdvanceMode::EventDriven);
-        assert_eq!(b.drain_armed(), vec![0, 1, 2]);
+    fn a_stepped_tier_ticks_a_never_armed_quiescent_part() {
+        let stepped = AdvanceStats { barriers: 3, wakes: 6, skips: 0 };
+        assert_eq!(three_barriers::<true>(), (6, stepped), "2 parts × 3 barriers, all ticked");
+        let event = AdvanceStats { barriers: 3, wakes: 0, skips: 6 };
+        assert_eq!(three_barriers::<false>(), (0, event), "the product tier skips them all");
     }
 
     #[test]

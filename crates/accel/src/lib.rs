@@ -71,7 +71,7 @@ pub use backend::{Backend, SavePatch, SimError, SpanSupport, Stepped, TimingBack
 pub use config::AccelConfig;
 pub use cost::instr_cycles;
 pub use engine::{Engine, InterruptEvent, InterruptStrategy, JobRecord, Report, TaskState};
-pub use event::{AdvanceMode, AdvanceStats, Barrier, Tier};
+pub use event::{AdvanceStats, Barrier, Tier};
 pub use func::{DdrImage, FuncBackend};
 pub use multicore::{CoreId, CorePool};
 

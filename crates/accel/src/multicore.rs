@@ -11,18 +11,16 @@
 //! partitioned non-preemptive pool on deadline misses, throughput and
 //! resource cost.
 //!
-//! Advancement is discrete-event by default
-//! ([`AdvanceMode::EventDriven`]): the pool is a [`Tier`] whose cores are
+//! Advancement is discrete-event: the pool is a [`Tier`] whose cores are
 //! armed in its [`Barrier`] whenever work lands on them, and a barrier
 //! ([`event::advance`]) only ticks armed cores — quiescent ones are
 //! skipped entirely, so pool advancement costs O(events), not
-//! O(barriers × cores). The cycle-box legacy loop survives as
-//! [`AdvanceMode::Stepping`], selected on the barrier itself
-//! (`pool.barrier().set_mode(..)`); both modes are byte-identical on every
+//! O(barriers × cores). A pool over [`Stepped`] backends is the
+//! reference: it ticks every core at every barrier, and its engines step
+//! one instruction at a time; both are byte-identical on every
 //! deterministic artifact (the `event_differential` suite is the proof).
 //!
-//! [`AdvanceMode::EventDriven`]: crate::AdvanceMode::EventDriven
-//! [`AdvanceMode::Stepping`]: crate::AdvanceMode::Stepping
+//! [`Stepped`]: crate::Stepped
 
 use inca_isa::{Program, TaskSlot};
 use std::sync::Arc;
@@ -88,8 +86,8 @@ impl<B: Backend> CorePool<B> {
         Self { cfg, cores: engines, barrier }
     }
 
-    /// Event-engine work counters (barriers, wakes, skips). Stepping-mode
-    /// barriers count every core as a wake.
+    /// Event-engine work counters (barriers, wakes, skips). A stepping
+    /// pool's barriers count every core as a wake.
     #[must_use]
     pub fn advance_stats(&self) -> AdvanceStats {
         self.barrier.stats
@@ -274,6 +272,8 @@ impl<B: Backend> CorePool<B> {
 /// A core wakes at [`Engine::next_event`] and ticks by running to the
 /// barrier.
 impl<B: Backend> Tier for CorePool<B> {
+    const STEPPED: bool = B::STEPPED;
+
     fn barrier(&mut self) -> &mut Barrier {
         &mut self.barrier
     }

@@ -1,9 +1,10 @@
 //! Event-engine property suite: randomized multi-core request schedules
-//! and barrier sequences must make [`AdvanceMode::EventDriven`] and
-//! [`AdvanceMode::Stepping`] observationally identical — same per-core
-//! reports, same merged trace stream — under every interrupt strategy;
-//! and the armed set must be registration-order-invariant (the same
-//! request multiset armed in any order yields byte-identical traces).
+//! and barrier sequences must make `CorePool<TimingBackend>` and its
+//! stepping reference `CorePool<Stepped<TimingBackend>>` observationally
+//! identical — same per-core reports, same merged trace stream — under
+//! every interrupt strategy; and the armed set must be
+//! registration-order-invariant (the same request multiset armed in any
+//! order yields byte-identical traces).
 //!
 //! Case count defaults to a CI-friendly bound; set
 //! `INCA_EVENT_PROP_CASES` (or the suite-wide `INCA_PROP_CASES`) for a
@@ -12,7 +13,7 @@
 use std::sync::Arc;
 
 use inca_accel::{
-    AccelConfig, AdvanceMode, CoreId, CorePool, Engine, InterruptStrategy, Program, Report, Tier,
+    AccelConfig, Backend, CoreId, CorePool, Engine, InterruptStrategy, Program, Report, Stepped,
     TimingBackend,
 };
 use inca_compiler::Compiler;
@@ -72,21 +73,22 @@ fn lo_span() -> u64 {
 /// hi task in slot 1, so hi requests preempt under preemptive strategies.
 type Req = (usize, u64, bool);
 
-/// Runs `requests` (submitted in the given order) over `cores` cores,
-/// advancing through `barriers` then to completion, in `mode`. Returns
-/// the per-core reports and the merged shared-tracer stream.
-fn run_pool(
+/// Runs `requests` (submitted in the given order) over `cores` cores of
+/// `wrap`ped timing backends (`|b| b`, or `Stepped` for the reference),
+/// advancing through `barriers` then to completion. Returns the per-core
+/// reports and the merged shared-tracer stream.
+fn run_pool<B: Backend>(
+    wrap: fn(TimingBackend) -> B,
     strategy: InterruptStrategy,
     cores: usize,
     requests: &[Req],
     barriers: &[u64],
-    mode: AdvanceMode,
 ) -> (Vec<Report>, Vec<TraceEvent>) {
     let (tracer, buf) = Tracer::ring(1 << 16);
     let (lo_slot, hi_slot) = (TaskSlot::new(3).unwrap(), TaskSlot::new(1).unwrap());
-    let engines: Vec<Engine<TimingBackend>> = (0..cores)
+    let engines: Vec<Engine<B>> = (0..cores)
         .map(|_| {
-            let mut e = Engine::new(AccelConfig::paper_big(), strategy, TimingBackend::new());
+            let mut e = Engine::new(AccelConfig::paper_big(), strategy, wrap(TimingBackend::new()));
             e.set_probe(tracer.clone().into());
             e.load(lo_slot, lo_program()).unwrap();
             e.load(hi_slot, hi_program()).unwrap();
@@ -94,7 +96,6 @@ fn run_pool(
         })
         .collect();
     let mut pool = CorePool::from_engines(engines);
-    pool.barrier().set_mode(mode);
     for &(core, cycle, is_hi) in requests {
         pool.request_at(cycle, CoreId(core), if is_hi { hi_slot } else { lo_slot }).unwrap();
     }
@@ -108,7 +109,7 @@ fn run_pool(
 proptest! {
     #![proptest_config(prop_cases(16))]
 
-    /// Event-driven ≡ stepping on randomized schedules: arbitrary request
+    /// Product ≡ stepping reference on randomized schedules: arbitrary request
     /// placements (including cores left fully idle), arbitrary barrier
     /// sequences, every strategy.
     #[test]
@@ -131,10 +132,8 @@ proptest! {
             raw_barriers.iter().map(|&f| span * 2 * f / 2_000).collect();
         barriers.sort_unstable();
 
-        let (ev_reports, ev_trace) =
-            run_pool(strategy, cores, &requests, &barriers, AdvanceMode::EventDriven);
-        let (st_reports, st_trace) =
-            run_pool(strategy, cores, &requests, &barriers, AdvanceMode::Stepping);
+        let (ev_reports, ev_trace) = run_pool(|b| b, strategy, cores, &requests, &barriers);
+        let (st_reports, st_trace) = run_pool(Stepped, strategy, cores, &requests, &barriers);
         prop_assert_eq!(&ev_reports, &st_reports, "{}: reports diverge", strategy);
         prop_assert_eq!(&ev_trace, &st_trace, "{}: merged traces diverge", strategy);
         prop_assert_eq!(
@@ -176,8 +175,8 @@ proptest! {
         let keys: Vec<u64> = (0..cores).map(|_| lcg()).collect();
         shuffled.sort_by_key(|&(c, _, _)| keys[c]);
 
-        let (_, a) = run_pool(strategy, cores, &requests, &[], AdvanceMode::EventDriven);
-        let (_, b) = run_pool(strategy, cores, &shuffled, &[], AdvanceMode::EventDriven);
+        let (_, a) = run_pool(|b| b, strategy, cores, &requests, &[]);
+        let (_, b) = run_pool(|b| b, strategy, cores, &shuffled, &[]);
         prop_assert_eq!(&a, &b, "{}: registration order leaked into the trace", strategy);
         prop_assert!(!a.is_empty(), "scenario must produce events");
     }

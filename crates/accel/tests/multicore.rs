@@ -6,13 +6,13 @@
 use std::sync::Arc;
 
 use inca_accel::{
-    AccelConfig, AdvanceMode, CoreId, CorePool, Engine, InterruptStrategy, SimError, TaskState,
-    Tier, TimingBackend,
+    AccelConfig, Backend, CoreId, CorePool, Engine, InterruptStrategy, SimError, Stepped,
+    TaskState, TimingBackend,
 };
 use inca_compiler::Compiler;
 use inca_isa::{Program, TaskSlot};
 use inca_model::{zoo, Shape3};
-use inca_obs::Tracer;
+use inca_obs::{TraceEvent, Tracer};
 
 fn program_for(cfg: &AccelConfig, side: u32) -> Program {
     Compiler::new(cfg.arch).compile_vi(&zoo::tiny(Shape3::new(3, side, side)).unwrap()).unwrap()
@@ -157,31 +157,35 @@ fn busy_cycles_and_occupancy_reflect_partitioned_load() {
 
 /// A request landing exactly on the deadline cycle is *not* released by
 /// that `run_until`: the engine clock jumps to the barrier and stops
-/// before the release check runs again. Both advance modes must pin the
-/// identical semantics — the release happens on the next barrier.
+/// before the release check runs again. The product pool and its
+/// [`Stepped`] reference must pin the identical semantics — the release
+/// happens on the next barrier.
 #[test]
 fn request_exactly_on_the_deadline_cycle_waits_for_the_next_barrier() {
-    let cfg = AccelConfig::paper_big();
-    let slot = TaskSlot::new(1).unwrap();
-    for mode in [AdvanceMode::EventDriven, AdvanceMode::Stepping] {
-        let mut pool = CorePool::new(2, cfg, InterruptStrategy::NonPreemptive, TimingBackend::new);
-        pool.barrier().set_mode(mode);
+    fn check<B: Backend>(wrap: fn(TimingBackend) -> B) {
+        let what = if B::STEPPED { "Stepped" } else { "product" };
+        let cfg = AccelConfig::paper_big();
+        let slot = TaskSlot::new(1).unwrap();
+        let mut pool =
+            CorePool::new(2, cfg, InterruptStrategy::NonPreemptive, || wrap(TimingBackend::new()));
         pool.load(CoreId(0), slot, program_for(&cfg, 16)).unwrap();
         pool.request_at(1_000, CoreId(0), slot).unwrap();
 
         pool.run_until(1_000).unwrap();
         let core = pool.core(CoreId(0));
-        assert_eq!(core.now(), 1_000, "{mode}: clock reaches the barrier");
+        assert_eq!(core.now(), 1_000, "{what}: clock reaches the barrier");
         let released = core.task_state(slot) != TaskState::Idle;
-        assert!(!released, "{mode}: the on-deadline arrival is not yet released");
+        assert!(!released, "{what}: the on-deadline arrival is not yet released");
 
         // The next barrier — even one cycle later — releases and runs it.
         pool.run_until(1_001).unwrap();
         let state = pool.core(CoreId(0)).task_state(slot);
-        assert_eq!(state, TaskState::Running, "{mode}: the next barrier releases the job");
+        assert_eq!(state, TaskState::Running, "{what}: the next barrier releases the job");
         pool.run_until(u64::MAX).unwrap();
-        assert_eq!(pool.reports()[0].completed_jobs.len(), 1, "{mode}");
+        assert_eq!(pool.reports()[0].completed_jobs.len(), 1, "{what}");
     }
+    check(|b| b);
+    check(Stepped);
 }
 
 /// Idle cores advance past a quiescent barrier for free: no clock movement,
@@ -192,7 +196,6 @@ fn idle_cores_advance_past_a_quiescent_heap() {
     let cfg = AccelConfig::paper_big();
     let slot = TaskSlot::new(2).unwrap();
     let mut pool = CorePool::new(4, cfg, InterruptStrategy::NonPreemptive, TimingBackend::new);
-    assert_eq!(pool.barrier().mode(), AdvanceMode::EventDriven, "event mode is the default");
 
     pool.run_until(10_000).unwrap();
     pool.run_until(20_000).unwrap();
@@ -240,36 +243,40 @@ fn next_wake_ignores_conservative_arms() {
 /// Equal-wake ties advance cores in stable core order: two cores armed
 /// for the same cycle emit into a shared tracer in core order, no matter
 /// which was registered (requested) first — and the merged stream is
-/// byte-identical to the stepping loop's.
+/// byte-identical to the [`Stepped`] reference's.
 #[test]
 fn equal_wake_ties_advance_in_stable_core_order() {
-    let cfg = AccelConfig::paper_big();
-    let slot = TaskSlot::new(1).unwrap();
-    // Different programs per core so the merged streams are order-sensitive.
-    let (small, large) = (program_for(&cfg, 16), program_for(&cfg, 32));
-
-    let run = |request_order: [usize; 2], mode: AdvanceMode| {
+    fn run<B: Backend>(
+        wrap: fn(TimingBackend) -> B,
+        programs: [&Program; 2],
+        request_order: [usize; 2],
+    ) -> Vec<TraceEvent> {
+        let (cfg, slot) = (AccelConfig::paper_big(), TaskSlot::new(1).unwrap());
         let (tracer, buf) = Tracer::ring(1 << 14);
-        let mut engines: Vec<Engine<TimingBackend>> = (0..2)
-            .map(|_| Engine::new(cfg, InterruptStrategy::NonPreemptive, TimingBackend::new()))
+        let engines: Vec<Engine<B>> = programs
+            .iter()
+            .map(|&p| {
+                let mut e =
+                    Engine::new(cfg, InterruptStrategy::NonPreemptive, wrap(TimingBackend::new()));
+                e.set_probe(tracer.clone().into());
+                e.load(slot, p.clone()).unwrap();
+                e
+            })
             .collect();
-        for e in &mut engines {
-            e.set_probe(tracer.clone().into());
-        }
-        engines[0].load(slot, small.clone()).unwrap();
-        engines[1].load(slot, large.clone()).unwrap();
         let mut pool = CorePool::from_engines(engines);
-        pool.barrier().set_mode(mode);
         for &core in &request_order {
             pool.request_at(5_000, CoreId(core), slot).unwrap();
         }
         pool.run_until(u64::MAX).unwrap();
         buf.drain()
-    };
+    }
 
-    let forward = run([0, 1], AdvanceMode::EventDriven);
-    let reversed = run([1, 0], AdvanceMode::EventDriven);
-    let stepping = run([1, 0], AdvanceMode::Stepping);
+    // Different programs per core so the merged streams are order-sensitive.
+    let cfg = AccelConfig::paper_big();
+    let (small, large) = (program_for(&cfg, 16), program_for(&cfg, 32));
+    let forward = run(|b| b, [&small, &large], [0, 1]);
+    let reversed = run(|b| b, [&small, &large], [1, 0]);
+    let stepping = run(Stepped, [&small, &large], [1, 0]);
     assert!(!forward.is_empty());
     assert_eq!(forward, reversed, "registration order must not change the merged stream");
     assert_eq!(forward, stepping, "event-driven ≡ stepping, byte-for-byte");

@@ -17,9 +17,12 @@
 //! gateway must visit every registered scheduler each barrier, so the
 //! win here is bounded by the skip-check cost — reported, not floored.
 //!
-//! Both parts run the identical scenario under both modes and panic on
-//! any observable divergence: this binary *is* a differential test that
-//! happens to publish numbers.
+//! Both parts run the identical scenario event-driven and on the
+//! stepping reference — the same fleet over `Stepped<TimingBackend>`
+//! engines, which tick every core at every barrier and step one
+//! instruction at a time — and panic on any observable divergence: this
+//! binary *is* a differential test that happens to publish numbers. The
+//! snapshot's counters all come from the event-driven runs.
 //!
 //! Pass `--json` for a machine-readable `metrics-v1` snapshot: the
 //! events-vs-cycles counters (`*.wakes`, `*.stepping_ticks`, …) are
@@ -31,8 +34,8 @@ use std::time::Instant;
 
 use inca_accel::analysis::predicted_span;
 use inca_accel::{
-    AccelConfig, AdvanceMode, AdvanceStats, CoreId, CorePool, InterruptStrategy, Program, Report,
-    Tier, TimingBackend,
+    AccelConfig, AdvanceStats, Backend, CoreId, CorePool, InterruptStrategy, Program, Report,
+    Stepped, TimingBackend,
 };
 use inca_bench::workload::Gaps;
 use inca_compiler::Compiler;
@@ -64,23 +67,23 @@ struct FleetRun {
     final_cycle: u64,
 }
 
-/// The pool fleet under `mode`: 64 cores, [`ACTIVE`] cores receive
+/// The pool fleet over `wrap`ped timing backends: 64 cores, [`ACTIVE`] cores receive
 /// [`REQUESTS_PER_ACTIVE`] requests spaced 50 makespans apart, and the
 /// whole pool is advanced through [`BARRIERS`] evenly spaced barriers.
 /// Requests arrive *live* — each is submitted at the barrier preceding
 /// its arrival cycle, as an external fleet driver would — so between
 /// jobs a core is genuinely quiescent, not armed on a far-future
 /// arrival.
-fn fleet_run(mode: AdvanceMode) -> FleetRun {
+fn fleet_run<B: Backend>(wrap: fn(TimingBackend) -> B) -> FleetRun {
     let prog = program();
     let span = predicted_span(&cfg(), &prog);
     let gap = span * 50;
     let horizon = gap * REQUESTS_PER_ACTIVE + span * 2;
     let slot = TaskSlot::new(2).expect("slot");
 
-    let mut pool =
-        CorePool::new(FLEET, cfg(), InterruptStrategy::VirtualInstruction, TimingBackend::new);
-    pool.barrier().set_mode(mode);
+    let mut pool = CorePool::new(FLEET, cfg(), InterruptStrategy::VirtualInstruction, || {
+        wrap(TimingBackend::new())
+    });
     // (arrival, core), ascending: the live-submission schedule.
     let mut schedule: Vec<(u64, usize)> = Vec::new();
     for &c in &ACTIVE {
@@ -117,16 +120,16 @@ struct ServeRun {
     wall: std::time::Duration,
 }
 
-/// The serving fleet under `mode`: 64 cores behind the gateway, three
+/// The serving fleet over `wrap`ped timing backends: 64 cores behind the gateway, three
 /// tenants pinned by affinity, 96 requests advanced one arrival at a
 /// time (every arrival is a barrier over all 64 cores).
-fn serve_run(mode: AdvanceMode) -> ServeRun {
+fn serve_run<B: Backend>(wrap: fn(TimingBackend) -> B) -> ServeRun {
     let prog = program();
     let mean_gap = predicted_span(&cfg(), &prog) * 8;
-    let pool =
-        CorePool::new(FLEET, cfg(), InterruptStrategy::VirtualInstruction, TimingBackend::new);
+    let pool = CorePool::new(FLEET, cfg(), InterruptStrategy::VirtualInstruction, || {
+        wrap(TimingBackend::new())
+    });
     let mut gw = Gateway::new(pool, SchedPolicy::FixedPriority, PlacePolicy::TenantAffinity);
-    gw.barrier().set_mode(mode);
     gw.set_batch_window(mean_gap / 4);
     let tenants: Vec<_> =
         (0..3).map(|i| gw.register(TenantSpec::new(format!("t{i}"), Arc::clone(&prog)))).collect();
@@ -155,17 +158,17 @@ fn main() {
 
     // Stepping first, event second, identical construction: any
     // divergence is an event-engine bug, not scenario noise.
-    let st = fleet_run(AdvanceMode::Stepping);
-    let ev = fleet_run(AdvanceMode::EventDriven);
+    let st = fleet_run(Stepped);
+    let ev = fleet_run(|b| b);
     assert_eq!(ev.reports, st.reports, "fleet: event-driven and stepping reports diverge");
     assert_eq!(ev.final_cycle, st.final_cycle, "fleet: final clocks diverge");
     let completed: u64 = ev.reports.iter().map(|r| r.completed_jobs.len() as u64).sum();
     assert_eq!(completed, ACTIVE.len() as u64 * REQUESTS_PER_ACTIVE, "fleet: all jobs done");
     let fleet_speedup = speedup(st.wall, ev.wall);
 
-    let sst = serve_run(AdvanceMode::Stepping);
-    let sev = serve_run(AdvanceMode::EventDriven);
-    assert_eq!(sev.responses, sst.responses, "serve: responses diverge across modes");
+    let sst = serve_run(Stepped);
+    let sev = serve_run(|b| b);
+    assert_eq!(sev.responses, sst.responses, "serve: event-driven and stepping responses diverge");
     assert!(!sev.responses.is_empty());
     let serve_speedup = speedup(sst.wall, sev.wall);
 

@@ -38,7 +38,7 @@
 //!   against `BENCH_timeline.json`. `--inject-spike` adds the hard-lane
 //!   queue-depth burst and exits 1 if the recorder does not trip.
 
-use inca_accel::{analysis, AdvanceMode, InterruptStrategy};
+use inca_accel::{analysis, InterruptStrategy};
 use inca_bench::{serve_spans_scenario, serve_timeline_scenario};
 use inca_dslam::mission::{Mission, MissionConfig};
 use inca_obs::analyze::{self, Analyzer, SloSpec, T2Model, TaskSel};
@@ -295,7 +295,7 @@ fn spans_mode(args: &Args) -> Result<ExitCode, String> {
         [one] => *one,
         _ => return Err("--spans takes a single strategy, not `all`".to_owned()),
     };
-    let out = serve_spans_scenario(strategy, args.trace_sample);
+    let out = serve_spans_scenario(strategy, args.trace_sample, |b| b);
     let mut a = Analyzer::new();
     a.consume(&out.events);
     a.clock_hz = Some(out.clock_hz);
@@ -338,7 +338,7 @@ fn timeline_mode(args: &Args) -> Result<ExitCode, String> {
         [one] => *one,
         _ => return Err("--timeline takes a single strategy, not `all`".to_owned()),
     };
-    let run = serve_timeline_scenario(strategy, AdvanceMode::default(), 1, args.inject_spike);
+    let run = serve_timeline_scenario(strategy, |b| b, |b| b, 1, args.inject_spike);
     if args.json {
         // The deterministic metrics-v1 snapshot the regression gate diffs
         // against BENCH_timeline.json.

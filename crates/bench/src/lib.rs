@@ -27,8 +27,8 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 use inca_accel::{
-    analysis, AccelConfig, AdvanceMode, CoreId, CorePool, DdrImage, Engine, FuncBackend,
-    InterruptEvent, InterruptStrategy, Program, Tier, TimingBackend,
+    analysis, AccelConfig, Backend, CoreId, CorePool, DdrImage, Engine, FuncBackend,
+    InterruptEvent, InterruptStrategy, Program, TimingBackend,
 };
 use inca_compiler::Compiler;
 use inca_isa::TaskSlot;
@@ -161,31 +161,21 @@ pub struct SpansScenario {
 /// lifecycle — queue, batch (for the best-effort pairs), program reload,
 /// execution and preemption — and its span breakdown exercises every
 /// stage. Fully deterministic: the same `(strategy, trace_sample)` yields
-/// byte-identical event streams on any host or thread count.
+/// byte-identical event streams on any host or thread count, and over
+/// the [`Stepped`](inca_accel::Stepped) reference.
 ///
 /// `trace_sample` is the gateway's span-sampling modulus (1 = every
-/// request, 0 = spans off).
+/// request, 0 = spans off); `wrap` builds each core's backend around its
+/// timing backend (`|b| b` for the product, `Stepped` for the reference).
 ///
 /// # Panics
 ///
 /// Panics on compile or simulation errors (bench harness context).
 #[must_use]
-pub fn serve_spans_scenario(strategy: InterruptStrategy, trace_sample: u64) -> SpansScenario {
-    serve_spans_scenario_with_mode(strategy, trace_sample, AdvanceMode::default())
-}
-
-/// [`serve_spans_scenario`] with an explicit gateway [`AdvanceMode`] —
-/// the differential harness runs the same scenario event-driven and
-/// stepping and demands byte-identical outcomes.
-///
-/// # Panics
-///
-/// Panics on compile or simulation errors (bench harness context).
-#[must_use]
-pub fn serve_spans_scenario_with_mode(
+pub fn serve_spans_scenario<B: Backend>(
     strategy: InterruptStrategy,
     trace_sample: u64,
-    mode: AdvanceMode,
+    wrap: fn(TimingBackend) -> B,
 ) -> SpansScenario {
     let cfg = AccelConfig::paper_big();
     let hard_w = Workload::compile(&cfg, &zoo::tiny(Shape3::new(3, 48, 48)).expect("hard net"));
@@ -194,9 +184,8 @@ pub fn serve_spans_scenario_with_mode(
     let be_prog = be_w.for_strategy(strategy);
     let be_span = analysis::predicted_span(&cfg, &be_prog);
 
-    let pool = CorePool::new(1, cfg, strategy, TimingBackend::new);
+    let pool = CorePool::new(1, cfg, strategy, || wrap(TimingBackend::new()));
     let mut gw = Gateway::new(pool, SchedPolicy::FixedPriority, PlacePolicy::LeastLoaded);
-    gw.barrier().set_mode(mode);
     gw.set_batch_window(be_span / 8);
     gw.set_max_batch(4);
     let (tracer, buf) = Tracer::ring(1 << 16);
@@ -261,18 +250,23 @@ pub const TIMELINE_SLO: &str = "hard=depth:4";
 /// `spike`, round 3 injects a burst of hard-lane requests that drives
 /// the hard queue depth over the bound — the recorder MUST trip.
 ///
+/// `wrap` builds each core's backend around its functional backend and
+/// `func` reaches it again (`|b| b` twice for the product; `Stepped` and
+/// `|b| &mut b.0` for the reference).
+///
 /// Everything returned is deterministic in the cycle domain: the same
 /// `(strategy, spike)` yields byte-identical series frames (advance
-/// columns excepted across `mode`) and byte-identical recorder dumps
-/// across advance modes and functional-backend thread counts.
+/// columns excepted against the reference) and byte-identical recorder
+/// dumps over either backend and any functional-backend thread count.
 ///
 /// # Panics
 ///
 /// Panics on compile or simulation errors (bench harness context).
 #[must_use]
-pub fn serve_timeline_scenario(
+pub fn serve_timeline_scenario<B: Backend>(
     strategy: InterruptStrategy,
-    mode: AdvanceMode,
+    wrap: fn(FuncBackend) -> B,
+    func: fn(&mut B) -> &mut FuncBackend,
     threads: usize,
     spike: bool,
 ) -> TimelineRun {
@@ -284,9 +278,8 @@ pub fn serve_timeline_scenario(
     let be_span = analysis::predicted_span(&cfg, &be_prog);
     let interval = (be_span / 8).max(1);
 
-    let pool = CorePool::new(2, cfg, strategy, move || FuncBackend::with_threads(threads));
+    let pool = CorePool::new(2, cfg, strategy, move || wrap(FuncBackend::with_threads(threads)));
     let mut gw = Gateway::new(pool, SchedPolicy::FixedPriority, PlacePolicy::LeastLoaded);
-    gw.barrier().set_mode(mode);
     gw.set_batch_window(be_span / 8);
     gw.set_max_batch(4);
     let (tracer, buf) = Tracer::ring(1 << 16);
@@ -307,9 +300,7 @@ pub fn serve_timeline_scenario(
     );
     for core in 0..2 {
         for (t, prog) in [(hard, &hard_prog), (be, &be_prog)] {
-            gw.pool_mut()
-                .core_mut(CoreId(core))
-                .backend_mut()
+            func(gw.pool_mut().core_mut(CoreId(core)).backend_mut())
                 .install_ctx_image(t.ctx(), DdrImage::for_program(prog, 40 + t.ctx()));
         }
     }
@@ -403,22 +394,14 @@ mod tests {
 
     #[test]
     fn timeline_scenario_trips_only_with_the_spike() {
-        let quiet = serve_timeline_scenario(
-            InterruptStrategy::VirtualInstruction,
-            AdvanceMode::EventDriven,
-            1,
-            false,
-        );
+        let quiet =
+            serve_timeline_scenario(InterruptStrategy::VirtualInstruction, |b| b, |b| b, 1, false);
         assert!(quiet.violation.is_none(), "no spike, no trip: {:?}", quiet.violation);
         assert!(quiet.series.len() > 4, "scenario produces frames");
         assert!(quiet.responses > 0);
 
-        let spiked = serve_timeline_scenario(
-            InterruptStrategy::VirtualInstruction,
-            AdvanceMode::EventDriven,
-            1,
-            true,
-        );
+        let spiked =
+            serve_timeline_scenario(InterruptStrategy::VirtualInstruction, |b| b, |b| b, 1, true);
         let v = spiked.violation.expect("the injected spike must trip the recorder");
         assert_eq!(v.spec, "hard");
         assert!(v.clause.contains("depth"), "{}", v.clause);

@@ -39,8 +39,8 @@ fn spans_of(events: &[TraceEvent]) -> Vec<Span> {
 #[test]
 fn span_streams_byte_identical_across_runs_and_strategies() {
     for strategy in STRATEGIES {
-        let a = serve_spans_scenario(strategy, 1);
-        let b = serve_spans_scenario(strategy, 1);
+        let a = serve_spans_scenario(strategy, 1, |b| b);
+        let b = serve_spans_scenario(strategy, 1, |b| b);
         assert!(a.dropped == 0 && b.dropped == 0, "{strategy}: ring did not overflow");
         assert_eq!(a.events, b.events, "{strategy}: identical runs emit identical streams");
         assert!(!spans_of(&a.events).is_empty(), "{strategy}: the canonical scenario emits spans");
@@ -84,7 +84,7 @@ fn func_backend_spans_identical_across_thread_counts() {
 
 #[test]
 fn chrome_export_carries_every_span_field() {
-    let out = serve_spans_scenario(InterruptStrategy::VirtualInstruction, 1);
+    let out = serve_spans_scenario(InterruptStrategy::VirtualInstruction, 1, |b| b);
     let mut original = spans_of(&out.events);
 
     let mut chrome = ChromeTrace::new(out.clock_hz as f64 / 1e6);
@@ -126,7 +126,7 @@ fn chrome_export_carries_every_span_field() {
 
 #[test]
 fn breakdowns_tile_latency_exactly_and_cover_every_stage() {
-    let out = serve_spans_scenario(InterruptStrategy::VirtualInstruction, 1);
+    let out = serve_spans_scenario(InterruptStrategy::VirtualInstruction, 1, |b| b);
     let mut analyzer = Analyzer::new();
     analyzer.consume(&out.events);
     let breakdowns = analyzer.spans.breakdowns();
@@ -149,10 +149,10 @@ fn breakdowns_tile_latency_exactly_and_cover_every_stage() {
 
 #[test]
 fn trace_sample_modulus_selects_requests_deterministically() {
-    let off = serve_spans_scenario(InterruptStrategy::VirtualInstruction, 0);
+    let off = serve_spans_scenario(InterruptStrategy::VirtualInstruction, 0, |b| b);
     assert!(spans_of(&off.events).is_empty(), "sample 0 = spans off");
 
-    let sampled = serve_spans_scenario(InterruptStrategy::VirtualInstruction, 2);
+    let sampled = serve_spans_scenario(InterruptStrategy::VirtualInstruction, 2, |b| b);
     let spans = spans_of(&sampled.events);
     assert!(!spans.is_empty());
     assert!(
@@ -161,7 +161,7 @@ fn trace_sample_modulus_selects_requests_deterministically() {
     );
     // Sampling filters whole requests, never truncates a tagged one: the
     // sampled run's spans are exactly the full run's even-id spans.
-    let full = serve_spans_scenario(InterruptStrategy::VirtualInstruction, 1);
+    let full = serve_spans_scenario(InterruptStrategy::VirtualInstruction, 1, |b| b);
     let even: Vec<Span> =
         spans_of(&full.events).into_iter().filter(|s| s.request % 2 == 0).collect();
     assert_eq!(spans, even);

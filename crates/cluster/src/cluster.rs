@@ -5,7 +5,7 @@
 //! elastic resizing, the idle-gateway skip rule — is a pure function of
 //! cycle-domain state (outstanding counts, pending batches, cumulative
 //! busy cycles), so a cluster run is byte-identical across repeat runs,
-//! functional-backend thread counts and advance modes, exactly like the
+//! functional-backend thread counts and the stepping reference, exactly like the
 //! single gateway underneath it.
 
 use inca_accel::{AdvanceStats, Backend, CoreId, SimError};
@@ -370,9 +370,9 @@ impl<B: Backend> Cluster<B> {
     /// ascending id order. A gateway with nothing outstanding (batched
     /// requests are outstanding) is **skipped entirely** — the per-core
     /// skip rule of [`inca_accel::event::advance`] one tier up, but
-    /// purely cycle-domain in *both* advance modes, so the skip schedule
-    /// (and everything downstream, [`Cluster::advance_stats`] included)
-    /// is identical across advance modes and thread counts.
+    /// purely cycle-domain, so the skip schedule (and everything
+    /// downstream, [`Cluster::advance_stats`] included) is identical over
+    /// [`Stepped`](inca_accel::Stepped) gateways and across thread counts.
     ///
     /// # Errors
     ///

@@ -34,7 +34,7 @@
 //!
 //! Every decision above is a pure function of cycle-domain state, so a
 //! cluster run is byte-identical across repeat runs, functional-backend
-//! thread counts and advance modes — the same determinism contract as
+//! thread counts and the stepping reference — the same determinism contract as
 //! every layer below it.
 //!
 //! ```
@@ -76,7 +76,7 @@ mod route;
 pub use cluster::{Cluster, GatewayId};
 pub use route::{RoutePolicy, RouteStats};
 
-pub use inca_accel::{AdvanceMode, AdvanceStats};
+pub use inca_accel::AdvanceStats;
 pub use inca_serve::{
     Accepted, Gateway, Lane, PlacePolicy, Response, SchedPolicy, ShedReason, TenantId, TenantSpec,
     TenantStats,

@@ -11,12 +11,13 @@
 //! Sampling lives entirely in the **cycle domain**: frames are taken at
 //! fixed virtual-cycle boundaries interleaved deterministically with the
 //! gateway's run loop, so the same request schedule yields byte-identical
-//! frames regardless of host, thread count or advance mode — with one
-//! deliberate exception: the `advance.*` columns (barriers/wakes/skips)
-//! describe *simulator work*, which differs between
-//! `AdvanceMode::EventDriven` and `AdvanceMode::Stepping` by design.
-//! Every consumer that promises mode-invariance (the flight-recorder
-//! dumps) strips them ([`TimeSeries::without_advance`]).
+//! frames regardless of host, thread count or how the pool advances —
+//! with one deliberate exception: the `advance.*` columns
+//! (barriers/wakes/skips) describe *simulator work*, which differs
+//! between the event-driven pool and its stepping reference (a pool of
+//! `Stepped` engines) by design. Every consumer that promises
+//! byte-identity with the reference (the flight-recorder dumps) strips
+//! them ([`TimeSeries::without_advance`]).
 //!
 //! The [`FlightRecorder`] is armed with [`SloSpec`] clauses and evaluated
 //! at every sample boundary; the first violation freezes a
@@ -88,7 +89,7 @@ pub struct Violation {
     /// Name of the tripped spec.
     pub spec: String,
     /// Human-readable clause verdict (cycle-domain values only, so it is
-    /// byte-identical across advance modes and thread counts).
+    /// byte-identical on the stepping reference and across thread counts).
     pub clause: String,
 }
 
@@ -418,9 +419,9 @@ impl TimeSeries {
         self.columns.get(name).map(Vec::as_slice)
     }
 
-    /// A copy without the mode-dependent `advance.*` work-telemetry
-    /// columns — the projection that is byte-identical across
-    /// EventDriven/Stepping advance modes.
+    /// A copy without the `advance.*` work-telemetry columns — the
+    /// projection that is byte-identical between an event-driven run and
+    /// its stepping reference.
     #[must_use]
     pub fn without_advance(&self) -> TimeSeries {
         let mut out = self.clone();
@@ -530,7 +531,7 @@ fn window_events(events: &[TraceEvent], lo: u64, hi: u64) -> Vec<TraceEvent> {
 /// The flight-recorder Perfetto dump: the trace-ring events inside the
 /// frozen window, one process named after the violation. Every input is
 /// cycle-domain, so the dump is byte-identical across repeat runs,
-/// thread counts and advance modes. `ring_dropped` is the trace ring's
+/// thread counts and the stepping reference. `ring_dropped` is the trace ring's
 /// overflow count, surfaced as the standard dropped-events instant.
 #[must_use]
 pub fn dump_chrome(
@@ -553,8 +554,8 @@ pub fn dump_chrome(
 }
 
 /// The flight-recorder timeseries slice: frames inside the frozen
-/// window, with the mode-dependent `advance.*` columns stripped so the
-/// dump is byte-identical across advance modes.
+/// window, with the `advance.*` work columns stripped so the dump is
+/// byte-identical on the stepping reference.
 #[must_use]
 pub fn dump_slice(series: &TimeSeries, window: (u64, u64)) -> String {
     series.slice(window.0, window.1).without_advance().to_json()

@@ -400,7 +400,7 @@ impl<B: Backend> Gateway<B> {
     /// tenant-affinity placement pointing at a parked core is re-placed
     /// on first use. Purely cycle-domain state, so resize decisions
     /// driven from cycle-domain telemetry keep runs byte-identical
-    /// across advance modes and thread counts.
+    /// on the stepping reference and across thread counts.
     pub fn set_active_cores(&mut self, n: usize) {
         self.active_cores = n.clamp(1, self.scheds.len());
     }
@@ -763,7 +763,8 @@ impl<B: Backend> Gateway<B> {
     ///
     /// A sample boundary is eligible only while the gateway has
     /// outstanding work — a purely cycle-domain condition, so the frame
-    /// schedule is identical across advance modes and thread counts, and
+    /// schedule is identical for event-driven and [`Stepped`](inca_accel::Stepped)
+    /// pools and across thread counts, and
     /// `run_until(u64::MAX)` still terminates (boundaries stop once work
     /// drains; the trailing drain window is covered by the partial frame
     /// [`Gateway::take_timeline`] flushes).
@@ -779,7 +780,7 @@ impl<B: Backend> Gateway<B> {
             // and no flush is pending, the outstanding work is wedged
             // (nothing any barrier can serve) — stop sampling so
             // `run_until(u64::MAX)` terminates. Cycle-domain state only,
-            // so the guard fires identically in both advance modes. Without
+            // so the guard fires identically on a stepped pool. Without
             // a sampler there is no boundary and no guard state to build.
             let sample = self
                 .sampler
@@ -917,8 +918,9 @@ impl<B: Backend> Gateway<B> {
         m.inc("serve.batches.dispatched", self.batches_dispatched);
         m.inc("serve.batches.requests", self.batched_requests);
         // Event-engine work telemetry. Deterministic for a fixed
-        // configuration, but mode-dependent by design: differential
-        // suites comparing EventDriven vs Stepping strip `event.*` keys.
+        // configuration, but a stepped pool does more work by design:
+        // differential suites against the `Stepped` reference strip
+        // `event.*` keys.
         let adv = self.pool.advance_stats();
         m.inc("event.barriers", adv.barriers);
         m.inc("event.wakes", adv.wakes);
@@ -950,8 +952,11 @@ impl<B: Backend> Gateway<B> {
 /// engine *plus* its slot-virtualizing scheduler. Hard submits and batch
 /// flushes arm it through [`CorePool::wake`], and its next tick is
 /// [`Scheduler::next_tick`] — `None` only when stepping the pair is
-/// provably a state no-op.
+/// provably a state no-op. A gateway over [`Stepped`](inca_accel::Stepped)
+/// engines steps every pair at every barrier, like its pool.
 impl<B: Backend> Tier for Gateway<B> {
+    const STEPPED: bool = B::STEPPED;
+
     fn barrier(&mut self) -> &mut Barrier {
         self.pool.barrier()
     }

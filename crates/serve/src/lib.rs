@@ -68,7 +68,7 @@ pub use gateway::{Accepted, Gateway, DEFAULT_BATCH_WINDOW, DEFAULT_MAX_BATCH};
 pub use place::PlacePolicy;
 pub use request::{Lane, RequestId, Response, ShedReason, TenantId, TenantSpec};
 
-pub use inca_accel::{AdvanceMode, AdvanceStats};
+pub use inca_accel::AdvanceStats;
 pub use inca_obs::analyze::SloSpec;
 pub use inca_obs::{FlightRecorder, Sampler, TimeSeries, Violation};
 pub use inca_runtime::{DropPolicy, SchedPolicy, TaskStats as TenantStats};

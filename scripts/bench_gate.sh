@@ -26,13 +26,14 @@
 #   scripts/bench_gate.sh --selftest  # prove the gate trips on an injected
 #                                     #   2x slowdown and passes on identity
 #
-# `fig_event_engine`'s wall-clock speedup is the ratio of two advance modes
-# that BOTH run the same engine: when the engine itself gets faster (span
-# commits: 25.2x -> ~20x) the busy cores cost both modes less and the ratio
-# drifts down while each mode got quicker, and a noisy neighbour on the
-# ~0.2 ms side moves it 3-8x. The bin prints it to stderr and keeps it out
-# of its snapshot, so no gate reads it; the event floor is on the
-# deterministic work ratio of the snapshot instead.
+# `fig_event_engine`'s wall-clock speedup is the ratio of the event-driven
+# fleet to its stepping reference (the same fleet over `Stepped` engines,
+# which also step every instruction): it moves whenever either side's
+# engine gets faster (span commits: 25.2x -> ~20x, against the former
+# stepping mode), and a noisy neighbour on the ~0.2 ms side moves it 3-8x.
+# The bin prints it to stderr and keeps it out of its snapshot, so no gate
+# reads it; the event floor is on the deterministic work ratio of the
+# snapshot instead.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -16,17 +16,18 @@
 //!    snapshot, merged fleet timeline, route/steal/cascade/resize
 //!    counters, cluster advance stats, ground-truth reload cycles) is
 //!    identical across repeat runs, [`FuncBackend`] worker-thread
-//!    counts, and both advance modes. The cluster-level skip rule is
-//!    cycle-domain, so even its [`AdvanceStats`] must not vary with the
-//!    advance mode — unlike the per-gateway `event.*` counters, which
-//!    are mode-specific by design and are stripped before comparison.
+//!    counts, and the [`Stepped`] reference (every core ticked at every
+//!    barrier, one instruction at a time). The cluster-level skip rule is
+//!    cycle-domain, so even its [`AdvanceStats`] must not differ on the
+//!    reference — unlike the per-gateway `event.*` counters, which count
+//!    the stepping work by design and are stripped before comparison.
 
 use std::sync::Arc;
 
 use inca::accel::analysis::predicted_span;
 use inca::accel::{
-    AccelConfig, AdvanceMode, AdvanceStats, Backend, CoreId, CorePool, FuncBackend,
-    InterruptStrategy, Tier, TimingBackend,
+    AccelConfig, AdvanceStats, Backend, CoreId, CorePool, FuncBackend, InterruptStrategy, Stepped,
+    TimingBackend,
 };
 use inca::cluster::{Cluster, GatewayId, RoutePolicy, RouteStats};
 use inca::compiler::Compiler;
@@ -335,15 +336,15 @@ struct ClusterObservables {
     stolen: u64,
     cascades: u64,
     resizes: u64,
-    /// Cluster-level advance stats are cycle-domain and therefore mode-
-    /// invariant — compared verbatim, not stripped.
+    /// Cluster-level advance stats are cycle-domain and therefore equal
+    /// on the reference — compared verbatim, not stripped.
     stats: AdvanceStats,
     reload_cycles: u64,
 }
 
 /// Drops every counter whose key involves an `event.` segment — the
-/// per-gateway engine wake/skip tallies legitimately differ between
-/// advance modes (`cluster.gwN.event.*`, `cluster.gwN.serve.coreM....`
+/// per-gateway engine wake/skip tallies legitimately differ on the
+/// stepping reference (`cluster.gwN.event.*`, `cluster.gwN.serve.coreM....`
 /// stays).
 fn strip_event(m: &Metrics) -> Metrics {
     let mut out = Metrics::new();
@@ -359,12 +360,17 @@ fn strip_event(m: &Metrics) -> Metrics {
     out
 }
 
-fn func_run(threads: usize, mode: AdvanceMode) -> ClusterObservables {
-    let mut fleet = build_fleet(3, 2, || FuncBackend::with_threads(threads));
+/// One cluster run over `wrap`ped functional backends, reached again
+/// through `func`: `|b| b` twice for the product, `Stepped` and
+/// `|b| &mut b.0` for the reference.
+fn func_run<B: Backend>(
+    threads: usize,
+    wrap: fn(FuncBackend) -> B,
+    func: fn(&mut B) -> &mut FuncBackend,
+) -> ClusterObservables {
+    let mut fleet = build_fleet(3, 2, || wrap(FuncBackend::with_threads(threads)));
     for g in 0..fleet.cluster.gateway_count() {
-        let gw = fleet.cluster.gateway_mut(GatewayId(g));
-        gw.barrier().set_mode(mode);
-        let _ = gw.enable_timeline(fleet.mean_gap, 4096);
+        let _ = fleet.cluster.gateway_mut(GatewayId(g)).enable_timeline(fleet.mean_gap, 4096);
     }
     fleet.cluster.set_rebalance(true);
 
@@ -384,9 +390,7 @@ fn func_run(threads: usize, mode: AdvanceMode) -> ClusterObservables {
                 fleet.tenants.iter().chain(std::iter::once(&fleet.hard)).zip(&specs).enumerate()
             {
                 let image = inca::accel::DdrImage::for_program(program, 4_000 + i as u64);
-                gw.pool_mut()
-                    .core_mut(CoreId(core))
-                    .backend_mut()
+                func(gw.pool_mut().core_mut(CoreId(core)).backend_mut())
                     .install_ctx_image(t.ctx(), image);
             }
         }
@@ -416,8 +420,10 @@ fn func_run(threads: usize, mode: AdvanceMode) -> ClusterObservables {
 }
 
 #[test]
-fn cluster_runs_are_byte_identical_across_threads_modes_and_repeats() {
-    let baseline = func_run(1, AdvanceMode::EventDriven);
+fn cluster_runs_are_byte_identical_across_threads_repeats_and_the_stepped_reference() {
+    let product = |threads| func_run(threads, |b| b, |b| b);
+    let reference = |threads| func_run(threads, Stepped, |b| &mut b.0);
+    let baseline = product(1);
     assert!(!baseline.responses.is_empty());
     assert!(
         baseline.stats.skips > 0,
@@ -425,13 +431,12 @@ fn cluster_runs_are_byte_identical_across_threads_modes_and_repeats() {
         baseline.stats
     );
 
-    for (threads, mode, what) in [
-        (1, AdvanceMode::EventDriven, "repeat run"),
-        (4, AdvanceMode::EventDriven, "4 worker threads"),
-        (1, AdvanceMode::Stepping, "stepping advance"),
-        (4, AdvanceMode::Stepping, "stepping advance, 4 worker threads"),
+    for (other, what) in [
+        (product(1), "repeat run"),
+        (product(4), "4 worker threads"),
+        (reference(1), "the Stepped reference"),
+        (reference(4), "the Stepped reference, 4 worker threads"),
     ] {
-        let other = func_run(threads, mode);
         assert_eq!(baseline, other, "cluster run diverged under {what}");
     }
 }

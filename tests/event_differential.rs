@@ -1,18 +1,19 @@
-//! The event-engine acceptance bar: a discrete-event advance
-//! ([`AdvanceMode::EventDriven`], the default) must be **byte-identical**
-//! to the legacy cycle-box stepping loop ([`AdvanceMode::Stepping`]) on
-//! every observable surface — DDR output bytes, merged trace streams
+//! The event-engine acceptance bar: the product's discrete-event advance
+//! must be **byte-identical** to the stepping reference — the same
+//! scenario built over [`Stepped`] backends, whose pools tick every core
+//! at every barrier and whose engines step one instruction at a time — on
+//! every observable surface: DDR output bytes, merged trace streams
 //! (including request-tagged span trees), metrics snapshots, per-core
-//! reports and mid-run clock/metrics snapshots — across all four
-//! interrupt strategies, 1–8 core pools, the serving gateway, and the
-//! bench crate's canonical spans scenario. The pool scenario also takes the
-//! functional backend's execution tier (`FuncBackend`, or
-//! `Stepped<FuncBackend>` for Tier-0) as an input: root `cargo test` does
-//! not run `crates/accel/tests`, so the engine's Tier-0 ≡ Tier-1 contract
-//! (one `charge` / `retire` path, DESIGN.md §5.6) is checked here too, and
-//! so is a thin smoke of `crates/accel/tests/span_differential.rs`: the
-//! timing engine's span commits against `Stepped`, its per-instruction
-//! oracle.
+//! reports and mid-run clock/metrics snapshots, across all four interrupt
+//! strategies, 1–8 core pools, the serving gateway, and the bench crate's
+//! canonical spans scenario. Over `FuncBackend` the reference is Tier-0:
+//! root `cargo test` does not run `crates/accel/tests`, so the engine's
+//! Tier-0 ≡ Tier-1 contract (one `charge` / `retire` path, DESIGN.md §5.6)
+//! is checked here too, and so is a thin smoke of
+//! `crates/accel/tests/span_differential.rs`: the timing engine's span
+//! commits against `Stepped`, its per-instruction oracle. A divergence
+//! that shows here and not in those single-engine suites points at the
+//! barrier.
 //!
 //! The only permitted difference is *work*: on pools with idle cores the
 //! event engine must actually skip them ([`AdvanceStats::skips`] > 0).
@@ -21,15 +22,15 @@ use std::sync::Arc;
 
 use inca::accel::analysis::predicted_span;
 use inca::accel::{
-    AccelConfig, AdvanceMode, AdvanceStats, Backend, CoreId, CorePool, DdrImage, Engine,
-    FuncBackend, InterruptStrategy, Report, SpanSupport, Stepped, Tier,
+    AccelConfig, AdvanceStats, Backend, CoreId, CorePool, DdrImage, Engine, FuncBackend,
+    InterruptStrategy, Report, SpanSupport, Stepped,
 };
 use inca::compiler::Compiler;
 use inca::isa::{Program, TaskSlot};
 use inca::model::{zoo, Shape3};
 use inca::obs::{Metrics, MetricsSnapshot, Probe, TraceEvent, Tracer};
 use inca::serve::{Gateway, PlacePolicy, SchedPolicy, TenantSpec};
-use inca_bench::{serve_spans_scenario_with_mode, SpansScenario};
+use inca_bench::{serve_spans_scenario, SpansScenario};
 
 const STRATEGIES: [InterruptStrategy; 4] = [
     InterruptStrategy::NonPreemptive,
@@ -85,13 +86,16 @@ struct PoolObservables {
 /// every *even* core runs a tagged lo job preempted mid-flight by a
 /// tagged hi job (so span trees and interrupts land in the stream), odd
 /// cores stay idle the whole run. Advanced through two mid-run barriers,
-/// then to quiescence.
+/// then to quiescence; then the drained core 0 is woken again through
+/// [`CorePool::request_at`], whose arm is the only thing that makes the
+/// event engine visit it. `wrap` builds each core's backend around its
+/// functional backend and `func` reaches it again: `|b| b` twice for the
+/// product, `Stepped` and `|b| &b.0` for the reference.
 fn pool_run<B: Backend>(
     wrap: fn(FuncBackend) -> B,
     func: fn(&B) -> &FuncBackend,
     strategy: InterruptStrategy,
     cores: usize,
-    mode: AdvanceMode,
 ) -> (PoolObservables, AdvanceStats) {
     let lo_prog = compile(strategy, &zoo::tiny(Shape3::new(3, 24, 24)).unwrap());
     let hi_prog = compile(strategy, &zoo::tiny(Shape3::new(3, 16, 16)).unwrap());
@@ -112,7 +116,6 @@ fn pool_run<B: Backend>(
         })
         .collect();
     let mut pool = CorePool::from_engines(engines);
-    pool.barrier().set_mode(mode);
 
     let active: Vec<usize> = (0..cores).step_by(2).collect();
     for (i, &c) in active.iter().enumerate() {
@@ -132,6 +135,8 @@ fn pool_run<B: Backend>(
             .collect();
         mid.push((nows, json));
     }
+    pool.run_until(u64::MAX).unwrap();
+    pool.request_at(pool.now() + span / 4, CoreId(0), lo).unwrap();
     pool.run_until(u64::MAX).unwrap();
     assert_eq!(buf.dropped(), 0, "{strategy}/{cores}c: the comparison covers the whole trace");
     let fused: u64 = pool
@@ -162,21 +167,16 @@ fn pool_run<B: Backend>(
 }
 
 #[test]
-fn pool_runs_are_byte_identical_across_modes() {
+fn pool_runs_are_byte_identical_to_the_stepped_reference() {
     for strategy in STRATEGIES {
         for cores in [1usize, 2, 4, 8] {
-            let tier1 = |mode| pool_run(|b| b, |b| b, strategy, cores, mode);
-            let (ev, ev_stats) = tier1(AdvanceMode::EventDriven);
-            let (st, st_stats) = tier1(AdvanceMode::Stepping);
-            assert_eq!(ev, st, "{strategy}/{cores}c: event-driven and stepping runs diverge");
-            if cores <= 2 {
-                let (t0, _) =
-                    pool_run(Stepped, |b| &b.0, strategy, cores, AdvanceMode::EventDriven);
-                assert_eq!(ev, t0, "{strategy}/{cores}c: Tier-1 and Tier-0 runs diverge");
-            }
+            let (ev, ev_stats) = pool_run(|b| b, |b| b, strategy, cores);
+            let (st, st_stats) = pool_run(Stepped, |b| &b.0, strategy, cores);
+            assert_eq!(ev, st, "{strategy}/{cores}c: product and Stepped reference runs diverge");
             assert!(!ev.trace.is_empty(), "{strategy}/{cores}c: scenario emits trace events");
             let completed: usize = ev.reports.iter().map(|r| r.completed_jobs.len()).sum();
-            assert_eq!(completed, cores.div_ceil(2) * 2, "{strategy}/{cores}c: all jobs done");
+            let jobs = cores.div_ceil(2) * 2 + 1;
+            assert_eq!(completed, jobs, "{strategy}/{cores}c: all jobs done");
             if cores >= 2 {
                 assert!(
                     ev_stats.skips > 0,
@@ -184,7 +184,7 @@ fn pool_runs_are_byte_identical_across_modes() {
                 );
                 assert!(
                     ev_stats.skips > st_stats.skips,
-                    "{strategy}/{cores}c: event mode must out-skip stepping"
+                    "{strategy}/{cores}c: the event engine must out-skip stepping"
                 );
             }
             // Stepping visits every registered core at every barrier.
@@ -203,9 +203,9 @@ struct GatewayObservables {
     outputs: Vec<LayerOutputs>,
 }
 
-/// A copy of `m` without the mode-dependent `event.*` work-telemetry
-/// counters. The gateway now publishes its advance stats in metrics-v1
-/// (wakes/skips measure *simulator work*, which differs across modes by
+/// A copy of `m` without the `event.*` work-telemetry counters. The
+/// gateway publishes its advance stats in metrics-v1 (wakes/skips
+/// measure *simulator work*, which the stepping reference does more of by
 /// design), so the byte-identical comparison covers everything else and
 /// the event counters get their own explicit assertions.
 fn strip_event(m: &Metrics) -> Metrics {
@@ -224,11 +224,12 @@ fn strip_event(m: &Metrics) -> Metrics {
 
 /// The serving scenario from the serve differential suite — admission,
 /// batching, placement, slot-virtualizing schedulers, hard-lane
-/// preemption — run under an explicit advance mode.
-fn gateway_run(
+/// preemption — over `wrap`ped functional backends (see [`pool_run`]).
+fn gateway_run<B: Backend>(
+    wrap: fn(FuncBackend) -> B,
+    func: fn(&B) -> &FuncBackend,
     strategy: InterruptStrategy,
     cores: usize,
-    mode: AdvanceMode,
 ) -> (GatewayObservables, AdvanceStats) {
     let lo_prog = compile(strategy, &zoo::tiny(Shape3::new(3, 32, 32)).unwrap());
     let mid_prog = compile(strategy, &zoo::tiny(Shape3::new(3, 24, 24)).unwrap());
@@ -243,9 +244,17 @@ fn gateway_run(
         ("estop", &hi_prog, 0, true, 5_007),
     ];
 
-    let pool = CorePool::new(cores, cfg(), strategy, FuncBackend::new);
+    // Every core holds every tenant's context image; a tenant's context
+    // is its registration index (asserted below).
+    let backend = || {
+        let mut b = FuncBackend::new();
+        for (ctx, (_, program, _, _, seed)) in plan.iter().enumerate() {
+            b.install_ctx_image(ctx as u64, image_with_input(program, *seed));
+        }
+        wrap(b)
+    };
+    let pool = CorePool::new(cores, cfg(), strategy, backend);
     let mut gw = Gateway::new(pool, SchedPolicy::FixedPriority, PlacePolicy::LeastLoaded);
-    gw.barrier().set_mode(mode);
     gw.set_batch_window(5_000);
     let (tracer, buf) = Tracer::ring(1 << 16);
     gw.set_probe(tracer.into(), 0);
@@ -259,14 +268,7 @@ fn gateway_run(
             gw.register(spec)
         })
         .collect();
-    for core in 0..cores {
-        for (t, (_, program, _, _, seed)) in tenants.iter().zip(plan.iter()) {
-            gw.pool_mut()
-                .core_mut(CoreId(core))
-                .backend_mut()
-                .install_ctx_image(t.ctx(), image_with_input(program, *seed));
-        }
-    }
+    assert!(tenants.iter().enumerate().all(|(i, t)| t.ctx() == i as u64));
 
     let span = predicted_span(&cfg(), &lo_prog);
     gw.submit(0, tenants[0]).unwrap();
@@ -279,14 +281,14 @@ fn gateway_run(
     gw.run_to_idle(u64::MAX).unwrap();
 
     let responses = gw.drain_responses();
-    assert_eq!(responses.len(), 5, "{strategy}/{cores}c/{mode}: all requests answered");
+    assert_eq!(responses.len(), 5, "{strategy}/{cores}c: all requests answered");
     let outputs = responses
         .iter()
         .map(|r| {
             let t = r.tenant;
             let program = Arc::clone(&gw.spec(t).program);
             let core = r.core.expect("executed requests carry their core");
-            all_outputs(&program, gw.pool().core(core).backend().ctx_image(t.ctx()).unwrap())
+            all_outputs(&program, func(gw.pool().core(core).backend()).ctx_image(t.ctx()).unwrap())
         })
         .collect();
     let obs = GatewayObservables {
@@ -310,13 +312,13 @@ fn gateway_run(
 }
 
 #[test]
-fn gateway_runs_are_byte_identical_across_modes() {
+fn gateway_runs_are_byte_identical_to_the_stepped_reference() {
     for strategy in STRATEGIES {
         let mut ev_by_cores = Vec::new();
         for cores in [2usize, 4] {
-            let (ev, ev_stats) = gateway_run(strategy, cores, AdvanceMode::EventDriven);
-            let (st, st_stats) = gateway_run(strategy, cores, AdvanceMode::Stepping);
-            assert_eq!(ev, st, "{strategy}/{cores}c: served runs diverge across modes");
+            let (ev, ev_stats) = gateway_run(|b| b, |b| b, strategy, cores);
+            let (st, st_stats) = gateway_run(Stepped, |b| &b.0, strategy, cores);
+            assert_eq!(ev, st, "{strategy}/{cores}c: product and Stepped reference runs diverge");
             assert!(!ev.trace.is_empty(), "{strategy}/{cores}c: gateway emits trace events");
             assert!(
                 ev_stats.skips > 0,
@@ -345,11 +347,10 @@ fn gateway_runs_are_byte_identical_across_modes() {
 }
 
 #[test]
-fn bench_canonical_spans_scenario_is_mode_invariant() {
+fn bench_canonical_spans_scenario_matches_the_stepped_reference() {
     for strategy in STRATEGIES {
-        let ev: SpansScenario =
-            serve_spans_scenario_with_mode(strategy, 1, AdvanceMode::EventDriven);
-        let st: SpansScenario = serve_spans_scenario_with_mode(strategy, 1, AdvanceMode::Stepping);
+        let ev: SpansScenario = serve_spans_scenario(strategy, 1, |b| b);
+        let st: SpansScenario = serve_spans_scenario(strategy, 1, Stepped);
         assert_eq!(ev.events, st.events, "{strategy}: canonical span streams diverge");
         assert_eq!(ev.dropped, st.dropped, "{strategy}");
         assert_eq!(ev.responses, st.responses, "{strategy}");

@@ -2,25 +2,23 @@
 //! are pure functions of the virtual clock, so the sampled series, the
 //! flight-recorder dumps and the metrics snapshot must be
 //! **byte-identical** across repeat runs and FuncBackend thread counts,
-//! under every interrupt strategy and both advance modes. Across
-//! EventDriven vs Stepping the only permitted difference is *work*: the
-//! `advance.*` columns (and the `event.*` counters they reconcile with)
-//! may differ, so the advance-stripped series and the recorder dumps —
-//! which strip them by construction — must match to the byte.
+//! under every interrupt strategy, for the product and for the [`Stepped`]
+//! reference. Between the two the only permitted difference is *work*:
+//! the `advance.*` columns (and the `event.*` counters they reconcile
+//! with) may differ, so the advance-stripped series and the recorder
+//! dumps — which strip them by construction — must match to the byte.
 //!
 //! A property test closes the accounting loop: summing per-frame counter
 //! deltas over any observation stream reproduces the final cumulative
 //! snapshot, and gauge columns end on the final instantaneous value.
 
-use inca::accel::{AdvanceMode, InterruptStrategy};
+use inca::accel::{Backend, FuncBackend, InterruptStrategy, Stepped};
 use inca::obs::analyze::SloSpec;
 use inca::obs::{CoreObs, Metrics, MetricsSnapshot, Observation, Sampler, TenantObs, TimeSeries};
 use inca_bench::{serve_timeline_scenario, TimelineRun, TIMELINE_SLO};
 use proptest::prelude::*;
 
 mod common;
-
-const MODES: [AdvanceMode; 2] = [AdvanceMode::EventDriven, AdvanceMode::Stepping];
 
 fn prop_cases(default_cases: u32) -> ProptestConfig {
     let cases =
@@ -38,41 +36,50 @@ fn exported(run: &TimelineRun) -> (String, Option<String>, Option<String>, Strin
     )
 }
 
-/// The full determinism matrix for one strategy: repeat runs and thread
-/// counts must reproduce every export byte-for-byte (including the
-/// mode-dependent `advance.*` columns); EventDriven vs Stepping must
-/// agree on the advance-stripped series and on both recorder dumps.
-fn assert_matrix(strategy: InterruptStrategy) {
-    let mut per_mode = Vec::new();
-    for mode in MODES {
-        let base = serve_timeline_scenario(strategy, mode, 1, true);
-        let repeat = serve_timeline_scenario(strategy, mode, 1, true);
-        assert_eq!(exported(&base), exported(&repeat), "{strategy}/{mode:?}: repeat run differs");
-        let threaded = serve_timeline_scenario(strategy, mode, 4, true);
-        assert_eq!(
-            exported(&base),
-            exported(&threaded),
-            "{strategy}/{mode:?}: 4-thread FuncBackend differs from 1-thread"
-        );
+/// The advance-stripped exports of one base run.
+type Stripped = (String, Option<String>, Option<String>);
 
-        let v = base.violation.as_ref().unwrap_or_else(|| {
-            panic!("{strategy}/{mode:?}: injected spike did not trip the recorder")
-        });
-        assert_eq!(v.spec, "hard");
-        assert!(v.clause.contains("depth"), "unexpected clause {:?}", v.clause);
-        assert!(base.chrome_dump.is_some() && base.slice_dump.is_some());
-
-        common::assert_well_formed(&base.series.to_json(), base.series.tenants());
-
-        per_mode.push((
-            base.series.without_advance().to_json(),
-            base.chrome_dump.clone(),
-            base.slice_dump.clone(),
-        ));
-    }
+/// Repeat runs and thread counts must reproduce every export
+/// byte-for-byte (including the `advance.*` columns) over one backend
+/// type; returns the base run's advance-stripped series and dumps.
+fn assert_repeatable<B: Backend>(
+    strategy: InterruptStrategy,
+    wrap: fn(FuncBackend) -> B,
+    func: fn(&mut B) -> &mut FuncBackend,
+) -> Stripped {
+    let what = if B::STEPPED { "Stepped" } else { "product" };
+    let base = serve_timeline_scenario(strategy, wrap, func, 1, true);
+    let repeat = serve_timeline_scenario(strategy, wrap, func, 1, true);
+    assert_eq!(exported(&base), exported(&repeat), "{strategy}/{what}: repeat run differs");
+    let threaded = serve_timeline_scenario(strategy, wrap, func, 4, true);
     assert_eq!(
-        per_mode[0], per_mode[1],
-        "{strategy}: EventDriven vs Stepping differ beyond advance.* columns"
+        exported(&base),
+        exported(&threaded),
+        "{strategy}/{what}: 4-thread FuncBackend differs from 1-thread"
+    );
+
+    let v = base
+        .violation
+        .as_ref()
+        .unwrap_or_else(|| panic!("{strategy}/{what}: injected spike did not trip the recorder"));
+    assert_eq!(v.spec, "hard");
+    assert!(v.clause.contains("depth"), "unexpected clause {:?}", v.clause);
+    assert!(base.chrome_dump.is_some() && base.slice_dump.is_some());
+
+    common::assert_well_formed(&base.series.to_json(), base.series.tenants());
+
+    (base.series.without_advance().to_json(), base.chrome_dump, base.slice_dump)
+}
+
+/// The full determinism matrix for one strategy: each backend type is
+/// repeatable, and the product agrees with the [`Stepped`] reference on
+/// the advance-stripped series and on both recorder dumps.
+fn assert_matrix(strategy: InterruptStrategy) {
+    let product = assert_repeatable(strategy, |b| b, |b| b);
+    let reference = assert_repeatable(strategy, Stepped, |b| &mut b.0);
+    assert_eq!(
+        product, reference,
+        "{strategy}: product and Stepped reference differ beyond advance.* columns"
     );
 }
 
@@ -101,12 +108,7 @@ fn timeline_matrix_virtual_instruction() {
 /// deltas, and the `timeline.*` bookkeeping counters match the ring.
 #[test]
 fn scenario_columns_reconcile_with_the_metrics_snapshot() {
-    let run = serve_timeline_scenario(
-        InterruptStrategy::VirtualInstruction,
-        AdvanceMode::EventDriven,
-        1,
-        true,
-    );
+    let run = serve_timeline_scenario(InterruptStrategy::VirtualInstruction, |b| b, |b| b, 1, true);
     let snap = MetricsSnapshot::from_json(&run.metrics_json).expect("metrics-v1");
     let sum = |col: &str| run.series.column(col).expect(col).iter().sum::<u64>();
     assert_eq!(snap.metrics.counter("event.barriers"), sum("advance.barriers"));
@@ -119,21 +121,22 @@ fn scenario_columns_reconcile_with_the_metrics_snapshot() {
 
 /// The exported series' evaluator and the live flight recorder apply one
 /// rule: on the spiked scenario the first frame `eval_spec` fails is the
-/// boundary the recorder tripped at, under both advance modes.
+/// boundary the recorder tripped at, for the product and the reference.
 #[test]
 fn eval_spec_fails_first_at_the_recorder_violation() {
     for strategy in [InterruptStrategy::VirtualInstruction, InterruptStrategy::LayerByLayer] {
-        for mode in MODES {
-            let run = serve_timeline_scenario(strategy, mode, 1, true);
+        let product = serve_timeline_scenario(strategy, |b| b, |b| b, 1, true);
+        let reference = serve_timeline_scenario(strategy, Stepped, |b| &mut b.0, 1, true);
+        for (run, what) in [(product, "product"), (reference, "Stepped")] {
             let series = &run.series;
-            assert_eq!(series.dropped, 0, "{strategy}/{mode:?}: frames were evicted");
+            assert_eq!(series.dropped, 0, "{strategy}/{what}: frames were evicted");
             let spec = SloSpec::parse(TIMELINE_SLO, &[], series.clock_hz).expect("timeline slo");
             let first_fail = series.eval_spec(&spec).iter().position(|ok| !ok);
             let violation = run.violation.as_ref().expect("the spike trips the recorder");
             assert_eq!(
                 first_fail.map(|i| series.cycles[i]),
                 Some(violation.cycle),
-                "{strategy}/{mode:?}"
+                "{strategy}/{what}"
             );
         }
     }
@@ -144,12 +147,7 @@ fn eval_spec_fails_first_at_the_recorder_violation() {
 /// add back to the whole series'.
 #[test]
 fn adjacent_slices_partition_the_series() {
-    let run = serve_timeline_scenario(
-        InterruptStrategy::VirtualInstruction,
-        AdvanceMode::EventDriven,
-        1,
-        true,
-    );
+    let run = serve_timeline_scenario(InterruptStrategy::VirtualInstruction, |b| b, |b| b, 1, true);
     let whole = &run.series;
     assert!(whole.len() >= 2, "the scenario samples more than one frame");
     let mid = whole.cycles[whole.len() / 2];
