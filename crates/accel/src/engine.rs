@@ -596,6 +596,9 @@ pub(crate) struct CycleTable {
     cycles: Box<[u64]>,
     /// `originals[pc]`: how many instructions in `[0, pc)` are original.
     originals: Box<[u32]>,
+    /// The pc of the last original instruction (`None` for a program of
+    /// virtual instructions only).
+    last: Option<usize>,
 }
 
 impl CycleTable {
@@ -625,7 +628,8 @@ impl CycleTable {
             cycles.push(total);
             originals.push(count);
         }
-        Self { cfg: *cfg, cycles: cycles.into(), originals: originals.into() }
+        let last = program.instrs.iter().rposition(|i| !i.op.is_virtual());
+        Self { cfg: *cfg, cycles: cycles.into(), originals: originals.into(), last }
     }
 
     /// The cost of the whole program.
@@ -636,6 +640,13 @@ impl CycleTable {
     /// What the instruction at `pc` costs (0 for a virtual one).
     pub(crate) fn at(&self, pc: usize) -> u64 {
         self.cycles[pc + 1] - self.cycles[pc]
+    }
+
+    /// The cycles from `pc` to the start of the program's last original
+    /// instruction, unpatched; `None` when no original instruction lies at
+    /// or after `pc`.
+    fn to_last(&self, pc: usize) -> Option<u64> {
+        self.last.filter(|&last| last >= pc).map(|last| self.cycles[last] - self.cycles[pc])
     }
 
     /// The first pc in `[pc0, limit]` that `job`, standing at `pc0` of
@@ -790,13 +801,67 @@ impl<B: Backend> Engine<B> {
     ///
     /// With work in a slot the answer is the current cycle; otherwise it
     /// is the earliest pending arrival (which may lie in the past for a
-    /// late-submitted request — the value orders wakes, it does not gate
-    /// them).
+    /// late-submitted request, or past the next barrier, which then only
+    /// moves the idle clock). [`Engine::next_change`] is the finer
+    /// answer a scheduling tier gates its cores on.
     #[must_use]
     pub fn next_event(&self) -> Option<u64> {
         if self.running.is_some() || self.best_ready().is_some() {
             return Some(self.now);
         }
+        self.next_arrival()
+    }
+
+    /// The earliest deadline at which [`Engine::run_until`] can do more
+    /// than move the clock and the running job's pc: the earlier of the
+    /// next arrival and the cycle after the running job's last original
+    /// instruction starts (a deadline past that start completes the job),
+    /// read off the program's cycle table. `None` when quiescent.
+    ///
+    /// A run to an earlier deadline is pure progress: a later run to the
+    /// same deadlines reproduces it exactly, and the cycle table predicts
+    /// the clock it leaves. Due at once, at the current cycle: a ready job
+    /// that is not running (its dispatch), and a running job that is
+    /// tagged (its Layer spans go into a tracer other cores may share, in
+    /// the order barriers visit them) or has a SAVE patch pending (applying
+    /// it is counted and traced).
+    #[must_use]
+    pub fn next_change(&self) -> Option<u64> {
+        let Some(r) = self.running else {
+            return if self.best_ready().is_some() { Some(self.now) } else { self.next_arrival() };
+        };
+        let slot = &self.slots[r.index()];
+        let (_, table) = slot.loaded.as_ref().expect("scheduled slot has a program");
+        let job = slot.job();
+        if job.tag.is_some() || !job.flushed.is_empty() {
+            return Some(self.now);
+        }
+        let finish = table.to_last(job.pc).map_or(self.now, |c| self.now + c + 1);
+        Some(self.next_arrival().map_or(finish, |t| t.min(finish)))
+    }
+
+    /// The clock [`Engine::run_until`]`(deadline)` leaves when no change is
+    /// due before `deadline` ([`Engine::next_change`]): the running job
+    /// stops at the first instruction boundary at or after it, an idle
+    /// engine waiting on an arrival rests at it, and a clock already past
+    /// it stays. Computed off the cycle table, without running anything.
+    pub(crate) fn clock_at(&self, deadline: u64) -> u64 {
+        if self.now >= deadline {
+            return self.now;
+        }
+        let Some(r) = self.running else {
+            return if self.arrivals.is_empty() { self.now } else { deadline };
+        };
+        let slot = &self.slots[r.index()];
+        let (program, table) = slot.loaded.as_ref().expect("scheduled slot has a program");
+        let job = slot.job();
+        debug_assert!(job.flushed.is_empty(), "a job with a pending patch is due at once");
+        let pc0 = next_original(program, job.pc);
+        let reached = table.reach(program, job, pc0, program.instrs.len(), deadline - self.now);
+        self.now + table.cycles[reached] - table.cycles[pc0]
+    }
+
+    fn next_arrival(&self) -> Option<u64> {
         self.arrivals.peek().map(|&Reverse((t, ..))| t)
     }
 
@@ -1348,6 +1413,21 @@ impl<B: Backend> Engine<B> {
     }
 
     fn run_inner(&mut self, deadline: u64, stop_on_complete: bool) -> Result<bool, SimError> {
+        // A run with no change due before its deadline is pure progress:
+        // it must stop where the cycle table says ([`Engine::clock_at`]),
+        // which is what a tier that skipped this engine reports for it.
+        #[cfg(debug_assertions)]
+        let predicted =
+            self.next_change().is_none_or(|t| t > deadline).then(|| self.clock_at(deadline));
+        let stopped = self.run_loop(deadline, stop_on_complete)?;
+        #[cfg(debug_assertions)]
+        if let Some(clock) = predicted {
+            assert_eq!(self.now, clock, "a pure-progress run stopped off the table's clock");
+        }
+        Ok(stopped)
+    }
+
+    fn run_loop(&mut self, deadline: u64, stop_on_complete: bool) -> Result<bool, SimError> {
         let completed_base = self.completed.len();
         loop {
             #[cfg(test)]

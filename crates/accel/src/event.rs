@@ -6,11 +6,13 @@
 //! idle. The event engine inverts that: every tier that advances parts
 //! at a barrier (a [`CorePool`](crate::CorePool) of engines, a serving
 //! gateway of scheduler+engine pairs) implements [`Tier`] and carries one
-//! [`Barrier`] — the set of armed parts and the [`AdvanceStats`]
-//! counters. [`advance`] then only ticks armed parts; quiescent ones (no
-//! running job, no ready job, no pending arrival, nothing queued above)
-//! are skipped entirely, and skipping them is *provably* a state no-op,
-//! which is what keeps event-driven and stepping runs byte-identical (see
+//! [`Barrier`] — the armed parts with the cycle each is next due, and the
+//! [`AdvanceStats`] counters. [`advance`] then only ticks the armed parts
+//! due by its deadline. Quiescent parts (no running job, no ready job, no
+//! pending arrival, nothing queued above) are never armed, and skipping
+//! them is *provably* a state no-op; a part not due yet would only have
+//! made pure progress, which its next tick covers exactly (it *settles*).
+//! That is what keeps event-driven and stepping runs byte-identical (see
 //! DESIGN.md §5.8).
 //!
 //! The stepping reference is a type, not a mode: a tier over
@@ -59,14 +61,18 @@ pub trait Tier {
     /// The tier's barrier bundle.
     fn barrier(&mut self) -> &mut Barrier;
 
-    /// The next cycle part `i` can make progress, or `None` when it is
-    /// quiescent (ticking it would not change any state). A barrier only
-    /// asks whether there is one; the cycle (which may lie in the past: a
-    /// late-submitted arrival) is for drivers that jump the clock
-    /// ([`CorePool::next_wake`](crate::CorePool::next_wake)).
+    /// The earliest deadline at which ticking part `i` can do more than
+    /// pure progress — move its engine's clock and its running job's pc —
+    /// or `None` when the part is quiescent (ticking it would not change
+    /// any state). It gates the barriers: a barrier ticks part `i` only at
+    /// a deadline at or past it, and one before it leaves the part behind.
+    /// A lower bound is always safe; a cycle in the past (a late-submitted
+    /// arrival, a pending pump) is due at the next barrier.
     fn next_tick(&self, i: usize) -> Option<u64>;
 
-    /// Advances part `i` to `deadline` cycles.
+    /// Advances part `i` to `deadline` cycles. A part barriers left behind
+    /// ([`Barrier`] knows which) first settles to the state their ticks
+    /// would have left it in.
     ///
     /// # Errors
     ///
@@ -74,22 +80,40 @@ pub trait Tier {
     fn tick(&mut self, i: usize, deadline: u64) -> Result<(), SimError>;
 }
 
-/// The advance state of a [`Tier`]: which parts are armed and how much
-/// work the barriers took. Opaque outside this crate: only [`advance`]
-/// and the tiers' own arm paths touch the armed set.
+/// The advance state of one part of a [`Tier`].
+#[derive(Debug, Clone, Copy, Default)]
+struct Part {
+    /// When the part is next due — a lower bound on its
+    /// [`Tier::next_tick`] — or `None` while it is unarmed.
+    due: Option<u64>,
+    /// The number of barriers the part is up to date with: an armed part
+    /// behind the barrier count was left behind, and settles in its next
+    /// tick.
+    seq: u64,
+}
+
+/// The advance state of a [`Tier`]: which parts are armed, when each is
+/// due, the last two barriers and how much work the barriers took.
+/// Opaque outside this crate: only [`advance`] and the tiers' own arm
+/// paths touch the armed set.
 #[derive(Debug)]
 pub struct Barrier {
-    /// `armed[i]`: part `i` is visited at the next barrier. Arms are
-    /// conservative: [`advance`] revalidates each against
-    /// [`Tier::next_tick`] and skips the quiescent ones for free.
-    armed: Vec<bool>,
-    /// The armed parts, in arm order: a barrier costs O(armed), and an
-    /// idle one nothing, however many parts there are.
-    due: Vec<usize>,
-    /// The list the last [`advance`] drained, emptied and kept for its
-    /// buffer: the next drain swaps it in as `due`, so arming never
-    /// allocates once both lists have grown.
+    /// Per part: when it is due and how far it is up to date.
+    parts: Vec<Part>,
+    /// The armed parts, in arm order: a barrier costs O(armed), however
+    /// many parts there are.
+    armed: Vec<usize>,
+    /// The earliest due cycle of an armed part, kept where a part arms
+    /// and at every barrier.
+    earliest: Option<u64>,
+    /// The due parts of the last [`advance`], emptied and kept for its
+    /// buffer, so a barrier never allocates once it has grown.
     spare: Vec<usize>,
+    /// Barriers recorded so far.
+    seq: u64,
+    /// The cycles of the last two barriers, the older first: where a part
+    /// left behind would stand.
+    last: [u64; 2],
     /// Work counters (a stepping barrier counts every part as a wake;
     /// only the event engine produces skips).
     pub(crate) stats: AdvanceStats,
@@ -99,84 +123,180 @@ impl Barrier {
     /// A barrier over `parts` parts, all disarmed.
     pub(crate) fn new(parts: usize) -> Self {
         Self {
-            armed: vec![false; parts],
-            due: Vec::new(),
+            parts: vec![Part::default(); parts],
+            armed: Vec::new(),
+            earliest: None,
             spare: Vec::new(),
+            seq: 0,
+            last: [0; 2],
             stats: AdvanceStats::default(),
         }
     }
 
-    /// Arms part `i` for the next barrier (idempotent).
+    /// Arms part `i`, due at the next barrier, whatever its cycle; the
+    /// barrier revalidates it against [`Tier::next_tick`]. A part armed
+    /// from quiescence is up to date: skipping a quiescent part changed
+    /// nothing.
     ///
     /// # Panics
     ///
     /// Panics for an out-of-range part index.
     pub(crate) fn arm(&mut self, i: usize) {
-        if !std::mem::replace(&mut self.armed[i], true) {
-            self.due.push(i);
+        let part = &mut self.parts[i];
+        if part.due.is_none() {
+            debug_assert!(!self.armed.contains(&i), "an unarmed part is not listed");
+            part.seq = self.seq;
+            self.armed.push(i);
+        }
+        part.due = Some(0);
+        self.earliest = Some(0);
+    }
+
+    /// The earliest due cycle of an armed part.
+    pub(crate) fn next_due(&self) -> Option<u64> {
+        debug_assert_eq!(
+            self.earliest,
+            self.armed.iter().filter_map(|&i| self.parts[i].due).min(),
+            "the kept due cycle is the earliest"
+        );
+        self.earliest
+    }
+
+    /// The barriers part `i` missed, when it is armed and was left behind:
+    /// the last two, the older first, or `[0, latest]` when it missed only
+    /// the latest (a run to cycle 0 is a no-op: the part may hold work
+    /// that came after the older one).
+    pub(crate) fn lag(&self, i: usize) -> Option<[u64; 2]> {
+        let part = self.parts[i];
+        match self.seq - part.seq {
+            _ if part.due.is_none() => None,
+            0 => None,
+            1 => Some([0, self.last[1]]),
+            _ => Some(self.last),
         }
     }
 
-    /// Disarms and returns every armed part, in ascending part order —
-    /// the order a stepping loop visits cores, which is what keeps merged
-    /// trace streams byte-identical when several armed cores share one
-    /// tracer.
-    pub(crate) fn drain_armed(&mut self) -> Vec<usize> {
-        let mut due = std::mem::replace(&mut self.due, std::mem::take(&mut self.spare));
-        due.sort_unstable();
-        for &i in &due {
-            self.armed[i] = false;
-        }
-        due
+    /// Counts one barrier at `deadline`: every armed part not brought up
+    /// to date at it is left behind.
+    fn record(&mut self, deadline: u64) {
+        self.seq += 1;
+        self.last = [self.last[1], deadline];
     }
 }
 
 /// One barrier: advances `tier` to `deadline`.
 ///
-/// Only armed parts tick, in ascending part order — the order the
-/// stepping loop visits them, so merged trace streams stay
-/// byte-identical when several parts share one tracer — and each is
-/// re-armed from its own [`Tier::next_tick`] afterwards. A
-/// [`Tier::STEPPED`] tier ticks every part instead; the branch is
-/// resolved at compile time.
+/// Only armed parts due by the deadline tick, in ascending part order —
+/// the order the stepping loop visits them, so merged trace streams stay
+/// byte-identical when several parts share one tracer. Each is first
+/// revalidated against its [`Tier::next_tick`] when an arm set its due
+/// cycle (a part not due after all stays armed at its new due cycle, a
+/// quiescent one is disarmed), and re-armed at its own next tick
+/// afterwards. The other armed parts are left behind untouched; their
+/// next ticks settle them. A [`Tier::STEPPED`] tier ticks every part
+/// instead; the branch is resolved at compile time.
 ///
 /// # Errors
 ///
 /// Propagates the first part's simulation error.
 pub fn advance<T: Tier>(tier: &mut T, deadline: u64) -> Result<(), SimError> {
     let b = tier.barrier();
-    let parts = b.armed.len();
+    let parts = b.parts.len();
     b.stats.barriers += 1;
     if T::STEPPED {
         b.stats.wakes += parts as u64;
+        // Every part ticks, so none is ever left behind.
+        for i in b.armed.drain(..) {
+            b.parts[i].due = None;
+        }
+        b.earliest = None;
+        b.record(deadline);
         return (0..parts).try_for_each(|i| tier.tick(i, deadline));
     }
-    let mut ticked = 0u64;
-    let mut due = b.drain_armed();
     // Skipping is a no-op only for a quiescent part: work that landed on
     // a part without an arm shows here, at the next barrier.
     #[cfg(debug_assertions)]
-    for i in (0..parts).filter(|i| due.binary_search(i).is_err()) {
-        assert!(tier.next_tick(i).is_none(), "part {i} has work but is not armed");
-    }
-    for &i in &due {
-        // Revalidate: an armed part may turn out quiescent. Ticking it
-        // anyway would be harmless (a no-op), just wasted work.
-        if tier.next_tick(i).is_none() {
-            continue;
-        }
-        ticked += 1;
-        tier.tick(i, deadline)?;
-        if tier.next_tick(i).is_some() {
-            tier.barrier().arm(i);
+    for i in 0..parts {
+        if tier.barrier().parts[i].due.is_none() {
+            assert!(tier.next_tick(i).is_none(), "part {i} has work but is not armed");
         }
     }
     let b = tier.barrier();
-    b.stats.wakes += ticked;
-    b.stats.skips += parts as u64 - ticked;
+    if b.earliest.is_none_or(|t| t > deadline) {
+        // Nothing due, in O(1): the barrier only leaves the armed parts
+        // behind.
+        b.stats.skips += parts as u64;
+        b.record(deadline);
+        #[cfg(debug_assertions)]
+        check_left_behind(tier, deadline);
+        return Ok(());
+    }
+    let mut due = std::mem::take(&mut b.spare);
+    let (armed, states) = (&b.armed, &b.parts);
+    due.extend(armed.iter().filter(|&&i| states[i].due.is_some_and(|d| d <= deadline)));
+    due.sort_unstable();
+    let ticked = visit(tier, &due, deadline);
+    let b = tier.barrier();
+    b.record(deadline);
+    let (states, mut earliest) = (&b.parts, None::<u64>);
+    b.armed.retain(|&i| match states[i].due {
+        Some(due) => {
+            earliest = Some(earliest.map_or(due, |e| e.min(due)));
+            true
+        }
+        None => false,
+    });
+    b.earliest = earliest;
     due.clear();
     b.spare = due;
+    let ticked = ticked?;
+    b.stats.wakes += ticked;
+    b.stats.skips += parts as u64 - ticked;
+    #[cfg(debug_assertions)]
+    check_left_behind(tier, deadline);
     Ok(())
+}
+
+/// A part the barrier at `deadline` left behind is not due by it: its due
+/// cycle was a lower bound on its next tick.
+#[cfg(debug_assertions)]
+fn check_left_behind<T: Tier>(tier: &mut T, deadline: u64) {
+    for k in 0..tier.barrier().armed.len() {
+        let i = tier.barrier().armed[k];
+        if tier.barrier().lag(i).is_some() {
+            let next = tier.next_tick(i);
+            assert!(next.is_none_or(|t| t > deadline), "part {i} left behind due at {next:?}");
+        }
+    }
+}
+
+/// Ticks the `due` parts of `tier` (ascending) at `deadline`, after
+/// revalidating and settling each; returns how many ticked.
+fn visit<T: Tier>(tier: &mut T, due: &[usize], deadline: u64) -> Result<u64, SimError> {
+    let mut ticked = 0;
+    for &i in due {
+        // An arm's due cycle is revalidated; one a tick or an earlier
+        // revalidation left is exact, since nothing armed the part since.
+        let next = match tier.barrier().parts[i].due {
+            Some(0) => tier.next_tick(i),
+            exact => exact,
+        };
+        if next.is_some_and(|t| t > deadline) {
+            tier.barrier().parts[i].due = next;
+            continue;
+        }
+        if next.is_none() {
+            tier.barrier().parts[i].due = None;
+            continue;
+        }
+        tier.tick(i, deadline)?;
+        ticked += 1;
+        let due = tier.next_tick(i);
+        let b = tier.barrier();
+        // Up to date with this barrier, which the caller records next.
+        b.parts[i] = Part { due, seq: b.seq + 1 };
+    }
+    Ok(ticked)
 }
 
 #[cfg(test)]
@@ -188,19 +308,8 @@ mod tests {
         let mut b = Barrier::new(4);
         b.arm(2);
         b.arm(2);
-        assert_eq!(b.drain_armed(), vec![2]);
-        b.arm(2);
-        assert_eq!(b.drain_armed(), vec![2], "a drained part can be armed again");
-    }
-
-    #[test]
-    fn drain_returns_ascending_component_order_regardless_of_wakes() {
-        let mut b = Barrier::new(6);
-        for i in [5, 0, 3] {
-            b.arm(i);
-        }
-        assert_eq!(b.drain_armed(), vec![0, 3, 5]);
-        assert_eq!(b.drain_armed(), Vec::<usize>::new(), "drain disarms everything");
+        assert_eq!(b.armed, vec![2]);
+        assert_eq!(b.next_due(), Some(0), "an arm is due at the next barrier");
     }
 
     /// Never armed, never busy: ticking it is a no-op, which only a
@@ -240,28 +349,51 @@ mod tests {
         assert_eq!(three_barriers::<false>(), (0, event), "the product tier skips them all");
     }
 
-    #[test]
-    fn advance_reuses_the_drained_buffer() {
-        struct Busy(Barrier);
-        impl Tier for Busy {
-            fn barrier(&mut self) -> &mut Barrier {
-                &mut self.0
-            }
-            fn next_tick(&self, _: usize) -> Option<u64> {
-                Some(0)
-            }
-            fn tick(&mut self, _: usize, _: u64) -> Result<(), SimError> {
-                Ok(())
-            }
+    /// Parts due at fixed cycles, each tick logged as `(part, deadline)`.
+    struct Timed {
+        barrier: Barrier,
+        at: Vec<u64>,
+        ticks: Vec<(usize, u64)>,
+    }
+
+    impl Tier for Timed {
+        fn barrier(&mut self) -> &mut Barrier {
+            &mut self.barrier
         }
-        let mut t = Busy(Barrier::new(2));
-        t.0.arm(1);
-        t.0.arm(0);
-        advance(&mut t, 10).unwrap();
-        let kept = t.0.spare.as_ptr();
-        advance(&mut t, 20).unwrap();
-        assert_eq!(t.0.due.as_ptr(), kept, "re-arms land in the last barrier's list");
-        assert_eq!(t.0.drain_armed(), vec![0, 1]);
+        fn next_tick(&self, i: usize) -> Option<u64> {
+            Some(self.at[i])
+        }
+        fn tick(&mut self, i: usize, deadline: u64) -> Result<(), SimError> {
+            self.ticks.push((i, deadline));
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn only_due_parts_tick_in_part_order_and_the_rest_fall_behind() {
+        let mut t = Timed { barrier: Barrier::new(4), at: vec![25, 5, 45, 15], ticks: Vec::new() };
+        for i in [2, 0, 3, 1] {
+            t.barrier.arm(i);
+        }
+        let mut lags = Vec::new();
+        for deadline in [10, 20, 30, 40] {
+            advance(&mut t, deadline).unwrap();
+            lags.push((0..4).map(|i| t.barrier.lag(i)).collect::<Vec<_>>());
+        }
+        let ticks =
+            [(1, 10), (1, 20), (3, 20), (0, 30), (1, 30), (3, 30), (0, 40), (1, 40), (3, 40)];
+        assert_eq!(t.ticks, ticks, "due parts only, in part order");
+        assert_eq!(t.barrier.stats, AdvanceStats { barriers: 4, wakes: 9, skips: 7 });
+        // Part 3 missed only the barrier at 10 (a run to 0 is a no-op:
+        // it may hold work newer than the one before), part 0 those at 10
+        // and 20; part 2 (due at 45) is still behind.
+        assert_eq!(lags[0], [Some([0, 10]), None, Some([0, 10]), Some([0, 10])]);
+        assert_eq!(lags[1], [Some([10, 20]), None, Some([10, 20]), None]);
+        assert_eq!(lags[3], [None, None, Some([30, 40]), None]);
+        advance(&mut t, 50).unwrap();
+        assert_eq!(t.ticks[9..], [(0, 50), (1, 50), (2, 50), (3, 50)]);
+        assert_eq!(t.barrier.lag(2), None, "a ticked part is up to date");
+        assert!(t.barrier.spare.capacity() > 0, "the due list keeps its buffer");
     }
 
     #[test]

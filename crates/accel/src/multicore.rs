@@ -99,7 +99,7 @@ impl<B: Backend> CorePool<B> {
     /// jump the clock instead of polling.
     #[must_use]
     pub fn next_wake(&self) -> Option<(u64, CoreId)> {
-        (0..self.cores.len()).filter_map(|i| Some((self.next_tick(i)?, CoreId(i)))).min()
+        self.core_ids().filter_map(|c| Some((self.cores[c.0].next_event()?, c))).min()
     }
 
     /// Arms `core` — the hook external couplings (scheduler pumps, batch
@@ -164,10 +164,46 @@ impl<B: Backend> CorePool<B> {
         self.cores.get_mut(core.0)
     }
 
-    /// The pool-wide virtual clock: the furthest cycle any core reached.
+    /// The earliest cycle a barrier can next tick a core at: a lower bound
+    /// on the due cores' next ticks (`0` for a core armed since the last
+    /// barrier). `None` when no core is armed.
+    #[must_use]
+    pub fn next_due(&self) -> Option<u64> {
+        self.barrier.next_due()
+    }
+
+    /// The engine clock at which the latest barrier's tick of `core` would
+    /// have started, when barriers left the core behind (it had nothing
+    /// due at them, so its engine has not run to them yet), read off the
+    /// cycle table; `None` when its engine is up to date.
+    ///
+    /// # Panics
+    ///
+    /// Panics for an out-of-range core id.
+    #[must_use]
+    pub fn lag(&self, core: CoreId) -> Option<u64> {
+        let [prev, _] = self.barrier.lag(core.0)?;
+        Some(self.cores[core.0].clock_at(prev))
+    }
+
+    /// `core`'s clock as the barriers left it: its engine's, or, when they
+    /// left it behind, the one their ticks would have run it to, read off
+    /// the cycle table.
+    ///
+    /// # Panics
+    ///
+    /// Panics for an out-of-range core id.
+    #[must_use]
+    pub fn clock(&self, core: CoreId) -> u64 {
+        let e = &self.cores[core.0];
+        self.barrier.lag(core.0).map_or_else(|| e.now(), |[prev, last]| e.clock_at(prev.max(last)))
+    }
+
+    /// The pool-wide virtual clock: the furthest cycle any core reached,
+    /// counting the barriers that left a core behind.
     #[must_use]
     pub fn now(&self) -> u64 {
-        self.cores.iter().map(Engine::now).max().unwrap_or(0)
+        self.core_ids().map(|c| self.clock(c)).max().unwrap_or(0)
     }
 
     /// Cycles `core` spent executing instructions across its completed
@@ -190,7 +226,7 @@ impl<B: Backend> CorePool<B> {
     /// Panics for an out-of-range core id.
     #[must_use]
     pub fn occupancy(&self, core: CoreId) -> f64 {
-        let now = self.cores[core.0].now();
+        let now = self.clock(core);
         if now == 0 {
             return 0.0;
         }
@@ -269,8 +305,12 @@ impl<B: Backend> CorePool<B> {
     }
 }
 
-/// A core wakes at [`Engine::next_event`] and ticks by running to the
-/// barrier.
+/// A bare pool ticks every core with work at every barrier — its next tick
+/// is 0 whenever [`Engine::next_event`] has one — so it never leaves a
+/// core behind, and a tick runs the core to the barrier. A serving tier
+/// over the pool gates its cores finer; the engines it leaves behind catch
+/// up in their next run, which covers the progress they missed exactly
+/// ([`CorePool::clock`] is where that progress stands meanwhile).
 impl<B: Backend> Tier for CorePool<B> {
     const STEPPED: bool = B::STEPPED;
 
@@ -279,7 +319,7 @@ impl<B: Backend> Tier for CorePool<B> {
     }
 
     fn next_tick(&self, i: usize) -> Option<u64> {
-        self.cores[i].next_event()
+        self.cores[i].next_event().map(|_| 0)
     }
 
     fn tick(&mut self, i: usize, deadline: u64) -> Result<(), SimError> {

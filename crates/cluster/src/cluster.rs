@@ -2,11 +2,14 @@
 //! single virtual clock.
 //!
 //! Every coordination decision — routing, shed cascades, work stealing,
-//! elastic resizing, the idle-gateway skip rule — is a pure function of
-//! cycle-domain state (outstanding counts, pending batches, cumulative
-//! busy cycles), so a cluster run is byte-identical across repeat runs,
-//! functional-backend thread counts and the stepping reference, exactly like the
-//! single gateway underneath it.
+//! elastic resizing, which gateways a barrier visits — is a pure function
+//! of cycle-domain state (outstanding counts, pending batches, cumulative
+//! busy cycles, due cycles), so a cluster run is byte-identical across
+//! repeat runs, functional-backend thread counts and the stepping
+//! reference, exactly like the single gateway underneath it. A barrier
+//! visits only the gateways with something due by it; the visits decide
+//! how much work a barrier does, never what it does, so only
+//! [`Cluster::advance_stats`] differs on the reference.
 
 use inca_accel::{AdvanceStats, Backend, CoreId, SimError};
 use inca_obs::Metrics;
@@ -63,6 +66,9 @@ pub struct Cluster<B: Backend> {
     /// buffers reused across calls.
     reloads: Vec<u64>,
     costs: Vec<u64>,
+    /// `steal_pass`'s idle flags per gateway, in a buffer reused across
+    /// barriers.
+    idle: Vec<bool>,
 }
 
 impl<B: Backend> Cluster<B> {
@@ -92,6 +98,7 @@ impl<B: Backend> Cluster<B> {
             stats: AdvanceStats::default(),
             reloads: Vec::with_capacity(n),
             costs: Vec::with_capacity(n),
+            idle: Vec::new(),
         }
     }
 
@@ -339,7 +346,9 @@ impl<B: Backend> Cluster<B> {
     fn steal_pass(&mut self) {
         let n = self.gateways.len();
         let now = self.now;
-        let idle: Vec<bool> = self.gateways.iter().map(|gw| gw.outstanding() == 0).collect();
+        let mut idle = std::mem::take(&mut self.idle);
+        idle.clear();
+        idle.extend(self.gateways.iter().map(|gw| gw.outstanding() == 0));
         for thief in (0..n).filter(|&g| idle[g]) {
             let Some(victim) = (0..n)
                 .filter(|&g| !idle[g] && self.gateways[g].pending_batched() > 0)
@@ -363,16 +372,21 @@ impl<B: Backend> Cluster<B> {
                 }
             }
         }
+        self.idle = idle;
     }
 
     /// Advances the whole fleet to `deadline`: one rebalance pass
-    /// (elastic + stealing), then every gateway runs to the barrier in
-    /// ascending id order. A gateway with nothing outstanding (batched
-    /// requests are outstanding) is **skipped entirely** — the per-core
-    /// skip rule of [`inca_accel::event::advance`] one tier up, but
-    /// purely cycle-domain, so the skip schedule (and everything
-    /// downstream, [`Cluster::advance_stats`] included) is identical over
-    /// [`Stepped`](inca_accel::Stepped) gateways and across thread counts.
+    /// (elastic + stealing), then every gateway with work outstanding
+    /// (batched requests are outstanding) runs to the barrier in
+    /// ascending id order. A gateway with nothing outstanding is
+    /// quiescent and **skipped entirely**; one with nothing due by the
+    /// deadline ([`Gateway::next_due`]: a core's due cycle, a batch flush,
+    /// a timeline boundary) is skipped too — its
+    /// [`Gateway::run_until`] only records the barrier, in O(1), and its
+    /// cores settle when they are next due. [`Cluster::advance_stats`]
+    /// counts the gateways visited and skipped: it measures simulator
+    /// work, so a fleet of [`Stepped`](inca_accel::Stepped) gateways, which
+    /// visits every gateway with work outstanding, counts more visits.
     ///
     /// # Errors
     ///
@@ -381,12 +395,13 @@ impl<B: Backend> Cluster<B> {
         self.rebalance();
         self.stats.barriers += 1;
         for gw in &mut self.gateways {
-            if gw.outstanding() == 0 {
-                self.stats.skips += 1;
-                continue;
+            let busy = gw.outstanding() > 0;
+            let due = busy && gw.next_due().is_some_and(|t| t <= deadline);
+            self.stats.wakes += u64::from(due);
+            self.stats.skips += u64::from(!due);
+            if busy {
+                gw.run_until(deadline)?;
             }
-            self.stats.wakes += 1;
-            gw.run_until(deadline)?;
         }
         // As in `Gateway::run_until`, `u64::MAX` is "no cap", not a cycle.
         if deadline != u64::MAX {

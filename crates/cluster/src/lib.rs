@@ -29,8 +29,9 @@
 //! policy.
 //! 5. **One virtual clock** — [`Cluster::run_until`] extends the
 //!    event-engine skip rule to gateway granularity: a gateway with
-//!    nothing outstanding (batched requests included) costs *zero*
-//!    simulation work at a fleet barrier.
+//!    nothing due by a fleet barrier (no core's completion or arrival, no
+//!    batch flush, no timeline boundary) only records it, in O(1), and
+//!    one with nothing outstanding costs nothing at all.
 //!
 //! Every decision above is a pure function of cycle-domain state, so a
 //! cluster run is byte-identical across repeat runs, functional-backend

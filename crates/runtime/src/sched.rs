@@ -883,19 +883,28 @@ impl Scheduler {
         Ok(hit_completion)
     }
 
-    /// The next cycle this scheduler and `engine` can make progress: the
-    /// engine's clock while jobs are outstanding (a pump may bind them),
-    /// otherwise [`Engine::next_event`]. `None` means a
-    /// [`Scheduler::step`] would be a state no-op — nothing to bind, no
-    /// queued task to accrue tokens, an engine whose clock would not move
-    /// — which is the quiescence rule every driver above an engine skips
-    /// by.
+    /// The earliest deadline at which a [`Scheduler::step`] of this
+    /// scheduler and `engine` can change more than the engine's clock and
+    /// its running job's pc, or `None` when a step would be a state no-op
+    /// — nothing to bind, no queued task to accrue tokens, an engine whose
+    /// clock would not move — which is the quiescence rule every driver
+    /// above an engine skips by.
+    ///
+    /// `Some(0)`, due at the next step whatever its deadline, when a pump
+    /// could change state: a ready task with a free slot, or any queued
+    /// job under [`SchedPolicy::PremaTokens`], whose tokens accrue at every
+    /// pump the clock moved for. The engine's clock may already lie past
+    /// that deadline; the bind must still happen there. Otherwise the
+    /// pump only raises this scheduler's clock, and the answer is
+    /// [`Engine::next_change`]: the next arrival or the running job's
+    /// completion.
     #[must_use]
     pub fn next_tick<B: Backend>(&self, engine: &Engine<B>) -> Option<u64> {
-        match self.outstanding() {
-            0 => engine.next_event(),
-            _ => Some(engine.now()),
+        let accrues = self.policy == SchedPolicy::PremaTokens && self.queued > 0;
+        if accrues || !self.ready.is_empty() && self.bindings.contains(&None) {
+            return Some(0);
         }
+        engine.next_change()
     }
 
     /// Routes one engine completion record to its logical task, if any.

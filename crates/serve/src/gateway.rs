@@ -114,6 +114,8 @@ pub struct Gateway<B: Backend> {
     task_ids: Vec<TaskId>,
     /// One buffer per distinct network (program).
     batches: Vec<BatchBuf>,
+    /// Requests in all batch buffers, kept where an entry lands or leaves.
+    batched: usize,
     /// The earliest armed buffer as `(flush_at, net)`, ties to the lower
     /// net; kept where a buffer arms or disarms.
     next_flush: Option<(u64, usize)>,
@@ -167,6 +169,7 @@ impl<B: Backend> Gateway<B> {
             tenants: Vec::new(),
             task_ids: Vec::new(),
             batches: Vec::new(),
+            batched: 0,
             next_flush: None,
             nets: Vec::new(),
             placer: Placer::new(place_policy),
@@ -321,7 +324,10 @@ impl<B: Backend> Gateway<B> {
     }
 
     /// The core pool (e.g. to install backend context images before
-    /// serving starts).
+    /// serving starts). A core that barriers left behind — it had nothing
+    /// due at them — has not run to them yet: its engine's own clock and
+    /// counters lag until it next ticks, while [`CorePool::now`] and
+    /// [`CorePool::lag`] already count the barriers it missed.
     #[must_use]
     pub fn pool(&self) -> &CorePool<B> {
         &self.pool
@@ -442,7 +448,12 @@ impl<B: Backend> Gateway<B> {
     /// Requests sitting in batch buffers, not yet dispatched to a core.
     #[must_use]
     pub fn pending_batched(&self) -> usize {
-        self.batches.iter().map(|b| b.entries.len()).sum()
+        debug_assert_eq!(
+            self.batched,
+            self.batches.iter().map(|b| b.entries.len()).sum::<usize>(),
+            "the running count matches the batch buffers"
+        );
+        self.batched
     }
 
     /// Recalls up to `max` not-yet-dispatched batched requests — the
@@ -554,6 +565,7 @@ impl<B: Backend> Gateway<B> {
     fn unbatch(&mut self, net: usize, pos: usize) -> PendingReq {
         let buf = &mut self.batches[net];
         let victim = buf.entries.remove(pos);
+        self.batched -= 1;
         if buf.entries.is_empty() {
             self.disarm(net);
         }
@@ -569,7 +581,8 @@ impl<B: Backend> Gateway<B> {
         // needs the span tag at submit time, but rejected submissions must
         // not consume an id.
         let tag = self.tag_for(RequestId(self.next_request));
-        match self.scheds[core.0].submit_tagged(now, task, tag) {
+        let at = self.sched_cycle(core, now);
+        match self.scheds[core.0].submit_tagged(at, task, tag) {
             Ok(adm) => {
                 let request = self.next_request_id();
                 self.open(tenant);
@@ -606,6 +619,7 @@ impl<B: Backend> Gateway<B> {
         self.open(tenant);
         let net = self.tenants[tenant.0].net;
         self.batches[net].entries.push(PendingReq { request, tenant, arrival: now, deadline });
+        self.batched += 1;
         let depth = self.batches[net].entries.len();
         self.trace_milestone(now, || format!("serve.batch {tenant} {request} net{net}"));
         if depth >= self.max_batch {
@@ -631,6 +645,14 @@ impl<B: Backend> Gateway<B> {
     fn place(&mut self, tenant: TenantId) -> CoreId {
         let scheds = &self.scheds;
         self.placer.place(tenant.0, self.active_cores, |c| scheds[c].modelled_backlog())
+    }
+
+    /// The cycle `core`'s scheduler takes a submission at `now` at: the
+    /// pumps of the barriers that left the core behind raised its clock to
+    /// where its engine started the latest of them, which the core's own
+    /// clock has not reached yet.
+    fn sched_cycle(&self, core: CoreId, now: u64) -> u64 {
+        self.pool.lag(core).map_or(now, |start| now.max(start))
     }
 
     /// Reload cycles one request of `tenant` would pay if submitted now:
@@ -679,6 +701,7 @@ impl<B: Backend> Gateway<B> {
     /// Dispatches one network's batch buffer to a single core.
     fn flush_net(&mut self, now: u64, net: usize) {
         let entries = std::mem::take(&mut self.batches[net].entries);
+        self.batched -= entries.len();
         self.disarm(net);
         if entries.is_empty() {
             return;
@@ -689,10 +712,11 @@ impl<B: Backend> Gateway<B> {
         self.batched_requests += u64::from(size);
         self.pool.wake(core);
         self.trace_milestone(now, || format!("serve.flush net{net} x{size} {core}"));
+        let at = self.sched_cycle(core, now);
         for e in entries {
             let task = self.task_ids[e.tenant.0];
             let tag = self.tag_for(e.request);
-            match self.scheds[core.0].submit_tagged(now, task, tag) {
+            match self.scheds[core.0].submit_tagged(at, task, tag) {
                 Ok(adm) => {
                     if let Some(tag) = tag {
                         let (wait, detail) = (e.arrival..now, u64::from(size));
@@ -753,6 +777,27 @@ impl<B: Backend> Gateway<B> {
         if self.next_flush.is_some_and(|(_, n)| n == net) {
             self.next_flush = self.earliest_armed();
         }
+    }
+
+    /// The earliest cycle at which advancing this gateway can change its
+    /// state: a core's due cycle ([`CorePool::next_due`]), a batch flush,
+    /// or a timeline boundary while work is outstanding. A
+    /// [`Gateway::run_until`] to an earlier deadline only records the
+    /// barrier and leaves its cores behind. `None` when no advance can; a
+    /// gateway over [`Stepped`](inca_accel::Stepped) engines, which ticks
+    /// every core at every barrier, is due at once.
+    #[must_use]
+    pub fn next_due(&self) -> Option<u64> {
+        if Self::STEPPED {
+            return Some(0);
+        }
+        let earlier = |a: Option<u64>, b: Option<u64>| match (a, b) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        };
+        let sample = self.sampler.as_ref().filter(|_| self.outstanding > 0).map(Sampler::next_at);
+        let flush = self.next_flush.map(|(cycle, _)| cycle);
+        earlier(earlier(self.pool.next_due(), flush), sample)
     }
 
     /// Advances the whole gateway to `deadline`: batch flushes and
@@ -951,9 +996,13 @@ impl<B: Backend> Gateway<B> {
 /// The serving tier shares its pool's [`Barrier`]: a core here is the
 /// engine *plus* its slot-virtualizing scheduler. Hard submits and batch
 /// flushes arm it through [`CorePool::wake`], and its next tick is
-/// [`Scheduler::next_tick`] — `None` only when stepping the pair is
-/// provably a state no-op. A gateway over [`Stepped`](inca_accel::Stepped)
-/// engines steps every pair at every barrier, like its pool.
+/// [`Scheduler::next_tick`]: a pending bind at once, else the engine's
+/// next arrival or completion. Barriers before that only move the engine
+/// on and raise the scheduler's clock to where each found the engine; a
+/// core they skip settles in its next tick, and a submission to it
+/// carries the raise ([`CorePool::lag`]). A gateway over
+/// [`Stepped`](inca_accel::Stepped) engines steps every pair at every
+/// barrier, like its pool.
 impl<B: Backend> Tier for Gateway<B> {
     const STEPPED: bool = B::STEPPED;
 
@@ -965,7 +1014,19 @@ impl<B: Backend> Tier for Gateway<B> {
         self.scheds[i].next_tick(self.pool.core(CoreId(i)))
     }
 
+    /// Settles a core barriers left behind first: their ticks' pumps
+    /// would only have raised the scheduler's clock (the core was not
+    /// due), so one pump at the clock their runs would have left the
+    /// engine at ([`CorePool::clock`]) catches it up and binds there, as
+    /// the tick's own first pump would. The engine's run then covers the
+    /// progress it missed: a run is the same pure progress up to its next
+    /// change however barriers cut it.
     fn tick(&mut self, i: usize, deadline: u64) -> Result<(), SimError> {
+        let (core, clock) = (CoreId(i), self.pool.clock(CoreId(i)));
+        let engine = self.pool.core_mut(core);
+        if clock > engine.now() {
+            self.scheds[i].pump(clock, engine)?;
+        }
         self.advance_core(i, deadline)
     }
 }

@@ -14,13 +14,14 @@
 //! 3. **Byte identity** — the full observable surface of a cluster run
 //!    (responses with their serving gateway, drained ledgers, metrics
 //!    snapshot, merged fleet timeline, route/steal/cascade/resize
-//!    counters, cluster advance stats, ground-truth reload cycles) is
-//!    identical across repeat runs, [`FuncBackend`] worker-thread
-//!    counts, and the [`Stepped`] reference (every core ticked at every
-//!    barrier, one instruction at a time). The cluster-level skip rule is
-//!    cycle-domain, so even its [`AdvanceStats`] must not differ on the
-//!    reference — unlike the per-gateway `event.*` counters, which count
-//!    the stepping work by design and are stripped before comparison.
+//!    counters, ground-truth reload cycles) is identical across repeat
+//!    runs, [`FuncBackend`] worker-thread counts, and the [`Stepped`]
+//!    reference (every core ticked at every barrier, one instruction at a
+//!    time). Advance work is not state: the cluster's [`AdvanceStats`]
+//!    (gateways visited and skipped) must match across product runs
+//!    only, since the reference visits every gateway with work
+//!    outstanding, and the `event.*` counters, which count the stepping
+//!    work by design, are stripped before comparison.
 
 use std::sync::Arc;
 
@@ -336,11 +337,11 @@ struct ClusterObservables {
     stolen: u64,
     cascades: u64,
     resizes: u64,
-    /// Cluster-level advance stats are cycle-domain and therefore equal
-    /// on the reference — compared verbatim, not stripped.
-    stats: AdvanceStats,
     reload_cycles: u64,
 }
+
+/// A run's observables and its cluster advance stats, which measure work.
+type Observed = (ClusterObservables, AdvanceStats);
 
 /// Drops every counter whose key involves an `event.` segment — the
 /// per-gateway engine wake/skip tallies legitimately differ on the
@@ -367,7 +368,7 @@ fn func_run<B: Backend>(
     threads: usize,
     wrap: fn(FuncBackend) -> B,
     func: fn(&mut B) -> &mut FuncBackend,
-) -> ClusterObservables {
+) -> Observed {
     let mut fleet = build_fleet(3, 2, || wrap(FuncBackend::with_threads(threads)));
     for g in 0..fleet.cluster.gateway_count() {
         let _ = fleet.cluster.gateway_mut(GatewayId(g)).enable_timeline(fleet.mean_gap, 4096);
@@ -405,7 +406,7 @@ fn func_run<B: Backend>(
             series.expect("timeline enabled").without_advance().to_json()
         })
         .collect();
-    ClusterObservables {
+    let observables = ClusterObservables {
         responses,
         totals: cluster.totals(),
         metrics_json: MetricsSnapshot::new("cluster", strip_event(&cluster.metrics())).to_json(),
@@ -414,30 +415,30 @@ fn func_run<B: Backend>(
         stolen: cluster.stolen(),
         cascades: cluster.cascades(),
         resizes: cluster.resizes(),
-        stats: cluster.advance_stats(),
         reload_cycles: cluster.reload_cycles(),
-    }
+    };
+    (observables, cluster.advance_stats())
 }
 
 #[test]
 fn cluster_runs_are_byte_identical_across_threads_repeats_and_the_stepped_reference() {
     let product = |threads| func_run(threads, |b| b, |b| b);
     let reference = |threads| func_run(threads, Stepped, |b| &mut b.0);
-    let baseline = product(1);
+    let (baseline, stats) = product(1);
     assert!(!baseline.responses.is_empty());
-    assert!(
-        baseline.stats.skips > 0,
-        "the fleet barrier must skip idle gateways: {:?}",
-        baseline.stats
-    );
+    assert!(stats.skips > 0, "the fleet barrier must skip idle gateways: {stats:?}");
 
-    for (other, what) in [
-        (product(1), "repeat run"),
-        (product(4), "4 worker threads"),
-        (reference(1), "the Stepped reference"),
-        (reference(4), "the Stepped reference, 4 worker threads"),
+    // Advance work is compared across product runs only.
+    for ((other, other_stats), what, same_work) in [
+        (product(1), "repeat run", true),
+        (product(4), "4 worker threads", true),
+        (reference(1), "the Stepped reference", false),
+        (reference(4), "the Stepped reference, 4 worker threads", false),
     ] {
         assert_eq!(baseline, other, "cluster run diverged under {what}");
+        if same_work {
+            assert_eq!(stats, other_stats, "cluster advance work diverged under {what}");
+        }
     }
 }
 
