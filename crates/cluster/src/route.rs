@@ -125,10 +125,11 @@ impl Router {
                 g
             }
             RoutePolicy::WeightCacheAware => {
+                // The cheapest gateway, ties to the first in ring order
+                // from the tenant's home.
                 let home = self.homes[tenant];
-                (0..n)
-                    .min_by_key(|&g| (costs[g], (g + n - home) % n, g))
-                    .expect("at least one gateway")
+                let ring = (home..n).chain(0..home);
+                ring.min_by_key(|&g| costs[g]).expect("at least one gateway")
             }
         }
     }

@@ -327,6 +327,8 @@ struct TaskState {
     /// Predicted uninterrupted span (cycles) of one job, from the
     /// analytical cost model.
     span: u64,
+    /// What loading the program into a slot costs ([`reload_penalty`]).
+    reload: u64,
     queue: VecDeque<Pending>,
     inflight: Option<InFlight>,
     /// PREMA tokens, accrued while work is pending; reset on bind.
@@ -424,10 +426,12 @@ impl Scheduler {
     /// — the same model `inca-analyze` checks measured runs against.
     pub fn register(&mut self, spec: TaskSpec) -> TaskId {
         let span = inca_accel::analysis::predicted_span(&self.cfg, &spec.program);
+        let reload = reload_penalty(&self.cfg, &spec.program);
         let id = TaskId(self.tasks.len());
         self.tasks.push(TaskState {
             spec,
             span,
+            reload,
             queue: VecDeque::new(),
             inflight: None,
             tokens: 0,
@@ -517,6 +521,18 @@ impl Scheduler {
     #[must_use]
     pub fn resident(&self, task: TaskId) -> bool {
         self.loaded.contains(&Some(task))
+    }
+
+    /// Reload cycles the next bind of `task` would pay: 0 when it is
+    /// [`Scheduler::resident`], otherwise its program's
+    /// [`reload_penalty`] under this scheduler's config.
+    #[must_use]
+    pub fn reload_quote(&self, task: TaskId) -> u64 {
+        if self.resident(task) {
+            0
+        } else {
+            self.tasks[task.0].reload
+        }
     }
 
     /// Program reloads performed so far (cumulative).
@@ -812,7 +828,7 @@ impl Scheduler {
             engine.load(slot, Arc::clone(&self.tasks[idx].spec.program))?;
             self.loaded[slot.index()] = Some(task);
             self.reloads += 1;
-            reload = reload_penalty(&self.cfg, &self.tasks[idx].spec.program);
+            reload = self.tasks[idx].reload;
         }
         // The context's DDR image follows the task across slots even when
         // the program copy is still resident.

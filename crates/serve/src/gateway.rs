@@ -14,9 +14,7 @@ use inca_obs::{
     request_detail, CoreObs, Histogram, Metrics, Observation, Probe, Sampler, SpanStage, TenantObs,
     TimeSeries, TraceEvent, Violation,
 };
-use inca_runtime::{
-    reload_penalty, DropPolicy, SchedCompletion, SchedPolicy, Scheduler, TaskId, TaskSpec,
-};
+use inca_runtime::{DropPolicy, SchedCompletion, SchedPolicy, Scheduler, TaskId, TaskSpec};
 
 use crate::place::{PlacePolicy, Placer};
 use crate::slab::Slab;
@@ -656,18 +654,15 @@ impl<B: Backend> Gateway<B> {
     }
 
     /// Reload cycles one request of `tenant` would pay if submitted now:
-    /// 0 when its program is [`Scheduler::resident`] on the core placement
-    /// would pick, otherwise [`reload_penalty`] under that core's config.
+    /// the [`Scheduler::reload_quote`] of the core placement would pick (0
+    /// when its program is resident there).
     /// The scheduler binds a resident task to the slot holding its
     /// program whenever slot order allows, so the quote is what the bind
     /// charges unless placement or the bound jobs change before dispatch.
     #[must_use]
     pub fn reload_cost(&self, tenant: TenantId) -> u64 {
         let core = self.peek(tenant);
-        if self.scheds[core.0].resident(self.task_ids[tenant.0]) {
-            return 0;
-        }
-        reload_penalty(self.pool.core(core).config(), &self.tenants[tenant.0].spec.program)
+        self.scheds[core.0].reload_quote(self.task_ids[tenant.0])
     }
 
     /// Modelled backlog in cycles: every outstanding request (batched ones
@@ -700,10 +695,13 @@ impl<B: Backend> Gateway<B> {
 
     /// Dispatches one network's batch buffer to a single core.
     fn flush_net(&mut self, now: u64, net: usize) {
-        let entries = std::mem::take(&mut self.batches[net].entries);
+        // Taken for the loop and put back emptied: the buffer keeps its
+        // capacity, so the next batch of `net` allocates nothing.
+        let mut entries = std::mem::take(&mut self.batches[net].entries);
         self.batched -= entries.len();
         self.disarm(net);
         if entries.is_empty() {
+            self.batches[net].entries = entries;
             return;
         }
         let core = self.place(entries[0].tenant);
@@ -713,7 +711,7 @@ impl<B: Backend> Gateway<B> {
         self.pool.wake(core);
         self.trace_milestone(now, || format!("serve.flush net{net} x{size} {core}"));
         let at = self.sched_cycle(core, now);
-        for e in entries {
+        for e in entries.drain(..) {
             let task = self.task_ids[e.tenant.0];
             let tag = self.tag_for(e.request);
             match self.scheds[core.0].submit_tagged(at, task, tag) {
@@ -744,6 +742,7 @@ impl<B: Backend> Gateway<B> {
                 }
             }
         }
+        self.batches[net].entries = entries;
     }
 
     /// The earliest pending flush as `(cycle, net)`; ties go to the lower
@@ -791,13 +790,9 @@ impl<B: Backend> Gateway<B> {
         if Self::STEPPED {
             return Some(0);
         }
-        let earlier = |a: Option<u64>, b: Option<u64>| match (a, b) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
         let sample = self.sampler.as_ref().filter(|_| self.outstanding > 0).map(Sampler::next_at);
         let flush = self.next_flush.map(|(cycle, _)| cycle);
-        earlier(earlier(self.pool.next_due(), flush), sample)
+        [self.pool.next_due(), flush, sample].into_iter().flatten().min()
     }
 
     /// Advances the whole gateway to `deadline`: batch flushes and
