@@ -354,6 +354,7 @@ fn pools_requantise_with_shift_and_relu() {
 proptest! {
     // 32 expected draws for each of the seven kinds.
     #![proptest_config(ProptestConfig::with_cases(224))]
+    #[test]
     fn fast_kernel_matches_reference_oracle(
         kind_sel in 0u8..7,
         k in prop::sample::select(vec![1u8, 2, 3, 5, 7]),

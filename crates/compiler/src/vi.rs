@@ -844,6 +844,7 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(64))]
 
+            #[test]
             fn random_networks_match_reference(
                 net in arb_network(),
                 small in any::<bool>(),
@@ -863,6 +864,7 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(512))]
 
+            #[test]
             fn random_tile_streams_match_reference(program in arb_stream()) {
                 assert_matches_reference("random stream", &program);
             }

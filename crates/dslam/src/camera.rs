@@ -113,14 +113,28 @@ impl Camera {
         let mut rng = ChaCha8Rng::seed_from_u64(self.noise_seed ^ (u64::from(index) << 20));
         let f_px = self.config.focal_px();
         let mut observations = Vec::new();
+        let view = pose.local_frame();
+        // For x > 0, |atan2(y, x)| > fov/2 exactly when |y| > x·tan(fov/2):
+        // a landmark clearly past that edge skips atan2. The 1e-9 margin,
+        // far wider than libm's rounding, leaves every landmark near the
+        // edge to the exact test.
+        let half_fov = self.config.fov / 2.0;
+        let edge = if half_fov < std::f64::consts::FRAC_PI_2 {
+            half_fov.tan() * (1.0 + 1e-9)
+        } else {
+            f64::INFINITY
+        };
         for lm in &world.landmarks {
-            let local = pose.transform_inv(lm.position);
+            let local = view.map(lm.position);
             let range = (local.x * local.x + local.y * local.y).sqrt();
             if range < 0.3 || range > self.config.max_range || local.x <= 0.05 {
                 continue;
             }
+            if local.y.abs() > local.x * edge {
+                continue;
+            }
             let bearing = local.y.atan2(local.x);
-            if bearing.abs() > self.config.fov / 2.0 {
+            if bearing.abs() > half_fov {
                 continue;
             }
             if world.occluded(pose.t, lm.position) {

@@ -101,17 +101,21 @@ impl FeatureExtractor {
         Self { config }
     }
 
-    fn candidate(obs: &Observation) -> Keypoint {
-        // Detector score derives from appearance (stable across frames),
-        // modulated by range (closer = stronger response).
+    /// Detector score: derives from appearance (stable across frames),
+    /// modulated by range (closer = stronger response).
+    fn score(obs: &Observation) -> f32 {
         let a = (obs.appearance >> 17) as u32;
         let base = 0.3 + 0.7 * (f64::from(a % 1000) / 1000.0) as f32;
         let range_gain = (1.0 / (1.0 + obs.range / 6.0)) as f32;
+        base * (0.5 + 0.5 * range_gain)
+    }
+
+    fn keypoint(obs: &Observation, score: f32) -> Keypoint {
         let local = Point2::new(obs.range * obs.bearing.cos(), obs.range * obs.bearing.sin());
         Keypoint {
             u: obs.u,
             v: obs.v,
-            score: base * (0.5 + 0.5 * range_gain),
+            score,
             descriptor: descriptor_from_appearance(obs.appearance),
             local,
         }
@@ -132,62 +136,145 @@ impl FeatureExtractor {
     /// score, then the top-k cut.
     #[must_use]
     pub fn extract(&self, frame: &Frame) -> Vec<Keypoint> {
-        let mut candidates: Vec<Keypoint> =
-            frame.observations.iter().map(Self::candidate).collect();
-        candidates.retain(|k| k.score >= self.config.score_threshold);
-        candidates.sort_by(|a, b| b.score.total_cmp(&a.score));
+        // Score and pixel decide selection; a survivor alone gets its
+        // descriptor and back-projection.
+        let mut candidates: Vec<(f32, &Observation)> = frame
+            .observations
+            .iter()
+            .map(|obs| (Self::score(obs), obs))
+            .filter(|(score, _)| *score >= self.config.score_threshold)
+            .collect();
+        candidates.sort_by(|a, b| b.0.total_cmp(&a.0));
         let mut kept: Vec<Keypoint> = Vec::new();
         let r2 = self.config.nms_radius * self.config.nms_radius;
-        for cand in candidates {
+        for (score, obs) in candidates {
             if kept.len() >= self.config.max_keypoints {
                 break;
             }
             let suppressed =
-                kept.iter().any(|k| (k.u - cand.u).powi(2) + (k.v - cand.v).powi(2) < r2);
+                kept.iter().any(|k| (k.u - obs.u).powi(2) + (k.v - obs.v).powi(2) < r2);
             if !suppressed {
-                kept.push(cand);
+                kept.push(Self::keypoint(obs, score));
             }
         }
         kept
     }
 }
 
+/// Candidates scored side by side: `LANES` descriptors, transposed.
+const LANES: usize = 8;
+
+/// `LANES` candidates' descriptors, dimension-major: `block[d][l]` is
+/// component `d` of candidate `l`.
+type Block = [[f32; LANES]; DESC_DIM];
+
+/// One side of a match, its descriptors transposed into lane blocks so a
+/// query is scored against `LANES` candidates at once.
+///
+/// Each lane sums `x[d] * y[d]` in `d` order from −0.0, as
+/// [`descriptor_similarity`]'s `Iterator::sum` does, so every similarity is
+/// bit-identical to it: lanes run side by side, never inside one dot
+/// product.
+#[derive(Debug, Clone)]
+pub struct Candidates {
+    blocks: Vec<Block>,
+    count: usize,
+}
+
+impl Candidates {
+    /// Transposes `keypoints`' descriptors; the last block is zero-padded.
+    #[must_use]
+    pub fn new(keypoints: &[Keypoint]) -> Self {
+        let mut blocks = vec![[[0f32; LANES]; DESC_DIM]; keypoints.len().div_ceil(LANES)];
+        for (j, k) in keypoints.iter().enumerate() {
+            for (row, v) in blocks[j / LANES].iter_mut().zip(&k.descriptor) {
+                row[j % LANES] = *v;
+            }
+        }
+        Self { blocks, count: keypoints.len() }
+    }
+
+    /// Sets `row` to `descriptor_similarity(x, c)` for every candidate `c`,
+    /// in order, bit for bit.
+    pub fn similarities(&self, x: &Descriptor, row: &mut Vec<f32>) {
+        row.resize(self.blocks.len() * LANES, 0.0);
+        for (block, out) in self.blocks.iter().zip(row.chunks_exact_mut(LANES)) {
+            let mut acc = [-0.0f32; LANES];
+            for (xd, yd) in x.iter().zip(block) {
+                for (a, y) in acc.iter_mut().zip(yd) {
+                    *a += xd * y;
+                }
+            }
+            out.copy_from_slice(&acc);
+        }
+        row.truncate(self.count);
+    }
+}
+
+/// The best and runner-up similarity one keypoint has seen so far.
+#[derive(Debug, Clone, Copy)]
+struct Nearest {
+    best: f32,
+    second: f32,
+    index: Option<usize>,
+}
+
+impl Default for Nearest {
+    fn default() -> Self {
+        Self { best: f32::MIN, second: f32::MIN, index: None }
+    }
+}
+
+impl Nearest {
+    fn offer(&mut self, s: f32, index: usize) {
+        if s > self.best {
+            self.second = self.best;
+            self.best = s;
+            self.index = Some(index);
+        } else if s > self.second {
+            self.second = s;
+        }
+    }
+
+    /// Ratio test on angular distance: the best must be clearly better
+    /// than the runner-up.
+    fn accepted(&self, ratio: f32) -> Option<usize> {
+        self.index
+            .filter(|_| self.best > 0.6 && (self.second <= 0.0 || self.second < self.best * ratio))
+    }
+}
+
 /// Mutual-nearest-neighbour descriptor matching with Lowe's ratio test.
 /// Returns index pairs `(i into a, j into b)`.
+///
+/// Each similarity is computed once: the row of `a[i]` against all of `b`
+/// feeds `a[i]`'s nearest neighbour and, in the same pass, every
+/// `b[j]`'s, which sees the `a` side in index order as a separate scan
+/// would. Scratch is one row and one state per `b` keypoint.
 #[must_use]
 pub fn match_keypoints(a: &[Keypoint], b: &[Keypoint], ratio: f32) -> Vec<(usize, usize)> {
-    let nn = |from: &[Keypoint], to: &[Keypoint]| -> Vec<Option<usize>> {
-        from.iter()
-            .map(|k| {
-                let mut best = (f32::MIN, None);
-                let mut second = f32::MIN;
-                for (j, t) in to.iter().enumerate() {
-                    let s = descriptor_similarity(&k.descriptor, &t.descriptor);
-                    if s > best.0 {
-                        second = best.0;
-                        best = (s, Some(j));
-                    } else if s > second {
-                        second = s;
-                    }
-                }
-                match best.1 {
-                    // Ratio test on angular distance: require the best to
-                    // be clearly better than the runner-up.
-                    Some(j) if best.0 > 0.6 && (second <= 0.0 || second < best.0 * ratio) => {
-                        Some(j)
-                    }
-                    _ => None,
-                }
-            })
-            .collect()
-    };
-    let ab = nn(a, b);
-    let ba = nn(b, a);
-    ab.iter()
+    let candidates = Candidates::new(b);
+    let mut row = Vec::new();
+    let mut from_b = vec![Nearest::default(); b.len()];
+    let from_a: Vec<Option<usize>> = a
+        .iter()
         .enumerate()
-        .filter_map(|(i, j)| match j {
-            Some(j) if ba[*j] == Some(i) => Some((i, *j)),
-            _ => None,
+        .map(|(i, k)| {
+            candidates.similarities(&k.descriptor, &mut row);
+            let mut nearest = Nearest::default();
+            for (j, (&s, back)) in row.iter().zip(&mut from_b).enumerate() {
+                nearest.offer(s, j);
+                back.offer(s, i);
+            }
+            nearest.accepted(ratio)
+        })
+        .collect();
+    from_a
+        .iter()
+        .enumerate()
+        .filter_map(|(i, j)| {
+            let j = (*j)?;
+            (from_b[j].accepted(ratio) == Some(i)).then_some((i, j))
         })
         .collect()
 }
@@ -262,6 +349,19 @@ mod tests {
             a.len(),
             b.len()
         );
+    }
+
+    #[test]
+    fn an_empty_side_matches_nothing() {
+        let pose = Pose2::new(0.0, -2.0, std::f64::consts::PI / 2.0);
+        let kps = FeatureExtractor::default().extract(&test_frame(pose, 0));
+        assert!(!kps.is_empty());
+        assert!(match_keypoints(&kps, &[], 0.9).is_empty());
+        assert!(match_keypoints(&[], &kps, 0.9).is_empty());
+        assert!(match_keypoints(&[], &[], 0.9).is_empty());
+        let mut row = vec![1.0];
+        Candidates::new(&[]).similarities(&kps[0].descriptor, &mut row);
+        assert!(row.is_empty());
     }
 
     #[test]

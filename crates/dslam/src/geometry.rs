@@ -99,8 +99,33 @@ impl Pose2 {
     /// Maps a world point into this pose's local frame.
     #[must_use]
     pub fn transform_inv(&self, p: Point2) -> Point2 {
-        let d = p - self.t;
-        let (s, c) = self.theta.sin_cos();
+        self.local_frame().map(p)
+    }
+
+    /// This pose's local frame, for mapping many world points into it with
+    /// one sine and cosine.
+    #[must_use]
+    pub(crate) fn local_frame(&self) -> LocalFrame {
+        let (sin, cos) = self.theta.sin_cos();
+        LocalFrame { origin: self.t, sin, cos }
+    }
+}
+
+/// A pose's local frame with its heading's sine and cosine taken once
+/// ([`Pose2::local_frame`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct LocalFrame {
+    origin: Point2,
+    sin: f64,
+    cos: f64,
+}
+
+impl LocalFrame {
+    /// Maps a world point into this frame.
+    #[must_use]
+    pub(crate) fn map(&self, p: Point2) -> Point2 {
+        let d = p - self.origin;
+        let (s, c) = (self.sin, self.cos);
         Point2::new(c * d.x + s * d.y, -s * d.x + c * d.y)
     }
 }

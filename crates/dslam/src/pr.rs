@@ -67,10 +67,15 @@ impl PlaceRecognizer {
     pub fn encode(&self, frame: &Frame, pose_estimate: Pose2) -> PlaceCode {
         let mut pooled = [0f64; CODE_DIM];
         let n = frame.observations.len().max(1) as f64;
+        // For p > 0 a zero response pools to +0.0, which leaves the
+        // non-negative sum's bits alone: only the ≈5 % non-zero ones are
+        // raised to p.
+        let sparse = self.p > 0.0;
         for obs in &frame.observations {
-            let r = Self::response(obs.appearance);
-            for (acc, v) in pooled.iter_mut().zip(r.iter()) {
-                *acc += f64::from(*v).powf(f64::from(self.p));
+            for (acc, v) in pooled.iter_mut().zip(Self::response(obs.appearance)) {
+                if !sparse || v != 0.0 {
+                    *acc += f64::from(v).powf(f64::from(self.p));
+                }
             }
         }
         let mut vector = Vec::with_capacity(CODE_DIM);

@@ -155,6 +155,7 @@ fn assert_step_invariants(sched: &Scheduler, ids: &[TaskId]) {
 proptest! {
     #![proptest_config(prop_cases(48))]
 
+    #[test]
     fn conservation_holds_for_every_task(s in scenario_strategy()) {
         let out = run_scenario(&s);
         for (i, st) in out.per_task.iter().enumerate() {
@@ -179,6 +180,7 @@ proptest! {
         prop_assert_eq!(t.deadline_met + t.deadline_missed <= t.completed, true);
     }
 
+    #[test]
     fn metrics_reconcile_with_counters(s in scenario_strategy()) {
         let out = run_scenario(&s);
         let t = &out.totals;
@@ -199,6 +201,7 @@ proptest! {
         prop_assert_eq!(out.metrics.counter("sched.deadlines.missed"), t.deadline_missed);
     }
 
+    #[test]
     fn quiescence_at_idle(s in scenario_strategy()) {
         // Slots 1-3 serve every priority, so nothing is unservable: every
         // admitted job must terminate.

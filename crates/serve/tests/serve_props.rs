@@ -172,6 +172,7 @@ fn run_scenario(s: &Scenario) -> Outcome {
 proptest! {
     #![proptest_config(prop_cases(48))]
 
+    #[test]
     fn conservation_holds_for_every_tenant(s in scenario_strategy()) {
         let out = run_scenario(&s);
         for (i, st) in out.per_tenant.iter().enumerate() {
@@ -199,6 +200,7 @@ proptest! {
         prop_assert!(t.deadline_met + t.deadline_missed <= t.completed);
     }
 
+    #[test]
     fn metrics_reconcile_with_counters(s in scenario_strategy()) {
         let out = run_scenario(&s);
         let t = &out.totals;
@@ -220,6 +222,7 @@ proptest! {
         prop_assert_eq!(out.engine_completed, t.completed, "retired records still count");
     }
 
+    #[test]
     fn responses_are_causal(s in scenario_strategy()) {
         let out = run_scenario(&s);
         for r in &out.responses {

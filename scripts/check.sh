@@ -162,7 +162,16 @@ echo "== benchmark package (detached: own workspace and lock file; --quick)"
 # one back, whether the run passes or fails.
 cp benchmark/Cargo.lock "$tmp/benchmark.lock"
 trap 'cp "$tmp/benchmark.lock" benchmark/Cargo.lock; rm -rf "$tmp"' EXIT
-cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --quick > /dev/null
+cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --quick > "$tmp/quick.txt"
+
+echo "== --quick sim_digest per workload = scripts/quick_digests.txt"
+# The simulation is deterministic: a workload's digest, traced or not,
+# moves only with a change that says so and updates the file.
+if ! diff <(grep -v '^#' scripts/quick_digests.txt | sort) \
+        <(awk '/^== / { w = $2 } / sim_digest / { print w, $NF }' "$tmp/quick.txt" | sort -u); then
+    echo "check.sh: --quick sim_digest differs from scripts/quick_digests.txt (< committed, > run)" >&2
+    exit 1
+fi
 
 if [ "${INCA_BENCH_GATE:-0}" != 0 ]; then
     echo "== bench gate (--quick)"
