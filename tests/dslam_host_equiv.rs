@@ -1,14 +1,17 @@
-//! The DSLAM host side against its reference (`common::reference`), bit
-//! for bit: the one-pass matcher and its lane-parallel similarities, GeM
-//! pooling over non-zero responses only, one rotation per captured frame,
-//! and descriptors built for selected keypoints only.
+//! The DSLAM host side against its reference (`common/dslam_reference.rs`),
+//! bit for bit: the one-pass matcher and its lane-parallel similarities,
+//! GeM pooling over non-zero responses only, one rotation per captured
+//! frame, and descriptors built for selected keypoints only. The mission's
+//! simulated time never sees these algorithms' host cost, but its
+//! `sim_digest` hashes the trajectory error they produce, so this suite
+//! lives in the root package where `cargo test` runs it.
 //!
 //! Case count defaults to a CI-friendly bound; set `INCA_PROP_CASES` for
 //! a deeper sweep.
 
-mod common;
+#[path = "common/dslam_reference.rs"]
+mod reference;
 
-use common::reference;
 use inca_dslam::camera::{Camera, CameraConfig, Frame};
 use inca_dslam::features::{
     descriptor_from_appearance, descriptor_similarity, match_keypoints, Candidates, Descriptor,
@@ -100,19 +103,76 @@ proptest! {
     }
 }
 
-/// Both sides at 0, 1, one lane short of, at and past a lane block, and
-/// at the extractor's 200-keypoint cap, half of them from the tie pool.
+/// `n` keypoints, half of them from the tie pool.
+fn side(n: usize, salt: u64) -> Vec<Keypoint> {
+    let ids: Vec<(u8, u64)> =
+        (0..n).map(|i| ((i % 2 * 13 + i % 13) as u8, salt + i as u64)).collect();
+    keypoints(&ids)
+}
+
+/// An empty side matches nothing and leaves an empty similarity row,
+/// whatever the row held before: with no `b` keypoint there is no lane
+/// block to fill.
+#[test]
+fn matcher_handles_an_empty_side() {
+    for n in [0, 1, 8, 9] {
+        let kps = side(n, 7);
+        assert_eq!(match_keypoints(&kps, &[], 0.9), Vec::new());
+        assert_eq!(match_keypoints(&[], &kps, 0.9), Vec::new());
+        check_matcher(&kps, &[]).unwrap();
+        check_matcher(&[], &kps).unwrap();
+    }
+    let mut row = vec![1.0; 5];
+    Candidates::new(&[]).similarities(&descriptor(0, 0), &mut row);
+    assert!(row.is_empty(), "{row:?}");
+}
+
+/// Both sides at 1, one lane short of, at and past a lane block, and at
+/// the extractor's 200-keypoint cap.
 #[test]
 fn matcher_equals_the_reference_at_block_edges() {
-    let side = |n: usize, salt: u64| -> Vec<Keypoint> {
-        let ids: Vec<(u8, u64)> =
-            (0..n).map(|i| ((i % 2 * 13 + i % 13) as u8, salt + i as u64)).collect();
-        keypoints(&ids)
-    };
-    for na in [0, 1, 7, 8, 9, 200] {
-        for nb in [0, 1, 7, 8, 9, 200] {
+    for na in [1, 7, 8, 9, 200] {
+        for nb in [1, 7, 8, 9, 200] {
             check_matcher(&side(na, 0), &side(nb, 1 << 32)).unwrap();
         }
+    }
+}
+
+/// Sides made of one repeated descriptor: every similarity in a row ties,
+/// so the first index wins and the ratio test sees `second == best`.
+#[test]
+fn matcher_breaks_ties_like_the_reference() {
+    for id in [0, 8, 9, 11, 12] {
+        for (na, nb) in [(1, 2), (2, 1), (3, 3), (9, 8), (17, 17)] {
+            let a = keypoints(&vec![(id, 0); na]);
+            let b = keypoints(&vec![(id, 1); nb]);
+            check_matcher(&a, &b).unwrap();
+        }
+    }
+}
+
+/// The ratio test's edges, with the pairs spelled out rather than read
+/// off the reference: a tie is rejected at ratio 1.0 and accepted just
+/// above it, a runner-up at or below 0.0 never blocks a match, and no
+/// ratio rescues a best similarity of 0.6 or less.
+#[test]
+fn matcher_decides_ratio_edges() {
+    let just_above_one = f32::from_bits(1.0f32.to_bits() + 1);
+    let tie = (keypoints(&[(0, 0)]), keypoints(&[(0, 0), (0, 0)]));
+    assert_eq!(match_keypoints(&tie.0, &tie.1, 1.0), Vec::new());
+    assert_eq!(match_keypoints(&tie.0, &tie.1, just_above_one), vec![(0, 0)]);
+
+    // The negated descriptor scores −1 against its original, so at any
+    // ratio, even 0.0 and NaN, the original is matched alone.
+    let opposed = (keypoints(&[(0, 0)]), keypoints(&[(10, 0), (0, 0)]));
+    for ratio in [0.0, 0.5, 1.0, f32::NAN] {
+        assert_eq!(match_keypoints(&opposed.0, &opposed.1, ratio), vec![(0, 1)], "ratio {ratio}");
+    }
+
+    // A zero descriptor scores ±0.0 against everything: never a match.
+    let zeros = (keypoints(&[(8, 0), (9, 0)]), keypoints(&[(8, 0), (9, 0), (0, 0)]));
+    for ratio in [0.0, 1.0, 2.0] {
+        assert_eq!(match_keypoints(&zeros.0, &zeros.1, ratio), Vec::new(), "ratio {ratio}");
     }
 }
 
