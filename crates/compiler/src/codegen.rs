@@ -7,7 +7,9 @@
 //!   output-channel group of one height tile (paper §IV-A).
 //! * `SAVE` covers the CalcBlobs accumulated since the previous `SAVE` of
 //!   the same layer (a *save group*); its tile is the union of the group's
-//!   output channels.
+//!   output channels. A layer's instructions end with a `SAVE`, so a blob's
+//!   covering `SAVE` lies in its own layer: what lets `compile_vi` hand the
+//!   VI pass one layer at a time.
 //! * With [`LoopOrder::HeightOuter`], input rows are loaded once per height
 //!   tile (first blob) and stay resident for the tile's remaining blobs.
 //! * With [`LoopOrder::ChannelOuter`], weights are loaded once per
@@ -30,6 +32,22 @@ pub struct CodeGen<'a> {
     options: &'a CompileOptions,
 }
 
+/// One layer's original instructions, with blob and save ids numbered on
+/// from the layers emitted before it.
+#[derive(Debug, Default)]
+struct LayerOut {
+    instrs: Vec<Instr>,
+    next_blob: u32,
+    next_save_id: u32,
+}
+
+impl LayerOut {
+    fn new_blob(&mut self) -> u32 {
+        self.next_blob += 1;
+        self.next_blob - 1
+    }
+}
+
 fn ceil_div(a: u32, b: u32) -> u32 {
     a.div_ceil(b)
 }
@@ -49,26 +67,43 @@ impl<'a> CodeGen<'a> {
     /// on-chip buffers; [`CompileError::Isa`] if the emitted program fails
     /// validation (internal bug guard).
     pub fn emit(&self, network: &Network, lowered: &Lowered) -> Result<Program, CompileError> {
+        self.emit_with(network, lowered, |b, layer| {
+            layer.iter().for_each(|&i| b.push(i));
+            Ok(())
+        })
+    }
+
+    /// Emits the network one layer at a time into a reused buffer and hands
+    /// each layer's instructions to `append`, which adds them (and whatever
+    /// else it derives from them) to the program being built.
+    ///
+    /// # Errors
+    ///
+    /// See [`CodeGen::emit`]; also whatever `append` returns.
+    pub(crate) fn emit_with(
+        &self,
+        network: &Network,
+        lowered: &Lowered,
+        mut append: impl FnMut(&mut ProgramBuilder, &[Instr]) -> Result<(), CompileError>,
+    ) -> Result<Program, CompileError> {
         let mut b = Program::builder(network.name.clone());
         b.layers = lowered.layers.clone();
         b.memory = lowered.memory.clone();
-        let mut blob: u32 = 0;
+        let mut out = LayerOut::default();
         for meta in &lowered.layers {
+            out.instrs.clear();
             match meta.kind {
                 LayerKind::Conv { .. } | LayerKind::FullyConnected => match self.options.loop_order
                 {
-                    LoopOrder::HeightOuter => {
-                        self.emit_conv_height_outer(&mut b, meta, &mut blob)?
-                    }
-                    LoopOrder::ChannelOuter => {
-                        self.emit_conv_channel_outer(&mut b, meta, &mut blob)?
-                    }
+                    LoopOrder::HeightOuter => self.emit_conv_height_outer(&mut out, meta)?,
+                    LoopOrder::ChannelOuter => self.emit_conv_channel_outer(&mut out, meta)?,
                 },
-                LayerKind::DwConv { .. } => self.emit_per_channel(&mut b, meta, &mut blob, true)?,
-                LayerKind::Pool { .. } => self.emit_per_channel(&mut b, meta, &mut blob, false)?,
-                LayerKind::GlobalPool { .. } => self.emit_global_pool(&mut b, meta, &mut blob)?,
-                LayerKind::Add => self.emit_add(&mut b, meta, &mut blob)?,
+                LayerKind::DwConv { .. } => self.emit_per_channel(&mut out, meta, true)?,
+                LayerKind::Pool { .. } => self.emit_per_channel(&mut out, meta, false)?,
+                LayerKind::GlobalPool { .. } => self.emit_global_pool(&mut out, meta)?,
+                LayerKind::Add => self.emit_add(&mut out, meta)?,
             }
+            append(&mut b, &out.instrs)?;
         }
         b.build().map_err(Into::into)
     }
@@ -157,7 +192,7 @@ impl<'a> CodeGen<'a> {
     }
 
     fn save(
-        b: &mut ProgramBuilder,
+        out: &mut LayerOut,
         meta: &LayerMeta,
         blob: u32,
         out_r0: u32,
@@ -170,8 +205,9 @@ impl<'a> CodeGen<'a> {
             + (u64::from(c0) * u64::from(meta.out_shape.h) + u64::from(out_r0)) * w_out;
         let bytes =
             u32::try_from(u64::from(chans) * u64::from(rows) * w_out).expect("save bytes fit u32");
-        let sid = b.alloc_save_id();
-        b.push(
+        let sid = out.next_save_id;
+        out.next_save_id += 1;
+        out.instrs.push(
             Instr::transfer(
                 Opcode::Save,
                 meta.id,
@@ -185,9 +221,8 @@ impl<'a> CodeGen<'a> {
 
     fn emit_conv_height_outer(
         &self,
-        b: &mut ProgramBuilder,
+        out: &mut LayerOut,
         meta: &LayerMeta,
-        blob: &mut u32,
     ) -> Result<(), CompileError> {
         let p = self.arch.parallelism;
         let (po, pi, ph) = (u32::from(p.output), u32::from(p.input), u32::from(p.height));
@@ -214,19 +249,18 @@ impl<'a> CodeGen<'a> {
             for ocg in 0..ocg_n {
                 let oc0 = ocg * po;
                 let ocs = po.min(c_out - oc0);
-                let this_blob = *blob;
-                *blob += 1;
+                let this_blob = out.new_blob();
                 for icg in 0..icg_n {
                     let ic0 = icg * pi;
                     let ics = pi.min(c_in - ic0);
                     if !resident || ocg == 0 {
-                        b.push(Self::load_d(meta, this_blob, ic0, ics, in_r0, in_r1));
+                        out.instrs.push(Self::load_d(meta, this_blob, ic0, ics, in_r0, in_r1));
                     }
                     if meta.kind.has_weights() {
-                        b.push(Self::load_w(meta, this_blob, oc0, ocs, ic0, ics));
+                        out.instrs.push(Self::load_w(meta, this_blob, oc0, ocs, ic0, ics));
                     }
                     let op = if icg + 1 == icg_n { Opcode::CalcF } else { Opcode::CalcI };
-                    b.push(Instr::calc(
+                    out.instrs.push(Instr::calc(
                         op,
                         meta.id,
                         this_blob,
@@ -242,7 +276,7 @@ impl<'a> CodeGen<'a> {
                 }
                 group_count += 1;
                 if group_count == group_len || ocg + 1 == ocg_n {
-                    Self::save(b, meta, this_blob, out_r0, rows, group_c0, oc0 + ocs - group_c0);
+                    Self::save(out, meta, this_blob, out_r0, rows, group_c0, oc0 + ocs - group_c0);
                     group_c0 = oc0 + ocs;
                     group_count = 0;
                 }
@@ -253,9 +287,8 @@ impl<'a> CodeGen<'a> {
 
     fn emit_conv_channel_outer(
         &self,
-        b: &mut ProgramBuilder,
+        out: &mut LayerOut,
         meta: &LayerMeta,
-        blob: &mut u32,
     ) -> Result<(), CompileError> {
         let p = self.arch.parallelism;
         let (po, pi, ph) = (u32::from(p.output), u32::from(p.input), u32::from(p.height));
@@ -281,17 +314,16 @@ impl<'a> CodeGen<'a> {
                     meta,
                     u64::from(pi) * u64::from(in_r1 - in_r0) * u64::from(meta.in_shape.w),
                 )?;
-                let this_blob = *blob;
-                *blob += 1;
+                let this_blob = out.new_blob();
                 for icg in 0..icg_n {
                     let ic0 = icg * pi;
                     let ics = pi.min(c_in - ic0);
-                    b.push(Self::load_d(meta, this_blob, ic0, ics, in_r0, in_r1));
+                    out.instrs.push(Self::load_d(meta, this_blob, ic0, ics, in_r0, in_r1));
                     if meta.kind.has_weights() && (!w_resident || ht == 0) {
-                        b.push(Self::load_w(meta, this_blob, oc0, ocs, ic0, ics));
+                        out.instrs.push(Self::load_w(meta, this_blob, oc0, ocs, ic0, ics));
                     }
                     let op = if icg + 1 == icg_n { Opcode::CalcF } else { Opcode::CalcI };
-                    b.push(Instr::calc(
+                    out.instrs.push(Instr::calc(
                         op,
                         meta.id,
                         this_blob,
@@ -305,7 +337,7 @@ impl<'a> CodeGen<'a> {
                         ),
                     ));
                 }
-                Self::save(b, meta, this_blob, out_r0, rows, oc0, ocs);
+                Self::save(out, meta, this_blob, out_r0, rows, oc0, ocs);
             }
         }
         Ok(())
@@ -315,9 +347,8 @@ impl<'a> CodeGen<'a> {
     /// `CALC_F` per channel-group blob, no input-channel reduction.
     fn emit_per_channel(
         &self,
-        b: &mut ProgramBuilder,
+        out: &mut LayerOut,
         meta: &LayerMeta,
-        blob: &mut u32,
         weights: bool,
     ) -> Result<(), CompileError> {
         let p = self.arch.parallelism;
@@ -338,13 +369,12 @@ impl<'a> CodeGen<'a> {
             for cg in 0..cg_n {
                 let c0 = cg * po;
                 let cs = po.min(c_out - c0);
-                let this_blob = *blob;
-                *blob += 1;
-                b.push(Self::load_d(meta, this_blob, c0, cs, in_r0, in_r1));
+                let this_blob = out.new_blob();
+                out.instrs.push(Self::load_d(meta, this_blob, c0, cs, in_r0, in_r1));
                 if weights {
-                    b.push(Self::load_w(meta, this_blob, c0, cs, c0, cs));
+                    out.instrs.push(Self::load_w(meta, this_blob, c0, cs, c0, cs));
                 }
-                b.push(Instr::calc(
+                out.instrs.push(Instr::calc(
                     Opcode::CalcF,
                     meta.id,
                     this_blob,
@@ -359,7 +389,7 @@ impl<'a> CodeGen<'a> {
                 ));
                 group_count += 1;
                 if group_count == group_len || cg + 1 == cg_n {
-                    Self::save(b, meta, this_blob, out_r0, rows, group_c0, c0 + cs - group_c0);
+                    Self::save(out, meta, this_blob, out_r0, rows, group_c0, c0 + cs - group_c0);
                     group_c0 = c0 + cs;
                     group_count = 0;
                 }
@@ -368,12 +398,7 @@ impl<'a> CodeGen<'a> {
         Ok(())
     }
 
-    fn emit_global_pool(
-        &self,
-        b: &mut ProgramBuilder,
-        meta: &LayerMeta,
-        blob: &mut u32,
-    ) -> Result<(), CompileError> {
+    fn emit_global_pool(&self, out: &mut LayerOut, meta: &LayerMeta) -> Result<(), CompileError> {
         let p = self.arch.parallelism;
         let po = u32::from(p.output);
         let c = meta.out_shape.c;
@@ -386,10 +411,9 @@ impl<'a> CodeGen<'a> {
         for cg in 0..cg_n {
             let c0 = cg * po;
             let cs = po.min(c - c0);
-            let this_blob = *blob;
-            *blob += 1;
-            b.push(Self::load_d(meta, this_blob, c0, cs, 0, h_in));
-            b.push(Instr::calc(
+            let this_blob = out.new_blob();
+            out.instrs.push(Self::load_d(meta, this_blob, c0, cs, 0, h_in));
+            out.instrs.push(Instr::calc(
                 Opcode::CalcF,
                 meta.id,
                 this_blob,
@@ -397,7 +421,7 @@ impl<'a> CodeGen<'a> {
             ));
             group_count += 1;
             if group_count == group_len || cg + 1 == cg_n {
-                Self::save(b, meta, this_blob, 0, 1, group_c0, c0 + cs - group_c0);
+                Self::save(out, meta, this_blob, 0, 1, group_c0, c0 + cs - group_c0);
                 group_c0 = c0 + cs;
                 group_count = 0;
             }
@@ -405,12 +429,7 @@ impl<'a> CodeGen<'a> {
         Ok(())
     }
 
-    fn emit_add(
-        &self,
-        b: &mut ProgramBuilder,
-        meta: &LayerMeta,
-        blob: &mut u32,
-    ) -> Result<(), CompileError> {
+    fn emit_add(&self, out: &mut LayerOut, meta: &LayerMeta) -> Result<(), CompileError> {
         let p = self.arch.parallelism;
         let (po, ph) = (u32::from(p.output), u32::from(p.height));
         let (c, h) = (meta.out_shape.c, meta.out_shape.h);
@@ -434,11 +453,10 @@ impl<'a> CodeGen<'a> {
             for cg in 0..cg_n {
                 let c0 = cg * po;
                 let cs = po.min(c - c0);
-                let this_blob = *blob;
-                *blob += 1;
-                b.push(Self::load_d(meta, this_blob, c0, cs, r0, r0 + rows));
-                b.push(Self::load_d2(meta, this_blob, c0, cs, r0, r0 + rows));
-                b.push(Instr::calc(
+                let this_blob = out.new_blob();
+                out.instrs.push(Self::load_d(meta, this_blob, c0, cs, r0, r0 + rows));
+                out.instrs.push(Self::load_d2(meta, this_blob, c0, cs, r0, r0 + rows));
+                out.instrs.push(Instr::calc(
                     Opcode::CalcF,
                     meta.id,
                     this_blob,
@@ -446,7 +464,7 @@ impl<'a> CodeGen<'a> {
                 ));
                 group_count += 1;
                 if group_count == group_len || cg + 1 == cg_n {
-                    Self::save(b, meta, this_blob, r0, rows, group_c0, c0 + cs - group_c0);
+                    Self::save(out, meta, this_blob, r0, rows, group_c0, c0 + cs - group_c0);
                     group_c0 = c0 + cs;
                     group_count = 0;
                 }

@@ -8,13 +8,23 @@
 //! 2. **Code generation** ([`CodeGen`]): each layer is tiled to the
 //!    accelerator's parallelism (`Para_in`/`Para_out`/`Para_height`) and
 //!    buffer capacities, producing the *original* ISA sequence
-//!    (`LOAD_W`/`LOAD_D`/`CALC_I`/`CALC_F`/`SAVE`) grouped into CalcBlobs.
-//! 3. **VI pass** ([`vi::vi_pass`]): "INCA goes further than previous CNN
+//!    (`LOAD_W`/`LOAD_D`/`CALC_I`/`CALC_F`/`SAVE`) grouped into CalcBlobs,
+//!    one layer at a time into a buffer reused for every layer.
+//! 3. **VI pass** ([`vi`]): "INCA goes further than previous CNN
 //!    compilers. It selects the optimized interrupt positions in the
 //!    original instruction sequence, and adds virtual instructions at these
 //!    positions" — one interrupt point after every `SAVE` and after every
 //!    `CALC_F` (paper §IV-C), wrapping the stream into the interruptible
 //!    VI-ISA.
+//!
+//! Steps 2 and 3 stream: [`Compiler::compile_vi`] hands each layer's
+//! original instructions straight to the VI pass, which computes that
+//! layer's load liveness and appends the layer with its virtual groups to
+//! the output program, so the original-ISA program is never built. Each
+//! layer costs time linear in its instructions (O(1) per load and per
+//! CALC) and memory for its own instructions only. [`Compiler::compile`]
+//! builds the original program from the same per-layer code generation,
+//! and [`vi::vi_pass`] runs the same per-layer pass over it.
 //!
 //! ## Example
 //!
@@ -98,13 +108,18 @@ impl Compiler {
         CodeGen::new(&self.arch, &self.options).emit(network, &lowered)
     }
 
-    /// Compiles to the interruptible VI-ISA (original ISA + VI pass).
+    /// Compiles to the interruptible VI-ISA: the same program as
+    /// [`vi::vi_pass`] of [`Compiler::compile`]'s, built in one streaming
+    /// pass — each layer's original instructions go from code generation
+    /// straight through the VI pass, and no original-ISA program is built.
     ///
     /// # Errors
     ///
     /// See [`Compiler::compile`].
     pub fn compile_vi(&self, network: &Network) -> Result<Program, CompileError> {
-        let original = self.compile(network)?;
-        vi::vi_pass(&original, &self.arch, &self.options)
+        let lowered = lower(network, &self.arch, &self.options)?;
+        let mut pass = vi::ViPass::default();
+        CodeGen::new(&self.arch, &self.options)
+            .emit_with(network, &lowered, |b, layer| pass.append(b, layer, 0..layer.len()))
     }
 }

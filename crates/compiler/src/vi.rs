@@ -1,8 +1,8 @@
 //! The virtual-instruction pass (paper §IV-B/§IV-C).
 //!
-//! Takes an *original*-ISA program and returns the interruptible VI-ISA
-//! program: after every `CALC_F` (unless a `SAVE` immediately follows) and
-//! after every `SAVE`, an interrupt point is inserted containing
+//! Turns an *original*-ISA stream into the interruptible VI-ISA: after
+//! every `CALC_F` (unless a `SAVE` immediately follows) and after every
+//! `SAVE`, an interrupt point is inserted containing
 //!
 //! * one `VIR_SAVE` per CalcBlob that has been computed but whose covering
 //!   `SAVE` has not executed yet (flushing it early on interrupt; the later
@@ -14,13 +14,19 @@
 //! Points after `LOAD`s or `CALC_I`s are deliberately *not* created: the
 //! paper shows they would waste bandwidth (flushed fresh loads) or force
 //! intermediate-accumulator backup (§IV-C, Table I).
+//!
+//! The pass works one layer run (a maximal stretch of one layer's
+//! instructions) at a time: it computes the run's load liveness, then
+//! appends the run, virtual groups included, to the output builder.
+//! [`crate::Compiler::compile_vi`] feeds it each layer as code generation
+//! emits it, so no original-ISA program is built; [`vi_pass`] feeds it the
+//! runs of an existing one.
 
 use std::ops::Range;
 
-use inca_isa::{DdrRange, Instr, LayerKind, LayerMeta, Opcode, Program, Tile};
+use inca_isa::{DdrRange, Instr, LayerKind, LayerMeta, Opcode, Program, ProgramBuilder, Tile};
 
-use crate::{CompileError, CompileOptions};
-use inca_isa::ArchSpec;
+use crate::CompileError;
 
 /// A computed-but-unsaved CalcBlob awaiting its covering `SAVE`.
 #[derive(Debug, Clone, Copy)]
@@ -85,105 +91,126 @@ fn calc_uses_load(meta: &LayerMeta, calc: &Instr, load: &Instr) -> bool {
     }
 }
 
-/// The live loads of one opcode in the current layer: at most one per
+/// End of a bucket's entry list.
+const NONE: u32 = u32::MAX;
+
+/// One live load in a [`LoadIndex`] bucket.
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    /// `[c0, ic0, chans, ics]`: the buffer slot.
+    key: [u16; 4],
+    /// Index into the run's liveness table.
+    live: u32,
+    /// Next entry of the same bucket, or [`NONE`].
+    next: u32,
+}
+
+/// The live loads of one opcode in the current layer run: at most one per
 /// buffer slot, a later load of the same slot (same `c0`, `chans`, `ic0`,
 /// `ics`) overwriting the earlier one.
 ///
-/// Entries are sorted by first channel, then first input channel, so the
-/// loads a CALC can touch are a few short runs found by binary search
-/// instead of a walk over every slot of the layer.
+/// The entries hang in a grid of buckets keyed by `(c0 >> s_c, ic0 >> s_ic)`,
+/// where `1 << s` is the run's widest `chans` (or `ics`) rounded up to a
+/// power of two. A tile then reaches at most one bucket past its own, so the
+/// loads a CALC can touch lie in a few adjacent buckets, however many slots
+/// the layer has.
 #[derive(Debug, Default)]
 struct LoadIndex {
-    /// `([c0, ic0, chans, ics], index into the liveness table)`, sorted.
-    entries: Vec<([u16; 4], usize)>,
-    /// Widest `chans` and `ics` among the entries (a load is only ever
-    /// evicted by one of its own width).
-    widest: [u16; 2],
+    /// Bucket width shifts `[s_c, s_ic]`.
+    shift: [u32; 2],
+    /// Buckets along `c0` and along `ic0`.
+    dims: [u32; 2],
+    /// First entry of each bucket, or [`NONE`]; bucket `(c, ic)` is at
+    /// `c * dims[1] + ic`.
+    heads: Vec<u32>,
+    entries: Vec<Entry>,
+    /// Widest `chans` and `ics` of the run's loads.
+    widest: [u32; 2],
 }
 
 impl LoadIndex {
-    fn clear(&mut self) {
+    /// Empties the index and sizes its grid for `tiles`, the tiles of the
+    /// loads the run will insert.
+    fn reset<'a>(&mut self, tiles: impl Iterator<Item = &'a Tile>) {
+        let (mut n, mut last, mut widest) = (0u64, [0u32; 2], [0u32; 2]);
+        for t in tiles {
+            n += 1;
+            last = [last[0].max(t.c0.into()), last[1].max(t.ic0.into())];
+            widest = [widest[0].max(t.chans.into()), widest[1].max(t.ics.into())];
+        }
+        let mut shift = widest.map(|w| w.max(1).next_power_of_two().trailing_zeros());
+        // Codegen's grid-aligned tiles fill every bucket. Other streams may
+        // spread a few loads far apart: widen the buckets until the grid is
+        // no larger than a small multiple of the loads (any width is exact).
+        let dims = |s: [u32; 2]| [(last[0] >> s[0]) + 1, (last[1] >> s[1]) + 1];
+        while dims(shift).iter().map(|&d| u64::from(d)).product::<u64>() > 2 * n + 16 {
+            let d = dims(shift);
+            shift[usize::from(d[1] > d[0])] += 1;
+        }
+        self.shift = shift;
+        self.dims = dims(shift);
+        self.heads.clear();
+        self.heads.resize((self.dims[0] * self.dims[1]) as usize, NONE);
         self.entries.clear();
-        self.widest = [0; 2];
+        self.widest = widest;
     }
 
-    fn insert(&mut self, tile: &Tile, idx: usize) {
+    fn bucket(&self, c: u32, ic: u32) -> usize {
+        (c * self.dims[1] + ic) as usize
+    }
+
+    fn insert(&mut self, tile: &Tile, live: usize) {
         let key = [tile.c0, tile.ic0, tile.chans, tile.ics];
-        match self.entries.binary_search_by_key(&key, |e| e.0) {
-            Ok(at) => self.entries[at].1 = idx,
-            Err(at) => self.entries.insert(at, (key, idx)),
+        let live = live as u32;
+        let at =
+            self.bucket(u32::from(tile.c0) >> self.shift[0], u32::from(tile.ic0) >> self.shift[1]);
+        let mut e = self.heads[at];
+        while e != NONE {
+            let entry = &mut self.entries[e as usize];
+            if entry.key == key {
+                entry.live = live;
+                return;
+            }
+            e = entry.next;
         }
-        self.widest = [self.widest[0].max(tile.chans), self.widest[1].max(tile.ics)];
+        self.entries.push(Entry { key, live, next: self.heads[at] });
+        self.heads[at] = (self.entries.len() - 1) as u32;
     }
 
     /// Calls `f` on every live load whose channels can intersect `chans`
     /// and, when `ics` is given, whose input channels can intersect `ics`.
     ///
     /// A tile `[x0, x0 + n)` with `n <= widest` intersects `[a, b)` only if
-    /// `x0 + widest > a` and `x0 < b`: one run of first channels and, under
-    /// each of them, one run of first input channels.
+    /// `x0 + widest > a` and `x0 < b`: the buckets holding such `x0` and,
+    /// in them, the entries passing that test.
     fn visit(&self, chans: &Range<u32>, ics: Option<&Range<u32>>, mut f: impl FnMut(usize)) {
-        let [widest_c, widest_ic] = self.widest.map(u32::from);
-        let first = self.entries.partition_point(|e| u32::from(e.0[0]) + widest_c <= chans.start);
-        let mut rest = &self.entries[first..];
-        while let Some(c0) = rest.first().map(|e| e.0[0]).filter(|&c0| u32::from(c0) < chans.end) {
-            let group;
-            (group, rest) = rest.split_at(rest.partition_point(|e| e.0[0] == c0));
-            match ics {
-                None => group.iter().for_each(|e| f(e.1)),
-                Some(ics) => {
-                    let lo = group.partition_point(|e| u32::from(e.0[1]) + widest_ic <= ics.start);
-                    group[lo..]
-                        .iter()
-                        .take_while(|e| u32::from(e.0[1]) < ics.end)
-                        .for_each(|e| f(e.1));
-                }
-            }
+        if self.entries.is_empty() || chans.end == 0 || ics.is_some_and(|r| r.end == 0) {
+            return;
         }
-    }
-}
-
-/// Computes, for every load in the program, the pc of its last consumer
-/// before the data is overwritten.
-///
-/// [`calc_uses_load`] alone decides whether a CALC consumes a load; the
-/// [`LoadIndex`] windows only spare it the loads whose channels cannot
-/// intersect the CALC's, so the table equals the one a scan over every
-/// live load produces, for any tiling.
-fn load_liveness(program: &Program) -> Vec<LiveLoad> {
-    let mut lives: Vec<LiveLoad> = Vec::new();
-    let (mut data, mut weights) = (LoadIndex::default(), LoadIndex::default());
-    let mut current_layer = u16::MAX;
-    for (pc, i) in program.instrs.iter().enumerate() {
-        if i.layer != current_layer {
-            current_layer = i.layer;
-            data.clear();
-            weights.clear();
-        }
-        match i.op {
-            Opcode::LoadD | Opcode::LoadW => {
-                let index = if i.op == Opcode::LoadD { &mut data } else { &mut weights };
-                index.insert(&i.tile, lives.len());
-                lives.push(LiveLoad { pc, last_use: pc });
-            }
-            Opcode::CalcI | Opcode::CalcF => {
-                let meta = program.layer_of(i);
-                let mut touch = |idx: usize| {
-                    if calc_uses_load(meta, i, &program.instrs[lives[idx].pc]) {
-                        lives[idx].last_use = pc;
+        let [widest_c, widest_ic] = self.widest;
+        let window = |r: &Range<u32>, widest: u32, axis: usize| {
+            let lo = (r.start + 1).saturating_sub(widest) >> self.shift[axis];
+            let hi = ((r.end - 1) >> self.shift[axis]).min(self.dims[axis] - 1);
+            lo..=hi
+        };
+        let ic_buckets = ics.map_or(0..=self.dims[1] - 1, |r| window(r, widest_ic, 1));
+        for c in window(chans, widest_c, 0) {
+            for ic in ic_buckets.clone() {
+                let mut e = self.heads[self.bucket(c, ic)];
+                while e != NONE {
+                    let Entry { key: [c0, ic0, ..], live, next } = self.entries[e as usize];
+                    let (c0, ic0) = (u32::from(c0), u32::from(ic0));
+                    if c0 + widest_c > chans.start
+                        && c0 < chans.end
+                        && ics.is_none_or(|r| ic0 + widest_ic > r.start && ic0 < r.end)
+                    {
+                        f(live as usize);
                     }
-                };
-                for chans in consumed_data_channels(meta, i).into_iter().flatten() {
-                    data.visit(&chans, None, &mut touch);
+                    e = next;
                 }
-                let ics = i.tile.ic_range();
-                let ics = meta.kind.reduces_input_channels().then_some(&ics);
-                weights.visit(&i.tile.chan_range(), ics, &mut touch);
             }
-            _ => {}
         }
     }
-    lives
 }
 
 fn vir_save_for(meta: &LayerMeta, pb: &PendingBlob) -> Result<Instr, CompileError> {
@@ -216,7 +243,128 @@ fn vir_load_for(load: &Instr) -> Instr {
     Instr { op, ..*load }
 }
 
-/// Applies the VI pass to an original-ISA program.
+/// The VI pass's state between layer runs, and its scratch buffers, which
+/// it keeps from one run to the next.
+#[derive(Debug, Default)]
+pub(crate) struct ViPass {
+    /// The current run's loads in pc order, with their last consumers.
+    lives: Vec<LiveLoad>,
+    data: LoadIndex,
+    weights: LoadIndex,
+    /// Loads of the current run still resident at the current pc.
+    active: Vec<LiveLoad>,
+    /// Blobs whose covering `SAVE` has not been appended yet; the only
+    /// state a run hands on (that `SAVE` may lie in a later run).
+    unsaved: Vec<PendingBlob>,
+}
+
+impl ViPass {
+    /// Appends the layer run `stream[run]` to `b`, with a virtual group at
+    /// every interrupt point. The instructions after `run` are only looked
+    /// at: the one following a `CALC_F`, and a `CALC_F`'s covering `SAVE`.
+    ///
+    /// # Errors
+    ///
+    /// [`CompileError::Unsupported`] when a `CALC_F` of the run has no
+    /// covering `SAVE` in `stream`, or its blob is too large for one
+    /// `VIR_SAVE`.
+    pub(crate) fn append(
+        &mut self,
+        b: &mut ProgramBuilder,
+        stream: &[Instr],
+        run: Range<usize>,
+    ) -> Result<(), CompileError> {
+        let Some(first) = stream.get(run.start) else { return Ok(()) };
+        self.liveness(&b.layers[usize::from(first.layer)], stream, run.clone());
+        self.active.clear();
+        let mut lives = self.lives.iter().peekable();
+        // pc of the first SAVE after the latest CALC_F: the one covering its blob.
+        let mut covering = run.start;
+        for pc in run {
+            let i = &stream[pc];
+            self.active.extend(lives.next_if(|l| l.pc == pc));
+            b.push(*i);
+            let point_here = match i.op {
+                Opcode::CalcF => {
+                    covering = covering.max(pc + 1);
+                    while stream.get(covering).is_some_and(|n| n.op != Opcode::Save) {
+                        covering += 1;
+                    }
+                    let save = stream.get(covering).ok_or_else(|| {
+                        CompileError::Unsupported(format!("blob {} lacks a covering SAVE", i.blob))
+                    })?;
+                    self.unsaved.push(PendingBlob {
+                        blob: i.blob,
+                        layer: i.layer,
+                        tile: i.tile,
+                        save_id: save.save_id,
+                    });
+                    // No point between a CALC_F and the SAVE right after it.
+                    stream.get(pc + 1).map(|n| n.op) != Some(Opcode::Save)
+                }
+                Opcode::Save => {
+                    self.unsaved.retain(|pb| pb.save_id != i.save_id);
+                    true
+                }
+                _ => false,
+            };
+            if point_here {
+                let vir_start = b.pc();
+                for pb in &self.unsaved {
+                    let vir_save = vir_save_for(&b.layers[usize::from(pb.layer)], pb)?;
+                    b.push(vir_save);
+                }
+                self.active.retain(|l| l.last_use > pc);
+                for l in &self.active {
+                    b.push(vir_load_for(&stream[l.pc]));
+                }
+                b.mark_interrupt_point(vir_start, i.layer);
+            }
+        }
+        Ok(())
+    }
+
+    /// Fills `lives` with the run's loads and, for each, the pc of its last
+    /// consumer before the data is overwritten or the run ends.
+    ///
+    /// [`calc_uses_load`] alone decides whether a CALC consumes a load; the
+    /// [`LoadIndex`] windows only spare it the loads whose channels cannot
+    /// intersect the CALC's, so the table equals the one a scan over every
+    /// live load produces, for any tiling.
+    fn liveness(&mut self, meta: &LayerMeta, stream: &[Instr], run: Range<usize>) {
+        let instrs = &stream[run.clone()];
+        let tiles = |op| instrs.iter().filter(move |i| i.op == op).map(|i| &i.tile);
+        self.data.reset(tiles(Opcode::LoadD));
+        self.weights.reset(tiles(Opcode::LoadW));
+        self.lives.clear();
+        let Self { lives, data, weights, .. } = self;
+        for (pc, i) in run.zip(instrs) {
+            match i.op {
+                Opcode::LoadD | Opcode::LoadW => {
+                    let index = if i.op == Opcode::LoadD { &mut *data } else { &mut *weights };
+                    index.insert(&i.tile, lives.len());
+                    lives.push(LiveLoad { pc, last_use: pc });
+                }
+                Opcode::CalcI | Opcode::CalcF => {
+                    let mut touch = |idx: usize| {
+                        if calc_uses_load(meta, i, &stream[lives[idx].pc]) {
+                            lives[idx].last_use = pc;
+                        }
+                    };
+                    for chans in consumed_data_channels(meta, i).into_iter().flatten() {
+                        data.visit(&chans, None, &mut touch);
+                    }
+                    let ics = i.tile.ic_range();
+                    let ics = meta.kind.reduces_input_channels().then_some(&ics);
+                    weights.visit(&i.tile.chan_range(), ics, &mut touch);
+                }
+                _ => {}
+            }
+        }
+    }
+}
+
+/// Applies the VI pass to an original-ISA program, one layer run at a time.
 ///
 /// # Errors
 ///
@@ -224,95 +372,28 @@ fn vir_load_for(load: &Instr) -> Instr {
 /// instructions, a `CALC_F` blob has no covering `SAVE`, or a blob is too
 /// large for one `VIR_SAVE` (malformed input); [`CompileError::Isa`] if the
 /// produced program fails validation.
-pub fn vi_pass(
-    program: &Program,
-    _arch: &ArchSpec,
-    _options: &CompileOptions,
-) -> Result<Program, CompileError> {
+pub fn vi_pass(program: &Program) -> Result<Program, CompileError> {
     if !program.interrupt_points.is_empty() || program.instrs.iter().any(|i| i.op.is_virtual()) {
         return Err(CompileError::Unsupported(
             "vi_pass input must be an original-ISA program".into(),
         ));
     }
-    insert_virtual_groups(program, &load_liveness(program))
-}
-
-/// Re-emits `program` with a virtual group at every interrupt point;
-/// `lives` is its load-liveness table in pc order.
-fn insert_virtual_groups(program: &Program, lives: &[LiveLoad]) -> Result<Program, CompileError> {
-    let instrs = &program.instrs;
     let mut b = Program::builder(program.name.clone());
     b.layers = program.layers.clone();
     b.memory = program.memory.clone();
-
-    let mut unsaved: Vec<PendingBlob> = Vec::new();
-    let mut active: Vec<LiveLoad> = Vec::new();
-    let mut next_live = 0usize;
-    // pc of the first SAVE after the latest CALC_F: the one covering its blob.
-    let mut covering = 0usize;
-
-    for (pc, i) in instrs.iter().enumerate() {
-        while next_live < lives.len() && lives[next_live].pc == pc {
-            active.push(lives[next_live]);
-            next_live += 1;
-        }
-        b.push(*i);
-        // The builder re-allocates save ids; keep them aligned with the
-        // original (same order, so identical values) — assert in debug.
-        if i.op == Opcode::Save {
-            let reissued = b.alloc_save_id();
-            debug_assert_eq!(reissued, i.save_id, "save-id drift in vi_pass");
-        }
-
-        let point_here = match i.op {
-            Opcode::CalcF => !matches!(instrs.get(pc + 1).map(|n| n.op), Some(Opcode::Save)),
-            Opcode::Save => true,
-            _ => false,
-        };
-
-        match i.op {
-            Opcode::CalcF => {
-                covering = covering.max(pc + 1);
-                while instrs.get(covering).is_some_and(|n| n.op != Opcode::Save) {
-                    covering += 1;
-                }
-                let save = instrs.get(covering).ok_or_else(|| {
-                    CompileError::Unsupported(format!("blob {} lacks a covering SAVE", i.blob))
-                })?;
-                unsaved.push(PendingBlob {
-                    blob: i.blob,
-                    layer: i.layer,
-                    tile: i.tile,
-                    save_id: save.save_id,
-                });
-            }
-            Opcode::Save => {
-                unsaved.retain(|pb| pb.save_id != i.save_id);
-            }
-            _ => {}
-        }
-
-        if point_here {
-            let vir_start = b.pc();
-            for pb in &unsaved {
-                let meta = &program.layers[usize::from(pb.layer)];
-                b.push(vir_save_for(meta, pb)?);
-            }
-            active.retain(|l| l.last_use > pc);
-            for l in &active {
-                b.push(vir_load_for(&instrs[l.pc]));
-            }
-            b.mark_interrupt_point(vir_start, i.layer);
-        }
+    let mut pass = ViPass::default();
+    let mut start = 0;
+    for run in program.instrs.chunk_by(|x, y| x.layer == y.layer) {
+        pass.append(&mut b, &program.instrs, start..start + run.len())?;
+        start += run.len();
     }
-
     b.build().map_err(Into::into)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Compiler, LoopOrder};
+    use crate::{CompileOptions, Compiler, LoopOrder};
     use inca_isa::ArchSpec;
     use inca_model::{zoo, Shape3};
 
@@ -441,7 +522,7 @@ mod tests {
         let net = zoo::tiny(Shape3::new(3, 16, 16)).unwrap();
         let c = compiler();
         let vi = c.compile_vi(&net).unwrap();
-        assert!(matches!(vi_pass(&vi, c.arch(), c.options()), Err(CompileError::Unsupported(_))));
+        assert!(matches!(vi_pass(&vi), Err(CompileError::Unsupported(_))));
     }
 
     #[test]
@@ -458,7 +539,7 @@ mod tests {
 
     /// The message of the `Unsupported` error `vi_pass` must return.
     fn unsupported(program: &Program) -> String {
-        match vi_pass(program, &ArchSpec::angel_eye_big(), &CompileOptions::default()) {
+        match vi_pass(program) {
             Err(CompileError::Unsupported(msg)) => msg,
             other => panic!("expected Unsupported, got {other:?}"),
         }
@@ -498,10 +579,10 @@ mod tests {
         assert!(msg.contains("blob 1"), "{msg}");
     }
 
-    // ---- load liveness: the index against the scan it replaced ----
+    // ---- the VI pass against the two-pass scan it replaced ----
 
     /// Load liveness as it stood at 87f6bd1 — every CALC walks every live
-    /// load of its layer — kept as the oracle for [`load_liveness`].
+    /// load of its layer — kept as the oracle's first half.
     fn reference_load_liveness(program: &Program) -> Vec<LiveLoad> {
         use std::collections::HashMap;
 
@@ -538,17 +619,64 @@ mod tests {
         lives
     }
 
-    /// Holds the indexed liveness table, and the whole VI program built on
-    /// it, equal to the reference's.
+    /// The VI pass as two whole-program passes — the reference liveness
+    /// table, then one re-emit over the stream (`insert_virtual_groups` at
+    /// e35ec79) — kept as the oracle for [`vi_pass`].
+    fn reference_vi_pass(program: &Program) -> Program {
+        let lives = reference_load_liveness(program);
+        let instrs = &program.instrs;
+        let mut b = Program::builder(program.name.clone());
+        b.layers = program.layers.clone();
+        b.memory = program.memory.clone();
+        let mut unsaved: Vec<PendingBlob> = Vec::new();
+        let mut active: Vec<LiveLoad> = Vec::new();
+        let mut next_live = 0usize;
+        for (pc, i) in instrs.iter().enumerate() {
+            while next_live < lives.len() && lives[next_live].pc == pc {
+                active.push(lives[next_live]);
+                next_live += 1;
+            }
+            b.push(*i);
+            let point_here = match i.op {
+                Opcode::CalcF => {
+                    let covering = instrs[pc + 1..].iter().find(|n| n.op == Opcode::Save);
+                    let save_id = covering.expect("a covering SAVE").save_id;
+                    unsaved.push(PendingBlob {
+                        blob: i.blob,
+                        layer: i.layer,
+                        tile: i.tile,
+                        save_id,
+                    });
+                    !matches!(instrs.get(pc + 1).map(|n| n.op), Some(Opcode::Save))
+                }
+                Opcode::Save => {
+                    unsaved.retain(|pb| pb.save_id != i.save_id);
+                    true
+                }
+                _ => false,
+            };
+            if point_here {
+                let vir_start = b.pc();
+                for pb in &unsaved {
+                    b.push(vir_save_for(&program.layers[usize::from(pb.layer)], pb).unwrap());
+                }
+                active.retain(|l| l.last_use > pc);
+                for l in &active {
+                    b.push(vir_load_for(&instrs[l.pc]));
+                }
+                b.mark_interrupt_point(vir_start, i.layer);
+            }
+        }
+        b.build().unwrap()
+    }
+
+    /// Holds the VI program `vi_pass` builds layer run by layer run equal
+    /// to the reference's.
     fn assert_matches_reference(what: &str, original: &Program) {
-        let reference = reference_load_liveness(original);
-        assert!(load_liveness(original) == reference, "liveness tables differ: {what}");
-        let arch = ArchSpec::angel_eye_big();
-        let got = vi_pass(original, &arch, &CompileOptions::default()).unwrap();
-        let want = insert_virtual_groups(original, &reference).unwrap();
+        let got = vi_pass(original).unwrap();
         // `Program: PartialEq` compares instrs, interrupt points, blobs,
         // layers and memory map.
-        assert!(got == want, "VI programs differ: {what}");
+        assert!(got == reference_vi_pass(original), "VI programs differ: {what}");
     }
 
     /// The nets of the differential matrix.
@@ -637,7 +765,7 @@ mod tests {
                 |_| true,
                 |label, original| {
                     USES_EVALS.with(|n| n.set(0));
-                    let _ = load_liveness(original);
+                    let _ = vi_pass(original);
                     let evals = USES_EVALS.with(std::cell::Cell::get);
                     let calcs = original.instrs.iter().filter(|i| i.op.is_calc()).count() as u64;
                     assert!(evals <= 4 * calcs, "{label}: {evals} evaluations for {calcs} CALCs");
@@ -721,7 +849,7 @@ mod tests {
         instrs.push(save(0, 2, 0, 8, 32, 16));
         let program = stream(vec![layer(0, conv, 40, 48)], &instrs);
         assert_matches_reference("overlapping", &program);
-        let vi = vi_pass(&program, &ArchSpec::angel_eye_big(), &CompileOptions::default());
+        let vi = vi_pass(&program);
         assert!(vi.unwrap().instrs.iter().any(|i| i.op == Opcode::VirLoadW));
     }
 

@@ -106,13 +106,14 @@ pub struct ProgramStats {
 /// `Arc`), so the tables are computed at most once per program and
 /// survive clones (a clone shares the `Arc` entries). Never compared or
 /// serialised. The entries:
-/// * `layer_ranges` — per-layer pc ranges ([`Program::layer_pc_range`]);
+/// * `layer_ranges` — per-layer pc ranges ([`Program::layer_pc_range`]),
+///   recorded by [`ProgramBuilder::build`];
 /// * `plan` — the Tier-1 layer plans ([`Program::plan`]);
 /// * `prices` — the accelerator's per-pc price table ([`Program::prices`]).
 #[derive(Debug, Clone, Default)]
 struct ProgramCache {
     /// Per-layer `(start, end)` pc ranges, indexed by layer id.
-    layer_ranges: OnceLock<Vec<(u32, u32)>>,
+    layer_ranges: Vec<(u32, u32)>,
     plan: OnceLock<Arc<CompiledProgram>>,
     /// Type-erased: this crate cannot name the accelerator's configuration
     /// or its table type.
@@ -179,46 +180,15 @@ impl Program {
         &self.layers[usize::from(instr.layer)]
     }
 
-    /// The pc range `[start, end)` of a layer's instructions.
-    ///
-    /// Ranges for every layer are computed once (eagerly by
-    /// [`ProgramBuilder::build`], lazily otherwise) and answered from a
-    /// table thereafter.
+    /// The pc range `[start, end)` of a layer's instructions: its first
+    /// contiguous run, answered from a table [`ProgramBuilder::build`]
+    /// records while validating.
     #[must_use]
     pub fn layer_pc_range(&self, layer: u16) -> std::ops::Range<usize> {
-        let table = self.cache.layer_ranges.get_or_init(|| self.compute_layer_ranges());
-        match table.get(usize::from(layer)) {
+        match self.cache.layer_ranges.get(usize::from(layer)) {
             Some(&(s, e)) => s as usize..e as usize,
             None => 0..0,
         }
-    }
-
-    /// One linear pass over the stream recording each layer's first
-    /// contiguous instruction run (the shape `layer_pc_range` always
-    /// reported).
-    fn compute_layer_ranges(&self) -> Vec<(u32, u32)> {
-        let max_layer = self
-            .instrs
-            .iter()
-            .map(|i| usize::from(i.layer) + 1)
-            .max()
-            .unwrap_or(0)
-            .max(self.layers.len());
-        let mut table = vec![(0u32, 0u32); max_layer];
-        let mut seen = vec![false; max_layer];
-        let mut pc = 0usize;
-        while pc < self.instrs.len() {
-            let layer = usize::from(self.instrs[pc].layer);
-            let start = pc;
-            while pc < self.instrs.len() && usize::from(self.instrs[pc].layer) == layer {
-                pc += 1;
-            }
-            if !seen[layer] {
-                seen[layer] = true;
-                table[layer] = (start as u32, pc as u32);
-            }
-        }
-        table
     }
 
     /// The program's Tier-1 layer plans ([`compile_program`]), compiled by
@@ -311,23 +281,28 @@ impl Program {
     /// Validates internal consistency.
     ///
     /// Checks performed:
-    /// * every instruction references a defined layer;
     /// * layer shapes are self-consistent;
-    /// * interrupt points are sorted, lie inside the stream, and their
-    ///   `vir_range` covers exactly the virtual instructions;
-    /// * virtual instructions appear only inside interrupt points;
-    /// * every `CALC_F` closes a blob that a later `SAVE` (or earlier
-    ///   `VIR_SAVE`) covers.
+    /// * interrupt points are sorted, do not overlap, do not end before
+    ///   they start and lie inside the stream;
+    /// * every instruction references a defined layer;
+    /// * an instruction is virtual exactly when it lies inside an
+    ///   interrupt point's `vir_range`.
+    ///
+    /// Whether every `CALC_F`'s blob has a covering `SAVE` is not checked
+    /// here: an original-ISA program may leave that to the VI pass, which
+    /// rejects a blob without one.
     ///
     /// # Errors
     ///
     /// Returns the first violated invariant.
     pub fn validate(&self) -> Result<(), IsaError> {
-        for (pc, i) in self.instrs.iter().enumerate() {
-            if usize::from(i.layer) >= self.layers.len() {
-                return Err(IsaError::DanglingLayer { pc, layer: i.layer });
-            }
-        }
+        self.check().map(drop)
+    }
+
+    /// [`Program::validate`]'s checks, in one pass over the stream that also
+    /// records each layer's first contiguous run of instructions (the table
+    /// [`Program::layer_pc_range`] answers from).
+    fn check(&self) -> Result<Vec<(u32, u32)>, IsaError> {
         for meta in &self.layers {
             if !meta.shapes_consistent() {
                 return Err(IsaError::Invalid(format!(
@@ -338,7 +313,7 @@ impl Program {
         }
         let mut prev_end = 0u32;
         for p in &self.interrupt_points {
-            if p.vir_start < prev_end {
+            if p.vir_start < prev_end || p.vir_end < p.vir_start {
                 return Err(IsaError::Invalid(format!(
                     "interrupt points overlap or are unsorted at pc {}",
                     p.vir_start
@@ -350,30 +325,50 @@ impl Program {
                     p.vir_start, p.vir_end
                 )));
             }
-            for pc in p.vir_range() {
-                if !self.instrs[pc].op.is_virtual() {
-                    return Err(IsaError::Invalid(format!(
-                        "non-virtual instruction inside interrupt point at pc {pc}"
-                    )));
-                }
-            }
             prev_end = p.vir_end;
         }
-        // Virtual instructions outside any point are illegal.
-        let mut in_point = vec![false; self.instrs.len()];
-        for p in &self.interrupt_points {
-            for pc in p.vir_range() {
-                in_point[pc] = true;
+        // One pass over the stream, a slice at a time: the points are sorted
+        // and disjoint by now, the gaps before them hold only original
+        // instructions and the points only virtual ones. A layer without a
+        // run keeps `(0, 0)`; every run ends past 0.
+        let len = self.instrs.len();
+        let mut ranges = vec![(0u32, 0u32); self.layers.len()];
+        let mut record = |layer: u16, start: usize, end: usize| {
+            let range = &mut ranges[usize::from(layer)];
+            if range.1 == 0 {
+                *range = (start as u32, end as u32);
             }
-        }
-        for (pc, i) in self.instrs.iter().enumerate() {
-            if i.op.is_virtual() && !in_point[pc] {
-                return Err(IsaError::Invalid(format!(
-                    "virtual instruction outside any interrupt point at pc {pc}"
-                )));
+        };
+        let (mut run_layer, mut run_start) = (self.instrs.first().map_or(0, |i| i.layer), 0);
+        let mut gap_start = 0;
+        let points =
+            self.interrupt_points.iter().map(|p| (p.vir_start as usize, p.vir_end as usize));
+        for (start, end) in points.chain([(len, len)]) {
+            for (in_point, pcs) in [(false, gap_start..start), (true, start..end)] {
+                for (pc, i) in pcs.clone().zip(&self.instrs[pcs]) {
+                    if usize::from(i.layer) >= self.layers.len() {
+                        return Err(IsaError::DanglingLayer { pc, layer: i.layer });
+                    }
+                    if i.op.is_virtual() != in_point {
+                        let what = if in_point {
+                            "non-virtual instruction inside interrupt point"
+                        } else {
+                            "virtual instruction outside any interrupt point"
+                        };
+                        return Err(IsaError::Invalid(format!("{what} at pc {pc}")));
+                    }
+                    if i.layer != run_layer {
+                        record(run_layer, run_start, pc);
+                        (run_layer, run_start) = (i.layer, pc);
+                    }
+                }
             }
+            gap_start = end;
         }
-        Ok(())
+        if len > 0 {
+            record(run_layer, run_start, len);
+        }
+        Ok(ranges)
     }
 
     /// Serialises the program's instruction stream to the `instruction.bin`
@@ -531,7 +526,7 @@ impl ProgramBuilder {
     pub fn build(mut self) -> Result<Program, IsaError> {
         let end = self.pc();
         self.close_blob(end);
-        let program = Program {
+        let mut program = Program {
             name: self.name,
             instrs: self.instrs,
             layers: self.layers,
@@ -540,9 +535,7 @@ impl ProgramBuilder {
             memory: self.memory,
             cache: ProgramCache::default(),
         };
-        program.validate()?;
-        // Warm the layer-range table so hot paths never pay the scan.
-        let _ = program.cache.layer_ranges.set(program.compute_layer_ranges());
+        program.cache.layer_ranges = program.check()?;
         Ok(program)
     }
 }
@@ -630,6 +623,40 @@ mod tests {
         b.push(Instr::transfer(Opcode::VirSave, 0, 0, Tile::default(), DdrRange::EMPTY));
         // No mark_interrupt_point call -> stray virtual instruction.
         assert!(b.build().is_err());
+    }
+
+    /// `tiny_program` with `points` in place of its interrupt points.
+    fn invalid_with_points(points: &[(u32, u32)]) -> String {
+        let mut p = tiny_program();
+        p.interrupt_points = points
+            .iter()
+            .map(|&(vir_start, vir_end)| InterruptPoint { vir_start, vir_end, layer: 0 })
+            .collect();
+        match p.validate() {
+            Err(IsaError::Invalid(msg)) => msg,
+            other => panic!("expected Invalid, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn validate_rejects_unsorted_or_overlapping_points() {
+        for points in [&[(4, 4), (2, 2)][..], &[(1, 3), (2, 4)], &[(3, 1)]] {
+            let msg = invalid_with_points(points);
+            assert!(msg.contains("overlap or are unsorted"), "{points:?}: {msg}");
+        }
+    }
+
+    #[test]
+    fn validate_rejects_point_past_end() {
+        let msg = invalid_with_points(&[(4, 5)]);
+        assert!(msg.contains("past end of stream"), "{msg}");
+    }
+
+    #[test]
+    fn validate_rejects_non_virtual_inside_point() {
+        // pc 2 is the CALC_F.
+        let msg = invalid_with_points(&[(2, 3)]);
+        assert!(msg.contains("non-virtual instruction inside interrupt point at pc 2"), "{msg}");
     }
 
     #[test]

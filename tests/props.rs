@@ -296,3 +296,48 @@ fn vi_streams_are_pinned() {
         );
     }
 }
+
+/// `compile_vi` streams each layer from code generation through the VI pass
+/// without building the original program; it must build exactly what the
+/// VI pass builds over that program. The cells are `vi.rs`'s differential
+/// matrix: its five nets on both architectures, both loop orders and three
+/// save-group bounds, except GeM/ResNet101 on `angel_eye_small` (the
+/// largest cells, ≈ 18 s of a debug build; `prog_size` holds the two paths
+/// equal on five 480×640 nets in release).
+#[test]
+fn streamed_compile_vi_equals_vi_pass_of_compile() {
+    use inca::compiler::vi::vi_pass;
+    use inca::isa::ArchSpec;
+    for net in [
+        zoo::tiny(Shape3::new(3, 32, 32)).unwrap(),
+        zoo::mobilenet_v1(Shape3::new(3, 96, 96)).unwrap(),
+        zoo::resnet18(Shape3::new(3, 64, 64)).unwrap(),
+        zoo::superpoint(Shape3::new(1, 120, 160)).unwrap(),
+        zoo::gem_resnet101(Shape3::new(3, 120, 160)).unwrap(),
+    ] {
+        for (arch_name, arch) in
+            [("big", ArchSpec::angel_eye_big()), ("small", ArchSpec::angel_eye_small())]
+        {
+            if (&*net.name, arch_name) == ("gem_resnet101", "small") {
+                continue;
+            }
+            for order in [LoopOrder::HeightOuter, LoopOrder::ChannelOuter] {
+                for max_blobs in [1, 2, 8] {
+                    let options = CompileOptions::default()
+                        .with_loop_order(order)
+                        .with_max_blobs_per_save(max_blobs);
+                    let compiler = Compiler::with_options(arch, options);
+                    let streamed = compiler.compile_vi(&net).unwrap();
+                    let two_pass = vi_pass(&compiler.compile(&net).unwrap()).unwrap();
+                    // `Program: PartialEq` compares name, instrs, interrupt
+                    // points, blobs, layers and memory map.
+                    assert!(
+                        streamed == two_pass,
+                        "{} {arch_name} {order:?} group {max_blobs}",
+                        net.name
+                    );
+                }
+            }
+        }
+    }
+}
