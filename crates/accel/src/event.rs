@@ -11,9 +11,11 @@
 //! due by its deadline. Quiescent parts (no running job, no ready job, no
 //! pending arrival, nothing queued above) are never armed, and skipping
 //! them is *provably* a state no-op; a part not due yet would only have
-//! made pure progress, which its next tick covers exactly (it *settles*).
-//! That is what keeps event-driven and stepping runs byte-identical (see
-//! DESIGN.md §5.8).
+//! made pure progress, which its next tick covers exactly. Nothing a part
+//! does depends on which barriers visited it: a serving core binds a job
+//! once its engine's clock reached the job's submission cycle, whoever
+//! drove it there. That is what keeps event-driven and stepping runs
+//! byte-identical (see DESIGN.md §5.8).
 //!
 //! The stepping reference is a type, not a mode: a tier over
 //! [`Stepped`](crate::Stepped) engines has [`Tier::STEPPED`] set and ticks
@@ -67,12 +69,12 @@ pub trait Tier {
     /// any state). It gates the barriers: a barrier ticks part `i` only at
     /// a deadline at or past it, and one before it leaves the part behind.
     /// A lower bound is always safe; a cycle in the past (a late-submitted
-    /// arrival, a pending pump) is due at the next barrier.
+    /// arrival, a pending bind) is due at the next barrier.
     fn next_tick(&self, i: usize) -> Option<u64>;
 
-    /// Advances part `i` to `deadline` cycles. A part barriers left behind
-    /// ([`Barrier`] knows which) first settles to the state their ticks
-    /// would have left it in.
+    /// Advances part `i` to `deadline` cycles. For a part barriers left
+    /// behind, the ticks it missed would have been pure progress, which
+    /// this one covers exactly.
     ///
     /// # Errors
     ///
@@ -80,26 +82,15 @@ pub trait Tier {
     fn tick(&mut self, i: usize, deadline: u64) -> Result<(), SimError>;
 }
 
-/// The advance state of one part of a [`Tier`].
-#[derive(Debug, Clone, Copy, Default)]
-struct Part {
-    /// When the part is next due — a lower bound on its
-    /// [`Tier::next_tick`] — or `None` while it is unarmed.
-    due: Option<u64>,
-    /// The number of barriers the part is up to date with: an armed part
-    /// behind the barrier count was left behind, and settles in its next
-    /// tick.
-    seq: u64,
-}
-
 /// The advance state of a [`Tier`]: which parts are armed, when each is
-/// due, the last two barriers and how much work the barriers took.
+/// due, the latest barrier and how much work the barriers took.
 /// Opaque outside this crate: only [`advance`] and the tiers' own arm
 /// paths touch the armed set.
 #[derive(Debug)]
 pub struct Barrier {
-    /// Per part: when it is due and how far it is up to date.
-    parts: Vec<Part>,
+    /// Per part: when it is next due — a lower bound on its
+    /// [`Tier::next_tick`] — or `None` while it is unarmed.
+    due: Vec<Option<u64>>,
     /// The armed parts, in arm order: a barrier costs O(armed), however
     /// many parts there are.
     armed: Vec<usize>,
@@ -109,11 +100,9 @@ pub struct Barrier {
     /// The due parts of the last [`advance`], emptied and kept for its
     /// buffer, so a barrier never allocates once it has grown.
     spare: Vec<usize>,
-    /// Barriers recorded so far.
-    seq: u64,
-    /// The cycles of the last two barriers, the older first: where a part
-    /// left behind would stand.
-    last: [u64; 2],
+    /// The deadline of the latest barrier: where a part left behind would
+    /// stand.
+    pub(crate) latest: u64,
     /// Work counters (a stepping barrier counts every part as a wake;
     /// only the event engine produces skips).
     pub(crate) stats: AdvanceStats,
@@ -123,32 +112,27 @@ impl Barrier {
     /// A barrier over `parts` parts, all disarmed.
     pub(crate) fn new(parts: usize) -> Self {
         Self {
-            parts: vec![Part::default(); parts],
+            due: vec![None; parts],
             armed: Vec::new(),
             earliest: None,
             spare: Vec::new(),
-            seq: 0,
-            last: [0; 2],
+            latest: 0,
             stats: AdvanceStats::default(),
         }
     }
 
     /// Arms part `i`, due at the next barrier, whatever its cycle; the
-    /// barrier revalidates it against [`Tier::next_tick`]. A part armed
-    /// from quiescence is up to date: skipping a quiescent part changed
-    /// nothing.
+    /// barrier revalidates it against [`Tier::next_tick`].
     ///
     /// # Panics
     ///
     /// Panics for an out-of-range part index.
     pub(crate) fn arm(&mut self, i: usize) {
-        let part = &mut self.parts[i];
-        if part.due.is_none() {
+        if self.due[i].is_none() {
             debug_assert!(!self.armed.contains(&i), "an unarmed part is not listed");
-            part.seq = self.seq;
             self.armed.push(i);
         }
-        part.due = Some(0);
+        self.due[i] = Some(0);
         self.earliest = Some(0);
     }
 
@@ -156,31 +140,10 @@ impl Barrier {
     pub(crate) fn next_due(&self) -> Option<u64> {
         debug_assert_eq!(
             self.earliest,
-            self.armed.iter().filter_map(|&i| self.parts[i].due).min(),
+            self.armed.iter().filter_map(|&i| self.due[i]).min(),
             "the kept due cycle is the earliest"
         );
         self.earliest
-    }
-
-    /// The barriers part `i` missed, when it is armed and was left behind:
-    /// the last two, the older first, or `[0, latest]` when it missed only
-    /// the latest (a run to cycle 0 is a no-op: the part may hold work
-    /// that came after the older one).
-    pub(crate) fn lag(&self, i: usize) -> Option<[u64; 2]> {
-        let part = self.parts[i];
-        match self.seq - part.seq {
-            _ if part.due.is_none() => None,
-            0 => None,
-            1 => Some([0, self.last[1]]),
-            _ => Some(self.last),
-        }
-    }
-
-    /// Counts one barrier at `deadline`: every armed part not brought up
-    /// to date at it is left behind.
-    fn record(&mut self, deadline: u64) {
-        self.seq += 1;
-        self.last = [self.last[1], deadline];
     }
 }
 
@@ -193,31 +156,31 @@ impl Barrier {
 /// cycle (a part not due after all stays armed at its new due cycle, a
 /// quiescent one is disarmed), and re-armed at its own next tick
 /// afterwards. The other armed parts are left behind untouched; their
-/// next ticks settle them. A [`Tier::STEPPED`] tier ticks every part
-/// instead; the branch is resolved at compile time.
+/// next ticks cover the progress they missed. A [`Tier::STEPPED`] tier
+/// ticks every part instead; the branch is resolved at compile time.
 ///
 /// # Errors
 ///
 /// Propagates the first part's simulation error.
 pub fn advance<T: Tier>(tier: &mut T, deadline: u64) -> Result<(), SimError> {
     let b = tier.barrier();
-    let parts = b.parts.len();
+    let parts = b.due.len();
     b.stats.barriers += 1;
+    b.latest = deadline;
     if T::STEPPED {
         b.stats.wakes += parts as u64;
         // Every part ticks, so none is ever left behind.
         for i in b.armed.drain(..) {
-            b.parts[i].due = None;
+            b.due[i] = None;
         }
         b.earliest = None;
-        b.record(deadline);
         return (0..parts).try_for_each(|i| tier.tick(i, deadline));
     }
     // Skipping is a no-op only for a quiescent part: work that landed on
     // a part without an arm shows here, at the next barrier.
     #[cfg(debug_assertions)]
     for i in 0..parts {
-        if tier.barrier().parts[i].due.is_none() {
+        if tier.barrier().due[i].is_none() {
             assert!(tier.next_tick(i).is_none(), "part {i} has work but is not armed");
         }
     }
@@ -226,20 +189,18 @@ pub fn advance<T: Tier>(tier: &mut T, deadline: u64) -> Result<(), SimError> {
         // Nothing due, in O(1): the barrier only leaves the armed parts
         // behind.
         b.stats.skips += parts as u64;
-        b.record(deadline);
         #[cfg(debug_assertions)]
-        check_left_behind(tier, deadline);
+        check_left_behind(tier, deadline, &[]);
         return Ok(());
     }
     let mut due = std::mem::take(&mut b.spare);
-    let (armed, states) = (&b.armed, &b.parts);
-    due.extend(armed.iter().filter(|&&i| states[i].due.is_some_and(|d| d <= deadline)));
+    let (armed, states) = (&b.armed, &b.due);
+    due.extend(armed.iter().filter(|&&i| states[i].is_some_and(|d| d <= deadline)));
     due.sort_unstable();
-    let ticked = visit(tier, &due, deadline);
+    let visited = visit(tier, &mut due, deadline);
     let b = tier.barrier();
-    b.record(deadline);
-    let (states, mut earliest) = (&b.parts, None::<u64>);
-    b.armed.retain(|&i| match states[i].due {
+    let (states, mut earliest) = (&b.due, None::<u64>);
+    b.armed.retain(|&i| match states[i] {
         Some(due) => {
             earliest = Some(earliest.map_or(due, |e| e.min(due)));
             true
@@ -247,23 +208,24 @@ pub fn advance<T: Tier>(tier: &mut T, deadline: u64) -> Result<(), SimError> {
         None => false,
     });
     b.earliest = earliest;
+    if visited.is_ok() {
+        b.stats.wakes += due.len() as u64;
+        b.stats.skips += (parts - due.len()) as u64;
+        #[cfg(debug_assertions)]
+        check_left_behind(tier, deadline, &due);
+    }
     due.clear();
-    b.spare = due;
-    let ticked = ticked?;
-    b.stats.wakes += ticked;
-    b.stats.skips += parts as u64 - ticked;
-    #[cfg(debug_assertions)]
-    check_left_behind(tier, deadline);
-    Ok(())
+    tier.barrier().spare = due;
+    visited
 }
 
-/// A part the barrier at `deadline` left behind is not due by it: its due
-/// cycle was a lower bound on its next tick.
+/// A part the barrier at `deadline` did not tick (`ticked`, ascending) is
+/// not due by it: its due cycle was a lower bound on its next tick.
 #[cfg(debug_assertions)]
-fn check_left_behind<T: Tier>(tier: &mut T, deadline: u64) {
+fn check_left_behind<T: Tier>(tier: &mut T, deadline: u64, ticked: &[usize]) {
     for k in 0..tier.barrier().armed.len() {
         let i = tier.barrier().armed[k];
-        if tier.barrier().lag(i).is_some() {
+        if ticked.binary_search(&i).is_err() {
             let next = tier.next_tick(i);
             assert!(next.is_none_or(|t| t > deadline), "part {i} left behind due at {next:?}");
         }
@@ -271,37 +233,39 @@ fn check_left_behind<T: Tier>(tier: &mut T, deadline: u64) {
 }
 
 /// Ticks the `due` parts of `tier` (ascending) at `deadline`, after
-/// revalidating and settling each; returns how many ticked.
-fn visit<T: Tier>(tier: &mut T, due: &[usize], deadline: u64) -> Result<u64, SimError> {
+/// revalidating each, and keeps in `due` the ones that ticked.
+fn visit<T: Tier>(tier: &mut T, due: &mut Vec<usize>, deadline: u64) -> Result<(), SimError> {
     let mut ticked = 0;
-    for &i in due {
+    for k in 0..due.len() {
+        let i = due[k];
         // An arm's due cycle is revalidated; one a tick or an earlier
         // revalidation left is exact, since nothing armed the part since.
-        let next = match tier.barrier().parts[i].due {
+        let next = match tier.barrier().due[i] {
             Some(0) => tier.next_tick(i),
             exact => exact,
         };
-        if next.is_some_and(|t| t > deadline) {
-            tier.barrier().parts[i].due = next;
-            continue;
-        }
-        if next.is_none() {
-            tier.barrier().parts[i].due = None;
+        if next.is_none_or(|t| t > deadline) {
+            tier.barrier().due[i] = next;
             continue;
         }
         tier.tick(i, deadline)?;
+        let next = tier.next_tick(i);
+        tier.barrier().due[i] = next;
+        due[ticked] = i;
         ticked += 1;
-        let due = tier.next_tick(i);
-        let b = tier.barrier();
-        // Up to date with this barrier, which the caller records next.
-        b.parts[i] = Part { due, seq: b.seq + 1 };
     }
-    Ok(ticked)
+    due.truncate(ticked);
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{AccelConfig, CorePool, Engine, InterruptStrategy, TimingBackend};
+    use inca_compiler::Compiler;
+    use inca_isa::TaskSlot;
+    use inca_model::{zoo, Shape3};
+    use std::sync::Arc;
 
     #[test]
     fn rearming_is_idempotent() {
@@ -349,57 +313,99 @@ mod tests {
         assert_eq!(three_barriers::<false>(), (0, event), "the product tier skips them all");
     }
 
-    /// Parts due at fixed cycles, each tick logged as `(part, deadline)`.
+    /// Four cores, each a kilocycle into one long job, due at fixed
+    /// cycles; each tick runs its core to the barrier and is logged as
+    /// `(core, deadline)`.
     struct Timed {
-        barrier: Barrier,
+        pool: CorePool<TimingBackend>,
         at: Vec<u64>,
         ticks: Vec<(usize, u64)>,
     }
 
     impl Tier for Timed {
         fn barrier(&mut self) -> &mut Barrier {
-            &mut self.barrier
+            self.pool.barrier()
         }
         fn next_tick(&self, i: usize) -> Option<u64> {
             Some(self.at[i])
         }
         fn tick(&mut self, i: usize, deadline: u64) -> Result<(), SimError> {
             self.ticks.push((i, deadline));
-            Ok(())
+            self.pool.tick(i, deadline)
         }
+    }
+
+    /// Four engines, each a kilocycle into a job far longer than the
+    /// barriers below.
+    fn busy_pool() -> CorePool<TimingBackend> {
+        let cfg = AccelConfig::paper_small();
+        let program = Arc::new(
+            Compiler::new(cfg.arch)
+                .compile_vi(&zoo::tiny(Shape3::new(3, 64, 64)).unwrap())
+                .unwrap(),
+        );
+        let slot = TaskSlot::LOWEST;
+        let engines = (0..4)
+            .map(|_| {
+                let mut e =
+                    Engine::new(cfg, InterruptStrategy::VirtualInstruction, TimingBackend::new());
+                e.load(slot, Arc::clone(&program)).unwrap();
+                e.request_at(0, slot).unwrap();
+                e.run_until(1_000).unwrap();
+                e
+            })
+            .collect();
+        CorePool::from_engines(engines)
     }
 
     #[test]
     fn only_due_parts_tick_in_part_order_and_the_rest_fall_behind() {
-        let mut t = Timed { barrier: Barrier::new(4), at: vec![25, 5, 45, 15], ticks: Vec::new() };
-        for i in [2, 0, 3, 1] {
-            t.barrier.arm(i);
+        let at = vec![25_000, 5_000, 45_000, 15_000];
+        let mut t = Timed { pool: busy_pool(), at, ticks: Vec::new() };
+        // The same cores, each run to every barrier.
+        let mut twin = busy_pool();
+        let mut behind = Vec::new();
+        let mut barrier = |t: &mut Timed, deadline: u64| {
+            advance(t, deadline).unwrap();
+            twin.run_until(deadline).unwrap();
+            // A core left behind has not run to the barrier, but its clock
+            // reads where the run would have left it.
+            for c in t.pool.core_ids() {
+                assert_eq!(t.pool.clock(c), twin.core(c).now(), "{c} at {deadline}");
+            }
+            assert_eq!(t.pool.now(), twin.now());
+            t.pool.core_ids().map(|c| t.pool.core(c).now() < t.pool.clock(c)).collect::<Vec<_>>()
+        };
+        behind.push(barrier(&mut t, 10_000));
+        // The barrier at 10 000 ticked a part, so its due list has a
+        // buffer; every later barrier fills that same buffer, allocating
+        // nothing.
+        let kept = t.barrier().spare.as_ptr();
+        for deadline in [20_000, 30_000, 40_000] {
+            behind.push(barrier(&mut t, deadline));
+            assert_eq!(t.barrier().spare.as_ptr(), kept, "the due list reuses its buffer");
         }
-        let mut lags = Vec::new();
-        advance(&mut t, 10).unwrap();
-        lags.push((0..4).map(|i| t.barrier.lag(i)).collect::<Vec<_>>());
-        // The barrier at 10 ticked a part, so its due list has a buffer;
-        // every later barrier fills that same buffer, allocating nothing.
-        let kept = t.barrier.spare.as_ptr();
-        for deadline in [20, 30, 40] {
-            advance(&mut t, deadline).unwrap();
-            lags.push((0..4).map(|i| t.barrier.lag(i)).collect::<Vec<_>>());
-            assert_eq!(t.barrier.spare.as_ptr(), kept, "the due list reuses its buffer");
-        }
-        let ticks =
-            [(1, 10), (1, 20), (3, 20), (0, 30), (1, 30), (3, 30), (0, 40), (1, 40), (3, 40)];
+        let ticks = [
+            (1, 10_000),
+            (1, 20_000),
+            (3, 20_000),
+            (0, 30_000),
+            (1, 30_000),
+            (3, 30_000),
+            (0, 40_000),
+            (1, 40_000),
+            (3, 40_000),
+        ];
         assert_eq!(t.ticks, ticks, "due parts only, in part order");
-        assert_eq!(t.barrier.stats, AdvanceStats { barriers: 4, wakes: 9, skips: 7 });
-        // Part 3 missed only the barrier at 10 (a run to 0 is a no-op:
-        // it may hold work newer than the one before), part 0 those at 10
-        // and 20; part 2 (due at 45) is still behind.
-        assert_eq!(lags[0], [Some([0, 10]), None, Some([0, 10]), Some([0, 10])]);
-        assert_eq!(lags[1], [Some([10, 20]), None, Some([10, 20]), None]);
-        assert_eq!(lags[3], [None, None, Some([30, 40]), None]);
-        advance(&mut t, 50).unwrap();
-        assert_eq!(t.ticks[9..], [(0, 50), (1, 50), (2, 50), (3, 50)]);
-        assert_eq!(t.barrier.lag(2), None, "a ticked part is up to date");
-        assert_eq!(t.barrier.spare.as_ptr(), kept, "four due parts fit the kept buffer");
+        assert_eq!(t.pool.advance_stats(), AdvanceStats { barriers: 4, wakes: 9, skips: 7 });
+        // Core 3 missed only the barrier at 10 000, core 0 those at 10 000
+        // and 20 000; core 2 (due at 45 000) is still behind.
+        assert_eq!(behind[0], [true, false, true, true]);
+        assert_eq!(behind[1], [true, false, true, false]);
+        assert_eq!(behind[3], [false, false, true, false]);
+        assert_eq!(barrier(&mut t, 50_000), [false; 4], "a ticked core is up to date");
+        assert_eq!(t.ticks[9..], [(0, 50_000), (1, 50_000), (2, 50_000), (3, 50_000)]);
+        assert_eq!(t.barrier().spare.as_ptr(), kept, "four due parts fit the kept buffer");
     }
 
     #[test]

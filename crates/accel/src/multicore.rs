@@ -172,35 +172,26 @@ impl<B: Backend> CorePool<B> {
         self.barrier.next_due()
     }
 
-    /// The engine clock at which the latest barrier's tick of `core` would
-    /// have started, when barriers left the core behind (it had nothing
-    /// due at them, so its engine has not run to them yet), read off the
-    /// cycle table; `None` when its engine is up to date.
-    ///
-    /// # Panics
-    ///
-    /// Panics for an out-of-range core id.
-    #[must_use]
-    pub fn lag(&self, core: CoreId) -> Option<u64> {
-        let [prev, _] = self.barrier.lag(core.0)?;
-        Some(self.cores[core.0].clock_at(prev))
-    }
-
-    /// `core`'s clock as the barriers left it: its engine's, or, when they
-    /// left it behind, the one their ticks would have run it to, read off
-    /// the cycle table.
+    /// `core`'s clock as the barriers left it: where a run to the latest
+    /// barrier leaves its engine, read off the cycle table when nothing
+    /// changes on it before then (a core they left behind has not run to
+    /// them yet), else its engine's own clock.
     ///
     /// # Panics
     ///
     /// Panics for an out-of-range core id.
     #[must_use]
     pub fn clock(&self, core: CoreId) -> u64 {
-        let e = &self.cores[core.0];
-        self.barrier.lag(core.0).map_or_else(|| e.now(), |[prev, last]| e.clock_at(prev.max(last)))
+        let (e, latest) = (&self.cores[core.0], self.barrier.latest);
+        if e.next_change().is_some_and(|t| t > latest) {
+            e.clock_at(latest)
+        } else {
+            e.now()
+        }
     }
 
-    /// The pool-wide virtual clock: the furthest cycle any core reached,
-    /// counting the barriers that left a core behind.
+    /// The pool-wide virtual clock: the furthest [`CorePool::clock`] of any
+    /// core.
     #[must_use]
     pub fn now(&self) -> u64 {
         self.core_ids().map(|c| self.clock(c)).max().unwrap_or(0)

@@ -383,7 +383,7 @@ impl<B: Backend> Cluster<B> {
     /// deadline ([`Gateway::next_due`]: a core's due cycle, a batch flush,
     /// a timeline boundary) is skipped too — its
     /// [`Gateway::run_until`] only records the barrier, in O(1), and its
-    /// cores settle when they are next due. [`Cluster::advance_stats`]
+    /// cores catch up when they are next due. [`Cluster::advance_stats`]
     /// counts the gateways visited and skipped: it measures simulator
     /// work, so a fleet of [`Stepped`](inca_accel::Stepped) gateways, which
     /// visits every gateway with work outstanding, counts more visits.

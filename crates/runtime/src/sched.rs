@@ -33,6 +33,16 @@
 //! cycles on GeM/ResNet101 at 480×640 under `paper_big` — under
 //! layer-by-layer to the end of its layer, and under the non-preemptive
 //! strategy to its completion.
+//!
+//! A core's schedule depends only on its submissions. The scheduler keeps
+//! no clock: a job is admitted, and its deadline counted, from its
+//! submission cycle; it binds once its engine's clock reached that cycle
+//! ([`Scheduler::step`] runs the engine no further), and a late
+//! submission, which finds the engine past it, binds at the engine's
+//! clock. The release is that clock plus the reload, and
+//! [`SchedPolicy::PremaTokens`] ranks are read there too, from tokens
+//! that are a closed form of the time waited. Where a driver put its
+//! barriers changes how much work the run takes, not what it does.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -99,10 +109,10 @@ pub enum SchedPolicy {
     FixedPriority,
     /// Earliest absolute deadline first; deadline-less jobs rank last.
     Edf,
-    /// PREMA-style tokens: waiting tasks accrue tokens at a rate set by
-    /// their priority; the richest task binds next (aging prevents
-    /// starvation of low-priority tasks under sustained high-priority
-    /// load).
+    /// PREMA-style tokens: a waiting task holds tokens in proportion to
+    /// the time its queue head has waited, at a rate set by its priority;
+    /// the richest task binds next (aging prevents starvation of
+    /// low-priority tasks under sustained high-priority load).
     PremaTokens,
 }
 
@@ -308,8 +318,9 @@ pub struct SchedCompletion {
 struct Pending {
     job: SchedJob,
     deadline: Option<u64>,
-    /// Cycle the job was admitted (opens its Queue span).
-    admitted: u64,
+    /// The submission cycle: the job binds once its engine's clock reached
+    /// it, and its Queue span opens there.
+    submitted: u64,
     /// Request tag for causal spans (`None` = untagged, no spans).
     tag: Option<u64>,
 }
@@ -331,8 +342,8 @@ struct TaskState {
     reload: u64,
     queue: VecDeque<Pending>,
     inflight: Option<InFlight>,
-    /// PREMA tokens, accrued while work is pending; reset on bind.
-    tokens: u64,
+    /// The cycle the task last bound: its PREMA tokens count from there.
+    bound_at: u64,
     stats: TaskStats,
 }
 
@@ -358,8 +369,6 @@ pub struct Scheduler {
     /// completions; `choose_slot` prefers it, and a re-bind of the same
     /// task skips the reload).
     loaded: [Option<TaskId>; TASK_SLOTS],
-    /// Monotonic scheduler clock (max of all `now` values seen).
-    now: u64,
     next_job: u64,
     preempt_requests: u64,
     reloads: u64,
@@ -392,7 +401,6 @@ impl Scheduler {
             ready: Vec::new(),
             bindings: [None; TASK_SLOTS],
             loaded: [None; TASK_SLOTS],
-            now: 0,
             next_job: 0,
             preempt_requests: 0,
             reloads: 0,
@@ -434,7 +442,7 @@ impl Scheduler {
             reload,
             queue: VecDeque::new(),
             inflight: None,
-            tokens: 0,
+            bound_at: 0,
             stats: TaskStats::default(),
         });
         id
@@ -551,9 +559,11 @@ impl Scheduler {
 
     /// Submits one job of `task` at cycle `now`.
     ///
-    /// The job's absolute deadline is `now + relative_deadline` when the
-    /// task has one. The job executes once a [`Scheduler::pump`] binds it
-    /// to a free slot.
+    /// Admission counts from `now`, and the job's absolute deadline is
+    /// `now + relative_deadline` when the task has one. The job executes
+    /// once a [`Scheduler::step`] binds it to a free slot: not before its
+    /// engine's clock reached `now`, and at that clock when a late
+    /// submission finds the engine past it.
     ///
     /// # Errors
     ///
@@ -579,12 +589,10 @@ impl Scheduler {
         task: TaskId,
         tag: Option<u64>,
     ) -> Result<Admission, RejectReason> {
-        self.now = self.now.max(now);
-        let now = self.now;
         let deadline = self.tasks[task.0].spec.relative_deadline.map(|d| now + d);
         self.tasks[task.0].stats.submitted += 1;
 
-        if !self.admit(task, deadline) {
+        if !self.admit(now, task, deadline) {
             self.tasks[task.0].stats.rejected += 1;
             self.emit_rejected(now, task, "admission");
             return Err(RejectReason::AdmissionDenied);
@@ -622,7 +630,7 @@ impl Scheduler {
         self.next_job += 1;
         let t = &mut self.tasks[task.0];
         t.stats.admitted += 1;
-        t.queue.push_back(Pending { job, deadline, admitted: now, tag });
+        t.queue.push_back(Pending { job, deadline, submitted: now, tag });
         let depth = t.queue.len() as u32;
         if was_empty && t.inflight.is_none() {
             self.ready.push(task.0);
@@ -643,7 +651,7 @@ impl Scheduler {
     /// is every queued or in-flight job that the policy would serve before
     /// this one, each charged its task's full predicted span (PREMA's
     /// conservative estimated-remaining-time).
-    fn admit(&self, task: TaskId, deadline: Option<u64>) -> bool {
+    fn admit(&self, now: u64, task: TaskId, deadline: Option<u64>) -> bool {
         let Some(deadline) = deadline else { return true };
         let me = &self.tasks[task.0];
         let mut work = 0u64;
@@ -671,64 +679,82 @@ impl Scheduler {
             };
             work += (queued_ahead + inflight_ahead) * t.span;
         }
-        self.now.saturating_add(work).saturating_add(me.span) <= deadline
+        now.saturating_add(work).saturating_add(me.span) <= deadline
     }
 
     fn emit_rejected(&self, cycle: u64, task: TaskId, reason: &'static str) {
         self.probe.tracer.emit(|| TraceEvent::SchedRejected { cycle, task: task.0 as u32, reason });
     }
 
-    /// Policy rank of task `idx`'s job `job` with absolute `deadline`;
-    /// lower is more urgent.
-    fn rank(&self, idx: usize, job: SchedJob, deadline: Option<u64>) -> (u64, u64, u64) {
+    /// Policy rank at cycle `at` of task `idx`'s job `job` with absolute
+    /// `deadline`; lower is more urgent.
+    fn rank(&self, idx: usize, job: SchedJob, deadline: Option<u64>, at: u64) -> (u64, u64, u64) {
         let t = &self.tasks[idx];
         match self.policy {
             SchedPolicy::FixedPriority => (u64::from(t.spec.priority), job.0, 0),
             SchedPolicy::Edf => (deadline.unwrap_or(u64::MAX), job.0, 0),
-            SchedPolicy::PremaTokens => (u64::MAX - t.tokens, u64::from(t.spec.priority), job.0),
-        }
-    }
-
-    /// Policy rank of a task's next runnable (queue-head) job.
-    fn head_rank(&self, idx: usize) -> (u64, u64, u64) {
-        let head = self.tasks[idx].queue.front().expect("ranked task has a queued job");
-        self.rank(idx, head.job, head.deadline)
-    }
-
-    /// Policy rank of a task's in-flight job (for preemption decisions).
-    fn bound_rank(&self, idx: usize) -> (u64, u64, u64) {
-        let f = self.tasks[idx].inflight.as_ref().expect("bound task has an in-flight job");
-        self.rank(idx, f.job, f.deadline)
-    }
-
-    /// PREMA token accrual: waiting tasks earn `weight` tokens per kilocycle,
-    /// where higher-priority tasks have larger weights (prio 0 → 4 … prio
-    /// ≥3 → 1).
-    fn accrue_tokens(&mut self, now: u64) {
-        let dt = now.saturating_sub(self.now);
-        if dt == 0 {
-            return;
-        }
-        for t in &mut self.tasks {
-            if !t.queue.is_empty() {
-                let weight = 1 + u64::from(3u8.saturating_sub(t.spec.priority.min(3)));
-                t.tokens = t.tokens.saturating_add(dt.div_ceil(1000) * weight);
+            SchedPolicy::PremaTokens => {
+                (u64::MAX - self.tokens(idx, at), u64::from(t.spec.priority), job.0)
             }
         }
     }
 
-    /// Binds queued jobs to free slots per the policy. Call whenever time
-    /// advanced, jobs were submitted or a completion freed a slot.
-    ///
-    /// # Errors
-    ///
-    /// Propagates engine errors (e.g. loading over a raw in-flight job on
-    /// a slot the scheduler does not own).
-    pub fn pump<B: Backend>(&mut self, now: u64, engine: &mut Engine<B>) -> Result<(), SimError> {
-        if self.policy == SchedPolicy::PremaTokens {
-            self.accrue_tokens(now.max(engine.now()));
-        }
-        self.now = self.now.max(now);
+    /// A ready task's next runnable (queue-head) job.
+    fn head(&self, idx: usize) -> &Pending {
+        self.tasks[idx].queue.front().expect("a ready task has a queued job")
+    }
+
+    /// Policy rank at cycle `at` of a task's queue-head job.
+    fn head_rank(&self, idx: usize, at: u64) -> (u64, u64, u64) {
+        let head = self.head(idx);
+        self.rank(idx, head.job, head.deadline, at)
+    }
+
+    /// Policy rank at cycle `at` of a task's in-flight job (for preemption
+    /// decisions).
+    fn bound_rank(&self, idx: usize, at: u64) -> (u64, u64, u64) {
+        let f = self.tasks[idx].inflight.as_ref().expect("bound task has an in-flight job");
+        self.rank(idx, f.job, f.deadline, at)
+    }
+
+    /// PREMA tokens of task `idx` at cycle `at`: `weight` per started
+    /// kilocycle its queue head has waited, counted from its submission or
+    /// the task's last bind, whichever is later. Higher-priority tasks have
+    /// larger weights (prio 0 → 4 … prio ≥3 → 1). A closed form in the
+    /// time waited, so how often a driver pumps changes no rank.
+    fn tokens(&self, idx: usize, at: u64) -> u64 {
+        let Some(since) = self.waiting_since(idx) else { return 0 };
+        let weight = 1 + u64::from(3u8.saturating_sub(self.tasks[idx].spec.priority.min(3)));
+        at.saturating_sub(since).div_ceil(1000) * weight
+    }
+
+    /// Where task `idx`'s tokens count from, while it has a queued job.
+    fn waiting_since(&self, idx: usize) -> Option<u64> {
+        let t = &self.tasks[idx];
+        Some(t.queue.front()?.submitted.max(t.bound_at))
+    }
+
+    /// The next cycle past `engine`'s clock at which, while a slot is free,
+    /// a bind can become possible: the earliest submission cycle among the
+    /// ready queue heads still ahead of it, and, under
+    /// [`SchedPolicy::PremaTokens`] with a head already there, the next
+    /// cycle a queued task's tokens step up (ranks change only there).
+    fn next_stop<B: Backend>(&self, engine: &Engine<B>) -> Option<u64> {
+        let now = engine.now();
+        let heads = || self.ready.iter().map(|&i| self.head(i).submitted);
+        let waiting = self.policy == SchedPolicy::PremaTokens && heads().any(|s| s <= now);
+        let steps = (0..self.tasks.len()).filter(|_| waiting).filter_map(|i| {
+            let since = self.waiting_since(i)?;
+            Some(since + 1 + now.saturating_sub(since).div_ceil(1000) * 1000)
+        });
+        heads().filter(|&s| s > now).chain(steps).min().filter(|_| self.bindings.contains(&None))
+    }
+
+    /// Binds queued jobs to free slots per the policy: each ready queue
+    /// head submitted by both `deadline` and the engine's clock (any cycle,
+    /// for a quiescent engine: a run would not move it), in rank order at
+    /// that clock.
+    fn pump<B: Backend>(&mut self, engine: &mut Engine<B>, deadline: u64) -> Result<(), SimError> {
         debug_assert_eq!(
             {
                 let mut ready = self.ready.clone();
@@ -742,17 +768,21 @@ impl Scheduler {
         );
         // Only a free slot can take a queued job.
         while !self.ready.is_empty() && self.bindings.contains(&None) {
+            let at = engine.now();
+            let quiescent = engine.next_event().is_none();
             // Ranks are unique (each carries its head job's id), so the
             // list's own order never matters.
             let mut ready = std::mem::take(&mut self.ready);
-            ready.sort_by_key(|&i| self.head_rank(i));
+            ready.sort_by_key(|&i| self.head_rank(i, at));
             self.ready = ready;
-            // The best-ranked candidate binds first; a candidate that no
-            // slot can serve (e.g. the reserved slot 0 is the only one
-            // free) does not block worse-ranked ones.
+            // The best-ranked arrived candidate binds first; a candidate
+            // that no slot can serve (e.g. the reserved slot 0 is the only
+            // one free) does not block worse-ranked ones.
             let Some((cand, slot)) = (0..self.ready.len()).find_map(|k| {
                 let i = self.ready[k];
-                self.choose_slot(i, engine).map(|s| (i, s))
+                let s = self.head(i).submitted;
+                let arrived = s <= deadline && (s <= at || quiescent);
+                arrived.then(|| self.choose_slot(i, engine).map(|slot| (i, slot))).flatten()
             }) else {
                 break;
             };
@@ -771,10 +801,11 @@ impl Scheduler {
     /// the datapath and preempts whichever of them is running. Among the
     /// slots that rule allows, the one already holding the task's program
     /// wins (its bind skips the reload), else the lowest. Slots the
-    /// engine is using outside this scheduler are never touched.
+    /// engine is using outside this scheduler are never touched. Ranks are
+    /// read at the engine's clock.
     fn choose_slot<B: Backend>(&mut self, cand: usize, engine: &Engine<B>) -> Option<TaskSlot> {
-        let urgent = self.tasks[cand].spec.priority == 0;
-        let cand_rank = self.head_rank(cand);
+        let (urgent, at) = (self.tasks[cand].spec.priority == 0, engine.now());
+        let cand_rank = self.head_rank(cand, at);
         // `lower`: highest bound slot whose job outranks the candidate
         // (must bind above it). `upper`: lowest bound slot whose job the
         // candidate outranks (binding below it wins the datapath).
@@ -782,7 +813,7 @@ impl Scheduler {
         let mut upper = None;
         for (slot, bound) in self.bindings.iter().enumerate() {
             let Some(t) = bound else { continue };
-            if cand_rank < self.bound_rank(t.index()) {
+            if cand_rank < self.bound_rank(t.index(), at) {
                 if upper.is_none() {
                     upper = Some(slot);
                 }
@@ -813,6 +844,9 @@ impl Scheduler {
         TaskSlot::new(chosen as u8).ok()
     }
 
+    /// Binds task `idx`'s queue head to `slot` at the later of its
+    /// submission and the engine's clock, and releases it there plus the
+    /// reload.
     fn bind<B: Backend>(
         &mut self,
         idx: usize,
@@ -833,8 +867,8 @@ impl Scheduler {
         // The context's DDR image follows the task across slots even when
         // the program copy is still resident.
         engine.backend_mut().rebind(slot, task.ctx())?;
-        let base = self.now.max(engine.now());
-        let release = base + reload;
+        let at = pending.submitted.max(engine.now());
+        let release = at + reload;
         engine.request_job_tagged(release, slot, pending.tag)?;
         self.tasks[idx].queue.pop_front();
         self.queued -= 1;
@@ -844,10 +878,10 @@ impl Scheduler {
         if let Some(tag) = pending.tag {
             // Queue span: admission to the cycle a slot was secured; the
             // reload DMA (if any) gets its own span on top.
-            self.probe.span(tag, SpanStage::Queue, 0, None, pending.admitted..base, idx as u64);
+            self.probe.span(tag, SpanStage::Queue, 0, None, pending.submitted..at, idx as u64);
             if reload > 0 {
                 let detail = slot.index() as u64;
-                self.probe.span(tag, SpanStage::Reload, 0, None, base..release, detail);
+                self.probe.span(tag, SpanStage::Reload, 0, None, at..release, detail);
             }
         }
         let preempting = self
@@ -858,7 +892,7 @@ impl Scheduler {
         self.bindings[slot.index()] = Some(task);
         self.tasks[idx].inflight =
             Some(InFlight { job: pending.job, slot, deadline: pending.deadline });
-        self.tasks[idx].tokens = 0;
+        self.tasks[idx].bound_at = at;
         let (cycle, job) = (release, pending.job.0);
         self.probe.tracer.emit(|| TraceEvent::SchedBound {
             cycle,
@@ -871,15 +905,25 @@ impl Scheduler {
         Ok(())
     }
 
-    /// The drive call every scheduling tier above an engine loops on:
-    /// pump at the engine's clock, run `engine` to `deadline` or to its
-    /// next job completion, whichever comes first, then route every
-    /// completion record the engine holds — the scheduler-bound ones are
-    /// appended to `done`, a job requested on the engine directly is not —
-    /// and retire them all ([`Engine::retire_completed`]), so the engine's
-    /// memory stays flat. Returns `true` when a completion stopped the
-    /// run: step again, so the freed slot re-binds at the exact
-    /// completion cycle.
+    /// The drive call every scheduling tier above an engine loops on: bind
+    /// what has arrived, run `engine` to `deadline`, to its next job
+    /// completion or to its next stop — the next submission cycle still
+    /// ahead of its clock, or under [`SchedPolicy::PremaTokens`] the next
+    /// token step while a job waits — whichever comes first, then route
+    /// every completion record the engine holds (the scheduler-bound ones
+    /// are appended to `done`, a job requested on the engine directly is
+    /// not) and retire them all ([`Engine::retire_completed`]), so the
+    /// engine's memory stays flat. Returns `true` when a completion
+    /// stopped the run or the engine reached its stop: step again, so the
+    /// freed slot, the arrived job or the new ranks bind at the cycle the
+    /// engine stopped at.
+    ///
+    /// A job binds once both the step's deadline and the engine's clock
+    /// reached its submission cycle, and is released at the engine's clock
+    /// plus its reload; ranks are read at that clock. So where a job binds
+    /// depends on the submissions and the engine's instruction boundaries,
+    /// not on the deadlines a driver steps to. Under VI the release lands
+    /// where an IAU takes a request made at that instruction boundary.
     ///
     /// # Errors
     ///
@@ -890,37 +934,38 @@ impl Scheduler {
         deadline: u64,
         done: &mut Vec<SchedCompletion>,
     ) -> Result<bool, SimError> {
-        self.pump(engine.now(), engine)?;
-        let hit_completion = engine.run_until_complete(deadline)?;
+        self.pump(engine, deadline)?;
+        let stop = self.next_stop(engine);
+        let hit_completion =
+            engine.run_until_complete(stop.map_or(deadline, |s| s.min(deadline)))?;
         let held = engine.completed_jobs();
         let n = held.len();
         done.extend(held.iter().filter_map(|record| self.note_completion(record)));
         engine.retire_completed(n);
-        Ok(hit_completion)
+        // A run past its deadline may still have reached the stop: the
+        // next step binds what that changed, at the engine's clock.
+        Ok(hit_completion || stop.is_some_and(|s| s <= engine.now()))
     }
 
     /// The earliest deadline at which a [`Scheduler::step`] of this
     /// scheduler and `engine` can change more than the engine's clock and
     /// its running job's pc, or `None` when a step would be a state no-op
-    /// — nothing to bind, no queued task to accrue tokens, an engine whose
-    /// clock would not move — which is the quiescence rule every driver
-    /// above an engine skips by.
+    /// — nothing to bind, an engine whose clock would not move — which is
+    /// the quiescence rule every driver above an engine skips by.
     ///
-    /// `Some(0)`, due at the next step whatever its deadline, when a pump
-    /// could change state: a ready task with a free slot, or any queued
-    /// job under [`SchedPolicy::PremaTokens`], whose tokens accrue at every
-    /// pump the clock moved for. The engine's clock may already lie past
-    /// that deadline; the bind must still happen there. Otherwise the
-    /// pump only raises this scheduler's clock, and the answer is
-    /// [`Engine::next_change`]: the next arrival or the running job's
-    /// completion.
+    /// That is the earlier of [`Engine::next_change`] (the next arrival or
+    /// the running job's completion) and, while a slot is free, the
+    /// earliest submission cycle among the ready queue heads: a step binds
+    /// a job only at a deadline at or past it. A cycle in the past is due
+    /// at the next step.
     #[must_use]
     pub fn next_tick<B: Backend>(&self, engine: &Engine<B>) -> Option<u64> {
-        let accrues = self.policy == SchedPolicy::PremaTokens && self.queued > 0;
-        if accrues || !self.ready.is_empty() && self.bindings.contains(&None) {
-            return Some(0);
+        let change = engine.next_change();
+        if self.ready.is_empty() || !self.bindings.contains(&None) {
+            return change;
         }
-        engine.next_change()
+        let arrival = self.ready.iter().map(|&i| self.head(i).submitted).min();
+        change.into_iter().chain(arrival).min()
     }
 
     /// Routes one engine completion record to its logical task, if any.
@@ -933,7 +978,6 @@ impl Scheduler {
         }
         self.backlog -= self.tasks[task.0].span;
         self.bindings[record.slot.index()] = None;
-        self.now = self.now.max(record.finish);
         self.tasks[task.0].stats.complete(record.finish, f.deadline);
         Some(SchedCompletion { task, job: f.job, deadline: f.deadline, record: *record })
     }
@@ -970,18 +1014,26 @@ impl Scheduler {
 /// [`Engine::run_until_complete`]).
 ///
 /// This is the standalone driver used by benches and tests; a serving
-/// gateway runs the same loop per core.
+/// gateway runs the same loop per core. Its outcome depends on the
+/// submissions alone: a submission first runs the pair to its cycle, so
+/// however a driver slices its runs, every job is admitted against the
+/// state at its submission cycle and bound as [`Scheduler::step`] says.
 #[derive(Debug)]
 pub struct ScheduledEngine<B: Backend> {
     engine: Engine<B>,
     sched: Scheduler,
+    /// Completions of the runs submissions made, for the next
+    /// [`ScheduledEngine::run_until`].
+    done: Vec<SchedCompletion>,
+    /// The engine error such a run hit, for the next `run_until`.
+    fault: Option<SimError>,
 }
 
 impl<B: Backend> ScheduledEngine<B> {
     /// Pairs `engine` with `sched`.
     #[must_use]
     pub fn new(engine: Engine<B>, sched: Scheduler) -> Self {
-        Self { engine, sched }
+        Self { engine, sched, done: Vec::new(), fault: None }
     }
 
     /// The engine.
@@ -1007,27 +1059,42 @@ impl<B: Backend> ScheduledEngine<B> {
         self.sched.register(spec)
     }
 
-    /// Submits one job of `task` at cycle `now` (must not precede earlier
-    /// submissions — the scheduler clock is monotonic).
+    /// Submits one job of `task` at cycle `now`, after running the pair to
+    /// `now` as [`ScheduledEngine::run_until`] would (its completions, or
+    /// the engine error it hit, are what the next `run_until` returns
+    /// first). A submission in the engine's past binds at the engine's
+    /// clock.
     ///
     /// # Errors
     ///
     /// See [`Scheduler::submit`].
     pub fn submit(&mut self, now: u64, task: TaskId) -> Result<Admission, RejectReason> {
+        if self.fault.is_none() {
+            self.fault = self.advance(now).err();
+        }
         self.sched.submit(now, task)
     }
 
+    /// Steps the pair to `deadline`, collecting completions.
+    fn advance(&mut self, deadline: u64) -> Result<(), SimError> {
+        while self.sched.step(&mut self.engine, deadline, &mut self.done)? {}
+        Ok(())
+    }
+
     /// Runs until `deadline`, pumping the scheduler at every job
-    /// completion, and returns the completions observed. Their engine
-    /// records are retired: the returned completions carry them.
+    /// completion and submission cycle, and returns the completions
+    /// observed since the last call. Their engine records are retired:
+    /// the returned completions carry them.
     ///
     /// # Errors
     ///
     /// Propagates engine/backend errors.
     pub fn run_until(&mut self, deadline: u64) -> Result<Vec<SchedCompletion>, SimError> {
-        let mut done = Vec::new();
-        while self.sched.step(&mut self.engine, deadline, &mut done)? {}
-        Ok(done)
+        if let Some(e) = self.fault.take() {
+            return Err(e);
+        }
+        self.advance(deadline)?;
+        Ok(std::mem::take(&mut self.done))
     }
 
     /// Runs until every admitted job completed (or nothing can make
@@ -1111,7 +1178,7 @@ mod tests {
         se.submit(0, bg).unwrap();
         se.submit(0, urgent).unwrap();
         // Pump without running: bindings land immediately.
-        se.sched.pump(0, &mut se.engine).unwrap();
+        se.sched.pump(&mut se.engine, 0).unwrap();
         let b = se.scheduler().bindings();
         assert_eq!(b[0], Some(urgent), "priority 0 takes the reserved slot");
         assert_ne!(b[1].or(b[2]).or(b[3]), None, "background task binds elsewhere");
@@ -1125,7 +1192,7 @@ mod tests {
         let b = se.register(TaskSpec::new("b", tiny(20)).priority(2));
         se.submit(0, a).unwrap();
         se.submit(0, b).unwrap();
-        se.sched.pump(0, &mut se.engine).unwrap();
+        se.sched.pump(&mut se.engine, 0).unwrap();
         assert_eq!(se.scheduler().bindings(), [None, Some(a), Some(b), None]);
         se.run_to_idle(u64::MAX).unwrap();
         let (reloads, cycles) = (se.scheduler().reloads(), se.scheduler().reload_cycles());
@@ -1133,7 +1200,7 @@ mod tests {
         // not in the lowest free slot, and pays no reload.
         let now = se.engine().now();
         se.submit(now, b).unwrap();
-        se.sched.pump(now, &mut se.engine).unwrap();
+        se.sched.pump(&mut se.engine, now).unwrap();
         assert_eq!(se.scheduler().bindings(), [None, None, Some(b), None]);
         assert_eq!(se.scheduler().reloads(), reloads);
         assert_eq!(se.scheduler().reload_cycles(), cycles);
@@ -1148,19 +1215,19 @@ mod tests {
         // `worse` binds slot 1 alone; `better`, arriving while it is bound,
         // falls back to the rank-inverted slot 2.
         se.submit(0, worse).unwrap();
-        se.sched.pump(0, &mut se.engine).unwrap();
+        se.sched.pump(&mut se.engine, 0).unwrap();
         se.submit(0, better).unwrap();
-        se.sched.pump(0, &mut se.engine).unwrap();
+        se.sched.pump(&mut se.engine, 0).unwrap();
         assert_eq!(se.scheduler().bindings(), [None, Some(worse), Some(better), None]);
         se.run_to_idle(u64::MAX).unwrap();
         // Now `better` rebinds in its slot 2, and `worse`, resident in
         // slot 1 below it, must still bind above it: slot 3, reloading.
         let now = se.engine().now();
         se.submit(now, better).unwrap();
-        se.sched.pump(now, &mut se.engine).unwrap();
+        se.sched.pump(&mut se.engine, now).unwrap();
         let (reloads, cycles) = (se.scheduler().reloads(), se.scheduler().reload_cycles());
         se.submit(now, worse).unwrap();
-        se.sched.pump(now, &mut se.engine).unwrap();
+        se.sched.pump(&mut se.engine, now).unwrap();
         assert_eq!(se.scheduler().bindings(), [None, None, Some(better), Some(worse)]);
         assert_eq!(se.scheduler().reloads(), reloads + 1);
         let penalty = reload_penalty(&cfg(), &se.scheduler().spec(worse).program);
@@ -1177,7 +1244,7 @@ mod tests {
         engine.load(TaskSlot::HIGHEST, Arc::clone(&s.spec(bg).program)).unwrap();
         s.loaded[0] = Some(bg);
         s.submit(0, bg).unwrap();
-        s.pump(0, &mut engine).unwrap();
+        s.pump(&mut engine, 0).unwrap();
         assert_eq!(s.bindings(), [None, Some(bg), None, None]);
         assert_eq!(s.reloads(), 1, "slot 1 loads the program slot 0 holds");
     }
@@ -1249,8 +1316,10 @@ mod tests {
             .register(TaskSpec::new("loose", Arc::clone(&program)).priority(1).deadline(9_000_000));
         let tight =
             se.register(TaskSpec::new("tight", Arc::clone(&program)).priority(3).deadline(400_000));
-        se.submit(0, loose).unwrap();
-        se.submit(0, tight).unwrap();
+        // Both queued before any step (a `ScheduledEngine` submission
+        // steps first, binding `loose` alone).
+        se.sched.submit(0, loose).unwrap();
+        se.sched.submit(0, tight).unwrap();
         let done = se.run_to_idle(u64::MAX).unwrap();
         assert_eq!(done.len(), 2);
         // Both bound in the same pump; the tighter deadline got the
@@ -1259,18 +1328,40 @@ mod tests {
     }
 
     #[test]
-    fn prema_tokens_age_background_work() {
-        let mut s = Scheduler::new(cfg(), SchedPolicy::PremaTokens);
-        let a = s.register(TaskSpec::new("a", tiny(16)).priority(3).queue(4, DropPolicy::Reject));
-        s.submit(0, a).unwrap();
-        let mut engine =
-            Engine::new(cfg(), InterruptStrategy::VirtualInstruction, TimingBackend::new());
-        // Accrue over a long idle gap, then observe tokens were earned and
-        // reset on bind.
-        s.accrue_tokens(100_000);
-        assert!(s.tasks[a.0].tokens > 0);
-        s.pump(100_000, &mut engine).unwrap();
-        assert_eq!(s.tasks[a.0].tokens, 0, "tokens reset when the job binds");
+    fn prema_tokens_count_time_waited_not_pumps() {
+        // Three long jobs hold slots 1–3 and the waiting task is not
+        // urgent, so its two jobs cannot bind: only their tokens move.
+        let start = || {
+            let mut se = scheduled(SchedPolicy::PremaTokens);
+            let busy: Vec<TaskId> = (1..=3)
+                .map(|p| se.register(TaskSpec::new(format!("busy{p}"), tiny(64)).priority(p)))
+                .collect();
+            let spec = TaskSpec::new("waiting", tiny(16)).priority(3).queue(2, DropPolicy::Reject);
+            let waiting = se.register(spec);
+            for t in busy.into_iter().chain([waiting, waiting]) {
+                se.submit(0, t).unwrap();
+            }
+            (se, waiting)
+        };
+        let run = |deadlines: &[u64]| {
+            let (mut se, waiting) = start();
+            for &d in deadlines {
+                assert!(se.run_until(d).unwrap().is_empty());
+            }
+            assert_eq!(se.scheduler().queue_depth(waiting), 2, "the waiting jobs never bound");
+            let at = se.engine().now();
+            (at, se.sched.tokens(waiting.0, at), se.sched.head_rank(waiting.0, at))
+        };
+        let one = run(&[1_000]);
+        let many = run(&(1..=1_000).collect::<Vec<_>>());
+        assert_eq!(many, one, "1 000 one-cycle pumps earn what one 1 000-cycle pump does");
+        assert_eq!(one.1, one.0.div_ceil(1_000), "weight 1 per started kilocycle waited");
+        // The first completion frees a slot and the first waiting job binds
+        // there: the second one's tokens count from that bind.
+        let (mut se, waiting) = start();
+        let freed = (1..).find_map(|k| Some(se.run_until(k * 1_000).unwrap().first()?.record));
+        assert!(se.scheduler().in_flight(waiting));
+        assert_eq!(se.sched.waiting_since(waiting.0), freed.map(|r| r.finish));
     }
 
     #[test]

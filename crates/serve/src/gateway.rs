@@ -324,8 +324,8 @@ impl<B: Backend> Gateway<B> {
     /// The core pool (e.g. to install backend context images before
     /// serving starts). A core that barriers left behind — it had nothing
     /// due at them — has not run to them yet: its engine's own clock and
-    /// counters lag until it next ticks, while [`CorePool::now`] and
-    /// [`CorePool::lag`] already count the barriers it missed.
+    /// counters lag until it next ticks, while [`CorePool::clock`] and
+    /// [`CorePool::now`] already read where those runs would have left it.
     #[must_use]
     pub fn pool(&self) -> &CorePool<B> {
         &self.pool
@@ -482,6 +482,8 @@ impl<B: Backend> Gateway<B> {
 
     /// Submits one request of `tenant` at cycle `now` (the gateway clock
     /// is monotonic — later submissions must not carry earlier cycles).
+    /// Placement and admission read the cores' run state, so run the
+    /// gateway to `now` first ([`Gateway::run_until`]).
     ///
     /// Hard-lane requests bypass batching: they are placed immediately
     /// and submitted to that core's scheduler, where the analytical-cost-
@@ -579,8 +581,7 @@ impl<B: Backend> Gateway<B> {
         // needs the span tag at submit time, but rejected submissions must
         // not consume an id.
         let tag = self.tag_for(RequestId(self.next_request));
-        let at = self.sched_cycle(core, now);
-        match self.scheds[core.0].submit_tagged(at, task, tag) {
+        match self.scheds[core.0].submit_tagged(now, task, tag) {
             Ok(adm) => {
                 let request = self.next_request_id();
                 self.open(tenant);
@@ -645,14 +646,6 @@ impl<B: Backend> Gateway<B> {
         self.placer.place(tenant.0, self.active_cores, |c| scheds[c].modelled_backlog())
     }
 
-    /// The cycle `core`'s scheduler takes a submission at `now` at: the
-    /// pumps of the barriers that left the core behind raised its clock to
-    /// where its engine started the latest of them, which the core's own
-    /// clock has not reached yet.
-    fn sched_cycle(&self, core: CoreId, now: u64) -> u64 {
-        self.pool.lag(core).map_or(now, |start| now.max(start))
-    }
-
     /// Reload cycles one request of `tenant` would pay if submitted now:
     /// the [`Scheduler::reload_quote`] of the core placement would pick (0
     /// when its program is resident there).
@@ -710,11 +703,10 @@ impl<B: Backend> Gateway<B> {
         self.batched_requests += u64::from(size);
         self.pool.wake(core);
         self.trace_milestone(now, || format!("serve.flush net{net} x{size} {core}"));
-        let at = self.sched_cycle(core, now);
         for e in entries.drain(..) {
             let task = self.task_ids[e.tenant.0];
             let tag = self.tag_for(e.request);
-            match self.scheds[core.0].submit_tagged(at, task, tag) {
+            match self.scheds[core.0].submit_tagged(now, task, tag) {
                 Ok(adm) => {
                     if let Some(tag) = tag {
                         let (wait, detail) = (e.arrival..now, u64::from(size));
@@ -991,12 +983,12 @@ impl<B: Backend> Gateway<B> {
 /// The serving tier shares its pool's [`Barrier`]: a core here is the
 /// engine *plus* its slot-virtualizing scheduler. Hard submits and batch
 /// flushes arm it through [`CorePool::wake`], and its next tick is
-/// [`Scheduler::next_tick`]: a pending bind at once, else the engine's
-/// next arrival or completion. Barriers before that only move the engine
-/// on and raise the scheduler's clock to where each found the engine; a
-/// core they skip settles in its next tick, and a submission to it
-/// carries the raise ([`CorePool::lag`]). A gateway over
-/// [`Stepped`](inca_accel::Stepped) engines steps every pair at every
+/// [`Scheduler::next_tick`]: the earliest submission cycle a free slot can
+/// bind, else the engine's next arrival or completion. Barriers before
+/// that would only move the engine on, which its next tick covers
+/// exactly: a job binds once the engine's clock reached its submission
+/// cycle, however barriers cut the runs that took it there. A gateway
+/// over [`Stepped`](inca_accel::Stepped) engines steps every pair at every
 /// barrier, like its pool.
 impl<B: Backend> Tier for Gateway<B> {
     const STEPPED: bool = B::STEPPED;
@@ -1009,19 +1001,7 @@ impl<B: Backend> Tier for Gateway<B> {
         self.scheds[i].next_tick(self.pool.core(CoreId(i)))
     }
 
-    /// Settles a core barriers left behind first: their ticks' pumps
-    /// would only have raised the scheduler's clock (the core was not
-    /// due), so one pump at the clock their runs would have left the
-    /// engine at ([`CorePool::clock`]) catches it up and binds there, as
-    /// the tick's own first pump would. The engine's run then covers the
-    /// progress it missed: a run is the same pure progress up to its next
-    /// change however barriers cut it.
     fn tick(&mut self, i: usize, deadline: u64) -> Result<(), SimError> {
-        let (core, clock) = (CoreId(i), self.pool.clock(CoreId(i)));
-        let engine = self.pool.core_mut(core);
-        if clock > engine.now() {
-            self.scheds[i].pump(clock, engine)?;
-        }
         self.advance_core(i, deadline)
     }
 }

@@ -4,9 +4,11 @@
 #
 # Property-based suites (vendored proptest, pinned per-test seeds) run at
 # a bounded case count so the whole gate stays under a couple of minutes;
-# override for a deeper sweep, e.g. nightly:
+# override for a deeper sweep. scripts/nightly.sh runs this gate at
 #
 #   INCA_PROP_CASES=512 scripts/check.sh
+#
+# and then the compiler's #[ignore]d slow cells, which nothing here runs.
 #
 # Set INCA_BENCH_GATE=1 to also run the perf-baseline regression gate
 # (scripts/bench_gate.sh --quick: deterministic cycle-domain metrics vs

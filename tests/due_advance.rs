@@ -1,7 +1,7 @@
 //! Advancing only what is due is exact. A product cluster skips every
 //! gateway with nothing due by a barrier and, inside a gateway, every core
-//! whose next arrival or completion lies beyond it; a core left behind
-//! settles in its next tick. The same cluster over [`Stepped`] engines
+//! whose next arrival, completion or bind lies beyond it; a core left
+//! behind catches up in its next tick. The same cluster over [`Stepped`] engines
 //! visits every gateway with work outstanding and ticks every core at
 //! every barrier. The two must agree after **every** barrier on all the
 //! state a driver can read: the cluster and gateway clocks, the responses
@@ -162,7 +162,7 @@ fn run<B: Backend>(policy: SchedPolicy, sample: u64, wrap: fn(TimingBackend) -> 
         cluster.run_until(now).expect("engine");
         let lags = (0..2).any(|g| {
             let pool = cluster.gateway(GatewayId(g)).pool();
-            pool.core_ids().any(|c| pool.lag(c).is_some())
+            pool.core_ids().any(|c| pool.core(c).now() < pool.clock(c))
         });
         lagging += usize::from(lags);
         readings.push(read(&mut cluster));
